@@ -21,6 +21,7 @@ from .distcore import (
     tv_distance,
 )
 from .oracles import (
+    BinaryEncodedOracle,
     IntervalOracle,
     OracleError,
     PrefixQuery,
@@ -28,7 +29,6 @@ from .oracles import (
     SubcubeQuery,
     TableOracle,
     TupleTableOracle,
-    binary_encode,
     prefix_to_interval,
     product_marginal_oracle,
 )

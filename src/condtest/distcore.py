@@ -56,6 +56,17 @@ def index_to_bits(index: int, length: int) -> tuple[int, ...]:
     return tuple((index >> (length - 1 - j)) & 1 for j in range(length))
 
 
+def check_probability_vector(probs: np.ndarray) -> None:
+    """DomainError unless ``probs`` is finite, non-negative and sums to 1
+    within PROB_ATOL."""
+    if not np.all(np.isfinite(probs)):
+        raise DomainError("probabilities must be finite")
+    if np.any(probs < 0):
+        raise DomainError("probabilities must be non-negative")
+    if abs(float(probs.sum()) - 1.0) > PROB_ATOL:
+        raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
+
+
 def single_bit_divergence(kind: DivergenceKind, p: float, q: float) -> float:
     """Divergence between Ber(p) and Ber(q).
 
@@ -101,10 +112,7 @@ class DistributionTable:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (1 << n,):
             raise DomainError(f"expected {1 << n} probabilities, got shape {probs.shape}")
-        if np.any(probs < 0):
-            raise DomainError("probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > PROB_ATOL:
-            raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
+        check_probability_vector(probs)
         self.n = n
         self.probs = probs.copy()
         self.probs.setflags(write=False)

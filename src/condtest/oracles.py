@@ -3,20 +3,21 @@
 Each oracle wraps one distribution behind one access model (subcube, prefix,
 marginal prefix, interval, ...), owns a seeded RNG stream, and counts every
 query by class.  Table-backed oracles additionally expose the exact
-conditional probabilities they sample from; the testers' collapsed execution
-mode relies on this introspection, while the sampled mode only ever consumes
-served samples.
+conditional probabilities they sample from (``exact_bit_prob``) and full
+samples drawn without a meter charge (``sample_full_indices_uncounted``).
 
-Batched helpers (``*_count``) serve the sum of m i.i.d. single-sample queries
-with a single binomial draw.  The output distribution is identical to m
-independent queries and the meter is charged m; only the RNG stream layout
-differs.
+Metering has one rule, ``charge(cls, m)``: it bills m queries of class
+``cls`` to the oracle's own counter and forwards them to the oracle it is
+built on (``base``) as that wrapper's ``base_class``.  Both tester modes meter
+only through it.  The sampled mode draws each batch of bit samples as
+binomial counts at the exact conditional probability, from the oracle's own
+RNG, and charges one query per bit; the collapsed mode charges the same
+totals without drawing the bits.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .distcore import (
     DomainError,
     TupleDomain,
     bits_to_index,
+    check_probability_vector,
     index_to_bits,
 )
 
@@ -73,6 +75,30 @@ class QueryCounter:
 
     def snapshot(self) -> dict[str, int]:
         return {cls.value: self.counts.get(cls, 0) for cls in QueryClass}
+
+
+class MeteredOracle:
+    """Counter, RNG and the charging rule shared by every oracle.
+
+    A root oracle owns a seeded RNG stream; a wrapper shares its base's.
+    Every query a wrapper answers costs one query of ``base_class`` (None:
+    the same class) on its base.  A wrapper's serving method that delegates
+    to a base serving method bills only its own counter; the base's method
+    bills the base.
+    """
+
+    base_class: QueryClass | None = None
+
+    def __init__(self, base: MeteredOracle | None = None, seed=None):
+        self.base = base
+        self.counter = QueryCounter()
+        self.rng = base.rng if base is not None else np.random.default_rng(seed)
+
+    def charge(self, cls: QueryClass, m: int = 1) -> None:
+        """Bill m queries of class ``cls`` here and down the base chain."""
+        self.counter.add(cls, m)
+        if self.base is not None:
+            self.base.charge(self.base_class or cls, m)
 
 
 @dataclass(frozen=True)
@@ -141,17 +167,7 @@ class PrefixQuery:
 
 
 # ----------------------------------------------------------------------
-# bin / unbin and the prefix -> interval translation
-
-
-def unbin(bits) -> int:
-    """MSB-first bits -> integer (sum of 2^(i-j) x_j)."""
-    return bits_to_index(bits)
-
-
-def bin_of(ell: int, value: int) -> tuple[int, ...]:
-    """Integer in [0, 2^ell) -> MSB-first bits; inverse of unbin."""
-    return index_to_bits(value, ell)
+# the prefix -> interval translation
 
 
 def prefix_to_interval(ell: int, i: int, w) -> tuple[int, int]:
@@ -161,7 +177,7 @@ def prefix_to_interval(ell: int, i: int, w) -> tuple[int, int]:
     if not 1 <= i <= ell + 1 or len(w) != i - 1:
         raise _malformed(f"bad prefix ({i}, {w}) for ell={ell}")
     width = 1 << (ell - i + 1)
-    a = width * unbin(w) + 1
+    a = width * bits_to_index(w) + 1
     return a, a + width - 1
 
 
@@ -169,7 +185,7 @@ def prefix_to_interval(ell: int, i: int, w) -> tuple[int, int]:
 # binary table oracle
 
 
-class TableOracle:
+class TableOracle(MeteredOracle):
     """Metered sampling access to a dense binary DistributionTable.
 
     Supports the unconditional, subcube, prefix, and marginal prefix models.
@@ -178,10 +194,9 @@ class TableOracle:
     """
 
     def __init__(self, table: DistributionTable, seed=None):
+        super().__init__(seed=seed)
         self.table = table
         self.n = table.n
-        self.rng = np.random.default_rng(seed)
-        self.counter = QueryCounter()
         self._cdf_cache: dict = {}
 
     # -- internals ------------------------------------------------------
@@ -220,7 +235,7 @@ class TableOracle:
     # -- single-sample API ----------------------------------------------
 
     def draw_unconditional(self) -> tuple[int, ...]:
-        self.counter.add(QueryClass.UNCONDITIONAL)
+        self.charge(QueryClass.UNCONDITIONAL)
         idx = self._sample_prefix_block(1, 0, 1)[0]
         return index_to_bits(int(idx), self.n)
 
@@ -228,7 +243,7 @@ class TableOracle:
         if query.n != self.n:
             raise OracleError(OracleErrorKind.DIMENSION_MISMATCH,
                               f"query over {query.n} coordinates, domain has {self.n}")
-        self.counter.add(QueryClass.SUBCUBE)
+        self.charge(QueryClass.SUBCUBE)
         key = ("subcube", query.constraints)
         hit = self._cdf_cache.get(key)
         if hit is None:
@@ -254,10 +269,7 @@ class TableOracle:
         if query.i > self.n:
             raise OracleError(OracleErrorKind.DIMENSION_MISMATCH,
                               f"break-off {query.i} beyond n={self.n}")
-        self.counter.add(QueryClass.PREFIX)
-        return self._prefix_sample_uncounted(query)
-
-    def _prefix_sample_uncounted(self, query: PrefixQuery) -> tuple[int, ...]:
+        self.charge(QueryClass.PREFIX)
         prefix_idx = bits_to_index(query.fixed)
         if query.allowed == frozenset({0, 1}):
             idx = self._sample_prefix_block(query.i, prefix_idx, 1)[0]
@@ -271,51 +283,32 @@ class TableOracle:
         w = tuple(w)
         if len(w) != i - 1:
             raise _malformed(f"prefix length {len(w)} for index {i}")
-        self.counter.add(QueryClass.MARGINAL)
+        self.charge(QueryClass.MARGINAL)
         p = self.exact_bit_prob(i, bits_to_index(w))
         return int(self.rng.random() < p)
-
-    # -- batched API (distribution-identical, meter charged per sample) --
-
-    def prefix_sample_index_batch(self, k: int) -> np.ndarray:
-        """k unconditional samples (empty-prefix prefix queries), as indices."""
-        self.counter.add(QueryClass.PREFIX, k)
-        return self._sample_prefix_block(1, 0, k)
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain sample indices with no meter charge; callers are
         responsible for charging per consumed draw."""
         return self._sample_prefix_block(1, 0, k)
 
-    def prefix_bit_count(self, i: int, prefix_idx: int, m: int) -> int:
-        """Number of ones among m prefix-query samples of bit i."""
-        self.counter.add(QueryClass.PREFIX, m)
-        return int(self.rng.binomial(m, self.exact_bit_prob(i, prefix_idx)))
-
-    def marginal_prefix_count(self, i: int, prefix_idx: int, m: int) -> int:
-        """Number of ones among m marginal-prefix samples."""
-        self.counter.add(QueryClass.MARGINAL, m)
-        return int(self.rng.binomial(m, self.exact_bit_prob(i, prefix_idx)))
-
 
 # ----------------------------------------------------------------------
 # interval oracle and the interval-backed prefix view
 
 
-class IntervalOracle:
+class IntervalOracle(MeteredOracle):
     """Metered interval-conditional sampling over an explicit pmf on [N]."""
 
     def __init__(self, pmf, seed=None):
         pmf = np.asarray(pmf, dtype=np.float64)
         if pmf.ndim != 1 or pmf.shape[0] < 1:
             raise DomainError("pmf must be a nonempty vector")
-        if np.any(pmf < 0) or abs(float(pmf.sum()) - 1.0) > 1e-12:
-            raise DomainError("pmf must be a probability vector")
+        check_probability_vector(pmf)
+        super().__init__(seed=seed)
         self.N = pmf.shape[0]
         self.pmf = pmf
         self.cdf = np.cumsum(pmf)
-        self.rng = np.random.default_rng(seed)
-        self.counter = QueryCounter()
 
     def interval_mass(self, a: int, b: int) -> float:
         if not 1 <= a <= b <= self.N:
@@ -324,7 +317,7 @@ class IntervalOracle:
 
     def interval_sample(self, a: int, b: int) -> int:
         """Element of [a, b] distributed as the conditional; 1-based."""
-        self.counter.add(QueryClass.INTERVAL)
+        self.charge(QueryClass.INTERVAL)
         total = self.interval_mass(a, b)
         if total <= 0.0:
             raise _zero_prob(f"interval [{a}, {b}] has zero probability")
@@ -332,49 +325,45 @@ class IntervalOracle:
         u = base + self.rng.random() * total
         return int(np.searchsorted(self.cdf, u, side="right")) + 1
 
-    def interval_split_count(self, a: int, b: int, mid: int, m: int) -> int:
-        """Among m conditional samples from [a, b], how many land in [mid, b].
-        One binomial draw; meter charged m."""
-        self.counter.add(QueryClass.INTERVAL, m)
-        total = self.interval_mass(a, b)
-        if total <= 0.0:
-            raise _zero_prob(f"interval [{a}, {b}] has zero probability")
-        return int(self.rng.binomial(m, self.interval_mass(mid, b) / total))
 
-
-class IntervalBackedPrefixOracle:
+class IntervalBackedPrefixOracle(MeteredOracle):
     """Binary prefix/marginal-prefix oracle over [2^ell], translating every
-    prefix query into exactly one interval query."""
+    prefix query into exactly one interval query.
+
+    The base oracle's domain [N] may be shorter than [2^ell], with
+    2^(ell-1) < N <= 2^ell; the padding elements N+1..2^ell carry zero mass.
+    """
+
+    base_class = QueryClass.INTERVAL
 
     def __init__(self, base: IntervalOracle, ell: int):
-        if base.N != 1 << ell:
-            raise DomainError(f"base oracle has N={base.N}, expected 2^{ell}")
-        self.base = base
+        if not (1 << ell) // 2 < base.N <= 1 << ell:
+            raise DomainError(f"base oracle has N={base.N}, expected "
+                              f"2^{ell - 1} < N <= 2^{ell}")
+        super().__init__(base)
         self.n = ell
-        self.counter = QueryCounter()
 
     def _interval_of_prefix_idx(self, i: int, prefix_idx: int) -> tuple[int, int]:
         return prefix_to_interval(self.n, i, index_to_bits(prefix_idx, i - 1))
 
+    def _mass(self, a: int, b: int) -> float:
+        """Mass of [a, b] in the padded domain."""
+        if a > self.base.N:
+            return 0.0
+        return self.base.interval_mass(a, min(b, self.base.N))
+
     def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
         a, b = self._interval_of_prefix_idx(i, prefix_idx)
-        total = self.base.interval_mass(a, b)
+        total = self._mass(a, b)
         if total <= 0.0:
             raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
         mid = a + (b - a + 1) // 2
-        return self.base.interval_mass(mid, b) / total
-
-    def prefix_sample_index_batch(self, k: int) -> np.ndarray:
-        self.counter.add(QueryClass.PREFIX, k)
-        out = np.empty(k, dtype=np.int64)
-        for j in range(k):
-            out[j] = self.base.interval_sample(1, self.base.N) - 1
-        return out
+        return self._mass(mid, b) / total
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
-        """As prefix_sample_index_batch but meter-free; callers charge per
+        """k full-domain sample indices, meter-free; callers charge per
         consumed draw."""
-        u = self.base.rng.random(k) * float(self.base.cdf[-1])
+        u = self.rng.random(k) * float(self.base.cdf[-1])
         return np.searchsorted(self.base.cdf, u, side="right")
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
@@ -386,29 +375,22 @@ class IntervalBackedPrefixOracle:
             a, b = self._interval_of_prefix_idx(query.i + 1, prefix_idx)
         else:
             a, b = self._interval_of_prefix_idx(query.i, prefix_idx)
-        return index_to_bits(self.base.interval_sample(a, b) - 1, self.n)
-
-    def prefix_bit_count(self, i: int, prefix_idx: int, m: int) -> int:
-        self.counter.add(QueryClass.PREFIX, m)
-        a, b = self._interval_of_prefix_idx(i, prefix_idx)
-        mid = a + (b - a + 1) // 2
-        return self.base.interval_split_count(a, b, mid, m)
-
-    def marginal_prefix_count(self, i: int, prefix_idx: int, m: int) -> int:
-        self.counter.add(QueryClass.MARGINAL, m)
-        a, b = self._interval_of_prefix_idx(i, prefix_idx)
-        mid = a + (b - a + 1) // 2
-        return self.base.interval_split_count(a, b, mid, m)
+        if a > self.base.N:
+            self.base.charge(QueryClass.INTERVAL)
+            raise _zero_prob(f"interval [{a}, {b}] lies in the zero-mass padding")
+        return index_to_bits(self.base.interval_sample(a, min(b, self.base.N)) - 1,
+                             self.n)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        return 1 if self.marginal_prefix_count(i, bits_to_index(w), 1) else 0
+        self.charge(QueryClass.MARGINAL)
+        return int(self.rng.binomial(1, self.exact_bit_prob(i, bits_to_index(w))))
 
 
 # ----------------------------------------------------------------------
 # tuple-domain oracle and the binary encoding
 
 
-class TupleTableOracle:
+class TupleTableOracle(MeteredOracle):
     """Metered subcube/prefix/marginal access to an explicit joint pmf over a
     TupleDomain."""
 
@@ -416,12 +398,10 @@ class TupleTableOracle:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (domain.size(),):
             raise DomainError(f"expected {domain.size()} probabilities")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise DomainError("probs must form a distribution")
+        check_probability_vector(probs)
+        super().__init__(seed=seed)
         self.domain = domain
         self.probs = probs
-        self.rng = np.random.default_rng(seed)
-        self.counter = QueryCounter()
         # coordinate value of every flat index, per coordinate
         sizes = domain.sizes
         idx = np.arange(domain.size())
@@ -455,18 +435,18 @@ class TupleTableOracle:
         """sets: per-coordinate allowed collection or None."""
         if len(sets) != self.domain.n:
             raise OracleError(OracleErrorKind.DIMENSION_MISMATCH, "bad arity")
-        self.counter.add(QueryClass.SUBCUBE)
+        self.charge(QueryClass.SUBCUBE)
         return self.domain.element_of(self._conditional_draw(self._mask_of_sets(sets)))
 
     def prefix_sample(self, i: int, fixed, allowed) -> tuple:
         """Prefix query: coordinates 1..i-1 fixed, coordinate i in ``allowed``."""
-        self.counter.add(QueryClass.PREFIX)
+        self.charge(QueryClass.PREFIX)
         sets = self._prefix_sets(i, fixed, allowed)
         return self.domain.element_of(self._conditional_draw(self._mask_of_sets(sets)))
 
     def marginal_prefix_sample(self, i: int, fixed, allowed):
         """Coordinate i only, conditioned as in prefix_sample."""
-        self.counter.add(QueryClass.MARGINAL)
+        self.charge(QueryClass.MARGINAL)
         sets = self._prefix_sets(i, fixed, allowed)
         full = self.domain.element_of(self._conditional_draw(self._mask_of_sets(sets)))
         return full[i - 1]
@@ -484,7 +464,7 @@ class TupleTableOracle:
         return float(self.probs[self._mask_of_sets(sets)].sum())
 
 
-class BinaryEncodedOracle:
+class BinaryEncodedOracle(MeteredOracle):
     """Binary view of a tuple-domain distribution.
 
     Coordinate i is encoded with its canonical-order index as a
@@ -494,10 +474,9 @@ class BinaryEncodedOracle:
     """
 
     def __init__(self, base: TupleTableOracle):
-        self.base = base
+        super().__init__(base)
         self.domain = base.domain
         self.n = self.domain.total_bits
-        self.counter = QueryCounter()
         self._widths = self.domain.bit_widths
         self._starts = []
         acc = 0
@@ -626,15 +605,10 @@ class BinaryEncodedOracle:
         mass_one = self.base.exact_conditional_mass(sets) if ones else 0.0
         return mass_one / total
 
-    def prefix_sample_index_batch(self, k: int) -> np.ndarray:
-        self.counter.add(QueryClass.PREFIX, k)
-        self.base.counter.add(QueryClass.PREFIX, k)
-        return self.sample_full_indices_uncounted(k)
-
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain samples as encoded bit-string indices, meter-free."""
         cdf = np.cumsum(self.base.probs)
-        u = self.base.rng.random(k) * float(cdf[-1])
+        u = self.rng.random(k) * float(cdf[-1])
         flat = np.searchsorted(cdf, u, side="right")
         out = np.empty(k, dtype=np.int64)
         for j in range(k):
@@ -642,42 +616,27 @@ class BinaryEncodedOracle:
             out[j] = bits_to_index(self.encode(element))
         return out
 
-    def prefix_bit_count(self, i: int, prefix_idx: int, m: int) -> int:
-        self.counter.add(QueryClass.PREFIX, m)
-        self.base.counter.add(QueryClass.PREFIX, m)
-        return int(self.base.rng.binomial(m, self.exact_bit_prob(i, prefix_idx)))
-
-    def marginal_prefix_count(self, i: int, prefix_idx: int, m: int) -> int:
-        self.counter.add(QueryClass.MARGINAL, m)
-        self.base.counter.add(QueryClass.MARGINAL, m)
-        return int(self.base.rng.binomial(m, self.exact_bit_prob(i, prefix_idx)))
-
 
 # ----------------------------------------------------------------------
 # product-of-marginals views
 
 
-class ProductMarginalOracle:
+class ProductMarginalOracle(MeteredOracle):
     """Marginal-prefix oracle over the product of a binary distribution's
     marginals, served through one unconditional (empty-prefix) sample of the
     base distribution per query."""
 
+    base_class = QueryClass.PREFIX
+
     def __init__(self, base: TableOracle):
-        self.base = base
+        super().__init__(base)
         self.n = base.n
-        self.counter = QueryCounter()
         self._marginals = None
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        self.counter.add(QueryClass.MARGINAL)
-        self.base.counter.add(QueryClass.PREFIX)
-        sample = self.base._prefix_sample_uncounted(PrefixQuery.bits(()))
-        return sample[i - 1]
-
-    def marginal_prefix_count(self, i: int, prefix_idx: int, m: int) -> int:
-        self.counter.add(QueryClass.MARGINAL, m)
-        self.base.counter.add(QueryClass.PREFIX, m)
-        return int(self.base.rng.binomial(m, self.exact_bit_prob(i, prefix_idx)))
+        self.charge(QueryClass.MARGINAL)
+        sample = self.base.sample_full_indices_uncounted(1)[0]
+        return index_to_bits(int(sample), self.n)[i - 1]
 
     def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
         # marginals are prefix-independent by construction
@@ -686,17 +645,18 @@ class ProductMarginalOracle:
         return float(self._marginals[i - 1])
 
 
-class GeneralProductMarginalOracle:
+class GeneralProductMarginalOracle(MeteredOracle):
     """Marginal-prefix oracle over the binary encoding of the product of a
     tuple distribution's coordinate marginals.  Each query costs one subcube
     query to the base tuple oracle (the break-off bit may sit in the middle
     of a coordinate's bit block, forcing a nontrivial allowed set there)."""
 
+    base_class = QueryClass.SUBCUBE
+
     def __init__(self, encoded: BinaryEncodedOracle):
+        super().__init__(encoded.base)
         self.encoded = encoded
-        self.base = encoded.base
         self.n = encoded.n
-        self.counter = QueryCounter()
 
     def _within_block_sets(self, i: int, w) -> tuple[int, list, tuple]:
         coord = self.encoded._coord_of_bit(i - 1)
@@ -719,11 +679,6 @@ class GeneralProductMarginalOracle:
         bits = index_to_bits(code, self.encoded._widths[coord])
         return bits[i - 1 - self.encoded._starts[coord]]
 
-    def marginal_prefix_count(self, i: int, prefix_idx: int, m: int) -> int:
-        self.counter.add(QueryClass.MARGINAL, m)
-        self.base.counter.add(QueryClass.SUBCUBE, m)
-        return int(self.base.rng.binomial(m, self.exact_bit_prob(i, prefix_idx)))
-
     def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
         w = index_to_bits(prefix_idx, i - 1)
         coord, sets, allowed = self._within_block_sets(i, w)
@@ -738,11 +693,6 @@ class GeneralProductMarginalOracle:
             return 0.0
         sets[coord] = ones
         return self.base.exact_conditional_mass(sets) / total
-
-
-def binary_encode(base: TupleTableOracle) -> BinaryEncodedOracle:
-    """Binary-oracle view of a tuple-domain oracle (one-query translation)."""
-    return BinaryEncodedOracle(base)
 
 
 def product_marginal_oracle(base) -> ProductMarginalOracle | GeneralProductMarginalOracle:

@@ -4,8 +4,9 @@ equivalence tester, the product tester, and the alphabet/interval wrappers.
 Two execution modes are provided for the full testers.
 
 ``sampled``
-    The literal algorithm: every trial consumes oracle samples (batched
-    binomial draws, which are distribution-identical to one-at-a-time
+    The literal algorithm: every trial draws its bit samples from the
+    oracles' RNG streams (one binomial count per trial at the exact
+    conditional probability, distribution-identical to one-at-a-time
     sampling).  The schedule's constants make this mode astronomically
     expensive at realistic parameters (~10^12 samples at n=8, eps=0.3), so
     it is practical only for tiny configurations and for validating the
@@ -17,9 +18,12 @@ Two execution modes are provided for the full testers.
     conditional probabilities, and the per-draw survival event is decided by
     a single Bernoulli draw.  The verdict law is mathematically identical to
     the sampled mode (binomial trial sums -> multinomial (A, B) counts ->
-    binomial majority tally), and meters are charged exactly per the
-    schedule.  This is what makes the statistical acceptance experiments
-    runnable at all.
+    binomial majority tally).  This is what makes the statistical acceptance
+    experiments runnable at all.
+
+Both modes meter only through the oracles' ``charge``, with the same totals:
+every y-draw costs one prefix query, every black-box run its trial samples,
+and a zero-probability reject the one failed marginal query.
 
 ``auto`` picks sampled when the deterministic sample budget is small enough,
 collapsed otherwise.
@@ -34,14 +38,12 @@ import numpy as np
 from scipy.stats import binom as _binom
 
 from .oracles import (
-    GeneralProductMarginalOracle,
+    BinaryEncodedOracle,
     IntervalBackedPrefixOracle,
     IntervalOracle,
     OracleError,
     OracleErrorKind,
-    ProductMarginalOracle,
     QueryClass,
-    binary_encode,
     product_marginal_oracle,
 )
 
@@ -259,83 +261,75 @@ def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
     return delta
 
 
-def _charge_targets(oracle, kind: str) -> list:
-    """(counter, class) pairs a query of ``kind`` hits, wrapper included —
-    exactly what the sampled path's serving code charges."""
-    own = QueryClass.PREFIX if kind == "prefix" else QueryClass.MARGINAL
-    targets = [(oracle.counter, own)]
-    base = getattr(oracle, "base", None)
-    if base is None:
-        return targets
-    if isinstance(oracle, IntervalBackedPrefixOracle):
-        inner = base.base.counter if hasattr(base, "base") else base.counter
-        targets.append((inner, QueryClass.INTERVAL))
-    elif isinstance(oracle, ProductMarginalOracle):
-        targets.append((base.counter, QueryClass.PREFIX))
-    elif isinstance(oracle, GeneralProductMarginalOracle):
-        targets.append((base.counter, QueryClass.SUBCUBE))
-    else:
-        targets.append((base.counter, own))
-    return targets
-
-
-def _charge(oracle, kind: str, m: int) -> None:
-    """Charge meters exactly as m queries of the sampled path would."""
-    for counter, cls in _charge_targets(oracle, kind):
-        counter.add(cls, m)
-
-
-def _count_trials(oracle, kind: str, i: int, prefix_idx: int,
+def _count_trials(oracle, cls: QueryClass, i: int, prefix_idx: int,
                   m: int, k: int) -> np.ndarray:
     """k independent counts of ones among m bit samples at (i, prefix);
-    distribution-identical to m*k single-sample queries, charged as such."""
-    p = oracle.exact_bit_prob(i, prefix_idx)
-    _charge(oracle, kind, m * k)
-    rng = getattr(oracle, "rng", None)
-    if rng is None:
-        rng = oracle.base.rng
-    return rng.binomial(m, p, size=k)
+    distribution-identical to m*k single-sample queries, charged as such.
+    A query that fails (a dead prefix) is billed once and re-raised."""
+    try:
+        p = oracle.exact_bit_prob(i, prefix_idx)
+    except OracleError:
+        oracle.charge(cls)
+        raise
+    oracle.charge(cls, m * k)
+    return oracle.rng.binomial(m, p, size=k)
+
+
+def _zero_probability_record(t: int, j: int) -> dict:
+    # The prefix was drawn from tau, hence tau-positive; a dead mu prefix is
+    # conclusive evidence that tau != mu.
+    return {"t": t, "rejected_at": j, "zero_probability_reject": True}
 
 
 def _run_equivalence_sampled(tau, mu, n: int, eps_l: float, rng) -> Verdict:
+    draws = 0
+
     def draw_y():
+        nonlocal draws
+        draws += 1
         i = int(rng.integers(1, n + 1))
-        w_idx = int(tau.prefix_sample_index_batch(1)[0])
+        tau.charge(QueryClass.PREFIX)
+        w_idx = int(tau.sample_full_indices_uncounted(1)[0])
         return i, w_idx >> (n - i + 1)
 
     def black_box(y, eps_prime):
         i, prefix_idx = y
-        sp = BitSampler(lambda m, k: _count_trials(mu, "marginal", i, prefix_idx, m, k))
-        sq = BitSampler(lambda m, k: _count_trials(tau, "prefix", i, prefix_idx, m, k))
+        sp = BitSampler(lambda m, k: _count_trials(mu, QueryClass.MARGINAL,
+                                                   i, prefix_idx, m, k))
+        sq = BitSampler(lambda m, k: _count_trials(tau, QueryClass.PREFIX,
+                                                   i, prefix_idx, m, k))
         return single_bit_chi2_test(sp, sq, eps_prime).accepted
 
     try:
         return levin_balance(draw_y, black_box, eps_l)
     except OracleError as err:
-        if err.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION:
-            # The prefix was drawn from tau, hence tau-positive; a dead mu
-            # prefix is conclusive evidence that tau != mu.
-            return Verdict(False, trace=[{"zero_probability_reject": True}])
-        raise
+        if err.kind is not OracleErrorKind.ZERO_PROBABILITY_CONDITION:
+            raise
+    # Locate the failing draw, the draws-th overall, in the schedule.
+    j = draws - 1
+    for t, _, outer, _ in levin_schedule(eps_l):
+        if j < outer:
+            break
+        j -= outer
+    return Verdict(False, trace=[_zero_probability_record(t, j)])
 
 
 def _run_equivalence_collapsed(tau, mu, n: int, eps_l: float, rng) -> Verdict:
-    tau_targets = _charge_targets(tau, "prefix")
-    mu_targets = _charge_targets(mu, "marginal")
     chunk = 512
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
-        per_bb = CHI2_TRIALS * n_draws
+        cost = inner * CHI2_TRIALS * n_draws
         i_arr = rng.integers(1, n + 1, size=outer)
         u_arr = rng.random(outer)
         survive_memo: dict = {}
         buf = None
         buf_pos = 0
+        rejected_at = None
         for j in range(outer):
-            # y-draws are real tau samples, pulled in meter-free chunks and
-            # charged one prefix query per consumed draw, so a truncated
-            # level is billed exactly as the literal loop would bill it.
+            # y-draws are real tau samples, pulled in meter-free chunks; the
+            # level is billed once it ends, for the draws it consumed, so a
+            # truncated level costs exactly what the literal loop would.
             if buf is None or buf_pos == buf.shape[0]:
                 buf = tau.sample_full_indices_uncounted(min(chunk, outer - j))
                 buf_pos = 0
@@ -350,28 +344,25 @@ def _run_equivalence_collapsed(tau, mu, n: int, eps_l: float, rng) -> Verdict:
                 try:
                     p_mu = mu.exact_bit_prob(i, prefix_idx)
                 except OracleError as err:
-                    if err.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION:
-                        for counter, cls in tau_targets:
-                            counter.add(cls, 1)
-                        for counter, cls in mu_targets:
-                            counter.add(cls, 1)
-                        trace.append({"t": t, "rejected_at": j,
-                                      "zero_probability_reject": True})
-                        return Verdict(False, trace=trace)
-                    raise
+                    if err.kind is not OracleErrorKind.ZERO_PROBABILITY_CONDITION:
+                        raise
+                    # j full draws, then this y-draw and its failed query.
+                    tau.charge(QueryClass.PREFIX, j * (1 + cost) + 1)
+                    mu.charge(QueryClass.MARGINAL, j * cost + 1)
+                    trace.append(_zero_probability_record(t, j))
+                    return Verdict(False, trace=trace)
                 survive = blackbox_survive_prob(n_draws, p_mu, p_tau, inner)
                 survive_memo[key] = survive
-            cost = inner * per_bb
-            for counter, cls in tau_targets:
-                counter.add(cls, 1 + cost)
-            for counter, cls in mu_targets:
-                counter.add(cls, cost)
             if u_arr[j] >= survive:
-                trace.append({"t": t, "eps_prime": eps_prime, "outer": outer,
-                              "inner": inner, "rejected_at": j})
-                return Verdict(False, trace=trace)
+                rejected_at = j
+                break
+        used = outer if rejected_at is None else rejected_at + 1
+        tau.charge(QueryClass.PREFIX, used * (1 + cost))
+        mu.charge(QueryClass.MARGINAL, used * cost)
         trace.append({"t": t, "eps_prime": eps_prime, "outer": outer,
-                      "inner": inner, "rejected_at": None})
+                      "inner": inner, "rejected_at": rejected_at})
+        if rejected_at is not None:
+            return Verdict(False, trace=trace)
     return Verdict(True, trace=trace)
 
 
@@ -433,53 +424,11 @@ def equivalence_test_general(tau, mu, cfg: TestConfig) -> Verdict:
     Each binary query translates to exactly one query on the underlying
     tuple oracle; the effective dimension is the total encoded bit width.
     """
-    tau_bin = binary_encode(tau)
-    mu_bin = binary_encode(mu)
+    tau_bin = BinaryEncodedOracle(tau)
+    mu_bin = BinaryEncodedOracle(mu)
     if tau_bin.n != mu_bin.n:
         raise ValueError("tau and mu must share a domain")
     return _equivalence_core(tau_bin, mu_bin, tau_bin.n, cfg)
-
-
-class _PaddedIntervalView:
-    """Interval oracle over [2^ell] backed by one over [N], N <= 2^ell; the
-    padding elements carry zero probability."""
-
-    def __init__(self, base: IntervalOracle, ell: int):
-        self.base = base
-        self.N = 1 << ell
-
-    @property
-    def counter(self):
-        return self.base.counter
-
-    @property
-    def rng(self):
-        return self.base.rng
-
-    @property
-    def cdf(self):
-        # The padding carries no mass, so the base cdf already covers the
-        # padded domain for sampling purposes.
-        return self.base.cdf
-
-    def interval_mass(self, a: int, b: int) -> float:
-        if a > self.base.N:
-            return 0.0
-        return self.base.interval_mass(a, min(b, self.base.N))
-
-    def interval_sample(self, a: int, b: int) -> int:
-        if a > self.base.N:
-            self.base.counter.add(QueryClass.INTERVAL)
-            raise OracleError(OracleErrorKind.ZERO_PROBABILITY_CONDITION,
-                              "interval lies in the zero-probability padding")
-        return self.base.interval_sample(a, min(b, self.base.N))
-
-    def interval_split_count(self, a: int, b: int, mid: int, m: int) -> int:
-        if mid > self.base.N:
-            self.base.counter.add(QueryClass.INTERVAL, m)
-            return 0
-        return self.base.interval_split_count(a, min(b, self.base.N),
-                                              mid, m)
 
 
 def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle,
@@ -495,8 +444,5 @@ def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle,
         return Verdict(True, queries_used={cls.value: 0 for cls in QueryClass} | {"total": 0},
                        trace=[{"vacuous": True}])
     ell = max(1, math.ceil(math.log2(tau.N)))
-    tau_view = tau if tau.N == 1 << ell else _PaddedIntervalView(tau, ell)
-    mu_view = mu if mu.N == 1 << ell else _PaddedIntervalView(mu, ell)
-    tau_bits = IntervalBackedPrefixOracle(tau_view, ell)
-    mu_bits = IntervalBackedPrefixOracle(mu_view, ell)
-    return _equivalence_core(tau_bits, mu_bits, ell, cfg)
+    return _equivalence_core(IntervalBackedPrefixOracle(tau, ell),
+                             IntervalBackedPrefixOracle(mu, ell), ell, cfg)

@@ -22,6 +22,7 @@ from condtest.adversarial import (
 from condtest.distcore import (
     DistributionTable,
     DivergenceKind,
+    index_to_bits,
     kl_divergence,
     product_of_marginals,
     single_bit_divergence,
@@ -33,7 +34,6 @@ from condtest.oracles import (
     QueryClass,
     SubcubeQuery,
     TableOracle,
-    bin_of,
     prefix_to_interval,
 )
 from condtest.testers import (
@@ -195,10 +195,10 @@ def test_criterion_07_interval_reduction(capsys):
         for ell in range(1, 11):
             for i in range(1, ell + 2):
                 for w_val in range(1 << (i - 1)):
-                    w = bin_of(i - 1, w_val) if i > 1 else ()
+                    w = index_to_bits(w_val, i - 1) if i > 1 else ()
                     a, b = prefix_to_interval(ell, i, w)
                     members = {v + 1 for v in range(1 << ell)
-                               if bin_of(ell, v)[:i - 1] == w}
+                               if index_to_bits(v, ell)[:i - 1] == w}
                     assert members == set(range(a, b + 1)), (ell, i, w)
 
         runs = 60

@@ -24,11 +24,8 @@ from condtest.oracles import (
     SubcubeQuery,
     TableOracle,
     TupleTableOracle,
-    bin_of,
-    binary_encode,
     prefix_to_interval,
     product_marginal_oracle,
-    unbin,
 )
 from conftest import random_table
 
@@ -162,16 +159,6 @@ def test_marginal_prefix_point_mass():
     assert oracle.counter.counts[QueryClass.MARGINAL] == 10
 
 
-def test_batched_counts_are_metered(rng):
-    table = random_table(rng, 3)
-    oracle = TableOracle(table, seed=2)
-    k = oracle.prefix_bit_count(1, 0, 500)
-    assert 0 <= k <= 500
-    assert oracle.counter.counts[QueryClass.PREFIX] == 500
-    oracle.marginal_prefix_count(2, 1, 300)
-    assert oracle.counter.counts[QueryClass.MARGINAL] == 300
-
-
 def test_exact_bit_prob_matches_table(rng):
     table = random_table(rng, 5, zeros=True)
     oracle = TableOracle(table, seed=0)
@@ -208,11 +195,11 @@ def test_interval_zero_probability():
 
 
 def test_bin_unbin_round_trip():
-    assert unbin((1, 0, 1)) == 5
-    assert bin_of(3, 0) == (0, 0, 0)
+    assert bits_to_index((1, 0, 1)) == 5
+    assert index_to_bits(0, 3) == (0, 0, 0)
     for ell in range(1, 13):
         for v in range(1 << ell) if ell <= 8 else [0, 1, (1 << ell) - 1]:
-            assert unbin(bin_of(ell, v)) == v
+            assert bits_to_index(index_to_bits(v, ell)) == v
 
 
 def test_prefix_to_interval_examples():
@@ -232,7 +219,7 @@ def test_prefix_to_interval_preimage_small():
                 w = index_to_bits(w_idx, i - 1)
                 a, b = prefix_to_interval(ell, i, w)
                 members = {t for t in range(1, (1 << ell) + 1)
-                           if bin_of(ell, t - 1)[:i - 1] == w}
+                           if index_to_bits(t - 1, ell)[:i - 1] == w}
                 assert members == set(range(a, b + 1))
 
 
@@ -248,10 +235,37 @@ def test_interval_backed_prefix_oracle_exact(rng):
         for j in range(1 << (i - 1)):
             assert view.exact_bit_prob(i, j) == pytest.approx(
                 ref.exact_bit_prob(i, j))
-    before = base.counter.counts.get(QueryClass.INTERVAL, 0)
-    view.prefix_bit_count(2, 1, 50)
-    assert base.counter.counts[QueryClass.INTERVAL] - before == 50
-    assert view.counter.counts[QueryClass.PREFIX] == 50
+
+
+def test_padded_interval_backed_prefix_oracle():
+    """N = 6 inside [2^3]: the padding elements 7 and 8 carry zero mass."""
+    pmf = np.array([0.1, 0.2, 0.3, 0.15, 0.15, 0.1])
+    base = IntervalOracle(pmf, seed=3)
+    view = IntervalBackedPrefixOracle(base, 3)
+    ref = TableOracle(DistributionTable(3, np.r_[pmf, 0.0, 0.0]), seed=0)
+    for i in range(1, 4):
+        for j in range(1 << (i - 1)):
+            try:
+                expect = ref.exact_bit_prob(i, j)
+            except OracleError:
+                with pytest.raises(OracleError):
+                    view.exact_bit_prob(i, j)
+                continue
+            assert view.exact_bit_prob(i, j) == pytest.approx(expect)
+    # x1 = 1 straddles the padding: samples land on 5 or 6 only
+    for _ in range(20):
+        assert view.prefix_sample(PrefixQuery.bits((1,)))[:2] == (1, 0)
+    before = base.counter.counts[QueryClass.INTERVAL]
+    # x1 x2 = 1 1 is the interval [7, 8], all padding
+    with pytest.raises(OracleError) as err:
+        view.prefix_sample(PrefixQuery.bits((1, 1)))
+    assert err.value.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
+    assert base.counter.counts[QueryClass.INTERVAL] - before == 1
+    assert view.counter.counts[QueryClass.PREFIX] == 21
+    for n_outside in (2, 4, 9):
+        with pytest.raises(DomainError):
+            IntervalBackedPrefixOracle(
+                IntervalOracle(np.full(n_outside, 1 / n_outside)), 3)
 
 
 def test_interval_backed_sampling_distribution(rng):
@@ -328,7 +342,7 @@ def test_binary_encoding_identity_on_binary_domains(rng):
     dom = TupleDomain(((0, 1), (0, 1)))
     w = rng.random(4)
     base = TupleTableOracle(dom, w / w.sum(), seed=13)
-    enc = binary_encode(base)
+    enc = BinaryEncodedOracle(base)
     assert enc.n == 2
     assert enc.encode((1, 0)) == (1, 0)
     ref = TableOracle(DistributionTable(2, w / w.sum()), seed=0)
@@ -357,7 +371,7 @@ def test_product_marginal_binary_serves_marginal(rng):
 
 
 def test_product_marginal_general_uses_subcube(rgb_oracle):
-    enc = binary_encode(rgb_oracle)
+    enc = BinaryEncodedOracle(rgb_oracle)
     view = product_marginal_oracle(enc)
     assert isinstance(view, GeneralProductMarginalOracle)
     bit = view.marginal_prefix_sample(2, (0,))
@@ -374,3 +388,65 @@ def test_product_marginal_general_uses_subcube(rgb_oracle):
 def test_product_marginal_rejects_unknown_base():
     with pytest.raises(DomainError):
         product_marginal_oracle(object())
+
+
+# ----------------------------------------------------------------------
+# the charging rule and probability-vector validation
+
+
+def _rgb_uniform():
+    dom = TupleDomain((("r", "g", "b"), (0, 1)))
+    return TupleTableOracle(dom, np.full(6, 1 / 6), seed=0)
+
+
+def _interval_backed():
+    return IntervalBackedPrefixOracle(IntervalOracle(np.full(4, 0.25), seed=0), 2)
+
+
+def _product_marginal():
+    return ProductMarginalOracle(TableOracle(DistributionTable.uniform(2), seed=0))
+
+
+def _general_product_marginal():
+    return GeneralProductMarginalOracle(BinaryEncodedOracle(_rgb_uniform()))
+
+
+# oracle factory -> class its base is billed for a marginal query
+# (None: a root oracle, which has no base)
+CHARGE_ROUTES = {
+    "TableOracle": (lambda: TableOracle(DistributionTable.uniform(2), seed=0), None),
+    "IntervalOracle": (lambda: IntervalOracle(np.full(4, 0.25), seed=0), None),
+    "TupleTableOracle": (_rgb_uniform, None),
+    "IntervalBackedPrefixOracle": (_interval_backed, QueryClass.INTERVAL),
+    "BinaryEncodedOracle": (lambda: BinaryEncodedOracle(_rgb_uniform()),
+                            QueryClass.MARGINAL),
+    "ProductMarginalOracle": (_product_marginal, QueryClass.PREFIX),
+    "GeneralProductMarginalOracle": (_general_product_marginal, QueryClass.SUBCUBE),
+}
+
+
+@pytest.mark.parametrize("name", list(CHARGE_ROUTES))
+def test_charge_routing(name):
+    make, base_class = CHARGE_ROUTES[name]
+    oracle = make()
+    oracle.charge(QueryClass.MARGINAL, 7)
+    oracle.charge(QueryClass.MARGINAL)
+    assert oracle.counter.counts == {QueryClass.MARGINAL: 8}
+    if base_class is None:
+        assert oracle.base is None
+        return
+    assert oracle.base.counter.counts == {base_class: 8}
+    assert oracle.base.base is None
+    assert oracle.rng is oracle.base.rng
+
+
+@pytest.mark.parametrize("make", [
+    lambda probs: DistributionTable(1, probs),
+    lambda probs: IntervalOracle(probs),
+    lambda probs: TupleTableOracle(TupleDomain(((0, 1),)), probs),
+], ids=["DistributionTable", "IntervalOracle", "TupleTableOracle"])
+@pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.nan, np.nan],
+                                   [np.inf, 1.0], [0.5, -np.inf]])
+def test_non_finite_probabilities_rejected(make, probs):
+    with pytest.raises(DomainError):
+        make(probs)

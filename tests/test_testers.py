@@ -222,6 +222,120 @@ def test_sampled_and_collapsed_agree_on_budget_and_verdict():
     assert results["sampled"].queries_used == results["collapsed"].queries_used
 
 
+_LOW_HALF = np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0])
+_RGB = TupleDomain((("r", "g", "b"), (0, 1)))
+
+# Pairs whose first y-draw (seed 0, both modes) lands on a prefix that mu
+# gives zero mass.
+ZERO_PROBABILITY_PAIRS = {
+    "table": lambda cfg: equivalence_test(
+        TableOracle(DistributionTable.uniform(2), seed=1),
+        TableOracle(DistributionTable.point_mass([0, 0]), seed=2), cfg),
+    "padded-interval": lambda cfg: interval_equivalence_test(
+        IntervalOracle(_LOW_HALF, seed=1), IntervalOracle(_LOW_HALF[::-1], seed=2), cfg),
+    "tuple": lambda cfg: equivalence_test_general(
+        TupleTableOracle(_RGB, [0.25, 0.25, 0.25, 0.25, 0.0, 0.0], seed=1),
+        TupleTableOracle(_RGB, [0.0, 0.0, 0.0, 0.0, 0.5, 0.5], seed=2), cfg),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_PROBABILITY_PAIRS))
+def test_zero_probability_reject_metered_alike_in_both_modes(name):
+    sampled, collapsed = (ZERO_PROBABILITY_PAIRS[name](TestConfig(0.5, seed=0, mode=mode))
+                          for mode in ("sampled", "collapsed"))
+    assert not sampled.accepted and not collapsed.accepted
+    assert collapsed.trace[0] == {"t": 1, "rejected_at": 0,
+                                  "zero_probability_reject": True}
+    assert sampled.trace[0] == collapsed.trace[0]
+    assert sampled.queries_used == collapsed.queries_used
+
+
+def _near(p, q, d=0.02):
+    return (1 - d) * np.asarray(p) + d * np.asarray(q)
+
+
+def _probs(seed, size):
+    w = np.random.default_rng(seed).random(size) + 0.05
+    return w / w.sum()
+
+
+def _collapsed(eps, seed):
+    return TestConfig(eps, seed=seed, mode="collapsed")
+
+
+REPLAY_CASES = {
+    "uniform": lambda: equivalence_test(
+        TableOracle(DistributionTable.uniform(3), seed=1),
+        TableOracle(DistributionTable.uniform(3), seed=2), _collapsed(0.5, 3)),
+    "point-mass-reject": lambda: equivalence_test(
+        TableOracle(DistributionTable.point_mass([0, 1, 1]), seed=4),
+        TableOracle(DistributionTable.point_mass([1, 0, 0]), seed=5), _collapsed(0.5, 6)),
+    "product": lambda: product_test(
+        TableOracle(DistributionTable(3, _near(
+            DistributionTable.bernoulli_product([0.3, 0.6, 0.5]).probs,
+            [0.5, 0, 0, 0, 0, 0, 0, 0.5])), seed=7),
+        _collapsed(0.5, 8)),
+    "random-full-support": lambda: equivalence_test(
+        TableOracle(DistributionTable(3, _probs(9, 8)), seed=10),
+        TableOracle(DistributionTable(3, _near(_probs(9, 8), _probs(11, 8))), seed=12),
+        _collapsed(0.5, 13)),
+    "padded-interval": lambda: interval_equivalence_test(
+        IntervalOracle([0.1, 0.2, 0.3, 0.15, 0.15, 0.1], seed=14),
+        IntervalOracle(_near([0.1, 0.2, 0.3, 0.15, 0.15, 0.1],
+                             [0.5, 0, 0, 0, 0, 0.5]), seed=15),
+        _collapsed(0.5, 16)),
+    "tuple": lambda: equivalence_test_general(
+        TupleTableOracle(_RGB, _probs(17, 6), seed=18),
+        TupleTableOracle(_RGB, _near(_probs(17, 6), _probs(21, 6)), seed=19),
+        _collapsed(0.5, 20)),
+}
+
+
+def _queries(prefix, marginal, interval=0):
+    counts = {"unconditional": 0, "prefix": prefix, "subcube": 0,
+              "marginal": marginal, "interval": interval}
+    return counts | {"total": sum(counts.values())}
+
+
+_LEVELS = [(1, 0.5, 4130), (2, 0.25, 2065), (3, 0.125, 1033), (4, 0.0625, 517),
+           (5, 0.03125, 259), (6, 0.015625, 130), (7, 0.0078125, 65),
+           (8, 0.00390625, 33), (9, 0.001953125, 17), (10, 0.0009765625, 9),
+           (11, 0.00048828125, 5), (12, 0.000244140625, 3)]
+_MODE = {"mode": "collapsed", "eps_levin": 0.0009685518946219787}
+
+
+def _levels(last_t, rejected_at=None):
+    """Level records 1..last_t, the last one rejecting at ``rejected_at``."""
+    return [{"t": t, "eps_prime": eps_prime, "outer": outer, "inner": 769,
+             "rejected_at": rejected_at if t == last_t else None}
+            for t, eps_prime, outer in _LEVELS[:last_t]]
+
+
+# (accepted, queries_used, trace), recorded before the charging rule moved
+# into the oracles; any shift of a tester or oracle RNG stream changes them.
+REPLAY_PINS = {
+    "uniform": (True, _queries(126244954186, 126244945920),
+                _levels(12) + [_MODE]),
+    "point-mass-reject": (False, _queries(1, 1),
+                          [{"t": 1, "rejected_at": 0, "zero_probability_reject": True},
+                           _MODE]),
+    "product": (False, _queries(39574394960, 19787194368),
+                _levels(3, 28) + [_MODE, {"prefix_queries_only": True}]),
+    "random-full-support": (False, _queries(29406764099, 29406756864),
+                            _levels(4, 6) + [_MODE]),
+    "padded-interval": (False, _queries(19532064821, 19532058624, 39064123445),
+                        _levels(3, 1) + [_MODE]),
+    "tuple": (False, _queries(120348491680, 120348475392),
+              _levels(7, 9) + [_MODE]),
+}
+
+
+@pytest.mark.parametrize("name", list(REPLAY_CASES))
+def test_collapsed_replay_is_pinned(name):
+    v = REPLAY_CASES[name]()
+    assert (v.accepted, v.queries_used, v.trace) == REPLAY_PINS[name]
+
+
 def test_sampled_mode_rejects_far_pair():
     tau = TableOracle(DistributionTable.bernoulli_product([0.05]), seed=4)
     mu = TableOracle(DistributionTable.bernoulli_product([0.95]), seed=5)
