@@ -262,17 +262,76 @@ class GridProductDistance:
     marginals: tuple | None = None
 
 
-def _factor_table(k: int, grid: np.ndarray) -> np.ndarray:
-    """(g^k, 2^k) array of product-cell probabilities over all grid-marginal
-    assignments to k coordinates, rows in mixed-radix grid order."""
-    if k == 0:
-        return np.ones((1, 1))
+# L1 slack within which a grid point is re-scored in the reference product
+# order.  It only has to exceed the ~1e-15 rounding of a 2^n-term sum, so that
+# every point the reference search could pick is re-scored; a larger slack
+# re-scores more points and returns the same result.
+_TIE_TOL = 1e-9
+
+
+def _grid_digits(flat: np.ndarray, k: int, g: int) -> np.ndarray:
+    """(m, k) base-g digits of ``flat``, most significant first: the grid
+    indices of coordinates 1..k in mixed-radix grid order."""
+    return (flat[:, None] // g ** np.arange(k - 1, -1, -1)) % g
+
+
+def _grid_products(digits: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """(m, 2^k) product-cell probabilities for the grid marginals
+    grid[digits[r]], cells MSB-first, multiplied coordinate by coordinate."""
     single = np.stack([1.0 - grid, grid], axis=1)
-    out = single
-    for _ in range(k - 1):
-        out = np.einsum("ia,jb->ijab", out, single).reshape(
-            out.shape[0] * grid.shape[0], out.shape[1] * 2)
+    out = np.ones((digits.shape[0], 1))
+    for col in digits.T:
+        out = (out[:, :, None] * single[col][:, None, :]).reshape(digits.shape[0], -1)
     return out
+
+
+def _head_chunks(n: int, grid: np.ndarray):
+    """Yield (first_row, h): the grid products over coordinates 1..n-1, rows
+    in mixed-radix grid order, at most g^2 rows at a time."""
+    g = grid.shape[0]
+    k = min(n - 1, 2)
+    lead = _grid_products(_grid_digits(np.arange(g ** (n - 1 - k)), n - 1 - k, g), grid)
+    tail = _grid_products(_grid_digits(np.arange(g ** k), k, g), grid)
+    for r, factor in enumerate(lead):
+        yield r * tail.shape[0], (factor[None, :, None]
+                                  * tail[:, None, :]).reshape(tail.shape[0], -1)
+
+
+def _l1_at_last(h: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L1 distances from the table ``t`` (head cell x last bit) to the
+    products h x Ber(x); ``h`` (..., C) broadcasts against ``x`` (...).
+    Works in place, so it holds two arrays of the broadcast shape."""
+    hx = h * x[..., None]
+    l1 = np.subtract(t[:, 1], hx)
+    np.abs(l1, out=l1)
+    hx -= h
+    hx += t[:, 0]
+    l1 += np.abs(hx, out=hx)
+    return l1.sum(axis=-1)
+
+
+def _median_bracket(h: np.ndarray, t: np.ndarray, grid: np.ndarray):
+    """Per head row, the grid values just below and at or above the weighted
+    median of the breakpoints, where the L1 distance over the last marginal
+    is least."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zero_at = t[:, 0] / h
+        np.subtract(1.0, zero_at, out=zero_at)
+        one_at = t[:, 1] / h
+    # Binary search for the first grid point whose breakpoints at or below it
+    # weigh at least 1, half the total weight.  A breakpoint with h = 0 (an
+    # inf or nan) weighs nothing.
+    lo = np.zeros(h.shape[0], dtype=np.intp)
+    hi = np.full(h.shape[0], grid.shape[0] - 1)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        x = grid[mid][:, None]
+        heavy = (np.einsum("rc,rc->r", h, zero_at <= x)
+                 + np.einsum("rc,rc->r", h, one_at <= x)) >= 1.0
+        hi = np.where(heavy, mid, hi)
+        lo = np.where(heavy, lo, mid + 1)
+    hi = np.maximum(hi, 1)
+    return grid[hi - 1], grid[hi]
 
 
 def distance_to_grid_products(table: DistributionTable,
@@ -282,35 +341,56 @@ def distance_to_grid_products(table: DistributionTable,
 
     Any product distribution is within n*step/2 of a grid product in total
     variation, so (distance - n*step/2) lower-bounds the distance to all
-    products.  Exhaustive; intended for n <= 4.
+    products.  Intended for n <= 4.
+
+    The search runs over the g^(n-1) grid products h of coordinates 1..n-1
+    only, at most g^2 of them at a time.  For fixed h the L1 distance
+    sum_c |t_c0 - h_c (1 - x)| + |t_c1 - h_c x| is convex and piecewise
+    linear in the last marginal x, with breakpoints 1 - t_c0/h_c and t_c1/h_c
+    of weight h_c each (total weight 2).  Its minimizer is the weighted median
+    of the breakpoints, so the row's grid minimum lies on one of the two grid
+    points bracketing it.  Every grid point within a rounding slack of the
+    overall minimum is then re-scored in the product order of the exhaustive
+    search (coordinates multiplied in turn within the halves 1..n//2 and
+    n//2+1..n, one L1 reduction over their outer product), and the first
+    minimum in grid order wins: ``distance`` and ``marginals`` equal those of
+    the exhaustive search over all g^n grid products, ties included.
     """
     n = table.n
     if n > 4:
-        raise DomainError("exhaustive grid search is limited to n <= 4; "
+        raise DomainError("exact grid search is limited to n <= 4; "
                           "use pair decomposition for larger instances")
+    if not (math.isfinite(step) and 0.0 < step <= 1.0):
+        raise DomainError(f"grid step must be finite and lie in (0, 1], got {step}")
     grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
     g = grid.shape[0]
-    h1, h2 = n // 2, n - n // 2
-    left = _factor_table(h1, grid)
-    right = _factor_table(h2, grid)
-    target = table.probs.reshape(1 << h1, 1 << h2)
-    best = np.inf
-    best_pair = (0, 0)
-    for i in range(left.shape[0]):
-        l1 = np.abs(target[None, :, :]
-                    - left[i][None, :, None] * right[:, None, :]).sum(axis=(1, 2))
-        j = int(np.argmin(l1))
-        if l1[j] < best:
-            best = float(l1[j])
-            best_pair = (i, j)
-    def _decode(flat: int, k: int) -> list[float]:
-        digits = []
-        for _ in range(k):
-            digits.append(float(grid[flat % g]))
-            flat //= g
-        return digits[::-1]
-    marginals = tuple(_decode(best_pair[0], h1) + _decode(best_pair[1], h2))
-    return GridProductDistance(best / 2.0, step, "exact-grid", marginals)
+    t = table.probs.reshape(-1, 2)
+    h1 = n // 2
+    target = table.probs.reshape(1 << h1, -1)
+    best, best_flat = np.inf, 0
+    for first, h in _head_chunks(n, grid):
+        below, above = _median_bracket(h, t, grid)
+        row_min = np.minimum(_l1_at_last(h, t, below), _l1_at_last(h, t, above))
+        cutoff = min(best, row_min.min()) + _TIE_TOL
+        rows = np.flatnonzero(row_min <= cutoff)
+        # g rows at a time: a table with many tied rows stays inside the
+        # g^2 * 2^n working set.
+        for s in range(0, rows.shape[0], g):
+            chunk = rows[s:s + g]
+            l1 = _l1_at_last(h[chunk][:, None, :], t, grid[None, :])
+            r, k = np.nonzero(l1 <= cutoff)
+            flat = (first + chunk[r]) * g + k
+            digits = _grid_digits(flat, n, g)
+            left = _grid_products(digits[:, :h1], grid)
+            right = _grid_products(digits[:, h1:], grid)
+            exact = np.abs(target[None] - left[:, :, None]
+                           * right[:, None, :]).sum(axis=(1, 2))
+            m = int(np.argmin(exact))
+            if exact[m] < best:
+                best, best_flat = float(exact[m]), int(flat[m])
+    marginals = grid[_grid_digits(np.array([best_flat]), n, g)[0]]
+    return GridProductDistance(best / 2.0, step, "exact-grid",
+                               tuple(float(p) for p in marginals))
 
 
 def pairwise_product_distance_bound(instance: AdversarialInstance,

@@ -3,7 +3,8 @@
 Every subcommand builds an ExperimentSpec and runs it.  A JSON config file
 (--config) may supply any flag under its long name (hyphens or underscores);
 explicit command-line flags win.  The default output directory comes from
-the CONDTEST_OUT_DIR environment variable.
+the CONDTEST_OUT_DIR environment variable.  Bad input ends with an
+``error: ...`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .harness import ExperimentSpec, HarnessError, default_out_dir, run_experiment
+from .oracles import OracleError
 
 _DEFAULTS = {"runs": 1, "seed": 0, "grid_step": 0.01, "mode": "auto"}
 
@@ -111,7 +113,10 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         value = merged.get(key)
         if isinstance(value, str):
             cast = int if key == "n_list" else float
-            merged[key] = tuple(cast(x) for x in value.split(","))
+            try:
+                merged[key] = tuple(cast(x) for x in value.split(","))
+            except ValueError:
+                raise HarnessError(f"bad {key.replace('_', '-')} {value!r}") from None
         elif value is not None:
             merged[key] = tuple(value)
     merged = {k: v for k, v in merged.items() if v is not None}
@@ -126,7 +131,8 @@ def main(argv=None) -> int:
     try:
         spec = spec_from_args(args)
         rows, summary = run_experiment(spec)
-    except HarnessError as err:
+    except (HarnessError, OracleError, ValueError) as err:
+        # ValueError covers distcore.DomainError and bad numeric input.
         print(f"error: {err}", file=sys.stderr)
         return 2
     out_dir = Path(spec.out) if spec.out else default_out_dir()

@@ -97,6 +97,13 @@ def single_bit_divergence(kind: DivergenceKind, p: float, q: float) -> float:
     raise DomainError(f"unknown divergence kind {kind!r}")
 
 
+def _check_dense_n(n: int) -> None:
+    """DomainError unless a dense table over {0,1}^n is allowed; constructors
+    call it before allocating 2^n cells."""
+    if not 1 <= n <= MAX_DENSE_N:
+        raise DomainError(f"dense tables support 1 <= n <= {MAX_DENSE_N}, got {n}")
+
+
 class DistributionTable:
     """Dense pmf over {0,1}^n, indexed by MSB-first bit strings.
 
@@ -107,8 +114,7 @@ class DistributionTable:
     __slots__ = ("n", "probs", "_level_sums", "_cond_levels", "_eff_cond_levels")
 
     def __init__(self, n: int, probs):
-        if not 1 <= n <= MAX_DENSE_N:
-            raise DomainError(f"dense tables support 1 <= n <= {MAX_DENSE_N}, got {n}")
+        _check_dense_n(n)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (1 << n,):
             raise DomainError(f"expected {1 << n} probabilities, got shape {probs.shape}")
@@ -125,11 +131,13 @@ class DistributionTable:
 
     @classmethod
     def uniform(cls, n: int) -> "DistributionTable":
+        _check_dense_n(n)
         return cls(n, np.full(1 << n, 2.0 ** -n))
 
     @classmethod
     def point_mass(cls, bits) -> "DistributionTable":
         bits = tuple(bits)
+        _check_dense_n(len(bits))
         probs = np.zeros(1 << len(bits))
         probs[bits_to_index(bits)] = 1.0
         return cls(len(bits), probs)
@@ -138,6 +146,7 @@ class DistributionTable:
     def bernoulli_product(cls, ps) -> "DistributionTable":
         """Product of independent Ber(p_i); coordinate 1 is ps[0]."""
         ps = list(ps)
+        _check_dense_n(len(ps))
         probs = np.ones(1)
         for p in ps:
             if not 0.0 <= p <= 1.0:

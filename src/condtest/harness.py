@@ -76,6 +76,8 @@ class ExperimentSpec:
                                f"expected one of {EXPERIMENT_KINDS}")
         if self.runs < 1:
             raise HarnessError(f"runs must be >= 1, got {self.runs}")
+        if self.N is not None and self.N < 1:
+            raise HarnessError(f"N must be >= 1, got {self.N}")
         if self.experiment_id is None:
             self.experiment_id = f"{self.kind}-seed{self.seed}"
 
@@ -277,14 +279,14 @@ def _run_adversarial_distance(spec: ExperimentSpec) -> list[ResultRow]:
     for rep, child in enumerate(_spawned(spec, spec.runs)):
         rng = np.random.default_rng(child)
         inst = adversarial.sample_paired_instance(spec.n, spec.eps, rng)
+        table = inst.table() if spec.n <= distcore.MAX_DENSE_N else None
         if spec.n <= 4:
-            result = adversarial.distance_to_grid_products(inst.table(),
-                                                           spec.grid_step)
+            result = adversarial.distance_to_grid_products(table, spec.grid_step)
         else:
             result = adversarial.pairwise_product_distance_bound(inst,
                                                                  spec.grid_step)
-        dtv_pom = (adversarial.distance_to_product_of_marginals(inst.table())
-                   if spec.n <= distcore.MAX_DENSE_N else float("nan"))
+        dtv_pom = (adversarial.distance_to_product_of_marginals(table)
+                   if table is not None else float("nan"))
         rows.append(ResultRow(spec.kind, {
             "rep": rep, "n": spec.n, "eps": spec.eps,
             "biases": "".join("+" if b > 0 else "-" for b in inst.biases),

@@ -287,7 +287,7 @@ def test_grid_distance_refuses_large_n():
 
 
 def test_grid_distance_matches_brute_force_on_pair(rng):
-    """Cross-check the split-half search against a direct loop at n = 2."""
+    """Cross-check the search against a direct loop at n = 2."""
     from conftest import random_table
     tab = random_table(rng, 2)
     grid = np.round(np.arange(0.0, 1.0001, 0.05), 12)
@@ -297,6 +297,50 @@ def test_grid_distance_matches_brute_force_on_pair(rng):
         for a in grid for b in grid)
     res = distance_to_grid_products(tab, step=0.05)
     assert res.distance == pytest.approx(best, abs=1e-12)
+
+
+def _reference_corpus():
+    """Seeded tables for the exact-search cross-check: Dirichlet tables,
+    tables with zero cells, point masses and products at n = 1..4."""
+    from conftest import random_table
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 5):
+        for _ in range(2):
+            yield DistributionTable(n, rng.dirichlet(np.ones(1 << n)))
+            yield random_table(rng, n, zeros=True)
+        yield DistributionTable.point_mass(tuple(int(b) for b in rng.integers(0, 2, n)))
+        yield DistributionTable.bernoulli_product(rng.random(n))
+        yield DistributionTable.bernoulli_product(np.round(rng.random(n), 1))
+
+
+@pytest.mark.parametrize("step", [0.05, 0.1, 0.25])
+def test_grid_distance_matches_reference_corpus(step):
+    """The weighted-median search returns the brute force's distance and
+    marginals exactly, ties broken alike."""
+    from conftest import brute_force_grid_distance
+    for table in _reference_corpus():
+        got = distance_to_grid_products(table, step)
+        ref = brute_force_grid_distance(table, step)
+        assert got.distance == ref.distance, (table.probs, step)
+        assert got.marginals == ref.marginals, (table.probs, step)
+
+
+@pytest.mark.parametrize("biases", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_grid_distance_matches_reference_on_paired_tables(biases):
+    from conftest import brute_force_grid_distance
+    table = AdversarialInstance(4, 0.2, biases).table()
+    got = distance_to_grid_products(table, 0.05)
+    ref = brute_force_grid_distance(table, 0.05)
+    assert got.distance == ref.distance
+    assert got.marginals == ref.marginals
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_grid_step_validated(step):
+    with pytest.raises(DomainError):
+        distance_to_grid_products(DistributionTable.uniform(2), step)
+    with pytest.raises(DomainError):
+        pairwise_product_distance_bound(AdversarialInstance(4, 0.2, (1, -1)), step)
 
 
 def test_pairwise_bound_is_a_true_lower_bound():

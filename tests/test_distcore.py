@@ -104,6 +104,21 @@ def test_table_validation():
         DistributionTable(0, [1.0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: DistributionTable.uniform(n),
+    lambda n: DistributionTable.point_mass([0] * n),
+    lambda n: DistributionTable.bernoulli_product([0.5] * n),
+], ids=["uniform", "point_mass", "bernoulli_product"])
+def test_oversized_n_refused_before_allocating(build, monkeypatch):
+    """n = 30 would need 2^30 cells; the dimension check must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking n")
+    for name in ("full", "zeros", "ones", "kron"):
+        monkeypatch.setattr(np, name, refuse)
+    with pytest.raises(DomainError):
+        build(30)
+
+
 def test_bit_index_round_trip():
     for n in range(1, 7):
         for v in range(1 << n):

@@ -266,3 +266,24 @@ def test_experiment_kind_registry_is_complete():
     for kind in EXPERIMENT_KINDS:
         from condtest.harness import _DRIVERS
         assert kind in _DRIVERS
+
+
+@pytest.mark.parametrize("argv", [
+    ["adversarial-distance", "--n", "1", "--eps", "0.2"],
+    ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "0"],
+    ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "-0.5"],
+    ["test-equivalence", "--n", "2", "--eps", "1.5", "--tau", "uniform",
+     "--mu", "uniform"],
+    ["test-interval", "--N", "0", "--eps", "0.3", "--tau", "uniform",
+     "--mu", "uniform"],
+    ["sweep", "--n-list", "8,x", "--eps-list", "0.5"],
+], ids=["n1", "step0", "step-neg", "eps1.5", "N0", "n-list"])
+def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_spec_rejects_empty_interval_domain():
+    with pytest.raises(HarnessError):
+        ExperimentSpec(kind="interval", N=0, eps=0.3, tau="uniform", mu="uniform")
