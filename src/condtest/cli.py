@@ -95,7 +95,11 @@ _COMMAND_KIND = {
 def _merge_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
-        payload = json.loads(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as err:
+            raise HarnessError(f"cannot read config {args.config}: {err.strerror}") from None
+        payload = json.loads(text)
         merged.update({k.replace("-", "_"): v for k, v in payload.items()})
     for key, value in vars(args).items():
         if key in ("command", "config", "kind"):

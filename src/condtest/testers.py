@@ -21,6 +21,28 @@ Two execution modes are provided for the full testers.
     binomial majority tally).  This is what makes the statistical acceptance
     experiments runnable at all.
 
+The collapsed calculus
+    For a drawn (i, w) with conditional bit probabilities p under mu and q
+    under tau, ``chi2_trial_compare_probs`` gives alpha = Pr[X > Y] and
+    beta = Pr[X < Y] for X ~ Bin(N, p), Y ~ Bin(N, q), ``chi2_accept_prob``
+    the black box's accept probability and ``blackbox_survive_prob`` the
+    probability that the majority of ``inner`` runs accepts.  The sum over Y
+    runs over the window [Nq - s, Nq + s] clipped to [0, N], with
+    s = sqrt(N ln(2e18) / 2): by Hoeffding's inequality Y leaves it with
+    probability at most 2 exp(-2 s^2 / N) = 1e-18, so about 9.2 sqrt(N)
+    outcomes replace N + 1 and alpha and beta move by at most 1e-18.  The
+    three functions take scalars or 1-D arrays with one row per (p, q); rows
+    are evaluated in blocks of at most 2^13 cells and reduced one by one, so
+    a value never depends on the rows computed with it.
+
+    The collapsed loop pulls each level's y-draws in chunks of 512.  For the
+    (i, prefix) keys new to the level it computes every survive probability
+    not yet known in one batched call, then stops at the first draw whose
+    key mu gives zero mass or whose uniform u is >= its survive probability.
+    Known values live in one process-wide memo keyed by (N, p, q, inner),
+    capped at 2^14 entries with the oldest evicted first, so repeated runs
+    on the same distributions skip the calculus.
+
 Both modes meter only through the oracles' ``charge``, with the same totals:
 every y-draw costs one prefix query, every black-box run its trial samples,
 and a zero-probability reject the one failed marginal query.
@@ -188,46 +210,88 @@ def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
 # ----------------------------------------------------------------------
 # collapsed-mode probability calculus
 
-_PROB_CACHE: dict = {}
+# Y ~ Bin(N, q) leaves [Nq - s, Nq + s] with probability at most
+# 2 exp(-2 s^2 / N) (Hoeffding), which is 1e-18 at s^2 = N ln(2e18) / 2.
+_TAIL_LOG = math.log(2e18)
+# Rows x window cells evaluated per SciPy call; bounds the temporaries.
+_BLOCK_CELLS = 1 << 13
+# (n_draws, p, q, inner) -> survive, shared by every run in the process.
+_SURVIVE_MEMO: dict = {}
+_SURVIVE_MEMO_CAP = 1 << 14
 
 
-def chi2_trial_compare_probs(n_draws: int, p: float, q: float) -> tuple[float, float]:
-    """(Pr[X > Y], Pr[X < Y]) for X ~ Bin(N, p), Y ~ Bin(N, q), independent."""
-    key = ("cmp", n_draws, p, q)
-    hit = _PROB_CACHE.get(key)
-    if hit is not None:
-        return hit
-    k = np.arange(n_draws + 1)
-    pmf_q = _binom.pmf(k, n_draws, q)
-    alpha = float(np.dot(pmf_q, _binom.sf(k, n_draws, p)))
-    beta = float(np.dot(pmf_q, _binom.cdf(k - 1, n_draws, p)))
-    hit = (min(alpha, 1.0), min(beta, 1.0))
-    _PROB_CACHE[key] = hit
-    return hit
+def _rows(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
-def chi2_accept_prob(alpha: float, beta: float) -> float:
-    """Pr[A <= 40 and B <= 40] for (A, B) ~ Multinomial(64; alpha, beta)."""
-    if alpha >= 1.0:
-        return 0.0
+def chi2_trial_compare_probs(n_draws: int, p, q):
+    """(Pr[X > Y], Pr[X < Y]) for X ~ Bin(N, p), Y ~ Bin(N, q), independent.
+
+    ``p`` and ``q`` are scalars, giving a pair of floats, or 1-D arrays with
+    one row per (p, q), giving a pair of arrays.  The sum over Y runs over the
+    window [Nq - s, Nq + s] clipped to [0, N], outside which Y has mass at
+    most 1e-18; each row is reduced on its own, so its value does not depend
+    on the rows computed with it.
+    """
+    p_rows, q_rows = np.broadcast_arrays(_rows(p), _rows(q))
+    half = math.ceil(math.sqrt(n_draws * _TAIL_LOG / 2.0))
+    width = min(2 * half + 2, n_draws + 1)
+    offsets = np.arange(width)
+    alpha = np.empty(p_rows.shape[0])
+    beta = np.empty(p_rows.shape[0])
+    step = max(1, _BLOCK_CELLS // width)
+    for first in range(0, p_rows.shape[0], step):
+        block = slice(first, first + step)
+        p_b, q_b = p_rows[block, None], q_rows[block, None]
+        lo = np.clip(np.floor(n_draws * q_b) - half, 0, n_draws + 1 - width)
+        k = lo.astype(np.int64) + offsets
+        pmf_q = _binom.pmf(k, n_draws, q_b)
+        alpha[block] = (pmf_q * _binom.sf(k, n_draws, p_b)).sum(axis=1)
+        beta[block] = (pmf_q * _binom.cdf(k - 1, n_draws, p_b)).sum(axis=1)
+    np.minimum(alpha, 1.0, out=alpha)
+    np.minimum(beta, 1.0, out=beta)
+    if np.ndim(p) == 0 and np.ndim(q) == 0:
+        return float(alpha[0]), float(beta[0])
+    return alpha, beta
+
+
+def chi2_accept_prob(alpha, beta):
+    """Pr[A <= 40 and B <= 40] for (A, B) ~ Multinomial(64; alpha, beta).
+
+    Scalars give a float, 1-D arrays one value per row.  The result is
+    clamped to [0, 1]: rounding can push the sum just above 1.
+    """
+    alpha_rows, beta_rows = _rows(alpha)[:, None], _rows(beta)[:, None]
     a = np.arange(0, CHI2_THRESHOLD + 1)
-    pa = _binom.pmf(a, CHI2_TRIALS, alpha)
-    ratio = min(beta / (1.0 - alpha), 1.0)
+    pa = _binom.pmf(a, CHI2_TRIALS, alpha_rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.minimum(beta_rows / (1.0 - alpha_rows), 1.0)
     pb = _binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, ratio)
-    return float(np.dot(pa, pb))
+    gamma = np.where(alpha_rows[:, 0] >= 1.0, 0.0,
+                     np.clip((pa * pb).sum(axis=1), 0.0, 1.0))
+    if np.ndim(alpha) == 0 and np.ndim(beta) == 0:
+        return float(gamma[0])
+    return gamma
 
 
-def blackbox_survive_prob(n_draws: int, p: float, q: float, inner: int) -> float:
+def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     """Probability that the inner majority tally over ``inner`` black-box runs
-    is non-negative, for the chi-square black box on Ber(p) vs Ber(q)."""
-    key = ("survive", n_draws, p, q, inner)
-    hit = _PROB_CACHE.get(key)
-    if hit is None:
-        alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
-        gamma = chi2_accept_prob(alpha, beta)
-        hit = float(_binom.sf(math.ceil(inner / 2) - 1, inner, gamma))
-        _PROB_CACHE[key] = hit
-    return hit
+    is non-negative, for the chi-square black box on Ber(p) vs Ber(q).
+
+    Scalars give a float, 1-D arrays one value per row."""
+    alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
+    gamma = chi2_accept_prob(alpha, beta)
+    survive = _binom.sf(math.ceil(inner / 2) - 1, inner, gamma)
+    return float(survive) if np.ndim(survive) == 0 else survive
+
+
+def _remember_survive(key: tuple, value: float) -> None:
+    if len(_SURVIVE_MEMO) >= _SURVIVE_MEMO_CAP:
+        # Evict the oldest quarter at once: deleting a dict's first key one
+        # at a time rescans every slot freed before it.
+        for old in list(_SURVIVE_MEMO)[:_SURVIVE_MEMO_CAP // 4]:
+            del _SURVIVE_MEMO[old]
+    _SURVIVE_MEMO[key] = value
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +378,43 @@ def _run_equivalence_sampled(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     return Verdict(False, trace=[_zero_probability_record(t, j)])
 
 
+# Stands for the survive probability of a key that mu gives zero mass: every
+# u >= _DEAD, so the walk stops at the key's first draw.
+_DEAD = -1.0
+
+
+def _learn_keys(keys: dict, nodes, tau, mu, n_draws: int, inner: int) -> None:
+    """Add the survive probability of every node (1 << (i-1)) + prefix not yet
+    in ``keys``; the values not in the memo are computed in one batch."""
+    pending: dict = {}  # (p_mu, p_tau) -> nodes sharing that value
+    for node in nodes:
+        if node in keys:
+            continue
+        i = node.bit_length()
+        prefix_idx = node - (1 << (i - 1))
+        p_tau = tau.exact_bit_prob(i, prefix_idx)
+        try:
+            p_mu = mu.exact_bit_prob(i, prefix_idx)
+        except OracleError as err:
+            if err.kind is not OracleErrorKind.ZERO_PROBABILITY_CONDITION:
+                raise
+            keys[node] = _DEAD
+            continue
+        survive = _SURVIVE_MEMO.get((n_draws, p_mu, p_tau, inner))
+        if survive is None:
+            pending.setdefault((p_mu, p_tau), []).append(node)
+        else:
+            keys[node] = survive
+    if not pending:
+        return
+    pairs = np.array(list(pending))
+    values = blackbox_survive_prob(n_draws, pairs[:, 0], pairs[:, 1], inner)
+    for (pair, same), survive in zip(pending.items(), values.tolist()):
+        _remember_survive((n_draws, *pair, inner), survive)
+        for node in same:
+            keys[node] = survive
+
+
 def _run_equivalence_collapsed(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     chunk = 512
     trace = []
@@ -322,40 +423,31 @@ def _run_equivalence_collapsed(tau, mu, n: int, eps_l: float, rng) -> Verdict:
         cost = inner * CHI2_TRIALS * n_draws
         i_arr = rng.integers(1, n + 1, size=outer)
         u_arr = rng.random(outer)
-        survive_memo: dict = {}
-        buf = None
-        buf_pos = 0
+        keys: dict = {}  # node -> survive probability at this level
         rejected_at = None
-        for j in range(outer):
+        for first in range(0, outer, chunk):
             # y-draws are real tau samples, pulled in meter-free chunks; the
             # level is billed once it ends, for the draws it consumed, so a
             # truncated level costs exactly what the literal loop would.
-            if buf is None or buf_pos == buf.shape[0]:
-                buf = tau.sample_full_indices_uncounted(min(chunk, outer - j))
-                buf_pos = 0
-            w_idx = int(buf[buf_pos])
-            buf_pos += 1
-            i = int(i_arr[j])
-            prefix_idx = w_idx >> (n - i + 1)
-            key = (i, prefix_idx)
-            survive = survive_memo.get(key)
-            if survive is None:
-                p_tau = tau.exact_bit_prob(i, prefix_idx)
-                try:
-                    p_mu = mu.exact_bit_prob(i, prefix_idx)
-                except OracleError as err:
-                    if err.kind is not OracleErrorKind.ZERO_PROBABILITY_CONDITION:
-                        raise
-                    # j full draws, then this y-draw and its failed query.
-                    tau.charge(QueryClass.PREFIX, j * (1 + cost) + 1)
-                    mu.charge(QueryClass.MARGINAL, j * cost + 1)
-                    trace.append(_zero_probability_record(t, j))
-                    return Verdict(False, trace=trace)
-                survive = blackbox_survive_prob(n_draws, p_mu, p_tau, inner)
-                survive_memo[key] = survive
-            if u_arr[j] >= survive:
-                rejected_at = j
-                break
+            w_idx = tau.sample_full_indices_uncounted(min(chunk, outer - first))
+            i_c = i_arr[first:first + w_idx.shape[0]]
+            nodes, inverse = np.unique((1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)),
+                                       return_inverse=True)
+            nodes = nodes.tolist()
+            _learn_keys(keys, nodes, tau, mu, n_draws, inner)
+            survive = np.array([keys[node] for node in nodes])[inverse]
+            stops = np.flatnonzero(u_arr[first:first + w_idx.shape[0]] >= survive)
+            if stops.size == 0:
+                continue
+            j = first + int(stops[0])
+            if survive[stops[0]] == _DEAD:
+                # j full draws, then this y-draw and its failed query.
+                tau.charge(QueryClass.PREFIX, j * (1 + cost) + 1)
+                mu.charge(QueryClass.MARGINAL, j * cost + 1)
+                trace.append(_zero_probability_record(t, j))
+                return Verdict(False, trace=trace)
+            rejected_at = j
+            break
         used = outer if rejected_at is None else rejected_at + 1
         tau.charge(QueryClass.PREFIX, used * (1 + cost))
         mu.charge(QueryClass.MARGINAL, used * cost)

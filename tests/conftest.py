@@ -1,10 +1,14 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from condtest.adversarial import GridProductDistance
 from condtest.distcore import DistributionTable
+from condtest.testers import CHI2_THRESHOLD, CHI2_TRIALS
 
 
 def random_table(rng, n, zeros=False):
@@ -66,6 +70,23 @@ def brute_force_grid_distance(table, step):
         return digits[::-1]
     marginals = tuple(_decode(best_pair[0], h1) + _decode(best_pair[1], h2))
     return GridProductDistance(best / 2.0, step, "exact-grid", marginals)
+
+
+def full_support_calculus(n_draws, p, q, inner):
+    """Reference for ``chi2_trial_compare_probs`` and ``blackbox_survive_prob``,
+    one (p, q) at a time, summed over all N + 1 outcomes of Y: returns
+    (alpha, beta, survive)."""
+    k = np.arange(n_draws + 1)
+    pmf_q = binom.pmf(k, n_draws, q)
+    alpha = min(float(np.dot(pmf_q, binom.sf(k, n_draws, p))), 1.0)
+    beta = min(float(np.dot(pmf_q, binom.cdf(k - 1, n_draws, p))), 1.0)
+    gamma = 0.0
+    if alpha < 1.0:
+        a = np.arange(CHI2_THRESHOLD + 1)
+        pa = binom.pmf(a, CHI2_TRIALS, alpha)
+        pb = binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, min(beta / (1.0 - alpha), 1.0))
+        gamma = min(max(float(np.dot(pa, pb)), 0.0), 1.0)
+    return alpha, beta, float(binom.sf(math.ceil(inner / 2) - 1, inner, gamma))
 
 
 @pytest.fixture

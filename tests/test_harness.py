@@ -277,7 +277,9 @@ def test_experiment_kind_registry_is_complete():
     ["test-interval", "--N", "0", "--eps", "0.3", "--tau", "uniform",
      "--mu", "uniform"],
     ["sweep", "--n-list", "8,x", "--eps-list", "0.5"],
-], ids=["n1", "step0", "step-neg", "eps1.5", "N0", "n-list"])
+    ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform",
+     "--mu", "uniform", "--config", "/nonexistent/condtest-config.json"],
+], ids=["n1", "step0", "step-neg", "eps1.5", "N0", "n-list", "missing-config"])
 def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from condtest.distcore import DistributionTable, TupleDomain
 from condtest.oracles import (
@@ -13,6 +14,7 @@ from condtest.oracles import (
     TupleTableOracle,
 )
 from condtest.testers import (
+    CHI2_SAMPLE_FACTOR,
     BitSampler,
     TestConfig,
     Verdict,
@@ -29,6 +31,7 @@ from condtest.testers import (
     single_bit_chi2_test,
     slice_divergence_threshold,
 )
+from conftest import full_support_calculus
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +137,6 @@ def test_trial_compare_probs_symmetric_case():
 
 
 def test_trial_compare_probs_against_enumeration():
-    from scipy.stats import binom
     n_draws, p, q = 12, 0.7, 0.4
     alpha = beta = 0.0
     for x in range(n_draws + 1):
@@ -165,6 +167,73 @@ def test_survive_prob_edges():
     assert blackbox_survive_prob(1000, 0.5, 0.5, 99) > 0.99
     # far sources: gamma tiny, survival vanishes
     assert blackbox_survive_prob(1000, 0.05, 0.95, 99) < 1e-6
+
+
+def test_survive_prob_is_a_probability_when_accept_prob_rounds_above_one():
+    # A conditional of an n=8 Dirichlet table: the accept probability summed
+    # to 1.0000000000000009, and binom.sf of it was NaN, which no u >= NaN
+    # could ever reject.
+    p = 0.003619341795181441
+    assert chi2_accept_prob(*full_support_calculus(48, p, p, 891)[:2]) <= 1.0
+    survive = blackbox_survive_prob(48, p, p, 891)
+    assert math.isfinite(survive) and 0.0 <= survive <= 1.0
+    assert survive == 1.0
+
+
+def _calculus_corpus():
+    """Seeded (p, q) rows per N: q at 0, 1, tiny, near 1, 0.5 and random;
+    p = q, p just above q and p random."""
+    rng = np.random.default_rng(20261018)
+    corpus = {}
+    for n_draws in (2, 7, 48, 385, 3072, 49152, 200000):
+        rows = []
+        for q in (0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5, *rng.random(2).tolist()):
+            rows += [(q, q), (min(q + 1e-3, 1.0), q), (float(rng.random()), q)]
+        corpus[n_draws] = rows
+    return corpus
+
+
+CALCULUS_CORPUS = _calculus_corpus()
+
+
+@pytest.mark.parametrize("n_draws", list(CALCULUS_CORPUS))
+def test_windowed_calculus_matches_full_support(n_draws):
+    for p, q in CALCULUS_CORPUS[n_draws]:
+        alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
+        ref_alpha, ref_beta, ref_survive = full_support_calculus(n_draws, p, q, 891)
+        assert abs(alpha - ref_alpha) <= 1e-14, (p, q)
+        assert abs(beta - ref_beta) <= 1e-14, (p, q)
+        assert abs(blackbox_survive_prob(n_draws, p, q, 891) - ref_survive) <= 1e-12, (p, q)
+
+
+@pytest.mark.parametrize("n_draws", list(CALCULUS_CORPUS))
+def test_calculus_rows_do_not_depend_on_batch(n_draws):
+    p, q = np.array(CALCULUS_CORPUS[n_draws]).T
+    alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
+    survive = blackbox_survive_prob(n_draws, p, q, 891)
+    reversed_survive = blackbox_survive_prob(n_draws, p[::-1], q[::-1], 891)[::-1]
+    assert np.array_equal(reversed_survive, survive)
+    for r in range(p.shape[0]):
+        assert chi2_trial_compare_probs(n_draws, p[r], q[r]) == (alpha[r], beta[r])
+        assert blackbox_survive_prob(n_draws, p[r:r + 1], q[r:r + 1], 891)[0] == survive[r]
+        assert blackbox_survive_prob(n_draws, p[r], q[r], 891) == survive[r]
+
+
+def test_survive_prob_matches_literal_black_box(rng):
+    """The closed form against the literal black box: ``inner`` chi-square
+    tests on Ber(p) vs Ber(q) bits, survived when the majority tally is
+    non-negative.  Judged at one-sided 99% on each side."""
+    p, q, eps, inner, runs = 0.55, 0.5, 0.5, 5, 4000
+    survive = blackbox_survive_prob(math.ceil(CHI2_SAMPLE_FACTOR / eps), p, q, inner)
+    assert 0.1 < survive < 0.9
+    survived = 0
+    for _ in range(runs):
+        tally = sum(1 if single_bit_chi2_test(BitSampler.from_probability(p, rng),
+                                              BitSampler.from_probability(q, rng),
+                                              eps).accepted else -1
+                    for _ in range(inner))
+        survived += tally >= 0
+    assert binom.ppf(0.01, runs, survive) <= survived <= binom.isf(0.01, runs, survive)
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +328,23 @@ def _probs(seed, size):
     return w / w.sum()
 
 
+def _dirichlet(seed, size):
+    return np.random.default_rng(seed).dirichlet(np.ones(size))
+
+
+def _thin_pair(seed):
+    """A table over {0,1}^3 with one sibling pair of cells at 2e-3 each, and
+    the same table with that pair removed (a prefix mu gives zero mass)."""
+    rng = np.random.default_rng(seed)
+    tau = rng.dirichlet(np.full(8, 3.0))
+    c = 2 * int(rng.integers(0, 4))
+    tau[c] = tau[c + 1] = 2e-3
+    tau /= tau.sum()
+    mu = tau.copy()
+    mu[c] = mu[c + 1] = 0.0
+    return tau, mu / mu.sum()
+
+
 def _collapsed(eps, seed):
     return TestConfig(eps, seed=seed, mode="collapsed")
 
@@ -288,6 +374,23 @@ REPLAY_CASES = {
         TupleTableOracle(_RGB, _probs(17, 6), seed=18),
         TupleTableOracle(_RGB, _near(_probs(17, 6), _probs(21, 6)), seed=19),
         _collapsed(0.5, 20)),
+    # 63 (i, prefix) keys, all with distinct conditionals.
+    "dirichlet-self-n6": lambda: equivalence_test(
+        TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=23),
+        TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=24), _collapsed(0.5, 25)),
+    # Rejects at draw 200 of a 1038-draw level, inside its first 512-draw chunk.
+    "near-n5-mid-chunk": lambda: equivalence_test(
+        TableOracle(DistributionTable(5, _probs(27, 32)), seed=127),
+        TableOracle(DistributionTable(5, _near(_probs(27, 32), _probs(77, 32), 0.005)),
+                    seed=227),
+        _collapsed(0.5, 327)),
+    "interval-N200": lambda: interval_equivalence_test(
+        IntervalOracle(_probs(30, 200), seed=31),
+        IntervalOracle(_near(_probs(30, 200), _probs(32, 200)), seed=33), _collapsed(0.5, 34)),
+    # The dead prefix is first drawn at draw 1397 of level 2, in its third chunk.
+    "dead-prefix-mid-chunk": lambda: equivalence_test(
+        TableOracle(DistributionTable(3, _thin_pair(7009)[0]), seed=9),
+        TableOracle(DistributionTable(3, _thin_pair(7009)[1]), seed=59), _collapsed(0.5, 108)),
 }
 
 
@@ -297,22 +400,25 @@ def _queries(prefix, marginal, interval=0):
     return counts | {"total": sum(counts.values())}
 
 
-_LEVELS = [(1, 0.5, 4130), (2, 0.25, 2065), (3, 0.125, 1033), (4, 0.0625, 517),
-           (5, 0.03125, 259), (6, 0.015625, 130), (7, 0.0078125, 65),
-           (8, 0.00390625, 33), (9, 0.001953125, 17), (10, 0.0009765625, 9),
-           (11, 0.00048828125, 5), (12, 0.000244140625, 3)]
+_N3_OUTERS = [4130, 2065, 1033, 517, 259, 130, 65, 33, 17, 9, 5, 3]
 _MODE = {"mode": "collapsed", "eps_levin": 0.0009685518946219787}
 
 
+def _records(inner, outers, rejected_at=None):
+    """Level records t = 1..len(outers), the last one rejecting at ``rejected_at``."""
+    return [{"t": t, "eps_prime": 2.0 ** -t, "outer": outer, "inner": inner,
+             "rejected_at": rejected_at if t == len(outers) else None}
+            for t, outer in enumerate(outers, 1)]
+
+
 def _levels(last_t, rejected_at=None):
-    """Level records 1..last_t, the last one rejecting at ``rejected_at``."""
-    return [{"t": t, "eps_prime": eps_prime, "outer": outer, "inner": 769,
-             "rejected_at": rejected_at if t == last_t else None}
-            for t, eps_prime, outer in _LEVELS[:last_t]]
+    """The n=3, eps=0.5 schedule's level records 1..last_t."""
+    return _records(769, _N3_OUTERS[:last_t], rejected_at)
 
 
 # (accepted, queries_used, trace), recorded before the charging rule moved
-# into the oracles; any shift of a tester or oracle RNG stream changes them.
+# into the oracles (the last four before the survive calculus was windowed
+# and batched); any shift of a tester or oracle RNG stream changes them.
 REPLAY_PINS = {
     "uniform": (True, _queries(126244954186, 126244945920),
                 _levels(12) + [_MODE]),
@@ -327,6 +433,19 @@ REPLAY_PINS = {
                         _levels(3, 1) + [_MODE]),
     "tuple": (False, _queries(120348491680, 120348475392),
               _levels(7, 9) + [_MODE]),
+    "dirichlet-self-n6": (True, _queries(373460357772, 373460336640),
+                          _records(856, [10564, 5282, 2641, 1321, 661, 331, 166, 83, 42,
+                                         21, 11, 6, 3])
+                          + [{"mode": "collapsed", "eps_levin": 0.0003786532846971034}]),
+    "near-n5-mid-chunk": (False, _queries(67912221061, 67912206336),
+                          _records(834, [8299, 4150, 2075, 1038], 200)
+                          + [{"mode": "collapsed", "eps_levin": 0.00048203794408283154}]),
+    "interval-N200": (False, _queries(44615593430, 44615577600, 89231171030),
+                      _records(891, [15360, 7680], 469)
+                      + [{"mode": "collapsed", "eps_levin": 0.00026041666666666666}]),
+    "dead-prefix-mid-chunk": (False, _queries(16357041560, 16357036033),
+                              _levels(1) + [{"t": 2, "rejected_at": 1397,
+                                             "zero_probability_reject": True}, _MODE]),
 }
 
 
