@@ -181,10 +181,6 @@ class DistributionTable:
             self._level_sums = levels
         return self._level_sums
 
-    def prefix_mass(self, bits) -> float:
-        bits = tuple(bits)
-        return float(self.level_sums()[len(bits)][bits_to_index(bits)])
-
     def conditional_levels(self) -> list[np.ndarray]:
         """conditional_levels()[i-1][j] = Pr[x_i = 1 | prefix j], NaN if the
         prefix has zero mass."""

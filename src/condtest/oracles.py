@@ -8,11 +8,13 @@ samples drawn without a meter charge (``sample_full_indices_uncounted``).
 
 Metering has one rule, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
-built on (``base``) as that wrapper's ``base_class``.  Both tester modes meter
-only through it.  The sampled mode draws each batch of bit samples as
-binomial counts at the exact conditional probability, from the oracle's own
-RNG, and charges one query per bit; the collapsed mode charges the same
-totals without drawing the bits.
+built on (``base``) as that wrapper's ``base_class``.  The testers meter
+only through it, once per Levin level, with the same totals in both
+execution modes: the y-draws a level consumed, the bit samples of their
+black-box runs and, on a zero-probability reject, the one failed marginal
+query.  The sampled mode draws those bits as binomial counts at the
+exact conditional probability, from the oracles' own RNG streams; the
+collapsed mode does not draw them.
 """
 
 from __future__ import annotations
@@ -72,9 +74,6 @@ class QueryCounter:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def snapshot(self) -> dict[str, int]:
-        return {cls.value: self.counts.get(cls, 0) for cls in QueryClass}
 
 
 class MeteredOracle:

@@ -1,25 +1,31 @@
 """Randomized testers: single-bit chi-square test, Levin work balance, the
 equivalence tester, the product tester, and the alphabet/interval wrappers.
 
-Two execution modes are provided for the full testers.
+One walk runs the equivalence tester in both execution modes.  Each Levin
+level draws its coordinates i and uniforms u up front, pulls the tau samples
+behind its y-draws in chunks of 512, reads the exact conditional bit
+probabilities (p under mu, q under tau) of each (i, prefix) key new to the
+level, and stops at the first draw that does not survive: a key mu gives
+zero mass (a zero-probability reject) or a failed majority of ``inner``
+black-box runs.  The level is charged once, when it ends, for the draws it
+consumed.  The modes differ only in how a draw's survival is decided.
 
 ``sampled``
-    The literal algorithm: every trial draws its bit samples from the
-    oracles' RNG streams (one binomial count per trial at the exact
-    conditional probability, distribution-identical to one-at-a-time
+    The literal black box: ``inner`` single-bit chi-square tests on bits
+    drawn from the oracles' RNG streams (one binomial count per trial at the
+    exact conditional probability, distribution-identical to one-at-a-time
     sampling).  The schedule's constants make this mode astronomically
     expensive at realistic parameters (~10^12 samples at n=8, eps=0.3), so
     it is practical only for tiny configurations and for validating the
     collapsed mode.
 
 ``collapsed``
-    Exact-verdict simulation: for each drawn (i, w) the accept probability of
-    a black-box invocation is computed in closed form from the oracles' exact
-    conditional probabilities, and the per-draw survival event is decided by
-    a single Bernoulli draw.  The verdict law is mathematically identical to
-    the sampled mode (binomial trial sums -> multinomial (A, B) counts ->
-    binomial majority tally).  This is what makes the statistical acceptance
-    experiments runnable at all.
+    Exact-verdict simulation: the draw survives iff its uniform u is below
+    the closed-form probability that the literal black box survives
+    (binomial trial sums -> multinomial (A, B) counts -> binomial majority
+    tally), so the verdict law is that of the sampled mode.  This is what
+    makes the statistical acceptance experiments runnable at all.  ``auto``
+    is collapsed.
 
 The collapsed calculus
     For a drawn (i, w) with conditional bit probabilities p under mu and q
@@ -35,20 +41,15 @@ The collapsed calculus
     are evaluated in blocks of at most 2^13 cells and reduced one by one, so
     a value never depends on the rows computed with it.
 
-    The collapsed loop pulls each level's y-draws in chunks of 512.  For the
-    (i, prefix) keys new to the level it computes every survive probability
-    not yet known in one batched call, then stops at the first draw whose
-    key mu gives zero mass or whose uniform u is >= its survive probability.
-    Known values live in one process-wide memo keyed by (N, p, q, inner),
-    capped at 2^14 entries with the oldest evicted first, so repeated runs
-    on the same distributions skip the calculus.
+    The survive probabilities of a chunk's new keys that are not yet known
+    are computed in one batched call.  Known values live in one
+    process-wide memo keyed by (N, p, q, inner), capped at 2^14 entries with
+    the oldest evicted first, so repeated runs on the same distributions
+    skip the calculus.
 
-Both modes meter only through the oracles' ``charge``, with the same totals:
-every y-draw costs one prefix query, every black-box run its trial samples,
-and a zero-probability reject the one failed marginal query.
-
-``auto`` picks sampled when the deterministic sample budget is small enough,
-collapsed otherwise.
+Metering goes only through the oracles' ``charge``, with the same totals in
+both modes: every y-draw costs one prefix query, every black-box run its
+trial samples, and a zero-probability reject the one failed marginal query.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ CHI2_SAMPLE_FACTOR = 24  # ceil(24 / eps) samples per trial (proof-consistent)
 class TestConfig:
     epsilon: float
     seed: int | None = None
-    mode: str = "auto"  # auto | sampled | collapsed
-    sampled_budget_limit: int = 50_000_000
+    mode: str = "auto"  # auto (= collapsed) | sampled | collapsed
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -156,6 +156,22 @@ def levin_schedule(eps: float) -> list[tuple[int, float, int, int]]:
             for t in range(1, t_max + 1)]
 
 
+def _majority_threshold(inner: int) -> int:
+    """Fewest accepting runs out of ``inner`` that keep a drawn y alive: the
+    tally (+1 per accept, -1 per reject) must be non-negative."""
+    return math.ceil(inner / 2)
+
+
+def _level_record(t: int, eps_prime: float, outer: int, inner: int,
+                  rejected_at: int | None = None, dead: bool = False) -> dict:
+    if dead:
+        # The prefix was drawn from tau, hence tau-positive; a dead mu prefix
+        # is conclusive evidence that tau != mu.
+        return {"t": t, "rejected_at": rejected_at, "zero_probability_reject": True}
+    return {"t": t, "eps_prime": eps_prime, "outer": outer, "inner": inner,
+            "rejected_at": rejected_at}
+
+
 def levin_balance(draw_y, black_box, eps: float) -> Verdict:
     """Distinguish E[X] = 0 from E[X] > eps given a two-sided-error black box
     for the conditional means E[X | Y = y].
@@ -166,17 +182,16 @@ def levin_balance(draw_y, black_box, eps: float) -> Verdict:
     """
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps):
+        rejected_at = None
         for j in range(outer):
             y = draw_y()
-            tally = 0
-            for _ in range(inner):
-                tally += 1 if black_box(y, eps_prime) else -1
-            if tally < 0:
-                trace.append({"t": t, "eps_prime": eps_prime, "outer": outer,
-                              "inner": inner, "rejected_at": j})
-                return Verdict(False, trace=trace)
-        trace.append({"t": t, "eps_prime": eps_prime, "outer": outer,
-                      "inner": inner, "rejected_at": None})
+            accepts = sum(bool(black_box(y, eps_prime)) for _ in range(inner))
+            if accepts < _majority_threshold(inner):
+                rejected_at = j
+                break
+        trace.append(_level_record(t, eps_prime, outer, inner, rejected_at))
+        if rejected_at is not None:
+            return Verdict(False, trace=trace)
     return Verdict(True, trace=trace)
 
 
@@ -281,7 +296,7 @@ def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     Scalars give a float, 1-D arrays one value per row."""
     alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
     gamma = chi2_accept_prob(alpha, beta)
-    survive = _binom.sf(math.ceil(inner / 2) - 1, inner, gamma)
+    survive = _binom.sf(_majority_threshold(inner) - 1, inner, gamma)
     return float(survive) if np.ndim(survive) == 0 else survive
 
 
@@ -325,68 +340,32 @@ def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
     return delta
 
 
-def _count_trials(oracle, cls: QueryClass, i: int, prefix_idx: int,
-                  m: int, k: int) -> np.ndarray:
-    """k independent counts of ones among m bit samples at (i, prefix);
-    distribution-identical to m*k single-sample queries, charged as such.
-    A query that fails (a dead prefix) is billed once and re-raised."""
-    try:
-        p = oracle.exact_bit_prob(i, prefix_idx)
-    except OracleError:
-        oracle.charge(cls)
-        raise
-    oracle.charge(cls, m * k)
-    return oracle.rng.binomial(m, p, size=k)
-
-
-def _zero_probability_record(t: int, j: int) -> dict:
-    # The prefix was drawn from tau, hence tau-positive; a dead mu prefix is
-    # conclusive evidence that tau != mu.
-    return {"t": t, "rejected_at": j, "zero_probability_reject": True}
-
-
-def _run_equivalence_sampled(tau, mu, n: int, eps_l: float, rng) -> Verdict:
-    draws = 0
-
-    def draw_y():
-        nonlocal draws
-        draws += 1
-        i = int(rng.integers(1, n + 1))
-        tau.charge(QueryClass.PREFIX)
-        w_idx = int(tau.sample_full_indices_uncounted(1)[0])
-        return i, w_idx >> (n - i + 1)
-
-    def black_box(y, eps_prime):
-        i, prefix_idx = y
-        sp = BitSampler(lambda m, k: _count_trials(mu, QueryClass.MARGINAL,
-                                                   i, prefix_idx, m, k))
-        sq = BitSampler(lambda m, k: _count_trials(tau, QueryClass.PREFIX,
-                                                   i, prefix_idx, m, k))
-        return single_bit_chi2_test(sp, sq, eps_prime).accepted
-
-    try:
-        return levin_balance(draw_y, black_box, eps_l)
-    except OracleError as err:
-        if err.kind is not OracleErrorKind.ZERO_PROBABILITY_CONDITION:
-            raise
-    # Locate the failing draw, the draws-th overall, in the schedule.
-    j = draws - 1
-    for t, _, outer, _ in levin_schedule(eps_l):
-        if j < outer:
-            break
-        j -= outer
-    return Verdict(False, trace=[_zero_probability_record(t, j)])
-
-
-# Stands for the survive probability of a key that mu gives zero mass: every
-# u >= _DEAD, so the walk stops at the key's first draw.
+# Stands for the value of a key that mu gives zero mass: the walk stops at
+# the key's first draw in either mode (in collapsed mode every u >= _DEAD).
 _DEAD = -1.0
+_CHUNK = 512
 
 
-def _learn_keys(keys: dict, nodes, tau, mu, n_draws: int, inner: int) -> None:
-    """Add the survive probability of every node (1 << (i-1)) + prefix not yet
-    in ``keys``; the values not in the memo are computed in one batch."""
-    pending: dict = {}  # (p_mu, p_tau) -> nodes sharing that value
+def _survive_probs(n_draws: int, pairs: list, inner: int) -> list[float]:
+    """The survive probability of each (p_mu, p_tau) pair; the ones not in
+    the memo are computed in one batch."""
+    out = [_SURVIVE_MEMO.get((n_draws, *pair, inner)) for pair in pairs]
+    missing = [k for k, survive in enumerate(out) if survive is None]
+    if missing:
+        batch = np.array([pairs[k] for k in missing])
+        values = blackbox_survive_prob(n_draws, batch[:, 0], batch[:, 1], inner)
+        for k, survive in zip(missing, values.tolist()):
+            _remember_survive((n_draws, *pairs[k], inner), survive)
+            out[k] = survive
+    return out
+
+
+def _learn_keys(keys: dict, nodes, tau, mu, n_draws: int, inner: int,
+                literal: bool) -> None:
+    """Add the value of every node (1 << (i-1)) + prefix not yet in ``keys``:
+    ``_DEAD`` if mu gives the prefix zero mass, else the pair (p_mu, p_tau)
+    when ``literal``, else its survive probability."""
+    pending: dict = {}  # (p_mu, p_tau) -> nodes sharing that pair
     for node in nodes:
         if node in keys:
             continue
@@ -400,81 +379,79 @@ def _learn_keys(keys: dict, nodes, tau, mu, n_draws: int, inner: int) -> None:
                 raise
             keys[node] = _DEAD
             continue
-        survive = _SURVIVE_MEMO.get((n_draws, p_mu, p_tau, inner))
-        if survive is None:
-            pending.setdefault((p_mu, p_tau), []).append(node)
-        else:
-            keys[node] = survive
-    if not pending:
-        return
-    pairs = np.array(list(pending))
-    values = blackbox_survive_prob(n_draws, pairs[:, 0], pairs[:, 1], inner)
-    for (pair, same), survive in zip(pending.items(), values.tolist()):
-        _remember_survive((n_draws, *pair, inner), survive)
+        pending.setdefault((p_mu, p_tau), []).append(node)
+    pairs = list(pending)
+    values = pairs if literal else _survive_probs(n_draws, pairs, inner)
+    for same, value in zip(pending.values(), values):
         for node in same:
-            keys[node] = survive
+            keys[node] = value
 
 
-def _run_equivalence_collapsed(tau, mu, n: int, eps_l: float, rng) -> Verdict:
-    chunk = 512
+def _literal_survives(value, tau, mu, eps_prime: float, inner: int) -> bool:
+    """Run the black box ``inner`` times on bits drawn from the oracles' RNG
+    streams at the key's (p_mu, p_tau); a ``_DEAD`` key never survives."""
+    if value == _DEAD:
+        return False
+    p_mu, p_tau = value
+    accepts = sum(single_bit_chi2_test(BitSampler.from_probability(p_mu, mu.rng),
+                                       BitSampler.from_probability(p_tau, tau.rng),
+                                       eps_prime).accepted
+                  for _ in range(inner))
+    return accepts >= _majority_threshold(inner)
+
+
+def _run_equivalence(tau, mu, n: int, eps_l: float, rng, literal: bool) -> Verdict:
+    """Levin's work balance over (i, prefix) y-draws from tau; a draw's
+    survival is decided by the literal black box or, in collapsed mode, by
+    its uniform u against the closed-form survive probability."""
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
-        cost = inner * CHI2_TRIALS * n_draws
+        cost = inner * CHI2_TRIALS * n_draws  # trial samples per draw and source
         i_arr = rng.integers(1, n + 1, size=outer)
         u_arr = rng.random(outer)
-        keys: dict = {}  # node -> survive probability at this level
-        rejected_at = None
-        for first in range(0, outer, chunk):
-            # y-draws are real tau samples, pulled in meter-free chunks; the
-            # level is billed once it ends, for the draws it consumed, so a
-            # truncated level costs exactly what the literal loop would.
-            w_idx = tau.sample_full_indices_uncounted(min(chunk, outer - first))
-            i_c = i_arr[first:first + w_idx.shape[0]]
+        keys: dict = {}  # node -> value at this level (see _learn_keys)
+        rejected_at, dead = None, False
+        for first in range(0, outer, _CHUNK):
+            # y-draws are real tau samples, pulled in meter-free chunks.
+            w_idx = tau.sample_full_indices_uncounted(min(_CHUNK, outer - first))
+            last = first + w_idx.shape[0]
+            i_c = i_arr[first:last]
             nodes, inverse = np.unique((1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)),
                                        return_inverse=True)
             nodes = nodes.tolist()
-            _learn_keys(keys, nodes, tau, mu, n_draws, inner)
-            survive = np.array([keys[node] for node in nodes])[inverse]
-            stops = np.flatnonzero(u_arr[first:first + w_idx.shape[0]] >= survive)
-            if stops.size == 0:
-                continue
-            j = first + int(stops[0])
-            if survive[stops[0]] == _DEAD:
-                # j full draws, then this y-draw and its failed query.
-                tau.charge(QueryClass.PREFIX, j * (1 + cost) + 1)
-                mu.charge(QueryClass.MARGINAL, j * cost + 1)
-                trace.append(_zero_probability_record(t, j))
-                return Verdict(False, trace=trace)
-            rejected_at = j
-            break
+            _learn_keys(keys, nodes, tau, mu, n_draws, inner, literal)
+            values = [keys[node] for node in nodes]
+            if literal:
+                survived = (_literal_survives(values[k], tau, mu, eps_prime, inner)
+                            for k in inverse.tolist())
+                pos = next((j for j, ok in enumerate(survived) if not ok), None)
+            else:
+                stops = np.flatnonzero(u_arr[first:last] >= np.array(values)[inverse])
+                pos = int(stops[0]) if stops.size else None
+            if pos is not None:
+                rejected_at, dead = first + pos, values[inverse[pos]] == _DEAD
+                break
+        # The level is billed once it ends, exactly as the literal loop would
+        # be: one prefix query per y-draw, the trial samples of every draw
+        # whose black box ran, and for a dead key the one failed query.
         used = outer if rejected_at is None else rejected_at + 1
-        tau.charge(QueryClass.PREFIX, used * (1 + cost))
-        mu.charge(QueryClass.MARGINAL, used * cost)
-        trace.append({"t": t, "eps_prime": eps_prime, "outer": outer,
-                      "inner": inner, "rejected_at": rejected_at})
+        ran = used - dead
+        tau.charge(QueryClass.PREFIX, used + ran * cost)
+        mu.charge(QueryClass.MARGINAL, ran * cost + dead)
+        trace.append(_level_record(t, eps_prime, outer, inner, rejected_at, dead))
         if rejected_at is not None:
             return Verdict(False, trace=trace)
     return Verdict(True, trace=trace)
 
 
-def _resolve_mode(cfg: TestConfig, n: int) -> str:
-    if cfg.mode != "auto":
-        return cfg.mode
-    budget = expected_equivalence_queries(n, cfg.epsilon)["total"]
-    return "sampled" if budget <= cfg.sampled_budget_limit else "collapsed"
-
-
 def _equivalence_core(tau, mu, n: int, cfg: TestConfig) -> Verdict:
-    mode = _resolve_mode(cfg, n)
+    mode = "sampled" if cfg.mode == "sampled" else "collapsed"
     rng = np.random.default_rng(cfg.seed)
     counters = _collect_counters([tau, mu])
     before = _counter_totals(counters)
     eps_l = slice_divergence_threshold(n, cfg.epsilon) / n
-    if mode == "sampled":
-        verdict = _run_equivalence_sampled(tau, mu, n, eps_l, rng)
-    else:
-        verdict = _run_equivalence_collapsed(tau, mu, n, eps_l, rng)
+    verdict = _run_equivalence(tau, mu, n, eps_l, rng, mode == "sampled")
     verdict.queries_used = _queries_delta(before, counters)
     verdict.trace.append({"mode": mode, "eps_levin": eps_l})
     return verdict

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.optimize import brentq
+from scipy.stats import binom, chisquare
 
+from condtest import testers
 from condtest.distcore import DistributionTable, TupleDomain
 from condtest.oracles import (
     IntervalOracle,
@@ -280,15 +282,51 @@ def test_equivalence_dimension_mismatch():
                          TestConfig(0.5))
 
 
-def test_sampled_and_collapsed_agree_on_budget_and_verdict():
+def _never_called(*args):
+    raise AssertionError("the sampled mode used the survive calculus")
+
+
+def test_sampled_and_collapsed_agree_on_budget_and_verdict(monkeypatch):
     tab = DistributionTable.bernoulli_product([0.6])
-    results = {}
+
+    def run(mode):
+        return equivalence_test(TableOracle(tab, seed=0), TableOracle(tab, seed=1),
+                                TestConfig(0.9, seed=2, mode=mode))
+
+    collapsed = run("collapsed")
+    # The sampled mode decides survival by the literal black box alone.
+    with monkeypatch.context() as patch:
+        patch.setattr(testers, "blackbox_survive_prob", _never_called)
+        sampled = run("sampled")
+    assert sampled.accepted == collapsed.accepted is True
+    assert sampled.queries_used == collapsed.queries_used
+    assert sampled.trace[:-1] == collapsed.trace[:-1]
+
+
+def test_modes_agree_with_the_exact_rejection_law():
+    """n = 1, tau = Ber(0.5), mu = Ber(p*) with p* chosen so that a level-1
+    draw survives with probability 1/2: the index of the rejecting draw is
+    geometric, P(j) = 2^-(j+1).  Each mode's histogram over j = 0, 1, 2, >= 3
+    is judged against that law by a chi-square test at one-sided 99%."""
+    eps, runs = 0.9, 100
+    _, eps_prime, _, inner = levin_schedule(slice_divergence_threshold(1, eps))[0]
+    n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
+    p_star = brentq(lambda p: blackbox_survive_prob(n_draws, p, 0.5, inner) - 0.5,
+                    0.5, 0.9, xtol=1e-15)
+    survive = blackbox_survive_prob(n_draws, p_star, 0.5, inner)
+    law = np.array([1 - survive, (1 - survive) * survive,
+                    (1 - survive) * survive ** 2, survive ** 3])
+    tau = DistributionTable.bernoulli_product([0.5])
+    mu = DistributionTable.bernoulli_product([p_star])
     for mode in ("sampled", "collapsed"):
-        v = equivalence_test(TableOracle(tab, seed=0), TableOracle(tab, seed=1),
-                             TestConfig(0.9, seed=2, mode=mode))
-        results[mode] = v
-    assert results["sampled"].accepted == results["collapsed"].accepted is True
-    assert results["sampled"].queries_used == results["collapsed"].queries_used
+        counts = np.zeros(4, dtype=int)
+        for run in range(runs):
+            v = equivalence_test(TableOracle(tau, seed=3 * run),
+                                 TableOracle(mu, seed=3 * run + 1),
+                                 TestConfig(eps, seed=3 * run + 2, mode=mode))
+            assert not v.accepted and v.trace[0]["t"] == 1
+            counts[min(v.trace[0]["rejected_at"], 3)] += 1
+        assert chisquare(counts, runs * law).pvalue >= 0.01, (mode, counts)
 
 
 _LOW_HALF = np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0])
