@@ -97,6 +97,23 @@ def single_bit_divergence(kind: DivergenceKind, p: float, q: float) -> float:
     raise DomainError(f"unknown divergence kind {kind!r}")
 
 
+def node_conditionals(levels) -> np.ndarray:
+    """Conditional bit probabilities from prefix masses.
+
+    ``levels[k][v]`` is the mass of the k-bit prefix v, for k = 0..n.  The
+    result holds Pr[bit i = 1 | prefix w] = levels[i][2w + 1] / levels[i-1][w]
+    for node (1 << (i-1)) + w at index node - 1, i = 1..n, and NaN where the
+    prefix mass is not positive.
+    """
+    n = len(levels) - 1
+    out = np.full((1 << n) - 1, np.nan)
+    for i in range(1, n + 1):
+        parent = levels[i - 1]
+        np.divide(levels[i][1::2], parent, out=out[(1 << (i - 1)) - 1:(1 << i) - 1],
+                  where=parent > 0.0)
+    return out
+
+
 def _check_dense_n(n: int) -> None:
     """DomainError unless a dense table over {0,1}^n is allowed; constructors
     call it before allocating 2^n cells."""
@@ -111,7 +128,7 @@ class DistributionTable:
     to 1 within 1e-12.
     """
 
-    __slots__ = ("n", "probs", "_level_sums", "_cond_levels", "_eff_cond_levels")
+    __slots__ = ("n", "probs", "_level_sums", "_cond_nodes", "_eff_cond_levels")
 
     def __init__(self, n: int, probs):
         _check_dense_n(n)
@@ -123,7 +140,7 @@ class DistributionTable:
         self.probs = probs.copy()
         self.probs.setflags(write=False)
         self._level_sums = None
-        self._cond_levels = None
+        self._cond_nodes = None
         self._eff_cond_levels = None
 
     # ------------------------------------------------------------------
@@ -181,20 +198,19 @@ class DistributionTable:
             self._level_sums = levels
         return self._level_sums
 
+    def conditional_nodes(self) -> np.ndarray:
+        """Every Pr[x_i = 1 | prefix w] in one read-only array, at index
+        (1 << (i-1)) + w - 1 (see ``node_conditionals``)."""
+        if self._cond_nodes is None:
+            self._cond_nodes = node_conditionals(self.level_sums())
+            self._cond_nodes.setflags(write=False)
+        return self._cond_nodes
+
     def conditional_levels(self) -> list[np.ndarray]:
         """conditional_levels()[i-1][j] = Pr[x_i = 1 | prefix j], NaN if the
-        prefix has zero mass."""
-        if self._cond_levels is None:
-            levels = self.level_sums()
-            out = []
-            for i in range(1, self.n + 1):
-                parent = levels[i - 1]
-                ones = levels[i][1::2]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cond = np.where(parent > 0.0, ones / np.where(parent > 0.0, parent, 1.0), np.nan)
-                out.append(cond)
-            self._cond_levels = out
-        return self._cond_levels
+        prefix has zero mass; views into ``conditional_nodes()``."""
+        nodes = self.conditional_nodes()
+        return [nodes[(1 << (i - 1)) - 1:(1 << i) - 1] for i in range(1, self.n + 1)]
 
     def effective_conditional_levels(self) -> list[np.ndarray]:
         """Like conditional_levels(), but a zero-mass prefix inherits the

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -28,6 +29,13 @@ EXPERIMENT_KINDS = ("equivalence", "product", "interval", "single-bit",
 
 CONFIDENCE_METHOD = "clopper-pearson one-sided 0.99"
 OUT_DIR_ENV = "CONDTEST_OUT_DIR"
+# Most black-box runs the literal sampled mode may face on the accept path
+# (the sum of outer * inner over the Levin schedule; each run is 64
+# chi-square trials, about 50 us).  1e7 is about 8 minutes and admits n = 3
+# at eps = 0.5 (6.4e6 runs); n = 4 at eps = 0.3 would be 3.7e7 (30 min).
+# The collapsed mode has the same verdict law and no such limit.
+SAMPLED_RUNS_LIMIT = 10_000_000
+_DENSE_KINDS = ("equivalence", "product", "scaling-sweep")
 
 _COLUMNS = {
     "verdict": ["experiment_id", "kind", "rep", "seed", "n", "eps", "verdict",
@@ -78,8 +86,45 @@ class ExperimentSpec:
             raise HarnessError(f"runs must be >= 1, got {self.runs}")
         if self.N is not None and self.N < 1:
             raise HarnessError(f"N must be >= 1, got {self.N}")
+        # Dense kinds hold 2^n cells: refuse n before anything is built.
+        max_n = distcore.MAX_DENSE_N if self.kind in _DENSE_KINDS else math.inf
+        for n in (() if self.n is None else (self.n,)) + tuple(self.n_list):
+            if not (isinstance(n, numbers.Integral) and 1 <= n <= max_n):
+                raise HarnessError(f"n must be an integer in [1, {max_n}], got {n!r}")
+        for eps in (() if self.eps is None else (self.eps,)) + tuple(self.eps_list):
+            # The single-bit chi-square test also takes eps = 1.
+            if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0
+                    or self.kind == "single-bit" and eps == 1.0):
+                raise HarnessError(f"eps must lie in (0, 1), got {eps!r}")
+        if self.mode not in ("auto", "sampled", "collapsed"):
+            raise HarnessError(f"unknown mode {self.mode!r}")
+        if self.mode == "sampled":
+            self._check_sampled_cost()
         if self.experiment_id is None:
             self.experiment_id = f"{self.kind}-seed{self.seed}"
+
+    def _check_sampled_cost(self) -> None:
+        """Refuse a sampled-mode spec whose accept path exceeds
+        SAMPLED_RUNS_LIMIT black-box runs."""
+        configs = [(n, eps) for n in self.n_list for eps in self.eps_list]
+        if self.eps is not None and self.kind in ("equivalence", "product") and self.n:
+            configs.append((self.n, self.eps))
+        if self.eps is not None and self.kind == "interval" and (self.N or 0) > 1:
+            configs.append((max(1, math.ceil(math.log2(self.N))), self.eps))
+        for n, eps in configs:
+            runs = accept_path_blackbox_runs(n, eps)
+            if runs > SAMPLED_RUNS_LIMIT:
+                raise HarnessError(
+                    f"--mode sampled would run {runs:.3g} black-box tests on the "
+                    f"accept path at n={n}, eps={eps} (limit {SAMPLED_RUNS_LIMIT:.0e}); "
+                    "use --mode collapsed, which has the same verdict law")
+
+
+def accept_path_blackbox_runs(n: int, eps: float) -> int:
+    """Black-box runs on the equivalence tester's accept path at dimension n:
+    the sum of outer * inner over its Levin schedule."""
+    eps_l = testers.slice_divergence_threshold(n, eps) / n
+    return sum(outer * inner for _, _, outer, inner in testers.levin_schedule(eps_l))
 
 
 @dataclass

@@ -2,9 +2,20 @@
 
 Each oracle wraps one distribution behind one access model (subcube, prefix,
 marginal prefix, interval, ...), owns a seeded RNG stream, and counts every
-query by class.  Table-backed oracles additionally expose the exact
-conditional probabilities they sample from (``exact_bit_prob``) and full
-samples drawn without a meter charge (``sample_full_indices_uncounted``).
+query by class.
+
+The binary oracles the equivalence walk serves (``BinaryPrefixOracle``)
+expose the exact conditional probabilities they sample from as one float64
+array, ``node_bit_probs()``: the entry for coordinate i and prefix w (an
+MSB-first integer of i - 1 bits) is Pr[x_i = 1 | x_[i-1] = w], at index
+node - 1 of the node (1 << (i-1)) + w, so coordinate i fills indices
+2^(i-1) - 1 .. 2^i - 2 in prefix order.  The entry is NaN where w has zero
+mass.  Each oracle builds the array once, from the same float operations
+the per-key computation used (level sums, interval cdf differences, masked
+sums over tuple cells), so its entries are exactly those values.
+``exact_bit_prob(i, w)`` is an accessor that reads the array and raises a
+ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
+samples without a meter charge (``sample_full_indices_uncounted``).
 
 Metering has one rule, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
@@ -31,6 +42,7 @@ from .distcore import (
     bits_to_index,
     check_probability_vector,
     index_to_bits,
+    node_conditionals,
 )
 
 
@@ -98,6 +110,30 @@ class MeteredOracle:
         self.counter.add(cls, m)
         if self.base is not None:
             self.base.charge(self.base_class or cls, m)
+
+
+class BinaryPrefixOracle(MeteredOracle):
+    """An oracle over {0,1}^n that serves the equivalence walk; subclasses
+    build ``node_bit_probs()`` (see the module docstring) in
+    ``_build_node_bit_probs``, once per oracle, on first use."""
+
+    n: int
+    _node_bit_probs: np.ndarray | None = None
+
+    def node_bit_probs(self) -> np.ndarray:
+        if self._node_bit_probs is None:
+            self._node_bit_probs = self._build_node_bit_probs()
+        return self._node_bit_probs
+
+    def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
+        """Pr[x_i = 1 | x_[i-1] = prefix], read from ``node_bit_probs()``;
+        OracleError on a zero-mass prefix."""
+        if not (1 <= i <= self.n and 0 <= prefix_idx < 1 << (i - 1)):
+            raise _malformed(f"no prefix {prefix_idx} at slice {i} for n={self.n}")
+        p = float(self.node_bit_probs()[(1 << (i - 1)) + prefix_idx - 1])
+        if np.isnan(p):
+            raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
+        return p
 
 
 @dataclass(frozen=True)
@@ -184,7 +220,7 @@ def prefix_to_interval(ell: int, i: int, w) -> tuple[int, int]:
 # binary table oracle
 
 
-class TableOracle(MeteredOracle):
+class TableOracle(BinaryPrefixOracle):
     """Metered sampling access to a dense binary DistributionTable.
 
     Supports the unconditional, subcube, prefix, and marginal prefix models.
@@ -200,36 +236,21 @@ class TableOracle(MeteredOracle):
 
     # -- internals ------------------------------------------------------
 
-    def _block(self, i: int, prefix_idx: int) -> tuple[int, int]:
-        width = 1 << (self.n - i + 1)
-        return prefix_idx * width, (prefix_idx + 1) * width
-
-    def _prefix_cdf(self, i: int, prefix_idx: int) -> tuple[np.ndarray, float, int]:
-        key = (i, prefix_idx)
-        hit = self._cdf_cache.get(key)
-        if hit is None:
-            lo, hi = self._block(i, prefix_idx)
-            block = self.table.probs[lo:hi]
-            total = float(block.sum())
-            cdf = np.cumsum(block)
-            hit = (cdf, total, lo)
-            self._cdf_cache[key] = hit
-        return hit
-
     def _sample_prefix_block(self, i: int, prefix_idx: int, k: int) -> np.ndarray:
-        cdf, total, lo = self._prefix_cdf(i, prefix_idx)
+        """k indices drawn from the cells below the prefix (cached cdf)."""
+        hit = self._cdf_cache.get((i, prefix_idx))
+        if hit is None:
+            lo = prefix_idx << (self.n - i + 1)
+            block = self.table.probs[lo:(prefix_idx + 1) << (self.n - i + 1)]
+            hit = self._cdf_cache[(i, prefix_idx)] = (np.cumsum(block), float(block.sum()), lo)
+        cdf, total, lo = hit
         if total <= 0.0:
             raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
         u = self.rng.random(k) * total
         return lo + np.searchsorted(cdf, u, side="right")
 
-    def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
-        """Pr[x_i = 1 | x_[i-1] = prefix]; OracleError on dead prefixes."""
-        levels = self.table.level_sums()
-        parent = float(levels[i - 1][prefix_idx])
-        if parent <= 0.0:
-            raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
-        return float(levels[i][2 * prefix_idx + 1]) / parent
+    def _build_node_bit_probs(self) -> np.ndarray:
+        return self.table.conditional_nodes()
 
     # -- single-sample API ----------------------------------------------
 
@@ -325,7 +346,7 @@ class IntervalOracle(MeteredOracle):
         return int(np.searchsorted(self.cdf, u, side="right")) + 1
 
 
-class IntervalBackedPrefixOracle(MeteredOracle):
+class IntervalBackedPrefixOracle(BinaryPrefixOracle):
     """Binary prefix/marginal-prefix oracle over [2^ell], translating every
     prefix query into exactly one interval query.
 
@@ -345,19 +366,14 @@ class IntervalBackedPrefixOracle(MeteredOracle):
     def _interval_of_prefix_idx(self, i: int, prefix_idx: int) -> tuple[int, int]:
         return prefix_to_interval(self.n, i, index_to_bits(prefix_idx, i - 1))
 
-    def _mass(self, a: int, b: int) -> float:
-        """Mass of [a, b] in the padded domain."""
-        if a > self.base.N:
-            return 0.0
-        return self.base.interval_mass(a, min(b, self.base.N))
-
-    def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
-        a, b = self._interval_of_prefix_idx(i, prefix_idx)
-        total = self._mass(a, b)
-        if total <= 0.0:
-            raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
-        mid = a + (b - a + 1) // 2
-        return self._mass(mid, b) / total
+    def _build_node_bit_probs(self) -> np.ndarray:
+        # cdf[k] is the mass of 1..k in the padded domain [2^ell], so the
+        # k-bit prefix v has mass cdf[(v+1) W] - cdf[v W], W = 2^(ell-k).
+        cdf = np.zeros((1 << self.n) + 1)
+        cdf[1:self.base.N + 1] = self.base.cdf
+        cdf[self.base.N + 1:] = self.base.cdf[-1]
+        return node_conditionals([np.diff(cdf[::1 << (self.n - k)])
+                                  for k in range(self.n + 1)])
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain sample indices, meter-free; callers charge per
@@ -402,14 +418,7 @@ class TupleTableOracle(MeteredOracle):
         self.domain = domain
         self.probs = probs
         # coordinate value of every flat index, per coordinate
-        sizes = domain.sizes
-        idx = np.arange(domain.size())
-        self._coord_digits = []
-        rem = idx
-        for size in reversed(sizes):
-            self._coord_digits.append(rem % size)
-            rem = rem // size
-        self._coord_digits.reverse()
+        self._coord_digits = list(np.unravel_index(np.arange(domain.size()), domain.sizes))
 
     def _mask_of_sets(self, sets) -> np.ndarray:
         mask = np.ones(self.probs.shape[0], dtype=bool)
@@ -463,7 +472,24 @@ class TupleTableOracle(MeteredOracle):
         return float(self.probs[self._mask_of_sets(sets)].sum())
 
 
-class BinaryEncodedOracle(MeteredOracle):
+def _prefix_masses(probs: np.ndarray, codes: np.ndarray, width: int) -> list[np.ndarray]:
+    """masses[k][v] = the sum of probs[x] over the x whose width-bit code
+    starts with the k-bit prefix v, for k = 0..width.
+
+    Each group is gathered in increasing x (a stable sort keeps that order
+    within every prefix) and summed with ``.sum()``, exactly as a masked
+    ``probs[mask].sum()`` over the same cells would be.
+    """
+    order = np.argsort(codes, kind="stable")
+    masses = [np.zeros(1 << k) for k in range(width + 1)]
+    for k, level in enumerate(masses):
+        prefixes = codes[order] >> (width - k)
+        for group in np.split(order, np.flatnonzero(np.diff(prefixes)) + 1):
+            level[codes[group[0]] >> (width - k)] = probs[group].sum()
+    return masses
+
+
+class BinaryEncodedOracle(BinaryPrefixOracle):
     """Binary view of a tuple-domain distribution.
 
     Coordinate i is encoded with its canonical-order index as a
@@ -482,14 +508,15 @@ class BinaryEncodedOracle(MeteredOracle):
         for wdt in self._widths:
             self._starts.append(acc)
             acc += wdt
+        # encoded bit-string index of every flat tuple index
+        self._encoded = sum(digits << (self.n - start - wdt) for digits, start, wdt
+                            in zip(base._coord_digits, self._starts, self._widths))
+        self._cdf = np.cumsum(base.probs)
 
     # -- encoding helpers ----------------------------------------------
 
     def encode(self, element) -> tuple[int, ...]:
-        bits: list[int] = []
-        for alpha, wdt, x in zip(self.domain.alphabets, self._widths, element):
-            bits.extend(index_to_bits(alpha.index(x), wdt))
-        return tuple(bits)
+        return index_to_bits(int(self._encoded[self.domain.index_of(element)]), self.n)
 
     def _coord_of_bit(self, bit_pos: int) -> int:
         """0-based coordinate owning 0-based bit position."""
@@ -547,14 +574,10 @@ class BinaryEncodedOracle(MeteredOracle):
         coord = self._coord_of_bit(i - 1) if i <= self.n else self.domain.n - 1
         fixed_symbols = []
         for j in range(coord):
-            lo, wdt = self._starts[j], self._widths[j]
-            code_bits = tuple(prefix_bits[lo:lo + wdt])
-            symbols = self._symbols_matching(j, dict(enumerate(code_bits)))
-            if not symbols:
+            code = bits_to_index(prefix_bits[self._starts[j]:self._starts[j] + self._widths[j]])
+            if code >= len(self.domain.alphabets[j]):
                 raise _zero_prob("prefix fixes a non-image code")
-            if len(symbols) != 1:
-                raise _malformed("full block must decode to a single symbol")
-            fixed_symbols.append(symbols[0])
+            fixed_symbols.append(self.domain.alphabets[j][code])
         within = {off: prefix_bits[self._starts[coord] + off]
                   for off in range(i - 1 - self._starts[coord])}
         allowed = self._symbols_matching(coord, within)
@@ -568,12 +591,8 @@ class BinaryEncodedOracle(MeteredOracle):
         if query.allowed != frozenset({0, 1}):
             (bit,) = query.allowed
             bits.append(bit)
-        if not bits:
-            coord, fixed, allowed = 0, (), tuple(self.domain.alphabets[0])
-        else:
-            coord, fixed, allowed = self._translate_prefix(len(bits) + 1, tuple(bits))
-        sample = self.base.prefix_sample(coord + 1, fixed, allowed)
-        return self.encode(sample)
+        coord, fixed, allowed = self._translate_prefix(len(bits) + 1, tuple(bits))
+        return self.encode(self.base.prefix_sample(coord + 1, fixed, allowed))
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         self.counter.add(QueryClass.MARGINAL)
@@ -584,43 +603,23 @@ class BinaryEncodedOracle(MeteredOracle):
                                   self._widths[coord])
         return code_bits[i - 1 - self._starts[coord]]
 
-    # -- collapsed-mode support ----------------------------------------
+    # -- the walk's support ---------------------------------------------
 
-    def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
-        w = index_to_bits(prefix_idx, i - 1)
-        coord, fixed, allowed = self._translate_prefix(i, w)
-        off = i - 1 - self._starts[coord]
-        ones = tuple(s for s in allowed
-                     if index_to_bits(self.domain.alphabets[coord].index(s),
-                                      self._widths[coord])[off] == 1)
-        sets: list = [None] * self.domain.n
-        for pos, value in enumerate(fixed):
-            sets[pos] = (value,)
-        sets[coord] = allowed
-        total = self.base.exact_conditional_mass(sets)
-        if total <= 0.0:
-            raise _zero_prob("prefix has zero probability")
-        sets[coord] = ones if ones else None
-        mass_one = self.base.exact_conditional_mass(sets) if ones else 0.0
-        return mass_one / total
+    def _build_node_bit_probs(self) -> np.ndarray:
+        # Non-image codes have no cells, hence zero mass and NaN.
+        return node_conditionals(_prefix_masses(self.base.probs, self._encoded, self.n))
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain samples as encoded bit-string indices, meter-free."""
-        cdf = np.cumsum(self.base.probs)
-        u = self.rng.random(k) * float(cdf[-1])
-        flat = np.searchsorted(cdf, u, side="right")
-        out = np.empty(k, dtype=np.int64)
-        for j in range(k):
-            element = self.base.domain.element_of(int(flat[j]))
-            out[j] = bits_to_index(self.encode(element))
-        return out
+        u = self.rng.random(k) * float(self._cdf[-1])
+        return self._encoded[np.searchsorted(self._cdf, u, side="right")]
 
 
 # ----------------------------------------------------------------------
 # product-of-marginals views
 
 
-class ProductMarginalOracle(MeteredOracle):
+class ProductMarginalOracle(BinaryPrefixOracle):
     """Marginal-prefix oracle over the product of a binary distribution's
     marginals, served through one unconditional (empty-prefix) sample of the
     base distribution per query."""
@@ -630,21 +629,18 @@ class ProductMarginalOracle(MeteredOracle):
     def __init__(self, base: TableOracle):
         super().__init__(base)
         self.n = base.n
-        self._marginals = None
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         self.charge(QueryClass.MARGINAL)
         sample = self.base.sample_full_indices_uncounted(1)[0]
         return index_to_bits(int(sample), self.n)[i - 1]
 
-    def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
+    def _build_node_bit_probs(self) -> np.ndarray:
         # marginals are prefix-independent by construction
-        if self._marginals is None:
-            self._marginals = self.base.table.marginals()
-        return float(self._marginals[i - 1])
+        return np.repeat(self.base.table.marginals(), 1 << np.arange(self.n))
 
 
-class GeneralProductMarginalOracle(MeteredOracle):
+class GeneralProductMarginalOracle(BinaryPrefixOracle):
     """Marginal-prefix oracle over the binary encoding of the product of a
     tuple distribution's coordinate marginals.  Each query costs one subcube
     query to the base tuple oracle (the break-off bit may sit in the middle
@@ -678,20 +674,17 @@ class GeneralProductMarginalOracle(MeteredOracle):
         bits = index_to_bits(code, self.encoded._widths[coord])
         return bits[i - 1 - self.encoded._starts[coord]]
 
-    def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
-        w = index_to_bits(prefix_idx, i - 1)
-        coord, sets, allowed = self._within_block_sets(i, w)
-        total = self.base.exact_conditional_mass(sets)
-        if total <= 0.0:
-            raise _zero_prob("prefix has zero probability under the marginal")
-        off = i - 1 - self.encoded._starts[coord]
-        ones = tuple(s for s in allowed
-                     if index_to_bits(self.base.domain.alphabets[coord].index(s),
-                                      self.encoded._widths[coord])[off] == 1)
-        if not ones:
-            return 0.0
-        sets[coord] = ones
-        return self.base.exact_conditional_mass(sets) / total
+    def _build_node_bit_probs(self) -> np.ndarray:
+        # Bit i depends only on the j bits of its own block before it: the
+        # last j bits of the prefix.
+        levels = []
+        for digits, start, wdt in zip(self.base._coord_digits, self.encoded._starts,
+                                      self.encoded._widths):
+            cond = node_conditionals(_prefix_masses(self.base.probs, digits, wdt))
+            for j in range(wdt):
+                within = np.arange(1 << (start + j)) & ((1 << j) - 1)
+                levels.append(cond[(1 << j) - 1 + within])
+        return np.concatenate(levels)
 
 
 def product_marginal_oracle(base) -> ProductMarginalOracle | GeneralProductMarginalOracle:

@@ -1,14 +1,16 @@
 """Randomized testers: single-bit chi-square test, Levin work balance, the
 equivalence tester, the product tester, and the alphabet/interval wrappers.
 
-One walk runs the equivalence tester in both execution modes.  Each Levin
+One walk runs the equivalence tester in both execution modes.  It reads
+the exact conditional bit probabilities of both oracles as two arrays over
+the 2^n - 1 nodes (``node_bit_probs``: node (1 << (i-1)) + w for coordinate
+i and prefix w, at index node - 1, NaN where w has zero mass).  Each Levin
 level draws its coordinates i and uniforms u up front, pulls the tau samples
-behind its y-draws in chunks of 512, reads the exact conditional bit
-probabilities (p under mu, q under tau) of each (i, prefix) key new to the
-level, and stops at the first draw that does not survive: a key mu gives
-zero mass (a zero-probability reject) or a failed majority of ``inner``
-black-box runs.  The level is charged once, when it ends, for the draws it
-consumed.  The modes differ only in how a draw's survival is decided.
+behind its y-draws in chunks of 512, turns each chunk into node indices and
+stops at the first draw that does not survive: a node whose mu entry is NaN
+(a zero-probability reject) or a failed majority of ``inner`` black-box
+runs.  The level is charged once, when it ends, for the draws it consumed.
+The modes differ only in how a draw's survival is decided.
 
 ``sampled``
     The literal black box: ``inner`` single-bit chi-square tests on bits
@@ -41,11 +43,16 @@ The collapsed calculus
     are evaluated in blocks of at most 2^13 cells and reduced one by one, so
     a value never depends on the rows computed with it.
 
-    The survive probabilities of a chunk's new keys that are not yet known
-    are computed in one batched call.  Known values live in one
-    process-wide memo keyed by (N, p, q, inner), capped at 2^14 entries with
-    the oldest evicted first, so repeated runs on the same distributions
-    skip the calculus.
+    Each level keeps one survive value per node, filled when the node is
+    first drawn at that level: the distinct (p, q) pairs of a chunk's new
+    nodes are found by one ``np.unique`` over complex values p + iq, and
+    those not yet known are computed in one batched call.  Known values live
+    in one process-wide memo keyed by (N, p, q, inner), capped at 2^14
+    entries with the oldest evicted first, so repeated runs on the same
+    distributions skip the calculus.  SciPy's ``binom.pmf`` overflows for a
+    probability in about [5.6e-309, 1.7e-306], so the rows whose q (or
+    alpha) lies in (0, 1e-300) use exp(logpmf); every other row is pmf's own
+    value.
 
 Metering goes only through the oracles' ``charge``, with the same totals in
 both modes: every y-draw costs one prefix query, every black-box run its
@@ -64,8 +71,6 @@ from .oracles import (
     BinaryEncodedOracle,
     IntervalBackedPrefixOracle,
     IntervalOracle,
-    OracleError,
-    OracleErrorKind,
     QueryClass,
     product_marginal_oracle,
 )
@@ -233,10 +238,24 @@ _BLOCK_CELLS = 1 << 13
 # (n_draws, p, q, inner) -> survive, shared by every run in the process.
 _SURVIVE_MEMO: dict = {}
 _SURVIVE_MEMO_CAP = 1 << 14
+# SciPy's binom.pmf raises OverflowError (Boost's ibeta_derivative) for a
+# probability in about [5.6e-309, 1.7e-306]; see _binom_pmf.
+_TINY_P = 1e-300
 
 
 def _rows(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
+
+
+def _binom_pmf(k, n: int, p: np.ndarray) -> np.ndarray:
+    """binom.pmf(k, n, p) for a column ``p``.  Only the rows with
+    0 < p < _TINY_P use exp(logpmf), which elsewhere differs from pmf by up
+    to 3e-15; every other row is pmf's own value."""
+    tiny = (p > 0.0) & (p < _TINY_P)
+    pmf = _binom.pmf(k, n, np.where(tiny, 0.5, p))
+    if tiny.any():
+        pmf = np.where(tiny, np.exp(_binom.logpmf(k, n, np.where(tiny, p, 0.5))), pmf)
+    return pmf
 
 
 def chi2_trial_compare_probs(n_draws: int, p, q):
@@ -260,7 +279,7 @@ def chi2_trial_compare_probs(n_draws: int, p, q):
         p_b, q_b = p_rows[block, None], q_rows[block, None]
         lo = np.clip(np.floor(n_draws * q_b) - half, 0, n_draws + 1 - width)
         k = lo.astype(np.int64) + offsets
-        pmf_q = _binom.pmf(k, n_draws, q_b)
+        pmf_q = _binom_pmf(k, n_draws, q_b)
         alpha[block] = (pmf_q * _binom.sf(k, n_draws, p_b)).sum(axis=1)
         beta[block] = (pmf_q * _binom.cdf(k - 1, n_draws, p_b)).sum(axis=1)
     np.minimum(alpha, 1.0, out=alpha)
@@ -278,7 +297,7 @@ def chi2_accept_prob(alpha, beta):
     """
     alpha_rows, beta_rows = _rows(alpha)[:, None], _rows(beta)[:, None]
     a = np.arange(0, CHI2_THRESHOLD + 1)
-    pa = _binom.pmf(a, CHI2_TRIALS, alpha_rows)
+    pa = _binom_pmf(a, CHI2_TRIALS, alpha_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(beta_rows / (1.0 - alpha_rows), 1.0)
     pb = _binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, ratio)
@@ -340,59 +359,41 @@ def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
     return delta
 
 
-# Stands for the value of a key that mu gives zero mass: the walk stops at
-# the key's first draw in either mode (in collapsed mode every u >= _DEAD).
+# The survive value of a node that mu gives zero mass: the walk stops at the
+# node's first draw in either mode (in collapsed mode every u >= _DEAD).
 _DEAD = -1.0
 _CHUNK = 512
 
 
-def _survive_probs(n_draws: int, pairs: list, inner: int) -> list[float]:
-    """The survive probability of each (p_mu, p_tau) pair; the ones not in
-    the memo are computed in one batch."""
-    out = [_SURVIVE_MEMO.get((n_draws, *pair, inner)) for pair in pairs]
-    missing = [k for k, survive in enumerate(out) if survive is None]
-    if missing:
-        batch = np.array([pairs[k] for k in missing])
-        values = blackbox_survive_prob(n_draws, batch[:, 0], batch[:, 1], inner)
-        for k, survive in zip(missing, values.tolist()):
-            _remember_survive((n_draws, *pairs[k], inner), survive)
-            out[k] = survive
-    return out
+def _fill_survive(survive: np.ndarray, fresh: np.ndarray, p_mu: np.ndarray,
+                  p_tau: np.ndarray, n_draws: int, inner: int) -> None:
+    """Fill ``survive`` at the node indices ``fresh``: ``_DEAD`` where mu's
+    entry is NaN, else the survive probability of the node's (p_mu, p_tau)
+    pair.  Each distinct pair is looked up in the memo once, and the pairs
+    not in it are computed in one batch."""
+    dead = np.isnan(p_mu[fresh])
+    survive[fresh[dead]] = _DEAD
+    live = fresh[~dead]
+    # One complex value per pair (exact for finite parts): np.unique then
+    # sorts a 1-D array.
+    pairs, inverse = np.unique(p_mu[live] + 1j * p_tau[live], return_inverse=True)
+    keys = [(n_draws, pair.real, pair.imag, inner) for pair in pairs.tolist()]
+    values = np.array([_SURVIVE_MEMO.get(key, np.nan) for key in keys])
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        values[missing] = blackbox_survive_prob(n_draws, pairs.real[missing],
+                                                pairs.imag[missing], inner)
+        for k in missing.tolist():
+            _remember_survive(keys[k], float(values[k]))
+    survive[live] = values[inverse]
 
 
-def _learn_keys(keys: dict, nodes, tau, mu, n_draws: int, inner: int,
-                literal: bool) -> None:
-    """Add the value of every node (1 << (i-1)) + prefix not yet in ``keys``:
-    ``_DEAD`` if mu gives the prefix zero mass, else the pair (p_mu, p_tau)
-    when ``literal``, else its survive probability."""
-    pending: dict = {}  # (p_mu, p_tau) -> nodes sharing that pair
-    for node in nodes:
-        if node in keys:
-            continue
-        i = node.bit_length()
-        prefix_idx = node - (1 << (i - 1))
-        p_tau = tau.exact_bit_prob(i, prefix_idx)
-        try:
-            p_mu = mu.exact_bit_prob(i, prefix_idx)
-        except OracleError as err:
-            if err.kind is not OracleErrorKind.ZERO_PROBABILITY_CONDITION:
-                raise
-            keys[node] = _DEAD
-            continue
-        pending.setdefault((p_mu, p_tau), []).append(node)
-    pairs = list(pending)
-    values = pairs if literal else _survive_probs(n_draws, pairs, inner)
-    for same, value in zip(pending.values(), values):
-        for node in same:
-            keys[node] = value
-
-
-def _literal_survives(value, tau, mu, eps_prime: float, inner: int) -> bool:
+def _literal_survives(p_mu: float, p_tau: float, tau, mu, eps_prime: float,
+                      inner: int) -> bool:
     """Run the black box ``inner`` times on bits drawn from the oracles' RNG
-    streams at the key's (p_mu, p_tau); a ``_DEAD`` key never survives."""
-    if value == _DEAD:
+    streams at (p_mu, p_tau); a node mu gives zero mass (NaN) never survives."""
+    if math.isnan(p_mu):
         return False
-    p_mu, p_tau = value
     accepts = sum(single_bit_chi2_test(BitSampler.from_probability(p_mu, mu.rng),
                                        BitSampler.from_probability(p_tau, tau.rng),
                                        eps_prime).accepted
@@ -404,37 +405,38 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng, literal: bool) -> Verdi
     """Levin's work balance over (i, prefix) y-draws from tau; a draw's
     survival is decided by the literal black box or, in collapsed mode, by
     its uniform u against the closed-form survive probability."""
+    p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
         cost = inner * CHI2_TRIALS * n_draws  # trial samples per draw and source
         i_arr = rng.integers(1, n + 1, size=outer)
         u_arr = rng.random(outer)
-        keys: dict = {}  # node -> value at this level (see _learn_keys)
-        rejected_at, dead = None, False
+        survive = np.full(p_mu.shape, np.nan)  # per node, filled as drawn
+        rejected_at = stop_node = None
         for first in range(0, outer, _CHUNK):
             # y-draws are real tau samples, pulled in meter-free chunks.
             w_idx = tau.sample_full_indices_uncounted(min(_CHUNK, outer - first))
             last = first + w_idx.shape[0]
             i_c = i_arr[first:last]
-            nodes, inverse = np.unique((1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)),
-                                       return_inverse=True)
-            nodes = nodes.tolist()
-            _learn_keys(keys, nodes, tau, mu, n_draws, inner, literal)
-            values = [keys[node] for node in nodes]
+            nodes = (1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)) - 1  # array index
             if literal:
-                survived = (_literal_survives(values[k], tau, mu, eps_prime, inner)
-                            for k in inverse.tolist())
+                survived = (_literal_survives(p_mu[k], p_tau[k], tau, mu, eps_prime, inner)
+                            for k in nodes.tolist())
                 pos = next((j for j, ok in enumerate(survived) if not ok), None)
             else:
-                stops = np.flatnonzero(u_arr[first:last] >= np.array(values)[inverse])
+                fresh = nodes[np.isnan(survive[nodes])]
+                if fresh.size:
+                    _fill_survive(survive, fresh, p_mu, p_tau, n_draws, inner)
+                stops = np.flatnonzero(u_arr[first:last] >= survive[nodes])
                 pos = int(stops[0]) if stops.size else None
             if pos is not None:
-                rejected_at, dead = first + pos, values[inverse[pos]] == _DEAD
+                rejected_at, stop_node = first + pos, nodes[pos]
                 break
+        dead = stop_node is not None and bool(np.isnan(p_mu[stop_node]))
         # The level is billed once it ends, exactly as the literal loop would
         # be: one prefix query per y-draw, the trial samples of every draw
-        # whose black box ran, and for a dead key the one failed query.
+        # whose black box ran, and for a dead node the one failed query.
         used = outer if rejected_at is None else rejected_at + 1
         ran = used - dead
         tau.charge(QueryClass.PREFIX, used + ran * cost)

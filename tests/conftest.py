@@ -6,9 +6,21 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from condtest import testers
 from condtest.adversarial import GridProductDistance
-from condtest.distcore import DistributionTable
-from condtest.testers import CHI2_THRESHOLD, CHI2_TRIALS
+from condtest.distcore import DistributionTable, index_to_bits
+from condtest.oracles import (
+    BinaryEncodedOracle,
+    GeneralProductMarginalOracle,
+    IntervalBackedPrefixOracle,
+    OracleError,
+    OracleErrorKind,
+    ProductMarginalOracle,
+    QueryClass,
+    TableOracle,
+    prefix_to_interval,
+)
+from condtest.testers import CHI2_SAMPLE_FACTOR, CHI2_THRESHOLD, CHI2_TRIALS
 
 
 def random_table(rng, n, zeros=False):
@@ -87,6 +99,124 @@ def full_support_calculus(n_draws, p, q, inner):
         pb = binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, min(beta / (1.0 - alpha), 1.0))
         gamma = min(max(float(np.dot(pa, pb)), 0.0), 1.0)
     return alpha, beta, float(binom.sf(math.ceil(inner / 2) - 1, inner, gamma))
+
+
+def _zero_prob():
+    return OracleError(OracleErrorKind.ZERO_PROBABILITY_CONDITION, "zero mass")
+
+
+def _padded_mass(oracle, a, b):
+    if a > oracle.base.N:
+        return 0.0
+    return oracle.base.interval_mass(a, min(b, oracle.base.N))
+
+
+def _encoded_ones(encoded, coord, allowed, off, domain):
+    """The symbols in ``allowed`` whose code has a 1 at block offset off."""
+    return tuple(s for s in allowed
+                 if index_to_bits(domain.alphabets[coord].index(s),
+                                  encoded._widths[coord])[off] == 1)
+
+
+def reference_bit_prob(oracle, i, prefix_idx):
+    """Reference for ``node_bit_probs``: Pr[x_i = 1 | prefix] as each oracle
+    kind computed it one key at a time, with the same float operations
+    (masked sums, interval masses, level sums); OracleError with kind
+    ZERO_PROBABILITY_CONDITION on a zero-mass prefix."""
+    if isinstance(oracle, TableOracle):
+        levels = oracle.table.level_sums()
+        parent = float(levels[i - 1][prefix_idx])
+        if parent <= 0.0:
+            raise _zero_prob()
+        return float(levels[i][2 * prefix_idx + 1]) / parent
+    if isinstance(oracle, IntervalBackedPrefixOracle):
+        a, b = prefix_to_interval(oracle.n, i, index_to_bits(prefix_idx, i - 1))
+        total = _padded_mass(oracle, a, b)
+        if total <= 0.0:
+            raise _zero_prob()
+        return _padded_mass(oracle, a + (b - a + 1) // 2, b) / total
+    if isinstance(oracle, ProductMarginalOracle):
+        return float(oracle.base.table.marginals()[i - 1])
+    if isinstance(oracle, BinaryEncodedOracle):
+        coord, fixed, allowed = oracle._translate_prefix(i, index_to_bits(prefix_idx, i - 1))
+        ones = _encoded_ones(oracle, coord, allowed, i - 1 - oracle._starts[coord],
+                             oracle.domain)
+        sets = [None] * oracle.domain.n
+        for pos, value in enumerate(fixed):
+            sets[pos] = (value,)
+        sets[coord] = allowed
+        total = oracle.base.exact_conditional_mass(sets)
+        if total <= 0.0:
+            raise _zero_prob()
+        sets[coord] = ones if ones else None
+        return (oracle.base.exact_conditional_mass(sets) if ones else 0.0) / total
+    if isinstance(oracle, GeneralProductMarginalOracle):
+        coord, sets, allowed = oracle._within_block_sets(i, index_to_bits(prefix_idx, i - 1))
+        total = oracle.base.exact_conditional_mass(sets)
+        if total <= 0.0:
+            raise _zero_prob()
+        ones = _encoded_ones(oracle.encoded, coord, allowed,
+                             i - 1 - oracle.encoded._starts[coord], oracle.base.domain)
+        if not ones:
+            return 0.0
+        sets[coord] = ones
+        return oracle.base.exact_conditional_mass(sets) / total
+    raise TypeError(type(oracle).__name__)
+
+
+def reference_walk(tau, mu, n, eps_l, rng, literal):
+    """Reference for ``testers._run_equivalence`` in collapsed mode: the
+    per-key walk the node arrays replaced.  Each chunk's new (i, prefix)
+    keys are looked up one at a time through ``reference_bit_prob``, deduped
+    in a dict by (p_mu, p_tau) and given survive values in one batch."""
+    assert not literal, "the reference covers the collapsed mode only"
+    trace = []
+    for t, eps_prime, outer, inner in testers.levin_schedule(eps_l):
+        n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
+        cost = inner * CHI2_TRIALS * n_draws
+        i_arr = rng.integers(1, n + 1, size=outer)
+        u_arr = rng.random(outer)
+        keys = {}
+        rejected_at, dead = None, False
+        for first in range(0, outer, 512):
+            w_idx = tau.sample_full_indices_uncounted(min(512, outer - first))
+            last = first + w_idx.shape[0]
+            i_c = i_arr[first:last]
+            nodes, inverse = np.unique((1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)),
+                                       return_inverse=True)
+            pending = {}
+            for node in nodes.tolist():
+                if node in keys:
+                    continue
+                i = node.bit_length()
+                prefix_idx = node - (1 << (i - 1))
+                p_tau = reference_bit_prob(tau, i, prefix_idx)
+                try:
+                    p_mu = reference_bit_prob(mu, i, prefix_idx)
+                except OracleError:
+                    keys[node] = -1.0
+                    continue
+                pending.setdefault((p_mu, p_tau), []).append(node)
+            if pending:
+                pairs = np.array(list(pending))
+                values = testers.blackbox_survive_prob(n_draws, pairs[:, 0], pairs[:, 1],
+                                                       inner)
+                for same, value in zip(pending.values(), values.tolist()):
+                    keys.update(dict.fromkeys(same, value))
+            values = np.array([keys[node] for node in nodes.tolist()])
+            stops = np.flatnonzero(u_arr[first:last] >= values[inverse])
+            if stops.size:
+                rejected_at = first + int(stops[0])
+                dead = values[inverse[stops[0]]] == -1.0
+                break
+        used = outer if rejected_at is None else rejected_at + 1
+        ran = used - dead
+        tau.charge(QueryClass.PREFIX, used + ran * cost)
+        mu.charge(QueryClass.MARGINAL, ran * cost + dead)
+        trace.append(testers._level_record(t, eps_prime, outer, inner, rejected_at, dead))
+        if rejected_at is not None:
+            return testers.Verdict(False, trace=trace)
+    return testers.Verdict(True, trace=trace)
 
 
 @pytest.fixture

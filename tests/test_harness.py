@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from condtest import harness
 from condtest.cli import build_parser, main, spec_from_args
 from condtest.harness import (
     EXPERIMENT_KINDS,
+    SAMPLED_RUNS_LIMIT,
     ExperimentSpec,
     HarnessError,
     ResultRow,
+    accept_path_blackbox_runs,
     emit_plot_data,
     load_distribution,
     load_interval_pmf,
@@ -289,3 +292,83 @@ def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
 def test_spec_rejects_empty_interval_domain():
     with pytest.raises(HarnessError):
         ExperimentSpec(kind="interval", N=0, eps=0.3, tau="uniform", mu="uniform")
+
+
+# ----------------------------------------------------------------------
+# up-front validation
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "equivalence", "n": 0, "eps": 0.5},
+    {"kind": "equivalence", "n": 21, "eps": 0.5},
+    {"kind": "product", "n": 2.5, "eps": 0.5},
+    {"kind": "equivalence", "n": 4, "eps": 0.0},
+    {"kind": "equivalence", "n": 4, "eps": 1.0},
+    {"kind": "interval", "N": 8, "eps": float("nan")},
+    {"kind": "adversarial-distance", "n": 4, "eps": -0.2},
+    {"kind": "single-bit", "p": 0.5, "q": 0.5, "eps": 1.5},
+    {"kind": "scaling-sweep", "n_list": (4, 0), "eps_list": (0.5,)},
+    {"kind": "scaling-sweep", "n_list": (4, 30), "eps_list": (0.5,)},
+    {"kind": "scaling-sweep", "n_list": (4,), "eps_list": (0.5, 1.5)},
+    {"kind": "equivalence", "n": 4, "eps": 0.5, "mode": "exact"},
+], ids=["n0", "n21", "n-float", "eps0", "eps1", "eps-nan", "eps-neg", "single-bit-eps",
+        "n-list-0", "n-list-30", "eps-list", "mode"])
+def test_spec_rejects_bad_values_up_front(fields):
+    with pytest.raises(HarnessError):
+        ExperimentSpec(tau="uniform", mu="uniform", **fields)
+
+
+def _never_run(spec):
+    raise AssertionError("a driver ran for a spec that should have been refused")
+
+
+def test_oversized_n_refused_before_any_driver_or_allocation(monkeypatch, tmp_path, capsys):
+    """n = 30 would need 2^30 cells; the spec refuses it before a driver
+    runs or numpy allocates anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking n")
+    for name in ("full", "zeros", "ones", "empty", "kron"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setitem(harness._DRIVERS, "equivalence", _never_run)
+    rc = main(["test-equivalence", "--n", "30", "--eps", "0.5", "--tau", "uniform",
+               "--mu", "uniform", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: n must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ["test-equivalence", "--n", "4", "--eps", "0.3", "--tau", "uniform", "--mu", "uniform"],
+    ["test-product", "--n", "8", "--eps", "0.5", "--mu", "uniform"],
+    ["test-interval", "--N", "200", "--eps", "0.3", "--tau", "uniform", "--mu", "uniform"],
+    ["sweep", "--n-list", "2,4", "--eps-list", "0.3"],
+], ids=["equivalence", "product", "interval", "sweep"])
+def test_cli_refuses_sampled_mode_beyond_its_limit(argv, monkeypatch, tmp_path, capsys):
+    for kind in ("equivalence", "product", "interval", "scaling-sweep"):
+        monkeypatch.setitem(harness._DRIVERS, kind, _never_run)
+    rc = main(argv + ["--mode", "sampled", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --mode sampled would run")
+
+
+@pytest.mark.parametrize("n, eps", [(1, 0.9), (1, 0.5), (2, 0.5), (3, 0.5)])
+def test_sampled_mode_allowed_at_the_tested_sizes(n, eps):
+    """The sizes at which the test suite runs the sampled mode stay allowed,
+    and the other modes are allowed at any size."""
+    assert accept_path_blackbox_runs(n, eps) <= SAMPLED_RUNS_LIMIT
+    ExperimentSpec(kind="equivalence", n=n, eps=eps, mode="sampled")
+    ExperimentSpec(kind="interval", N=1 << n, eps=eps, mode="sampled")
+    for mode in ("auto", "collapsed"):
+        ExperimentSpec(kind="equivalence", n=20, eps=0.01, mode=mode)
+
+
+def test_cli_tiny_conditional_does_not_overflow(tmp_path, capsys):
+    """mu's conditional 1e-294 gives alpha = 1.7e-307, inside the range where
+    SciPy's binom.pmf overflows; the run completes and rejects."""
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"n": 1, "probs": [1.0, 1e-294]}))
+    rc = main(["test-equivalence", "--n", "1", "--eps", "0.5", "--tau", "uniform",
+               "--mu", str(mu), "--out", str(tmp_path), "--id", "tiny"])
+    assert rc == 0
+    capsys.readouterr()
+    assert (tmp_path / "tiny.csv").read_text().splitlines()[1].split(",")[6] == "reject"
+

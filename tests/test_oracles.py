@@ -27,7 +27,7 @@ from condtest.oracles import (
     prefix_to_interval,
     product_marginal_oracle,
 )
-from conftest import random_table
+from conftest import random_table, reference_bit_prob
 
 GOF_SAMPLES = 10_000
 GOF_ALPHA = 1e-3
@@ -171,6 +171,78 @@ def test_exact_bit_prob_matches_table(rng):
             else:
                 with pytest.raises(OracleError):
                     oracle.exact_bit_prob(i, j)
+
+
+def _interval_view(pmf):
+    pmf = np.asarray(pmf, dtype=float) / np.sum(pmf)
+    return IntervalBackedPrefixOracle(IntervalOracle(pmf, seed=0),
+                                      max(1, int(np.ceil(np.log2(pmf.shape[0])))))
+
+
+def _five_by_three(zeros):
+    """A tuple oracle over 5 x 3 symbols (3 + 2 bits, so some codes have no
+    symbol), with the given cells at zero mass."""
+    w = np.random.default_rng(5).random(15) + 0.05
+    w[list(zeros)] = 0.0
+    return TupleTableOracle(TupleDomain((tuple("abcde"), (0, 1, 2))), w / w.sum(), seed=0)
+
+
+# oracle kind -> (factory, whether some prefix has zero mass)
+NODE_ARRAY_KINDS = {
+    "table": (lambda: TableOracle(random_table(np.random.default_rng(3), 6, zeros=True)),
+              True),
+    "interval-N13": (lambda: _interval_view(np.random.default_rng(4).random(13) + 0.05),
+                     True),
+    "interval-interior-zero": (lambda: _interval_view(np.r_[np.full(5, 0.1), np.zeros(7),
+                                                             np.full(9, 0.05)]), True),
+    "product": (lambda: ProductMarginalOracle(TableOracle(random_table(
+        np.random.default_rng(6), 5, zeros=True))), False),
+    "binary-encoded": (lambda: BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8))), True),
+    "general-product": (lambda: GeneralProductMarginalOracle(
+        BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8)))), True),
+}
+
+
+@pytest.mark.parametrize("kind", list(NODE_ARRAY_KINDS))
+def test_node_bit_probs_match_scalar_path(kind):
+    """Every node's array entry is == the per-key computation, and NaN
+    exactly where that computation finds a zero-mass prefix."""
+    make, has_dead = NODE_ARRAY_KINDS[kind]
+    oracle = make()
+    probs = oracle.node_bit_probs()
+    assert probs.shape == ((1 << oracle.n) - 1,) and probs.dtype == np.float64
+    dead = 0
+    for i in range(1, oracle.n + 1):
+        for j in range(1 << (i - 1)):
+            value = probs[(1 << (i - 1)) + j - 1]
+            try:
+                expect = reference_bit_prob(oracle, i, j)
+            except OracleError as err:
+                assert err.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
+                assert np.isnan(value), (i, j)
+                with pytest.raises(OracleError) as raised:
+                    oracle.exact_bit_prob(i, j)
+                assert raised.value.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
+                dead += 1
+                continue
+            assert value == expect and oracle.exact_bit_prob(i, j) == expect, (i, j)
+    assert (dead > 0) == has_dead
+    for i, j in ((0, 0), (oracle.n + 1, 0), (2, 2), (1, -1)):
+        with pytest.raises(OracleError) as raised:
+            oracle.exact_bit_prob(i, j)
+        assert raised.value.kind is OracleErrorKind.MALFORMED_QUERY
+
+
+def test_binary_encoded_samples_and_encoding():
+    """A drawn tuple (a, b) of the 5 x 3 domain is encoded as the bits of a
+    (3 bits) followed by those of b (2 bits)."""
+    enc = BinaryEncodedOracle(_five_by_three((1, 4)))  # RNG seeded with 0
+    got = enc.sample_full_indices_uncounted(500)
+    cdf = np.cumsum(enc.base.probs)
+    flat = np.searchsorted(cdf, np.random.default_rng(0).random(500) * cdf[-1], side="right")
+    assert got.tolist() == ((flat // 3) << 2 | flat % 3).tolist()
+    assert [enc.encode(enc.domain.element_of(x)) for x in (0, 5, 14)] == [
+        (0, 0, 0, 0, 0), (0, 0, 1, 1, 0), (1, 0, 0, 1, 0)]
 
 
 # ----------------------------------------------------------------------

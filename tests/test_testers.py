@@ -10,6 +10,7 @@ from scipy.stats import binom, chisquare
 from condtest import testers
 from condtest.distcore import DistributionTable, TupleDomain
 from condtest.oracles import (
+    BinaryEncodedOracle,
     IntervalOracle,
     QueryClass,
     TableOracle,
@@ -33,7 +34,7 @@ from condtest.testers import (
     single_bit_chi2_test,
     slice_divergence_threshold,
 )
-from conftest import full_support_calculus
+from conftest import full_support_calculus, reference_walk
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +220,32 @@ def test_calculus_rows_do_not_depend_on_batch(n_draws):
         assert chi2_trial_compare_probs(n_draws, p[r], q[r]) == (alpha[r], beta[r])
         assert blackbox_survive_prob(n_draws, p[r:r + 1], q[r:r + 1], 891)[0] == survive[r]
         assert blackbox_survive_prob(n_draws, p[r], q[r], 891) == survive[r]
+
+
+def test_calculus_where_scipy_pmf_overflows():
+    """SciPy's binom.pmf raises OverflowError for a probability in about
+    [5.6e-309, 1.7e-306]: q there in the trial comparison, alpha there in the
+    accept probability.  Those rows agree with the limit at 0, and the other
+    rows of the same batch keep their own values."""
+    assert 0.0 <= blackbox_survive_prob(48, 0.5, 1e-307, 192) <= 1.0
+    for q in (1e-307, 5.6e-309, 1.7e-306):
+        alpha, beta = chi2_trial_compare_probs(48, 0.55, q)
+        assert alpha == pytest.approx(chi2_trial_compare_probs(48, 0.55, 0.0)[0], abs=1e-15)
+        assert beta <= 1e-300
+    for alpha in (1.7e-307, 5.6e-309, 1e-306):
+        assert chi2_accept_prob(alpha, 0.3) == pytest.approx(chi2_accept_prob(0.0, 0.3),
+                                                             abs=1e-15)
+    p, q = np.array([0.5, 0.55, 0.5, 0.3]), np.array([1e-307, 0.5, 0.45, 0.0])
+    survive = blackbox_survive_prob(48, p, q, 192)
+    for r in range(1, 4):
+        assert survive[r] == blackbox_survive_prob(48, p[r], q[r], 192)
+    gamma = chi2_accept_prob(np.array([1.7e-307, 0.2, 0.0]), np.array([0.3, 0.3, 0.3]))
+    assert gamma[1] == chi2_accept_prob(0.2, 0.3) and gamma[2] == chi2_accept_prob(0.0, 0.3)
+    # Only the overflowing rows leave binom.pmf.
+    k, column = np.arange(49), np.array([[1e-307], [0.3], [0.0], [1e-200], [1.0]])
+    pmf = testers._binom_pmf(k, 48, column)
+    assert np.array_equal(pmf[1:], binom.pmf(k, 48, column[1:]))
+    assert np.allclose(pmf[0], binom.pmf(k, 48, 0.0), rtol=0.0, atol=1e-300)
 
 
 def test_survive_prob_matches_literal_black_box(rng):
@@ -632,3 +659,115 @@ def test_verdict_class_totals_consistent():
     per_class = sum(c for name, c in v.queries_used.items() if name != "total")
     assert per_class == v.queries_used["total"]
     assert isinstance(v, Verdict) and v.decision == "accept"
+
+
+# ----------------------------------------------------------------------
+# the node-array walk against the per-key reference walk
+
+
+def _tuple_probs(rng, size, zeros=0.0):
+    w = rng.random(size) + 0.05
+    w[rng.random(size) < zeros] = 0.0
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return w / w.sum()
+
+
+def _interior_gap(rng, N):
+    """A pmf over [N] whose interior block carries 2e-3 in total, and the
+    same pmf with that block at zero mass."""
+    w = rng.random(N) + 0.05
+    lo, width = int(rng.integers(1, max(2, N // 2))), max(1, N // 4)
+    w[lo:lo + width] = 0.0
+    gap = w / w.sum()
+    thin = 0.998 * gap
+    thin[lo:lo + width] = 2e-3 / width
+    return thin, gap
+
+
+def _walk_corpus():
+    """kind -> list of seeded collapsed runs, each a function of a seed
+    offset that builds fresh oracles and runs one tester.  Every oracle kind
+    the walk serves appears, with self, near and far pairs, and with mu
+    giving drawn prefixes zero mass (dead-prefix rejects)."""
+    corpus = {kind: [] for kind in ("table", "table-dead", "product", "interval",
+                                    "tuple", "general-product")}
+    for n in range(2, 7):
+        for seed in (1, 2):
+            p, q = _probs(100 * n + seed, 1 << n), _probs(200 * n + seed, 1 << n)
+            for mu in (p, _near(p, q), q):
+                corpus["table"].append(lambda s, n=n, p=p, mu=mu: equivalence_test(
+                    TableOracle(DistributionTable(n, p), seed=s),
+                    TableOracle(DistributionTable(n, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+    for seed in range(14):
+        tau, mu = _thin_pair(7000 + seed)
+        corpus["table-dead"].append(lambda s, tau=tau, mu=mu: equivalence_test(
+            TableOracle(DistributionTable(3, tau), seed=s),
+            TableOracle(DistributionTable(3, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+    for seed in range(10):
+        n = 3 + seed % 3
+        gen = np.random.default_rng(300 + seed)
+        mu = gen.random(1 << n) * (gen.random(1 << n) > 0.3)
+        mu[0] += 0.01
+        tau = _near(mu / mu.sum(), _probs(400 + seed, 1 << n), 0.01)
+        corpus["table-dead"].append(lambda s, n=n, tau=tau, mu=mu / mu.sum(): equivalence_test(
+            TableOracle(DistributionTable(n, tau), seed=s),
+            TableOracle(DistributionTable(n, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+    for n in range(2, 6):
+        for d in (0.0, 0.02, 0.3):
+            probs = _near(DistributionTable.bernoulli_product(
+                np.random.default_rng(500 + n).random(n)).probs, _probs(600 + n, 1 << n), d)
+            corpus["product"].append(lambda s, n=n, probs=probs: product_test(
+                TableOracle(DistributionTable(n, probs), seed=s), _collapsed(0.5, s + 1)))
+    for N in (2, 3, 5, 7, 12, 33, 100, 200, 300):
+        p, q = _probs(800 + N, N), _probs(900 + N, N)
+        for tau, mu in ((p, p), (p, _near(p, q)), _interior_gap(np.random.default_rng(N), N)):
+            corpus["interval"].append(lambda s, tau=tau, mu=mu: interval_equivalence_test(
+                IntervalOracle(tau, seed=s), IntervalOracle(mu, seed=s + 1),
+                _collapsed(0.5, s + 2)))
+    _, gap = _interior_gap(np.random.default_rng(999), 40)
+    corpus["interval"].append(lambda s: interval_equivalence_test(
+        IntervalOracle(gap, seed=s), IntervalOracle(gap, seed=s + 1), _collapsed(0.5, s + 2)))
+    domains = [TupleDomain((("r", "g", "b"), (0, 1))),
+               TupleDomain((tuple("abcde"), (0, 1, 2))),
+               TupleDomain(((0, 1, 2), (0, 1), tuple("xyz")))]
+    for k, dom in enumerate(domains):
+        gen = np.random.default_rng(1000 + k)
+        size = dom.size()
+        p, q = _tuple_probs(gen, size), _tuple_probs(gen, size)
+        # thin: the cells of one first-coordinate symbol carry 2e-3 in total
+        # under tau and nothing under mu, so that prefix is dead under mu.
+        thin = p.reshape(dom.sizes[0], -1).copy()
+        thin[1] = 2e-3 / thin[1].size
+        thin = (thin / thin.sum()).ravel()
+        dead = thin.reshape(dom.sizes[0], -1).copy()
+        dead[1] = 0.0
+        dead = (dead / dead.sum()).ravel()
+        for tau, mu in ((p, p), (p, _near(p, q)), (p, q),
+                        (p, _tuple_probs(gen, size, zeros=0.4)), (thin, dead)):
+            corpus["tuple"].append(lambda s, dom=dom, tau=tau, mu=mu: equivalence_test_general(
+                TupleTableOracle(dom, tau, seed=s), TupleTableOracle(dom, mu, seed=s + 1),
+                _collapsed(0.5, s + 2)))
+        marginals = [_tuple_probs(gen, m) for m in dom.sizes]
+        product = marginals[0]
+        for marginal in marginals[1:]:
+            product = np.outer(product, marginal).ravel()
+        for probs in (_tuple_probs(gen, size), _tuple_probs(gen, size, 0.2), product,
+                      _near(product, _tuple_probs(gen, size), 0.05)):
+            corpus["general-product"].append(lambda s, dom=dom, probs=probs: product_test(
+                BinaryEncodedOracle(TupleTableOracle(dom, probs, seed=s)), _collapsed(0.5, s + 1)))
+    return corpus
+
+
+WALK_CORPUS = _walk_corpus()
+
+
+@pytest.mark.parametrize("kind", list(WALK_CORPUS))
+def test_walk_matches_per_key_reference(kind, monkeypatch):
+    runs = WALK_CORPUS[kind]
+    got = [run(11 * k) for k, run in enumerate(runs)]
+    monkeypatch.setattr(testers, "_run_equivalence", reference_walk)
+    for k, (run, v) in enumerate(zip(runs, got)):
+        ref = run(11 * k)
+        assert (v.accepted, v.queries_used, v.trace) == (ref.accepted, ref.queries_used,
+                                                         ref.trace), (kind, k)
