@@ -83,7 +83,9 @@ def single_bit_divergence(kind: DivergenceKind, p: float, q: float) -> float:
     if kind is DivergenceKind.CHI2:
         if p == q:
             return 0.0
-        return (p - q) ** 2 / ((p + q) * (2.0 - (p + q)))
+        # (1 - p) + (1 - q), not 2 - (p + q): near p = q = 1 the sum rounds
+        # to 2 and the denominator to 0.
+        return (p - q) ** 2 / ((p + q) * ((1.0 - p) + (1.0 - q)))
     if kind is DivergenceKind.KL:
         total = 0.0
         for a, b in ((p, q), (1.0 - p, 1.0 - q)):

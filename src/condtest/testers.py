@@ -41,18 +41,51 @@ The collapsed calculus
     outcomes replace N + 1 and alpha and beta move by at most 1e-18.  The
     three functions take scalars or 1-D arrays with one row per (p, q); rows
     are evaluated in blocks of at most 2^13 cells and reduced one by one, so
-    a value never depends on the rows computed with it.
+    a value never depends on the rows computed with it.  SciPy's
+    ``binom.pmf`` overflows for a probability in about [5.6e-309, 1.7e-306],
+    so the rows whose q (or alpha) lies in (0, 1e-300) use exp(logpmf);
+    every other row is pmf's own value.
 
-    Each level keeps one survive value per node, filled when the node is
-    first drawn at that level: the distinct (p, q) pairs of a chunk's new
-    nodes are found by one ``np.unique`` over complex values p + iq, and
-    those not yet known are computed in one batched call.  Known values live
-    in one process-wide memo keyed by (N, p, q, inner), capped at 2^14
-    entries with the oldest evicted first, so repeated runs on the same
-    distributions skip the calculus.  SciPy's ``binom.pmf`` overflows for a
-    probability in about [5.6e-309, 1.7e-306], so the rows whose q (or
-    alpha) lies in (0, 1e-300) use exp(logpmf); every other row is pmf's own
-    value.
+Certified decisions
+    Most draws are decided without that calculus, by a closed-form bracket
+    lo <= survive <= hi (``_compare_bounds``, ``_survive_bounds``).  Write
+    gamma for the accept probability and k = ceil(inner / 2).
+
+    Lower bound.  Let X' ~ Bin(N, q) be independent of Y; by symmetry
+    Pr[X' > Y] <= 1/2, and coupling X with X' moves Pr[X > Y] by at most
+    dTV(Bin(N, p), Bin(N, q)).  Pinsker's inequality and the additivity of
+    KL over the N trials bound that by d = sqrt(N min(KL(p||q), KL(q||p)) / 2),
+    with KL in nats and clamped at 0 (for p and q an ulp apart it rounds to
+    about -1e-17, and its square root would be NaN).  So alpha, beta <=
+    a = min(1, 1/2 + d); a union bound over A > 40 and B > 40 gives
+    gamma >= 1 - 2 Pr[Bin(64, a) > 40], and lo = Pr[Bin(inner, gamma_lo) >=
+    k] because the majority tally grows with gamma.
+
+    Upper bound.  X - Y is a sum of 2N independent terms, each in a range of
+    length 1, with mean N(p - q).  For p > q, Hoeffding's inequality gives
+    Pr[X - Y <= 0] <= exp(-2 (N(p - q))^2 / 2N), so alpha >= m =
+    1 - exp(-N (p - q)^2), and beta >= m for p < q.  Since A ~ Bin(64, alpha)
+    and B ~ Bin(64, beta), gamma <= Pr[Bin(64, m) <= 40], and hi follows as
+    lo did.
+
+    Both bounds are widened by ``_BRACKET_SLACK`` = 1e-12 on each side,
+    which covers rounding in them and in the exact calculus (its window
+    alone moves alpha and beta by at most 1e-18), so the computed survive
+    value always lies inside the bracket.  In a chunk, a draw with u < lo
+    survives and the first draw with u >= hi stops the walk; the draws
+    before that stop with lo <= u < hi have their pairs' exact values
+    computed in one batch, their brackets become lo = hi = the exact value,
+    and the chunk is decided again.  With exact values this is the rule
+    u >= survive, so verdicts, query totals and traces are those of the
+    exact calculus.
+
+    Each run maps a node to a pair id at its first draw (one id for every
+    node mu gives zero mass, with bracket (-1, -1)), and each level keeps a
+    bracket per pair id it has drawn.  Brackets live in one process-wide
+    memo keyed by (N, p, q, inner), capped at 2^14 entries with the oldest
+    evicted first; an entry is a closed-form bracket or, once computed, the
+    exact value as lo = hi, so repeated runs on the same distributions skip
+    both.
 
 Metering goes only through the oracles' ``charge``, with the same totals in
 both modes: every y-draw costs one prefix query, every black-box run its
@@ -65,6 +98,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import bdtr, bdtrc, rel_entr
 from scipy.stats import binom as _binom
 
 from .oracles import (
@@ -235,12 +269,17 @@ def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
 _TAIL_LOG = math.log(2e18)
 # Rows x window cells evaluated per SciPy call; bounds the temporaries.
 _BLOCK_CELLS = 1 << 13
-# (n_draws, p, q, inner) -> survive, shared by every run in the process.
+# (n_draws, p, q, inner) -> lo + i hi, a closed-form bracket or lo = hi = the
+# survive probability (one complex takes less memory than a pair of floats),
+# shared by every run in the process.
 _SURVIVE_MEMO: dict = {}
 _SURVIVE_MEMO_CAP = 1 << 14
 # SciPy's binom.pmf raises OverflowError (Boost's ibeta_derivative) for a
 # probability in about [5.6e-309, 1.7e-306]; see _binom_pmf.
 _TINY_P = 1e-300
+# Widens the closed-form bracket on each side, so that rounding in it and in
+# the exact calculus cannot put the computed survive value outside it.
+_BRACKET_SLACK = 1e-12
 
 
 def _rows(x) -> np.ndarray:
@@ -319,13 +358,36 @@ def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     return float(survive) if np.ndim(survive) == 0 else survive
 
 
-def _remember_survive(key: tuple, value: float) -> None:
-    if len(_SURVIVE_MEMO) >= _SURVIVE_MEMO_CAP:
+def _compare_bounds(n_draws: int, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, (a, m) with m <= max(alpha, beta) <= a for the
+    ``chi2_trial_compare_probs`` pair: a = min(1, 1/2 + d) by Pinsker, m by
+    Hoeffding on X - Y (see the module docstring)."""
+    p, q = _rows(p), _rows(q)
+    # Rounding makes KL slightly negative for p and q an ulp apart.
+    kl = np.maximum(np.minimum(rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q),
+                               rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)), 0.0)
+    d = np.sqrt(n_draws * kl / 2.0)
+    return np.minimum(0.5 + d, 1.0), -np.expm1(-n_draws * (p - q) ** 2)
+
+
+def _survive_bounds(n_draws: int, p, q, inner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the closed-form (lo, hi) with lo <= ``blackbox_survive_prob``
+    <= hi, widened by ``_BRACKET_SLACK`` on each side."""
+    a, m = _compare_bounds(n_draws, p, q)
+    gamma_lo = np.maximum(1.0 - 2.0 * bdtrc(CHI2_THRESHOLD, CHI2_TRIALS, a), 0.0)
+    gamma_hi = bdtr(CHI2_THRESHOLD, CHI2_TRIALS, m)
+    k = _majority_threshold(inner) - 1
+    return (bdtrc(k, inner, gamma_lo) - _BRACKET_SLACK,
+            bdtrc(k, inner, gamma_hi) + _BRACKET_SLACK)
+
+
+def _remember_survive(key: tuple, bracket: complex) -> None:
+    if key not in _SURVIVE_MEMO and len(_SURVIVE_MEMO) >= _SURVIVE_MEMO_CAP:
         # Evict the oldest quarter at once: deleting a dict's first key one
         # at a time rescans every slot freed before it.
         for old in list(_SURVIVE_MEMO)[:_SURVIVE_MEMO_CAP // 4]:
             del _SURVIVE_MEMO[old]
-    _SURVIVE_MEMO[key] = value
+    _SURVIVE_MEMO[key] = bracket
 
 
 # ----------------------------------------------------------------------
@@ -359,33 +421,99 @@ def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
     return delta
 
 
-# The survive value of a node that mu gives zero mass: the walk stops at the
-# node's first draw in either mode (in collapsed mode every u >= _DEAD).
+# The bracket of pair id 0, which stands for every node that mu gives zero
+# mass: the walk stops at the node's first draw in either mode (in collapsed
+# mode every u >= _DEAD).
 _DEAD = -1.0
 _CHUNK = 512
 
 
-def _fill_survive(survive: np.ndarray, fresh: np.ndarray, p_mu: np.ndarray,
-                  p_tau: np.ndarray, n_draws: int, inner: int) -> None:
-    """Fill ``survive`` at the node indices ``fresh``: ``_DEAD`` where mu's
-    entry is NaN, else the survive probability of the node's (p_mu, p_tau)
-    pair.  Each distinct pair is looked up in the memo once, and the pairs
-    not in it are computed in one batch."""
-    dead = np.isnan(p_mu[fresh])
-    survive[fresh[dead]] = _DEAD
-    live = fresh[~dead]
-    # One complex value per pair (exact for finite parts): np.unique then
-    # sorts a 1-D array.
-    pairs, inverse = np.unique(p_mu[live] + 1j * p_tau[live], return_inverse=True)
-    keys = [(n_draws, pair.real, pair.imag, inner) for pair in pairs.tolist()]
-    values = np.array([_SURVIVE_MEMO.get(key, np.nan) for key in keys])
-    missing = np.flatnonzero(np.isnan(values))
-    if missing.size:
-        values[missing] = blackbox_survive_prob(n_draws, pairs.real[missing],
-                                                pairs.imag[missing], inner)
-        for k in missing.tolist():
-            _remember_survive(keys[k], float(values[k]))
-    survive[live] = values[inverse]
+class _CertifiedSurvival:
+    """Collapsed-mode survival decisions for one run.
+
+    A node maps to the id of its (p_mu, p_tau) pair, learned at the node's
+    first draw in the run; id 0 is every node mu gives zero mass.  Each level
+    keeps a bracket (lo, hi) per pair id it has drawn, taken from the memo or
+    from ``_survive_bounds``, and settles a pair to lo = hi = its exact
+    survive probability only when a draw's u falls inside the bracket.
+    """
+
+    def __init__(self, p_mu: np.ndarray, p_tau: np.ndarray):
+        self._p_mu, self._p_tau = p_mu, p_tau
+        self._of_node = np.full(p_mu.shape, -1, dtype=np.int32)
+        self._id_of: dict[complex, int] = {}
+        self._pairs = [complex(_DEAD, _DEAD)]  # id -> p_mu + i p_tau
+
+    def start_level(self, n_draws: int, inner: int) -> None:
+        self._n_draws, self._inner = n_draws, inner
+        self._lo = np.full(len(self._pairs), np.nan)
+        self._hi = self._lo.copy()
+        self._lo[0] = self._hi[0] = _DEAD
+
+    def first_stop(self, nodes: np.ndarray, u: np.ndarray) -> int | None:
+        """Index of the first draw whose u is at least its survive
+        probability, or None."""
+        ids = self._ids(nodes)
+        lo = self._lo[ids]
+        unknown = np.isnan(lo)
+        if unknown.any():
+            self._fill(np.unique(ids[unknown]), exact=False)
+            lo = self._lo[ids]
+        # A draw with u < lo survives; of the others, the first with u >= hi
+        # stops, and those before it are settled exactly.
+        maybe = np.flatnonzero(u >= lo)
+        if not maybe.size:
+            return None
+        stops = np.flatnonzero(u[maybe] >= self._hi[ids[maybe]])
+        band = int(stops[0]) if stops.size else maybe.size
+        if band:
+            self._fill(np.unique(ids[maybe[:band]]), exact=True)
+            stops = np.flatnonzero(u[maybe] >= self._hi[ids[maybe]])
+        return int(maybe[stops[0]]) if stops.size else None
+
+    def _ids(self, nodes: np.ndarray) -> np.ndarray:
+        ids = self._of_node[nodes]
+        if ids.min() >= 0:
+            return ids
+        fresh = nodes[ids < 0]
+        dead = np.isnan(self._p_mu[fresh])
+        self._of_node[fresh[dead]] = 0
+        live = fresh[~dead]
+        pairs = (self._p_mu[live] + 1j * self._p_tau[live]).tolist()
+        # Live ids start at 1, so ``or`` adds only the pairs not yet known.
+        self._of_node[live] = [self._id_of.get(pair) or self._add(pair) for pair in pairs]
+        if len(self._pairs) > self._lo.size:
+            # Room for the new ids; doubling keeps the copies linear.
+            more = np.full(max(len(self._pairs), 2 * self._lo.size) - self._lo.size, np.nan)
+            self._lo, self._hi = np.append(self._lo, more), np.append(self._hi, more)
+        return self._of_node[nodes]
+
+    def _add(self, pair: complex) -> int:
+        self._id_of[pair] = len(self._pairs)
+        self._pairs.append(pair)
+        return self._id_of[pair]
+
+    def _fill(self, todo: np.ndarray, exact: bool) -> None:
+        """Set the brackets of the pair ids ``todo``: with ``exact`` to the
+        survive probability, else to the memo's entry or, for the pairs not
+        in it, the closed-form bracket; new values go into the memo."""
+        keys = [(self._n_draws, pair.real, pair.imag, self._inner)
+                for pair in map(self._pairs.__getitem__, todo.tolist())]
+        brackets = [None] * len(keys) if exact else [_SURVIVE_MEMO.get(key) for key in keys]
+        missing = [j for j, bracket in enumerate(brackets) if bracket is None]
+        if missing:
+            p, q = np.array([keys[j][1:3] for j in missing]).T
+            if exact:
+                survive = blackbox_survive_prob(self._n_draws, p, q, self._inner)
+                found = survive + 1j * survive
+            else:
+                lo, hi = _survive_bounds(self._n_draws, p, q, self._inner)
+                found = lo + 1j * hi
+            for j, bracket in zip(missing, found.tolist()):
+                brackets[j] = bracket
+                _remember_survive(keys[j], bracket)
+        brackets = np.array(brackets)
+        self._lo[todo], self._hi[todo] = brackets.real, brackets.imag
 
 
 def _literal_survives(p_mu: float, p_tau: float, tau, mu, eps_prime: float,
@@ -404,15 +532,17 @@ def _literal_survives(p_mu: float, p_tau: float, tau, mu, eps_prime: float,
 def _run_equivalence(tau, mu, n: int, eps_l: float, rng, literal: bool) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw's
     survival is decided by the literal black box or, in collapsed mode, by
-    its uniform u against the closed-form survive probability."""
+    its uniform u against the survive probability, certified by a bracket
+    where it can be."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
+    certified = _CertifiedSurvival(p_mu, p_tau)
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
         cost = inner * CHI2_TRIALS * n_draws  # trial samples per draw and source
         i_arr = rng.integers(1, n + 1, size=outer)
         u_arr = rng.random(outer)
-        survive = np.full(p_mu.shape, np.nan)  # per node, filled as drawn
+        certified.start_level(n_draws, inner)
         rejected_at = stop_node = None
         for first in range(0, outer, _CHUNK):
             # y-draws are real tau samples, pulled in meter-free chunks.
@@ -425,11 +555,7 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng, literal: bool) -> Verdi
                             for k in nodes.tolist())
                 pos = next((j for j, ok in enumerate(survived) if not ok), None)
             else:
-                fresh = nodes[np.isnan(survive[nodes])]
-                if fresh.size:
-                    _fill_survive(survive, fresh, p_mu, p_tau, n_draws, inner)
-                stops = np.flatnonzero(u_arr[first:last] >= survive[nodes])
-                pos = int(stops[0]) if stops.size else None
+                pos = certified.first_stop(nodes, u_arr[first:last])
             if pos is not None:
                 rejected_at, stop_node = first + pos, nodes[pos]
                 break

@@ -248,6 +248,54 @@ def test_calculus_where_scipy_pmf_overflows():
     assert np.allclose(pmf[0], binom.pmf(k, 48, 0.0), rtol=0.0, atol=1e-300)
 
 
+def _bracket_rows():
+    """CALCULUS_CORPUS's rows, p and q at 0, 1, 1e-307 and 1 - 1e-16, and
+    pairs one ulp apart, whose KL rounds to a negative value one way."""
+    edges = (0.0, 1.0, 1e-307, 1.0 - 1e-16)
+    rows = [row for rows in CALCULUS_CORPUS.values() for row in rows]
+    rows += [(p, q) for p in edges for q in edges]
+    for x in (1e-3, 0.1, 0.123456, 0.3, 0.5):
+        rows += [(x, np.nextafter(x, 1.0)), (x, np.nextafter(x, 0.0))]
+    return np.array(rows).T
+
+
+def _bracket_levels():
+    """n_draws -> the inner repetitions of the n = 1, 8 and 16 schedules'
+    levels (eps = 0.5) at that n_draws."""
+    levels = {}
+    for n in (1, 8, 16):
+        for _, eps_prime, _, inner in levin_schedule(slice_divergence_threshold(n, 0.5) / n):
+            levels.setdefault(math.ceil(CHI2_SAMPLE_FACTOR / eps_prime), set()).add(inner)
+    return {n_draws: sorted(inners) for n_draws, inners in sorted(levels.items())}
+
+
+BRACKET_LEVELS = _bracket_levels()
+
+
+@pytest.mark.parametrize("n_draws", list(BRACKET_LEVELS))
+def test_survive_bracket_holds(n_draws, monkeypatch):
+    """Each step of the closed-form bracket against the exact calculus:
+    max(alpha, beta) within the Pinsker and Hoeffding bounds, and
+    lo <= blackbox_survive_prob <= hi at every level with this n_draws."""
+    p, q = _bracket_rows()
+    compared = []  # the (alpha, beta) behind each exact value, kept as computed
+
+    def compare(*args):
+        compared.append(chi2_trial_compare_probs(*args))
+        return compared[-1]
+
+    monkeypatch.setattr(testers, "chi2_trial_compare_probs", compare)
+    a, m = testers._compare_bounds(n_draws, p, q)
+    assert np.isfinite(a).all() and np.isfinite(m).all()
+    for inner in BRACKET_LEVELS[n_draws]:
+        survive = blackbox_survive_prob(n_draws, p, q, inner)
+        larger = np.maximum(*compared[-1])
+        assert (m - 1e-12 <= larger).all() and (larger <= a + 1e-12).all()
+        lo, hi = testers._survive_bounds(n_draws, p, q, inner)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert (lo <= survive).all() and (survive <= hi).all()
+
+
 def test_survive_prob_matches_literal_black_box(rng):
     """The closed form against the literal black box: ``inner`` chi-square
     tests on Ber(p) vs Ber(q) bits, survived when the majority tally is
@@ -310,7 +358,7 @@ def test_equivalence_dimension_mismatch():
 
 
 def _never_called(*args):
-    raise AssertionError("the sampled mode used the survive calculus")
+    raise AssertionError("the exact survive calculus was called")
 
 
 def test_sampled_and_collapsed_agree_on_budget_and_verdict(monkeypatch):
@@ -690,8 +738,8 @@ def _walk_corpus():
     offset that builds fresh oracles and runs one tester.  Every oracle kind
     the walk serves appears, with self, near and far pairs, and with mu
     giving drawn prefixes zero mass (dead-prefix rejects)."""
-    corpus = {kind: [] for kind in ("table", "table-dead", "product", "interval",
-                                    "tuple", "general-product")}
+    corpus = {kind: [] for kind in ("table", "table-dead", "table-band", "product",
+                                    "interval", "tuple", "general-product")}
     for n in range(2, 7):
         for seed in (1, 2):
             p, q = _probs(100 * n + seed, 1 << n), _probs(200 * n + seed, 1 << n)
@@ -704,6 +752,14 @@ def _walk_corpus():
         corpus["table-dead"].append(lambda s, tau=tau, mu=mu: equivalence_test(
             TableOracle(DistributionTable(3, tau), seed=s),
             TableOracle(DistributionTable(3, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+    # n = 8 Dirichlet tables against a 0.1% mixture: many draws fall inside
+    # their closed-form bracket, so the walk settles those pairs exactly.
+    for seed in range(1300, 1304):
+        tau = _dirichlet(seed, 256)
+        mu = _near(tau, _dirichlet(seed + 50, 256), 0.001)
+        corpus["table-band"].append(lambda s, tau=tau, mu=mu: equivalence_test(
+            TableOracle(DistributionTable(8, tau), seed=s),
+            TableOracle(DistributionTable(8, mu), seed=s + 1), _collapsed(0.5, s + 2)))
     for seed in range(10):
         n = 3 + seed % 3
         gen = np.random.default_rng(300 + seed)
@@ -771,3 +827,32 @@ def test_walk_matches_per_key_reference(kind, monkeypatch):
         ref = run(11 * k)
         assert (v.accepted, v.queries_used, v.trace) == (ref.accepted, ref.queries_used,
                                                          ref.trace), (kind, k)
+
+
+def test_band_pairs_reach_the_exact_calculus(monkeypatch):
+    """The near pairs of WALK_CORPUS's "table-band" kind leave some draws
+    inside their bracket, and the walk settles them with the exact calculus;
+    their runs are checked against the reference walk above."""
+    rows = []
+
+    def survive(n_draws, p, q, inner):
+        rows.append(len(p))
+        return blackbox_survive_prob(n_draws, p, q, inner)
+
+    monkeypatch.setattr(testers, "_SURVIVE_MEMO", {})
+    monkeypatch.setattr(testers, "blackbox_survive_prob", survive)
+    for k, run in enumerate(WALK_CORPUS["table-band"]):
+        run(11 * k)
+    assert sum(rows) > 0
+
+
+def test_self_test_decided_by_brackets_alone(monkeypatch):
+    """tau = mu: every pair's bracket lies above all the run's u, so a
+    Dirichlet n = 8 self-test never needs the exact calculus."""
+    monkeypatch.setattr(testers, "_SURVIVE_MEMO", {})
+    monkeypatch.setattr(testers, "blackbox_survive_prob", _never_called)
+    tab = DistributionTable(8, _dirichlet(1400, 256))
+    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), _collapsed(0.5, 3))
+    expect = expected_equivalence_queries(8, 0.5)
+    assert v.accepted
+    assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
