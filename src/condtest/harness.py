@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from . import adversarial, distcore, oracles, testers
 
@@ -198,12 +198,16 @@ def load_interval_pmf(source: str, N: int) -> np.ndarray:
 
 
 def rate_lower_bound(successes: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided Clopper-Pearson lower confidence bound on a binomial rate."""
+    """One-sided Clopper-Pearson lower confidence bound on a binomial rate:
+    the (1 - confidence) quantile of Beta(successes, trials - successes + 1),
+    which is ``scipy.stats.beta.ppf``'s value."""
+    if not 0.0 < confidence < 1.0:
+        raise HarnessError(f"confidence must lie in (0, 1), got {confidence}")
     if not 0 <= successes <= trials:
         raise HarnessError("successes out of range")
     if successes == 0:
         return 0.0
-    return float(_beta.ppf(1.0 - confidence, successes, trials - successes + 1))
+    return float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
 
 
 def _fmt(value) -> str:

@@ -41,10 +41,15 @@ The collapsed calculus
     outcomes replace N + 1 and alpha and beta move by at most 1e-18.  The
     three functions take scalars or 1-D arrays with one row per (p, q); rows
     are evaluated in blocks of at most 2^13 cells and reduced one by one, so
-    a value never depends on the rows computed with it.  SciPy's
-    ``binom.pmf`` overflows for a probability in about [5.6e-309, 1.7e-306],
-    so the rows whose q (or alpha) lies in (0, 1e-300) use exp(logpmf);
-    every other row is pmf's own value.
+    a value never depends on the rows computed with it.  The binomial pmf,
+    cdf and sf are SciPy's Boost kernels (``scipy.special._ufuncs._binom_*``,
+    the ones ``scipy.stats.binom`` calls) under the rules of its
+    ``rv_discrete`` wrapper, so every value is ``binom``'s own: each kernel
+    value is clipped to [0, 1], the support edges k < 0 and k >= n (k > n
+    for the pmf) are set outright, and a probability that is NaN or outside
+    [0, 1] gives NaN.  The Boost pmf overflows for a probability in about
+    [5.6e-309, 1.7e-306], so the rows whose q (or alpha) lies in
+    (0, 1e-300) use exp of ``binom.logpmf``'s formula.
 
 Certified decisions
     Most draws are decided without that calculus, by a closed-form bracket
@@ -98,8 +103,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, rel_entr
-from scipy.stats import binom as _binom
+from scipy.special import _ufuncs as _boost
+from scipy.special import bdtr, bdtrc, gammaln, rel_entr, xlog1py, xlogy
 
 from .oracles import (
     BinaryEncodedOracle,
@@ -274,7 +279,7 @@ _BLOCK_CELLS = 1 << 13
 # shared by every run in the process.
 _SURVIVE_MEMO: dict = {}
 _SURVIVE_MEMO_CAP = 1 << 14
-# SciPy's binom.pmf raises OverflowError (Boost's ibeta_derivative) for a
+# Boost's binomial pmf kernel raises OverflowError (ibeta_derivative) for a
 # probability in about [5.6e-309, 1.7e-306]; see _binom_pmf.
 _TINY_P = 1e-300
 # Widens the closed-form bracket on each side, so that rounding in it and in
@@ -286,15 +291,36 @@ def _rows(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
-def _binom_pmf(k, n: int, p: np.ndarray) -> np.ndarray:
-    """binom.pmf(k, n, p) for a column ``p``.  Only the rows with
-    0 < p < _TINY_P use exp(logpmf), which elsewhere differs from pmf by up
-    to 3e-15; every other row is pmf's own value."""
+def _binom_rules(value, k, p, below: float, above: float, last):
+    """``rv_discrete``'s rules around a Boost kernel's ``value`` at (k, p):
+    ``below`` where k < 0, ``above`` where k > ``last``, the value clipped to
+    [0, 1] in between, and NaN wherever p is NaN or outside [0, 1]."""
+    value = np.where(k < 0, below, np.where(k > last, above, np.clip(value, 0.0, 1.0)))
+    return np.where((p >= 0.0) & (p <= 1.0), value, np.nan)
+
+
+def _binom_pmf(k, n, p):
+    """``binom.pmf(k, n, p)``.  The rows with 0 < p < _TINY_P, where the
+    Boost kernel can overflow, use exp of ``binom.logpmf``'s formula; it
+    differs from the kernel by up to 3e-15 elsewhere."""
     tiny = (p > 0.0) & (p < _TINY_P)
-    pmf = _binom.pmf(k, n, np.where(tiny, 0.5, p))
+    pmf = _boost._binom_pmf(k, n, np.where(tiny, 0.5, p))
     if tiny.any():
-        pmf = np.where(tiny, np.exp(_binom.logpmf(k, n, np.where(tiny, p, 0.5))), pmf)
-    return pmf
+        p_tiny = np.where(tiny, p, 0.5)
+        logpmf = (gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+                  + xlogy(k, p_tiny) + xlog1py(n - k, -p_tiny))
+        pmf = np.where(tiny, np.exp(logpmf), pmf)
+    return _binom_rules(pmf, k, p, 0.0, 0.0, n)
+
+
+def _binom_cdf(k, n, p):
+    """``binom.cdf(k, n, p)``."""
+    return _binom_rules(_boost._binom_cdf(k, n, p), k, p, 0.0, 1.0, n - 1)
+
+
+def _binom_sf(k, n, p):
+    """``binom.sf(k, n, p)``."""
+    return _binom_rules(_boost._binom_sf(k, n, p), k, p, 1.0, 0.0, n - 1)
 
 
 def chi2_trial_compare_probs(n_draws: int, p, q):
@@ -319,8 +345,8 @@ def chi2_trial_compare_probs(n_draws: int, p, q):
         lo = np.clip(np.floor(n_draws * q_b) - half, 0, n_draws + 1 - width)
         k = lo.astype(np.int64) + offsets
         pmf_q = _binom_pmf(k, n_draws, q_b)
-        alpha[block] = (pmf_q * _binom.sf(k, n_draws, p_b)).sum(axis=1)
-        beta[block] = (pmf_q * _binom.cdf(k - 1, n_draws, p_b)).sum(axis=1)
+        alpha[block] = (pmf_q * _binom_sf(k, n_draws, p_b)).sum(axis=1)
+        beta[block] = (pmf_q * _binom_cdf(k - 1, n_draws, p_b)).sum(axis=1)
     np.minimum(alpha, 1.0, out=alpha)
     np.minimum(beta, 1.0, out=beta)
     if np.ndim(p) == 0 and np.ndim(q) == 0:
@@ -339,7 +365,7 @@ def chi2_accept_prob(alpha, beta):
     pa = _binom_pmf(a, CHI2_TRIALS, alpha_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(beta_rows / (1.0 - alpha_rows), 1.0)
-    pb = _binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, ratio)
+    pb = _binom_cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, ratio)
     gamma = np.where(alpha_rows[:, 0] >= 1.0, 0.0,
                      np.clip((pa * pb).sum(axis=1), 0.0, 1.0))
     if np.ndim(alpha) == 0 and np.ndim(beta) == 0:
@@ -354,7 +380,7 @@ def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     Scalars give a float, 1-D arrays one value per row."""
     alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
     gamma = chi2_accept_prob(alpha, beta)
-    survive = _binom.sf(_majority_threshold(inner) - 1, inner, gamma)
+    survive = _binom_sf(_majority_threshold(inner) - 1, inner, gamma)
     return float(survive) if np.ndim(survive) == 0 else survive
 
 

@@ -1,10 +1,15 @@
 """Experiment harness: drivers, CSV emission, replay stability, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condtest
 from condtest import harness
 from condtest.cli import build_parser, main, spec_from_args
 from condtest.harness import (
@@ -89,6 +94,22 @@ def test_rate_lower_bound_values():
     assert rate_lower_bound(59, 60) < rate_lower_bound(60, 60)
     with pytest.raises(HarnessError):
         rate_lower_bound(5, 4)
+    for confidence in (0.0, 1.0, 1.5, -0.5, float("nan")):
+        with pytest.raises(HarnessError):
+            rate_lower_bound(3, 4, confidence)
+
+
+@pytest.mark.parametrize("module", ["condtest", "condtest.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    """Every CLI call imports condtest.cli; scipy.stats would add about a
+    second to each.  A fresh interpreter shows which modules the import
+    pulls in."""
+    env = dict(os.environ, PYTHONPATH=str(Path(condtest.__file__).parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert "'scipy.special'" in loaded
+    assert "'scipy.stats'" not in loaded
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import beta as beta_dist
 from scipy.stats import binom, chisquare
 
 from condtest import testers
 from condtest.distcore import DistributionTable, TupleDomain
+from condtest.harness import rate_lower_bound
 from condtest.oracles import (
     BinaryEncodedOracle,
     IntervalOracle,
@@ -18,6 +20,8 @@ from condtest.oracles import (
 )
 from condtest.testers import (
     CHI2_SAMPLE_FACTOR,
+    CHI2_THRESHOLD,
+    CHI2_TRIALS,
     BitSampler,
     TestConfig,
     Verdict,
@@ -246,6 +250,34 @@ def test_calculus_where_scipy_pmf_overflows():
     pmf = testers._binom_pmf(k, 48, column)
     assert np.array_equal(pmf[1:], binom.pmf(k, 48, column[1:]))
     assert np.allclose(pmf[0], binom.pmf(k, 48, 0.0), rtol=0.0, atol=1e-300)
+
+
+def test_binom_kernels_match_scipy_stats():
+    """The calculus's binomial helpers are ``scipy.stats.binom``'s values bit
+    for bit: support edges, the clip of Boost's pmf (just above 1 for small
+    p at k = 0), NaN for a NaN p and exp(logpmf) for p below 1e-300.  The
+    Clopper-Pearson bound is ``beta.ppf``'s value."""
+    rng = np.random.default_rng(8)
+    p = np.concatenate([rng.uniform(size=6), np.geomspace(1e-300, 1e-3, 6),
+                        [0.0, 1.0, 1.0 - 1e-16, 1e-294, np.nan]])[:, None]
+    helpers = ((testers._binom_pmf, binom.pmf), (testers._binom_cdf, binom.cdf),
+               (testers._binom_sf, binom.sf))
+    for n in (24, 40, 48, 64, 192, 3072, 196608):
+        k = np.arange(-3, n + 4)
+        for helper, reference in helpers:
+            np.testing.assert_array_equal(helper(k, n, p), reference(k, n, p))
+        tiny = np.array([[1e-307], [5e-309], [1e-310]])
+        np.testing.assert_array_equal(testers._binom_pmf(k, n, tiny),
+                                      np.exp(binom.logpmf(k, n, tiny)))
+    # The accept probability's cdf has one n per column.
+    a = np.arange(0, CHI2_THRESHOLD + 1)
+    np.testing.assert_array_equal(testers._binom_cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, p),
+                                  binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, p))
+    for trials in range(1, 61):
+        for successes in range(1, trials + 1):
+            for confidence in (0.99, 0.9, 0.5, 1e-6):
+                assert rate_lower_bound(successes, trials, confidence) == beta_dist.ppf(
+                    1.0 - confidence, successes, trials - successes + 1)
 
 
 def _bracket_rows():
