@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .harness import ExperimentSpec, HarnessError, default_out_dir, run_experiment
+from .harness import (ExperimentSpec, HarnessError, default_out_dir, read_json_object,
+                      run_experiment)
 from .oracles import OracleError
 
-_DEFAULTS = {"runs": 1, "seed": 0, "grid_step": 0.01, "mode": "auto"}
+_DEFAULTS = {"runs": 1, "seed": 0, "grid_step": 0.01}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -25,7 +27,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output directory (default: "
                         "$CONDTEST_OUT_DIR or ./condtest-out)")
-    parser.add_argument("--mode", choices=("auto", "sampled", "collapsed"))
     parser.add_argument("--config", help="JSON file mirroring the flags; "
                         "explicit flags win")
     parser.add_argument("--id", dest="experiment_id")
@@ -95,11 +96,7 @@ _COMMAND_KIND = {
 def _merge_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
-        try:
-            text = Path(args.config).read_text()
-        except OSError as err:
-            raise HarnessError(f"cannot read config {args.config}: {err.strerror}") from None
-        payload = json.loads(text)
+        _, payload = read_json_object(args.config, "config")
         merged.update({k.replace("-", "_"): v for k, v in payload.items()})
     for key, value in vars(args).items():
         if key in ("command", "config", "kind"):
@@ -124,10 +121,11 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         elif value is not None:
             merged[key] = tuple(value)
     merged = {k: v for k, v in merged.items() if v is not None}
-    try:
-        return ExperimentSpec(kind=_COMMAND_KIND[args.command], **merged)
-    except TypeError as err:
-        raise HarnessError(f"unrecognized option in config or flags: {err}") from None
+    # The subcommand sets the kind.
+    unknown = sorted(merged.keys() - {f.name for f in fields(ExperimentSpec) if f.name != "kind"})
+    if unknown:
+        raise HarnessError(f"unrecognized option in config or flags: {', '.join(unknown)}")
+    return ExperimentSpec(kind=_COMMAND_KIND[args.command], **merged)
 
 
 def main(argv=None) -> int:

@@ -29,12 +29,6 @@ EXPERIMENT_KINDS = ("equivalence", "product", "interval", "single-bit",
 
 CONFIDENCE_METHOD = "clopper-pearson one-sided 0.99"
 OUT_DIR_ENV = "CONDTEST_OUT_DIR"
-# Most black-box runs the literal sampled mode may face on the accept path
-# (the sum of outer * inner over the Levin schedule; each run is 64
-# chi-square trials, about 50 us).  1e7 is about 8 minutes and admits n = 3
-# at eps = 0.5 (6.4e6 runs); n = 4 at eps = 0.3 would be 3.7e7 (30 min).
-# The collapsed mode has the same verdict law and no such limit.
-SAMPLED_RUNS_LIMIT = 10_000_000
 _DENSE_KINDS = ("equivalence", "product", "scaling-sweep")
 
 _COLUMNS = {
@@ -74,7 +68,6 @@ class ExperimentSpec:
     grid_step: float = 0.01
     n_list: tuple = ()
     eps_list: tuple = ()
-    mode: str = "auto"
     out: str | None = None
     experiment_id: str | None = None
 
@@ -82,10 +75,14 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise HarnessError(f"unknown experiment kind {self.kind!r}; "
                                f"expected one of {EXPERIMENT_KINDS}")
-        if self.runs < 1:
-            raise HarnessError(f"runs must be >= 1, got {self.runs}")
-        if self.N is not None and self.N < 1:
-            raise HarnessError(f"N must be >= 1, got {self.N}")
+        if not (isinstance(self.runs, numbers.Integral) and self.runs >= 1):
+            raise HarnessError(f"runs must be an integer >= 1, got {self.runs!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise HarnessError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (self.N is None or isinstance(self.N, numbers.Integral) and self.N >= 1):
+            raise HarnessError(f"N must be an integer >= 1, got {self.N!r}")
+        if not isinstance(self.grid_step, numbers.Real):
+            raise HarnessError(f"grid step must be a number, got {self.grid_step!r}")
         # Dense kinds hold 2^n cells: refuse n before anything is built.
         max_n = distcore.MAX_DENSE_N if self.kind in _DENSE_KINDS else math.inf
         for n in (() if self.n is None else (self.n,)) + tuple(self.n_list):
@@ -96,35 +93,8 @@ class ExperimentSpec:
             if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0
                     or self.kind == "single-bit" and eps == 1.0):
                 raise HarnessError(f"eps must lie in (0, 1), got {eps!r}")
-        if self.mode not in ("auto", "sampled", "collapsed"):
-            raise HarnessError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled":
-            self._check_sampled_cost()
         if self.experiment_id is None:
             self.experiment_id = f"{self.kind}-seed{self.seed}"
-
-    def _check_sampled_cost(self) -> None:
-        """Refuse a sampled-mode spec whose accept path exceeds
-        SAMPLED_RUNS_LIMIT black-box runs."""
-        configs = [(n, eps) for n in self.n_list for eps in self.eps_list]
-        if self.eps is not None and self.kind in ("equivalence", "product") and self.n:
-            configs.append((self.n, self.eps))
-        if self.eps is not None and self.kind == "interval" and (self.N or 0) > 1:
-            configs.append((max(1, math.ceil(math.log2(self.N))), self.eps))
-        for n, eps in configs:
-            runs = accept_path_blackbox_runs(n, eps)
-            if runs > SAMPLED_RUNS_LIMIT:
-                raise HarnessError(
-                    f"--mode sampled would run {runs:.3g} black-box tests on the "
-                    f"accept path at n={n}, eps={eps} (limit {SAMPLED_RUNS_LIMIT:.0e}); "
-                    "use --mode collapsed, which has the same verdict law")
-
-
-def accept_path_blackbox_runs(n: int, eps: float) -> int:
-    """Black-box runs on the equivalence tester's accept path at dimension n:
-    the sum of outer * inner over its Levin schedule."""
-    eps_l = testers.slice_divergence_threshold(n, eps) / n
-    return sum(outer * inner for _, _, outer, inner in testers.levin_schedule(eps_l))
 
 
 @dataclass
@@ -135,6 +105,19 @@ class ResultRow:
 
 # ----------------------------------------------------------------------
 # distribution sources
+
+
+def read_json_object(path: str, what: str) -> tuple[str, dict]:
+    """The text of the JSON file at ``path`` and the object it holds; a file
+    that cannot be read or holds no JSON object raises HarnessError."""
+    try:
+        text = Path(path).read_text()
+        payload = json.loads(text)
+    except (OSError, ValueError) as err:  # ValueError: not JSON
+        raise HarnessError(f"cannot read {what} file {path}: {err}") from None
+    if not isinstance(payload, dict):
+        raise HarnessError(f"{what} file {path} must hold a JSON object")
+    return text, payload
 
 
 def load_distribution(source: str, n: int | None = None) -> distcore.DistributionTable:
@@ -161,14 +144,13 @@ def load_distribution(source: str, n: int | None = None) -> distcore.Distributio
         if len(ps) == 1 and n is not None:
             ps = ps * n
         return distcore.DistributionTable.bernoulli_product(ps)
-    path = Path(source)
-    if not path.exists():
+    if not Path(source).exists():
         raise HarnessError(f"distribution source {source!r} is neither a "
                            "shorthand nor an existing file")
-    payload = json.loads(path.read_text())
+    text, payload = read_json_object(source, "distribution")
     if "biases" in payload:
-        return adversarial.AdversarialInstance.from_json(path.read_text()).table()
-    return distcore.DistributionTable.from_json(path.read_text())
+        return adversarial.AdversarialInstance.from_json(text).table()
+    return distcore.DistributionTable.from_json(text)
 
 
 def load_interval_pmf(source: str, N: int) -> np.ndarray:
@@ -183,13 +165,15 @@ def load_interval_pmf(source: str, N: int) -> np.ndarray:
         pmf = np.zeros(N)
         pmf[a - 1:b] = 1.0 / (b - a + 1)
         return pmf
-    path = Path(source)
-    if not path.exists():
+    if not Path(source).exists():
         raise HarnessError(f"pmf source {source!r} is neither a shorthand "
                            "nor an existing file")
-    pmf = np.asarray(json.loads(path.read_text())["pmf"], dtype=np.float64)
-    if pmf.shape[0] != N:
-        raise HarnessError(f"pmf has {pmf.shape[0]} entries, expected {N}")
+    _, payload = read_json_object(source, "pmf")
+    if "pmf" not in payload:
+        raise HarnessError(f"pmf file {source} has no \"pmf\" array")
+    pmf = np.asarray(payload["pmf"], dtype=np.float64)
+    if pmf.shape != (N,):
+        raise HarnessError(f"pmf has shape {pmf.shape}, expected ({N},)")
     return pmf
 
 
@@ -254,7 +238,7 @@ def _run_equivalence(spec: ExperimentSpec) -> list[ResultRow]:
         s_tau, s_mu, s_test = child.spawn(3)
         tau = oracles.TableOracle(tau_table, seed=s_tau)
         mu = oracles.TableOracle(mu_table, seed=s_mu)
-        cfg = testers.TestConfig(spec.eps, seed=s_test, mode=spec.mode)
+        cfg = testers.TestConfig(spec.eps, seed=s_test)
         verdict = testers.equivalence_test(tau, mu, cfg)
         rows.append(_verdict_row(spec, rep, f"{spec.seed}/{rep}", verdict))
     return rows
@@ -268,7 +252,7 @@ def _run_product(spec: ExperimentSpec) -> list[ResultRow]:
     for rep, child in enumerate(_spawned(spec, spec.runs)):
         s_mu, s_test = child.spawn(2)
         mu = oracles.TableOracle(mu_table, seed=s_mu)
-        cfg = testers.TestConfig(spec.eps, seed=s_test, mode=spec.mode)
+        cfg = testers.TestConfig(spec.eps, seed=s_test)
         verdict = testers.product_test(mu, cfg)
         rows.append(_verdict_row(spec, rep, f"{spec.seed}/{rep}", verdict))
     return rows
@@ -284,7 +268,7 @@ def _run_interval(spec: ExperimentSpec) -> list[ResultRow]:
         s_tau, s_mu, s_test = child.spawn(3)
         tau = oracles.IntervalOracle(tau_pmf, seed=s_tau)
         mu = oracles.IntervalOracle(mu_pmf, seed=s_mu)
-        cfg = testers.TestConfig(spec.eps, seed=s_test, mode=spec.mode)
+        cfg = testers.TestConfig(spec.eps, seed=s_test)
         verdict = testers.interval_equivalence_test(tau, mu, cfg)
         rows.append(_verdict_row(spec, rep, f"{spec.seed}/{rep}", verdict))
     return rows
@@ -354,7 +338,7 @@ def _run_scaling_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         for eps in spec.eps_list:
             sub = ExperimentSpec(kind="equivalence", n=n, eps=eps,
                                  runs=spec.runs, seed=spec.seed,
-                                 tau="uniform", mu="uniform", mode=spec.mode)
+                                 tau="uniform", mu="uniform")
             totals = [row.data["total_queries"] for row in _run_equivalence(sub)]
             rows.append(ResultRow(spec.kind, {
                 "n": n, "eps": eps, "runs": spec.runs,

@@ -20,12 +20,9 @@ samples without a meter charge (``sample_full_indices_uncounted``).
 Metering has one rule, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
 built on (``base``) as that wrapper's ``base_class``.  The testers meter
-only through it, once per Levin level, with the same totals in both
-execution modes: the y-draws a level consumed, the bit samples of their
-black-box runs and, on a zero-probability reject, the one failed marginal
-query.  The sampled mode draws those bits as binomial counts at the
-exact conditional probability, from the oracles' own RNG streams; the
-collapsed mode does not draw them.
+only through it, once per Levin level: the y-draws a level consumed, the
+bit samples of their black-box runs and, on a zero-probability reject, the
+one failed marginal query.
 """
 
 from __future__ import annotations

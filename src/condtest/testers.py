@@ -1,35 +1,22 @@
 """Randomized testers: single-bit chi-square test, Levin work balance, the
 equivalence tester, the product tester, and the alphabet/interval wrappers.
 
-One walk runs the equivalence tester in both execution modes.  It reads
-the exact conditional bit probabilities of both oracles as two arrays over
-the 2^n - 1 nodes (``node_bit_probs``: node (1 << (i-1)) + w for coordinate
-i and prefix w, at index node - 1, NaN where w has zero mass).  Each Levin
-level draws its coordinates i and uniforms u up front, pulls the tau samples
-behind its y-draws in chunks of 512, turns each chunk into node indices and
-stops at the first draw that does not survive: a node whose mu entry is NaN
-(a zero-probability reject) or a failed majority of ``inner`` black-box
-runs.  The level is charged once, when it ends, for the draws it consumed.
-The modes differ only in how a draw's survival is decided.
+The equivalence tester is one walk.  It reads the exact conditional bit
+probabilities of both oracles as two arrays over the 2^n - 1 nodes
+(``node_bit_probs``: node (1 << (i-1)) + w for coordinate i and prefix w,
+at index node - 1, NaN where w has zero mass).  Each Levin level draws its
+coordinates i and uniforms u up front, pulls the tau samples behind its
+y-draws in chunks of 512, turns each chunk into node indices and stops at
+the first draw that does not survive: a node whose mu entry is NaN (a
+zero-probability reject) or one whose u is at least the probability that a
+majority of ``inner`` black-box runs accept (binomial trial sums ->
+multinomial (A, B) counts -> binomial majority tally).  So the verdict law
+is that of the literal tester built from ``single_bit_chi2_test``,
+``BitSampler`` and ``levin_balance``, whose accepting runs draw more than
+10^9 bits even at n = 1.  The level is charged once, when it ends, for the
+draws it consumed.
 
-``sampled``
-    The literal black box: ``inner`` single-bit chi-square tests on bits
-    drawn from the oracles' RNG streams (one binomial count per trial at the
-    exact conditional probability, distribution-identical to one-at-a-time
-    sampling).  The schedule's constants make this mode astronomically
-    expensive at realistic parameters (~10^12 samples at n=8, eps=0.3), so
-    it is practical only for tiny configurations and for validating the
-    collapsed mode.
-
-``collapsed``
-    Exact-verdict simulation: the draw survives iff its uniform u is below
-    the closed-form probability that the literal black box survives
-    (binomial trial sums -> multinomial (A, B) counts -> binomial majority
-    tally), so the verdict law is that of the sampled mode.  This is what
-    makes the statistical acceptance experiments runnable at all.  ``auto``
-    is collapsed.
-
-The collapsed calculus
+The survive calculus
     For a drawn (i, w) with conditional bit probabilities p under mu and q
     under tau, ``chi2_trial_compare_probs`` gives alpha = Pr[X > Y] and
     beta = Pr[X < Y] for X ~ Bin(N, p), Y ~ Bin(N, q), ``chi2_accept_prob``
@@ -92,9 +79,9 @@ Certified decisions
     exact value as lo = hi, so repeated runs on the same distributions skip
     both.
 
-Metering goes only through the oracles' ``charge``, with the same totals in
-both modes: every y-draw costs one prefix query, every black-box run its
-trial samples, and a zero-probability reject the one failed marginal query.
+Metering goes only through the oracles' ``charge``: every y-draw costs one
+prefix query, every black-box run its trial samples, and a zero-probability
+reject the one failed marginal query.
 """
 
 from __future__ import annotations
@@ -123,13 +110,10 @@ CHI2_SAMPLE_FACTOR = 24  # ceil(24 / eps) samples per trial (proof-consistent)
 class TestConfig:
     epsilon: float
     seed: int | None = None
-    mode: str = "auto"  # auto (= collapsed) | sampled | collapsed
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.mode not in ("auto", "sampled", "collapsed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -267,7 +251,7 @@ def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# collapsed-mode probability calculus
+# survive probability calculus
 
 # Y ~ Bin(N, q) leaves [Nq - s, Nq + s] with probability at most
 # 2 exp(-2 s^2 / N) (Hoeffding), which is 1e-18 at s^2 = N ln(2e18) / 2.
@@ -448,14 +432,13 @@ def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
 
 
 # The bracket of pair id 0, which stands for every node that mu gives zero
-# mass: the walk stops at the node's first draw in either mode (in collapsed
-# mode every u >= _DEAD).
+# mass: the walk stops at the node's first draw, since every u >= _DEAD.
 _DEAD = -1.0
 _CHUNK = 512
 
 
 class _CertifiedSurvival:
-    """Collapsed-mode survival decisions for one run.
+    """Survival decisions for one run.
 
     A node maps to the id of its (p_mu, p_tau) pair, learned at the node's
     first draw in the run; id 0 is every node mu gives zero mass.  Each level
@@ -542,24 +525,10 @@ class _CertifiedSurvival:
         self._lo[todo], self._hi[todo] = brackets.real, brackets.imag
 
 
-def _literal_survives(p_mu: float, p_tau: float, tau, mu, eps_prime: float,
-                      inner: int) -> bool:
-    """Run the black box ``inner`` times on bits drawn from the oracles' RNG
-    streams at (p_mu, p_tau); a node mu gives zero mass (NaN) never survives."""
-    if math.isnan(p_mu):
-        return False
-    accepts = sum(single_bit_chi2_test(BitSampler.from_probability(p_mu, mu.rng),
-                                       BitSampler.from_probability(p_tau, tau.rng),
-                                       eps_prime).accepted
-                  for _ in range(inner))
-    return accepts >= _majority_threshold(inner)
-
-
-def _run_equivalence(tau, mu, n: int, eps_l: float, rng, literal: bool) -> Verdict:
-    """Levin's work balance over (i, prefix) y-draws from tau; a draw's
-    survival is decided by the literal black box or, in collapsed mode, by
-    its uniform u against the survive probability, certified by a bracket
-    where it can be."""
+def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
+    """Levin's work balance over (i, prefix) y-draws from tau; a draw
+    survives while its uniform u is below its survive probability, certified
+    by a bracket where it can be."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     certified = _CertifiedSurvival(p_mu, p_tau)
     trace = []
@@ -576,12 +545,7 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng, literal: bool) -> Verdi
             last = first + w_idx.shape[0]
             i_c = i_arr[first:last]
             nodes = (1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)) - 1  # array index
-            if literal:
-                survived = (_literal_survives(p_mu[k], p_tau[k], tau, mu, eps_prime, inner)
-                            for k in nodes.tolist())
-                pos = next((j for j, ok in enumerate(survived) if not ok), None)
-            else:
-                pos = certified.first_stop(nodes, u_arr[first:last])
+            pos = certified.first_stop(nodes, u_arr[first:last])
             if pos is not None:
                 rejected_at, stop_node = first + pos, nodes[pos]
                 break
@@ -600,14 +564,14 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng, literal: bool) -> Verdi
 
 
 def _equivalence_core(tau, mu, n: int, cfg: TestConfig) -> Verdict:
-    mode = "sampled" if cfg.mode == "sampled" else "collapsed"
     rng = np.random.default_rng(cfg.seed)
     counters = _collect_counters([tau, mu])
     before = _counter_totals(counters)
     eps_l = slice_divergence_threshold(n, cfg.epsilon) / n
-    verdict = _run_equivalence(tau, mu, n, eps_l, rng, mode == "sampled")
+    verdict = _run_equivalence(tau, mu, n, eps_l, rng)
     verdict.queries_used = _queries_delta(before, counters)
-    verdict.trace.append({"mode": mode, "eps_levin": eps_l})
+    # Replays pin this record in this form.
+    verdict.trace.append({"mode": "collapsed", "eps_levin": eps_l})
     return verdict
 
 

@@ -164,12 +164,68 @@ def reference_bit_prob(oracle, i, prefix_idx):
     raise TypeError(type(oracle).__name__)
 
 
-def reference_walk(tau, mu, n, eps_l, rng, literal):
-    """Reference for ``testers._run_equivalence`` in collapsed mode: the
-    per-key walk the node arrays replaced.  Each chunk's new (i, prefix)
-    keys are looked up one at a time through ``reference_bit_prob``, deduped
-    in a dict by (p_mu, p_tau) and given survive values in one batch."""
-    assert not literal, "the reference covers the collapsed mode only"
+def _literal_first_stop(tau, mu, nodes, eps_prime, inner):
+    """(index, dead) of the first draw in ``nodes`` that the literal black box
+    does not survive, or (None, False): a prefix mu gives zero mass is a dead
+    reject, and any other draw runs ``inner`` single-bit chi-square tests on
+    bits drawn from mu's and tau's RNG streams and survives a non-negative
+    majority tally."""
+    for pos, node in enumerate(nodes.tolist()):
+        i = node.bit_length()
+        prefix_idx = node - (1 << (i - 1))
+        try:
+            p_mu = reference_bit_prob(mu, i, prefix_idx)
+        except OracleError:
+            return pos, True
+        p_tau = reference_bit_prob(tau, i, prefix_idx)
+        accepts = sum(
+            testers.single_bit_chi2_test(testers.BitSampler.from_probability(p_mu, mu.rng),
+                                         testers.BitSampler.from_probability(p_tau, tau.rng),
+                                         eps_prime).accepted
+            for _ in range(inner))
+        if accepts < math.ceil(inner / 2):
+            return pos, False
+    return None, False
+
+
+def _survive_first_stop(tau, mu, nodes, u, n_draws, inner, keys):
+    """(index, dead) of the first draw whose u is at least its survive
+    probability, or (None, False).  The chunk's new (i, prefix) keys are
+    looked up one at a time through ``reference_bit_prob``, deduped in a
+    dict by (p_mu, p_tau) and given survive values in one batch; ``keys``
+    keeps them for the rest of the level."""
+    nodes, inverse = np.unique(nodes, return_inverse=True)
+    pending = {}
+    for node in nodes.tolist():
+        if node in keys:
+            continue
+        i = node.bit_length()
+        prefix_idx = node - (1 << (i - 1))
+        p_tau = reference_bit_prob(tau, i, prefix_idx)
+        try:
+            p_mu = reference_bit_prob(mu, i, prefix_idx)
+        except OracleError:
+            keys[node] = -1.0
+            continue
+        pending.setdefault((p_mu, p_tau), []).append(node)
+    if pending:
+        pairs = np.array(list(pending))
+        values = testers.blackbox_survive_prob(n_draws, pairs[:, 0], pairs[:, 1], inner)
+        for same, value in zip(pending.values(), values.tolist()):
+            keys.update(dict.fromkeys(same, value))
+    values = np.array([keys[node] for node in nodes.tolist()])[inverse]
+    stops = np.flatnonzero(u >= values)
+    if not stops.size:
+        return None, False
+    return int(stops[0]), bool(values[stops[0]] == -1.0)
+
+
+def reference_walk(tau, mu, n, eps_l, rng, literal=False):
+    """Reference for ``testers._run_equivalence``: the per-key walk the node
+    arrays replaced.  A draw survives while its u is below its survive
+    probability or, with ``literal``, while the literal black box survives
+    (the tester as the paper states it, at more than 10^9 queries per
+    accepting run, so only tiny inputs are run this way)."""
     trace = []
     for t, eps_prime, outer, inner in testers.levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
@@ -182,32 +238,14 @@ def reference_walk(tau, mu, n, eps_l, rng, literal):
             w_idx = tau.sample_full_indices_uncounted(min(512, outer - first))
             last = first + w_idx.shape[0]
             i_c = i_arr[first:last]
-            nodes, inverse = np.unique((1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)),
-                                       return_inverse=True)
-            pending = {}
-            for node in nodes.tolist():
-                if node in keys:
-                    continue
-                i = node.bit_length()
-                prefix_idx = node - (1 << (i - 1))
-                p_tau = reference_bit_prob(tau, i, prefix_idx)
-                try:
-                    p_mu = reference_bit_prob(mu, i, prefix_idx)
-                except OracleError:
-                    keys[node] = -1.0
-                    continue
-                pending.setdefault((p_mu, p_tau), []).append(node)
-            if pending:
-                pairs = np.array(list(pending))
-                values = testers.blackbox_survive_prob(n_draws, pairs[:, 0], pairs[:, 1],
-                                                       inner)
-                for same, value in zip(pending.values(), values.tolist()):
-                    keys.update(dict.fromkeys(same, value))
-            values = np.array([keys[node] for node in nodes.tolist()])
-            stops = np.flatnonzero(u_arr[first:last] >= values[inverse])
-            if stops.size:
-                rejected_at = first + int(stops[0])
-                dead = values[inverse[stops[0]]] == -1.0
+            nodes = (1 << (i_c - 1)) + (w_idx >> (n - i_c + 1))
+            if literal:
+                pos, dead = _literal_first_stop(tau, mu, nodes, eps_prime, inner)
+            else:
+                pos, dead = _survive_first_stop(tau, mu, nodes, u_arr[first:last],
+                                                n_draws, inner, keys)
+            if pos is not None:
+                rejected_at = first + pos
                 break
         used = outer if rejected_at is None else rejected_at + 1
         ran = used - dead

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +16,9 @@ from condtest import harness
 from condtest.cli import build_parser, main, spec_from_args
 from condtest.harness import (
     EXPERIMENT_KINDS,
-    SAMPLED_RUNS_LIMIT,
     ExperimentSpec,
     HarnessError,
     ResultRow,
-    accept_path_blackbox_runs,
     emit_plot_data,
     load_distribution,
     load_interval_pmf,
@@ -292,6 +292,21 @@ def test_experiment_kind_registry_is_complete():
         assert kind in _DRIVERS
 
 
+# Source and config files for the bad-input cases below, written into the
+# test's directory; "@name" in an argv stands for the file's path.
+BAD_INPUT_FILES = {
+    "five.json": "5",
+    "no-pmf.json": json.dumps({"probs": [0.5, 0.5]}),
+    "list.json": "[1, 2]",
+    "seed.json": json.dumps({"seed": "x"}),
+    "grid-step.json": json.dumps({"grid_step": "0.1"}),
+    "runs.json": json.dumps({"runs": "3"}),
+    "N.json": json.dumps({"N": 8.5}),
+}
+_EQ = ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform"]
+_INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
+
+
 @pytest.mark.parametrize("argv", [
     ["adversarial-distance", "--n", "1", "--eps", "0.2"],
     ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "0"],
@@ -303,11 +318,40 @@ def test_experiment_kind_registry_is_complete():
     ["sweep", "--n-list", "8,x", "--eps-list", "0.5"],
     ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform",
      "--mu", "uniform", "--config", "/nonexistent/condtest-config.json"],
-], ids=["n1", "step0", "step-neg", "eps1.5", "N0", "n-list", "missing-config"])
+    _EQ + ["--mu", "@"],
+    _INTERVAL + ["--mu", "@"],
+    _EQ + ["--mu", "@five.json"],
+    _INTERVAL + ["--mu", "@no-pmf.json"],
+    _EQ + ["--mu", "uniform", "--config", "@list.json"],
+    _EQ + ["--mu", "uniform", "--config", "@seed.json"],
+    ["adversarial-distance", "--n", "4", "--eps", "0.2", "--config", "@grid-step.json"],
+    _EQ + ["--mu", "uniform", "--config", "@runs.json"],
+    ["test-interval", "--eps", "0.5", "--tau", "uniform", "--mu", "uniform",
+     "--config", "@N.json"],
+], ids=["n1", "step0", "step-neg", "eps1.5", "N0", "n-list", "missing-config",
+        "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
+        "config-seed-str", "config-grid-step-str", "config-runs-str",
+        "config-N-float"])
 def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key, value", [("runs", "3"), ("seed", "x"), ("grid_step", "0.1")])
+def test_cli_config_value_of_wrong_type_is_named(key, value, tmp_path, capsys):
+    """A config value of the wrong type is refused with its own name, not as
+    an unrecognized option."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main(["adversarial-distance", "--n", "4", "--eps", "0.2", "--config", str(cfg),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key.replace('_', ' ')} must be") and "unrecognized" not in err
 
 
 def test_spec_rejects_empty_interval_domain():
@@ -331,9 +375,16 @@ def test_spec_rejects_empty_interval_domain():
     {"kind": "scaling-sweep", "n_list": (4, 0), "eps_list": (0.5,)},
     {"kind": "scaling-sweep", "n_list": (4, 30), "eps_list": (0.5,)},
     {"kind": "scaling-sweep", "n_list": (4,), "eps_list": (0.5, 1.5)},
-    {"kind": "equivalence", "n": 4, "eps": 0.5, "mode": "exact"},
+    {"kind": "equivalence", "n": 4, "eps": 0.5, "runs": "3"},
+    {"kind": "equivalence", "n": 4, "eps": 0.5, "runs": 2.0},
+    {"kind": "equivalence", "n": 4, "eps": 0.5, "seed": "x"},
+    {"kind": "equivalence", "n": 4, "eps": 0.5, "seed": -1},
+    {"kind": "interval", "N": "8", "eps": 0.5},
+    {"kind": "interval", "N": 8.5, "eps": 0.5},
+    {"kind": "adversarial-distance", "n": 4, "eps": 0.2, "grid_step": "0.1"},
 ], ids=["n0", "n21", "n-float", "eps0", "eps1", "eps-nan", "eps-neg", "single-bit-eps",
-        "n-list-0", "n-list-30", "eps-list", "mode"])
+        "n-list-0", "n-list-30", "eps-list", "runs-str", "runs-float", "seed-str",
+        "seed-neg", "N-str", "N-float", "grid-step-str"])
 def test_spec_rejects_bad_values_up_front(fields):
     with pytest.raises(HarnessError):
         ExperimentSpec(tau="uniform", mu="uniform", **fields)
@@ -357,29 +408,50 @@ def test_oversized_n_refused_before_any_driver_or_allocation(monkeypatch, tmp_pa
     assert capsys.readouterr().err.startswith("error: n must be")
 
 
+@pytest.mark.parametrize("mode", ["sampled", "collapsed"])
 @pytest.mark.parametrize("argv", [
     ["test-equivalence", "--n", "4", "--eps", "0.3", "--tau", "uniform", "--mu", "uniform"],
     ["test-product", "--n", "8", "--eps", "0.5", "--mu", "uniform"],
     ["test-interval", "--N", "200", "--eps", "0.3", "--tau", "uniform", "--mu", "uniform"],
     ["sweep", "--n-list", "2,4", "--eps-list", "0.3"],
 ], ids=["equivalence", "product", "interval", "sweep"])
-def test_cli_refuses_sampled_mode_beyond_its_limit(argv, monkeypatch, tmp_path, capsys):
+def test_cli_refuses_the_retired_mode_flag(argv, mode, monkeypatch, tmp_path, capsys):
+    """The tester has one execution path, so there is no --mode to pass."""
     for kind in ("equivalence", "product", "interval", "scaling-sweep"):
         monkeypatch.setitem(harness._DRIVERS, kind, _never_run)
-    rc = main(argv + ["--mode", "sampled", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--mode", mode, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_mode_key_in_the_config(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(harness._DRIVERS, "equivalence", _never_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "auto"}))
+    rc = main(["test-equivalence", "--n", "4", "--eps", "0.3", "--tau", "uniform",
+               "--mu", "uniform", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: --mode sampled would run")
+    assert capsys.readouterr().err == "error: unrecognized option in config or flags: mode\n"
 
 
-@pytest.mark.parametrize("n, eps", [(1, 0.9), (1, 0.5), (2, 0.5), (3, 0.5)])
-def test_sampled_mode_allowed_at_the_tested_sizes(n, eps):
-    """The sizes at which the test suite runs the sampled mode stay allowed,
-    and the other modes are allowed at any size."""
-    assert accept_path_blackbox_runs(n, eps) <= SAMPLED_RUNS_LIMIT
-    ExperimentSpec(kind="equivalence", n=n, eps=eps, mode="sampled")
-    ExperimentSpec(kind="interval", N=1 << n, eps=eps, mode="sampled")
-    for mode in ("auto", "collapsed"):
-        ExperimentSpec(kind="equivalence", n=20, eps=0.01, mode=mode)
+def _readme_commands():
+    """Every ``condtest ...`` command in README's "Command line" block, with
+    backslash continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("condtest ")]
+
+
+def test_readme_commands_parse():
+    """The README's commands name only existing flags and pass the up-front
+    checks; none of them is run."""
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        spec_from_args(build_parser().parse_args(argv))
 
 
 def test_cli_tiny_conditional_does_not_overflow(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""Randomized testers: contracts, schedules, and mode equivalence."""
+"""Randomized testers: contracts, schedules, and agreement with the literal
+black box."""
 
+import functools
 import math
 
 import numpy as np
@@ -134,7 +136,7 @@ def test_levin_zero_mean_accepts(rng):
 
 
 # ----------------------------------------------------------------------
-# collapsed-mode probability calculus
+# survive probability calculus
 
 
 def test_trial_compare_probs_symmetric_case():
@@ -393,28 +395,35 @@ def _never_called(*args):
     raise AssertionError("the exact survive calculus was called")
 
 
+def _literal(run, monkeypatch):
+    """``run()`` with the walk replaced by the reference walk on the literal
+    black box ("sampled"), which must never call the exact survive calculus."""
+    with monkeypatch.context() as patch:
+        patch.setattr(testers, "_run_equivalence", functools.partial(reference_walk, literal=True))
+        patch.setattr(testers, "blackbox_survive_prob", _never_called)
+        return run()
+
+
 def test_sampled_and_collapsed_agree_on_budget_and_verdict(monkeypatch):
     tab = DistributionTable.bernoulli_product([0.6])
 
-    def run(mode):
+    def run():
         return equivalence_test(TableOracle(tab, seed=0), TableOracle(tab, seed=1),
-                                TestConfig(0.9, seed=2, mode=mode))
+                                TestConfig(0.9, seed=2))
 
-    collapsed = run("collapsed")
-    # The sampled mode decides survival by the literal black box alone.
-    with monkeypatch.context() as patch:
-        patch.setattr(testers, "blackbox_survive_prob", _never_called)
-        sampled = run("sampled")
+    collapsed = run()
+    sampled = _literal(run, monkeypatch)
     assert sampled.accepted == collapsed.accepted is True
     assert sampled.queries_used == collapsed.queries_used
     assert sampled.trace[:-1] == collapsed.trace[:-1]
 
 
-def test_modes_agree_with_the_exact_rejection_law():
+def test_modes_agree_with_the_exact_rejection_law(monkeypatch):
     """n = 1, tau = Ber(0.5), mu = Ber(p*) with p* chosen so that a level-1
     draw survives with probability 1/2: the index of the rejecting draw is
-    geometric, P(j) = 2^-(j+1).  Each mode's histogram over j = 0, 1, 2, >= 3
-    is judged against that law by a chi-square test at one-sided 99%."""
+    geometric, P(j) = 2^-(j+1).  The histograms over j = 0, 1, 2, >= 3 of the
+    literal black box and of the tester are each judged against that law by
+    a chi-square test at one-sided 99%."""
     eps, runs = 0.9, 100
     _, eps_prime, _, inner = levin_schedule(slice_divergence_threshold(1, eps))[0]
     n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
@@ -425,22 +434,27 @@ def test_modes_agree_with_the_exact_rejection_law():
                     (1 - survive) * survive ** 2, survive ** 3])
     tau = DistributionTable.bernoulli_product([0.5])
     mu = DistributionTable.bernoulli_product([p_star])
-    for mode in ("sampled", "collapsed"):
+
+    def histogram():
         counts = np.zeros(4, dtype=int)
         for run in range(runs):
             v = equivalence_test(TableOracle(tau, seed=3 * run),
                                  TableOracle(mu, seed=3 * run + 1),
-                                 TestConfig(eps, seed=3 * run + 2, mode=mode))
+                                 TestConfig(eps, seed=3 * run + 2))
             assert not v.accepted and v.trace[0]["t"] == 1
             counts[min(v.trace[0]["rejected_at"], 3)] += 1
+        return counts
+
+    for mode, counts in (("sampled", _literal(histogram, monkeypatch)),
+                         ("collapsed", histogram())):
         assert chisquare(counts, runs * law).pvalue >= 0.01, (mode, counts)
 
 
 _LOW_HALF = np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0])
 _RGB = TupleDomain((("r", "g", "b"), (0, 1)))
 
-# Pairs whose first y-draw (seed 0, both modes) lands on a prefix that mu
-# gives zero mass.
+# Pairs whose first y-draw (seed 0, tester and literal black box alike) lands
+# on a prefix that mu gives zero mass.
 ZERO_PROBABILITY_PAIRS = {
     "table": lambda cfg: equivalence_test(
         TableOracle(DistributionTable.uniform(2), seed=1),
@@ -454,9 +468,11 @@ ZERO_PROBABILITY_PAIRS = {
 
 
 @pytest.mark.parametrize("name", list(ZERO_PROBABILITY_PAIRS))
-def test_zero_probability_reject_metered_alike_in_both_modes(name):
-    sampled, collapsed = (ZERO_PROBABILITY_PAIRS[name](TestConfig(0.5, seed=0, mode=mode))
-                          for mode in ("sampled", "collapsed"))
+def test_zero_probability_reject_metered_alike_in_both_modes(name, monkeypatch):
+    def run():
+        return ZERO_PROBABILITY_PAIRS[name](TestConfig(0.5, seed=0))
+
+    sampled, collapsed = _literal(run, monkeypatch), run()
     assert not sampled.accepted and not collapsed.accepted
     assert collapsed.trace[0] == {"t": 1, "rejected_at": 0,
                                   "zero_probability_reject": True}
@@ -490,52 +506,52 @@ def _thin_pair(seed):
     return tau, mu / mu.sum()
 
 
-def _collapsed(eps, seed):
-    return TestConfig(eps, seed=seed, mode="collapsed")
+def _cfg(eps, seed):
+    return TestConfig(eps, seed=seed)
 
 
 REPLAY_CASES = {
     "uniform": lambda: equivalence_test(
         TableOracle(DistributionTable.uniform(3), seed=1),
-        TableOracle(DistributionTable.uniform(3), seed=2), _collapsed(0.5, 3)),
+        TableOracle(DistributionTable.uniform(3), seed=2), _cfg(0.5, 3)),
     "point-mass-reject": lambda: equivalence_test(
         TableOracle(DistributionTable.point_mass([0, 1, 1]), seed=4),
-        TableOracle(DistributionTable.point_mass([1, 0, 0]), seed=5), _collapsed(0.5, 6)),
+        TableOracle(DistributionTable.point_mass([1, 0, 0]), seed=5), _cfg(0.5, 6)),
     "product": lambda: product_test(
         TableOracle(DistributionTable(3, _near(
             DistributionTable.bernoulli_product([0.3, 0.6, 0.5]).probs,
             [0.5, 0, 0, 0, 0, 0, 0, 0.5])), seed=7),
-        _collapsed(0.5, 8)),
+        _cfg(0.5, 8)),
     "random-full-support": lambda: equivalence_test(
         TableOracle(DistributionTable(3, _probs(9, 8)), seed=10),
         TableOracle(DistributionTable(3, _near(_probs(9, 8), _probs(11, 8))), seed=12),
-        _collapsed(0.5, 13)),
+        _cfg(0.5, 13)),
     "padded-interval": lambda: interval_equivalence_test(
         IntervalOracle([0.1, 0.2, 0.3, 0.15, 0.15, 0.1], seed=14),
         IntervalOracle(_near([0.1, 0.2, 0.3, 0.15, 0.15, 0.1],
                              [0.5, 0, 0, 0, 0, 0.5]), seed=15),
-        _collapsed(0.5, 16)),
+        _cfg(0.5, 16)),
     "tuple": lambda: equivalence_test_general(
         TupleTableOracle(_RGB, _probs(17, 6), seed=18),
         TupleTableOracle(_RGB, _near(_probs(17, 6), _probs(21, 6)), seed=19),
-        _collapsed(0.5, 20)),
+        _cfg(0.5, 20)),
     # 63 (i, prefix) keys, all with distinct conditionals.
     "dirichlet-self-n6": lambda: equivalence_test(
         TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=23),
-        TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=24), _collapsed(0.5, 25)),
+        TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=24), _cfg(0.5, 25)),
     # Rejects at draw 200 of a 1038-draw level, inside its first 512-draw chunk.
     "near-n5-mid-chunk": lambda: equivalence_test(
         TableOracle(DistributionTable(5, _probs(27, 32)), seed=127),
         TableOracle(DistributionTable(5, _near(_probs(27, 32), _probs(77, 32), 0.005)),
                     seed=227),
-        _collapsed(0.5, 327)),
+        _cfg(0.5, 327)),
     "interval-N200": lambda: interval_equivalence_test(
         IntervalOracle(_probs(30, 200), seed=31),
-        IntervalOracle(_near(_probs(30, 200), _probs(32, 200)), seed=33), _collapsed(0.5, 34)),
+        IntervalOracle(_near(_probs(30, 200), _probs(32, 200)), seed=33), _cfg(0.5, 34)),
     # The dead prefix is first drawn at draw 1397 of level 2, in its third chunk.
     "dead-prefix-mid-chunk": lambda: equivalence_test(
         TableOracle(DistributionTable(3, _thin_pair(7009)[0]), seed=9),
-        TableOracle(DistributionTable(3, _thin_pair(7009)[1]), seed=59), _collapsed(0.5, 108)),
+        TableOracle(DistributionTable(3, _thin_pair(7009)[1]), seed=59), _cfg(0.5, 108)),
 }
 
 
@@ -600,18 +616,19 @@ def test_collapsed_replay_is_pinned(name):
     assert (v.accepted, v.queries_used, v.trace) == REPLAY_PINS[name]
 
 
-def test_sampled_mode_rejects_far_pair():
+def test_sampled_mode_rejects_far_pair(monkeypatch):
     tau = TableOracle(DistributionTable.bernoulli_product([0.05]), seed=4)
     mu = TableOracle(DistributionTable.bernoulli_product([0.95]), seed=5)
-    v = equivalence_test(tau, mu, TestConfig(0.5, seed=6, mode="sampled"))
+    v = _literal(lambda: equivalence_test(tau, mu, TestConfig(0.5, seed=6)), monkeypatch)
     assert not v.accepted
 
 
-def test_mode_auto_switches_to_collapsed():
+def test_trace_ends_with_the_pinned_record():
     tab = DistributionTable.uniform(8)
     v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2),
-                         TestConfig(0.3, seed=3, mode="auto"))
-    assert v.trace[-1]["mode"] == "collapsed"
+                         TestConfig(0.3, seed=3))
+    assert v.trace[-1] == {"mode": "collapsed",
+                           "eps_levin": slice_divergence_threshold(8, 0.3) / 8}
 
 
 def test_slice_divergence_threshold_value():
@@ -623,8 +640,6 @@ def test_slice_divergence_threshold_value():
 def test_config_validation():
     with pytest.raises(ValueError):
         TestConfig(0.0)
-    with pytest.raises(ValueError):
-        TestConfig(0.5, mode="exact")
 
 
 # ----------------------------------------------------------------------
@@ -778,12 +793,12 @@ def _walk_corpus():
             for mu in (p, _near(p, q), q):
                 corpus["table"].append(lambda s, n=n, p=p, mu=mu: equivalence_test(
                     TableOracle(DistributionTable(n, p), seed=s),
-                    TableOracle(DistributionTable(n, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+                    TableOracle(DistributionTable(n, mu), seed=s + 1), _cfg(0.5, s + 2)))
     for seed in range(14):
         tau, mu = _thin_pair(7000 + seed)
         corpus["table-dead"].append(lambda s, tau=tau, mu=mu: equivalence_test(
             TableOracle(DistributionTable(3, tau), seed=s),
-            TableOracle(DistributionTable(3, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+            TableOracle(DistributionTable(3, mu), seed=s + 1), _cfg(0.5, s + 2)))
     # n = 8 Dirichlet tables against a 0.1% mixture: many draws fall inside
     # their closed-form bracket, so the walk settles those pairs exactly.
     for seed in range(1300, 1304):
@@ -791,7 +806,7 @@ def _walk_corpus():
         mu = _near(tau, _dirichlet(seed + 50, 256), 0.001)
         corpus["table-band"].append(lambda s, tau=tau, mu=mu: equivalence_test(
             TableOracle(DistributionTable(8, tau), seed=s),
-            TableOracle(DistributionTable(8, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+            TableOracle(DistributionTable(8, mu), seed=s + 1), _cfg(0.5, s + 2)))
     for seed in range(10):
         n = 3 + seed % 3
         gen = np.random.default_rng(300 + seed)
@@ -800,22 +815,22 @@ def _walk_corpus():
         tau = _near(mu / mu.sum(), _probs(400 + seed, 1 << n), 0.01)
         corpus["table-dead"].append(lambda s, n=n, tau=tau, mu=mu / mu.sum(): equivalence_test(
             TableOracle(DistributionTable(n, tau), seed=s),
-            TableOracle(DistributionTable(n, mu), seed=s + 1), _collapsed(0.5, s + 2)))
+            TableOracle(DistributionTable(n, mu), seed=s + 1), _cfg(0.5, s + 2)))
     for n in range(2, 6):
         for d in (0.0, 0.02, 0.3):
             probs = _near(DistributionTable.bernoulli_product(
                 np.random.default_rng(500 + n).random(n)).probs, _probs(600 + n, 1 << n), d)
             corpus["product"].append(lambda s, n=n, probs=probs: product_test(
-                TableOracle(DistributionTable(n, probs), seed=s), _collapsed(0.5, s + 1)))
+                TableOracle(DistributionTable(n, probs), seed=s), _cfg(0.5, s + 1)))
     for N in (2, 3, 5, 7, 12, 33, 100, 200, 300):
         p, q = _probs(800 + N, N), _probs(900 + N, N)
         for tau, mu in ((p, p), (p, _near(p, q)), _interior_gap(np.random.default_rng(N), N)):
             corpus["interval"].append(lambda s, tau=tau, mu=mu: interval_equivalence_test(
                 IntervalOracle(tau, seed=s), IntervalOracle(mu, seed=s + 1),
-                _collapsed(0.5, s + 2)))
+                _cfg(0.5, s + 2)))
     _, gap = _interior_gap(np.random.default_rng(999), 40)
     corpus["interval"].append(lambda s: interval_equivalence_test(
-        IntervalOracle(gap, seed=s), IntervalOracle(gap, seed=s + 1), _collapsed(0.5, s + 2)))
+        IntervalOracle(gap, seed=s), IntervalOracle(gap, seed=s + 1), _cfg(0.5, s + 2)))
     domains = [TupleDomain((("r", "g", "b"), (0, 1))),
                TupleDomain((tuple("abcde"), (0, 1, 2))),
                TupleDomain(((0, 1, 2), (0, 1), tuple("xyz")))]
@@ -835,7 +850,7 @@ def _walk_corpus():
                         (p, _tuple_probs(gen, size, zeros=0.4)), (thin, dead)):
             corpus["tuple"].append(lambda s, dom=dom, tau=tau, mu=mu: equivalence_test_general(
                 TupleTableOracle(dom, tau, seed=s), TupleTableOracle(dom, mu, seed=s + 1),
-                _collapsed(0.5, s + 2)))
+                _cfg(0.5, s + 2)))
         marginals = [_tuple_probs(gen, m) for m in dom.sizes]
         product = marginals[0]
         for marginal in marginals[1:]:
@@ -843,7 +858,7 @@ def _walk_corpus():
         for probs in (_tuple_probs(gen, size), _tuple_probs(gen, size, 0.2), product,
                       _near(product, _tuple_probs(gen, size), 0.05)):
             corpus["general-product"].append(lambda s, dom=dom, probs=probs: product_test(
-                BinaryEncodedOracle(TupleTableOracle(dom, probs, seed=s)), _collapsed(0.5, s + 1)))
+                BinaryEncodedOracle(TupleTableOracle(dom, probs, seed=s)), _cfg(0.5, s + 1)))
     return corpus
 
 
@@ -884,7 +899,7 @@ def test_self_test_decided_by_brackets_alone(monkeypatch):
     monkeypatch.setattr(testers, "_SURVIVE_MEMO", {})
     monkeypatch.setattr(testers, "blackbox_survive_prob", _never_called)
     tab = DistributionTable(8, _dirichlet(1400, 256))
-    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), _collapsed(0.5, 3))
+    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), _cfg(0.5, 3))
     expect = expected_equivalence_queries(8, 0.5)
     assert v.accepted
     assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
