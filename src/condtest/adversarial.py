@@ -129,8 +129,13 @@ class AdversarialInstance:
     @classmethod
     def from_json(cls, text: str) -> "AdversarialInstance":
         payload = json.loads(text)
-        return cls(int(payload["n"]), float(payload["eps"]),
-                   tuple(int(b) for b in payload["biases"]))
+        try:
+            n, eps = int(payload["n"]), float(payload["eps"])
+            biases = tuple(int(b) for b in payload["biases"])
+        except (KeyError, TypeError, ValueError):
+            raise DomainError("paired-bias JSON needs an integer 'n', a number 'eps' "
+                              "and a list of +1/-1 'biases'") from None
+        return cls(n, eps, biases)
 
 
 def sample_paired_instance(n: int, eps: float, rng) -> AdversarialInstance:

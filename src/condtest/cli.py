@@ -19,8 +19,6 @@ from .harness import (ExperimentSpec, HarnessError, default_out_dir, read_json_o
                       run_experiment)
 from .oracles import OracleError
 
-_DEFAULTS = {"runs": 1, "seed": 0, "grid_step": 0.01}
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int)
@@ -73,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="query-count scaling sweep")
-    p.add_argument("--kind", choices=("equivalence",), default="equivalence")
     p.add_argument("--n-list", dest="n_list",
                    help="comma-separated dimensions, e.g. 4,8,16")
     p.add_argument("--eps-list", dest="eps_list",
@@ -99,12 +96,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         _, payload = read_json_object(args.config, "config")
         merged.update({k.replace("-", "_"): v for k, v in payload.items()})
     for key, value in vars(args).items():
-        if key in ("command", "config", "kind"):
+        if key in ("command", "config"):
             continue
         if value is not None:
             merged[key] = value
-    for key, value in _DEFAULTS.items():
-        merged.setdefault(key, value)
     return merged
 
 
@@ -118,8 +113,11 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                 merged[key] = tuple(cast(x) for x in value.split(","))
             except ValueError:
                 raise HarnessError(f"bad {key.replace('_', '-')} {value!r}") from None
-        elif value is not None:
+        elif isinstance(value, list):
             merged[key] = tuple(value)
+        elif value is not None:
+            raise HarnessError(f"{key.replace('_', '-')} must be a comma-separated string "
+                               f"or a list, got {value!r}")
     merged = {k: v for k, v in merged.items() if v is not None}
     # The subcommand sets the kind.
     unknown = sorted(merged.keys() - {f.name for f in fields(ExperimentSpec) if f.name != "kind"})

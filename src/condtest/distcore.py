@@ -175,12 +175,16 @@ class DistributionTable:
 
     @classmethod
     def from_conditional_tree(cls, tree: "ConditionalTree") -> "DistributionTable":
+        _check_dense_n(tree.n)
         masses = np.ones(1)
         for i in range(1, tree.n + 1):
             p1 = np.zeros(1 << (i - 1))
             for j in range(1 << (i - 1)):
                 if masses[j] > 0.0:
-                    p1[j] = tree.cond[(i, index_to_bits(j, i - 1))]
+                    key = (i, index_to_bits(j, i - 1))
+                    if key not in tree.cond:
+                        raise DomainError(f"tree has no entry for the positive-mass key {key}")
+                    p1[j] = tree.cond[key]
             nxt = np.empty(1 << i)
             nxt[0::2] = masses * (1.0 - p1)
             nxt[1::2] = masses * p1
@@ -272,7 +276,7 @@ class DistributionTable:
     def from_json(cls, text: str) -> "DistributionTable":
         data = json.loads(text)
         if "probs" in data:
-            return cls(int(data["n"]), data["probs"])
+            return cls(_json_n(data), data["probs"])
         if "tree" in data:
             return cls.from_conditional_tree(ConditionalTree.from_json(text))
         raise DomainError("distribution JSON must contain 'probs' or 'tree'")
@@ -316,12 +320,23 @@ class ConditionalTree:
     @classmethod
     def from_json(cls, text: str) -> "ConditionalTree":
         data = json.loads(text)
+        n = _json_n(data)
         cond = {}
-        for key, p in data["tree"].items():
-            i_str, _, w_str = key.partition(":")
-            i = int(i_str)
-            cond[(i, tuple(int(c) for c in w_str))] = float(p)
-        return cls(int(data["n"]), cond)
+        try:
+            for key, p in data["tree"].items():
+                i_str, _, w_str = key.partition(":")
+                cond[(int(i_str), tuple(int(c) for c in w_str))] = float(p)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise DomainError("'tree' must map 'i:prefix' keys to probabilities") from None
+        return cls(n, cond)
+
+
+def _json_n(data: dict) -> int:
+    """The integer "n" of a distribution JSON object."""
+    try:
+        return int(data["n"])
+    except (KeyError, TypeError, ValueError):
+        raise DomainError("distribution JSON needs an integer 'n'") from None
 
 
 def conditional_bit_prob(tree: ConditionalTree, i: int, w) -> float:

@@ -81,6 +81,9 @@ class ExperimentSpec:
             raise HarnessError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (self.N is None or isinstance(self.N, numbers.Integral) and self.N >= 1):
             raise HarnessError(f"N must be an integer >= 1, got {self.N!r}")
+        for name, source in (("tau", self.tau), ("mu", self.mu)):
+            if not (source is None or isinstance(source, str)):
+                raise HarnessError(f"{name} must be a file or shorthand, got {source!r}")
         if not isinstance(self.grid_step, numbers.Real):
             raise HarnessError(f"grid step must be a number, got {self.grid_step!r}")
         # Dense kinds hold 2^n cells: refuse n before anything is built.

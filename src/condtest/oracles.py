@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -436,6 +437,14 @@ class TupleTableOracle(MeteredOracle):
         u = self.rng.random() * total
         return int(sel[np.searchsorted(np.cumsum(weights), u, side="right")])
 
+    def draw_masked(self, cls: QueryClass, mask: np.ndarray) -> int:
+        """Flat index drawn from the cells in ``mask``, billed as one query of
+        class ``cls``; a mask that selects no cell is refused unbilled."""
+        if not mask.any():
+            raise _zero_prob("the query selects no cell")
+        self.charge(cls)
+        return self._conditional_draw(mask)
+
     def subcube_sample(self, sets) -> tuple:
         """sets: per-coordinate allowed collection or None."""
         if len(sets) != self.domain.n:
@@ -490,71 +499,31 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
     """Binary view of a tuple-domain distribution.
 
     Coordinate i is encoded with its canonical-order index as a
-    ceil(log2 |Omega_i|)-bit MSB-first block.  Every binary subcube, prefix,
-    or marginal-prefix query translates to exactly one query of the same
-    shape on the underlying tuple oracle.
+    ceil(log2 |Omega_i|)-bit MSB-first block; ``_encoded`` holds the code
+    of every cell.  Every binary subcube, prefix or marginal-prefix query is
+    served as a mask over those cell codes.  The domain is a full product, so
+    the mask is a product of per-coordinate symbol sets: exactly one query of
+    the same class on the underlying tuple oracle.
     """
 
     def __init__(self, base: TupleTableOracle):
         super().__init__(base)
         self.domain = base.domain
         self.n = self.domain.total_bits
-        self._widths = self.domain.bit_widths
-        self._starts = []
-        acc = 0
-        for wdt in self._widths:
-            self._starts.append(acc)
-            acc += wdt
-        # encoded bit-string index of every flat tuple index
-        self._encoded = sum(digits << (self.n - start - wdt) for digits, start, wdt
-                            in zip(base._coord_digits, self._starts, self._widths))
+        self._encoded = sum(digits << (self.n - end) for digits, end
+                            in zip(base._coord_digits, accumulate(self.domain.bit_widths)))
         self._cdf = np.cumsum(base.probs)
-
-    # -- encoding helpers ----------------------------------------------
 
     def encode(self, element) -> tuple[int, ...]:
         return index_to_bits(int(self._encoded[self.domain.index_of(element)]), self.n)
 
-    def _coord_of_bit(self, bit_pos: int) -> int:
-        """0-based coordinate owning 0-based bit position."""
-        for j in range(self.domain.n - 1, -1, -1):
-            if bit_pos >= self._starts[j]:
-                return j
-        raise _malformed(f"bad bit position {bit_pos}")
+    def _draw_code(self, cls: QueryClass, mask: np.ndarray) -> tuple[int, ...]:
+        return index_to_bits(int(self._encoded[self.base.draw_masked(cls, mask)]), self.n)
 
-    def _symbols_matching(self, coord: int, fixed_bits: dict[int, int]) -> tuple:
-        """Symbols of coordinate ``coord`` whose code agrees with the given
-        {within-block bit offset: value} constraints."""
-        alpha = self.domain.alphabets[coord]
-        wdt = self._widths[coord]
-        out = []
-        for code, symbol in enumerate(alpha):
-            bits = index_to_bits(code, wdt)
-            if all(bits[off] == v for off, v in fixed_bits.items()):
-                out.append(symbol)
-        return tuple(out)
-
-    def _translate_subcube(self, constraints) -> list:
-        per_coord: list[dict[int, int]] = [dict() for _ in range(self.domain.n)]
-        for pos, c in enumerate(constraints):
-            if c is None:
-                continue
-            if len(c) != 1:
-                # General binary subcube constraints are singletons anyway.
-                raise _malformed("binary constraints must be singletons or trivial")
-            (v,) = c
-            coord = self._coord_of_bit(pos)
-            per_coord[coord][pos - self._starts[coord]] = v
-        sets: list = []
-        for coord, fixed in enumerate(per_coord):
-            if not fixed:
-                sets.append(None)
-                continue
-            symbols = self._symbols_matching(coord, fixed)
-            if not symbols:
-                raise _zero_prob("constraint excludes every symbol")
-            sets.append(symbols)
-        return sets
+    def _prefix_mask(self, bits) -> np.ndarray:
+        if len(bits) > self.n:
+            raise _malformed(f"prefix of {len(bits)} bits for n={self.n}")
+        return self._encoded >> (self.n - len(bits)) == bits_to_index(bits)
 
     # -- query API ------------------------------------------------------
 
@@ -562,43 +531,32 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
         if query.n != self.n:
             raise OracleError(OracleErrorKind.DIMENSION_MISMATCH, "bad arity")
         self.counter.add(QueryClass.SUBCUBE)
-        sets = self._translate_subcube(query.constraints)
-        return self.encode(self.base.subcube_sample(sets))
-
-    def _translate_prefix(self, i: int, prefix_bits) -> tuple[int, tuple, tuple]:
-        """Binary prefix (bits 1..i-1 fixed) -> tuple prefix query parts
-        (break-off coordinate, fixed symbols, allowed set)."""
-        coord = self._coord_of_bit(i - 1) if i <= self.n else self.domain.n - 1
-        fixed_symbols = []
-        for j in range(coord):
-            code = bits_to_index(prefix_bits[self._starts[j]:self._starts[j] + self._widths[j]])
-            if code >= len(self.domain.alphabets[j]):
-                raise _zero_prob("prefix fixes a non-image code")
-            fixed_symbols.append(self.domain.alphabets[j][code])
-        within = {off: prefix_bits[self._starts[coord] + off]
-                  for off in range(i - 1 - self._starts[coord])}
-        allowed = self._symbols_matching(coord, within)
-        if not allowed:
-            raise _zero_prob("prefix fixes a non-image code")
-        return coord, tuple(fixed_symbols), allowed
+        mask = np.ones(self._encoded.shape[0], dtype=bool)
+        for pos, c in enumerate(query.constraints):
+            if c is None:
+                continue
+            if len(c) != 1:
+                # General binary subcube constraints are singletons anyway.
+                raise _malformed("binary constraints must be singletons or trivial")
+            (v,) = c
+            mask &= (self._encoded >> (self.n - 1 - pos)) & 1 == v
+        return self._draw_code(QueryClass.SUBCUBE, mask)
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
-        self.counter.add(QueryClass.PREFIX)
-        bits = list(query.fixed)
+        bits = tuple(query.fixed)
         if query.allowed != frozenset({0, 1}):
             (bit,) = query.allowed
-            bits.append(bit)
-        coord, fixed, allowed = self._translate_prefix(len(bits) + 1, tuple(bits))
-        return self.encode(self.base.prefix_sample(coord + 1, fixed, allowed))
+            bits += (bit,)
+        mask = self._prefix_mask(bits)
+        self.counter.add(QueryClass.PREFIX)
+        return self._draw_code(QueryClass.PREFIX, mask)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        self.counter.add(QueryClass.MARGINAL)
         w = tuple(w)
-        coord, fixed, allowed = self._translate_prefix(i, w)
-        symbol = self.base.marginal_prefix_sample(coord + 1, fixed, allowed)
-        code_bits = index_to_bits(self.domain.alphabets[coord].index(symbol),
-                                  self._widths[coord])
-        return code_bits[i - 1 - self._starts[coord]]
+        if not 1 <= i <= self.n or len(w) != i - 1:
+            raise _malformed(f"prefix of length {len(w)} at slice {i} for n={self.n}")
+        self.counter.add(QueryClass.MARGINAL)
+        return self._draw_code(QueryClass.MARGINAL, self._prefix_mask(w))[i - 1]
 
     # -- the walk's support ---------------------------------------------
 
@@ -640,43 +598,37 @@ class ProductMarginalOracle(BinaryPrefixOracle):
 class GeneralProductMarginalOracle(BinaryPrefixOracle):
     """Marginal-prefix oracle over the binary encoding of the product of a
     tuple distribution's coordinate marginals.  Each query costs one subcube
-    query to the base tuple oracle (the break-off bit may sit in the middle
-    of a coordinate's bit block, forcing a nontrivial allowed set there)."""
+    query to the base tuple oracle: the cells whose symbol in the coordinate
+    owning the break-off bit has a code starting with the prefix's bits in
+    that coordinate's block."""
 
     base_class = QueryClass.SUBCUBE
 
     def __init__(self, encoded: BinaryEncodedOracle):
         super().__init__(encoded.base)
-        self.encoded = encoded
         self.n = encoded.n
-
-    def _within_block_sets(self, i: int, w) -> tuple[int, list, tuple]:
-        coord = self.encoded._coord_of_bit(i - 1)
-        start = self.encoded._starts[coord]
-        within = {off: w[start + off] for off in range(i - 1 - start)}
-        allowed = self.encoded._symbols_matching(coord, within)
-        if not allowed:
-            raise _zero_prob("prefix fixes a non-image code")
-        sets: list = [None] * self.base.domain.n
-        sets[coord] = allowed
-        return coord, sets, allowed
+        widths = self.base.domain.bit_widths
+        self._blocks = list(zip(accumulate((0,) + widths), widths))
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         # Coordinates other than the one owning bit i are independent under
         # the product of marginals, so only the within-block prefix matters.
+        w = tuple(w)
+        if not 1 <= i <= self.n or len(w) != i - 1:
+            raise _malformed(f"prefix of length {len(w)} at slice {i} for n={self.n}")
         self.counter.add(QueryClass.MARGINAL)
-        coord, sets, _ = self._within_block_sets(i, tuple(w))
-        sample = self.base.subcube_sample(sets)
-        code = self.base.domain.alphabets[coord].index(sample[coord])
-        bits = index_to_bits(code, self.encoded._widths[coord])
-        return bits[i - 1 - self.encoded._starts[coord]]
+        coord = max(j for j, (start, _) in enumerate(self._blocks) if start < i)
+        start, wdt = self._blocks[coord]
+        digits = self.base._coord_digits[coord]
+        mask = digits >> (wdt - (i - 1 - start)) == bits_to_index(w[start:])
+        digit = int(digits[self.base.draw_masked(self.base_class, mask)])
+        return index_to_bits(digit, wdt)[i - 1 - start]
 
     def _build_node_bit_probs(self) -> np.ndarray:
         # Bit i depends only on the j bits of its own block before it: the
         # last j bits of the prefix.
         levels = []
-        for digits, start, wdt in zip(self.base._coord_digits, self.encoded._starts,
-                                      self.encoded._widths):
+        for digits, (start, wdt) in zip(self.base._coord_digits, self._blocks):
             cond = node_conditionals(_prefix_masses(self.base.probs, digits, wdt))
             for j in range(wdt):
                 within = np.arange(1 << (start + j)) & ((1 << j) - 1)

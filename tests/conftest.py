@@ -111,11 +111,20 @@ def _padded_mass(oracle, a, b):
     return oracle.base.interval_mass(a, min(b, oracle.base.N))
 
 
-def _encoded_ones(encoded, coord, allowed, off, domain):
-    """The symbols in ``allowed`` whose code has a 1 at block offset off."""
-    return tuple(s for s in allowed
-                 if index_to_bits(domain.alphabets[coord].index(s),
-                                  encoded._widths[coord])[off] == 1)
+def _symbol_codes(domain):
+    """(cells, coordinates) array of every cell's per-coordinate symbol
+    codes, in increasing cell order, built from the domain alone."""
+    return np.array([[alpha.index(x) for alpha, x in zip(domain.alphabets, domain.element_of(c))]
+                     for c in range(domain.size())])
+
+
+def _masked_bit_prob(probs, codes, width, k, prefix):
+    """Pr[bit k+1 = 1 | the k-bit prefix] of the width-bit cell codes, as
+    masked sums over the cells in increasing order."""
+    total = float(probs[codes >> (width - k) == prefix].sum())
+    if total <= 0.0:
+        raise _zero_prob()
+    return float(probs[codes >> (width - k - 1) == 2 * prefix + 1].sum()) / total
 
 
 def reference_bit_prob(oracle, i, prefix_idx):
@@ -137,30 +146,18 @@ def reference_bit_prob(oracle, i, prefix_idx):
         return _padded_mass(oracle, a + (b - a + 1) // 2, b) / total
     if isinstance(oracle, ProductMarginalOracle):
         return float(oracle.base.table.marginals()[i - 1])
-    if isinstance(oracle, BinaryEncodedOracle):
-        coord, fixed, allowed = oracle._translate_prefix(i, index_to_bits(prefix_idx, i - 1))
-        ones = _encoded_ones(oracle, coord, allowed, i - 1 - oracle._starts[coord],
-                             oracle.domain)
-        sets = [None] * oracle.domain.n
-        for pos, value in enumerate(fixed):
-            sets[pos] = (value,)
-        sets[coord] = allowed
-        total = oracle.base.exact_conditional_mass(sets)
-        if total <= 0.0:
-            raise _zero_prob()
-        sets[coord] = ones if ones else None
-        return (oracle.base.exact_conditional_mass(sets) if ones else 0.0) / total
-    if isinstance(oracle, GeneralProductMarginalOracle):
-        coord, sets, allowed = oracle._within_block_sets(i, index_to_bits(prefix_idx, i - 1))
-        total = oracle.base.exact_conditional_mass(sets)
-        if total <= 0.0:
-            raise _zero_prob()
-        ones = _encoded_ones(oracle.encoded, coord, allowed,
-                             i - 1 - oracle.encoded._starts[coord], oracle.base.domain)
-        if not ones:
-            return 0.0
-        sets[coord] = ones
-        return oracle.base.exact_conditional_mass(sets) / total
+    if isinstance(oracle, (BinaryEncodedOracle, GeneralProductMarginalOracle)):
+        domain = oracle.base.domain
+        codes = _symbol_codes(domain)
+        ends = np.cumsum(domain.bit_widths)
+        if isinstance(oracle, BinaryEncodedOracle):
+            encoded = (codes << (oracle.n - ends)).sum(axis=1)
+            return _masked_bit_prob(oracle.base.probs, encoded, oracle.n, i - 1, prefix_idx)
+        # the product of marginals: only coordinate j's own block matters
+        j = int(np.searchsorted(ends, i - 1, side="right"))
+        k = i - 1 - (ends[j] - domain.bit_widths[j])
+        return _masked_bit_prob(oracle.base.probs, codes[:, j], domain.bit_widths[j], k,
+                                prefix_idx & ((1 << k) - 1))
     raise TypeError(type(oracle).__name__)
 
 

@@ -302,6 +302,13 @@ BAD_INPUT_FILES = {
     "grid-step.json": json.dumps({"grid_step": "0.1"}),
     "runs.json": json.dumps({"runs": "3"}),
     "N.json": json.dumps({"N": 8.5}),
+    "tree-no-n.json": json.dumps({"tree": {"1:": 0.5}}),
+    "tree-number.json": json.dumps({"n": 1, "tree": 5}),
+    "tree-empty.json": json.dumps({"n": 1, "tree": {}}),
+    "pairs-no-n.json": json.dumps({"eps": 0.2, "biases": [1]}),
+    "biases-number.json": json.dumps({"n": 2, "eps": 0.2, "biases": 3}),
+    "n-list-number.json": json.dumps({"n_list": 5, "eps_list": [0.5]}),
+    "tau-number.json": json.dumps({"tau": 5}),
 }
 _EQ = ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform"]
 _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
@@ -328,10 +335,22 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     _EQ + ["--mu", "uniform", "--config", "@runs.json"],
     ["test-interval", "--eps", "0.5", "--tau", "uniform", "--mu", "uniform",
      "--config", "@N.json"],
+    _EQ + ["--mu", "@no-pmf.json"],
+    _EQ + ["--mu", "@tree-no-n.json"],
+    _EQ + ["--mu", "@tree-number.json"],
+    ["test-equivalence", "--n", "1", "--eps", "0.5", "--tau", "uniform",
+     "--mu", "@tree-empty.json"],
+    _EQ + ["--mu", "@pairs-no-n.json"],
+    _EQ + ["--mu", "@biases-number.json"],
+    ["sweep", "--config", "@n-list-number.json"],
+    ["test-equivalence", "--n", "1", "--eps", "0.5", "--mu", "uniform",
+     "--config", "@tau-number.json"],
 ], ids=["n1", "step0", "step-neg", "eps1.5", "N0", "n-list", "missing-config",
         "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
         "config-seed-str", "config-grid-step-str", "config-runs-str",
-        "config-N-float"])
+        "config-N-float", "json-probs-no-n", "json-tree-no-n", "json-tree-number",
+        "json-tree-missing-key", "json-pairs-no-n", "json-biases-number", "config-n-list-number",
+        "config-tau-number"])
 def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)
@@ -382,12 +401,14 @@ def test_spec_rejects_empty_interval_domain():
     {"kind": "interval", "N": "8", "eps": 0.5},
     {"kind": "interval", "N": 8.5, "eps": 0.5},
     {"kind": "adversarial-distance", "n": 4, "eps": 0.2, "grid_step": "0.1"},
+    {"kind": "equivalence", "n": 4, "eps": 0.5, "tau": 5},
+    {"kind": "equivalence", "n": 4, "eps": 0.5, "mu": ["uniform"]},
 ], ids=["n0", "n21", "n-float", "eps0", "eps1", "eps-nan", "eps-neg", "single-bit-eps",
         "n-list-0", "n-list-30", "eps-list", "runs-str", "runs-float", "seed-str",
-        "seed-neg", "N-str", "N-float", "grid-step-str"])
+        "seed-neg", "N-str", "N-float", "grid-step-str", "tau-int", "mu-list"])
 def test_spec_rejects_bad_values_up_front(fields):
     with pytest.raises(HarnessError):
-        ExperimentSpec(tau="uniform", mu="uniform", **fields)
+        ExperimentSpec(**{"tau": "uniform", "mu": "uniform", **fields})
 
 
 def _never_run(spec):
@@ -423,6 +444,16 @@ def test_cli_refuses_the_retired_mode_flag(argv, mode, monkeypatch, tmp_path, ca
         main(argv + ["--mode", mode, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+def test_sweep_has_no_kind_flag(monkeypatch, tmp_path, capsys):
+    """A sweep runs the equivalence tester; there is no --kind to choose."""
+    monkeypatch.setitem(harness._DRIVERS, "scaling-sweep", _never_run)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--kind", "equivalence", "--n-list", "2,4", "--eps-list", "0.3",
+              "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
 
 def test_cli_refuses_a_mode_key_in_the_config(monkeypatch, tmp_path, capsys):

@@ -375,8 +375,9 @@ def test_binary_encoding_translation(rgb_oracle):
     assert enc.encode(("g", 1)) == (0, 1, 1)
     assert enc.encode(("b", 0)) == (1, 0, 0)
     # fixing bit 1 = 0 leaves symbols {r, g} allowed in coordinate 1
-    coord, fixed, allowed = enc._translate_prefix(2, (0,))
-    assert coord == 0 and fixed == () and set(allowed) == {"r", "g"}
+    drawn = {"rgb"[bits_to_index(enc.prefix_sample(PrefixQuery.bits((0,)))[:2])]
+             for _ in range(50)}
+    assert drawn == {"r", "g"}
 
 
 def test_binary_encoding_one_query_per_query(rgb_oracle):
@@ -389,6 +390,84 @@ def test_binary_encoding_one_query_per_query(rgb_oracle):
     enc.subcube_sample(SubcubeQuery.from_pattern("0*1"))
     assert base_counter.counts[QueryClass.SUBCUBE] == 1
     assert enc.counter.total == 3
+
+
+# query -> (served through the product-of-marginals view, the call); each
+# is malformed on the 3 x 2 domain, whose encoding has n = 3 bits
+MALFORMED_ENCODED_QUERIES = {
+    "marginal-prefix-too-long": (False, lambda o: o.marginal_prefix_sample(2, (0, 1, 1))),
+    "marginal-prefix-too-short": (False, lambda o: o.marginal_prefix_sample(3, (0,))),
+    "prefix-beyond-n": (False, lambda o: o.prefix_sample(PrefixQuery.bits((0, 0, 1, 1)))),
+    "product-marginal-beyond-n": (True, lambda o: o.marginal_prefix_sample(4, (0, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ENCODED_QUERIES))
+def test_binary_encoding_refuses_malformed_queries(rgb_oracle, name):
+    """A malformed query is refused with MALFORMED_QUERY, as TableOracle
+    refuses it, and billed nowhere."""
+    product, call = MALFORMED_ENCODED_QUERIES[name]
+    oracle = BinaryEncodedOracle(rgb_oracle)
+    if product:
+        oracle = GeneralProductMarginalOracle(oracle)
+    with pytest.raises(OracleError) as raised:
+        call(oracle)
+    assert raised.value.kind is OracleErrorKind.MALFORMED_QUERY
+    assert oracle.counter.total == 0 and rgb_oracle.counter.total == 0
+
+
+def _encoded_query_stream(enc, view, count):
+    """Outputs of ``count`` seeded subcube, prefix and marginal-prefix
+    queries on ``enc`` and marginal-prefix queries on ``view``; None for a
+    ZERO_PROBABILITY_CONDITION refusal."""
+    g = np.random.default_rng(11)
+    out = []
+    for _ in range(count):
+        kind = int(g.integers(0, 4))
+        try:
+            if kind == 0:
+                pattern = "".join(g.choice(list("01*"), size=enc.n))
+                out.append(enc.subcube_sample(SubcubeQuery.from_pattern(pattern)))
+            elif kind == 1:
+                fixed = tuple(g.integers(0, 2, size=int(g.integers(0, enc.n))).tolist())
+                allowed = (0, 1) if g.random() < 0.5 else (int(g.integers(0, 2)),)
+                out.append(enc.prefix_sample(PrefixQuery.bits(fixed, allowed)))
+            else:
+                i = int(g.integers(1, enc.n + 1))
+                w = tuple(g.integers(0, 2, size=i - 1).tolist())
+                out.append((enc if kind == 2 else view).marginal_prefix_sample(i, w))
+        except OracleError as err:
+            assert err.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
+            out.append(None)
+    return out
+
+
+# the stream's outputs and the four counters (the encoded oracle, its tuple
+# base, the product view, its tuple base), recorded while the encoded
+# oracles still translated each query into symbol sets; any change of what a
+# query selects, of its billing or of an RNG stream changes them
+ENCODED_QUERY_PINS = (
+    [None, 1, (1, 0, 0, 0, 1), (1, 0, 0, 0, 0), 0, None, 0, None, 0, (0, 1, 1, 1, 0),
+     None, 0, 0, (0, 1, 1, 0, 1), (0, 1, 1, 0, 0), None, (0, 1, 1, 0, 1), None,
+     (0, 1, 1, 0, 0), None, (1, 0, 0, 1, 0), (1, 0, 0, 0, 1), (0, 0, 0, 0, 0),
+     (0, 1, 1, 0, 1), 0, 0, 1, 0, 1, (1, 0, 0, 0, 1), 0, 1, (0, 0, 1, 0, 0), 0,
+     (0, 1, 1, 0, 0), (0, 1, 1, 0, 0), (1, 0, 0, 0, 1), (1, 0, 0, 1, 0), 0,
+     (0, 1, 1, 1, 0), 1, None, None, 0, None, None, (0, 1, 1, 0, 0), None,
+     (1, 0, 0, 1, 0), (0, 1, 1, 0, 0), None, None, (0, 1, 1, 0, 1), 1, None, 0, 1,
+     None, 0, 0],
+    [{QueryClass.SUBCUBE: 17, QueryClass.MARGINAL: 16, QueryClass.PREFIX: 17},
+     {QueryClass.MARGINAL: 15, QueryClass.PREFIX: 12, QueryClass.SUBCUBE: 14},
+     {QueryClass.MARGINAL: 10},
+     {QueryClass.SUBCUBE: 9}],
+)
+
+
+def test_binary_encoding_literal_queries_pinned():
+    enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8)))
+    view = GeneralProductMarginalOracle(BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8))))
+    out = _encoded_query_stream(enc, view, 60)
+    counts = [o.counter.counts for o in (enc, enc.base, view, view.base)]
+    assert (out, counts) == ENCODED_QUERY_PINS
 
 
 def test_binary_encoding_exact_bit_probs(rgb_oracle):
