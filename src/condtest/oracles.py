@@ -133,6 +133,14 @@ class BinaryPrefixOracle(MeteredOracle):
             raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
         return p
 
+    def _marginal_prefix(self, i: int, w) -> tuple:
+        """w as a tuple; MALFORMED_QUERY, before anything is billed, unless w
+        is a prefix of slice i of {0,1}^n."""
+        w = tuple(w)
+        if not 1 <= i <= self.n or len(w) != i - 1:
+            raise _malformed(f"prefix of length {len(w)} at slice {i} for n={self.n}")
+        return w
+
 
 @dataclass(frozen=True)
 class SubcubeQuery:
@@ -199,6 +207,15 @@ class PrefixQuery:
         return cls(len(fixed_bits) + 1, fixed_bits, frozenset(allowed))
 
 
+def _search_sorted(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` in u's order, searched with u
+    sorted so that the search walks the cdf once, front to back."""
+    order = np.argsort(u)
+    found = np.empty(u.shape, dtype=np.intp)
+    found[order] = np.searchsorted(cdf, u[order], side="right")
+    return found
+
+
 # ----------------------------------------------------------------------
 # the prefix -> interval translation
 
@@ -244,8 +261,7 @@ class TableOracle(BinaryPrefixOracle):
         cdf, total, lo = hit
         if total <= 0.0:
             raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
-        u = self.rng.random(k) * total
-        return lo + np.searchsorted(cdf, u, side="right")
+        return lo + _search_sorted(cdf, self.rng.random(k) * total)
 
     def _build_node_bit_probs(self) -> np.ndarray:
         return self.table.conditional_nodes()
@@ -298,9 +314,7 @@ class TableOracle(BinaryPrefixOracle):
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         """Single bit distributed as the conditional marginal of x_i."""
-        w = tuple(w)
-        if len(w) != i - 1:
-            raise _malformed(f"prefix length {len(w)} for index {i}")
+        w = self._marginal_prefix(i, w)
         self.charge(QueryClass.MARGINAL)
         p = self.exact_bit_prob(i, bits_to_index(w))
         return int(self.rng.random() < p)
@@ -376,8 +390,7 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain sample indices, meter-free; callers charge per
         consumed draw."""
-        u = self.rng.random(k) * float(self.base.cdf[-1])
-        return np.searchsorted(self.base.cdf, u, side="right")
+        return _search_sorted(self.base.cdf, self.rng.random(k) * float(self.base.cdf[-1]))
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
         self.counter.add(QueryClass.PREFIX)
@@ -395,6 +408,7 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
                              self.n)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
+        w = self._marginal_prefix(i, w)
         self.charge(QueryClass.MARGINAL)
         return int(self.rng.binomial(1, self.exact_bit_prob(i, bits_to_index(w))))
 
@@ -424,8 +438,9 @@ class TupleTableOracle(MeteredOracle):
             if allowed is None:
                 continue
             alpha = self.domain.alphabets[pos]
-            codes = [alpha.index(x) for x in allowed]
-            mask &= np.isin(self._coord_digits[pos], codes)
+            if any(x not in alpha for x in allowed):
+                raise _malformed(f"{allowed!r} names a symbol outside coordinate {pos + 1}")
+            mask &= np.isin(self._coord_digits[pos], [alpha.index(x) for x in allowed])
         return mask
 
     def _conditional_draw(self, mask: np.ndarray) -> int:
@@ -445,29 +460,31 @@ class TupleTableOracle(MeteredOracle):
         self.charge(cls)
         return self._conditional_draw(mask)
 
+    def _draw_sets(self, cls: QueryClass, sets) -> tuple:
+        """Element drawn under the per-coordinate ``sets``, billed as one
+        query of class ``cls`` once the sets are known to be well formed."""
+        mask = self._mask_of_sets(sets)
+        self.charge(cls)
+        return self.domain.element_of(self._conditional_draw(mask))
+
     def subcube_sample(self, sets) -> tuple:
         """sets: per-coordinate allowed collection or None."""
         if len(sets) != self.domain.n:
             raise OracleError(OracleErrorKind.DIMENSION_MISMATCH, "bad arity")
-        self.charge(QueryClass.SUBCUBE)
-        return self.domain.element_of(self._conditional_draw(self._mask_of_sets(sets)))
+        return self._draw_sets(QueryClass.SUBCUBE, sets)
 
     def prefix_sample(self, i: int, fixed, allowed) -> tuple:
         """Prefix query: coordinates 1..i-1 fixed, coordinate i in ``allowed``."""
-        self.charge(QueryClass.PREFIX)
-        sets = self._prefix_sets(i, fixed, allowed)
-        return self.domain.element_of(self._conditional_draw(self._mask_of_sets(sets)))
+        return self._draw_sets(QueryClass.PREFIX, self._prefix_sets(i, fixed, allowed))
 
     def marginal_prefix_sample(self, i: int, fixed, allowed):
         """Coordinate i only, conditioned as in prefix_sample."""
-        self.charge(QueryClass.MARGINAL)
-        sets = self._prefix_sets(i, fixed, allowed)
-        full = self.domain.element_of(self._conditional_draw(self._mask_of_sets(sets)))
-        return full[i - 1]
+        return self._draw_sets(QueryClass.MARGINAL, self._prefix_sets(i, fixed, allowed))[i - 1]
 
     def _prefix_sets(self, i: int, fixed, allowed) -> list:
-        if len(fixed) != i - 1:
-            raise _malformed(f"fixed part has length {len(fixed)}, expected {i - 1}")
+        if not 1 <= i <= self.domain.n or len(fixed) != i - 1:
+            raise _malformed(f"fixed part of length {len(fixed)} at coordinate {i} "
+                             f"of {self.domain.n}")
         sets: list = [None] * self.domain.n
         for pos, value in enumerate(fixed):
             sets[pos] = (value,)
@@ -530,7 +547,6 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
     def subcube_sample(self, query: SubcubeQuery) -> tuple[int, ...]:
         if query.n != self.n:
             raise OracleError(OracleErrorKind.DIMENSION_MISMATCH, "bad arity")
-        self.counter.add(QueryClass.SUBCUBE)
         mask = np.ones(self._encoded.shape[0], dtype=bool)
         for pos, c in enumerate(query.constraints):
             if c is None:
@@ -540,6 +556,7 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
                 raise _malformed("binary constraints must be singletons or trivial")
             (v,) = c
             mask &= (self._encoded >> (self.n - 1 - pos)) & 1 == v
+        self.counter.add(QueryClass.SUBCUBE)
         return self._draw_code(QueryClass.SUBCUBE, mask)
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
@@ -552,9 +569,7 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
         return self._draw_code(QueryClass.PREFIX, mask)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        w = tuple(w)
-        if not 1 <= i <= self.n or len(w) != i - 1:
-            raise _malformed(f"prefix of length {len(w)} at slice {i} for n={self.n}")
+        w = self._marginal_prefix(i, w)
         self.counter.add(QueryClass.MARGINAL)
         return self._draw_code(QueryClass.MARGINAL, self._prefix_mask(w))[i - 1]
 
@@ -566,8 +581,7 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain samples as encoded bit-string indices, meter-free."""
-        u = self.rng.random(k) * float(self._cdf[-1])
-        return self._encoded[np.searchsorted(self._cdf, u, side="right")]
+        return self._encoded[_search_sorted(self._cdf, self.rng.random(k) * float(self._cdf[-1]))]
 
 
 # ----------------------------------------------------------------------
@@ -586,6 +600,7 @@ class ProductMarginalOracle(BinaryPrefixOracle):
         self.n = base.n
 
     def marginal_prefix_sample(self, i: int, w) -> int:
+        self._marginal_prefix(i, w)
         self.charge(QueryClass.MARGINAL)
         sample = self.base.sample_full_indices_uncounted(1)[0]
         return index_to_bits(int(sample), self.n)[i - 1]
@@ -613,9 +628,7 @@ class GeneralProductMarginalOracle(BinaryPrefixOracle):
     def marginal_prefix_sample(self, i: int, w) -> int:
         # Coordinates other than the one owning bit i are independent under
         # the product of marginals, so only the within-block prefix matters.
-        w = tuple(w)
-        if not 1 <= i <= self.n or len(w) != i - 1:
-            raise _malformed(f"prefix of length {len(w)} at slice {i} for n={self.n}")
+        w = self._marginal_prefix(i, w)
         self.counter.add(QueryClass.MARGINAL)
         coord = max(j for j, (start, _) in enumerate(self._blocks) if start < i)
         start, wdt = self._blocks[coord]

@@ -6,7 +6,7 @@ probabilities of both oracles as two arrays over the 2^n - 1 nodes
 (``node_bit_probs``: node (1 << (i-1)) + w for coordinate i and prefix w,
 at index node - 1, NaN where w has zero mass).  Each Levin level draws its
 coordinates i and uniforms u up front, pulls the tau samples behind its
-y-draws in chunks of 512, turns each chunk into node indices and stops at
+y-draws in chunks of 4096, turns each chunk into node indices and stops at
 the first draw that does not survive: a node whose mu entry is NaN (a
 zero-probability reject) or one whose u is at least the probability that a
 majority of ``inner`` black-box runs accept (binomial trial sums ->
@@ -434,7 +434,7 @@ def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
 # The bracket of pair id 0, which stands for every node that mu gives zero
 # mass: the walk stops at the node's first draw, since every u >= _DEAD.
 _DEAD = -1.0
-_CHUNK = 512
+_CHUNK = 4096
 
 
 class _CertifiedSurvival:
@@ -484,13 +484,15 @@ class _CertifiedSurvival:
         ids = self._of_node[nodes]
         if ids.min() >= 0:
             return ids
-        fresh = nodes[ids < 0]
+        fresh = np.unique(nodes[ids < 0])
         dead = np.isnan(self._p_mu[fresh])
         self._of_node[fresh[dead]] = 0
         live = fresh[~dead]
-        pairs = (self._p_mu[live] + 1j * self._p_tau[live]).tolist()
+        pairs, inverse = np.unique(self._p_mu[live] + 1j * self._p_tau[live],
+                                   return_inverse=True)
         # Live ids start at 1, so ``or`` adds only the pairs not yet known.
-        self._of_node[live] = [self._id_of.get(pair) or self._add(pair) for pair in pairs]
+        found = [self._id_of.get(pair) or self._add(pair) for pair in pairs.tolist()]
+        self._of_node[live] = np.array(found, dtype=np.int32)[inverse]
         if len(self._pairs) > self._lo.size:
             # Room for the new ids; doubling keeps the copies linear.
             more = np.full(max(len(self._pairs), 2 * self._lo.size) - self._lo.size, np.nan)
@@ -528,7 +530,11 @@ class _CertifiedSurvival:
 def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, certified
-    by a bracket where it can be."""
+    by a bracket where it can be.
+
+    Tau's samples are pulled ``_CHUNK`` at a time, so after a rejecting run
+    tau's RNG has advanced by up to one chunk beyond the draws consumed; only
+    a caller who reuses tau for another run can see it."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     certified = _CertifiedSurvival(p_mu, p_tau)
     trace = []

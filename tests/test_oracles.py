@@ -245,6 +245,60 @@ def test_binary_encoded_samples_and_encoding():
         (0, 0, 0, 0, 0), (0, 0, 1, 1, 0), (1, 0, 0, 1, 0)]
 
 
+class _FixedUniforms:
+    """Stands in for an oracle's RNG: ``random(k)`` returns the given
+    uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, k):
+        assert k == self.uniforms.shape[0]
+        return self.uniforms.copy()
+
+
+def _full_sample_case(kind):
+    """(oracle, cdf, mass the uniforms are scaled by, search result -> sample)
+    for the oracle's ``sample_full_indices_uncounted``."""
+    if kind == "table":
+        # dyadic masses, so the cdf values are exact; cells 1, 3, 4 and 7 are empty
+        probs = np.array([0.25, 0.0, 0.125, 0.0, 0.0, 0.125, 0.5, 0.0])
+        oracle = TableOracle(DistributionTable(3, probs), seed=0)
+        return oracle, np.cumsum(probs), float(probs.sum()), lambda idx: idx
+    if kind == "padded-interval":
+        pmf = np.random.default_rng(8).dirichlet(np.ones(200))
+        pmf[[10, 11, 12, 150]] = 0.0
+        base = IntervalOracle(pmf / pmf.sum(), seed=0)
+        return (IntervalBackedPrefixOracle(base, 8), base.cdf, float(base.cdf[-1]),
+                lambda idx: idx)
+    enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8)))
+    cdf = np.cumsum(enc.base.probs)
+    return enc, cdf, float(cdf[-1]), lambda idx: enc._encoded[idx]
+
+
+@pytest.mark.parametrize("kind", ["table", "padded-interval", "binary-encoded"])
+def test_full_samples_match_plain_searchsorted(kind):
+    """The sorted search returns, in draw order, exactly what a plain
+    ``searchsorted`` of the same uniforms returns, with uniforms repeated and
+    placed exactly on the cdf value that ends a cell followed by zero-mass
+    cells; no draw lands on a zero-mass cell."""
+    oracle, cdf, total, to_sample = _full_sample_case(kind)
+    uniforms = np.random.default_rng(3).random(4096)
+    uniforms[100:110] = uniforms[5]
+    ends = [j for j in np.flatnonzero(np.diff(cdf) == 0.0) if cdf[j] < total]
+    for slot, j in enumerate(ends):
+        # a uniform that the oracle's scaling maps exactly onto cdf[j]
+        x = cdf[j] / total
+        uniforms[2000 + slot] = next(c for c in (x, np.nextafter(x, 0.0), np.nextafter(x, 1.0))
+                                     if c * total == cdf[j])
+    assert ends and np.isin(uniforms * total, cdf).sum() == len(ends)
+    oracle.rng = _FixedUniforms(uniforms)
+    got = oracle.sample_full_indices_uncounted(uniforms.shape[0])
+    cells = np.searchsorted(cdf, uniforms * total, side="right")
+    assert got.tolist() == to_sample(cells).tolist()
+    assert (np.diff(cdf, prepend=0.0)[cells] > 0.0).all()
+
+
 # ----------------------------------------------------------------------
 # interval oracle and the prefix translation
 
@@ -601,3 +655,35 @@ def test_charge_routing(name):
 def test_non_finite_probabilities_rejected(make, probs):
     with pytest.raises(DomainError):
         make(probs)
+
+
+# query -> (oracle factory, the call); each is malformed, and each of these
+# oracles once billed it before refusing it, or served a wrong prefix
+MALFORMED_QUERIES = {
+    "tuple-prefix-beyond-n": (_rgb_uniform, lambda o: o.prefix_sample(3, ("r", 0), (0,))),
+    "tuple-marginal-beyond-n": (_rgb_uniform,
+                                lambda o: o.marginal_prefix_sample(3, ("r", 0), (0,))),
+    "tuple-subcube-unknown-symbol": (_rgb_uniform, lambda o: o.subcube_sample([("x",), None])),
+    "table-marginal-beyond-n": (lambda: TableOracle(DistributionTable.uniform(3), seed=0),
+                                lambda o: o.marginal_prefix_sample(4, (0, 0, 0))),
+    "interval-marginal-short-prefix": (_interval_backed,
+                                       lambda o: o.marginal_prefix_sample(2, ())),
+    "product-marginal-beyond-n": (_product_marginal,
+                                  lambda o: o.marginal_prefix_sample(3, (0, 0))),
+    "encoded-subcube-two-valued-constraint": (
+        lambda: BinaryEncodedOracle(_rgb_uniform()),
+        lambda o: o.subcube_sample(SubcubeQuery((frozenset({0, 1}), None, None)))),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_QUERIES))
+def test_malformed_queries_refused_before_billing(name):
+    make, call = MALFORMED_QUERIES[name]
+    oracle = make()
+    with pytest.raises(OracleError) as raised:
+        call(oracle)
+    assert raised.value.kind is OracleErrorKind.MALFORMED_QUERY
+    node = oracle
+    while node is not None:
+        assert node.counter.total == 0, type(node).__name__
+        node = node.base

@@ -539,7 +539,7 @@ REPLAY_CASES = {
     "dirichlet-self-n6": lambda: equivalence_test(
         TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=23),
         TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=24), _cfg(0.5, 25)),
-    # Rejects at draw 200 of a 1038-draw level, inside its first 512-draw chunk.
+    # Rejects at draw 200 of a 1038-draw level.
     "near-n5-mid-chunk": lambda: equivalence_test(
         TableOracle(DistributionTable(5, _probs(27, 32)), seed=127),
         TableOracle(DistributionTable(5, _near(_probs(27, 32), _probs(77, 32), 0.005)),
@@ -548,7 +548,7 @@ REPLAY_CASES = {
     "interval-N200": lambda: interval_equivalence_test(
         IntervalOracle(_probs(30, 200), seed=31),
         IntervalOracle(_near(_probs(30, 200), _probs(32, 200)), seed=33), _cfg(0.5, 34)),
-    # The dead prefix is first drawn at draw 1397 of level 2, in its third chunk.
+    # The dead prefix is first drawn at draw 1397 of level 2's 2065.
     "dead-prefix-mid-chunk": lambda: equivalence_test(
         TableOracle(DistributionTable(3, _thin_pair(7009)[0]), seed=9),
         TableOracle(DistributionTable(3, _thin_pair(7009)[1]), seed=59), _cfg(0.5, 108)),
@@ -874,6 +874,27 @@ def test_walk_matches_per_key_reference(kind, monkeypatch):
         ref = run(11 * k)
         assert (v.accepted, v.queries_used, v.trace) == (ref.accepted, ref.queries_used,
                                                          ref.trace), (kind, k)
+
+
+def test_walk_does_not_depend_on_chunk_size(monkeypatch):
+    """Every WALK_CORPUS run gives the same (accepted, queries_used, trace) in
+    chunks of 97 draws, which end inside levels and put some rejecting and
+    dead draws past the first chunk, as in the walk's own chunks."""
+    runs = [(kind, k, run) for kind, group in WALK_CORPUS.items()
+            for k, run in enumerate(group)]
+    default = [run(11 * k) for kind, k, run in runs]
+    monkeypatch.setattr(testers, "_CHUNK", 97)
+    endings = set()
+    for (kind, k, run), v in zip(runs, default):
+        odd = run(11 * k)
+        assert (odd.accepted, odd.queries_used, odd.trace) == (v.accepted, v.queries_used,
+                                                               v.trace), (kind, k)
+        last = [record for record in v.trace if "t" in record][-1]
+        if v.accepted:
+            endings.add("accept")
+        elif last["rejected_at"] >= 97:
+            endings.add("dead" if last.get("zero_probability_reject") else "reject")
+    assert endings == {"accept", "reject", "dead"}
 
 
 def test_band_pairs_reach_the_exact_calculus(monkeypatch):
