@@ -267,10 +267,12 @@ class GridProductDistance:
     marginals: tuple | None = None
 
 
-# L1 slack within which a grid point is re-scored in the reference product
-# order.  It only has to exceed the ~1e-15 rounding of a 2^n-term sum, so that
-# every point the reference search could pick is re-scored; a larger slack
-# re-scores more points and returns the same result.
+# L1 slack of every comparison against the least distance so far: a grid
+# point is re-scored in the reference product order, and a head row or lead
+# factor is searched, when its value or bound is within this slack.  It only
+# has to exceed the ~1e-15 rounding of a 2^n-term sum, so that every point the
+# reference search could pick is kept; a larger slack keeps more and returns
+# the same result.
 _TIE_TOL = 1e-9
 
 
@@ -290,16 +292,30 @@ def _grid_products(digits: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_chunks(n: int, grid: np.ndarray):
-    """Yield (first_row, h): the grid products over coordinates 1..n-1, rows
-    in mixed-radix grid order, at most g^2 rows at a time."""
+def _head_factors(n: int, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, tail): the grid products over the lead coordinates 1..n-3 (none
+    for n < 4) and over the tail coordinates n-2..n-1 (fewer for n < 3), rows in
+    mixed-radix grid order.  Head row r * len(tail) + j, a grid product over
+    coordinates 1..n-1, is lead[r] x tail[j]."""
     g = grid.shape[0]
     k = min(n - 1, 2)
     lead = _grid_products(_grid_digits(np.arange(g ** (n - 1 - k)), n - 1 - k, g), grid)
     tail = _grid_products(_grid_digits(np.arange(g ** k), k, g), grid)
-    for r, factor in enumerate(lead):
-        yield r * tail.shape[0], (factor[None, :, None]
-                                  * tail[:, None, :]).reshape(tail.shape[0], -1)
+    return lead, tail
+
+
+def _reference_l1(table: DistributionTable, flat: np.ndarray,
+                  grid: np.ndarray) -> np.ndarray:
+    """L1 distances from ``table`` to the grid products numbered ``flat``, in
+    the product order of the exhaustive search: coordinates multiplied in
+    turn within the halves 1..n//2 and n//2+1..n, one L1 reduction over their
+    outer product."""
+    h1 = table.n // 2
+    digits = _grid_digits(flat, table.n, grid.shape[0])
+    left = _grid_products(digits[:, :h1], grid)
+    right = _grid_products(digits[:, h1:], grid)
+    target = table.probs.reshape(1 << h1, -1)
+    return np.abs(target[None] - left[:, :, None] * right[:, None, :]).sum(axis=(1, 2))
 
 
 def _l1_at_last(h: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -348,18 +364,33 @@ def distance_to_grid_products(table: DistributionTable,
     variation, so (distance - n*step/2) lower-bounds the distance to all
     products.  Intended for n <= 4.
 
-    The search runs over the g^(n-1) grid products h of coordinates 1..n-1
-    only, at most g^2 of them at a time.  For fixed h the L1 distance
-    sum_c |t_c0 - h_c (1 - x)| + |t_c1 - h_c x| is convex and piecewise
-    linear in the last marginal x, with breakpoints 1 - t_c0/h_c and t_c1/h_c
-    of weight h_c each (total weight 2).  Its minimizer is the weighted median
-    of the breakpoints, so the row's grid minimum lies on one of the two grid
-    points bracketing it.  Every grid point within a rounding slack of the
-    overall minimum is then re-scored in the product order of the exhaustive
-    search (coordinates multiplied in turn within the halves 1..n//2 and
-    n//2+1..n, one L1 reduction over their outer product), and the first
-    minimum in grid order wins: ``distance`` and ``marginals`` equal those of
-    the exhaustive search over all g^n grid products, ties included.
+    The search runs over the g^(n-1) grid products h of coordinates 1..n-1,
+    lead factor by lead factor (``_head_factors``), and prunes them with a
+    lower bound.  Marginalizing cannot increase L1, so with s the table's
+    marginal over coordinates 1..n-1, L1(t, h x Ber(x)) >= |s - h|_1 for
+    every last marginal x; likewise the table's marginal over the lead
+    coordinates bounds every head row of a lead factor.  The bound starts at
+    the distance of one grid product, the one nearest the table's own
+    marginals, and falls to the least distance found so far.  A lead factor
+    or head row whose bound exceeds it by more than ``_TIE_TOL`` cannot hold
+    a minimum and is skipped.  That grid product only bounds the search: it
+    is never returned unless the search reaches it in grid order.
+
+    For a kept h the L1 distance sum_c |t_c0 - h_c (1 - x)| + |t_c1 - h_c x|
+    is convex and piecewise linear in x, with breakpoints 1 - t_c0/h_c and
+    t_c1/h_c of weight h_c each (total weight 2).  Its minimizer is the
+    weighted median of the breakpoints, so the row's grid minimum lies on one
+    of the two grid points bracketing it.  Every grid point within
+    ``_TIE_TOL`` of the least distance so far is then re-scored in the
+    product order of the exhaustive search (``_reference_l1``), and the first
+    minimum in grid order wins.
+
+    The bounds are exact mathematics; their floating-point values, like the
+    two orders of summation, differ from the exact sums by about 1e-15,
+    far below ``_TIE_TOL`` = 1e-9.  So no skipped row or unscored point can
+    hold a value within rounding of the minimum, and ``distance`` and
+    ``marginals`` equal those of the exhaustive search over all g^n grid
+    products, ties included.
     """
     n = table.n
     if n > 4:
@@ -370,26 +401,35 @@ def distance_to_grid_products(table: DistributionTable,
     grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
     g = grid.shape[0]
     t = table.probs.reshape(-1, 2)
-    h1 = n // 2
-    target = table.probs.reshape(1 << h1, -1)
+    lead, tail = _head_factors(n, grid)
+    lead_bound = np.abs(table.probs.reshape(lead.shape[1], -1).sum(axis=1)
+                        - lead).sum(axis=1)
+    head_marginal = t.sum(axis=1)
+    nearest = np.minimum(np.rint(table.marginals() / step).astype(np.intp), g - 1)
+    nearest_flat = np.array([nearest @ g ** np.arange(n - 1, -1, -1)])
+    incumbent = float(_reference_l1(table, nearest_flat, grid)[0])
     best, best_flat = np.inf, 0
-    for first, h in _head_chunks(n, grid):
+    for r, factor in enumerate(lead):
+        limit = min(best, incumbent) + _TIE_TOL
+        if lead_bound[r] > limit:
+            continue
+        h = (factor[None, :, None] * tail[:, None, :]).reshape(tail.shape[0], -1)
+        kept = np.flatnonzero(np.abs(head_marginal - h).sum(axis=1) <= limit)
+        if kept.shape[0] == 0:
+            continue
+        h = h[kept]
         below, above = _median_bracket(h, t, grid)
         row_min = np.minimum(_l1_at_last(h, t, below), _l1_at_last(h, t, above))
-        cutoff = min(best, row_min.min()) + _TIE_TOL
+        cutoff = min(limit, row_min.min() + _TIE_TOL)
         rows = np.flatnonzero(row_min <= cutoff)
         # g rows at a time: a table with many tied rows stays inside the
         # g^2 * 2^n working set.
         for s in range(0, rows.shape[0], g):
             chunk = rows[s:s + g]
             l1 = _l1_at_last(h[chunk][:, None, :], t, grid[None, :])
-            r, k = np.nonzero(l1 <= cutoff)
-            flat = (first + chunk[r]) * g + k
-            digits = _grid_digits(flat, n, g)
-            left = _grid_products(digits[:, :h1], grid)
-            right = _grid_products(digits[:, h1:], grid)
-            exact = np.abs(target[None] - left[:, :, None]
-                           * right[:, None, :]).sum(axis=(1, 2))
+            i, k = np.nonzero(l1 <= cutoff)
+            flat = (r * tail.shape[0] + kept[chunk[i]]) * g + k
+            exact = _reference_l1(table, flat, grid)
             m = int(np.argmin(exact))
             if exact[m] < best:
                 best, best_flat = float(exact[m]), int(flat[m])

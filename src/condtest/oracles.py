@@ -133,12 +133,14 @@ class BinaryPrefixOracle(MeteredOracle):
             raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
         return p
 
-    def _marginal_prefix(self, i: int, w) -> tuple:
+    def _checked_prefix(self, i: int, w, allowed=frozenset({0, 1})) -> tuple:
         """w as a tuple; MALFORMED_QUERY, before anything is billed, unless w
-        is a prefix of slice i of {0,1}^n."""
+        is a bit prefix of slice i of {0,1}^n and ``allowed`` a set of bits."""
         w = tuple(w)
         if not 1 <= i <= self.n or len(w) != i - 1:
             raise _malformed(f"prefix of length {len(w)} at slice {i} for n={self.n}")
+        if not set(w) | allowed <= {0, 1}:
+            raise _malformed(f"prefix {w} with allowed set {set(allowed)} is not binary")
         return w
 
 
@@ -300,11 +302,8 @@ class TableOracle(BinaryPrefixOracle):
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
         """Full sample conditioned on a prefix query; prefix-shaped only."""
-        if query.i > self.n:
-            raise OracleError(OracleErrorKind.DIMENSION_MISMATCH,
-                              f"break-off {query.i} beyond n={self.n}")
+        prefix_idx = bits_to_index(self._checked_prefix(query.i, query.fixed, query.allowed))
         self.charge(QueryClass.PREFIX)
-        prefix_idx = bits_to_index(query.fixed)
         if query.allowed == frozenset({0, 1}):
             idx = self._sample_prefix_block(query.i, prefix_idx, 1)[0]
         else:
@@ -314,7 +313,7 @@ class TableOracle(BinaryPrefixOracle):
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         """Single bit distributed as the conditional marginal of x_i."""
-        w = self._marginal_prefix(i, w)
+        w = self._checked_prefix(i, w)
         self.charge(QueryClass.MARGINAL)
         p = self.exact_bit_prob(i, bits_to_index(w))
         return int(self.rng.random() < p)
@@ -393,8 +392,8 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
         return _search_sorted(self.base.cdf, self.rng.random(k) * float(self.base.cdf[-1]))
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
+        prefix_idx = bits_to_index(self._checked_prefix(query.i, query.fixed, query.allowed))
         self.counter.add(QueryClass.PREFIX)
-        prefix_idx = bits_to_index(query.fixed)
         if query.allowed != frozenset({0, 1}):
             (bit,) = query.allowed
             prefix_idx = 2 * prefix_idx + bit
@@ -408,7 +407,7 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
                              self.n)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        w = self._marginal_prefix(i, w)
+        w = self._checked_prefix(i, w)
         self.charge(QueryClass.MARGINAL)
         return int(self.rng.binomial(1, self.exact_bit_prob(i, bits_to_index(w))))
 
@@ -538,8 +537,6 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
         return index_to_bits(int(self._encoded[self.base.draw_masked(cls, mask)]), self.n)
 
     def _prefix_mask(self, bits) -> np.ndarray:
-        if len(bits) > self.n:
-            raise _malformed(f"prefix of {len(bits)} bits for n={self.n}")
         return self._encoded >> (self.n - len(bits)) == bits_to_index(bits)
 
     # -- query API ------------------------------------------------------
@@ -560,7 +557,7 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
         return self._draw_code(QueryClass.SUBCUBE, mask)
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
-        bits = tuple(query.fixed)
+        bits = self._checked_prefix(query.i, query.fixed, query.allowed)
         if query.allowed != frozenset({0, 1}):
             (bit,) = query.allowed
             bits += (bit,)
@@ -569,7 +566,7 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
         return self._draw_code(QueryClass.PREFIX, mask)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        w = self._marginal_prefix(i, w)
+        w = self._checked_prefix(i, w)
         self.counter.add(QueryClass.MARGINAL)
         return self._draw_code(QueryClass.MARGINAL, self._prefix_mask(w))[i - 1]
 
@@ -600,7 +597,7 @@ class ProductMarginalOracle(BinaryPrefixOracle):
         self.n = base.n
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        self._marginal_prefix(i, w)
+        self._checked_prefix(i, w)
         self.charge(QueryClass.MARGINAL)
         sample = self.base.sample_full_indices_uncounted(1)[0]
         return index_to_bits(int(sample), self.n)[i - 1]
@@ -628,7 +625,7 @@ class GeneralProductMarginalOracle(BinaryPrefixOracle):
     def marginal_prefix_sample(self, i: int, w) -> int:
         # Coordinates other than the one owning bit i are independent under
         # the product of marginals, so only the within-block prefix matters.
-        w = self._marginal_prefix(i, w)
+        w = self._checked_prefix(i, w)
         self.counter.add(QueryClass.MARGINAL)
         coord = max(j for j, (start, _) in enumerate(self._blocks) if start < i)
         start, wdt = self._blocks[coord]

@@ -335,6 +335,26 @@ def test_grid_distance_matches_reference_on_paired_tables(biases):
     assert got.marginals == ref.marginals
 
 
+def test_grid_distance_tie_goes_to_first_grid_point():
+    """0.7 and 0.8 are equally near 0.75.  The search first scores the grid
+    product nearest the marginals, (0.8,), to bound itself; the answer is
+    still the first minimum in grid order."""
+    from conftest import brute_force_grid_distance
+    table = DistributionTable.bernoulli_product([0.75])
+    got = distance_to_grid_products(table, 0.1)
+    assert got == brute_force_grid_distance(table, 0.1)
+    assert got.marginals == (0.7,)
+
+
+@pytest.mark.parametrize("biases", [(1, -1), (-1, -1)])
+def test_grid_distance_matches_reference_at_benchmark_step(biases):
+    """The paired n = 4 tables at step 0.02, where the bounds skip most head
+    rows."""
+    from conftest import brute_force_grid_distance
+    table = AdversarialInstance(4, 0.2, biases).table()
+    assert distance_to_grid_products(table, 0.02) == brute_force_grid_distance(table, 0.02)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan, math.inf])
 def test_grid_step_validated(step):
     with pytest.raises(DomainError):

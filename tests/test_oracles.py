@@ -657,8 +657,13 @@ def test_non_finite_probabilities_rejected(make, probs):
         make(probs)
 
 
+def _table_uniform3():
+    return TableOracle(DistributionTable.uniform(3), seed=0)
+
+
 # query -> (oracle factory, the call); each is malformed, and each of these
-# oracles once billed it before refusing it, or served a wrong prefix
+# oracles once billed it before refusing it, served a wrong prefix, or
+# refused it as a dimension mismatch
 MALFORMED_QUERIES = {
     "tuple-prefix-beyond-n": (_rgb_uniform, lambda o: o.prefix_sample(3, ("r", 0), (0,))),
     "tuple-marginal-beyond-n": (_rgb_uniform,
@@ -673,6 +678,24 @@ MALFORMED_QUERIES = {
     "encoded-subcube-two-valued-constraint": (
         lambda: BinaryEncodedOracle(_rgb_uniform()),
         lambda o: o.subcube_sample(SubcubeQuery((frozenset({0, 1}), None, None)))),
+    "table-prefix-non-bit-allowed": (
+        _table_uniform3, lambda o: o.prefix_sample(PrefixQuery(2, (0,), frozenset({2})))),
+    "table-prefix-non-bit-in-allowed-pair": (
+        _table_uniform3, lambda o: o.prefix_sample(PrefixQuery(2, (0,), frozenset({0, 2})))),
+    "table-prefix-non-bit-fixed": (
+        _table_uniform3, lambda o: o.prefix_sample(PrefixQuery(2, (2,), frozenset({0, 1})))),
+    "table-prefix-beyond-n": (_table_uniform3,
+                              lambda o: o.prefix_sample(PrefixQuery.bits((0, 0, 0)))),
+    "interval-prefix-beyond-n": (
+        lambda: IntervalBackedPrefixOracle(IntervalOracle(np.full(8, 0.125), seed=0), 3),
+        lambda o: o.prefix_sample(PrefixQuery.bits((0, 0, 0)))),
+    "interval-prefix-non-bit-allowed": (
+        _interval_backed, lambda o: o.prefix_sample(PrefixQuery(1, (), frozenset({3})))),
+    "encoded-prefix-non-bit-allowed": (
+        lambda: BinaryEncodedOracle(_rgb_uniform()),
+        lambda o: o.prefix_sample(PrefixQuery(2, (0,), frozenset({2})))),
+    "encoded-marginal-non-bit-prefix": (lambda: BinaryEncodedOracle(_rgb_uniform()),
+                                        lambda o: o.marginal_prefix_sample(2, (2,))),
 }
 
 
