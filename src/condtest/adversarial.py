@@ -358,7 +358,8 @@ def _median_bracket(h: np.ndarray, t: np.ndarray, grid: np.ndarray):
 def distance_to_grid_products(table: DistributionTable,
                               step: float = 0.01) -> GridProductDistance:
     """Exact minimum total-variation distance from ``table`` to products whose
-    marginals lie on the grid {0, step, 2*step, ..., 1}.
+    marginals lie on the grid {0, step, 2*step, ..., 1}; ``step`` must be 1/k
+    for a whole k (DomainError otherwise), so that the grid ends at 1.
 
     Any product distribution is within n*step/2 of a grid product in total
     variation, so (distance - n*step/2) lower-bounds the distance to all
@@ -398,6 +399,9 @@ def distance_to_grid_products(table: DistributionTable,
                           "use pair decomposition for larger instances")
     if not (math.isfinite(step) and 0.0 < step <= 1.0):
         raise DomainError(f"grid step must be finite and lie in (0, 1], got {step}")
+    if abs(round(1.0 / step) * step - 1.0) > 1e-9:
+        raise DomainError(f"grid step must be 1/k for a whole k, so that the grid "
+                          f"ends at 1; got {step}")
     grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
     g = grid.shape[0]
     t = table.probs.reshape(-1, 2)

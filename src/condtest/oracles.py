@@ -1,8 +1,24 @@
 """Query-model layer: metered conditional-sampling oracles over exact tables.
 
 Each oracle wraps one distribution behind one access model (subcube, prefix,
-marginal prefix, interval, ...), owns a seeded RNG stream, and counts every
-query by class.
+marginal prefix, interval, ...), owns a seeded RNG stream (a wrapper shares
+its base's), and counts every query by class.
+
+Every literal query is served by one rule (``MeteredOracle``):
+
+1. validate: a malformed query raises MALFORMED_QUERY before anything is
+   billed;
+2. bill: ``charge(cls)`` bills one query here and one down the base chain;
+3. draw: the answer is drawn from the base's distribution without billing
+   again.
+
+Most draws are one masked-cell draw, ``MeteredOracle._draw_cell``.  A
+condition with zero mass is billed and then refused with
+ZERO_PROBABILITY_CONDITION.  Two such refusals bill in their own way: a mask
+that selects no cell at all (a code the binary encoding never uses) bills the
+wrapper only, since no query reaches the base; a prefix of the interval view
+that lies wholly in the zero-mass padding bills the view and its interval
+base, like any prefix query.
 
 The binary oracles the equivalence walk serves (``BinaryPrefixOracle``)
 expose the exact conditional probabilities they sample from as one float64
@@ -17,7 +33,7 @@ sums over tuple cells), so its entries are exactly those values.
 ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
 samples without a meter charge (``sample_full_indices_uncounted``).
 
-Metering has one rule, ``charge(cls, m)``: it bills m queries of class
+Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
 built on (``base``) as that wrapper's ``base_class``.  The testers meter
 only through it, once per Levin level: the y-draws a level consumed, the
@@ -87,13 +103,15 @@ class QueryCounter:
 
 
 class MeteredOracle:
-    """Counter, RNG and the charging rule shared by every oracle.
+    """Counter, RNG and the serving rule shared by every oracle.
 
     A root oracle owns a seeded RNG stream; a wrapper shares its base's.
     Every query a wrapper answers costs one query of ``base_class`` (None:
-    the same class) on its base.  A wrapper's serving method that delegates
-    to a base serving method bills only its own counter; the base's method
-    bills the base.
+    the same class) on its base.  Each serving method validates the query
+    (MALFORMED_QUERY, nothing billed), then bills it through ``charge``,
+    here and down the base chain, then draws from the base's distribution
+    without billing again: through ``_draw_cell``, which bills as it draws,
+    or by an unbilled draw after ``charge``.
     """
 
     base_class: QueryClass | None = None
@@ -109,11 +127,30 @@ class MeteredOracle:
         if self.base is not None:
             self.base.charge(self.base_class or cls, m)
 
+    def _draw_cell(self, cls: QueryClass, probs: np.ndarray, mask: np.ndarray) -> int:
+        """Index of a cell drawn from ``probs`` restricted to ``mask``, billed
+        as one query of class ``cls`` through ``charge``.  A mask that selects
+        no cell bills this oracle only, as no query reaches the base; it and a
+        selection of zero mass raise ZERO_PROBABILITY_CONDITION."""
+        sel = np.nonzero(mask)[0]
+        if sel.shape[0] == 0:
+            self.counter.add(cls)
+            raise _zero_prob("the query selects no cell")
+        self.charge(cls)
+        weights = probs[sel]
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise _zero_prob("condition has zero probability")
+        u = self.rng.random() * total
+        return int(sel[np.searchsorted(np.cumsum(weights), u, side="right")])
+
 
 class BinaryPrefixOracle(MeteredOracle):
     """An oracle over {0,1}^n that serves the equivalence walk; subclasses
     build ``node_bit_probs()`` (see the module docstring) in
-    ``_build_node_bit_probs``, once per oracle, on first use."""
+    ``_build_node_bit_probs``, once per oracle, on first use.  A marginal
+    prefix query draws its bit from ``exact_bit_prob`` unless the subclass
+    serves it through its base."""
 
     n: int
     _node_bit_probs: np.ndarray | None = None
@@ -142,6 +179,19 @@ class BinaryPrefixOracle(MeteredOracle):
         if not set(w) | allowed <= {0, 1}:
             raise _malformed(f"prefix {w} with allowed set {set(allowed)} is not binary")
         return w
+
+    def _folded_prefix(self, query: PrefixQuery) -> tuple:
+        """The prefix query's condition as one checked bit prefix: the fixed
+        bits, then the break-off bit when only one value is allowed."""
+        bits = self._checked_prefix(query.i, query.fixed, query.allowed)
+        return bits if len(query.allowed) == 2 else bits + tuple(query.allowed)
+
+    def marginal_prefix_sample(self, i: int, w) -> int:
+        """Single bit distributed as the conditional marginal of x_i."""
+        w = self._checked_prefix(i, w)
+        self.charge(QueryClass.MARGINAL)
+        p = self.exact_bit_prob(i, bits_to_index(w))
+        return int(self.rng.random() < p)
 
 
 @dataclass(frozen=True)
@@ -234,94 +284,79 @@ def prefix_to_interval(ell: int, i: int, w) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# binary table oracle
+# binary oracles over explicit cells
 
 
-class TableOracle(BinaryPrefixOracle):
-    """Metered sampling access to a dense binary DistributionTable.
+class CellCodeOracle(BinaryPrefixOracle):
+    """A binary oracle over explicit cells: cell c has mass
+    ``_cell_probs()[c]`` and the n-bit code ``_cell_codes()[c]``.  A subcube
+    or prefix query is the mask of the cells whose codes satisfy it, served
+    by ``_draw_cell``."""
+
+    def _draw_point(self, cls: QueryClass, mask: np.ndarray) -> tuple[int, ...]:
+        cell = self._draw_cell(cls, self._cell_probs(), mask)
+        return index_to_bits(int(self._cell_codes()[cell]), self.n)
+
+    def _subcube_mask(self, query: SubcubeQuery) -> np.ndarray:
+        if query.n != self.n:
+            raise OracleError(OracleErrorKind.DIMENSION_MISMATCH,
+                              f"query over {query.n} coordinates, domain has {self.n}")
+        codes = self._cell_codes()
+        mask = np.ones(codes.shape[0], dtype=bool)
+        for pos, c in enumerate(query.constraints):
+            if c is None:
+                continue
+            if len(c) != 1 or not set(c) <= {0, 1}:
+                raise _malformed(f"constraint {set(c)} is not one bit; a free coordinate is None")
+            (v,) = c
+            mask &= (codes >> (self.n - 1 - pos)) & 1 == v
+        return mask
+
+    def _prefix_mask(self, bits) -> np.ndarray:
+        return self._cell_codes() >> (self.n - len(bits)) == bits_to_index(bits)
+
+    def subcube_sample(self, query: SubcubeQuery) -> tuple[int, ...]:
+        return self._draw_point(QueryClass.SUBCUBE, self._subcube_mask(query))
+
+    def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
+        """Full sample conditioned on a prefix query."""
+        return self._draw_point(QueryClass.PREFIX, self._prefix_mask(self._folded_prefix(query)))
+
+
+class TableOracle(CellCodeOracle):
+    """Metered sampling access to a dense binary DistributionTable, whose
+    cell x has the code x.
 
     Supports the unconditional, subcube, prefix, and marginal prefix models.
-    Conditional cdfs are cached per distinct conditioning; caches are
-    behavior-invisible.
     """
 
     def __init__(self, table: DistributionTable, seed=None):
         super().__init__(seed=seed)
         self.table = table
         self.n = table.n
-        self._cdf_cache: dict = {}
+        self._full_cdf: tuple[np.ndarray, float] | None = None
 
-    # -- internals ------------------------------------------------------
+    def _cell_probs(self) -> np.ndarray:
+        return self.table.probs
 
-    def _sample_prefix_block(self, i: int, prefix_idx: int, k: int) -> np.ndarray:
-        """k indices drawn from the cells below the prefix (cached cdf)."""
-        hit = self._cdf_cache.get((i, prefix_idx))
-        if hit is None:
-            lo = prefix_idx << (self.n - i + 1)
-            block = self.table.probs[lo:(prefix_idx + 1) << (self.n - i + 1)]
-            hit = self._cdf_cache[(i, prefix_idx)] = (np.cumsum(block), float(block.sum()), lo)
-        cdf, total, lo = hit
-        if total <= 0.0:
-            raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
-        return lo + _search_sorted(cdf, self.rng.random(k) * total)
+    def _cell_codes(self) -> np.ndarray:
+        return np.arange(1 << self.n)
 
     def _build_node_bit_probs(self) -> np.ndarray:
         return self.table.conditional_nodes()
 
-    # -- single-sample API ----------------------------------------------
-
     def draw_unconditional(self) -> tuple[int, ...]:
         self.charge(QueryClass.UNCONDITIONAL)
-        idx = self._sample_prefix_block(1, 0, 1)[0]
-        return index_to_bits(int(idx), self.n)
-
-    def subcube_sample(self, query: SubcubeQuery) -> tuple[int, ...]:
-        if query.n != self.n:
-            raise OracleError(OracleErrorKind.DIMENSION_MISMATCH,
-                              f"query over {query.n} coordinates, domain has {self.n}")
-        self.charge(QueryClass.SUBCUBE)
-        key = ("subcube", query.constraints)
-        hit = self._cdf_cache.get(key)
-        if hit is None:
-            idx = np.arange(1 << self.n)
-            mask = np.ones(idx.shape[0], dtype=bool)
-            for pos, c in enumerate(query.constraints):
-                if c is not None:
-                    bit = (idx >> (self.n - 1 - pos)) & 1
-                    mask &= np.isin(bit, list(c))
-            sel = np.nonzero(mask)[0]
-            weights = self.table.probs[sel]
-            total = float(weights.sum())
-            hit = (sel, np.cumsum(weights), total)
-            self._cdf_cache[key] = hit
-        sel, cdf, total = hit
-        if total <= 0.0:
-            raise _zero_prob("subcube has zero probability")
-        u = self.rng.random() * total
-        return index_to_bits(int(sel[np.searchsorted(cdf, u, side="right")]), self.n)
-
-    def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
-        """Full sample conditioned on a prefix query; prefix-shaped only."""
-        prefix_idx = bits_to_index(self._checked_prefix(query.i, query.fixed, query.allowed))
-        self.charge(QueryClass.PREFIX)
-        if query.allowed == frozenset({0, 1}):
-            idx = self._sample_prefix_block(query.i, prefix_idx, 1)[0]
-        else:
-            (bit,) = query.allowed
-            idx = self._sample_prefix_block(query.i + 1, 2 * prefix_idx + bit, 1)[0]
-        return index_to_bits(int(idx), self.n)
-
-    def marginal_prefix_sample(self, i: int, w) -> int:
-        """Single bit distributed as the conditional marginal of x_i."""
-        w = self._checked_prefix(i, w)
-        self.charge(QueryClass.MARGINAL)
-        p = self.exact_bit_prob(i, bits_to_index(w))
-        return int(self.rng.random() < p)
+        return index_to_bits(int(self.sample_full_indices_uncounted(1)[0]), self.n)
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain sample indices with no meter charge; callers are
-        responsible for charging per consumed draw."""
-        return self._sample_prefix_block(1, 0, k)
+        responsible for charging per consumed draw.  The cdf is built on
+        first use."""
+        if self._full_cdf is None:
+            self._full_cdf = np.cumsum(self.table.probs), float(self.table.probs.sum())
+        cdf, total = self._full_cdf
+        return _search_sorted(cdf, self.rng.random(k) * total)
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +383,12 @@ class IntervalOracle(MeteredOracle):
 
     def interval_sample(self, a: int, b: int) -> int:
         """Element of [a, b] distributed as the conditional; 1-based."""
+        self.interval_mass(a, b)  # MALFORMED_QUERY before anything is billed
         self.charge(QueryClass.INTERVAL)
+        return self._draw_interval(a, b)
+
+    def _draw_interval(self, a: int, b: int) -> int:
+        """The draw of ``interval_sample``, unbilled."""
         total = self.interval_mass(a, b)
         if total <= 0.0:
             raise _zero_prob(f"interval [{a}, {b}] has zero probability")
@@ -363,6 +403,8 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
 
     The base oracle's domain [N] may be shorter than [2^ell], with
     2^(ell-1) < N <= 2^ell; the padding elements N+1..2^ell carry zero mass.
+    A prefix query whose interval lies wholly in the padding is billed here
+    and on the base, like any other, then refused as zero-probability.
     """
 
     base_class = QueryClass.INTERVAL
@@ -373,9 +415,6 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
                               f"2^{ell - 1} < N <= 2^{ell}")
         super().__init__(base)
         self.n = ell
-
-    def _interval_of_prefix_idx(self, i: int, prefix_idx: int) -> tuple[int, int]:
-        return prefix_to_interval(self.n, i, index_to_bits(prefix_idx, i - 1))
 
     def _build_node_bit_probs(self) -> np.ndarray:
         # cdf[k] is the mass of 1..k in the padded domain [2^ell], so the
@@ -392,24 +431,12 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
         return _search_sorted(self.base.cdf, self.rng.random(k) * float(self.base.cdf[-1]))
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
-        prefix_idx = bits_to_index(self._checked_prefix(query.i, query.fixed, query.allowed))
-        self.counter.add(QueryClass.PREFIX)
-        if query.allowed != frozenset({0, 1}):
-            (bit,) = query.allowed
-            prefix_idx = 2 * prefix_idx + bit
-            a, b = self._interval_of_prefix_idx(query.i + 1, prefix_idx)
-        else:
-            a, b = self._interval_of_prefix_idx(query.i, prefix_idx)
+        bits = self._folded_prefix(query)
+        a, b = prefix_to_interval(self.n, len(bits) + 1, bits)
+        self.charge(QueryClass.PREFIX)
         if a > self.base.N:
-            self.base.charge(QueryClass.INTERVAL)
             raise _zero_prob(f"interval [{a}, {b}] lies in the zero-mass padding")
-        return index_to_bits(self.base.interval_sample(a, min(b, self.base.N)) - 1,
-                             self.n)
-
-    def marginal_prefix_sample(self, i: int, w) -> int:
-        w = self._checked_prefix(i, w)
-        self.charge(QueryClass.MARGINAL)
-        return int(self.rng.binomial(1, self.exact_bit_prob(i, bits_to_index(w))))
+        return index_to_bits(self.base._draw_interval(a, min(b, self.base.N)) - 1, self.n)
 
 
 # ----------------------------------------------------------------------
@@ -437,34 +464,16 @@ class TupleTableOracle(MeteredOracle):
             if allowed is None:
                 continue
             alpha = self.domain.alphabets[pos]
-            if any(x not in alpha for x in allowed):
-                raise _malformed(f"{allowed!r} names a symbol outside coordinate {pos + 1}")
+            if len(allowed) == 0 or any(x not in alpha for x in allowed):
+                raise _malformed(f"{allowed!r} is empty or names a symbol outside "
+                                 f"coordinate {pos + 1}")
             mask &= np.isin(self._coord_digits[pos], [alpha.index(x) for x in allowed])
         return mask
-
-    def _conditional_draw(self, mask: np.ndarray) -> int:
-        sel = np.nonzero(mask)[0]
-        weights = self.probs[sel]
-        total = float(weights.sum())
-        if total <= 0.0:
-            raise _zero_prob("condition has zero probability")
-        u = self.rng.random() * total
-        return int(sel[np.searchsorted(np.cumsum(weights), u, side="right")])
-
-    def draw_masked(self, cls: QueryClass, mask: np.ndarray) -> int:
-        """Flat index drawn from the cells in ``mask``, billed as one query of
-        class ``cls``; a mask that selects no cell is refused unbilled."""
-        if not mask.any():
-            raise _zero_prob("the query selects no cell")
-        self.charge(cls)
-        return self._conditional_draw(mask)
 
     def _draw_sets(self, cls: QueryClass, sets) -> tuple:
         """Element drawn under the per-coordinate ``sets``, billed as one
         query of class ``cls`` once the sets are known to be well formed."""
-        mask = self._mask_of_sets(sets)
-        self.charge(cls)
-        return self.domain.element_of(self._conditional_draw(mask))
+        return self.domain.element_of(self._draw_cell(cls, self.probs, self._mask_of_sets(sets)))
 
     def subcube_sample(self, sets) -> tuple:
         """sets: per-coordinate allowed collection or None."""
@@ -511,7 +520,7 @@ def _prefix_masses(probs: np.ndarray, codes: np.ndarray, width: int) -> list[np.
     return masses
 
 
-class BinaryEncodedOracle(BinaryPrefixOracle):
+class BinaryEncodedOracle(CellCodeOracle):
     """Binary view of a tuple-domain distribution.
 
     Coordinate i is encoded with its canonical-order index as a
@@ -533,42 +542,15 @@ class BinaryEncodedOracle(BinaryPrefixOracle):
     def encode(self, element) -> tuple[int, ...]:
         return index_to_bits(int(self._encoded[self.domain.index_of(element)]), self.n)
 
-    def _draw_code(self, cls: QueryClass, mask: np.ndarray) -> tuple[int, ...]:
-        return index_to_bits(int(self._encoded[self.base.draw_masked(cls, mask)]), self.n)
+    def _cell_probs(self) -> np.ndarray:
+        return self.base.probs
 
-    def _prefix_mask(self, bits) -> np.ndarray:
-        return self._encoded >> (self.n - len(bits)) == bits_to_index(bits)
-
-    # -- query API ------------------------------------------------------
-
-    def subcube_sample(self, query: SubcubeQuery) -> tuple[int, ...]:
-        if query.n != self.n:
-            raise OracleError(OracleErrorKind.DIMENSION_MISMATCH, "bad arity")
-        mask = np.ones(self._encoded.shape[0], dtype=bool)
-        for pos, c in enumerate(query.constraints):
-            if c is None:
-                continue
-            if len(c) != 1:
-                # General binary subcube constraints are singletons anyway.
-                raise _malformed("binary constraints must be singletons or trivial")
-            (v,) = c
-            mask &= (self._encoded >> (self.n - 1 - pos)) & 1 == v
-        self.counter.add(QueryClass.SUBCUBE)
-        return self._draw_code(QueryClass.SUBCUBE, mask)
-
-    def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
-        bits = self._checked_prefix(query.i, query.fixed, query.allowed)
-        if query.allowed != frozenset({0, 1}):
-            (bit,) = query.allowed
-            bits += (bit,)
-        mask = self._prefix_mask(bits)
-        self.counter.add(QueryClass.PREFIX)
-        return self._draw_code(QueryClass.PREFIX, mask)
+    def _cell_codes(self) -> np.ndarray:
+        return self._encoded
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         w = self._checked_prefix(i, w)
-        self.counter.add(QueryClass.MARGINAL)
-        return self._draw_code(QueryClass.MARGINAL, self._prefix_mask(w))[i - 1]
+        return self._draw_point(QueryClass.MARGINAL, self._prefix_mask(w))[i - 1]
 
     # -- the walk's support ---------------------------------------------
 
@@ -626,12 +608,11 @@ class GeneralProductMarginalOracle(BinaryPrefixOracle):
         # Coordinates other than the one owning bit i are independent under
         # the product of marginals, so only the within-block prefix matters.
         w = self._checked_prefix(i, w)
-        self.counter.add(QueryClass.MARGINAL)
         coord = max(j for j, (start, _) in enumerate(self._blocks) if start < i)
         start, wdt = self._blocks[coord]
         digits = self.base._coord_digits[coord]
         mask = digits >> (wdt - (i - 1 - start)) == bits_to_index(w[start:])
-        digit = int(digits[self.base.draw_masked(self.base_class, mask)])
+        digit = int(digits[self._draw_cell(QueryClass.MARGINAL, self.base.probs, mask)])
         return index_to_bits(digit, wdt)[i - 1 - start]
 
     def _build_node_bit_probs(self) -> np.ndarray:

@@ -355,7 +355,7 @@ def test_grid_distance_matches_reference_at_benchmark_step(biases):
     assert distance_to_grid_products(table, 0.02) == brute_force_grid_distance(table, 0.02)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan, math.inf, 0.28, 0.3])
 def test_grid_step_validated(step):
     with pytest.raises(DomainError):
         distance_to_grid_products(DistributionTable.uniform(2), step)

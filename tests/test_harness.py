@@ -318,6 +318,7 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     ["adversarial-distance", "--n", "1", "--eps", "0.2"],
     ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "0"],
     ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "-0.5"],
+    ["adversarial-distance", "--n", "2", "--eps", "0.2", "--grid-step", "0.28"],
     ["test-equivalence", "--n", "2", "--eps", "1.5", "--tau", "uniform",
      "--mu", "uniform"],
     ["test-interval", "--N", "0", "--eps", "0.3", "--tau", "uniform",
@@ -345,7 +346,7 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     ["sweep", "--config", "@n-list-number.json"],
     ["test-equivalence", "--n", "1", "--eps", "0.5", "--mu", "uniform",
      "--config", "@tau-number.json"],
-], ids=["n1", "step0", "step-neg", "eps1.5", "N0", "n-list", "missing-config",
+], ids=["n1", "step0", "step-neg", "step-0.28", "eps1.5", "N0", "n-list", "missing-config",
         "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
         "config-seed-str", "config-grid-step-str", "config-runs-str",
         "config-N-float", "json-probs-no-n", "json-tree-no-n", "json-tree-number",

@@ -394,6 +394,103 @@ def test_padded_interval_backed_prefix_oracle():
                 IntervalOracle(np.full(n_outside, 1 / n_outside)), 3)
 
 
+def _random_subcube_query(g, n):
+    return SubcubeQuery.from_pattern("".join(g.choice(list("01*"), size=n)))
+
+
+def _random_prefix_query(g, n):
+    fixed = tuple(g.integers(0, 2, size=int(g.integers(0, n))).tolist())
+    allowed = (0, 1) if g.random() < 0.5 else (int(g.integers(0, 2)),)
+    return PrefixQuery.bits(fixed, allowed)
+
+
+def _random_marginal_query(g, n):
+    """(i, w) arguments of a marginal-prefix query."""
+    i = int(g.integers(1, n + 1))
+    return i, tuple(g.integers(0, 2, size=i - 1).tolist())
+
+
+def _literal_query_stream(serve, count, seed):
+    """Outputs of ``count`` seeded calls ``serve(g)``; None for a
+    ZERO_PROBABILITY_CONDITION refusal."""
+    g = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        try:
+            out.append(serve(g))
+        except OracleError as err:
+            assert err.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
+            out.append(None)
+    return out
+
+
+def _serve_table_query(oracle, g):
+    """One unconditional, subcube, prefix or marginal-prefix query on a
+    TableOracle, chosen and shaped by ``g``."""
+    kind = int(g.integers(0, 4))
+    if kind == 0:
+        return oracle.draw_unconditional()
+    if kind == 1:
+        return oracle.subcube_sample(_random_subcube_query(g, oracle.n))
+    if kind == 2:
+        return oracle.prefix_sample(_random_prefix_query(g, oracle.n))
+    return oracle.marginal_prefix_sample(*_random_marginal_query(g, oracle.n))
+
+
+def _zero_cell_table():
+    """A table over {0,1}^4 with cells 0-3, 6, 9 and 13 at zero mass, so that
+    the prefix 00 and some subcubes have none."""
+    w = np.random.default_rng(9).random(16) + 0.05
+    w[[0, 1, 2, 3, 6, 9, 13]] = 0.0
+    return DistributionTable(4, w / w.sum())
+
+
+# the outputs and counters of seeded literal query streams, recorded while
+# TableOracle still drew from cached per-condition cdfs: on a table with
+# zero-mass cells, and prefix queries on a padded interval view (N = 11 inside
+# [2^4]: elements 4, 5 and the padding 12-16 have zero mass, so some prefixes
+# lie wholly in the padding).  Any change of what a query selects, of its
+# billing or of an RNG stream changes them.
+LITERAL_QUERY_PINS = {
+    "table": (
+        [(1, 1, 1, 1), 0, (1, 1, 1, 1), None, (0, 1, 0, 0), None, (0, 1, 0, 1), (0, 1, 0, 1),
+         None, (0, 1, 1, 1), 1, (1, 1, 1, 1), 1, 0, 0, (0, 1, 1, 1), (0, 1, 0, 0), None,
+         (1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1), (1, 0, 1, 0), 0, 0,
+         (0, 1, 1, 1), None, (1, 0, 0, 0), None, (0, 1, 1, 1), None, 0, 1, (0, 1, 1, 1),
+         (1, 1, 1, 1), (0, 1, 1, 1), (0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0),
+         (1, 0, 0, 0), 1, None, (0, 1, 1, 1), 1, (1, 1, 1, 0), None, (0, 1, 1, 1),
+         (0, 1, 0, 1), 0, (1, 1, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1),
+         (1, 0, 1, 0), (0, 1, 0, 1), None, (1, 1, 1, 1), 0, (0, 1, 1, 1)],
+        {QueryClass.PREFIX: 18, QueryClass.MARGINAL: 16,
+         QueryClass.UNCONDITIONAL: 12, QueryClass.SUBCUBE: 14},
+    ),
+    "padded-interval": (
+        [(0, 1, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), None, (1, 0, 1, 0),
+         (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0),
+         None, None, (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 1, 0), None,
+         (0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0), None, (1, 0, 1, 0), (0, 1, 1, 0),
+         (0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 0), (0, 1, 1, 1), None, (0, 1, 1, 0),
+         (0, 0, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1), None, (0, 0, 0, 0), (0, 0, 1, 0),
+         (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 0)],
+        {QueryClass.PREFIX: 40},
+        {QueryClass.INTERVAL: 40},
+    ),
+}
+
+
+def test_literal_queries_pinned():
+    table = TableOracle(_zero_cell_table(), seed=4)
+    out = _literal_query_stream(lambda g: _serve_table_query(table, g), 60, seed=12)
+    assert (out, table.counter.counts) == LITERAL_QUERY_PINS["table"]
+    pmf = np.random.default_rng(10).random(11) + 0.05
+    pmf[[3, 4]] = 0.0
+    view = IntervalBackedPrefixOracle(IntervalOracle(pmf / pmf.sum(), seed=6), 4)
+    out = _literal_query_stream(lambda g: view.prefix_sample(_random_prefix_query(g, 4)), 40,
+                                seed=14)
+    assert (out, view.counter.counts, view.base.counter.counts) == \
+        LITERAL_QUERY_PINS["padded-interval"]
+
+
 def test_interval_backed_sampling_distribution(rng):
     ell = 3
     w = rng.random(1 << ell)
@@ -470,30 +567,15 @@ def test_binary_encoding_refuses_malformed_queries(rgb_oracle, name):
     assert oracle.counter.total == 0 and rgb_oracle.counter.total == 0
 
 
-def _encoded_query_stream(enc, view, count):
-    """Outputs of ``count`` seeded subcube, prefix and marginal-prefix
-    queries on ``enc`` and marginal-prefix queries on ``view``; None for a
-    ZERO_PROBABILITY_CONDITION refusal."""
-    g = np.random.default_rng(11)
-    out = []
-    for _ in range(count):
-        kind = int(g.integers(0, 4))
-        try:
-            if kind == 0:
-                pattern = "".join(g.choice(list("01*"), size=enc.n))
-                out.append(enc.subcube_sample(SubcubeQuery.from_pattern(pattern)))
-            elif kind == 1:
-                fixed = tuple(g.integers(0, 2, size=int(g.integers(0, enc.n))).tolist())
-                allowed = (0, 1) if g.random() < 0.5 else (int(g.integers(0, 2)),)
-                out.append(enc.prefix_sample(PrefixQuery.bits(fixed, allowed)))
-            else:
-                i = int(g.integers(1, enc.n + 1))
-                w = tuple(g.integers(0, 2, size=i - 1).tolist())
-                out.append((enc if kind == 2 else view).marginal_prefix_sample(i, w))
-        except OracleError as err:
-            assert err.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
-            out.append(None)
-    return out
+def _serve_encoded_query(enc, view, g):
+    """One subcube, prefix or marginal-prefix query on ``enc`` or one
+    marginal-prefix query on ``view``, chosen and shaped by ``g``."""
+    kind = int(g.integers(0, 4))
+    if kind == 0:
+        return enc.subcube_sample(_random_subcube_query(g, enc.n))
+    if kind == 1:
+        return enc.prefix_sample(_random_prefix_query(g, enc.n))
+    return (enc if kind == 2 else view).marginal_prefix_sample(*_random_marginal_query(g, enc.n))
 
 
 # the stream's outputs and the four counters (the encoded oracle, its tuple
@@ -519,7 +601,7 @@ ENCODED_QUERY_PINS = (
 def test_binary_encoding_literal_queries_pinned():
     enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8)))
     view = GeneralProductMarginalOracle(BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8))))
-    out = _encoded_query_stream(enc, view, 60)
+    out = _literal_query_stream(lambda g: _serve_encoded_query(enc, view, g), 60, seed=11)
     counts = [o.counter.counts for o in (enc, enc.base, view, view.base)]
     assert (out, counts) == ENCODED_QUERY_PINS
 
@@ -696,6 +778,18 @@ MALFORMED_QUERIES = {
         lambda o: o.prefix_sample(PrefixQuery(2, (0,), frozenset({2})))),
     "encoded-marginal-non-bit-prefix": (lambda: BinaryEncodedOracle(_rgb_uniform()),
                                         lambda o: o.marginal_prefix_sample(2, (2,))),
+    "interval-outside-domain": (lambda: IntervalOracle(np.full(4, 0.25), seed=0),
+                                lambda o: o.interval_sample(0, 5)),
+    "table-subcube-non-bit-constraint": (
+        lambda: TableOracle(DistributionTable.uniform(2), seed=0),
+        lambda o: o.subcube_sample(SubcubeQuery((frozenset({2}), None)))),
+    "table-subcube-two-valued-constraint": (
+        lambda: TableOracle(DistributionTable.uniform(2), seed=0),
+        lambda o: o.subcube_sample(SubcubeQuery((frozenset({0, 1}), None)))),
+    "encoded-subcube-non-bit-constraint": (
+        lambda: BinaryEncodedOracle(_rgb_uniform()),
+        lambda o: o.subcube_sample(SubcubeQuery((frozenset({2}), None, None)))),
+    "tuple-prefix-empty-allowed": (_rgb_uniform, lambda o: o.prefix_sample(1, (), ())),
 }
 
 
