@@ -31,7 +31,9 @@ the per-key computation used (level sums, interval cdf differences, masked
 sums over tuple cells), so its entries are exactly those values.
 ``exact_bit_prob(i, w)`` is an accessor that reads the array and raises a
 ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
-samples without a meter charge (``sample_full_indices_uncounted``).
+samples without a meter charge (``sample_full_indices_uncounted``), one
+uniform ``rng.random`` per draw searched in a cdf, so ``skip_full_draws(k)``
+moves the stream past k such draws exactly as drawing them would.
 
 Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
@@ -185,6 +187,12 @@ class BinaryPrefixOracle(MeteredOracle):
         bits, then the break-off bit when only one value is allowed."""
         bits = self._checked_prefix(query.i, query.fixed, query.allowed)
         return bits if len(query.allowed) == 2 else bits + tuple(query.allowed)
+
+    def skip_full_draws(self, k: int) -> None:
+        """Move the RNG past k ``sample_full_indices_uncounted`` draws
+        without searching them: each of those draws takes exactly one
+        uniform, ``self.rng.random(k)``."""
+        self.rng.random(k)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         """Single bit distributed as the conditional marginal of x_i."""
@@ -351,8 +359,8 @@ class TableOracle(CellCodeOracle):
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain sample indices with no meter charge; callers are
-        responsible for charging per consumed draw.  The cdf is built on
-        first use."""
+        responsible for charging per consumed draw.  One uniform per draw,
+        as ``skip_full_draws`` assumes.  The cdf is built on first use."""
         if self._full_cdf is None:
             self._full_cdf = np.cumsum(self.table.probs), float(self.table.probs.sum())
         cdf, total = self._full_cdf
@@ -427,7 +435,8 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain sample indices, meter-free; callers charge per
-        consumed draw."""
+        consumed draw.  One uniform per draw, as ``skip_full_draws``
+        assumes."""
         return _search_sorted(self.base.cdf, self.rng.random(k) * float(self.base.cdf[-1]))
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
@@ -559,7 +568,8 @@ class BinaryEncodedOracle(CellCodeOracle):
         return node_conditionals(_prefix_masses(self.base.probs, self._encoded, self.n))
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
-        """k full-domain samples as encoded bit-string indices, meter-free."""
+        """k full-domain samples as encoded bit-string indices, meter-free.
+        One uniform per draw, as ``skip_full_draws`` assumes."""
         return self._encoded[_search_sorted(self._cdf, self.rng.random(k) * float(self._cdf[-1]))]
 
 

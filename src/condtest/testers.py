@@ -71,6 +71,23 @@ Certified decisions
     u >= survive, so verdicts, query totals and traces are those of the
     exact calculus.
 
+    The survive floor.  One number per level certifies whole chunks before
+    any of their draws is searched.  Write K for the largest clamped min-KL
+    over the nodes tau can reach (p_tau not NaN).  A pair's lower end lo
+    depends on the pair only through its KL and falls as KL grows (d, a and
+    Pr[Bin(64, a) > 40] grow, so gamma_lo and lo fall), so lo at KL = K is at
+    most the lo of every node tau can draw, and at most its exact survive
+    value, which lies inside the bracket.  The floor is that value less one
+    more ``_BRACKET_SLACK``, since rounding in ``bdtrc`` need not be
+    monotone.  A chunk whose largest u is below the floor has u < lo at each
+    draw, whatever node it lands on, so every draw survives: the walk
+    consumes the chunk's tau uniforms (``skip_full_draws``) without
+    searching them and moves on.  A node tau can reach that mu gives zero
+    mass (dead) stops the walk at every u, so then K = inf and the floor is
+    -1, which certifies nothing.  Verdicts, query totals, traces and tau's
+    random stream are those of the walk without the floor: it is one more
+    tier of the ladder chunk floor -> pair bracket -> exact calculus.
+
     Each run maps a node to a pair id at its first draw (one id for every
     node mu gives zero mass, with bracket (-1, -1)), and each level keeps a
     bracket per pair id it has drawn.  Brackets live in one process-wide
@@ -368,27 +385,63 @@ def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     return float(survive) if np.ndim(survive) == 0 else survive
 
 
+def _min_kl(p, q) -> np.ndarray:
+    """Per row, min(KL(p||q), KL(q||p)) in nats for Ber(p) and Ber(q),
+    clamped at 0: rounding makes it slightly negative for p and q an ulp
+    apart."""
+    p, q = _rows(p), _rows(q)
+    return np.maximum(np.minimum(rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q),
+                                 rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)), 0.0)
+
+
+def _pinsker_bound(n_draws: int, kl) -> np.ndarray:
+    """a = min(1, 1/2 + sqrt(N kl / 2)), the upper bound on alpha and beta."""
+    return np.minimum(0.5 + np.sqrt(n_draws * kl / 2.0), 1.0)
+
+
 def _compare_bounds(n_draws: int, p, q) -> tuple[np.ndarray, np.ndarray]:
     """Per row, (a, m) with m <= max(alpha, beta) <= a for the
     ``chi2_trial_compare_probs`` pair: a = min(1, 1/2 + d) by Pinsker, m by
     Hoeffding on X - Y (see the module docstring)."""
     p, q = _rows(p), _rows(q)
-    # Rounding makes KL slightly negative for p and q an ulp apart.
-    kl = np.maximum(np.minimum(rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q),
-                               rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)), 0.0)
-    d = np.sqrt(n_draws * kl / 2.0)
-    return np.minimum(0.5 + d, 1.0), -np.expm1(-n_draws * (p - q) ** 2)
+    return _pinsker_bound(n_draws, _min_kl(p, q)), -np.expm1(-n_draws * (p - q) ** 2)
+
+
+def _survive_lo(a, inner: int) -> np.ndarray:
+    """The bracket's lower end, widened by ``_BRACKET_SLACK``, for the
+    Pinsker bound ``a``."""
+    gamma_lo = np.maximum(1.0 - 2.0 * bdtrc(CHI2_THRESHOLD, CHI2_TRIALS, a), 0.0)
+    return bdtrc(_majority_threshold(inner) - 1, inner, gamma_lo) - _BRACKET_SLACK
 
 
 def _survive_bounds(n_draws: int, p, q, inner: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the closed-form (lo, hi) with lo <= ``blackbox_survive_prob``
     <= hi, widened by ``_BRACKET_SLACK`` on each side."""
     a, m = _compare_bounds(n_draws, p, q)
-    gamma_lo = np.maximum(1.0 - 2.0 * bdtrc(CHI2_THRESHOLD, CHI2_TRIALS, a), 0.0)
     gamma_hi = bdtr(CHI2_THRESHOLD, CHI2_TRIALS, m)
-    k = _majority_threshold(inner) - 1
-    return (bdtrc(k, inner, gamma_lo) - _BRACKET_SLACK,
-            bdtrc(k, inner, gamma_hi) + _BRACKET_SLACK)
+    return (_survive_lo(a, inner),
+            bdtrc(_majority_threshold(inner) - 1, inner, gamma_hi) + _BRACKET_SLACK)
+
+
+def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
+    """K, the largest ``_min_kl`` over the nodes tau can reach (``p_tau`` not
+    NaN); inf when mu gives one of them zero mass."""
+    reach = ~np.isnan(p_tau)
+    if np.isnan(p_mu[reach]).any():
+        return math.inf
+    # An equal pair's KL is exactly 0, so only the others are computed.
+    differ = reach & (p_mu != p_tau)
+    return float(_min_kl(p_mu[differ], p_tau[differ]).max(initial=0.0))
+
+
+def _survive_floor(n_draws: int, kl: float, inner: int) -> float:
+    """A value below the bracket's lower end for every pair whose min-KL is
+    at most ``kl``: that lower end at KL = kl, less one more
+    ``_BRACKET_SLACK`` for rounding in ``bdtrc`` that is not monotone.
+    ``_DEAD`` when kl is inf, since a dead node stops at every u."""
+    if math.isinf(kl):
+        return _DEAD
+    return float(_survive_lo(_pinsker_bound(n_draws, kl), inner)) - _BRACKET_SLACK
 
 
 def _remember_survive(key: tuple, bracket: complex) -> None:
@@ -530,13 +583,17 @@ class _CertifiedSurvival:
 def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, certified
-    by a bracket where it can be.
+    by a bracket where it can be.  A chunk whose u all lie below the level's
+    survive floor (see the module docstring; -1 when tau can reach a node
+    mu gives zero mass) survives whole: its tau uniforms are consumed
+    without a search, so tau's stream is the same as if it were searched.
 
     Tau's samples are pulled ``_CHUNK`` at a time, so after a rejecting run
     tau's RNG has advanced by up to one chunk beyond the draws consumed; only
     a caller who reuses tau for another run can see it."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     certified = _CertifiedSurvival(p_mu, p_tau)
+    kl = _reach_kl(p_mu, p_tau)
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
@@ -544,11 +601,17 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
         i_arr = rng.integers(1, n + 1, size=outer)
         u_arr = rng.random(outer)
         certified.start_level(n_draws, inner)
+        floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
         for first in range(0, outer, _CHUNK):
+            last = min(first + _CHUNK, outer)
+            if u_arr[first:last].max() < floor:
+                # Every node tau can draw survives these u: consume the
+                # chunk's tau uniforms without searching them.
+                tau.skip_full_draws(last - first)
+                continue
             # y-draws are real tau samples, pulled in meter-free chunks.
-            w_idx = tau.sample_full_indices_uncounted(min(_CHUNK, outer - first))
-            last = first + w_idx.shape[0]
+            w_idx = tau.sample_full_indices_uncounted(last - first)
             i_c = i_arr[first:last]
             nodes = (1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)) - 1  # array index
             pos = certified.first_stop(nodes, u_arr[first:last])

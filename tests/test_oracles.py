@@ -299,6 +299,19 @@ def test_full_samples_match_plain_searchsorted(kind):
     assert (np.diff(cdf, prepend=0.0)[cells] > 0.0).all()
 
 
+@pytest.mark.parametrize("kind", ["table", "padded-interval", "binary-encoded"])
+@pytest.mark.parametrize("k1, k2", [(3, 5), (4096, 97)])
+def test_skipped_full_draws_take_the_sampled_uniforms(kind, k1, k2):
+    """Skipping k1 full draws and then sampling k2 gives the last k2 of
+    k1 + k2 samples and leaves the RNG in the same state: each draw takes one
+    uniform, so the walk can pass over a chunk without searching it."""
+    skipper, sampler = _full_sample_case(kind)[0], _full_sample_case(kind)[0]
+    skipper.skip_full_draws(k1)
+    got = skipper.sample_full_indices_uncounted(k2)
+    assert got.tolist() == sampler.sample_full_indices_uncounted(k1 + k2)[k1:].tolist()
+    assert skipper.rng.bit_generator.state == sampler.rng.bit_generator.state
+
+
 # ----------------------------------------------------------------------
 # interval oracle and the prefix translation
 

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.stats import beta as beta_dist
 from scipy.stats import binom, chisquare
 
-from condtest import testers
+from condtest import oracles, testers
 from condtest.distcore import DistributionTable, TupleDomain
 from condtest.harness import rate_lower_bound
 from condtest.oracles import (
@@ -922,5 +922,87 @@ def test_self_test_decided_by_brackets_alone(monkeypatch):
     tab = DistributionTable(8, _dirichlet(1400, 256))
     v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), _cfg(0.5, 3))
     expect = expected_equivalence_queries(8, 0.5)
+    assert v.accepted
+    assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
+
+
+# ----------------------------------------------------------------------
+# the per-level survive floor
+
+
+def test_walk_does_not_depend_on_the_floor(monkeypatch):
+    """Every WALK_CORPUS run gives the same (accepted, queries_used, trace)
+    with the floor at -1, which certifies no chunk, and leaves tau's RNG in
+    the same state: a certified chunk consumes the uniforms its search
+    would have."""
+    runs = [(k, run) for group in WALK_CORPUS.values() for k, run in enumerate(group)]
+    walk, states, skipped = testers._run_equivalence, [], []
+
+    def recording(tau, mu, *args):
+        verdict = walk(tau, mu, *args)
+        states.append(tau.rng.bit_generator.state)
+        return verdict
+
+    def skip(self, k):
+        skipped.append(k)
+        self.rng.random(k)
+
+    monkeypatch.setattr(testers, "_run_equivalence", recording)
+    monkeypatch.setattr(oracles.BinaryPrefixOracle, "skip_full_draws", skip)
+    floored = [run(11 * k) for k, run in runs]
+    floored_states, states[:] = states[:], []
+    chunks = len(skipped)
+    assert chunks and len(floored_states) == len(runs)
+    monkeypatch.setattr(testers, "_survive_floor", lambda *args: -1.0)
+    for (k, run), v, state in zip(runs, floored, floored_states):
+        off = run(11 * k)
+        assert (off.accepted, off.queries_used, off.trace) == (v.accepted, v.queries_used,
+                                                               v.trace), k
+        assert states[-1] == state, k
+    assert len(skipped) == chunks
+
+
+def _dead_half(seed):
+    """n = 8: mu is Dirichlet on the x1 = 0 half-cube and gives x1 = 1 zero
+    mass; tau = (1 - 1e-4) mu plus 1e-4 spread uniformly over the x1 = 1
+    half, so every node below x1 = 1 is reachable and dead, while the live
+    nodes are all but equal under tau and mu."""
+    mu = np.zeros(256)
+    mu[:128] = _dirichlet(seed, 128)
+    tau = (1.0 - 1e-4) * mu
+    tau[128:] = 1e-4 / 128
+    return tau, mu
+
+
+def test_floor_keeps_dead_rejects(monkeypatch):
+    """A dead node tau can reach stops the walk at every u, so the floor
+    certifies nothing there: the walk matches the per-key reference walk,
+    which has no floor, and some runs end in a dead reject."""
+    runs = []
+    for seed in range(20):
+        tau, mu = _dead_half(1500 + seed)
+        runs.append(lambda s, tau=tau, mu=mu: equivalence_test(
+            TableOracle(DistributionTable(8, tau), seed=s),
+            TableOracle(DistributionTable(8, mu), seed=s + 1), _cfg(0.5, s + 2)))
+    got = [run(11 * k) for k, run in enumerate(runs)]
+    monkeypatch.setattr(testers, "_run_equivalence", reference_walk)
+    for k, (run, v) in enumerate(zip(runs, got)):
+        ref = run(11 * k)
+        assert (v.accepted, v.queries_used, v.trace) == (ref.accepted, ref.queries_used,
+                                                         ref.trace), k
+    assert any(v.trace[-2].get("zero_probability_reject") for v in got)
+
+
+def test_uniform_self_test_searches_no_draw(monkeypatch):
+    """n = 16 uniform self-test: K = 0, every chunk's u lie below the floor,
+    so no tau draw is searched, and the run still bills the accept-path
+    totals."""
+    def no_search(*args):
+        raise AssertionError("a tau draw was searched")
+
+    monkeypatch.setattr(oracles, "_search_sorted", no_search)
+    tab = DistributionTable.uniform(16)
+    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), _cfg(0.3, 3))
+    expect = expected_equivalence_queries(16, 0.3)
     assert v.accepted
     assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
