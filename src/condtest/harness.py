@@ -79,8 +79,11 @@ class ExperimentSpec:
             raise HarnessError(f"runs must be an integer >= 1, got {self.runs!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise HarnessError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (self.N is None or isinstance(self.N, numbers.Integral) and self.N >= 1):
-            raise HarnessError(f"N must be an integer >= 1, got {self.N!r}")
+        # The interval tester pads [N] to 2^ceil(log2 N) cells, so N gets the
+        # cell budget of a dense table.
+        max_N = 2 ** distcore.MAX_DENSE_N if self.kind == "interval" else math.inf
+        if not (self.N is None or isinstance(self.N, numbers.Integral) and 1 <= self.N <= max_N):
+            raise HarnessError(f"N must be an integer in [1, {max_N}], got {self.N!r}")
         for name, source in (("tau", self.tau), ("mu", self.mu)):
             if not (source is None or isinstance(source, str)):
                 raise HarnessError(f"{name} must be a file or shorthand, got {source!r}")
@@ -129,8 +132,16 @@ def load_distribution(source: str, n: int | None = None) -> distcore.Distributio
     Accepts the shorthands ``uniform`` (requires n), ``point:<bitstring>``,
     ``bernoulli:<p>`` (repeated n times) or ``bernoulli:p1,p2,...``, or a
     path to a JSON file (dense table, conditional tree, or a paired-bias
-    instance with a "biases" key).
+    instance with a "biases" key).  With ``n`` given, a source of another
+    dimension raises HarnessError.
     """
+    table = _read_distribution(source, n)
+    if n is not None and table.n != n:
+        raise HarnessError(f"distribution source {source!r} has n={table.n}, expected n={n}")
+    return table
+
+
+def _read_distribution(source: str, n: int | None) -> distcore.DistributionTable:
     if source == "uniform":
         if n is None:
             raise HarnessError("'uniform' needs an explicit n")

@@ -63,11 +63,12 @@ Certified decisions
     Both bounds are widened by ``_BRACKET_SLACK`` = 1e-12 on each side,
     which covers rounding in them and in the exact calculus (its window
     alone moves alpha and beta by at most 1e-18), so the computed survive
-    value always lies inside the bracket.  In a chunk, a draw with u < lo
-    survives and the first draw with u >= hi stops the walk; the draws
-    before that stop with lo <= u < hi have their pairs' exact values
-    computed in one batch, their brackets become lo = hi = the exact value,
-    and the chunk is decided again.  With exact values this is the rule
+    value always lies inside the bracket.  A chunk brackets each distinct
+    node it draws (a node mu gives zero mass gets (-1, -1), so it stops at
+    every u).  A draw with u < lo survives and the first draw with u >= hi
+    stops the walk; the draws before that stop with lo <= u < hi, the band,
+    get their exact values, and the first band draw with u >= its exact
+    value stops the walk, or else the stop found before.  That is the rule
     u >= survive, so verdicts, query totals and traces are those of the
     exact calculus.
 
@@ -86,15 +87,13 @@ Certified decisions
     mass (dead) stops the walk at every u, so then K = inf and the floor is
     -1, which certifies nothing.  Verdicts, query totals, traces and tau's
     random stream are those of the walk without the floor: it is one more
-    tier of the ladder chunk floor -> pair bracket -> exact calculus.
+    tier of the ladder chunk floor -> node bracket -> exact calculus.
 
-    Each run maps a node to a pair id at its first draw (one id for every
-    node mu gives zero mass, with bracket (-1, -1)), and each level keeps a
-    bracket per pair id it has drawn.  Brackets live in one process-wide
-    memo keyed by (N, p, q, inner), capped at 2^14 entries with the oldest
-    evicted first; an entry is a closed-form bracket or, once computed, the
-    exact value as lo = hi, so repeated runs on the same distributions skip
-    both.
+    Brackets cost a few ufunc calls per chunk and are not kept.  Exact
+    values are computed once per distinct (p, q) pair in the band and kept
+    in one process-wide memo keyed by (N, p, q, inner), capped at 2^14
+    entries with the oldest evicted first, so repeated runs on the same
+    distributions skip the calculus.
 
 Metering goes only through the oracles' ``charge``: every y-draw costs one
 prefix query, every black-box run its trial samples, and a zero-probability
@@ -275,9 +274,8 @@ def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
 _TAIL_LOG = math.log(2e18)
 # Rows x window cells evaluated per SciPy call; bounds the temporaries.
 _BLOCK_CELLS = 1 << 13
-# (n_draws, p, q, inner) -> lo + i hi, a closed-form bracket or lo = hi = the
-# survive probability (one complex takes less memory than a pair of floats),
-# shared by every run in the process.
+# (n_draws, p, q, inner) -> the exact survive probability, shared by every run
+# in the process; capped, with the oldest quarter evicted when full.
 _SURVIVE_MEMO: dict = {}
 _SURVIVE_MEMO_CAP = 1 << 14
 # Boost's binomial pmf kernel raises OverflowError (ibeta_derivative) for a
@@ -444,13 +442,23 @@ def _survive_floor(n_draws: int, kl: float, inner: int) -> float:
     return float(_survive_lo(_pinsker_bound(n_draws, kl), inner)) - _BRACKET_SLACK
 
 
-def _remember_survive(key: tuple, bracket: complex) -> None:
-    if key not in _SURVIVE_MEMO and len(_SURVIVE_MEMO) >= _SURVIVE_MEMO_CAP:
-        # Evict the oldest quarter at once: deleting a dict's first key one
-        # at a time rescans every slot freed before it.
-        for old in list(_SURVIVE_MEMO)[:_SURVIVE_MEMO_CAP // 4]:
-            del _SURVIVE_MEMO[old]
-    _SURVIVE_MEMO[key] = bracket
+def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np.ndarray:
+    """Per row, ``blackbox_survive_prob`` at (p, q), computed once per
+    distinct pair and kept in ``_SURVIVE_MEMO``."""
+    pairs, inverse = np.unique(p + 1j * q, return_inverse=True)
+    keys = [(n_draws, pair.real, pair.imag, inner) for pair in pairs.tolist()]
+    values = [_SURVIVE_MEMO.get(key) for key in keys]
+    missing = [j for j, value in enumerate(values) if value is None]
+    if missing:
+        found = blackbox_survive_prob(n_draws, pairs.real[missing], pairs.imag[missing], inner)
+        for j, value in zip(missing, found.tolist()):
+            if len(_SURVIVE_MEMO) >= _SURVIVE_MEMO_CAP:
+                # Evict the oldest quarter at once: deleting a dict's first
+                # key one at a time rescans every slot freed before it.
+                for old in list(_SURVIVE_MEMO)[:_SURVIVE_MEMO_CAP // 4]:
+                    del _SURVIVE_MEMO[old]
+            values[j] = _SURVIVE_MEMO[keys[j]] = value
+    return np.array(values)[inverse]
 
 
 # ----------------------------------------------------------------------
@@ -484,115 +492,49 @@ def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
     return delta
 
 
-# The bracket of pair id 0, which stands for every node that mu gives zero
-# mass: the walk stops at the node's first draw, since every u >= _DEAD.
+# The bracket of a node that mu gives zero mass: the walk stops at the node's
+# first draw, since every u >= _DEAD.
 _DEAD = -1.0
 _CHUNK = 4096
 
 
-class _CertifiedSurvival:
-    """Survival decisions for one run.
-
-    A node maps to the id of its (p_mu, p_tau) pair, learned at the node's
-    first draw in the run; id 0 is every node mu gives zero mass.  Each level
-    keeps a bracket (lo, hi) per pair id it has drawn, taken from the memo or
-    from ``_survive_bounds``, and settles a pair to lo = hi = its exact
-    survive probability only when a draw's u falls inside the bracket.
-    """
-
-    def __init__(self, p_mu: np.ndarray, p_tau: np.ndarray):
-        self._p_mu, self._p_tau = p_mu, p_tau
-        self._of_node = np.full(p_mu.shape, -1, dtype=np.int32)
-        self._id_of: dict[complex, int] = {}
-        self._pairs = [complex(_DEAD, _DEAD)]  # id -> p_mu + i p_tau
-
-    def start_level(self, n_draws: int, inner: int) -> None:
-        self._n_draws, self._inner = n_draws, inner
-        self._lo = np.full(len(self._pairs), np.nan)
-        self._hi = self._lo.copy()
-        self._lo[0] = self._hi[0] = _DEAD
-
-    def first_stop(self, nodes: np.ndarray, u: np.ndarray) -> int | None:
-        """Index of the first draw whose u is at least its survive
-        probability, or None."""
-        ids = self._ids(nodes)
-        lo = self._lo[ids]
-        unknown = np.isnan(lo)
-        if unknown.any():
-            self._fill(np.unique(ids[unknown]), exact=False)
-            lo = self._lo[ids]
-        # A draw with u < lo survives; of the others, the first with u >= hi
-        # stops, and those before it are settled exactly.
-        maybe = np.flatnonzero(u >= lo)
-        if not maybe.size:
-            return None
-        stops = np.flatnonzero(u[maybe] >= self._hi[ids[maybe]])
-        band = int(stops[0]) if stops.size else maybe.size
-        if band:
-            self._fill(np.unique(ids[maybe[:band]]), exact=True)
-            stops = np.flatnonzero(u[maybe] >= self._hi[ids[maybe]])
-        return int(maybe[stops[0]]) if stops.size else None
-
-    def _ids(self, nodes: np.ndarray) -> np.ndarray:
-        ids = self._of_node[nodes]
-        if ids.min() >= 0:
-            return ids
-        fresh = np.unique(nodes[ids < 0])
-        dead = np.isnan(self._p_mu[fresh])
-        self._of_node[fresh[dead]] = 0
-        live = fresh[~dead]
-        pairs, inverse = np.unique(self._p_mu[live] + 1j * self._p_tau[live],
-                                   return_inverse=True)
-        # Live ids start at 1, so ``or`` adds only the pairs not yet known.
-        found = [self._id_of.get(pair) or self._add(pair) for pair in pairs.tolist()]
-        self._of_node[live] = np.array(found, dtype=np.int32)[inverse]
-        if len(self._pairs) > self._lo.size:
-            # Room for the new ids; doubling keeps the copies linear.
-            more = np.full(max(len(self._pairs), 2 * self._lo.size) - self._lo.size, np.nan)
-            self._lo, self._hi = np.append(self._lo, more), np.append(self._hi, more)
-        return self._of_node[nodes]
-
-    def _add(self, pair: complex) -> int:
-        self._id_of[pair] = len(self._pairs)
-        self._pairs.append(pair)
-        return self._id_of[pair]
-
-    def _fill(self, todo: np.ndarray, exact: bool) -> None:
-        """Set the brackets of the pair ids ``todo``: with ``exact`` to the
-        survive probability, else to the memo's entry or, for the pairs not
-        in it, the closed-form bracket; new values go into the memo."""
-        keys = [(self._n_draws, pair.real, pair.imag, self._inner)
-                for pair in map(self._pairs.__getitem__, todo.tolist())]
-        brackets = [None] * len(keys) if exact else [_SURVIVE_MEMO.get(key) for key in keys]
-        missing = [j for j, bracket in enumerate(brackets) if bracket is None]
-        if missing:
-            p, q = np.array([keys[j][1:3] for j in missing]).T
-            if exact:
-                survive = blackbox_survive_prob(self._n_draws, p, q, self._inner)
-                found = survive + 1j * survive
-            else:
-                lo, hi = _survive_bounds(self._n_draws, p, q, self._inner)
-                found = lo + 1j * hi
-            for j, bracket in zip(missing, found.tolist()):
-                brackets[j] = bracket
-                _remember_survive(keys[j], bracket)
-        brackets = np.array(brackets)
-        self._lo[todo], self._hi[todo] = brackets.real, brackets.imag
+def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, nodes: np.ndarray, u: np.ndarray,
+                n_draws: int, inner: int) -> int | None:
+    """Index of the first draw whose u is at least its survive probability,
+    or None.  Each distinct node gets its closed-form bracket (lo, hi); a
+    draw with u < lo survives, the first draw with u >= hi stops, and only
+    the band before that stop, the draws with lo <= u < hi, gets exact
+    values."""
+    distinct, inverse = np.unique(nodes, return_inverse=True)
+    p = p_mu[distinct]
+    lo, hi = _survive_bounds(n_draws, p, p_tau[distinct], inner)
+    dead = np.isnan(p)
+    lo[dead] = hi[dead] = _DEAD
+    lo, hi = lo[inverse], hi[inverse]
+    maybe = np.flatnonzero(u >= lo)
+    stops = np.flatnonzero(u[maybe] >= hi[maybe])
+    band = maybe[:stops[0]] if stops.size else maybe
+    if band.size:
+        exact = _exact_survive(n_draws, p_mu[nodes[band]], p_tau[nodes[band]], inner)
+        settled = np.flatnonzero(u[band] >= exact)
+        if settled.size:
+            return int(band[settled[0]])
+    return int(maybe[stops[0]]) if stops.size else None
 
 
 def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
-    survives while its uniform u is below its survive probability, certified
-    by a bracket where it can be.  A chunk whose u all lie below the level's
-    survive floor (see the module docstring; -1 when tau can reach a node
-    mu gives zero mass) survives whole: its tau uniforms are consumed
-    without a search, so tau's stream is the same as if it were searched.
+    survives while its uniform u is below its survive probability, decided
+    by ``_first_stop`` from the chunk's own nodes.  A chunk whose u all lie
+    below the level's survive floor (see the module docstring; -1 when tau
+    can reach a node mu gives zero mass) survives whole: its tau uniforms
+    are consumed without a search, so tau's stream is the same as if it
+    were searched.
 
     Tau's samples are pulled ``_CHUNK`` at a time, so after a rejecting run
     tau's RNG has advanced by up to one chunk beyond the draws consumed; only
     a caller who reuses tau for another run can see it."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
-    certified = _CertifiedSurvival(p_mu, p_tau)
     kl = _reach_kl(p_mu, p_tau)
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
@@ -600,7 +542,6 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
         cost = inner * CHI2_TRIALS * n_draws  # trial samples per draw and source
         i_arr = rng.integers(1, n + 1, size=outer)
         u_arr = rng.random(outer)
-        certified.start_level(n_draws, inner)
         floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
         for first in range(0, outer, _CHUNK):
@@ -614,7 +555,7 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
             w_idx = tau.sample_full_indices_uncounted(last - first)
             i_c = i_arr[first:last]
             nodes = (1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)) - 1  # array index
-            pos = certified.first_stop(nodes, u_arr[first:last])
+            pos = _first_stop(p_mu, p_tau, nodes, u_arr[first:last], n_draws, inner)
             if pos is not None:
                 rejected_at, stop_node = first + pos, nodes[pos]
                 break

@@ -64,6 +64,23 @@ def test_load_distribution_errors():
         load_distribution("/no/such/file.json")
 
 
+def test_load_distribution_refuses_another_dimension(tmp_path):
+    """A source whose n differs from the one asked for is refused, from a
+    shorthand, a dense table, a conditional tree or a paired-bias instance;
+    the same sources load when the dimensions agree."""
+    from condtest.adversarial import AdversarialInstance
+    files = {"dense.json": load_distribution("uniform", 2).to_json(),
+             "tree.json": json.dumps({"n": 2, "tree": {"1:": 0.5, "2:0": 0.5, "2:1": 0.5}}),
+             "pairs.json": AdversarialInstance(2, 0.2, (1,)).to_json()}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    sources = ["point:01", "bernoulli:0.1,0.2"] + [str(tmp_path / name) for name in files]
+    for source in sources:
+        assert load_distribution(source, 2).n == 2
+        with pytest.raises(HarnessError, match="has n=2, expected n=3"):
+            load_distribution(source, 3)
+
+
 def test_load_interval_pmf():
     np.testing.assert_allclose(load_interval_pmf("uniform", 8), 1 / 8)
     blk = load_interval_pmf("block:1,4", 8)
@@ -309,6 +326,7 @@ BAD_INPUT_FILES = {
     "biases-number.json": json.dumps({"n": 2, "eps": 0.2, "biases": 3}),
     "n-list-number.json": json.dumps({"n_list": 5, "eps_list": [0.5]}),
     "tau-number.json": json.dumps({"tau": 5}),
+    "n2.json": json.dumps({"n": 2, "probs": [0.25, 0.25, 0.25, 0.25]}),
 }
 _EQ = ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform"]
 _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
@@ -346,12 +364,17 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     ["sweep", "--config", "@n-list-number.json"],
     ["test-equivalence", "--n", "1", "--eps", "0.5", "--mu", "uniform",
      "--config", "@tau-number.json"],
+    ["test-equivalence", "--n", "3", "--eps", "0.5", "--tau", "point:0101",
+     "--mu", "point:0101"],
+    ["test-product", "--n", "5", "--eps", "0.5", "--mu", "bernoulli:0.1,0.2"],
+    ["test-equivalence", "--n", "3", "--eps", "0.5", "--tau", "@n2.json", "--mu", "@n2.json"],
 ], ids=["n1", "step0", "step-neg", "step-0.28", "eps1.5", "N0", "n-list", "missing-config",
         "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
         "config-seed-str", "config-grid-step-str", "config-runs-str",
         "config-N-float", "json-probs-no-n", "json-tree-no-n", "json-tree-number",
         "json-tree-missing-key", "json-pairs-no-n", "json-biases-number", "config-n-list-number",
-        "config-tau-number"])
+        "config-tau-number", "point-n-mismatch", "bernoulli-n-mismatch",
+        "json-n-mismatch"])
 def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)
@@ -401,12 +424,13 @@ def test_spec_rejects_empty_interval_domain():
     {"kind": "equivalence", "n": 4, "eps": 0.5, "seed": -1},
     {"kind": "interval", "N": "8", "eps": 0.5},
     {"kind": "interval", "N": 8.5, "eps": 0.5},
+    {"kind": "interval", "N": 2 ** 20 + 1, "eps": 0.5},
     {"kind": "adversarial-distance", "n": 4, "eps": 0.2, "grid_step": "0.1"},
     {"kind": "equivalence", "n": 4, "eps": 0.5, "tau": 5},
     {"kind": "equivalence", "n": 4, "eps": 0.5, "mu": ["uniform"]},
 ], ids=["n0", "n21", "n-float", "eps0", "eps1", "eps-nan", "eps-neg", "single-bit-eps",
         "n-list-0", "n-list-30", "eps-list", "runs-str", "runs-float", "seed-str",
-        "seed-neg", "N-str", "N-float", "grid-step-str", "tau-int", "mu-list"])
+        "seed-neg", "N-str", "N-float", "N-over-cells", "grid-step-str", "tau-int", "mu-list"])
 def test_spec_rejects_bad_values_up_front(fields):
     with pytest.raises(HarnessError):
         ExperimentSpec(**{"tau": "uniform", "mu": "uniform", **fields})
@@ -428,6 +452,21 @@ def test_oversized_n_refused_before_any_driver_or_allocation(monkeypatch, tmp_pa
                "--mu", "uniform", "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: n must be")
+
+
+def test_oversized_N_refused_before_any_driver_or_allocation(monkeypatch, tmp_path, capsys):
+    """N = 10^9 would need GiBs for its pmf, cdf and padded node arrays; the
+    spec refuses any N above 2^MAX_DENSE_N, the cell budget of a dense
+    table, before a driver runs or numpy allocates anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking N")
+    for name in ("full", "zeros", "ones", "empty", "kron"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setitem(harness._DRIVERS, "interval", _never_run)
+    rc = main(["test-interval", "--N", "1000000000", "--eps", "0.3", "--tau", "uniform",
+               "--mu", "uniform", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: N must be")
 
 
 @pytest.mark.parametrize("mode", ["sampled", "collapsed"])

@@ -926,6 +926,67 @@ def test_self_test_decided_by_brackets_alone(monkeypatch):
     assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
 
 
+def test_first_stop_is_the_exact_rule(monkeypatch):
+    """``_first_stop`` against "the first draw with u >= its exact survive
+    value (dead: -1)", with the memo cold and again warm.  The chunks repeat
+    nodes inside the band, end the band just before a bracket or dead stop
+    or at the chunk's end, and draw settled nodes after the band.
+
+    Eight nodes at N = 96, inner = 554: node 0 an equal pair (lo just below
+    1), nodes 1-4 and 7 near pairs whose bracket spans about [0, 1] and whose
+    survive values lie near 0.95, 0.79, 0.50, 0.21 (node 7 is node 3's pair
+    again), node 5 a far pair (hi = 1e-12) and node 6 dead."""
+    p_mu = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, np.nan, 0.5])
+    p_tau = np.array([0.5, 0.52853, 0.52903, 0.52953, 0.53003, 0.9, 0.4, 0.52953])
+    exact = np.array([-1.0 if np.isnan(p) else blackbox_survive_prob(96, p, q, 554)
+                      for p, q in zip(p_mu, p_tau)])
+    lo, hi = testers._survive_bounds(96, p_mu, p_tau, 554)
+    assert (lo[1:5] < 1e-3).all() and (hi[1:5] > 1 - 1e-3).all()
+    assert 0.1 < exact[4] < exact[1] < 0.99 and hi[5] < 1e-6 < 1 - 1e-6 < lo[0]
+
+    def below(node):
+        return exact[node] - 0.01
+
+    def above(node):
+        return exact[node] + 0.01
+
+    chunks = [
+        ([1, 0, 1, 2, 5], [below(1), 0.3, above(1), below(2), 0.5]),  # repeat stops: 2
+        ([3, 2, 6, 3], [below(3), above(2), 0.2, 0.9]),  # last band draw, then dead: 1
+        ([0, 4, 4, 0, 4], [0.9, below(4), above(4), 0.1, below(4)]),  # repeat, no hard stop: 2
+        ([2, 7], [below(2), above(7)]),  # last draw of the chunk, node 3's pair: 1
+        ([0, 1, 3, 7, 1], [0.5, below(1), below(3), below(7), below(1)]),  # none
+        ([6, 1], [0.0, below(1)]),  # dead first: 0
+        ([1, 3, 5, 1, 3], [below(1), below(3), 0.4, above(1), above(3)]),  # bracket stop: 2
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        nodes = rng.choice(8, size=12, p=[0.2, 0.15, 0.15, 0.15, 0.15, 0.02, 0.02, 0.16])
+        u = np.clip(exact[nodes] + rng.normal(0.0, 0.05, size=12), 0.0, 0.999)
+        chunks.append((nodes, u))
+
+    def expected(nodes, u):
+        stops = np.flatnonzero(u >= exact[nodes])
+        return int(stops[0]) if stops.size else None
+
+    chunks = [(np.asarray(nodes), np.asarray(u)) for nodes, u in chunks]
+    truth = [expected(nodes, u) for nodes, u in chunks]
+    assert truth[:7] == [2, 1, 2, 1, None, 0, 2]
+    assert {None, 0} < set(truth)
+    memo = {}
+    monkeypatch.setattr(testers, "_SURVIVE_MEMO", memo)
+    cold = [testers._first_stop(p_mu, p_tau, nodes, u, 96, 554) for nodes, u in chunks]
+    assert cold == truth
+    # The memo holds each band pair's exact value as a float, keyed by
+    # (N, p, q, inner); the warm pass reads it and computes nothing.
+    assert memo and all(isinstance(value, float) for value in memo.values())
+    assert memo == {(96, p, q, 554): blackbox_survive_prob(96, p, q, 554)
+                    for _, p, q, _ in memo}
+    monkeypatch.setattr(testers, "blackbox_survive_prob", _never_called)
+    warm = [testers._first_stop(p_mu, p_tau, nodes, u, 96, 554) for nodes, u in chunks]
+    assert warm == truth
+
+
 # ----------------------------------------------------------------------
 # the per-level survive floor
 
