@@ -8,6 +8,12 @@ Bit strings of length n are identified with integers in [0, 2^n) via the
 MSB-first convention: coordinate 1 is the most significant bit, so the
 lexicographic order of bit strings coincides with integer order and every
 prefix corresponds to a contiguous block of indices.
+
+Conditionals Pr[x_i = 1 | x_[i-1] = w] have one representation, a node
+array of 2^n - 1 floats: the (i, w) conditional sits at index
+(1 << (i-1)) + w - 1, so level i is the slice [2^(i-1) - 1, 2^i - 1), and
+NaN marks a prefix with no conditional (zero mass, or no entry in a tree).
+Every table built from conditionals goes through ``_from_conditionals``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +30,7 @@ PROB_ATOL = 1e-12
 # Dense tables are the verification backbone and must stay exact; anything
 # larger than this has to go through a structured representation.
 MAX_DENSE_N = 20
+_TREE_KEY = re.compile(r"([0-9]+):([01]*)")  # "i:prefix" of a ConditionalTree JSON key
 
 
 class DivergenceKind(enum.Enum):
@@ -116,6 +124,11 @@ def node_conditionals(levels) -> np.ndarray:
     return out
 
 
+def _node_levels(nodes: np.ndarray, n: int) -> list[np.ndarray]:
+    """Views of a node array, one per level: [i-1][w] is node (i, w)."""
+    return [nodes[(1 << (i - 1)) - 1:(1 << i) - 1] for i in range(1, n + 1)]
+
+
 def _check_dense_n(n: int) -> None:
     """DomainError unless a dense table over {0,1}^n is allowed; constructors
     call it before allocating 2^n cells."""
@@ -165,31 +178,14 @@ class DistributionTable:
     def bernoulli_product(cls, ps) -> "DistributionTable":
         """Product of independent Ber(p_i); coordinate 1 is ps[0]."""
         ps = list(ps)
-        _check_dense_n(len(ps))
-        probs = np.ones(1)
         for p in ps:
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"Bernoulli parameter {p} out of range")
-            probs = np.kron(probs, np.array([1.0 - p, p]))
-        return cls(len(ps), probs)
+        return _from_conditionals([np.array([p], dtype=np.float64) for p in ps])
 
     @classmethod
     def from_conditional_tree(cls, tree: "ConditionalTree") -> "DistributionTable":
-        _check_dense_n(tree.n)
-        masses = np.ones(1)
-        for i in range(1, tree.n + 1):
-            p1 = np.zeros(1 << (i - 1))
-            for j in range(1 << (i - 1)):
-                if masses[j] > 0.0:
-                    key = (i, index_to_bits(j, i - 1))
-                    if key not in tree.cond:
-                        raise DomainError(f"tree has no entry for the positive-mass key {key}")
-                    p1[j] = tree.cond[key]
-            nxt = np.empty(1 << i)
-            nxt[0::2] = masses * (1.0 - p1)
-            nxt[1::2] = masses * p1
-            masses = nxt
-        return cls(tree.n, masses)
+        return _from_conditionals(_node_levels(tree.nodes, tree.n))
 
     # ------------------------------------------------------------------
     # structure
@@ -215,48 +211,37 @@ class DistributionTable:
     def conditional_levels(self) -> list[np.ndarray]:
         """conditional_levels()[i-1][j] = Pr[x_i = 1 | prefix j], NaN if the
         prefix has zero mass; views into ``conditional_nodes()``."""
-        nodes = self.conditional_nodes()
-        return [nodes[(1 << (i - 1)) - 1:(1 << i) - 1] for i in range(1, self.n + 1)]
+        return _node_levels(self.conditional_nodes(), self.n)
 
     def effective_conditional_levels(self) -> list[np.ndarray]:
         """Like conditional_levels(), but a zero-mass prefix inherits the
         conditional of its deepest positive-mass ancestor: the value at a dead
         node (i, w) is Pr[x_i = 1 | x_[k] = w_[k]] for the largest k with
-        Pr[x_[k] = w_[k]] > 0.  For degenerate tables (e.g. point masses) this
-        is the 0/1 value the table implies on its dead branches."""
+        Pr[x_[k] = w_[k]] > 0, summed over that cylinder in cell order.  For
+        degenerate tables (e.g. point masses) this is the 0/1 value the table
+        implies on its dead branches; live prefixes copy conditional_levels()."""
         if self._eff_cond_levels is None:
             levels = self.level_sums()
             out = []
-            for i in range(1, self.n + 1):
+            depth = np.zeros(1, dtype=np.intp)  # of each prefix's deepest positive ancestor
+            for i, cond in enumerate(self.conditional_levels(), start=1):
                 parent = levels[i - 1]
-                cond = np.empty(1 << (i - 1))
-                memo: dict[tuple[int, int], float] = {}
-                for j in range(1 << (i - 1)):
-                    if parent[j] > 0.0:
-                        cond[j] = levels[i][2 * j + 1] / parent[j]
-                    else:
-                        k = i - 1
-                        anc = j
-                        while k > 0 and levels[k][anc] == 0.0:
-                            k -= 1
-                            anc >>= 1
-                        key = (k, anc)
-                        if key not in memo:
-                            memo[key] = self._bit_prob_in_cylinder(i, k, anc)
-                        cond[j] = memo[key]
+                if i > 1:
+                    depth = np.where(parent > 0.0, i - 1, np.repeat(depth, 2))
+                cond = cond.copy()
+                dead = np.flatnonzero(parent == 0.0)
+                for k in np.unique(depth[dead]):
+                    prefixes = dead[depth[dead] == k]
+                    anc, which = np.unique(prefixes >> (i - 1 - k), return_inverse=True)
+                    cells = self.probs.reshape(1 << k, -1)[anc]
+                    ones = np.ascontiguousarray(
+                        cells.reshape(anc.shape[0], 1 << (i - 1 - k), 2, -1)[:, :, 1, :])
+                    cond[prefixes] = (ones.reshape(anc.shape[0], -1).sum(axis=1)
+                                      / cells.sum(axis=1))[which]
+                cond.setflags(write=False)
                 out.append(cond)
             self._eff_cond_levels = out
         return self._eff_cond_levels
-
-    def _bit_prob_in_cylinder(self, i: int, k: int, anc: int) -> float:
-        """Pr[x_i = 1 | x_[k] = ancestor], for k < i and positive ancestor mass."""
-        width = self.n - k
-        block = self.probs[anc << width:(anc + 1) << width]
-        mask_bit = 1 << (self.n - i)
-        idx = np.arange(block.shape[0])
-        ones = float(block[(idx & mask_bit) != 0].sum())
-        total = float(block.sum())
-        return ones / total
 
     def marginals(self) -> np.ndarray:
         """Pr[x_i = 1] for i = 1..n."""
@@ -282,53 +267,63 @@ class DistributionTable:
         raise DomainError("distribution JSON must contain 'probs' or 'tree'")
 
 
-@dataclass(frozen=True)
 class ConditionalTree:
     """Probability-tree form: Pr[x_i = 1 | x_[i-1] = w] for every
-    positive-probability prefix w."""
+    positive-probability prefix w, held as a read-only node array laid out
+    like ``node_conditionals`` (node (1 << (i-1)) + w at index node - 1),
+    with NaN where the tree has no entry."""
 
-    n: int
-    cond: dict[tuple[int, tuple[int, ...]], float] = field(default_factory=dict)
+    __slots__ = ("n", "nodes")
 
-    def __post_init__(self):
-        for (i, w), p in self.cond.items():
-            if not 1 <= i <= self.n or len(w) != i - 1:
-                raise DomainError(f"malformed tree key ({i}, {w})")
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"conditional probability {p} out of [0,1]")
+    def __init__(self, n: int, nodes):
+        _check_dense_n(n)
+        nodes = np.array(nodes, dtype=np.float64)
+        if nodes.shape != ((1 << n) - 1,):
+            raise DomainError(f"expected {(1 << n) - 1} tree nodes, got shape {nodes.shape}")
+        if np.any((nodes < 0.0) | (nodes > 1.0)):
+            raise DomainError("conditional probabilities must lie in [0,1] or be NaN")
+        nodes.setflags(write=False)
+        self.n = n
+        self.nodes = nodes
+
+    def __eq__(self, other):
+        if not isinstance(other, ConditionalTree):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.nodes, other.nodes, equal_nan=True)
 
     @classmethod
     def from_table(cls, table: DistributionTable) -> "ConditionalTree":
-        levels = table.level_sums()
-        cond = {}
-        for i in range(1, table.n + 1):
-            parent = levels[i - 1]
-            for j in range(1 << (i - 1)):
-                if parent[j] > 0.0:
-                    cond[(i, index_to_bits(j, i - 1))] = float(levels[i][2 * j + 1] / parent[j])
-        return cls(table.n, cond)
+        return cls(table.n, table.conditional_nodes())
 
     def to_table(self) -> DistributionTable:
         return DistributionTable.from_conditional_tree(self)
 
     def to_json(self) -> str:
-        payload = {
-            f"{i}:{''.join(map(str, w))}": p for (i, w), p in sorted(self.cond.items())
-        }
+        live = np.flatnonzero(~np.isnan(self.nodes))
+        # node v = (1 << (i-1)) + w is "1" followed by w's i-1 bits
+        payload = {f"{v.bit_length()}:{bin(v)[3:]}": p
+                   for v, p in zip((live + 1).tolist(), self.nodes[live].tolist())}
         return json.dumps({"n": self.n, "tree": payload})
 
     @classmethod
     def from_json(cls, text: str) -> "ConditionalTree":
         data = json.loads(text)
         n = _json_n(data)
-        cond = {}
+        _check_dense_n(n)
         try:
-            for key, p in data["tree"].items():
-                i_str, _, w_str = key.partition(":")
-                cond[(int(i_str), tuple(int(c) for c in w_str))] = float(p)
+            entries = [(key, float(p)) for key, p in data["tree"].items()]
         except (AttributeError, KeyError, TypeError, ValueError):
             raise DomainError("'tree' must map 'i:prefix' keys to probabilities") from None
-        return cls(n, cond)
+        nodes = np.full((1 << n) - 1, np.nan)
+        for key, p in entries:
+            match = _TREE_KEY.fullmatch(key)
+            if not match or not 1 <= int(match[1]) == len(match[2]) + 1 <= n:
+                raise DomainError(f"malformed tree key {key!r} for n={n}; keys are "
+                                  "'i:prefix' with an (i-1)-bit 0/1 prefix")
+            if not 0.0 <= p <= 1.0:
+                raise DomainError(f"conditional probability {p} out of [0,1]")
+            nodes[int("1" + match[2], 2) - 1] = p
+        return cls(n, nodes)
 
 
 def _json_n(data: dict) -> int:
@@ -344,10 +339,30 @@ def conditional_bit_prob(tree: ConditionalTree, i: int, w) -> float:
     w = tuple(w)
     if not 1 <= i <= tree.n or len(w) != i - 1:
         raise DomainError(f"bad query ({i}, {w}) for n={tree.n}")
-    try:
-        return tree.cond[(i, w)]
-    except KeyError:
-        raise ZeroProbabilityPrefixError(f"prefix {w} has zero probability") from None
+    p = float(tree.nodes[(1 << (i - 1)) + bits_to_index(w) - 1])
+    if math.isnan(p):
+        raise ZeroProbabilityPrefixError(f"prefix {w} has zero probability")
+    return p
+
+
+def _from_conditionals(levels) -> DistributionTable:
+    """The table with Pr[x_i = 1 | prefix w] = levels[i-1][w], built level by
+    level; a level of shape (1,) applies to all of its prefixes.  NaN stands
+    for no conditional and is allowed only on zero-mass prefixes."""
+    _check_dense_n(len(levels))
+    masses = np.ones(1)
+    for i, p1 in enumerate(levels, start=1):
+        alive = masses > 0.0
+        missing = np.flatnonzero(alive & np.isnan(p1))
+        if missing.size:
+            key = (i, index_to_bits(int(missing[0]), i - 1))
+            raise DomainError(f"tree has no entry for the positive-mass key {key}")
+        p1 = np.where(alive, p1, 0.0)
+        nxt = np.empty(1 << i)
+        nxt[0::2] = masses * (1.0 - p1)
+        nxt[1::2] = masses * p1
+        masses = nxt
+    return DistributionTable(len(levels), masses)
 
 
 def _check_same_domain(p: DistributionTable, q: DistributionTable) -> None:
@@ -383,22 +398,16 @@ def slicewise_divergence(kind: DivergenceKind, t: DistributionTable,
     _check_same_domain(t, m)
     t_levels = t.level_sums()
     t_cond = t.conditional_levels()
-    m_cond_eff = None
-    total = 0.0
     m_levels = m.level_sums()
+    m_cond = m.effective_conditional_levels()
+    total = 0.0
     for i in range(1, t.n + 1):
         weights = t_levels[i - 1]
         alive = weights > 0.0
-        tc = t_cond[i - 1]
-        m_parent = m_levels[i - 1]
-        if kind is DivergenceKind.KL and np.any(alive & (m_parent == 0.0)):
+        if kind is DivergenceKind.KL and np.any(alive & (m_levels[i - 1] == 0.0)):
             return math.inf
-        if np.any(alive & (m_parent == 0.0)):
-            if m_cond_eff is None:
-                m_cond_eff = m.effective_conditional_levels()
-            mc = m_cond_eff[i - 1]
-        else:
-            mc = m.conditional_levels()[i - 1]
+        tc = t_cond[i - 1]
+        mc = m_cond[i - 1]
         for j in np.nonzero(alive)[0]:
             d = single_bit_divergence(kind, float(tc[j]), float(mc[j]))
             if math.isinf(d):
@@ -428,21 +437,11 @@ def clamp_distribution(m: DistributionTable, t: DistributionTable,
     _check_same_domain(m, t)
     if not 0.0 < threshold < 0.5:
         raise DomainError(f"threshold must lie in (0, 1/2), got {threshold}")
-    m_cond = m.effective_conditional_levels()
-    t_cond = t.effective_conditional_levels()
-    masses = np.ones(1)
-    for i in range(1, m.n + 1):
-        mm = m_cond[i - 1]
-        tt = t_cond[i - 1]
-        low = mm < threshold
-        high = mm > 1.0 - threshold
-        clamped = np.where(low, np.minimum(threshold, tt),
-                           np.where(high, 1.0 - np.minimum(threshold, 1.0 - tt), mm))
-        nxt = np.empty(1 << i)
-        nxt[0::2] = masses * (1.0 - clamped)
-        nxt[1::2] = masses * clamped
-        masses = nxt
-    return DistributionTable(m.n, masses)
+    return _from_conditionals([
+        np.where(mm < threshold, np.minimum(threshold, tt),
+                 np.where(mm > 1.0 - threshold, 1.0 - np.minimum(threshold, 1.0 - tt), mm))
+        for mm, tt in zip(m.effective_conditional_levels(), t.effective_conditional_levels())
+    ])
 
 
 @dataclass(frozen=True)

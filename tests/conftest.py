@@ -40,6 +40,31 @@ def positive_table(rng, n):
     return DistributionTable(n, w / w.sum())
 
 
+def bit_prob_in_cylinder(table, i, k, anc):
+    """Reference for a dead node of ``effective_conditional_levels``:
+    Pr[x_i = 1 | x_[k] = anc], for k < i and positive ancestor mass, as the
+    bit-i-one cells of the cylinder over all of its cells, each summed in
+    cell order."""
+    width = table.n - k
+    block = table.probs[anc << width:(anc + 1) << width]
+    mask_bit = 1 << (table.n - i)
+    idx = np.arange(block.shape[0])
+    ones = float(block[(idx & mask_bit) != 0].sum())
+    total = float(block.sum())
+    return ones / total
+
+
+def reference_effective_conditional(table, i, j):
+    """Reference effective conditional at a dead node (i, j): the cylinder
+    value of the prefix's deepest positive-mass ancestor."""
+    levels = table.level_sums()
+    k, anc = i - 1, j
+    while k > 0 and levels[k][anc] == 0.0:
+        k -= 1
+        anc >>= 1
+    return bit_prob_in_cylinder(table, i, k, anc)
+
+
 def _factor_table(k, grid):
     """(g^k, 2^k) array of product-cell probabilities over all grid-marginal
     assignments to k coordinates, rows in mixed-radix grid order."""

@@ -193,13 +193,13 @@ def test_criterion_07_interval_reduction(capsys):
     def check():
         # exhaustive preimage identity for the prefix -> interval map
         for ell in range(1, 11):
+            v = np.arange(1 << ell)
             for i in range(1, ell + 2):
                 for w_val in range(1 << (i - 1)):
                     w = index_to_bits(w_val, i - 1) if i > 1 else ()
                     a, b = prefix_to_interval(ell, i, w)
-                    members = {v + 1 for v in range(1 << ell)
-                               if index_to_bits(v, ell)[:i - 1] == w}
-                    assert members == set(range(a, b + 1)), (ell, i, w)
+                    members = v[(v >> (ell - i + 1)) == w_val] + 1
+                    assert np.array_equal(members, np.arange(a, b + 1)), (ell, i, w)
 
         runs = 60
         N = 256

@@ -25,7 +25,7 @@ from condtest.distcore import (
     slicewise_divergence,
     tv_distance,
 )
-from conftest import positive_table, random_table
+from conftest import positive_table, random_table, reference_effective_conditional
 
 TV, KL, CHI2 = DivergenceKind.TV, DivergenceKind.KL, DivergenceKind.CHI2
 
@@ -109,7 +109,8 @@ def test_table_validation():
     lambda n: DistributionTable.uniform(n),
     lambda n: DistributionTable.point_mass([0] * n),
     lambda n: DistributionTable.bernoulli_product([0.5] * n),
-], ids=["uniform", "point_mass", "bernoulli_product"])
+    lambda n: DistributionTable.from_json(json.dumps({"n": n, "tree": {"1:": 0.5}})),
+], ids=["uniform", "point_mass", "bernoulli_product", "tree_json"])
 def test_oversized_n_refused_before_allocating(build, monkeypatch):
     """n = 30 would need 2^30 cells; the dimension check must come first."""
     def refuse(*args, **kwargs):
@@ -199,6 +200,37 @@ def test_conditional_bit_prob_biased_pair():
     pair = DistributionTable(2, [0.35, 0.15, 0.15, 0.35])
     tree = ConditionalTree.from_table(pair)
     assert conditional_bit_prob(tree, 2, (0,)) == pytest.approx(0.3)
+
+
+def test_tree_form_pinned_exactly(rng):
+    """Dead nodes of the effective conditionals equal the cylinder reference
+    exactly, and the tree JSON of a table with a dead branch is pinned byte
+    for byte."""
+    tables = [random_table(rng, int(rng.integers(1, 8)), zeros=True) for _ in range(40)]
+    for _ in range(40):
+        # a dead cylinder at depth k leaves a long in-order sum at depth k - 1
+        n = int(rng.integers(2, 8))
+        k = int(rng.integers(1, n))
+        a = int(rng.integers(1 << k))
+        w = random_table(rng, n, zeros=True).probs.copy()
+        w[a << (n - k):(a + 1) << (n - k)] = 0.0
+        if w.sum() > 0.0:
+            tables.append(DistributionTable(n, w / w.sum()))
+    tables += [DistributionTable.point_mass(index_to_bits(v, n))
+               for n in (1, 3, 7) for v in (0, (1 << n) - 1, (1 << n) // 3)]
+    dead_nodes = 0
+    for table in tables:
+        levels = table.level_sums()
+        for i, eff in enumerate(table.effective_conditional_levels(), start=1):
+            for j in np.flatnonzero(levels[i - 1] == 0.0).tolist():
+                assert eff[j] == reference_effective_conditional(table, i, j), (table.n, i, j)
+                dead_nodes += 1
+    assert dead_nodes > 100
+    # the 01 prefix has no mass, so the tree has no "3:01" key
+    table = DistributionTable(3, [0.1, 0.2, 0.0, 0.0, 0.3, 0.0, 0.25, 0.15])
+    assert ConditionalTree.from_table(table).to_json() == (
+        '{"n": 3, "tree": {"1:": 0.7, "2:0": 0.0, "2:1": 0.5714285714285715, '
+        '"3:00": 0.6666666666666666, "3:10": 0.0, "3:11": 0.37499999999999994}}')
 
 
 def test_table_json_round_trip(rng):

@@ -327,6 +327,8 @@ BAD_INPUT_FILES = {
     "n-list-number.json": json.dumps({"n_list": 5, "eps_list": [0.5]}),
     "tau-number.json": json.dumps({"tau": 5}),
     "n2.json": json.dumps({"n": 2, "probs": [0.25, 0.25, 0.25, 0.25]}),
+    "tree-bad-bit.json": json.dumps({"n": 2, "tree": {"1:": 0.5, "2:0": 0.5, "2:1": 0.5,
+                                                      "2:5": 0.3}}),
 }
 _EQ = ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform"]
 _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
@@ -368,13 +370,15 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
      "--mu", "point:0101"],
     ["test-product", "--n", "5", "--eps", "0.5", "--mu", "bernoulli:0.1,0.2"],
     ["test-equivalence", "--n", "3", "--eps", "0.5", "--tau", "@n2.json", "--mu", "@n2.json"],
+    ["test-equivalence", "--n", "2", "--eps", "0.5", "--mu", "uniform",
+     "--tau", "@tree-bad-bit.json"],
 ], ids=["n1", "step0", "step-neg", "step-0.28", "eps1.5", "N0", "n-list", "missing-config",
         "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
         "config-seed-str", "config-grid-step-str", "config-runs-str",
         "config-N-float", "json-probs-no-n", "json-tree-no-n", "json-tree-number",
         "json-tree-missing-key", "json-pairs-no-n", "json-biases-number", "config-n-list-number",
         "config-tau-number", "point-n-mismatch", "bernoulli-n-mismatch",
-        "json-n-mismatch"])
+        "json-n-mismatch", "json-tree-bad-bit"])
 def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)
