@@ -128,7 +128,11 @@ class AdversarialInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "AdversarialInstance":
-        payload = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "AdversarialInstance":
+        """The instance of a parsed JSON object {"n", "eps", "biases"}."""
         try:
             n, eps = int(payload["n"]), float(payload["eps"])
             biases = tuple(int(b) for b in payload["biases"])
@@ -268,12 +272,17 @@ class GridProductDistance:
 
 
 # L1 slack of every comparison against the least distance so far: a grid
-# point is re-scored in the reference product order, and a head row or lead
-# factor is searched, when its value or bound is within this slack.  It only
+# point is re-scored in the reference product order, and a head row at any
+# level is searched, when its value or bound is within this slack.  It only
 # has to exceed the ~1e-15 rounding of a 2^n-term sum, so that every point the
 # reference search could pick is kept; a larger slack keeps more and returns
 # the same result.
 _TIE_TOL = 1e-9
+
+# Product cells of the last head level expanded at once: enough parent rows
+# per block to amortize numpy's call overhead, few enough to keep the working
+# set of the search at a few MiB.
+_BLOCK_CELLS = 1 << 15
 
 
 def _grid_digits(flat: np.ndarray, k: int, g: int) -> np.ndarray:
@@ -292,16 +301,22 @@ def _grid_products(digits: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_factors(n: int, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lead, tail): the grid products over the lead coordinates 1..n-3 (none
-    for n < 4) and over the tail coordinates n-2..n-1 (fewer for n < 3), rows in
-    mixed-radix grid order.  Head row r * len(tail) + j, a grid product over
-    coordinates 1..n-1, is lead[r] x tail[j]."""
-    g = grid.shape[0]
-    k = min(n - 1, 2)
-    lead = _grid_products(_grid_digits(np.arange(g ** (n - 1 - k)), n - 1 - k, g), grid)
-    tail = _grid_products(_grid_digits(np.arange(g ** k), k, g), grid)
-    return lead, tail
+def _extend(h: np.ndarray, flat: np.ndarray,
+            grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extend the cells-major grid products ``h`` (2^k, m), numbered ``flat``,
+    by one coordinate: column r * g + j of the result is column r times
+    Ber(grid[j]), cells MSB-first, multiplied as in ``_grid_products``."""
+    single = np.stack([1.0 - grid, grid])
+    out = (h[:, None, :, None] * single[None, :, None, :]).reshape(2 * h.shape[0], -1)
+    return out, (flat[:, None] * grid.shape[0] + np.arange(grid.shape[0])).ravel()
+
+
+def _marginal_l1(table: DistributionTable, k: int, h: np.ndarray) -> np.ndarray:
+    """Per column of the cells-major products ``h`` over coordinates 1..k, the
+    L1 distance from the table's marginal over those coordinates: a lower
+    bound on the L1 distance of every grid product that extends it."""
+    marginal = table.probs.reshape(1 << k, -1).sum(axis=1)
+    return np.abs(marginal[:, None] - h).sum(axis=0)
 
 
 def _reference_l1(table: DistributionTable, flat: np.ndarray,
@@ -365,30 +380,36 @@ def distance_to_grid_products(table: DistributionTable,
     variation, so (distance - n*step/2) lower-bounds the distance to all
     products.  Intended for n <= 4.
 
-    The search runs over the g^(n-1) grid products h of coordinates 1..n-1,
-    lead factor by lead factor (``_head_factors``), and prunes them with a
-    lower bound.  Marginalizing cannot increase L1, so with s the table's
-    marginal over coordinates 1..n-1, L1(t, h x Ber(x)) >= |s - h|_1 for
-    every last marginal x; likewise the table's marginal over the lead
-    coordinates bounds every head row of a lead factor.  The bound starts at
-    the distance of one grid product, the one nearest the table's own
-    marginals, and falls to the least distance found so far.  A lead factor
-    or head row whose bound exceeds it by more than ``_TIE_TOL`` cannot hold
-    a minimum and is skipped.  That grid product only bounds the search: it
-    is never returned unless the search reaches it in grid order.
+    The search builds the grid products h over the head coordinates
+    1..n-1 level by level and prunes every level with a lower bound.
+    Marginalizing cannot increase L1, so with m_k the table's marginal over
+    coordinates 1..k, L1(t, p) >= |m_k - h_k|_1 for every grid product p
+    whose first k marginals give the product h_k; in particular
+    L1(t, h x Ber(x)) >= |m_(n-1) - h|_1 for every last marginal x.  The
+    bound starts at the distance of one grid product, the one nearest the
+    table's own marginals, and falls to the least distance found so far.  A
+    row whose bound exceeds it by more than ``_TIE_TOL`` cannot lead to a
+    minimum and is dropped with all its extensions.  That grid product only
+    bounds the search: it is never returned unless the search reaches it in
+    grid order.
 
-    For a kept h the L1 distance sum_c |t_c0 - h_c (1 - x)| + |t_c1 - h_c x|
-    is convex and piecewise linear in x, with breakpoints 1 - t_c0/h_c and
-    t_c1/h_c of weight h_c each (total weight 2).  Its minimizer is the
-    weighted median of the breakpoints, so the row's grid minimum lies on one
-    of the two grid points bracketing it.  Every grid point within
-    ``_TIE_TOL`` of the least distance so far is then re-scored in the
-    product order of the exhaustive search (``_reference_l1``), and the first
+    Levels 1..n-2 are expanded whole.  The last head level is expanded in
+    blocks of consecutive parent rows, at most ``_BLOCK_CELLS`` product cells
+    a block, so the working set stays small however many rows survive.  For
+    a kept head row h the L1 distance
+    sum_c |t_c0 - h_c (1 - x)| + |t_c1 - h_c x| is convex and piecewise
+    linear in x, with breakpoints 1 - t_c0/h_c and t_c1/h_c of weight h_c
+    each (total weight 2).  Its minimizer is the weighted median of the
+    breakpoints, so the row's grid minimum lies on one of the two grid
+    points bracketing it; one bracketing pass serves every kept row of a
+    block.  Every grid point within ``_TIE_TOL`` of the least distance so far
+    is then re-scored in the product order of the exhaustive search
+    (``_reference_l1``), and, the blocks running in grid order, the first
     minimum in grid order wins.
 
     The bounds are exact mathematics; their floating-point values, like the
     two orders of summation, differ from the exact sums by about 1e-15,
-    far below ``_TIE_TOL`` = 1e-9.  So no skipped row or unscored point can
+    far below ``_TIE_TOL`` = 1e-9.  So no dropped row or unscored point can
     hold a value within rounding of the minimum, and ``distance`` and
     ``marginals`` equal those of the exhaustive search over all g^n grid
     products, ties included.
@@ -405,38 +426,46 @@ def distance_to_grid_products(table: DistributionTable,
     grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
     g = grid.shape[0]
     t = table.probs.reshape(-1, 2)
-    lead, tail = _head_factors(n, grid)
-    lead_bound = np.abs(table.probs.reshape(lead.shape[1], -1).sum(axis=1)
-                        - lead).sum(axis=1)
-    head_marginal = t.sum(axis=1)
     nearest = np.minimum(np.rint(table.marginals() / step).astype(np.intp), g - 1)
     nearest_flat = np.array([nearest @ g ** np.arange(n - 1, -1, -1)])
     incumbent = float(_reference_l1(table, nearest_flat, grid)[0])
     best, best_flat = np.inf, 0
-    for r, factor in enumerate(lead):
+    # Head products over coordinates 1..k, cells-major: h[c, r] is cell c of
+    # the product numbered flat[r] in mixed-radix grid order.
+    h, flat, bound = np.ones((1, 1)), np.zeros(1, dtype=np.intp), np.zeros(1)
+    for k in range(1, n - 1):
+        h, flat = _extend(h, flat, grid)
+        bound = _marginal_l1(table, k, h)
+        kept = np.flatnonzero(bound <= incumbent + _TIE_TOL)
+        h, flat, bound = h[:, kept], flat[kept], bound[kept]
+    # The last head level, per_block parents at a time: each parent extends
+    # to g rows of 2^(n-1) cells.
+    per_block = max(1, _BLOCK_CELLS // (g << (n - 1)))
+    for s in range(0, flat.shape[0], per_block):
         limit = min(best, incumbent) + _TIE_TOL
-        if lead_bound[r] > limit:
-            continue
-        h = (factor[None, :, None] * tail[:, None, :]).reshape(tail.shape[0], -1)
-        kept = np.flatnonzero(np.abs(head_marginal - h).sum(axis=1) <= limit)
+        parents = s + np.flatnonzero(bound[s:s + per_block] <= limit)
+        hb, fb = h[:, parents], flat[parents]
+        if n > 1:
+            hb, fb = _extend(hb, fb, grid)
+        kept = np.flatnonzero(_marginal_l1(table, n - 1, hb) <= limit)
         if kept.shape[0] == 0:
             continue
-        h = h[kept]
-        below, above = _median_bracket(h, t, grid)
-        row_min = np.minimum(_l1_at_last(h, t, below), _l1_at_last(h, t, above))
+        rows, rows_flat = hb[:, kept].T, fb[kept]
+        below, above = _median_bracket(rows, t, grid)
+        row_min = np.minimum(_l1_at_last(rows, t, below), _l1_at_last(rows, t, above))
         cutoff = min(limit, row_min.min() + _TIE_TOL)
-        rows = np.flatnonzero(row_min <= cutoff)
+        near = np.flatnonzero(row_min <= cutoff)
         # g rows at a time: a table with many tied rows stays inside the
         # g^2 * 2^n working set.
-        for s in range(0, rows.shape[0], g):
-            chunk = rows[s:s + g]
-            l1 = _l1_at_last(h[chunk][:, None, :], t, grid[None, :])
-            i, k = np.nonzero(l1 <= cutoff)
-            flat = (r * tail.shape[0] + kept[chunk[i]]) * g + k
-            exact = _reference_l1(table, flat, grid)
+        for c in range(0, near.shape[0], g):
+            chunk = near[c:c + g]
+            l1 = _l1_at_last(rows[chunk][:, None, :], t, grid[None, :])
+            i, x = np.nonzero(l1 <= cutoff)
+            cand = rows_flat[chunk[i]] * g + x
+            exact = _reference_l1(table, cand, grid)
             m = int(np.argmin(exact))
             if exact[m] < best:
-                best, best_flat = float(exact[m]), int(flat[m])
+                best, best_flat = float(exact[m]), int(cand[m])
     marginals = grid[_grid_digits(np.array([best_flat]), n, g)[0]]
     return GridProductDistance(best / 2.0, step, "exact-grid",
                                tuple(float(p) for p in marginals))

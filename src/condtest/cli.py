@@ -93,7 +93,7 @@ _COMMAND_KIND = {
 def _merge_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
-        _, payload = read_json_object(args.config, "config")
+        payload = read_json_object(args.config, "config")
         merged.update({k.replace("-", "_"): v for k, v in payload.items()})
     for key, value in vars(args).items():
         if key in ("command", "config"):

@@ -259,11 +259,16 @@ class DistributionTable:
 
     @classmethod
     def from_json(cls, text: str) -> "DistributionTable":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "DistributionTable":
+        """The table of a parsed distribution JSON object: a dense "probs"
+        array or a conditional "tree"."""
         if "probs" in data:
             return cls(_json_n(data), data["probs"])
         if "tree" in data:
-            return cls.from_conditional_tree(ConditionalTree.from_json(text))
+            return cls.from_conditional_tree(ConditionalTree.from_dict(data))
         raise DomainError("distribution JSON must contain 'probs' or 'tree'")
 
 
@@ -307,7 +312,11 @@ class ConditionalTree:
 
     @classmethod
     def from_json(cls, text: str) -> "ConditionalTree":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ConditionalTree":
+        """The tree of a parsed JSON object {"n": n, "tree": {"i:prefix": p}}."""
         n = _json_n(data)
         _check_dense_n(n)
         try:

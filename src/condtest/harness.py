@@ -113,17 +113,16 @@ class ResultRow:
 # distribution sources
 
 
-def read_json_object(path: str, what: str) -> tuple[str, dict]:
-    """The text of the JSON file at ``path`` and the object it holds; a file
-    that cannot be read or holds no JSON object raises HarnessError."""
+def read_json_object(path: str, what: str) -> dict:
+    """The object the JSON file at ``path`` holds, parsed once; a file that
+    cannot be read or holds no JSON object raises HarnessError."""
     try:
-        text = Path(path).read_text()
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text())
     except (OSError, ValueError) as err:  # ValueError: not JSON
         raise HarnessError(f"cannot read {what} file {path}: {err}") from None
     if not isinstance(payload, dict):
         raise HarnessError(f"{what} file {path} must hold a JSON object")
-    return text, payload
+    return payload
 
 
 def load_distribution(source: str, n: int | None = None) -> distcore.DistributionTable:
@@ -161,10 +160,10 @@ def _read_distribution(source: str, n: int | None) -> distcore.DistributionTable
     if not Path(source).exists():
         raise HarnessError(f"distribution source {source!r} is neither a "
                            "shorthand nor an existing file")
-    text, payload = read_json_object(source, "distribution")
+    payload = read_json_object(source, "distribution")
     if "biases" in payload:
-        return adversarial.AdversarialInstance.from_json(text).table()
-    return distcore.DistributionTable.from_json(text)
+        return adversarial.AdversarialInstance.from_dict(payload).table()
+    return distcore.DistributionTable.from_dict(payload)
 
 
 def load_interval_pmf(source: str, N: int) -> np.ndarray:
@@ -182,7 +181,7 @@ def load_interval_pmf(source: str, N: int) -> np.ndarray:
     if not Path(source).exists():
         raise HarnessError(f"pmf source {source!r} is neither a shorthand "
                            "nor an existing file")
-    _, payload = read_json_object(source, "pmf")
+    payload = read_json_object(source, "pmf")
     if "pmf" not in payload:
         raise HarnessError(f"pmf file {source} has no \"pmf\" array")
     pmf = np.asarray(payload["pmf"], dtype=np.float64)

@@ -325,6 +325,50 @@ def test_grid_distance_matches_reference_corpus(step):
         assert got.marginals == ref.marginals, (table.probs, step)
 
 
+def _sparse_corpus():
+    """Dirichlet(0.1) tables at n = 3 and 4: a few heavy cells, so many head
+    rows survive the bounds and reach the weighted median."""
+    rng = np.random.default_rng(20261019)
+    for n in (3, 4):
+        for _ in range(2):
+            yield DistributionTable(n, rng.dirichlet(np.full(1 << n, 0.1)))
+
+
+@pytest.mark.parametrize("step", [0.02, 1 / 3])
+def test_grid_distance_matches_reference_at_benchmark_steps(step):
+    """The reference corpus and the sparse tables at the benchmark's step and
+    at a step of three intervals.  At step 0.02 the corpus keeps n <= 3,
+    since the brute force takes about a second per table at n = 4; the
+    sparse tables and the paired tables cover n = 4 there."""
+    from conftest import brute_force_grid_distance
+    corpus = _reference_corpus()
+    if step == 0.02:
+        corpus = (table for table in corpus if table.n <= 3)
+    for table in itertools.chain(corpus, _sparse_corpus()):
+        got = distance_to_grid_products(table, step)
+        assert got == brute_force_grid_distance(table, step), (table.probs, step)
+
+
+@pytest.mark.parametrize("table", [
+    DistributionTable(4, np.eye(16)[0] / 2 + np.eye(16)[15] / 2),
+    AdversarialInstance(4, 0.4, (1, -1)).table(),
+], ids=["two-point", "paired-eps0.4"])
+def test_grid_search_memory_stays_bounded(table):
+    """Tables on which many head rows survive: the last head level is built
+    in blocks, so the traced peak at step 0.01 stays a few MiB (one unblocked
+    frontier reaches 220-280 MiB there); the result is the brute force's."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        distance_to_grid_products(table, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    from conftest import brute_force_grid_distance
+    assert distance_to_grid_products(table, 0.05) == brute_force_grid_distance(table, 0.05)
+
+
 @pytest.mark.parametrize("biases", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_grid_distance_matches_reference_on_paired_tables(biases):
     from conftest import brute_force_grid_distance

@@ -81,6 +81,34 @@ def test_load_distribution_refuses_another_dimension(tmp_path):
             load_distribution(source, 3)
 
 
+def test_load_distribution_parses_each_file_once(tmp_path, monkeypatch):
+    """A dense table, a conditional tree and a paired-bias instance are each
+    built from the one parse of their file, and match their text entry
+    points."""
+    from condtest.adversarial import AdversarialInstance
+    from condtest.distcore import DistributionTable
+    files = {"dense.json": (DistributionTable(2, [0.1, 0.2, 0.3, 0.4]).to_json(),
+                            DistributionTable.from_json),
+             "tree.json": (json.dumps({"n": 2, "tree": {"1:": 0.25, "2:0": 0.5, "2:1": 1.0}}),
+                           DistributionTable.from_json),
+             "pairs.json": (AdversarialInstance(4, 0.2, (1, -1)).to_json(),
+                            lambda text: AdversarialInstance.from_json(text).table())}
+    loads = json.loads
+    for name, (text, from_text) in files.items():
+        (tmp_path / name).write_text(text)
+        calls = []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "loads", counting_loads)
+            table = load_distribution(str(tmp_path / name))
+        assert len(calls) == 1, name
+        np.testing.assert_array_equal(table.probs, from_text(text).probs)
+
+
 def test_load_interval_pmf():
     np.testing.assert_allclose(load_interval_pmf("uniform", 8), 1 / 8)
     blk = load_interval_pmf("block:1,4", 8)

@@ -397,14 +397,15 @@ def _never_called(*args):
 
 def _literal(run, monkeypatch):
     """``run()`` with the walk replaced by the reference walk on the literal
-    black box ("sampled"), which must never call the exact survive calculus."""
+    black box, the reference tester, which must never call the exact survive
+    calculus."""
     with monkeypatch.context() as patch:
         patch.setattr(testers, "_run_equivalence", functools.partial(reference_walk, literal=True))
         patch.setattr(testers, "blackbox_survive_prob", _never_called)
         return run()
 
 
-def test_sampled_and_collapsed_agree_on_budget_and_verdict(monkeypatch):
+def test_walk_and_literal_tester_agree_on_budget_and_verdict(monkeypatch):
     tab = DistributionTable.bernoulli_product([0.6])
 
     def run():
@@ -418,7 +419,7 @@ def test_sampled_and_collapsed_agree_on_budget_and_verdict(monkeypatch):
     assert sampled.trace[:-1] == collapsed.trace[:-1]
 
 
-def test_modes_agree_with_the_exact_rejection_law(monkeypatch):
+def test_walk_and_literal_tester_follow_the_exact_rejection_law(monkeypatch):
     """n = 1, tau = Ber(0.5), mu = Ber(p*) with p* chosen so that a level-1
     draw survives with probability 1/2: the index of the rejecting draw is
     geometric, P(j) = 2^-(j+1).  The histograms over j = 0, 1, 2, >= 3 of the
@@ -468,7 +469,7 @@ ZERO_PROBABILITY_PAIRS = {
 
 
 @pytest.mark.parametrize("name", list(ZERO_PROBABILITY_PAIRS))
-def test_zero_probability_reject_metered_alike_in_both_modes(name, monkeypatch):
+def test_zero_probability_reject_metered_alike_by_walk_and_literal_tester(name, monkeypatch):
     def run():
         return ZERO_PROBABILITY_PAIRS[name](TestConfig(0.5, seed=0))
 
@@ -616,7 +617,7 @@ def test_collapsed_replay_is_pinned(name):
     assert (v.accepted, v.queries_used, v.trace) == REPLAY_PINS[name]
 
 
-def test_sampled_mode_rejects_far_pair(monkeypatch):
+def test_literal_tester_rejects_far_pair(monkeypatch):
     tau = TableOracle(DistributionTable.bernoulli_product([0.05]), seed=4)
     mu = TableOracle(DistributionTable.bernoulli_product([0.95]), seed=5)
     v = _literal(lambda: equivalence_test(tau, mu, TestConfig(0.5, seed=6)), monkeypatch)
