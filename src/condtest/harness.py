@@ -244,8 +244,10 @@ def _spawned(spec: ExperimentSpec, count: int):
 def _run_equivalence(spec: ExperimentSpec) -> list[ResultRow]:
     if spec.n is None or spec.eps is None or spec.tau is None or spec.mu is None:
         raise HarnessError("equivalence needs n, eps, tau, mu")
+    # A self-test loads its source once; both oracles share the immutable
+    # table, so its level sums and conditionals are built once.
     tau_table = load_distribution(spec.tau, spec.n)
-    mu_table = load_distribution(spec.mu, spec.n)
+    mu_table = tau_table if spec.mu == spec.tau else load_distribution(spec.mu, spec.n)
     rows = []
     for rep, child in enumerate(_spawned(spec, spec.runs)):
         s_tau, s_mu, s_test = child.spawn(3)
@@ -275,7 +277,7 @@ def _run_interval(spec: ExperimentSpec) -> list[ResultRow]:
     if spec.N is None or spec.eps is None or spec.tau is None or spec.mu is None:
         raise HarnessError("interval needs N, eps, tau, mu")
     tau_pmf = load_interval_pmf(spec.tau, spec.N)
-    mu_pmf = load_interval_pmf(spec.mu, spec.N)
+    mu_pmf = tau_pmf if spec.mu == spec.tau else load_interval_pmf(spec.mu, spec.N)
     rows = []
     for rep, child in enumerate(_spawned(spec, spec.runs)):
         s_tau, s_mu, s_test = child.spawn(3)

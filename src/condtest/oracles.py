@@ -33,7 +33,8 @@ sums over tuple cells), so its entries are exactly those values.
 ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
 samples without a meter charge (``sample_full_indices_uncounted``), one
 uniform ``rng.random`` per draw searched in a cdf, so ``skip_full_draws(k)``
-moves the stream past k such draws exactly as drawing them would.
+moves the stream past k such draws exactly as drawing them would (a PCG64
+stream by ``advance``, any other by generating the k uniforms).
 
 Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
@@ -191,8 +192,14 @@ class BinaryPrefixOracle(MeteredOracle):
     def skip_full_draws(self, k: int) -> None:
         """Move the RNG past k ``sample_full_indices_uncounted`` draws
         without searching them: each of those draws takes exactly one
-        uniform, ``self.rng.random(k)``."""
-        self.rng.random(k)
+        uniform, ``self.rng.random(k)``.  A PCG64 takes one 64-bit step per
+        uniform, so it is advanced k steps instead, unless it holds a
+        buffered uint32, which ``random`` keeps and ``advance`` drops."""
+        bit_generator = self.rng.bit_generator
+        if type(bit_generator) is np.random.PCG64 and not bit_generator.state["has_uint32"]:
+            bit_generator.advance(k)
+        else:
+            self.rng.random(k)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         """Single bit distributed as the conditional marginal of x_i."""

@@ -5,11 +5,11 @@ The equivalence tester is one walk.  It reads the exact conditional bit
 probabilities of both oracles as two arrays over the 2^n - 1 nodes
 (``node_bit_probs``: node (1 << (i-1)) + w for coordinate i and prefix w,
 at index node - 1, NaN where w has zero mass).  Each Levin level draws its
-coordinates i and uniforms u up front, pulls the tau samples behind its
-y-draws in chunks of 4096, turns each chunk into node indices and stops at
-the first draw that does not survive: a node whose mu entry is NaN (a
-zero-probability reject) or one whose u is at least the probability that a
-majority of ``inner`` black-box runs accept (binomial trial sums ->
+coordinates i up front and its uniforms u a chunk of 4096 at a time, pulls
+the tau samples behind each chunk's y-draws, turns them into node indices
+and stops at the first draw that does not survive: a node whose mu entry is
+NaN (a zero-probability reject) or one whose u is at least the probability
+that a majority of ``inner`` black-box runs accept (binomial trial sums ->
 multinomial (A, B) counts -> binomial majority tally).  So the verdict law
 is that of the literal tester built from ``single_bit_chi2_test``,
 ``BitSampler`` and ``levin_balance``, whose accepting runs draw more than
@@ -82,12 +82,13 @@ Certified decisions
     more ``_BRACKET_SLACK``, since rounding in ``bdtrc`` need not be
     monotone.  A chunk whose largest u is below the floor has u < lo at each
     draw, whatever node it lands on, so every draw survives: the walk
-    consumes the chunk's tau uniforms (``skip_full_draws``) without
-    searching them and moves on.  A node tau can reach that mu gives zero
-    mass (dead) stops the walk at every u, so then K = inf and the floor is
-    -1, which certifies nothing.  Verdicts, query totals, traces and tau's
-    random stream are those of the walk without the floor: it is one more
-    tier of the ladder chunk floor -> node bracket -> exact calculus.
+    consumes the chunk's tau uniforms (``skip_full_draws``, once for a run
+    of such chunks) without searching them and moves on.  A node tau can
+    reach that mu gives zero mass (dead) stops the walk at every u, so then
+    K = inf and the floor is -1, which certifies nothing.  Verdicts, query
+    totals, traces and tau's random stream are those of the walk without the
+    floor: it is one more tier of the ladder chunk floor -> node bracket ->
+    exact calculus.
 
     Brackets cost a few ufunc calls per chunk and are not kept.  Exact
     values are computed once per distinct (p, q) pair in the band and kept
@@ -528,37 +529,49 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     by ``_first_stop`` from the chunk's own nodes.  A chunk whose u all lie
     below the level's survive floor (see the module docstring; -1 when tau
     can reach a node mu gives zero mass) survives whole: its tau uniforms
-    are consumed without a search, so tau's stream is the same as if it
-    were searched.
+    are consumed without a search, a run of such chunks at once, by
+    ``skip_full_draws`` (which advances a PCG64 stream and generates the
+    uniforms otherwise), so tau's stream is the same as if they were
+    searched.
 
-    Tau's samples are pulled ``_CHUNK`` at a time, so after a rejecting run
-    tau's RNG has advanced by up to one chunk beyond the draws consumed; only
-    a caller who reuses tau for another run can see it."""
+    Each level draws all of its i, then its u one chunk at a time: the same
+    values as one ``rng.random(outer)`` call, and nothing reads ``rng``
+    after a rejecting level.  Tau's samples are pulled ``_CHUNK`` at a time,
+    so after a rejecting run tau's RNG has advanced by up to one chunk
+    beyond the draws consumed; only a caller who reuses tau for another run
+    can see it."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     kl = _reach_kl(p_mu, p_tau)
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
         cost = inner * CHI2_TRIALS * n_draws  # trial samples per draw and source
-        i_arr = rng.integers(1, n + 1, size=outer)
-        u_arr = rng.random(outer)
+        # int32 takes the same bounded-integer path, value for value.
+        i_arr = rng.integers(1, n + 1, size=outer, dtype=np.int32)
         floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
+        certified = 0  # draws of the certified chunks not yet skipped
         for first in range(0, outer, _CHUNK):
             last = min(first + _CHUNK, outer)
-            if u_arr[first:last].max() < floor:
+            u = rng.random(last - first)
+            if u.max() < floor:
                 # Every node tau can draw survives these u: consume the
                 # chunk's tau uniforms without searching them.
-                tau.skip_full_draws(last - first)
+                certified += last - first
                 continue
+            if certified:
+                tau.skip_full_draws(certified)
+                certified = 0
             # y-draws are real tau samples, pulled in meter-free chunks.
             w_idx = tau.sample_full_indices_uncounted(last - first)
-            i_c = i_arr[first:last]
+            i_c = i_arr[first:last].astype(np.int64)
             nodes = (1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)) - 1  # array index
-            pos = _first_stop(p_mu, p_tau, nodes, u_arr[first:last], n_draws, inner)
+            pos = _first_stop(p_mu, p_tau, nodes, u, n_draws, inner)
             if pos is not None:
                 rejected_at, stop_node = first + pos, nodes[pos]
                 break
+        if certified:
+            tau.skip_full_draws(certified)
         dead = stop_node is not None and bool(np.isnan(p_mu[stop_node]))
         # The level is billed once it ends, exactly as the literal loop would
         # be: one prefix query per y-draw, the trial samples of every draw

@@ -128,6 +128,40 @@ def test_load_interval_pmf_file(tmp_path):
         load_interval_pmf(str(f), 4)
 
 
+@pytest.mark.parametrize("command, size, loader, payload", [
+    ("test-equivalence", ["--n", "6"], "load_distribution",
+     lambda rng: {"n": 6, "probs": rng.dirichlet(np.ones(64)).tolist()}),
+    ("test-interval", ["--N", "50"], "load_interval_pmf",
+     lambda rng: {"pmf": rng.dirichlet(np.ones(50)).tolist()}),
+])
+def test_self_test_loads_its_source_once(command, size, loader, payload, tmp_path,
+                                         monkeypatch, capsys):
+    """``--tau X --mu X`` loads X once and both oracles share it; tau and mu
+    from two paths load twice, and when the two files hold the same bytes
+    the run writes the same CSV bytes as the shared-source run."""
+    text = json.dumps(payload(np.random.default_rng(4)))
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(text)
+    load, calls = getattr(harness, loader), []
+
+    def counting(source, *args):
+        calls.append(source)
+        return load(source, *args)
+
+    monkeypatch.setattr(harness, loader, counting)
+    csv = {}
+    for tag, (tau, mu), loads in [("shared", paths[:1] * 2, 1), ("twin", paths, 2)]:
+        calls.clear()
+        assert main([command, *size, "--eps", "0.4", "--tau", str(tau), "--mu", str(mu),
+                     "--runs", "3", "--seed", "7", "--out", str(tmp_path / tag),
+                     "--id", "run"]) == 0
+        assert len(calls) == loads, tag
+        csv[tag] = (tmp_path / tag / "run.csv").read_bytes()
+    assert csv["shared"] == csv["twin"]
+    assert csv["shared"].count(b"\n") == 4  # header and three repetitions
+
+
 # ----------------------------------------------------------------------
 # statistics
 

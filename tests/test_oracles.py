@@ -179,12 +179,12 @@ def _interval_view(pmf):
                                       max(1, int(np.ceil(np.log2(pmf.shape[0])))))
 
 
-def _five_by_three(zeros):
+def _five_by_three(zeros, seed=0):
     """A tuple oracle over 5 x 3 symbols (3 + 2 bits, so some codes have no
     symbol), with the given cells at zero mass."""
     w = np.random.default_rng(5).random(15) + 0.05
     w[list(zeros)] = 0.0
-    return TupleTableOracle(TupleDomain((tuple("abcde"), (0, 1, 2))), w / w.sum(), seed=0)
+    return TupleTableOracle(TupleDomain((tuple("abcde"), (0, 1, 2))), w / w.sum(), seed=seed)
 
 
 # oracle kind -> (factory, whether some prefix has zero mass)
@@ -257,21 +257,22 @@ class _FixedUniforms:
         return self.uniforms.copy()
 
 
-def _full_sample_case(kind):
+def _full_sample_case(kind, seed=0):
     """(oracle, cdf, mass the uniforms are scaled by, search result -> sample)
-    for the oracle's ``sample_full_indices_uncounted``."""
+    for the oracle's ``sample_full_indices_uncounted``; ``seed`` seeds the
+    oracle's RNG."""
     if kind == "table":
         # dyadic masses, so the cdf values are exact; cells 1, 3, 4 and 7 are empty
         probs = np.array([0.25, 0.0, 0.125, 0.0, 0.0, 0.125, 0.5, 0.0])
-        oracle = TableOracle(DistributionTable(3, probs), seed=0)
+        oracle = TableOracle(DistributionTable(3, probs), seed=seed)
         return oracle, np.cumsum(probs), float(probs.sum()), lambda idx: idx
     if kind == "padded-interval":
         pmf = np.random.default_rng(8).dirichlet(np.ones(200))
         pmf[[10, 11, 12, 150]] = 0.0
-        base = IntervalOracle(pmf / pmf.sum(), seed=0)
+        base = IntervalOracle(pmf / pmf.sum(), seed=seed)
         return (IntervalBackedPrefixOracle(base, 8), base.cdf, float(base.cdf[-1]),
                 lambda idx: idx)
-    enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8)))
+    enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8), seed))
     cdf = np.cumsum(enc.base.probs)
     return enc, cdf, float(cdf[-1]), lambda idx: enc._encoded[idx]
 
@@ -310,6 +311,38 @@ def test_skipped_full_draws_take_the_sampled_uniforms(kind, k1, k2):
     got = skipper.sample_full_indices_uncounted(k2)
     assert got.tolist() == sampler.sample_full_indices_uncounted(k1 + k2)[k1:].tolist()
     assert skipper.rng.bit_generator.state == sampler.rng.bit_generator.state
+
+
+def _plain(state):
+    """A bit generator's state with its arrays (MT19937's key) as lists, so
+    that two states compare with ==."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("kind", ["table", "padded-interval", "binary-encoded"])
+@pytest.mark.parametrize("stream", ["pcg64-buffered-uint32", "mt19937"])
+def test_skipped_full_draws_keep_any_stream(kind, stream):
+    """``skip_full_draws(k)`` then a sample equals ``random(k)`` then the
+    same sample, samples and final state both, on the streams a PCG64
+    ``advance`` would get wrong: a PCG64 holding a buffered uint32 (which
+    ``random`` keeps and ``advance`` drops) and a user-passed MT19937."""
+    def case():
+        if stream == "mt19937":
+            return _full_sample_case(kind, seed=np.random.Generator(np.random.MT19937(3)))[0]
+        oracle = _full_sample_case(kind)[0]
+        oracle.rng.integers(0, 10)
+        assert oracle.rng.bit_generator.state["has_uint32"] == 1
+        return oracle
+
+    for k1, k2 in [(3, 5), (4096, 97)]:
+        skipper, sampler = case(), case()
+        skipper.skip_full_draws(k1)
+        sampler.rng.random(k1)
+        assert (skipper.sample_full_indices_uncounted(k2).tolist()
+                == sampler.sample_full_indices_uncounted(k2).tolist())
+        assert _plain(skipper.rng.bit_generator.state) == _plain(sampler.rng.bit_generator.state)
 
 
 # ----------------------------------------------------------------------

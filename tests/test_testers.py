@@ -898,6 +898,24 @@ def test_walk_does_not_depend_on_chunk_size(monkeypatch):
     assert endings == {"accept", "reject", "dead"}
 
 
+@pytest.mark.parametrize("n", [3, 8, 10, 16])
+def test_level_draws_in_chunks_keep_the_stream(n):
+    """A level's i as one int32 ``integers`` call and its u one ``_CHUNK`` at
+    a time give the same values, and leave the generator in the same state,
+    as int64 ``integers(size=outer)`` followed by ``random(outer)``, level
+    after level on one generator, for sizes at and across chunk ends."""
+    chunk = testers._CHUNK
+    whole, chunked = np.random.default_rng(n), np.random.default_rng(n)
+    for outer in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17, 5):
+        i_whole, u_whole = whole.integers(1, n + 1, size=outer), whole.random(outer)
+        i_chunked = chunked.integers(1, n + 1, size=outer, dtype=np.int32)
+        u_chunked = np.concatenate([chunked.random(min(chunk, outer - first))
+                                    for first in range(0, outer, chunk)])
+        assert i_chunked.tolist() == i_whole.tolist()
+        assert u_chunked.tolist() == u_whole.tolist()
+        assert chunked.bit_generator.state == whole.bit_generator.state
+
+
 def test_band_pairs_reach_the_exact_calculus(monkeypatch):
     """The near pairs of WALK_CORPUS's "table-band" kind leave some draws
     inside their bracket, and the walk settles them with the exact calculus;
