@@ -11,8 +11,9 @@ prefix corresponds to a contiguous block of indices.
 
 Conditionals Pr[x_i = 1 | x_[i-1] = w] have one representation, a node
 array of 2^n - 1 floats: the (i, w) conditional sits at index
-(1 << (i-1)) + w - 1, so level i is the slice [2^(i-1) - 1, 2^i - 1), and
-NaN marks a prefix with no conditional (zero mass, or no entry in a tree).
+``node_index(i, w)`` = (1 << (i-1)) + w - 1, so level i is the slice
+[2^(i-1) - 1, 2^i - 1), and NaN marks a prefix with no conditional (zero
+mass, or no entry in a tree).
 Every table built from conditionals goes through ``_from_conditionals``.
 """
 
@@ -107,26 +108,32 @@ def single_bit_divergence(kind: DivergenceKind, p: float, q: float) -> float:
     raise DomainError(f"unknown divergence kind {kind!r}")
 
 
+def node_index(i, w):
+    """Index of the (i, w) conditional in a node array: node (1 << (i-1)) + w
+    sits at index node - 1.  ``i`` and ``w`` are ints or integer arrays."""
+    return (1 << (i - 1)) + w - 1
+
+
 def node_conditionals(levels) -> np.ndarray:
     """Conditional bit probabilities from prefix masses.
 
     ``levels[k][v]`` is the mass of the k-bit prefix v, for k = 0..n.  The
     result holds Pr[bit i = 1 | prefix w] = levels[i][2w + 1] / levels[i-1][w]
-    for node (1 << (i-1)) + w at index node - 1, i = 1..n, and NaN where the
-    prefix mass is not positive.
+    at ``node_index(i, w)``, i = 1..n, and NaN where the prefix mass is not
+    positive.
     """
     n = len(levels) - 1
     out = np.full((1 << n) - 1, np.nan)
     for i in range(1, n + 1):
         parent = levels[i - 1]
-        np.divide(levels[i][1::2], parent, out=out[(1 << (i - 1)) - 1:(1 << i) - 1],
+        np.divide(levels[i][1::2], parent, out=out[node_index(i, 0):node_index(i + 1, 0)],
                   where=parent > 0.0)
     return out
 
 
 def _node_levels(nodes: np.ndarray, n: int) -> list[np.ndarray]:
     """Views of a node array, one per level: [i-1][w] is node (i, w)."""
-    return [nodes[(1 << (i - 1)) - 1:(1 << i) - 1] for i in range(1, n + 1)]
+    return [nodes[node_index(i, 0):node_index(i + 1, 0)] for i in range(1, n + 1)]
 
 
 def _check_dense_n(n: int) -> None:
@@ -201,8 +208,8 @@ class DistributionTable:
         return self._level_sums
 
     def conditional_nodes(self) -> np.ndarray:
-        """Every Pr[x_i = 1 | prefix w] in one read-only array, at index
-        (1 << (i-1)) + w - 1 (see ``node_conditionals``)."""
+        """Every Pr[x_i = 1 | prefix w] in one read-only array, at
+        ``node_index(i, w)`` (see ``node_conditionals``)."""
         if self._cond_nodes is None:
             self._cond_nodes = node_conditionals(self.level_sums())
             self._cond_nodes.setflags(write=False)
@@ -275,8 +282,8 @@ class DistributionTable:
 class ConditionalTree:
     """Probability-tree form: Pr[x_i = 1 | x_[i-1] = w] for every
     positive-probability prefix w, held as a read-only node array laid out
-    like ``node_conditionals`` (node (1 << (i-1)) + w at index node - 1),
-    with NaN where the tree has no entry."""
+    like ``node_conditionals`` (at ``node_index(i, w)``), with NaN where the
+    tree has no entry."""
 
     __slots__ = ("n", "nodes")
 
@@ -331,7 +338,7 @@ class ConditionalTree:
                                   "'i:prefix' with an (i-1)-bit 0/1 prefix")
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"conditional probability {p} out of [0,1]")
-            nodes[int("1" + match[2], 2) - 1] = p
+            nodes[node_index(int(match[1]), int("0" + match[2], 2))] = p
         return cls(n, nodes)
 
 
@@ -348,7 +355,7 @@ def conditional_bit_prob(tree: ConditionalTree, i: int, w) -> float:
     w = tuple(w)
     if not 1 <= i <= tree.n or len(w) != i - 1:
         raise DomainError(f"bad query ({i}, {w}) for n={tree.n}")
-    p = float(tree.nodes[(1 << (i - 1)) + bits_to_index(w) - 1])
+    p = float(tree.nodes[node_index(i, bits_to_index(w))])
     if math.isnan(p):
         raise ZeroProbabilityPrefixError(f"prefix {w} has zero probability")
     return p

@@ -53,6 +53,12 @@ class HarnessError(Exception):
     pass
 
 
+def _is_number(value, kind) -> bool:
+    """``value`` is a ``kind`` (``numbers.Integral`` or ``numbers.Real``) and
+    not a bool, which is an Integral but stands for a JSON true or false."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentSpec:
     kind: str
@@ -75,29 +81,29 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise HarnessError(f"unknown experiment kind {self.kind!r}; "
                                f"expected one of {EXPERIMENT_KINDS}")
-        if not (isinstance(self.runs, numbers.Integral) and self.runs >= 1):
+        if not (_is_number(self.runs, numbers.Integral) and self.runs >= 1):
             raise HarnessError(f"runs must be an integer >= 1, got {self.runs!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise HarnessError(f"seed must be an integer >= 0, got {self.seed!r}")
         # The interval tester pads [N] to 2^ceil(log2 N) cells, so N gets the
         # cell budget of a dense table.
         max_N = 2 ** distcore.MAX_DENSE_N if self.kind == "interval" else math.inf
-        if not (self.N is None or isinstance(self.N, numbers.Integral) and 1 <= self.N <= max_N):
+        if not (self.N is None or _is_number(self.N, numbers.Integral) and 1 <= self.N <= max_N):
             raise HarnessError(f"N must be an integer in [1, {max_N}], got {self.N!r}")
         for name, source in (("tau", self.tau), ("mu", self.mu)):
             if not (source is None or isinstance(source, str)):
                 raise HarnessError(f"{name} must be a file or shorthand, got {source!r}")
-        if not isinstance(self.grid_step, numbers.Real):
+        if not _is_number(self.grid_step, numbers.Real):
             raise HarnessError(f"grid step must be a number, got {self.grid_step!r}")
         # Dense kinds hold 2^n cells: refuse n before anything is built.
         max_n = distcore.MAX_DENSE_N if self.kind in _DENSE_KINDS else math.inf
         for n in (() if self.n is None else (self.n,)) + tuple(self.n_list):
-            if not (isinstance(n, numbers.Integral) and 1 <= n <= max_n):
+            if not (_is_number(n, numbers.Integral) and 1 <= n <= max_n):
                 raise HarnessError(f"n must be an integer in [1, {max_n}], got {n!r}")
         for eps in (() if self.eps is None else (self.eps,)) + tuple(self.eps_list):
             # The single-bit chi-square test also takes eps = 1.
-            if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0
-                    or self.kind == "single-bit" and eps == 1.0):
+            if not (_is_number(eps, numbers.Real)
+                    and (0.0 < eps < 1.0 or self.kind == "single-bit" and eps == 1.0)):
                 raise HarnessError(f"eps must lie in (0, 1), got {eps!r}")
         if self.experiment_id is None:
             self.experiment_id = f"{self.kind}-seed{self.seed}"
@@ -228,11 +234,7 @@ def _verdict_row(spec: ExperimentSpec, rep: int, seed_label: str,
         "n": spec.n if spec.kind != "interval" else spec.N,
         "eps": spec.eps,
         "verdict": verdict.decision,
-        "unconditional": q.get("unconditional", 0),
-        "prefix": q.get("prefix", 0),
-        "subcube": q.get("subcube", 0),
-        "marginal": q.get("marginal", 0),
-        "interval": q.get("interval", 0),
+        **{cls.value: q.get(cls.value, 0) for cls in oracles.QueryClass},
         "total_queries": q.get("total", 0),
     })
 

@@ -23,8 +23,8 @@ base, like any prefix query.
 The binary oracles the equivalence walk serves (``BinaryPrefixOracle``)
 expose the exact conditional probabilities they sample from as one float64
 array, ``node_bit_probs()``: the entry for coordinate i and prefix w (an
-MSB-first integer of i - 1 bits) is Pr[x_i = 1 | x_[i-1] = w], at index
-node - 1 of the node (1 << (i-1)) + w, so coordinate i fills indices
+MSB-first integer of i - 1 bits) is Pr[x_i = 1 | x_[i-1] = w], at
+``distcore.node_index(i, w)``, so coordinate i fills indices
 2^(i-1) - 1 .. 2^i - 2 in prefix order.  The entry is NaN where w has zero
 mass.  Each oracle builds the array once, from the same float operations
 the per-key computation used (level sums, interval cdf differences, masked
@@ -32,9 +32,10 @@ sums over tuple cells), so its entries are exactly those values.
 ``exact_bit_prob(i, w)`` is an accessor that reads the array and raises a
 ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
 samples without a meter charge (``sample_full_indices_uncounted``), one
-uniform ``rng.random`` per draw searched in a cdf, so ``skip_full_draws(k)``
-moves the stream past k such draws exactly as drawing them would (a PCG64
-stream by ``advance``, any other by generating the k uniforms).
+uniform ``rng.random`` per draw searched in the cdf each class gives in
+``_full_cdf``, so ``skip_full_draws(k)`` moves the stream past k such draws
+exactly as drawing them would (a PCG64 stream by ``advance``, any other by
+generating the k uniforms).
 
 Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
@@ -47,6 +48,7 @@ one failed marginal query.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -60,6 +62,7 @@ from .distcore import (
     check_probability_vector,
     index_to_bits,
     node_conditionals,
+    node_index,
 )
 
 
@@ -124,6 +127,13 @@ class MeteredOracle:
         self.counter = QueryCounter()
         self.rng = base.rng if base is not None else np.random.default_rng(seed)
 
+    def chain(self) -> Iterator[MeteredOracle]:
+        """This oracle, then each base below it."""
+        oracle = self
+        while oracle is not None:
+            yield oracle
+            oracle = oracle.base
+
     def charge(self, cls: QueryClass, m: int = 1) -> None:
         """Bill m queries of class ``cls`` here and down the base chain."""
         self.counter.add(cls, m)
@@ -157,6 +167,7 @@ class BinaryPrefixOracle(MeteredOracle):
 
     n: int
     _node_bit_probs: np.ndarray | None = None
+    _full: tuple | None = None
 
     def node_bit_probs(self) -> np.ndarray:
         if self._node_bit_probs is None:
@@ -168,7 +179,7 @@ class BinaryPrefixOracle(MeteredOracle):
         OracleError on a zero-mass prefix."""
         if not (1 <= i <= self.n and 0 <= prefix_idx < 1 << (i - 1)):
             raise _malformed(f"no prefix {prefix_idx} at slice {i} for n={self.n}")
-        p = float(self.node_bit_probs()[(1 << (i - 1)) + prefix_idx - 1])
+        p = float(self.node_bit_probs()[node_index(i, prefix_idx)])
         if np.isnan(p):
             raise _zero_prob(f"prefix {prefix_idx} at slice {i} has zero mass")
         return p
@@ -188,6 +199,18 @@ class BinaryPrefixOracle(MeteredOracle):
         bits, then the break-off bit when only one value is allowed."""
         bits = self._checked_prefix(query.i, query.fixed, query.allowed)
         return bits if len(query.allowed) == 2 else bits + tuple(query.allowed)
+
+    def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
+        """k full-domain samples as n-bit codes, with no meter charge;
+        callers charge per consumed draw.  One uniform per draw, scaled by
+        the total mass and searched in the cell cdf, as ``skip_full_draws``
+        assumes.  Subclasses give (cell cdf, total mass, cell codes or None
+        when cell c has the code c) in ``_full_cdf``, built on first use."""
+        if self._full is None:
+            self._full = self._full_cdf()
+        cdf, total, codes = self._full
+        found = _search_sorted(cdf, self.rng.random(k) * total)
+        return found if codes is None else codes[found]
 
     def skip_full_draws(self, k: int) -> None:
         """Move the RNG past k ``sample_full_indices_uncounted`` draws
@@ -349,7 +372,6 @@ class TableOracle(CellCodeOracle):
         super().__init__(seed=seed)
         self.table = table
         self.n = table.n
-        self._full_cdf: tuple[np.ndarray, float] | None = None
 
     def _cell_probs(self) -> np.ndarray:
         return self.table.probs
@@ -364,14 +386,8 @@ class TableOracle(CellCodeOracle):
         self.charge(QueryClass.UNCONDITIONAL)
         return index_to_bits(int(self.sample_full_indices_uncounted(1)[0]), self.n)
 
-    def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
-        """k full-domain sample indices with no meter charge; callers are
-        responsible for charging per consumed draw.  One uniform per draw,
-        as ``skip_full_draws`` assumes.  The cdf is built on first use."""
-        if self._full_cdf is None:
-            self._full_cdf = np.cumsum(self.table.probs), float(self.table.probs.sum())
-        cdf, total = self._full_cdf
-        return _search_sorted(cdf, self.rng.random(k) * total)
+    def _full_cdf(self) -> tuple[np.ndarray, float, None]:
+        return np.cumsum(self.table.probs), float(self.table.probs.sum()), None
 
 
 # ----------------------------------------------------------------------
@@ -440,11 +456,8 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
         return node_conditionals([np.diff(cdf[::1 << (self.n - k)])
                                   for k in range(self.n + 1)])
 
-    def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
-        """k full-domain sample indices, meter-free; callers charge per
-        consumed draw.  One uniform per draw, as ``skip_full_draws``
-        assumes."""
-        return _search_sorted(self.base.cdf, self.rng.random(k) * float(self.base.cdf[-1]))
+    def _full_cdf(self) -> tuple[np.ndarray, float, None]:
+        return self.base.cdf, float(self.base.cdf[-1]), None
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
         bits = self._folded_prefix(query)
@@ -553,7 +566,6 @@ class BinaryEncodedOracle(CellCodeOracle):
         self.n = self.domain.total_bits
         self._encoded = sum(digits << (self.n - end) for digits, end
                             in zip(base._coord_digits, accumulate(self.domain.bit_widths)))
-        self._cdf = np.cumsum(base.probs)
 
     def encode(self, element) -> tuple[int, ...]:
         return index_to_bits(int(self._encoded[self.domain.index_of(element)]), self.n)
@@ -574,10 +586,9 @@ class BinaryEncodedOracle(CellCodeOracle):
         # Non-image codes have no cells, hence zero mass and NaN.
         return node_conditionals(_prefix_masses(self.base.probs, self._encoded, self.n))
 
-    def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
-        """k full-domain samples as encoded bit-string indices, meter-free.
-        One uniform per draw, as ``skip_full_draws`` assumes."""
-        return self._encoded[_search_sorted(self._cdf, self.rng.random(k) * float(self._cdf[-1]))]
+    def _full_cdf(self) -> tuple[np.ndarray, float, np.ndarray]:
+        cdf = np.cumsum(self.base.probs)
+        return cdf, float(cdf[-1]), self._encoded
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +651,7 @@ class GeneralProductMarginalOracle(BinaryPrefixOracle):
             cond = node_conditionals(_prefix_masses(self.base.probs, digits, wdt))
             for j in range(wdt):
                 within = np.arange(1 << (start + j)) & ((1 << j) - 1)
-                levels.append(cond[(1 << j) - 1 + within])
+                levels.append(cond[node_index(j + 1, within)])
         return np.concatenate(levels)
 
 

@@ -3,18 +3,17 @@ equivalence tester, the product tester, and the alphabet/interval wrappers.
 
 The equivalence tester is one walk.  It reads the exact conditional bit
 probabilities of both oracles as two arrays over the 2^n - 1 nodes
-(``node_bit_probs``: node (1 << (i-1)) + w for coordinate i and prefix w,
-at index node - 1, NaN where w has zero mass).  Each Levin level draws its
-coordinates i up front and its uniforms u a chunk of 4096 at a time, pulls
-the tau samples behind each chunk's y-draws, turns them into node indices
-and stops at the first draw that does not survive: a node whose mu entry is
-NaN (a zero-probability reject) or one whose u is at least the probability
-that a majority of ``inner`` black-box runs accept (binomial trial sums ->
-multinomial (A, B) counts -> binomial majority tally).  So the verdict law
-is that of the literal tester built from ``single_bit_chi2_test``,
-``BitSampler`` and ``levin_balance``, whose accepting runs draw more than
-10^9 bits even at n = 1.  The level is charged once, when it ends, for the
-draws it consumed.
+(``node_bit_probs``: coordinate i and prefix w at ``node_index(i, w)``, NaN
+where w has zero mass).  Each Levin level draws its coordinates i up front
+and its uniforms u a chunk of 4096 at a time, pulls the tau samples behind
+each chunk's y-draws, turns them into node indices and stops at the first
+draw that does not survive: a node whose mu entry is NaN (a zero-probability
+reject) or one whose u is at least the probability that a majority of
+``inner`` black-box runs accept (binomial trial sums -> multinomial (A, B)
+counts -> binomial majority tally).  So the verdict law is that of the
+literal tester built from ``single_bit_chi2_test``, ``BitSampler`` and
+``levin_balance``, whose accepting runs draw more than 10^9 bits even at
+n = 1.  The level is charged once, when it ends, for the draws it consumed.
 
 The survive calculus
     For a drawn (i, w) with conditional bit probabilities p under mu and q
@@ -96,9 +95,11 @@ Certified decisions
     entries with the oldest evicted first, so repeated runs on the same
     distributions skip the calculus.
 
-Metering goes only through the oracles' ``charge``: every y-draw costs one
-prefix query, every black-box run its trial samples, and a zero-probability
-reject the one failed marginal query.
+Metering goes only through the oracles' ``charge``, in the amounts
+``_level_charges`` states: every y-draw costs one prefix query, every
+black-box run its trial samples, and a zero-probability reject the one
+failed marginal query.  ``queries_used`` counts each distinct counter on
+both oracles' chains once.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ import numpy as np
 from scipy.special import _ufuncs as _boost
 from scipy.special import bdtr, bdtrc, gammaln, rel_entr, xlog1py, xlogy
 
+from .distcore import node_index
 from .oracles import (
     BinaryEncodedOracle,
     IntervalBackedPrefixOracle,
@@ -250,20 +252,24 @@ def slice_divergence_threshold(n: int, eps: float) -> float:
     return eps ** 2 / (24.0 * math.log2(2.0 * n / eps))
 
 
-def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
-    """Accept-path query counts of the equivalence tester, per source.
+def _level_charges(eps_prime: float, inner: int, used: int, dead: bool) -> tuple[int, int]:
+    """(tau's prefix queries, mu's marginal queries) for a Levin level that
+    consumed ``used`` y-draws, the last of them a zero-probability reject if
+    ``dead``: one prefix query per y-draw, the trial samples of each of the
+    ``inner`` black-box runs of every draw whose black box ran (N per trial
+    on each source), and for a dead node the one failed marginal query."""
+    cost = inner * CHI2_TRIALS * math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
+    ran = used - dead
+    return used + ran * cost, ran * cost + dead
 
-    tau pays one prefix query per outer draw plus N per black-box trial
-    batch; mu pays N marginal-prefix queries per black-box run.
-    """
+
+def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
+    """Accept-path query counts of the equivalence tester, per source: every
+    level consumes all of its outer draws and none is dead."""
     eps_l = slice_divergence_threshold(n, eps) / n
-    tau = 0
-    mu = 0
-    for _, eps_prime, outer, inner in levin_schedule(eps_l):
-        n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
-        per_bb = CHI2_TRIALS * n_draws
-        tau += outer * (1 + inner * per_bb)
-        mu += outer * inner * per_bb
+    charges = [_level_charges(eps_prime, inner, outer, False)
+               for _, eps_prime, outer, inner in levin_schedule(eps_l)]
+    tau, mu = (sum(column) for column in zip(*charges))
     return {"tau": tau, "mu": mu, "total": tau + mu}
 
 
@@ -466,28 +472,19 @@ def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np
 # equivalence tester
 
 
-def _collect_counters(oracles) -> list:
-    seen = []
-    for oracle in oracles:
-        node = oracle
-        while node is not None:
-            counter = getattr(node, "counter", None)
-            if counter is not None and all(counter is not c for c in seen):
-                seen.append(counter)
-            node = getattr(node, "base", None)
-    return seen
-
-
-def _counter_totals(counters) -> dict[str, int]:
+def _counter_totals(oracles) -> dict[str, int]:
+    """Queries by class over every distinct counter on the oracles' chains,
+    each counted once: a query forwarded to a base counts once per layer."""
+    counters = {id(o.counter): o.counter for oracle in oracles for o in oracle.chain()}
     out = {cls.value: 0 for cls in QueryClass}
-    for counter in counters:
+    for counter in counters.values():
         for cls, k in counter.counts.items():
             out[cls.value] += k
     return out
 
 
-def _queries_delta(before: dict[str, int], counters) -> dict[str, int]:
-    after = _counter_totals(counters)
+def _queries_delta(before: dict[str, int], oracles) -> dict[str, int]:
+    after = _counter_totals(oracles)
     delta = {name: after[name] - before[name] for name in after}
     delta["total"] = sum(delta.values())
     return delta
@@ -539,13 +536,17 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     after a rejecting level.  Tau's samples are pulled ``_CHUNK`` at a time,
     so after a rejecting run tau's RNG has advanced by up to one chunk
     beyond the draws consumed; only a caller who reuses tau for another run
-    can see it."""
+    can see it.
+
+    Each level is billed once it ends, through ``_level_charges``, the one
+    statement of the level-end charge: tau pays prefix queries, mu marginal
+    queries, for the draws the level consumed and whether its stop was
+    dead."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     kl = _reach_kl(p_mu, p_tau)
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
-        cost = inner * CHI2_TRIALS * n_draws  # trial samples per draw and source
         # int32 takes the same bounded-integer path, value for value.
         i_arr = rng.integers(1, n + 1, size=outer, dtype=np.int32)
         floor = _survive_floor(n_draws, kl, inner)
@@ -565,7 +566,7 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
             # y-draws are real tau samples, pulled in meter-free chunks.
             w_idx = tau.sample_full_indices_uncounted(last - first)
             i_c = i_arr[first:last].astype(np.int64)
-            nodes = (1 << (i_c - 1)) + (w_idx >> (n - i_c + 1)) - 1  # array index
+            nodes = node_index(i_c, w_idx >> (n - i_c + 1))
             pos = _first_stop(p_mu, p_tau, nodes, u, n_draws, inner)
             if pos is not None:
                 rejected_at, stop_node = first + pos, nodes[pos]
@@ -573,13 +574,10 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
         if certified:
             tau.skip_full_draws(certified)
         dead = stop_node is not None and bool(np.isnan(p_mu[stop_node]))
-        # The level is billed once it ends, exactly as the literal loop would
-        # be: one prefix query per y-draw, the trial samples of every draw
-        # whose black box ran, and for a dead node the one failed query.
         used = outer if rejected_at is None else rejected_at + 1
-        ran = used - dead
-        tau.charge(QueryClass.PREFIX, used + ran * cost)
-        mu.charge(QueryClass.MARGINAL, ran * cost + dead)
+        tau_queries, mu_queries = _level_charges(eps_prime, inner, used, dead)
+        tau.charge(QueryClass.PREFIX, tau_queries)
+        mu.charge(QueryClass.MARGINAL, mu_queries)
         trace.append(_level_record(t, eps_prime, outer, inner, rejected_at, dead))
         if rejected_at is not None:
             return Verdict(False, trace=trace)
@@ -588,11 +586,10 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
 
 def _equivalence_core(tau, mu, n: int, cfg: TestConfig) -> Verdict:
     rng = np.random.default_rng(cfg.seed)
-    counters = _collect_counters([tau, mu])
-    before = _counter_totals(counters)
+    before = _counter_totals((tau, mu))
     eps_l = slice_divergence_threshold(n, cfg.epsilon) / n
     verdict = _run_equivalence(tau, mu, n, eps_l, rng)
-    verdict.queries_used = _queries_delta(before, counters)
+    verdict.queries_used = _queries_delta(before, (tau, mu))
     # Replays pin this record in this form.
     verdict.trace.append({"mode": "collapsed", "eps_levin": eps_l})
     return verdict
@@ -604,10 +601,9 @@ def equivalence_test(tau, mu, cfg: TestConfig) -> Verdict:
     ``tau`` needs prefix access, ``mu`` marginal-prefix access.  Accepts
     tau = mu and rejects dtv(tau, mu) > eps, each with probability >= 2/3.
     """
-    n = tau.n
-    if getattr(mu, "n", n) != n:
-        raise ValueError(f"dimension mismatch: tau has n={n}, mu has n={mu.n}")
-    return _equivalence_core(tau, mu, n, cfg)
+    if mu.n != tau.n:
+        raise ValueError(f"dimension mismatch: tau has n={tau.n}, mu has n={mu.n}")
+    return _equivalence_core(tau, mu, tau.n, cfg)
 
 
 def product_test(mu, cfg: TestConfig) -> Verdict:
@@ -619,11 +615,9 @@ def product_test(mu, cfg: TestConfig) -> Verdict:
     """
     marginal_view = product_marginal_oracle(mu)
     verdict = _equivalence_core(mu, marginal_view, mu.n, cfg)
-    base = mu
-    while getattr(base, "base", None) is not None:
-        base = base.base
-    prefix_only = (base.counter.counts.get(QueryClass.INTERVAL, 0) == 0
-                   and base.counter.counts.get(QueryClass.SUBCUBE, 0) == 0)
+    *_, root = mu.chain()
+    prefix_only = (root.counter.counts.get(QueryClass.INTERVAL, 0) == 0
+                   and root.counter.counts.get(QueryClass.SUBCUBE, 0) == 0)
     verdict.trace.append({"prefix_queries_only": prefix_only})
     return verdict
 
@@ -634,10 +628,10 @@ def equivalence_test_general(tau, mu, cfg: TestConfig) -> Verdict:
     Each binary query translates to exactly one query on the underlying
     tuple oracle; the effective dimension is the total encoded bit width.
     """
+    if tau.domain != mu.domain:
+        raise ValueError("tau and mu must share a domain")
     tau_bin = BinaryEncodedOracle(tau)
     mu_bin = BinaryEncodedOracle(mu)
-    if tau_bin.n != mu_bin.n:
-        raise ValueError("tau and mu must share a domain")
     return _equivalence_core(tau_bin, mu_bin, tau_bin.n, cfg)
 
 

@@ -362,6 +362,19 @@ def test_equivalence_accept_and_exact_budget():
     assert v.queries_used["total"] == expect["total"]
 
 
+@pytest.mark.parametrize("n, eps, tau, mu", [
+    (1, 0.5, 13_037_471_229, 13_037_469_696),
+    (8, 0.3, 2_255_844_679_288, 2_255_844_581_376),
+    (16, 0.3, 6_236_288_811_595, 6_236_288_581_632),
+    (20, 0.1, 137_883_021_660_625, 137_883_018_341_376),
+])
+def test_accept_path_budget_is_pinned(n, eps, tau, mu):
+    """The accept-path budget, as literals: the walk and
+    ``expected_equivalence_queries`` bill through the same level charge, so
+    comparing them to each other does not check that charge."""
+    assert expected_equivalence_queries(n, eps) == {"tau": tau, "mu": mu, "total": tau + mu}
+
+
 def test_equivalence_determinism():
     tab = DistributionTable.uniform(3)
 
@@ -687,6 +700,16 @@ def test_general_equivalence_accept_and_reject():
                                  TupleTableOracle(dom, point, seed=5),
                                  TestConfig(0.5, seed=6))
     assert not v.accepted
+
+
+def test_general_refuses_domains_of_equal_bit_width():
+    """Both domains encode to 2 bits, yet they are not the same domain: the
+    test refuses them before any query is billed."""
+    tau = TupleTableOracle(TupleDomain(((0, 1, 2),)), [0.5, 0.25, 0.25], seed=1)
+    mu = TupleTableOracle(TupleDomain(((0, 1), ("x", "y"))), [0.25] * 4, seed=2)
+    with pytest.raises(ValueError, match="share a domain"):
+        equivalence_test_general(tau, mu, TestConfig(0.5, seed=3))
+    assert tau.counter.total == mu.counter.total == 0
 
 
 def test_general_matches_binary_on_binary_domain():
