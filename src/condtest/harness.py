@@ -93,6 +93,9 @@ class ExperimentSpec:
         for name, source in (("tau", self.tau), ("mu", self.mu)):
             if not (source is None or isinstance(source, str)):
                 raise HarnessError(f"{name} must be a file or shorthand, got {source!r}")
+        for name, value in (("out", self.out), ("experiment_id", self.experiment_id)):
+            if not (value is None or isinstance(value, str)):
+                raise HarnessError(f"{name} must be a string, got {value!r}")
         if not _is_number(self.grid_step, numbers.Real):
             raise HarnessError(f"grid step must be a number, got {self.grid_step!r}")
         # Dense kinds hold 2^n cells: refuse n before anything is built.

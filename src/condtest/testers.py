@@ -4,16 +4,28 @@ equivalence tester, the product tester, and the alphabet/interval wrappers.
 The equivalence tester is one walk.  It reads the exact conditional bit
 probabilities of both oracles as two arrays over the 2^n - 1 nodes
 (``node_bit_probs``: coordinate i and prefix w at ``node_index(i, w)``, NaN
-where w has zero mass).  Each Levin level draws its coordinates i up front
-and its uniforms u a chunk of 4096 at a time, pulls the tau samples behind
-each chunk's y-draws, turns them into node indices and stops at the first
-draw that does not survive: a node whose mu entry is NaN (a zero-probability
-reject) or one whose u is at least the probability that a majority of
-``inner`` black-box runs accept (binomial trial sums -> multinomial (A, B)
-counts -> binomial majority tally).  So the verdict law is that of the
-literal tester built from ``single_bit_chi2_test``, ``BitSampler`` and
-``levin_balance``, whose accepting runs draw more than 10^9 bits even at
-n = 1.  The level is charged once, when it ends, for the draws it consumed.
+where w has zero mass).  Each Levin level takes its coordinates i, then its
+uniforms u a chunk of 4096 at a time, pulls the tau samples behind each
+searched chunk's y-draws, turns them into node indices and stops at the
+first draw that does not survive: a node whose mu entry is NaN (a
+zero-probability reject) or one whose u is at least the probability that a
+majority of ``inner`` black-box runs accept (binomial trial sums ->
+multinomial (A, B) counts -> binomial majority tally).  So the verdict law
+is that of the literal tester built from ``single_bit_chi2_test``,
+``BitSampler`` and ``levin_balance``, whose accepting runs draw more than
+10^9 bits even at n = 1.  The level is charged once, when it ends, for the
+draws it consumed.
+
+Only a searched chunk reads its coordinates.  For n a power of two and a
+PCG64 stream a level does not draw them: NumPy's bounded int32 draw
+(Lemire's method) draws again only when the low 32 bits of an output times
+n lie below (2^32 - n) mod n, which is 0 then, so each i takes exactly one
+32-bit output (none at n = 1).  The level keeps the stream's state where its
+i begin and advances past them, carrying the buffered 32-bit half as the
+draws would (``_skip_uint32``); a searched chunk regenerates its own i from
+that state.  Any other n or generator draws a level's i up front.  Either
+way the i, the u and the stream after the level are those of drawing all i
+and then all u at once.
 
 The survive calculus
     For a drawn (i, w) with conditional bit probabilities p under mu and q
@@ -432,7 +444,8 @@ def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
     """K, the largest ``_min_kl`` over the nodes tau can reach (``p_tau`` not
     NaN); inf when mu gives one of them zero mass."""
     reach = ~np.isnan(p_tau)
-    if np.isnan(p_mu[reach]).any():
+    # Masks only: gathering p_mu[reach] would copy up to 2^n floats.
+    if (np.isnan(p_mu) & reach).any():
         return math.inf
     # An equal pair's KL is exactly 0, so only the others are computed.
     differ = reach & (p_mu != p_tau)
@@ -520,6 +533,63 @@ def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, nodes: np.ndarray, u: np.nd
     return int(maybe[stops[0]]) if stops.size else None
 
 
+def _skip_uint32(bit_generator, k: int) -> None:
+    """Move a PCG64 past k ``next_uint32`` outputs and leave its buffered half
+    (``has_uint32``, ``uinteger``) as those k calls would.  A call returns
+    the buffered high half of a 64-bit output if there is one, and otherwise
+    the low half of a new output, whose high half it buffers; so the calls
+    after the buffered one draw ceil(k / 2) outputs, and the last of them
+    sets ``uinteger``."""
+    if k == 0:
+        return
+    state = bit_generator.state
+    k -= state["has_uint32"]
+    if k > 0:
+        bit_generator.advance((k - 1) // 2)
+        high = bit_generator.random_raw() >> 32
+        state = bit_generator.state
+        state["uinteger"] = high
+    state["has_uint32"] = k % 2
+    bit_generator.state = state
+
+
+def _coordinate_scratch(rng, n: int):
+    """The generator a walk regenerates its coordinates in, or None where
+    moving ``rng`` past them without drawing them is not exact.  It is exact
+    for a PCG64 and n a power of two, where each coordinate takes one
+    ``next_uint32`` output, none at n = 1 (see the module docstring).  The
+    scratch is seeded, not drawn from OS entropy, since every use sets its
+    state."""
+    if type(rng.bit_generator) is np.random.PCG64 and n & (n - 1) == 0:
+        return np.random.Generator(np.random.PCG64(0))
+    return None
+
+
+def _level_coordinates(rng, n: int, outer: int, scratch):
+    """Move ``rng`` past a level's coordinates, the ``outer`` values of
+    ``rng.integers(1, n + 1, size=outer, dtype=np.int32)``, and return the
+    function that gives their slice [first, last).
+
+    With a ``scratch`` (see ``_coordinate_scratch``) the level keeps only the
+    state of ``rng`` where its coordinates begin, and a slice is regenerated
+    from it, in the scratch, when a chunk is searched; without one the
+    coordinates are drawn now."""
+    if scratch is None:
+        # int32 takes the same bounded-integer path, value for value.
+        i_arr = rng.integers(1, n + 1, size=outer, dtype=np.int32)
+        return lambda first, last: i_arr[first:last]
+    start = rng.bit_generator.state
+    per_coordinate = int(n > 1)
+    _skip_uint32(rng.bit_generator, per_coordinate * outer)
+
+    def coordinates(first: int, last: int) -> np.ndarray:
+        scratch.bit_generator.state = start
+        _skip_uint32(scratch.bit_generator, per_coordinate * first)
+        return scratch.integers(1, n + 1, size=last - first, dtype=np.int32)
+
+    return coordinates
+
+
 def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, decided
@@ -531,12 +601,15 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     uniforms otherwise), so tau's stream is the same as if they were
     searched.
 
-    Each level draws all of its i, then its u one chunk at a time: the same
-    values as one ``rng.random(outer)`` call, and nothing reads ``rng``
-    after a rejecting level.  Tau's samples are pulled ``_CHUNK`` at a time,
-    so after a rejecting run tau's RNG has advanced by up to one chunk
-    beyond the draws consumed; only a caller who reuses tau for another run
-    can see it.
+    Each level moves ``rng`` past its ``outer`` coordinates i, drawing them
+    up front only where skipping them is not exact (``_level_coordinates``;
+    a searched chunk regenerates its own i from the level's saved state),
+    then draws its u one chunk at a time: the values and stream of one
+    ``rng.integers(1, n + 1, size=outer)`` and one ``rng.random(outer)``
+    call, and nothing reads ``rng`` after a rejecting level.  Tau's samples
+    are pulled ``_CHUNK`` at a time, so after a rejecting run tau's RNG has
+    advanced by up to one chunk beyond the draws consumed; only a caller who
+    reuses tau for another run can see it.
 
     Each level is billed once it ends, through ``_level_charges``, the one
     statement of the level-end charge: tau pays prefix queries, mu marginal
@@ -544,11 +617,11 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     dead."""
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     kl = _reach_kl(p_mu, p_tau)
+    scratch = _coordinate_scratch(rng, n)
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
-        # int32 takes the same bounded-integer path, value for value.
-        i_arr = rng.integers(1, n + 1, size=outer, dtype=np.int32)
+        coordinates = _level_coordinates(rng, n, outer, scratch)
         floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
         certified = 0  # draws of the certified chunks not yet skipped
@@ -565,7 +638,7 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
                 certified = 0
             # y-draws are real tau samples, pulled in meter-free chunks.
             w_idx = tau.sample_full_indices_uncounted(last - first)
-            i_c = i_arr[first:last].astype(np.int64)
+            i_c = coordinates(first, last).astype(np.int64)
             nodes = node_index(i_c, w_idx >> (n - i_c + 1))
             pos = _first_stop(p_mu, p_tau, nodes, u, n_draws, inner)
             if pos is not None:

@@ -502,11 +502,13 @@ def test_spec_rejects_empty_interval_domain():
     {"kind": "adversarial-distance", "n": 4, "eps": 0.2, "grid_step": True},
     {"kind": "scaling-sweep", "n_list": (4, True), "eps_list": (0.5,)},
     {"kind": "single-bit", "p": 0.5, "q": 0.5, "eps": 0.5, "eps_list": (True,)},
+    {"kind": "equivalence", "n": 2, "eps": 0.5, "out": 5},
+    {"kind": "equivalence", "n": 2, "eps": 0.5, "experiment_id": ["a"]},
 ], ids=["n0", "n21", "n-float", "eps0", "eps1", "eps-nan", "eps-neg", "single-bit-eps",
         "n-list-0", "n-list-30", "eps-list", "runs-str", "runs-float", "seed-str",
         "seed-neg", "N-str", "N-float", "N-over-cells", "grid-step-str", "tau-int", "mu-list",
         "n-bool", "N-bool", "runs-bool", "seed-bool", "eps-bool", "grid-step-bool",
-        "n-list-bool", "eps-list-bool"])
+        "n-list-bool", "eps-list-bool", "out-int", "experiment-id-list"])
 def test_spec_rejects_bad_values_up_front(fields):
     with pytest.raises(HarnessError):
         ExperimentSpec(**{"tau": "uniform", "mu": "uniform", **fields})

@@ -3,6 +3,7 @@ black box."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -937,6 +938,57 @@ def test_level_draws_in_chunks_keep_the_stream(n):
         assert i_chunked.tolist() == i_whole.tolist()
         assert u_chunked.tolist() == u_whole.tolist()
         assert chunked.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 10, 16, 20])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937],
+                         ids=["pcg64", "mt19937"])
+def test_skipped_coordinates_match_eager_draws(bit_generator, n, buffered):
+    """``_level_coordinates`` against one int32 ``integers(size=outer)`` call
+    per level, level after level on one generator, for sizes at and across
+    chunk ends and the 114,978 draws of an n = 16, eps = 0.3 level: each
+    chunk's u and regenerated i equal the eager ones, and the next
+    ``random`` and int32 ``integers`` draws after each level agree.  A PCG64
+    at a power-of-two n moves past the coordinates (one output each, none at
+    n = 1, with the buffered half carried); any other case draws them."""
+    chunk = testers._CHUNK
+    lazy, eager = (np.random.Generator(bit_generator(3)) for _ in range(2))
+    if buffered:
+        # An odd number of int32 draws leaves a PCG64 holding a buffered half.
+        for rng in (lazy, eager):
+            rng.integers(0, 7, size=5, dtype=np.int32)
+    scratch = testers._coordinate_scratch(lazy, n)
+    assert (scratch is None) == (bit_generator is np.random.MT19937 or n in (3, 10, 20))
+    for outer in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17, 114_978):
+        coordinates = testers._level_coordinates(lazy, n, outer, scratch)
+        i_whole = eager.integers(1, n + 1, size=outer, dtype=np.int32)
+        for first in range(0, outer, chunk):
+            last = min(first + chunk, outer)
+            assert lazy.random(last - first).tolist() == eager.random(last - first).tolist()
+            assert coordinates(first, last).tolist() == i_whole[first:last].tolist()
+        assert lazy.random() == eager.random()
+        assert lazy.integers(0, 1000, dtype=np.int32) == eager.integers(0, 1000, dtype=np.int32)
+
+
+def test_uniform_self_test_walk_holds_little_memory():
+    """A uniform n = 16, eps = 0.3 self-test walk, its node arrays built
+    before tracing starts, peaks below 320 KiB: its level-1 coordinates
+    alone would take 460 KB, so the walk moves its rng past them instead of
+    drawing them, and finds K with boolean masks, not a 2^n float gather."""
+    tab = DistributionTable.uniform(16)
+    tau, mu = TableOracle(tab, seed=1), TableOracle(tab, seed=2)
+    tau.node_bit_probs(), mu.node_bit_probs()
+    eps_l = slice_divergence_threshold(16, 0.3) / 16
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        verdict = testers._run_equivalence(tau, mu, 16, eps_l, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.accepted
+    assert peak < 320 * 1024
 
 
 def test_band_pairs_reach_the_exact_calculus(monkeypatch):
