@@ -32,22 +32,39 @@ The survive calculus
     under tau, ``chi2_trial_compare_probs`` gives alpha = Pr[X > Y] and
     beta = Pr[X < Y] for X ~ Bin(N, p), Y ~ Bin(N, q), ``chi2_accept_prob``
     the black box's accept probability and ``blackbox_survive_prob`` the
-    probability that the majority of ``inner`` runs accepts.  The sum over Y
-    runs over the window [Nq - s, Nq + s] clipped to [0, N], with
-    s = sqrt(N ln(2e18) / 2): by Hoeffding's inequality Y leaves it with
-    probability at most 2 exp(-2 s^2 / N) = 1e-18, so about 9.2 sqrt(N)
-    outcomes replace N + 1 and alpha and beta move by at most 1e-18.  The
-    three functions take scalars or 1-D arrays with one row per (p, q); rows
-    are evaluated in blocks of at most 2^13 cells and reduced one by one, so
-    a value never depends on the rows computed with it.  The binomial pmf,
-    cdf and sf are SciPy's Boost kernels (``scipy.special._ufuncs._binom_*``,
-    the ones ``scipy.stats.binom`` calls) under the rules of its
-    ``rv_discrete`` wrapper, so every value is ``binom``'s own: each kernel
-    value is clipped to [0, 1], the support edges k < 0 and k >= n (k > n
-    for the pmf) are set outright, and a probability that is NaN or outside
-    [0, 1] gives NaN.  The Boost pmf overflows for a probability in about
-    [5.6e-309, 1.7e-306], so the rows whose q (or alpha) lies in
-    (0, 1e-300) use exp of ``binom.logpmf``'s formula.
+    probability that the majority of ``inner`` runs accepts.  The sums run
+    over the windows [Nq - s, Nq + s] of Y and [Np - s, Np + s] of X,
+    clipped to [0, N], with s = sqrt(N ln(2e18) / 2): by Hoeffding's
+    inequality Y leaves its window with probability at most
+    2 exp(-2 s^2 / N) = 1e-18, and X leaves its own on either side with at
+    most half that, so about 9.2 sqrt(N) outcomes replace N + 1 and alpha
+    and beta move by at most 1.5e-18.  The three functions take scalars or
+    1-D arrays with one row per (p, q); rows are evaluated in blocks of at
+    most 2^13 cells and reduced one by one, so a value never depends on the
+    rows computed with it.
+
+    Every binomial probability comes from one NumPy kernel, Loader's
+    saddle-point pmf (C. Loader, "Fast and Accurate Computation of Binomial
+    Probabilities", 2000; ``_loader_pmf``): stirlerr from a table up to 15
+    and its Stirling series above, the deviance bd0 from its series where
+    |k - np| < 0.1 (k + np), and Np carried in two exact halves so that
+    k - Np is exact.  Outside 0 <= k <= n the pmf is 0, p = 0 and p = 1 put
+    all mass on k = 0 and k = n, any q > 0 however small (1e-307 included)
+    is an ordinary probability, and a p that is NaN (a dead node) or
+    outside [0, 1] gives NaN.  alpha and beta are Y's pmf summed against
+    suffix and prefix sums of X's; the accept probability's tail
+    Pr[Bin(m, r) > 40] is r times a running sum of Pr[Bin(j, r) = 40]; and
+    every other tail (``_binom_tails``) sums the side away from the mean
+    over its part of the same window and takes the other side as its
+    complement, leaving out at most 5e-19.  Against 40-digit sums over the
+    full support (``tests/conftest.py``), at near pairs whose survive value
+    lies in (1e-6, 1 - 1e-6), alpha and beta are within 6.7e-16 and survive
+    within 1e-13 (at most 9.7e-14, at N = 786,432) at every N measured up
+    to 1,572,864 (``scripts/exact_calculus_error.py``; SciPy's Boost
+    kernels, used before, missed by up to 1.2e-14 and 1.8e-12).  So a draw
+    can be decided against the exact rule u >= survive only if its u lies
+    within 1e-13 of its survive value: that is the per-decision error of
+    the walk's verdict law, next to the windows' 1.5e-18.
 
 Certified decisions
     Most draws are decided without that calculus, by a closed-form bracket
@@ -58,8 +75,9 @@ Certified decisions
     Pr[X' > Y] <= 1/2, and coupling X with X' moves Pr[X > Y] by at most
     dTV(Bin(N, p), Bin(N, q)).  Pinsker's inequality and the additivity of
     KL over the N trials bound that by d = sqrt(N min(KL(p||q), KL(q||p)) / 2),
-    with KL in nats and clamped at 0 (for p and q an ulp apart it rounds to
-    about -1e-17, and its square root would be NaN).  So alpha, beta <=
+    with KL in nats, taken as bd0(p, q) + bd0(1 - p, 1 - q) from the kernel
+    above (bd0 given the exact difference p - q keeps it accurate for p and
+    q an ulp apart) and clamped at 0.  So alpha, beta <=
     a = min(1, 1/2 + d); a union bound over A > 40 and B > 40 gives
     gamma >= 1 - 2 Pr[Bin(64, a) > 40], and lo = Pr[Bin(inner, gamma_lo) >=
     k] because the majority tally grows with gamma.
@@ -71,15 +89,22 @@ Certified decisions
     and B ~ Bin(64, beta), gamma <= Pr[Bin(64, m) <= 40], and hi follows as
     lo did.
 
-    Both bounds are widened by ``_BRACKET_SLACK`` = 1e-12 on each side,
-    which covers rounding in them and in the exact calculus (its window
-    alone moves alpha and beta by at most 1e-18), so the computed survive
-    value always lies inside the bracket.  A chunk brackets each distinct
-    node it draws (a node mu gives zero mass gets (-1, -1), so it stops at
-    every u).  A draw with u < lo survives and the first draw with u >= hi
-    stops the walk; the draws before that stop with lo <= u < hi, the band,
-    get their exact values, and the first band draw with u >= its exact
-    value stops the walk, or else the stop found before.  That is the rule
+    The tails of both bounds are read at grid points, lo at the point
+    a_i = 1/2 + i / 8192 at or above a and hi at the point m_i = i / 4096 at
+    or below m: lo falls as a grows and hi as m grows, so each is a bound
+    at a or m too.  A grid point's value is computed the first time a row
+    needs it and kept per inner.  Both bounds are widened by
+    ``_BRACKET_SLACK`` = 1e-12 on each side.  The slack must cover the gap
+    between the computed survive value and the exact one, at most 1e-13
+    as measured above, plus rounding in the bracket's own tails,
+    whose values are accurate to a few units in the last place; it covers
+    both more than tenfold, so the computed survive value always lies
+    inside the bracket.  A chunk brackets each distinct node it draws (a
+    node mu gives zero mass gets (-1, -1), so it stops at every u).  A draw
+    with u < lo survives and the first draw with u >= hi stops the walk;
+    the draws before that stop with lo <= u < hi, the band, get their exact
+    values, and the first band draw with u >= its exact value stops the
+    walk, or else the stop found before.  That is the rule
     u >= survive, so verdicts, query totals and traces are those of the
     exact calculus.
 
@@ -90,7 +115,7 @@ Certified decisions
     Pr[Bin(64, a) > 40] grow, so gamma_lo and lo fall), so lo at KL = K is at
     most the lo of every node tau can draw, and at most its exact survive
     value, which lies inside the bracket.  The floor is that value less one
-    more ``_BRACKET_SLACK``, since rounding in ``bdtrc`` need not be
+    more ``_BRACKET_SLACK``, since rounding in the tails need not be
     monotone.  A chunk whose largest u is below the floor has u < lo at each
     draw, whatever node it lands on, so every draw survives: the walk
     consumes the chunk's tau uniforms (``skip_full_draws``, once for a run
@@ -101,8 +126,9 @@ Certified decisions
     floor: it is one more tier of the ladder chunk floor -> node bracket ->
     exact calculus.
 
-    Brackets cost a few ufunc calls per chunk and are not kept.  Exact
-    values are computed once per distinct (p, q) pair in the band and kept
+    Brackets cost a few ufunc calls and grid reads per chunk; only their
+    grid points are kept (2 x 4097 floats per inner).  Exact values are
+    computed once per distinct (p, q) pair in the band and kept
     in one process-wide memo keyed by (N, p, q, inner), capped at 2^14
     entries with the oldest evicted first, so repeated runs on the same
     distributions skip the calculus.
@@ -116,12 +142,11 @@ both oracles' chains once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import _ufuncs as _boost
-from scipy.special import bdtr, bdtrc, gammaln, rel_entr, xlog1py, xlogy
 
 from .distcore import node_index
 from .oracles import (
@@ -286,69 +311,168 @@ def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# survive probability calculus
+# binomial kernel
 
 # Y ~ Bin(N, q) leaves [Nq - s, Nq + s] with probability at most
 # 2 exp(-2 s^2 / N) (Hoeffding), which is 1e-18 at s^2 = N ln(2e18) / 2.
 _TAIL_LOG = math.log(2e18)
-# Rows x window cells evaluated per SciPy call; bounds the temporaries.
+# Rows x window cells evaluated at once; bounds the temporaries.
 _BLOCK_CELLS = 1 << 13
-# (n_draws, p, q, inner) -> the exact survive probability, shared by every run
-# in the process; capped, with the oldest quarter evicted when full.
-_SURVIVE_MEMO: dict = {}
-_SURVIVE_MEMO_CAP = 1 << 14
-# Boost's binomial pmf kernel raises OverflowError (ibeta_derivative) for a
-# probability in about [5.6e-309, 1.7e-306]; see _binom_pmf.
-_TINY_P = 1e-300
-# Widens the closed-form bracket on each side, so that rounding in it and in
-# the exact calculus cannot put the computed survive value outside it.
-_BRACKET_SLACK = 1e-12
+# stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln sqrt(2 pi) for k = 1..15 (the
+# entry at k = 0 is a placeholder: no formula reads it).
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+# Coefficients of the Stirling series of stirlerr above k = 15.
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+# 1/15, 1/13, ..., 1/3: bd0's series in v^2, in Horner order.  Seven terms
+# reach double precision at |v| < 0.1, the series' domain: the first term
+# left out is below 0.1^15 / 17 of the sum.
+_BD0_SERIES = 1.0 / np.arange(15.0, 2.0, -2.0)
+_TWO_PI = 2.0 * math.pi
+# 2^27 + 1: Veltkamp's split of a double into two halves of at most 26 bits.
+_SPLIT = 134217729.0
 
 
 def _rows(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
-def _binom_rules(value, k, p, below: float, above: float, last):
-    """``rv_discrete``'s rules around a Boost kernel's ``value`` at (k, p):
-    ``below`` where k < 0, ``above`` where k > ``last``, the value clipped to
-    [0, 1] in between, and NaN wherever p is NaN or outside [0, 1]."""
-    value = np.where(k < 0, below, np.where(k > last, above, np.clip(value, 0.0, 1.0)))
-    return np.where((p >= 0.0) & (p <= 1.0), value, np.nan)
+def _stirlerr_formula(k):
+    """ln k! - ((k + 1/2) ln k - k + ln sqrt(2 pi)) for whole k > 0: the
+    table up to 15, the Stirling series above."""
+    kk = k * k
+    series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+    return np.where(k <= 15, _STIRLERR[np.minimum(k, 15).astype(np.int64)], series)
 
 
-def _binom_pmf(k, n, p):
-    """``binom.pmf(k, n, p)``.  The rows with 0 < p < _TINY_P, where the
-    Boost kernel can overflow, use exp of ``binom.logpmf``'s formula; it
-    differs from the kernel by up to 3e-15 elsewhere."""
-    tiny = (p > 0.0) & (p < _TINY_P)
-    pmf = _boost._binom_pmf(k, n, np.where(tiny, 0.5, p))
-    if tiny.any():
-        p_tiny = np.where(tiny, p, 0.5)
-        logpmf = (gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
-                  + xlogy(k, p_tiny) + xlog1py(n - k, -p_tiny))
-        pmf = np.where(tiny, np.exp(logpmf), pmf)
-    return _binom_rules(pmf, k, p, 0.0, 0.0, n)
+# _stirlerr_formula at k = 0..4095, read where every k is below 4096: the same
+# values in one gather.
+with np.errstate(divide="ignore", invalid="ignore"):
+    _STIRLERR_MEMO = _stirlerr_formula(np.arange(4096.0))
 
 
-def _binom_cdf(k, n, p):
-    """``binom.cdf(k, n, p)``."""
-    return _binom_rules(_boost._binom_cdf(k, n, p), k, p, 0.0, 1.0, n - 1)
+def _stirlerr(k):
+    """``_stirlerr_formula`` at the whole numbers ``k``."""
+    if k.size and k.max() < _STIRLERR_MEMO.size:
+        return _STIRLERR_MEMO[k.astype(np.int64)]
+    return _stirlerr_formula(k)
 
 
-def _binom_sf(k, n, p):
-    """``binom.sf(k, n, p)``."""
-    return _binom_rules(_boost._binom_sf(k, n, p), k, p, 1.0, 0.0, n - 1)
+def _bd0(x, m, d):
+    """Loader's deviance term x ln(x / m) + m - x, given d = x - m to full
+    relative precision: its series in v = d / (x + m) where |v| < 0.1, and
+    elsewhere x ln(x / m) - d with the log taken as log1p(d / m) unless
+    x < m / 2 (where d / m can round to -1), and m at x = 0."""
+    v = d / (x + m)
+    w = v * v
+    h = _BD0_SERIES[0]
+    for c in _BD0_SERIES[1:]:
+        h = h * w + c
+    series = d * v + 2.0 * x * v * w * h
+    near = w < 0.01
+    if near.all():
+        return series
+    ratio = d / m
+    log = np.where(ratio > -0.5, np.log1p(ratio), np.log(x / m))
+    return np.where(near, series, np.where(x == 0.0, m, x * log - d))
+
+
+def _loader_pmf(k, n, p):
+    """Pr[Bin(n, p) = k] elementwise, by Loader's saddle-point expansion:
+    exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, np) -
+    bd0(n - k, nq)) sqrt(n / (2 pi k (n - k))), with (1 - p)^n at k = 0 and
+    p^n at k = n.  np is carried as n p_hi + n p_lo, both exact for n < 2^26,
+    so k - np and (n - k) - nq are exact up to one rounding and q = 1 - p
+    is the exact complement.  Outside 0 <= k <= n the pmf is 0; p = 0 and
+    p = 1 put all mass on k = 0 and k = n (bd0 is inf elsewhere); a p that
+    is NaN or outside [0, 1] gives NaN.  Terms that depend on p alone are
+    computed at p's shape and broadcast."""
+    k, n, p = (np.asarray(x, dtype=np.float64) for x in (k, n, p))
+    inside = (k >= 0.0) & (k <= n)
+    x = np.where(inside, k, 0.0)
+    nx = n - x
+    c = _SPLIT * p
+    p_hi = c - (c - p)
+    np_hi, np_lo = n * p_hi, n * (p - p_hi)
+    d = (x - np_hi) - np_lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lc = (_stirlerr(n) - _stirlerr(x) - _stirlerr(nx)
+              - _bd0(x, np_hi + np_lo, d) - _bd0(nx, (n - np_hi) - np_lo, -d))
+        pmf = np.exp(lc) * np.sqrt(n / (_TWO_PI * x * nx))
+        pmf = np.where(x == 0.0, np.exp(n * np.log1p(-p)),
+                       np.where(nx == 0.0, np.exp(n * np.log(p)), pmf))
+    pmf = np.where(inside, pmf, 0.0)
+    return np.where((p >= 0.0) & (p <= 1.0), pmf, np.nan)
+
+
+def _binom_tails(k, n, p) -> tuple[np.ndarray, np.ndarray]:
+    """(Pr[X < k], Pr[X >= k]) for X ~ Bin(n, p), elementwise over k, n and
+    p broadcast (at least 1-D).  The side of k away from the mean np is
+    summed over its cells in the window [np - s, np + s] clipped to [0, n],
+    s = sqrt(n ln(2e18) / 2), and the other side, which holds at least half
+    the mass, is its complement; so each tail is accurate relative to
+    itself down to the window's loss, at most 5e-19 on each side
+    (Hoeffding).  k <= 0 gives (0, 1), k > n gives (1, 0) and a NaN p NaN.
+    Elements are evaluated in blocks of at most 2^13 cells, each summed over
+    a width that depends on n alone, so for one n a value does not depend
+    on the others computed with it."""
+    k, n, p = np.broadcast_arrays(np.asarray(k, dtype=np.float64),
+                                  np.asarray(n, dtype=np.float64), _rows(p))
+    mean = n * p
+    half = np.ceil(np.sqrt(n * _TAIL_LOG / 2.0))
+    upper = k > mean
+    lo_w = np.maximum(np.ceil(mean - half), 0.0)
+    hi_w = np.minimum(np.floor(mean + half), n)
+    first = np.where(upper, np.maximum(k, lo_w), lo_w).ravel()
+    last = np.where(upper, hi_w, np.minimum(k - 1.0, hi_w)).ravel()
+    offsets = np.arange(int(np.max(np.minimum(half, n), initial=0.0)) + 1)
+    side = np.zeros(first.shape)
+    # Only elements whose side meets the window have cells to sum.
+    live = np.flatnonzero(last >= first)
+    step = max(1, _BLOCK_CELLS // offsets.size)
+    for start in range(0, live.size, step):
+        rows = live[start:start + step]
+        cells = first[rows, None] + offsets
+        pmf = _loader_pmf(cells, n.ravel()[rows, None], p.ravel()[rows, None])
+        side[rows] = np.where(cells <= last[rows, None], pmf, 0.0).sum(axis=1)
+    side = np.minimum(side.reshape(k.shape), 1.0)
+    below = np.where(upper, 1.0 - side, side)
+    above = np.where(upper, side, 1.0 - side)
+    nan = np.isnan(p)
+    return np.where(nan, np.nan, below), np.where(nan, np.nan, above)
+
+
+# ----------------------------------------------------------------------
+# survive probability calculus
+
+# (n_draws, p, q, inner) -> the exact survive probability, shared by every run
+# in the process; capped, with the oldest quarter evicted when full.
+_SURVIVE_MEMO: dict = {}
+_SURVIVE_MEMO_CAP = 1 << 14
+# Widens the closed-form bracket on each side, so that rounding in it and in
+# the exact calculus cannot put the computed survive value outside it.
+_BRACKET_SLACK = 1e-12
+# The bracket's ends are read from grids of _GRID + 1 points per inner: lo
+# at a_i = 1/2 + i / (2 _GRID), hi at m_i = i / _GRID.
+_GRID = 1 << 12
+# inner -> (lo, hi) over the grid points, NaN until a row first needs one.
+_BRACKET_GRID: dict = {}
 
 
 def chi2_trial_compare_probs(n_draws: int, p, q):
     """(Pr[X > Y], Pr[X < Y]) for X ~ Bin(N, p), Y ~ Bin(N, q), independent.
 
     ``p`` and ``q`` are scalars, giving a pair of floats, or 1-D arrays with
-    one row per (p, q), giving a pair of arrays.  The sum over Y runs over the
-    window [Nq - s, Nq + s] clipped to [0, N], outside which Y has mass at
-    most 1e-18; each row is reduced on its own, so its value does not depend
-    on the rows computed with it.
+    one row per (p, q), giving a pair of arrays.  X's and Y's pmfs are taken
+    over their windows [Np - s, Np + s] and [Nq - s, Nq + s] clipped to
+    [0, N]; alpha sums Y's pmf against suffix sums of X's, beta against its
+    prefix sums, so Y's mass outside its window (at most 1e-18) and X's on
+    one side of its own (at most 5e-19) are left out.  Each row is reduced
+    on its own, so its value does not depend on the rows computed with it.
     """
     p_rows, q_rows = np.broadcast_arrays(_rows(p), _rows(q))
     half = math.ceil(math.sqrt(n_draws * _TAIL_LOG / 2.0))
@@ -356,15 +480,22 @@ def chi2_trial_compare_probs(n_draws: int, p, q):
     offsets = np.arange(width)
     alpha = np.empty(p_rows.shape[0])
     beta = np.empty(p_rows.shape[0])
-    step = max(1, _BLOCK_CELLS // width)
+    step = max(1, _BLOCK_CELLS // (2 * width))
     for first in range(0, p_rows.shape[0], step):
         block = slice(first, first + step)
-        p_b, q_b = p_rows[block, None], q_rows[block, None]
-        lo = np.clip(np.floor(n_draws * q_b) - half, 0, n_draws + 1 - width)
-        k = lo.astype(np.int64) + offsets
-        pmf_q = _binom_pmf(k, n_draws, q_b)
-        alpha[block] = (pmf_q * _binom_sf(k, n_draws, p_b)).sum(axis=1)
-        beta[block] = (pmf_q * _binom_cdf(k - 1, n_draws, p_b)).sum(axis=1)
+        # X's rows, then Y's
+        pq = np.stack([p_rows[block, None], q_rows[block, None]])
+        lo = np.clip(np.floor(n_draws * pq) - half, 0, n_draws + 1 - width).astype(np.int64)
+        pmf_p, pmf_q = _loader_pmf(lo + offsets, n_draws, pq)
+        lo_p, k = lo[0], lo[1] + offsets
+        # suffix[j] = X's mass at lo_p + j and above, prefix[j] below lo_p + j.
+        zeros = np.zeros((pmf_p.shape[0], 1))
+        suffix = np.concatenate([np.cumsum(pmf_p[:, ::-1], axis=1)[:, ::-1], zeros], axis=1)
+        prefix = np.concatenate([zeros, np.cumsum(pmf_p, axis=1)], axis=1)
+        above = np.take_along_axis(suffix, np.clip(k + 1 - lo_p, 0, width), axis=1)
+        below = np.take_along_axis(prefix, np.clip(k - lo_p, 0, width), axis=1)
+        alpha[block] = (pmf_q * above).sum(axis=1)
+        beta[block] = (pmf_q * below).sum(axis=1)
     np.minimum(alpha, 1.0, out=alpha)
     np.minimum(beta, 1.0, out=beta)
     if np.ndim(p) == 0 and np.ndim(q) == 0:
@@ -375,15 +506,27 @@ def chi2_trial_compare_probs(n_draws: int, p, q):
 def chi2_accept_prob(alpha, beta):
     """Pr[A <= 40 and B <= 40] for (A, B) ~ Multinomial(64; alpha, beta).
 
-    Scalars give a float, 1-D arrays one value per row.  The result is
-    clamped to [0, 1]: rounding can push the sum just above 1.
+    Scalars give a float, 1-D arrays one value per row.  Given A = a, B is
+    Bin(64 - a, r) with r = beta / (1 - alpha), and Pr[Bin(m, r) > 40] is
+    r times the sum of Pr[Bin(j, r) = 40] over 40 <= j < m (the 41st
+    success comes at trial j + 1).  The result is clamped to [0, 1]:
+    rounding can push the sum just above 1.
     """
     alpha_rows, beta_rows = _rows(alpha)[:, None], _rows(beta)[:, None]
-    a = np.arange(0, CHI2_THRESHOLD + 1)
-    pa = _binom_pmf(a, CHI2_TRIALS, alpha_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(beta_rows / (1.0 - alpha_rows), 1.0)
-    pb = _binom_cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, ratio)
+    # One kernel call: Pr[A = a] for a = 0..40, then Pr[Bin(j, r) = 40] for
+    # j = 40..63.
+    a = np.arange(CHI2_THRESHOLD + 1)
+    j = np.arange(CHI2_THRESHOLD, CHI2_TRIALS)
+    pmf = _loader_pmf(np.concatenate([a, np.full(j.size, CHI2_THRESHOLD)]),
+                     np.concatenate([np.full(a.size, CHI2_TRIALS), j]),
+                     np.where(np.arange(a.size + j.size) < a.size, alpha_rows, ratio))
+    pa = pmf[:, :a.size]
+    # over[:, m - 41] = Pr[Bin(m, r) > 40] for m = 41..64, that is a = 23..0.
+    over = ratio * np.cumsum(pmf[:, a.size:], axis=1)
+    pb = np.ones_like(pa)
+    pb[:, :j.size] = 1.0 - over[:, ::-1]
     gamma = np.where(alpha_rows[:, 0] >= 1.0, 0.0,
                      np.clip((pa * pb).sum(axis=1), 0.0, 1.0))
     if np.ndim(alpha) == 0 and np.ndim(beta) == 0:
@@ -398,17 +541,28 @@ def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     Scalars give a float, 1-D arrays one value per row."""
     alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
     gamma = chi2_accept_prob(alpha, beta)
-    survive = _binom_sf(_majority_threshold(inner) - 1, inner, gamma)
-    return float(survive) if np.ndim(survive) == 0 else survive
+    survive = _binom_tails(_majority_threshold(inner), inner, gamma)[1]
+    return float(survive[0]) if np.ndim(gamma) == 0 else survive
 
 
 def _min_kl(p, q) -> np.ndarray:
-    """Per row, min(KL(p||q), KL(q||p)) in nats for Ber(p) and Ber(q),
-    clamped at 0: rounding makes it slightly negative for p and q an ulp
-    apart."""
+    """Per row, min(KL(p||q), KL(q||p)) in nats for Ber(p) and Ber(q), as
+    bd0(p, q) + bd0(1 - p, 1 - q) and its mirror, with the difference
+    p - q exact (inf where the support of the first is not inside the
+    second's), clamped at 0.  An equal pair's is exactly 0, so only the
+    other rows are computed."""
     p, q = _rows(p), _rows(q)
-    return np.maximum(np.minimum(rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q),
-                                 rel_entr(q, p) + rel_entr(1.0 - q, 1.0 - p)), 0.0)
+    kl = np.zeros(p.shape)
+    differ = np.flatnonzero(p != q)
+    if differ.size:
+        p, q = p[differ], q[differ]
+        d, p_c, q_c = p - q, 1.0 - p, 1.0 - q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # KL(p||q)'s two terms, then KL(q||p)'s, in one call
+            terms = _bd0(np.concatenate((p, p_c, q, q_c)), np.concatenate((q, q_c, p, p_c)),
+                         np.concatenate((d, -d, -d, d))).reshape(4, -1)
+        kl[differ] = np.maximum(np.minimum(terms[0] + terms[1], terms[2] + terms[3]), 0.0)
+    return kl
 
 
 def _pinsker_bound(n_draws: int, kl) -> np.ndarray:
@@ -424,20 +578,61 @@ def _compare_bounds(n_draws: int, p, q) -> tuple[np.ndarray, np.ndarray]:
     return _pinsker_bound(n_draws, _min_kl(p, q)), -np.expm1(-n_draws * (p - q) ** 2)
 
 
+def _grid_read(table: np.ndarray, index: np.ndarray, fill) -> np.ndarray:
+    """``table[index]``, computing the grid points no row has needed yet with
+    ``fill`` (one call for all of them) and keeping them in ``table``."""
+    values = table[index]
+    unknown = np.isnan(values)
+    if unknown.any():
+        # A mask: np.unique without return_inverse imports numpy.ma on its
+        # first call in a process (about 12 ms).
+        need = np.zeros(table.size, dtype=bool)
+        need[index[unknown]] = True
+        missing = np.flatnonzero(need)
+        table[missing] = fill(missing)
+        values = table[index]
+    return values
+
+
+def _bracket_grid(inner: int) -> tuple[np.ndarray, np.ndarray]:
+    if inner not in _BRACKET_GRID:
+        _BRACKET_GRID[inner] = (np.full(_GRID + 1, np.nan), np.full(_GRID + 1, np.nan))
+    return _BRACKET_GRID[inner]
+
+
 def _survive_lo(a, inner: int) -> np.ndarray:
-    """The bracket's lower end, widened by ``_BRACKET_SLACK``, for the
-    Pinsker bound ``a``."""
-    gamma_lo = np.maximum(1.0 - 2.0 * bdtrc(CHI2_THRESHOLD, CHI2_TRIALS, a), 0.0)
-    return bdtrc(_majority_threshold(inner) - 1, inner, gamma_lo) - _BRACKET_SLACK
+    """Per row, the bracket's lower end, widened by ``_BRACKET_SLACK``, for
+    the Pinsker bound ``a``: taken at the grid point at or above a, since it
+    falls as a grows (NaN for a NaN a)."""
+    a = _rows(a)
+    index = np.ceil((np.fmax(a, 0.5) - 0.5) * (2 * _GRID)).astype(np.int64)
+
+    def fill(i):
+        over = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, 0.5 + i / (2 * _GRID))[1]
+        gamma_lo = np.maximum(1.0 - 2.0 * over, 0.0)
+        return _binom_tails(_majority_threshold(inner), inner, gamma_lo)[1] - _BRACKET_SLACK
+
+    return np.where(np.isnan(a), np.nan, _grid_read(_bracket_grid(inner)[0], index, fill))
+
+
+def _survive_hi(m, inner: int) -> np.ndarray:
+    """Per row, the bracket's upper end, widened by ``_BRACKET_SLACK``, for
+    the Hoeffding bound ``m``: taken at the grid point at or below m, since
+    it falls as m grows (NaN for a NaN m)."""
+    index = np.floor(np.fmax(m, 0.0) * _GRID).astype(np.int64)
+
+    def fill(i):
+        gamma_hi = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, i / _GRID)[0]
+        return _binom_tails(_majority_threshold(inner), inner, gamma_hi)[1] + _BRACKET_SLACK
+
+    return np.where(np.isnan(m), np.nan, _grid_read(_bracket_grid(inner)[1], index, fill))
 
 
 def _survive_bounds(n_draws: int, p, q, inner: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the closed-form (lo, hi) with lo <= ``blackbox_survive_prob``
     <= hi, widened by ``_BRACKET_SLACK`` on each side."""
     a, m = _compare_bounds(n_draws, p, q)
-    gamma_hi = bdtr(CHI2_THRESHOLD, CHI2_TRIALS, m)
-    return (_survive_lo(a, inner),
-            bdtrc(_majority_threshold(inner) - 1, inner, gamma_hi) + _BRACKET_SLACK)
+    return _survive_lo(a, inner), _survive_hi(m, inner)
 
 
 def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
@@ -452,14 +647,16 @@ def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
     return float(_min_kl(p_mu[differ], p_tau[differ]).max(initial=0.0))
 
 
+@functools.lru_cache(maxsize=1 << 10)
 def _survive_floor(n_draws: int, kl: float, inner: int) -> float:
     """A value below the bracket's lower end for every pair whose min-KL is
     at most ``kl``: that lower end at KL = kl, less one more
-    ``_BRACKET_SLACK`` for rounding in ``bdtrc`` that is not monotone.
-    ``_DEAD`` when kl is inf, since a dead node stops at every u."""
+    ``_BRACKET_SLACK`` for rounding in the tails that is not monotone.
+    ``_DEAD`` when kl is inf, since a dead node stops at every u.  Kept for
+    the 1024 latest arguments: every run on the same pair asks again."""
     if math.isinf(kl):
         return _DEAD
-    return float(_survive_lo(_pinsker_bound(n_draws, kl), inner)) - _BRACKET_SLACK
+    return float(_survive_lo(_pinsker_bound(n_draws, kl), inner)[0]) - _BRACKET_SLACK
 
 
 def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import _ufuncs as boost
+from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
 from condtest import testers
@@ -124,6 +128,166 @@ def full_support_calculus(n_draws, p, q, inner):
         pb = binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, min(beta / (1.0 - alpha), 1.0))
         gamma = min(max(float(np.dot(pa, pb)), 0.0), 1.0)
     return alpha, beta, float(binom.sf(math.ceil(inner / 2) - 1, inner, gamma))
+
+
+# ----------------------------------------------------------------------
+# references for the survive calculus
+
+# Digits of the exact reference.
+EXACT_DPS = 40
+
+
+def _exact_pmf_run(n, p, first, last):
+    """Pr[Bin(n, p) = k] for k = first..last, one at a time, at the caller's
+    mpmath precision: the first from mpmath's binomial, the rest by the exact
+    ratio recurrence."""
+    p = mpmath.mpf(p)
+    if p in (0, 1):
+        yield from (mpmath.mpf(k == n * p) for k in range(first, last + 1))
+        return
+    pmf = mpmath.binomial(n, first) * p ** first * (1 - p) ** (n - first)
+    odds = p / (1 - p)
+    for k in range(first, last + 1):
+        yield pmf
+        pmf = pmf * (n - k) / (k + 1) * odds
+
+
+def exact_binom_pmfs(n, p, first=0, last=None):
+    """[Pr[Bin(n, p) = k] for k = first..last] (last defaults to n) as mpmath
+    numbers at EXACT_DPS digits; ``p`` is a float or an mpmath number."""
+    with mpmath.workdps(EXACT_DPS):
+        return list(_exact_pmf_run(n, p, first, n if last is None else last))
+
+
+def exact_binom_tail(k, n, p):
+    """Pr[Bin(n, p) >= k] at EXACT_DPS digits."""
+    with mpmath.workdps(EXACT_DPS):
+        return mpmath.fsum(exact_binom_pmfs(n, p)[max(k, 0):])
+
+
+def exact_tail_reaches(k, n, x, target):
+    """Whether Pr[Bin(n, x) >= k] >= target, for a float x in [0, 1] and a
+    float or Fraction target, decided in exact integer arithmetic: with
+    x = a / d, the tail times d^n is the sum of C(n, j) a^j (d - a)^(n - j)
+    over j >= k."""
+    a, d = float(x).as_integer_ratio()
+    t, t_d = Fraction(target).as_integer_ratio()
+    up, down = [1], [1]
+    for _ in range(n):
+        up.append(up[-1] * a)
+        down.append(down[-1] * (d - a))
+    total = sum(math.comb(n, j) * up[j] * down[n - j] for j in range(max(k, 0), n + 1))
+    return total * t_d >= t * d ** n
+
+
+def exact_accept_prob(alpha, beta):
+    """Pr[A <= 40 and B <= 40] for (A, B) ~ Multinomial(64; alpha, beta) at
+    EXACT_DPS digits: B given A = a is Bin(64 - a, beta / (1 - alpha))."""
+    with mpmath.workdps(EXACT_DPS):
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+        if alpha >= 1:
+            return mpmath.mpf(0)
+        ratio = min(beta / (1 - alpha), mpmath.mpf(1))
+        pa = exact_binom_pmfs(CHI2_TRIALS, alpha)
+        return mpmath.fsum(
+            pa[a] * mpmath.fsum(exact_binom_pmfs(CHI2_TRIALS - a, ratio)[:CHI2_THRESHOLD + 1])
+            for a in range(CHI2_THRESHOLD + 1))
+
+
+def exact_calculus(n_draws, p, q, inner):
+    """(alpha, beta, survive) of ``blackbox_survive_prob`` at (p, q) at
+    EXACT_DPS digits: alpha and beta summed over all N + 1 outcomes of Y
+    against X's exact cdf, the accept probability and the majority tail
+    taken from those exact values.  mpmath's betainc does not converge at
+    N = 12,288, so every term comes from the pmf recurrence."""
+    with mpmath.workdps(EXACT_DPS):
+        pmf_p = exact_binom_pmfs(n_draws, p)
+        total = mpmath.fsum(pmf_p)
+        below = alpha = beta = mpmath.mpf(0)  # below: Pr[X < k]
+        for k, pmf_q in enumerate(_exact_pmf_run(n_draws, q, 0, n_draws)):
+            beta += pmf_q * below
+            below += pmf_p[k]
+            alpha += pmf_q * (total - below)
+        gamma = exact_accept_prob(alpha, beta)
+        return alpha, beta, exact_binom_tail(math.ceil(inner / 2), inner, gamma)
+
+
+def _boost_rules(value, k, p, below, above, last):
+    """``rv_discrete``'s rules around a Boost kernel's value: ``below`` where
+    k < 0, ``above`` where k > ``last``, the value clipped to [0, 1] in
+    between, NaN wherever p is NaN or outside [0, 1]."""
+    value = np.where(k < 0, below, np.where(k > last, above, np.clip(value, 0.0, 1.0)))
+    return np.where((p >= 0.0) & (p <= 1.0), value, np.nan)
+
+
+def boost_binom_pmf(k, n, p):
+    """``binom.pmf(k, n, p)`` from SciPy's Boost kernel; rows with
+    0 < p < 1e-300, where that kernel can overflow, use exp of
+    ``binom.logpmf``'s formula."""
+    p = np.asarray(p, dtype=np.float64)
+    tiny = (p > 0.0) & (p < 1e-300)
+    pmf = boost._binom_pmf(k, n, np.where(tiny, 0.5, p))
+    if tiny.any():
+        p_tiny = np.where(tiny, p, 0.5)
+        logpmf = (gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+                  + xlogy(k, p_tiny) + xlog1py(n - k, -p_tiny))
+        pmf = np.where(tiny, np.exp(logpmf), pmf)
+    return _boost_rules(pmf, k, p, 0.0, 0.0, n)
+
+
+def boost_binom_cdf(k, n, p):
+    """``binom.cdf(k, n, p)`` from SciPy's Boost kernel."""
+    return _boost_rules(boost._binom_cdf(k, n, p), k, p, 0.0, 1.0, n - 1)
+
+
+def boost_binom_sf(k, n, p):
+    """``binom.sf(k, n, p)`` from SciPy's Boost kernel."""
+    return _boost_rules(boost._binom_sf(k, n, p), k, p, 1.0, 0.0, n - 1)
+
+
+def boost_calculus(n_draws, p, q, inner):
+    """(alpha, beta, survive) for one (p, q) by the Boost kernel path the
+    calculus used before its NumPy kernel: Y's pmf over its Hoeffding window
+    against X's sf and cdf, then the accept probability and the majority
+    tail from the same kernels."""
+    half = math.ceil(math.sqrt(n_draws * math.log(2e18) / 2.0))
+    width = min(2 * half + 2, n_draws + 1)
+    lo = min(max(math.floor(n_draws * q) - half, 0), n_draws + 1 - width)
+    k = np.arange(lo, lo + width)
+    pmf_q = boost_binom_pmf(k, n_draws, q)
+    alpha = min(float((pmf_q * boost_binom_sf(k, n_draws, p)).sum()), 1.0)
+    beta = min(float((pmf_q * boost_binom_cdf(k - 1, n_draws, p)).sum()), 1.0)
+    gamma = 0.0
+    if alpha < 1.0:
+        a = np.arange(CHI2_THRESHOLD + 1)
+        pa = boost_binom_pmf(a, CHI2_TRIALS, alpha)
+        pb = boost_binom_cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, min(beta / (1.0 - alpha), 1.0))
+        gamma = min(max(float((pa * pb).sum()), 0.0), 1.0)
+    return alpha, beta, float(boost_binom_sf(math.ceil(inner / 2) - 1, inner, gamma))
+
+
+def near_rows(n_draws, inner, count, seed):
+    """``count`` seeded (p, q) rows whose survive value lies in
+    (1e-6, 1 - 1e-6): q uniform in [0.05, 0.95] and p on a random side of
+    it, at the distance where ``blackbox_survive_prob`` meets a uniform
+    target in [0.01, 0.99], found by bisection."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < count:
+        q, target = rng.uniform(0.05, 0.95), rng.uniform(0.01, 0.99)
+        step = (1.0 if rng.random() < 0.5 else -1.0) * 3.0 * math.sqrt(q * (1.0 - q) / n_draws)
+        lo, hi = 0.0, 1.0
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            p = q + mid * step
+            if 0.0 < p < 1.0 and testers.blackbox_survive_prob(n_draws, p, q, inner) > target:
+                lo = mid
+            else:
+                hi = mid
+        p = q + lo * step
+        if 0.0 < p < 1.0 and 1e-6 < testers.blackbox_survive_prob(n_draws, p, q, inner) < 1 - 1e-6:
+            rows.append((p, float(q)))
+    return rows
 
 
 def _zero_prob():

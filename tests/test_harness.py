@@ -178,17 +178,71 @@ def test_rate_lower_bound_values():
             rate_lower_bound(3, 4, confidence)
 
 
+# The CSV sha256 of the five scenarios CI pins, each run with --out DIR.
+CLI_PINS = {
+    "adversarial-distance-seed0.csv": (
+        ["adversarial-distance", "--n", "4", "--eps", "0.2", "--runs", "4"],
+        "0d30053dd5d5905c2c14a289cdd91a3a3da4f40d330ddfa5f151c092241ef2a7"),
+    "scaling-sweep-seed0.csv": (
+        ["sweep", "--n-list", "8,16", "--eps-list", "0.3,0.5", "--runs", "3"],
+        "6137f39542e5678e7be019818c11621dac034e7c04e8fbf078b88fd1536a81db"),
+    "product-seed0.csv": (
+        ["test-product", "--n", "4", "--eps", "0.5", "--mu", "bernoulli:0.8", "--runs", "3"],
+        "027c782c3b2c92993c2affe3c9b8abaddba5a74cb056d95b1a70dc518a8b8b59"),
+    "interval-seed0.csv": (
+        ["test-interval", "--N", "200", "--eps", "0.3", "--tau", "uniform", "--mu",
+         "block:1,64", "--runs", "3"],
+        "59607688248215489f8a83619bbf173b3ce466ed6e67278738601f206c9af90e"),
+    "interval-1000/interval-seed0.csv": (
+        ["test-interval", "--N", "1000", "--eps", "0.3", "--tau", "uniform", "--mu",
+         "block:1,990", "--runs", "3"],
+        "40a5fdc3b4aaa56b81a1a9232095fc875f1d483ee4eace3953a84eac8ddc86e7"),
+}
+
+_BLOCKED_SCIPY_RUN = """
+import hashlib, json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from pathlib import Path
+from condtest import cli
+out, pins = Path(sys.argv[1]), json.loads(sys.argv[2])
+digests = {}
+for name, (argv, _) in pins.items():
+    assert cli.main(argv + ["--out", str((out / name).parent)]) == 0
+    digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+loaded = sorted(m for m, module in sys.modules.items()
+                if m.split(".")[0] == "scipy" and module is not None)
+print(json.dumps({"digests": digests, "scipy": loaded}))
+"""
+
+
 @pytest.mark.parametrize("module", ["condtest", "condtest.cli"])
 def test_import_leaves_scipy_stats_unloaded(module):
-    """Every CLI call imports condtest.cli; scipy.stats would add about a
-    second to each.  A fresh interpreter shows which modules the import
-    pulls in."""
+    """Every CLI call imports condtest.cli; SciPy would add about 0.3 s to
+    each.  A fresh interpreter, with SciPy importable, shows that the import
+    pulls in no scipy module at all, scipy.stats and scipy.special included."""
     env = dict(os.environ, PYTHONPATH=str(Path(condtest.__file__).parents[1]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print(sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert "'scipy.special'" in loaded
-    assert "'scipy.stats'" not in loaded
+    loaded = json.loads(subprocess.run(
+        [sys.executable, "-c",
+         f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout)
+    assert module in loaded
+    assert "scipy.stats" not in loaded
+    assert "scipy.special" not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_runtime_runs_with_scipy_blocked(tmp_path):
+    """The runtime needs NumPy only.  A fresh interpreter with SciPy blocked
+    imports condtest.cli, runs the five CI-pinned scenarios through
+    ``cli.main``, writes their pinned CSV bytes, and ends with no scipy
+    module loaded: a deferred import would fail or show up here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(condtest.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_SCIPY_RUN, str(tmp_path), json.dumps(CLI_PINS)],
+        env=env, capture_output=True, text=True, check=True)
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["digests"] == {name: digest for name, (_, digest) in CLI_PINS.items()}
+    assert report["scipy"] == []
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,15 @@
 black box."""
 
 import functools
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.stats import beta as beta_dist
 from scipy.stats import binom, chisquare
 
 from condtest import oracles, testers
@@ -23,8 +25,6 @@ from condtest.oracles import (
 )
 from condtest.testers import (
     CHI2_SAMPLE_FACTOR,
-    CHI2_THRESHOLD,
-    CHI2_TRIALS,
     BitSampler,
     TestConfig,
     Verdict,
@@ -41,7 +41,15 @@ from condtest.testers import (
     single_bit_chi2_test,
     slice_divergence_threshold,
 )
-from conftest import full_support_calculus, reference_walk
+from conftest import (
+    exact_accept_prob,
+    exact_binom_pmfs,
+    exact_calculus,
+    exact_tail_reaches,
+    full_support_calculus,
+    near_rows,
+    reference_walk,
+)
 
 
 # ----------------------------------------------------------------------
@@ -248,39 +256,122 @@ def test_calculus_where_scipy_pmf_overflows():
         assert survive[r] == blackbox_survive_prob(48, p[r], q[r], 192)
     gamma = chi2_accept_prob(np.array([1.7e-307, 0.2, 0.0]), np.array([0.3, 0.3, 0.3]))
     assert gamma[1] == chi2_accept_prob(0.2, 0.3) and gamma[2] == chi2_accept_prob(0.0, 0.3)
-    # Only the overflowing rows leave binom.pmf.
-    k, column = np.arange(49), np.array([[1e-307], [0.3], [0.0], [1e-200], [1.0]])
-    pmf = testers._binom_pmf(k, 48, column)
-    assert np.array_equal(pmf[1:], binom.pmf(k, 48, column[1:]))
-    assert np.allclose(pmf[0], binom.pmf(k, 48, 0.0), rtol=0.0, atol=1e-300)
 
 
-def test_binom_kernels_match_scipy_stats():
-    """The calculus's binomial helpers are ``scipy.stats.binom``'s values bit
-    for bit: support edges, the clip of Boost's pmf (just above 1 for small
-    p at k = 0), NaN for a NaN p and exp(logpmf) for p below 1e-300.  The
-    Clopper-Pearson bound is ``beta.ppf``'s value."""
-    rng = np.random.default_rng(8)
-    p = np.concatenate([rng.uniform(size=6), np.geomspace(1e-300, 1e-3, 6),
-                        [0.0, 1.0, 1.0 - 1e-16, 1e-294, np.nan]])[:, None]
-    helpers = ((testers._binom_pmf, binom.pmf), (testers._binom_cdf, binom.cdf),
-               (testers._binom_sf, binom.sf))
-    for n in (24, 40, 48, 64, 192, 3072, 196608):
-        k = np.arange(-3, n + 4)
-        for helper, reference in helpers:
-            np.testing.assert_array_equal(helper(k, n, p), reference(k, n, p))
-        tiny = np.array([[1e-307], [5e-309], [1e-310]])
-        np.testing.assert_array_equal(testers._binom_pmf(k, n, tiny),
-                                      np.exp(binom.logpmf(k, n, tiny)))
-    # The accept probability's cdf has one n per column.
-    a = np.arange(0, CHI2_THRESHOLD + 1)
-    np.testing.assert_array_equal(testers._binom_cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, p),
-                                  binom.cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, p))
-    for trials in range(1, 61):
-        for successes in range(1, trials + 1):
-            for confidence in (0.99, 0.9, 0.5, 1e-6):
-                assert rate_lower_bound(successes, trials, confidence) == beta_dist.ppf(
-                    1.0 - confidence, successes, trials - successes + 1)
+KERNEL_P = np.concatenate([np.random.default_rng(8).uniform(size=6), np.geomspace(1e-300, 1e-3, 6),
+                           [0.0, 1.0, 1.0 - 1e-16, 1e-294, 1e-307, 5e-309, 1e-310, np.nan]])
+
+
+def _exact_cells(n, p):
+    """(k, exact pmf) on which ``test_binom_kernel_matches_exact_reference``
+    compares: every k in [0, n] up to n = 3072; above, the window
+    [np - s, np + s] (s = sqrt(n ln(2e18) / 2), the calculus's own), the
+    three cells at each end and 64 seeded cells elsewhere."""
+    if n <= 3072:
+        return np.arange(n + 1), exact_binom_pmfs(n, p)
+    half = math.ceil(math.sqrt(n * math.log(2e18) / 2.0))
+    first, last = max(math.floor(n * p) - half, 0), min(math.floor(n * p) + half, n)
+    k = np.arange(first, last + 1)
+    pmf = exact_binom_pmfs(n, p, first, last)
+    others = {0, 1, 2, n - 2, n - 1, n, *np.random.default_rng(n).integers(0, n + 1, 64).tolist()}
+    others = sorted(others - set(k.tolist()))
+    return (np.concatenate([k, others]).astype(np.int64),
+            pmf + [exact_binom_pmfs(n, p, j, j)[0] for j in others])
+
+
+@pytest.mark.parametrize("n", [24, 40, 48, 64, 192, 3072, 196608])
+def test_binom_kernel_matches_exact_reference(n):
+    """The pmf and both tails on k in [-3, n + 3] at p random, log-spaced in
+    [1e-300, 1e-3] and {0, 1, 1 - 1e-16, 1e-294, 1e-307, 5e-309, 1e-310,
+    NaN} (SciPy's Boost pmf overflows at 1e-307 and 5e-309): 0 outside the
+    support, all mass at k = 0 or n for p = 0 or 1, NaN for a NaN p, and
+    against the 40-digit reference the pmf within 4e-15 (1 + |ln pmf|) pmf
+    above 1e-290 (exp's error at its argument) and 1e-300 below, and each
+    tail within 4e-15 (1 + |ln tail|) tail + 1e-18 (the window leaves out
+    at most 5e-19).  Above n = 3072 the reference covers the cells of
+    ``_exact_cells`` and the tails the edges and every 32nd cell of the
+    window, whose exact tails leave out the mass beyond the window."""
+    column = KERNEL_P[:, None]
+    k = np.arange(-3, n + 4)
+    pmf = testers._loader_pmf(k, n, column)
+    outside = (k < 0) | (k > n)
+    assert (pmf[:-1, outside] == 0.0).all() and np.isnan(pmf[-1]).all()
+    assert (pmf[KERNEL_P == 0.0] == (k == 0)).all() and (pmf[KERNEL_P == 1.0] == (k == n)).all()
+    edges = np.array([-3, -1, 0, n + 1, n + 3])
+    below, above = testers._binom_tails(edges, n, column)
+    assert np.isnan(below[-1]).all() and np.isnan(above[-1]).all()
+    assert (below[:-1] == (edges > n)).all() and (above[:-1] == (edges <= 0)).all()
+    for row, p in enumerate(KERNEL_P[:-1]):
+        cells, exact = _exact_cells(n, p)
+        ref = np.array([float(x) for x in exact])
+        ours = pmf[row, cells + 3]
+        normal = ref > 1e-290
+        tol = 4e-15 * (1.0 + np.abs(np.log(ref[normal]))) * ref[normal]
+        assert (np.abs(ours[normal] - ref[normal]) <= tol).all(), p
+        assert (np.abs(ours[~normal] - ref[~normal]) <= 1e-300).all(), p
+        # Pr[X >= k] over the first run of consecutive cells: suffix sums.
+        run = cells[:np.append(np.flatnonzero(np.diff(cells) != 1), cells.size - 1)[0] + 1]
+        with mpmath.workdps(40):
+            tail = list(itertools.accumulate(exact[:run.size][::-1]))[::-1]
+            exact_above = np.array([float(x) for x in tail])
+            exact_below = np.array([float(max(1 - x, 0)) for x in tail])
+        # every 32nd cell of the window above n = 3072
+        every = 32 if n > 3072 else 1
+        below, above = testers._binom_tails(run[::every], n, p)
+        for ours_tail, ref_tail in ((below, exact_below[::every]), (above, exact_above[::every])):
+            log = np.log(np.maximum(ref_tail, 1e-300))
+            tol = 4e-15 * (1.0 + np.abs(log)) * ref_tail + 1e-18
+            assert (np.abs(ours_tail - ref_tail) <= tol).all(), p
+
+
+def test_chi2_accept_prob_matches_exact_reference():
+    """The accept probability, whose tally for B runs over one trial count
+    per value of A, against its 40-digit value at seeded (alpha, beta) and
+    at the edges alpha in {0, 1}, beta in {0, 1 - alpha}: within 5e-16."""
+    rng = np.random.default_rng(2)
+    alpha = rng.random(48)
+    beta = rng.random(48) * (1.0 - alpha)
+    alpha = np.concatenate([alpha, [0.0, 0.0, 1.0, 0.5, 0.3, 1e-307, 0.2, 0.999]])
+    beta = np.concatenate([beta, [0.0, 1.0, 0.0, 0.5, 0.7, 0.3, 1e-300, 0.0]])
+    exact = np.array([float(exact_accept_prob(a, b)) for a, b in zip(alpha, beta)])
+    assert np.abs(chi2_accept_prob(alpha, beta) - exact).max() <= 5e-16
+
+
+def test_rate_lower_bound_matches_exact_quantile():
+    """The Clopper-Pearson bound lies within 1e-15 of the exact quantile for
+    every trials <= 60, successes 1..trials and confidence 0.99, 0.9, 0.5
+    and 1e-6: the tail Pr[Bin(trials, x) >= successes], in exact integer
+    arithmetic, is at most 1 - confidence at x = bound - 1e-15 and at least
+    that at x = bound + 1e-15.  (SciPy's ``beta.ppf`` misses by up to 7.7e-13
+    at confidence 1e-6.)  An array of successes gives the values of scalar
+    calls."""
+    for confidence in (0.99, 0.9, 0.5, 1e-6):
+        target = 1 - Fraction(confidence)
+        for trials in range(1, 61):
+            successes = np.arange(1, trials + 1)
+            bounds = rate_lower_bound(successes, trials, confidence)
+            for k, bound in zip(successes.tolist(), bounds.tolist()):
+                assert not exact_tail_reaches(k, trials, max(bound - 1e-15, 0.0), target) or (
+                    bound - 1e-15 <= 0.0), (k, trials, confidence)
+                assert exact_tail_reaches(k, trials, min(bound + 1e-15, 1.0), target), (
+                    k, trials, confidence)
+            assert rate_lower_bound(trials // 2 + 1, trials, confidence) == bounds[trials // 2]
+
+
+@pytest.mark.parametrize("n_draws, rows", [(48, 4), (192, 4), (1536, 3), (12288, 2)])
+def test_calculus_matches_exact_reference(n_draws, rows):
+    """alpha, beta and survive at seeded near rows (survive in
+    (1e-6, 1 - 1e-6), inner = 891) against their 40-digit values: alpha and
+    beta within 1e-15 and survive within 1e-13, the per-decision bound the
+    module docstring states.  Measured: 1.4e-16 and 2.1e-14; the Boost
+    kernel path missed by up to 2.4e-15 and 1.0e-13 on the same rows.
+    ``scripts/exact_calculus_error.py`` runs the larger N."""
+    for p, q in near_rows(n_draws, 891, rows, seed=n_draws):
+        alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
+        survive = blackbox_survive_prob(n_draws, p, q, 891)
+        exact = exact_calculus(n_draws, p, q, 891)
+        assert abs(alpha - exact[0]) <= 1e-15 and abs(beta - exact[1]) <= 1e-15, (p, q)
+        assert abs(survive - exact[2]) <= 1e-13, (p, q)
 
 
 def _bracket_rows():
