@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .distcore import (
     DistributionTable,
     DomainError,
     index_to_bits,
+    is_number,
     product_of_marginals,
     tv_distance,
 )
@@ -133,13 +135,12 @@ class AdversarialInstance:
     @classmethod
     def from_dict(cls, payload: dict) -> "AdversarialInstance":
         """The instance of a parsed JSON object {"n", "eps", "biases"}."""
-        try:
-            n, eps = int(payload["n"]), float(payload["eps"])
-            biases = tuple(int(b) for b in payload["biases"])
-        except (KeyError, TypeError, ValueError):
+        if not (isinstance(payload, dict) and is_number(payload.get("n"), numbers.Integral)
+                and is_number(payload.get("eps")) and isinstance(payload.get("biases"), list)
+                and all(is_number(b, numbers.Integral) for b in payload["biases"])):
             raise DomainError("paired-bias JSON needs an integer 'n', a number 'eps' "
-                              "and a list of +1/-1 'biases'") from None
-        return cls(n, eps, biases)
+                              "and a list of +1/-1 'biases'")
+        return cls(int(payload["n"]), float(payload["eps"]), tuple(payload["biases"]))
 
 
 def sample_paired_instance(n: int, eps: float, rng) -> AdversarialInstance:

@@ -1,6 +1,7 @@
 """Command-line entry point for the experiment harness.
 
-Every subcommand builds an ExperimentSpec and runs it.  A JSON config file
+Every subcommand builds an ExperimentSpec of its kind and runs it; the
+subcommands and their flags come from ``harness.KINDS``.  A JSON config file
 (--config) may supply any flag under its long name (hyphens or underscores);
 explicit command-line flags win.  The default output directory comes from
 the CONDTEST_OUT_DIR environment variable.  Bad input ends with an
@@ -15,8 +16,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .harness import (ExperimentSpec, HarnessError, default_out_dir, read_json_object,
-                      run_experiment)
+from .harness import (KINDS, ExperimentSpec, HarnessError, default_out_dir,
+                      read_json_object, run_experiment)
 from .oracles import OracleError
 
 
@@ -30,64 +31,33 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--id", dest="experiment_id")
 
 
+# ExperimentSpec field -> (flag, type, help); each subcommand offers the
+# fields of its kind in harness.KINDS.
+_FLAGS = {
+    "n": ("--n", int, "dimension: the domain is {0,1}^n"),
+    "N": ("--N", int, "domain size: the domain is [N]"),
+    "eps": ("--eps", float, "distance parameter"),
+    "tau": ("--tau", str, "distribution source (file or shorthand)"),
+    "mu": ("--mu", str, "distribution source (file or shorthand)"),
+    "grid_step": ("--grid-step", float, "grid step 1/k of the product search"),
+    "n_list": ("--n-list", str, "comma-separated dimensions, e.g. 4,8,16"),
+    "eps_list": ("--eps-list", str, "comma-separated distances, e.g. 0.3,0.5"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="condtest",
         description="Conditional-sampling distribution testers: experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("test-equivalence",
-                       help="equivalence tester accept/reject experiment")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--tau", help="distribution source (file or shorthand)")
-    p.add_argument("--mu", help="distribution source (file or shorthand)")
-    _add_common(p)
-
-    p = sub.add_parser("test-product", help="product tester experiment")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--mu")
-    _add_common(p)
-
-    p = sub.add_parser("test-interval",
-                       help="interval-oracle equivalence experiment")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--tau", help="pmf source (file, 'uniform', or 'block:a,b')")
-    p.add_argument("--mu", help="pmf source")
-    _add_common(p)
-
-    p = sub.add_parser("check-inequalities",
-                       help="chi-square vs KL divergence grid check")
-    _add_common(p)
-
-    p = sub.add_parser("adversarial-distance",
-                       help="distance of paired-bias instances to product "
-                            "distributions")
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--grid-step", type=float, dest="grid_step")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="query-count scaling sweep")
-    p.add_argument("--n-list", dest="n_list",
-                   help="comma-separated dimensions, e.g. 4,8,16")
-    p.add_argument("--eps-list", dest="eps_list",
-                   help="comma-separated distances, e.g. 0.3,0.5")
-    _add_common(p)
-
+    for kind in KINDS.values():
+        if kind.command is not None:
+            p = sub.add_parser(kind.command, help=kind.help)
+            for name in kind.fields:
+                flag, cast, text = _FLAGS[name]
+                p.add_argument(flag, type=cast, dest=name, help=text)
+            _add_common(p)
     return parser
-
-
-_COMMAND_KIND = {
-    "test-equivalence": "equivalence",
-    "test-product": "product",
-    "test-interval": "interval",
-    "check-inequalities": "inequality-grid",
-    "adversarial-distance": "adversarial-distance",
-    "sweep": "scaling-sweep",
-}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -123,7 +93,8 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     unknown = sorted(merged.keys() - {f.name for f in fields(ExperimentSpec) if f.name != "kind"})
     if unknown:
         raise HarnessError(f"unrecognized option in config or flags: {', '.join(unknown)}")
-    return ExperimentSpec(kind=_COMMAND_KIND[args.command], **merged)
+    kind = next(name for name, k in KINDS.items() if k.command == args.command)
+    return ExperimentSpec(kind=kind, **merged)
 
 
 def main(argv=None) -> int:

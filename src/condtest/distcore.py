@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -63,6 +64,23 @@ def index_to_bits(index: int, length: int) -> tuple[int, ...]:
     if not 0 <= index < (1 << length):
         raise DomainError(f"index {index} out of range for {length} bits")
     return tuple((index >> (length - 1 - j)) & 1 for j in range(length))
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """``value`` is a ``kind`` (``numbers.Integral`` or ``numbers.Real``) and
+    not a bool, which is an Integral but stands for a JSON true or false:
+    the rule for every number read from a JSON source or config file."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def json_array(values, error: str) -> np.ndarray:
+    """The float64 array of ``values``, a JSON list of numbers (``is_number``);
+    anything else raises DomainError(error)."""
+    # is_number depends on a value's type alone: check one value of each type
+    if not (isinstance(values, list)
+            and all(is_number(v) for v in dict(zip(map(type, values), values)).values())):
+        raise DomainError(error)
+    return np.array(values, dtype=np.float64)
 
 
 def check_probability_vector(probs: np.ndarray) -> None:
@@ -273,7 +291,8 @@ class DistributionTable:
         """The table of a parsed distribution JSON object: a dense "probs"
         array or a conditional "tree"."""
         if "probs" in data:
-            return cls(_json_n(data), data["probs"])
+            return cls(_json_n(data), json_array(data["probs"],
+                                                 "'probs' must be a list of numbers"))
         if "tree" in data:
             return cls.from_conditional_tree(ConditionalTree.from_dict(data))
         raise DomainError("distribution JSON must contain 'probs' or 'tree'")
@@ -326,12 +345,12 @@ class ConditionalTree:
         """The tree of a parsed JSON object {"n": n, "tree": {"i:prefix": p}}."""
         n = _json_n(data)
         _check_dense_n(n)
-        try:
-            entries = [(key, float(p)) for key, p in data["tree"].items()]
-        except (AttributeError, KeyError, TypeError, ValueError):
-            raise DomainError("'tree' must map 'i:prefix' keys to probabilities") from None
+        tree = data.get("tree")
+        error = "'tree' must map 'i:prefix' keys to probabilities"
+        if not isinstance(tree, dict):
+            raise DomainError(error)
         nodes = np.full((1 << n) - 1, np.nan)
-        for key, p in entries:
+        for key, p in zip(tree, json_array(list(tree.values()), error).tolist()):
             match = _TREE_KEY.fullmatch(key)
             if not match or not 1 <= int(match[1]) == len(match[2]) + 1 <= n:
                 raise DomainError(f"malformed tree key {key!r} for n={n}; keys are "
@@ -344,10 +363,9 @@ class ConditionalTree:
 
 def _json_n(data: dict) -> int:
     """The integer "n" of a distribution JSON object."""
-    try:
-        return int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("distribution JSON needs an integer 'n'") from None
+    if not (isinstance(data, dict) and is_number(data.get("n"), numbers.Integral)):
+        raise DomainError("distribution JSON needs an integer 'n'")
+    return int(data["n"])
 
 
 def conditional_bit_prob(tree: ConditionalTree, i: int, w) -> float:

@@ -5,6 +5,12 @@ Replay contract: a spec plus master seed determines every byte of the CSV
 output.  Per-repetition RNG streams are spawned from the master seed with
 ``numpy``'s SeedSequence, so repetitions are order-independent; wall-clock
 time is reported only in the JSON summary, never in the CSV.
+
+Each experiment kind is one entry of ``KINDS``: its CLI subcommand, the spec
+fields it reads, its driver, CSV columns and summary fold, and whether it
+holds dense 2^n tables.  Adding a kind means writing its driver and adding
+its entry; the spec checks, ``summarize``, ``emit_plot_data`` and the CLI
+read everything else from the table.
 """
 
 from __future__ import annotations
@@ -16,46 +22,21 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import adversarial, distcore, oracles, testers
-
-EXPERIMENT_KINDS = ("equivalence", "product", "interval", "single-bit",
-                    "inequality-grid", "adversarial-distance", "scaling-sweep")
+from .distcore import is_number
 
 CONFIDENCE_METHOD = "clopper-pearson one-sided 0.99"
 OUT_DIR_ENV = "CONDTEST_OUT_DIR"
-_DENSE_KINDS = ("equivalence", "product", "scaling-sweep")
-
-_COLUMNS = {
-    "verdict": ["experiment_id", "kind", "rep", "seed", "n", "eps", "verdict",
-                "unconditional", "prefix", "subcube", "marginal", "interval",
-                "total_queries"],
-    "inequality-grid": ["p", "q", "chi2", "kl_bound", "violation"],
-    "adversarial-distance": ["rep", "n", "eps", "biases", "method",
-                             "grid_step", "grid_distance",
-                             "dtv_product_of_marginals"],
-    "scaling-sweep": ["n", "eps", "runs", "median_queries", "p25", "p75"],
-}
-
-
-def _schema_of(kind: str) -> str:
-    if kind in ("equivalence", "product", "interval", "single-bit"):
-        return "verdict"
-    return kind
 
 
 class HarnessError(Exception):
     pass
-
-
-def _is_number(value, kind) -> bool:
-    """``value`` is a ``kind`` (``numbers.Integral`` or ``numbers.Real``) and
-    not a bool, which is an Integral but stands for a JSON true or false."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -77,17 +58,17 @@ class ExperimentSpec:
     experiment_id: str | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise HarnessError(f"unknown experiment kind {self.kind!r}; "
-                               f"expected one of {EXPERIMENT_KINDS}")
-        if not (_is_number(self.runs, numbers.Integral) and self.runs >= 1):
+                               f"expected one of {tuple(KINDS)}")
+        if not (is_number(self.runs, numbers.Integral) and self.runs >= 1):
             raise HarnessError(f"runs must be an integer >= 1, got {self.runs!r}")
-        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (is_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise HarnessError(f"seed must be an integer >= 0, got {self.seed!r}")
         # The interval tester pads [N] to 2^ceil(log2 N) cells, so N gets the
         # cell budget of a dense table.
         max_N = 2 ** distcore.MAX_DENSE_N if self.kind == "interval" else math.inf
-        if not (self.N is None or _is_number(self.N, numbers.Integral) and 1 <= self.N <= max_N):
+        if not (self.N is None or is_number(self.N, numbers.Integral) and 1 <= self.N <= max_N):
             raise HarnessError(f"N must be an integer in [1, {max_N}], got {self.N!r}")
         for name, source in (("tau", self.tau), ("mu", self.mu)):
             if not (source is None or isinstance(source, str)):
@@ -95,16 +76,16 @@ class ExperimentSpec:
         for name, value in (("out", self.out), ("experiment_id", self.experiment_id)):
             if not (value is None or isinstance(value, str)):
                 raise HarnessError(f"{name} must be a string, got {value!r}")
-        if not _is_number(self.grid_step, numbers.Real):
+        if not is_number(self.grid_step, numbers.Real):
             raise HarnessError(f"grid step must be a number, got {self.grid_step!r}")
         # Dense kinds hold 2^n cells: refuse n before anything is built.
-        max_n = distcore.MAX_DENSE_N if self.kind in _DENSE_KINDS else math.inf
+        max_n = distcore.MAX_DENSE_N if KINDS[self.kind].dense else math.inf
         for n in (() if self.n is None else (self.n,)) + tuple(self.n_list):
-            if not (_is_number(n, numbers.Integral) and 1 <= n <= max_n):
+            if not (is_number(n, numbers.Integral) and 1 <= n <= max_n):
                 raise HarnessError(f"n must be an integer in [1, {max_n}], got {n!r}")
         for eps in (() if self.eps is None else (self.eps,)) + tuple(self.eps_list):
             # The single-bit chi-square test also takes eps = 1.
-            if not (_is_number(eps, numbers.Real)
+            if not (is_number(eps, numbers.Real)
                     and (0.0 < eps < 1.0 or self.kind == "single-bit" and eps == 1.0)):
                 raise HarnessError(f"eps must lie in (0, 1), got {eps!r}")
         if self.experiment_id is None:
@@ -160,8 +141,11 @@ def _read_distribution(source: str, n: int | None) -> distcore.DistributionTable
         bits = [int(c) for c in spec]
         return distcore.DistributionTable.point_mass(bits)
     if source.startswith("bernoulli:"):
-        parts = source[len("bernoulli:"):].split(",")
-        ps = [float(x) for x in parts]
+        try:
+            ps = [float(x) for x in source[len("bernoulli:"):].split(",")]
+        except ValueError:
+            raise HarnessError(f"bad Bernoulli spec {source!r}; expected "
+                               "bernoulli:p or bernoulli:p1,p2,...") from None
         if len(ps) == 1 and n is not None:
             ps = ps * n
         return distcore.DistributionTable.bernoulli_product(ps)
@@ -180,7 +164,10 @@ def load_interval_pmf(source: str, N: int) -> np.ndarray:
     if source == "uniform":
         return np.full(N, 1.0 / N)
     if source.startswith("block:"):
-        a, b = (int(x) for x in source[len("block:"):].split(","))
+        try:
+            a, b = (int(x) for x in source[len("block:"):].split(","))
+        except ValueError:  # not two integers
+            raise HarnessError(f"bad block spec {source!r}; expected block:a,b") from None
         if not 1 <= a <= b <= N:
             raise HarnessError(f"bad block [{a}, {b}] for N={N}")
         pmf = np.zeros(N)
@@ -190,9 +177,8 @@ def load_interval_pmf(source: str, N: int) -> np.ndarray:
         raise HarnessError(f"pmf source {source!r} is neither a shorthand "
                            "nor an existing file")
     payload = read_json_object(source, "pmf")
-    if "pmf" not in payload:
-        raise HarnessError(f"pmf file {source} has no \"pmf\" array")
-    pmf = np.asarray(payload["pmf"], dtype=np.float64)
+    pmf = distcore.json_array(payload.get("pmf"),
+                              f"pmf file {source} needs a \"pmf\" list of numbers")
     if pmf.shape != (N,):
         raise HarnessError(f"pmf has shape {pmf.shape}, expected ({N},)")
     return pmf
@@ -249,87 +235,71 @@ def _fmt(value) -> str:
 # per-kind drivers
 
 
-def _verdict_row(spec: ExperimentSpec, rep: int, seed_label: str,
-                 verdict: testers.Verdict) -> ResultRow:
-    q = verdict.queries_used
-    return ResultRow(spec.kind, {
-        "experiment_id": spec.experiment_id,
-        "kind": spec.kind,
-        "rep": rep,
-        "seed": seed_label,
-        "n": spec.n if spec.kind != "interval" else spec.N,
-        "eps": spec.eps,
-        "verdict": verdict.decision,
-        **{cls.value: q.get(cls.value, 0) for cls in oracles.QueryClass},
-        "total_queries": q.get("total", 0),
-    })
-
-
-def _spawned(spec: ExperimentSpec, count: int):
-    return np.random.SeedSequence(spec.seed).spawn(count)
+def _repeat_verdicts(spec: ExperimentSpec, n, verdict_of) -> list[ResultRow]:
+    """One verdict row per repetition: repetition rep's verdict is
+    ``verdict_of(child)`` for the rep-th of ``spec.runs`` SeedSequence
+    children of the master seed; ``n`` fills the size column."""
+    rows = []
+    for rep, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.runs)):
+        verdict = verdict_of(child)
+        q = verdict.queries_used
+        rows.append(ResultRow(spec.kind, {
+            "experiment_id": spec.experiment_id,
+            "kind": spec.kind,
+            "rep": rep,
+            "seed": f"{spec.seed}/{rep}",
+            "n": n,
+            "eps": spec.eps,
+            "verdict": verdict.decision,
+            **{cls.value: q.get(cls.value, 0) for cls in oracles.QueryClass},
+            "total_queries": q.get("total", 0),
+        }))
+    return rows
 
 
 def _run_equivalence(spec: ExperimentSpec) -> list[ResultRow]:
-    if spec.n is None or spec.eps is None or spec.tau is None or spec.mu is None:
-        raise HarnessError("equivalence needs n, eps, tau, mu")
     # A self-test loads its source once; both oracles share the immutable
     # table, so its level sums and conditionals are built once.
     tau_table = load_distribution(spec.tau, spec.n)
     mu_table = tau_table if spec.mu == spec.tau else load_distribution(spec.mu, spec.n)
-    rows = []
-    for rep, child in enumerate(_spawned(spec, spec.runs)):
+
+    def verdict_of(child):
         s_tau, s_mu, s_test = child.spawn(3)
-        tau = oracles.TableOracle(tau_table, seed=s_tau)
-        mu = oracles.TableOracle(mu_table, seed=s_mu)
-        cfg = testers.TestConfig(spec.eps, seed=s_test)
-        verdict = testers.equivalence_test(tau, mu, cfg)
-        rows.append(_verdict_row(spec, rep, f"{spec.seed}/{rep}", verdict))
-    return rows
+        return testers.equivalence_test(oracles.TableOracle(tau_table, seed=s_tau),
+                                        oracles.TableOracle(mu_table, seed=s_mu),
+                                        testers.TestConfig(spec.eps, seed=s_test))
+    return _repeat_verdicts(spec, spec.n, verdict_of)
 
 
 def _run_product(spec: ExperimentSpec) -> list[ResultRow]:
-    if spec.n is None or spec.eps is None or spec.mu is None:
-        raise HarnessError("product needs n, eps, mu")
     mu_table = load_distribution(spec.mu, spec.n)
-    rows = []
-    for rep, child in enumerate(_spawned(spec, spec.runs)):
+
+    def verdict_of(child):
         s_mu, s_test = child.spawn(2)
-        mu = oracles.TableOracle(mu_table, seed=s_mu)
-        cfg = testers.TestConfig(spec.eps, seed=s_test)
-        verdict = testers.product_test(mu, cfg)
-        rows.append(_verdict_row(spec, rep, f"{spec.seed}/{rep}", verdict))
-    return rows
+        return testers.product_test(oracles.TableOracle(mu_table, seed=s_mu),
+                                    testers.TestConfig(spec.eps, seed=s_test))
+    return _repeat_verdicts(spec, spec.n, verdict_of)
 
 
 def _run_interval(spec: ExperimentSpec) -> list[ResultRow]:
-    if spec.N is None or spec.eps is None or spec.tau is None or spec.mu is None:
-        raise HarnessError("interval needs N, eps, tau, mu")
     tau_pmf = load_interval_pmf(spec.tau, spec.N)
     mu_pmf = tau_pmf if spec.mu == spec.tau else load_interval_pmf(spec.mu, spec.N)
-    rows = []
-    for rep, child in enumerate(_spawned(spec, spec.runs)):
+
+    def verdict_of(child):
         s_tau, s_mu, s_test = child.spawn(3)
-        tau = oracles.IntervalOracle(tau_pmf, seed=s_tau)
-        mu = oracles.IntervalOracle(mu_pmf, seed=s_mu)
-        cfg = testers.TestConfig(spec.eps, seed=s_test)
-        verdict = testers.interval_equivalence_test(tau, mu, cfg)
-        rows.append(_verdict_row(spec, rep, f"{spec.seed}/{rep}", verdict))
-    return rows
+        return testers.interval_equivalence_test(oracles.IntervalOracle(tau_pmf, seed=s_tau),
+                                                 oracles.IntervalOracle(mu_pmf, seed=s_mu),
+                                                 testers.TestConfig(spec.eps, seed=s_test))
+    return _repeat_verdicts(spec, spec.N, verdict_of)
 
 
 def _run_single_bit(spec: ExperimentSpec) -> list[ResultRow]:
-    if spec.p is None or spec.q is None or spec.eps is None:
-        raise HarnessError("single-bit needs p, q, eps")
-    rows = []
-    for rep, child in enumerate(_spawned(spec, spec.runs)):
+    def verdict_of(child):
         rng = np.random.default_rng(child)
-        sp = testers.BitSampler.from_probability(spec.p, rng)
-        sq = testers.BitSampler.from_probability(spec.q, rng)
-        verdict = testers.single_bit_chi2_test(sp, sq, spec.eps)
-        row = _verdict_row(spec, rep, f"{spec.seed}/{rep}", verdict)
-        row.data["total_queries"] = sp.count + sq.count
-        rows.append(row)
-    return rows
+        return testers.single_bit_chi2_test(testers.BitSampler.from_probability(spec.p, rng),
+                                            testers.BitSampler.from_probability(spec.q, rng),
+                                            spec.eps)
+    return _repeat_verdicts(spec, spec.n, verdict_of)
 
 
 def _run_inequality_grid(spec: ExperimentSpec) -> list[ResultRow]:
@@ -349,10 +319,8 @@ def _run_inequality_grid(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _run_adversarial_distance(spec: ExperimentSpec) -> list[ResultRow]:
-    if spec.n is None or spec.eps is None:
-        raise HarnessError("adversarial-distance needs n, eps")
     rows = []
-    for rep, child in enumerate(_spawned(spec, spec.runs)):
+    for rep, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.runs)):
         rng = np.random.default_rng(child)
         inst = adversarial.sample_paired_instance(spec.n, spec.eps, rng)
         table = inst.table() if spec.n <= distcore.MAX_DENSE_N else None
@@ -374,15 +342,12 @@ def _run_adversarial_distance(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _run_scaling_sweep(spec: ExperimentSpec) -> list[ResultRow]:
-    if not spec.n_list or not spec.eps_list:
-        raise HarnessError("scaling-sweep needs n_list and eps_list")
     rows = []
     for n in spec.n_list:
         for eps in spec.eps_list:
-            sub = ExperimentSpec(kind="equivalence", n=n, eps=eps,
-                                 runs=spec.runs, seed=spec.seed,
-                                 tau="uniform", mu="uniform")
-            totals = [row.data["total_queries"] for row in _run_equivalence(sub)]
+            # the uniform self-test at (n, eps), on the sweep's seed and runs
+            self_test = replace(spec, n=n, eps=eps, tau="uniform", mu="uniform")
+            totals = [row.data["total_queries"] for row in _run_equivalence(self_test)]
             rows.append(ResultRow(spec.kind, {
                 "n": n, "eps": eps, "runs": spec.runs,
                 "median_queries": float(np.median(totals)),
@@ -392,14 +357,61 @@ def _run_scaling_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     return rows
 
 
-_DRIVERS = {
-    "equivalence": _run_equivalence,
-    "product": _run_product,
-    "interval": _run_interval,
-    "single-bit": _run_single_bit,
-    "inequality-grid": _run_inequality_grid,
-    "adversarial-distance": _run_adversarial_distance,
-    "scaling-sweep": _run_scaling_sweep,
+def _verdict_summary(rows: list[ResultRow]) -> dict:
+    accepts = sum(1 for r in rows if r.data["verdict"] == "accept")
+    total = len(rows)
+    return {
+        "accepts": accepts,
+        "rejects": total - accepts,
+        "accept_rate": accepts / total,
+        "accept_rate_lb99": rate_lower_bound(accepts, total),
+        "reject_rate_lb99": rate_lower_bound(total - accepts, total),
+        "median_total_queries": float(np.median([r.data["total_queries"] for r in rows])),
+    }
+
+
+@dataclass(frozen=True)
+class _Kind:
+    command: str | None  # CLI subcommand; None for a kind run from Python only
+    help: str | None
+    fields: tuple  # the ExperimentSpec fields it reads; run_experiment needs each set
+    run: Callable[[ExperimentSpec], list]  # the driver: spec -> rows
+    columns: tuple  # CSV header, in order
+    summary: Callable[[list], dict]  # rows -> the summary's kind-specific entries
+    dense: bool = False  # holds 2^n-cell tables, so n <= distcore.MAX_DENSE_N
+
+
+_VERDICT_HEADER = ("experiment_id", "kind", "rep", "seed", "n", "eps", "verdict",
+                   "unconditional", "prefix", "subcube", "marginal", "interval",
+                   "total_queries")
+
+KINDS: dict[str, _Kind] = {
+    "equivalence": _Kind(
+        "test-equivalence", "equivalence tester accept/reject experiment",
+        ("n", "eps", "tau", "mu"), _run_equivalence, _VERDICT_HEADER, _verdict_summary,
+        dense=True),
+    "product": _Kind(
+        "test-product", "product tester experiment",
+        ("n", "eps", "mu"), _run_product, _VERDICT_HEADER, _verdict_summary, dense=True),
+    "interval": _Kind(
+        "test-interval", "interval-oracle equivalence experiment",
+        ("N", "eps", "tau", "mu"), _run_interval, _VERDICT_HEADER, _verdict_summary),
+    "single-bit": _Kind(
+        None, None, ("p", "q", "eps"), _run_single_bit, _VERDICT_HEADER, _verdict_summary),
+    "inequality-grid": _Kind(
+        "check-inequalities", "chi-square vs KL divergence grid check",
+        (), _run_inequality_grid, ("p", "q", "chi2", "kl_bound", "violation"),
+        lambda rows: {"violations": int(sum(r.data["violation"] for r in rows))}),
+    "adversarial-distance": _Kind(
+        "adversarial-distance", "distance of paired-bias instances to product distributions",
+        ("n", "eps", "grid_step"), _run_adversarial_distance,
+        ("rep", "n", "eps", "biases", "method", "grid_step", "grid_distance",
+         "dtv_product_of_marginals"),
+        lambda rows: {"min_grid_distance": min(r.data["grid_distance"] for r in rows)}),
+    "scaling-sweep": _Kind(
+        "sweep", "query-count scaling sweep",
+        ("n_list", "eps_list"), _run_scaling_sweep,
+        ("n", "eps", "runs", "median_queries", "p25", "p75"), lambda rows: {}, dense=True),
 }
 
 
@@ -412,25 +424,8 @@ def summarize(rows: list[ResultRow]) -> dict:
     if not rows:
         return {"rows": 0}
     kind = rows[0].kind
-    summary: dict = {"kind": kind, "rows": len(rows),
-                     "confidence_method": CONFIDENCE_METHOD}
-    if _schema_of(kind) == "verdict":
-        accepts = sum(1 for r in rows if r.data["verdict"] == "accept")
-        total = len(rows)
-        summary.update({
-            "accepts": accepts,
-            "rejects": total - accepts,
-            "accept_rate": accepts / total,
-            "accept_rate_lb99": rate_lower_bound(accepts, total),
-            "reject_rate_lb99": rate_lower_bound(total - accepts, total),
-            "median_total_queries": float(np.median(
-                [r.data["total_queries"] for r in rows])),
-        })
-    elif kind == "inequality-grid":
-        summary["violations"] = int(sum(r.data["violation"] for r in rows))
-    elif kind == "adversarial-distance":
-        summary["min_grid_distance"] = min(r.data["grid_distance"] for r in rows)
-    return summary
+    return {"kind": kind, "rows": len(rows), "confidence_method": CONFIDENCE_METHOD,
+            **KINDS[kind].summary(rows)}
 
 
 def emit_plot_data(rows: list[ResultRow], kind: str | None = None) -> str:
@@ -447,7 +442,7 @@ def emit_plot_data(rows: list[ResultRow], kind: str | None = None) -> str:
         kind = rows[0].kind
     elif kind is None:
         raise HarnessError("empty row set needs an explicit kind for the header")
-    columns = _COLUMNS[_schema_of(kind)]
+    columns = KINDS[kind].columns
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -466,8 +461,13 @@ def run_experiment(spec: ExperimentSpec, write: bool = True):
     Returns (rows, summary).  With ``write`` and an output directory set (or
     defaulted), writes <id>.csv (replay-stable) and <id>.json (summary plus
     wall time and the spec)."""
+    kind = KINDS[spec.kind]
+    unset = [name for name in kind.fields if getattr(spec, name) in (None, ())]
+    if unset:
+        raise HarnessError(f"{spec.kind} needs {', '.join(kind.fields)}; "
+                           f"unset: {', '.join(unset)}")
     start = time.perf_counter()
-    rows = _DRIVERS[spec.kind](spec)
+    rows = kind.run(spec)
     wall = time.perf_counter() - start
     summary = summarize(rows)
     summary["wall_time_s"] = wall

@@ -213,6 +213,8 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
 
     64 trials; each trial compares sums of N = ceil(24/eps) draws from the
     two samplers.  Accept iff at most 40 trials fall on each side.
+    ``queries_used`` gives the bits drawn from each sampler and, as
+    "total", from both.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0,1], got {eps}")
@@ -222,7 +224,8 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
     a = int(np.sum(xs > ys))
     b = int(np.sum(xs < ys))
     accepted = a <= CHI2_THRESHOLD and b <= CHI2_THRESHOLD
-    return Verdict(accepted, {"samples_per_source": CHI2_TRIALS * n_draws},
+    per_source = CHI2_TRIALS * n_draws
+    return Verdict(accepted, {"samples_per_source": per_source, "total": 2 * per_source},
                    trace=[{"A": a, "B": b, "N": n_draws}])
 
 

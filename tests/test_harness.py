@@ -1,5 +1,6 @@
 """Experiment harness: drivers, CSV emission, replay stability, and the CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -15,7 +16,6 @@ import condtest
 from condtest import harness
 from condtest.cli import build_parser, main, spec_from_args
 from condtest.harness import (
-    EXPERIMENT_KINDS,
     ExperimentSpec,
     HarnessError,
     ResultRow,
@@ -268,11 +268,24 @@ def test_equivalence_driver_deterministic_and_accepting():
     assert summary1["median_total_queries"] > 0
 
 
-def test_driver_missing_arguments():
+def test_driver_missing_arguments(monkeypatch):
+    """run_experiment refuses a spec that leaves any field its kind reads
+    unset, and names that field, before the kind's driver runs."""
     with pytest.raises(HarnessError):
         run_experiment(ExperimentSpec(kind="equivalence", n=4), write=False)
     with pytest.raises(HarnessError):
         run_experiment(ExperimentSpec(kind="scaling-sweep"), write=False)
+    _refuse_drivers(monkeypatch, *harness.KINDS)
+    values = {"n": 4, "N": 8, "eps": 0.5, "tau": "uniform", "mu": "uniform", "p": 0.5,
+              "q": 0.5, "n_list": (4,), "eps_list": (0.5,)}
+    unset = 0
+    for name, kind in harness.KINDS.items():
+        for field in set(kind.fields) & values.keys():  # grid_step has a default
+            spec = ExperimentSpec(kind=name, **{k: v for k, v in values.items() if k != field})
+            with pytest.raises(HarnessError, match=f"unset: {field}$"):
+                run_experiment(spec, write=False)
+            unset += 1
+    assert unset == 18
 
 
 def test_single_bit_driver_counts_both_sides():
@@ -419,10 +432,30 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert "unrecognized" in capsys.readouterr().err
 
 
-def test_experiment_kind_registry_is_complete():
-    for kind in EXPERIMENT_KINDS:
-        from condtest.harness import _DRIVERS
-        assert kind in _DRIVERS
+def test_experiment_kind_registry_is_complete(capsys):
+    """Every kind in ``harness.KINDS`` with a command has that subcommand,
+    which offers exactly the spec fields the kind reads plus the common
+    flags, makes a spec of that kind and has working help; single-bit runs
+    from Python only and has no subcommand."""
+    common = {"command", "runs", "seed", "out", "config", "experiment_id"}
+    commands = [kind.command for kind in harness.KINDS.values() if kind.command]
+    assert len(set(commands)) == len(harness.KINDS) - 1 == 6
+    for name, kind in harness.KINDS.items():
+        if kind.command is None:
+            continue
+        args = build_parser().parse_args([kind.command])
+        assert set(vars(args)) == set(kind.fields) | common, name
+        assert spec_from_args(args).kind == name
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([kind.command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: condtest {kind.command}")
+    assert harness.KINDS["single-bit"].command is None
+    for argv in (["single-bit"], ["single-bit", "--p", "0.5", "--q", "0.5", "--eps", "0.5"]):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'single-bit'" in capsys.readouterr().err
 
 
 # Source and config files for the bad-input cases below, written into the
@@ -445,8 +478,22 @@ BAD_INPUT_FILES = {
     "n2.json": json.dumps({"n": 2, "probs": [0.25, 0.25, 0.25, 0.25]}),
     "tree-bad-bit.json": json.dumps({"n": 2, "tree": {"1:": 0.5, "2:0": 0.5, "2:1": 0.5,
                                                       "2:5": 0.3}}),
+    # JSON values of the wrong type: each used to raise a TypeError or to be
+    # coerced (1.7 -> 1, "1" -> 1, true -> 1.0, "0.5" -> 0.5) and run
+    "probs-object.json": json.dumps({"n": 1, "probs": {"a": 1}}),
+    "probs-objects.json": json.dumps({"n": 1, "probs": [{}, 1]}),
+    "pmf-object.json": json.dumps({"pmf": {"a": 1}}),
+    "n-float.json": json.dumps({"n": 1.7, "probs": [0.5, 0.5]}),
+    "n-str.json": json.dumps({"n": "1", "probs": [0.5, 0.5]}),
+    "n-bool.json": json.dumps({"n": True, "probs": [0.5, 0.5]}),
+    "probs-bool.json": json.dumps({"n": 1, "probs": [True, False]}),
+    "biases-float.json": json.dumps({"n": 2, "eps": 0.2, "biases": [1.9]}),
+    "pairs-n-float.json": json.dumps({"n": 2.5, "eps": 0.2, "biases": [1]}),
+    "tree-bool.json": json.dumps({"n": 1, "tree": {"1:": True}}),
+    "tree-str.json": json.dumps({"n": 1, "tree": {"1:": "0.5"}}),
 }
 _EQ = ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform"]
+_EQ1 = ["test-equivalence", "--n", "1", "--eps", "0.5", "--tau", "uniform"]
 _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
 
 
@@ -488,13 +535,26 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     ["test-equivalence", "--n", "3", "--eps", "0.5", "--tau", "@n2.json", "--mu", "@n2.json"],
     ["test-equivalence", "--n", "2", "--eps", "0.5", "--mu", "uniform",
      "--tau", "@tree-bad-bit.json"],
+    _EQ1 + ["--mu", "@probs-object.json"],
+    _EQ1 + ["--mu", "@probs-objects.json"],
+    _INTERVAL + ["--mu", "@pmf-object.json"],
+    _EQ1 + ["--mu", "@n-float.json"],
+    _EQ1 + ["--mu", "@n-str.json"],
+    _EQ1 + ["--mu", "@n-bool.json"],
+    _EQ1 + ["--mu", "@probs-bool.json"],
+    _EQ + ["--mu", "@biases-float.json"],
+    _EQ + ["--mu", "@pairs-n-float.json"],
+    _EQ1 + ["--mu", "@tree-bool.json"],
+    _EQ1 + ["--mu", "@tree-str.json"],
 ], ids=["n1", "step0", "step-neg", "step-0.28", "eps1.5", "N0", "n-list", "missing-config",
         "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
         "config-seed-str", "config-grid-step-str", "config-runs-str",
         "config-N-float", "json-probs-no-n", "json-tree-no-n", "json-tree-number",
         "json-tree-missing-key", "json-pairs-no-n", "json-biases-number", "config-n-list-number",
         "config-tau-number", "point-n-mismatch", "bernoulli-n-mismatch",
-        "json-n-mismatch", "json-tree-bad-bit"])
+        "json-n-mismatch", "json-tree-bad-bit", "json-probs-object", "json-probs-objects",
+        "json-pmf-object", "json-n-float", "json-n-str", "json-n-bool", "json-probs-bool",
+        "json-biases-float", "json-pairs-n-float", "json-tree-bool", "json-tree-str"])
 def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)
@@ -502,6 +562,20 @@ def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, source", [
+    (_INTERVAL + ["--mu", "block:1"], "block:1"),
+    (_INTERVAL + ["--mu", "block:1,x"], "block:1,x"),
+    (_EQ + ["--mu", "bernoulli:x"], "bernoulli:x"),
+], ids=["block-one-end", "block-not-a-number", "bernoulli-not-a-number"])
+def test_cli_bad_shorthand_is_named(argv, source, tmp_path, capsys):
+    """A shorthand source that does not parse is refused with its own text,
+    not with Python's unpacking or conversion message."""
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and repr(source) in err
 
 
 @pytest.mark.parametrize("key, value", [("runs", "3"), ("seed", "x"), ("grid_step", "0.1")])
@@ -572,6 +646,14 @@ def _never_run(spec):
     raise AssertionError("a driver ran for a spec that should have been refused")
 
 
+def _refuse_drivers(monkeypatch, *names):
+    """Replace the driver of each named kind in ``harness.KINDS`` by
+    ``_never_run``."""
+    for name in names:
+        monkeypatch.setitem(harness.KINDS, name,
+                            dataclasses.replace(harness.KINDS[name], run=_never_run))
+
+
 def test_oversized_n_refused_before_any_driver_or_allocation(monkeypatch, tmp_path, capsys):
     """n = 30 would need 2^30 cells; the spec refuses it before a driver
     runs or numpy allocates anything."""
@@ -579,7 +661,7 @@ def test_oversized_n_refused_before_any_driver_or_allocation(monkeypatch, tmp_pa
         raise AssertionError("allocated before checking n")
     for name in ("full", "zeros", "ones", "empty", "kron"):
         monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setitem(harness._DRIVERS, "equivalence", _never_run)
+    _refuse_drivers(monkeypatch, "equivalence")
     rc = main(["test-equivalence", "--n", "30", "--eps", "0.5", "--tau", "uniform",
                "--mu", "uniform", "--out", str(tmp_path)])
     assert rc == 2
@@ -594,7 +676,7 @@ def test_oversized_N_refused_before_any_driver_or_allocation(monkeypatch, tmp_pa
         raise AssertionError("allocated before checking N")
     for name in ("full", "zeros", "ones", "empty", "kron"):
         monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setitem(harness._DRIVERS, "interval", _never_run)
+    _refuse_drivers(monkeypatch, "interval")
     rc = main(["test-interval", "--N", "1000000000", "--eps", "0.3", "--tau", "uniform",
                "--mu", "uniform", "--out", str(tmp_path)])
     assert rc == 2
@@ -610,8 +692,7 @@ def test_oversized_N_refused_before_any_driver_or_allocation(monkeypatch, tmp_pa
 ], ids=["equivalence", "product", "interval", "sweep"])
 def test_cli_refuses_the_retired_mode_flag(argv, mode, monkeypatch, tmp_path, capsys):
     """The tester has one execution path, so there is no --mode to pass."""
-    for kind in ("equivalence", "product", "interval", "scaling-sweep"):
-        monkeypatch.setitem(harness._DRIVERS, kind, _never_run)
+    _refuse_drivers(monkeypatch, "equivalence", "product", "interval", "scaling-sweep")
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--mode", mode, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
@@ -620,7 +701,7 @@ def test_cli_refuses_the_retired_mode_flag(argv, mode, monkeypatch, tmp_path, ca
 
 def test_sweep_has_no_kind_flag(monkeypatch, tmp_path, capsys):
     """A sweep runs the equivalence tester; there is no --kind to choose."""
-    monkeypatch.setitem(harness._DRIVERS, "scaling-sweep", _never_run)
+    _refuse_drivers(monkeypatch, "scaling-sweep")
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "--kind", "equivalence", "--n-list", "2,4", "--eps-list", "0.3",
               "--out", str(tmp_path)])
@@ -629,7 +710,7 @@ def test_sweep_has_no_kind_flag(monkeypatch, tmp_path, capsys):
 
 
 def test_cli_refuses_a_mode_key_in_the_config(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(harness._DRIVERS, "equivalence", _never_run)
+    _refuse_drivers(monkeypatch, "equivalence")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "auto"}))
     rc = main(["test-equivalence", "--n", "4", "--eps", "0.3", "--tau", "uniform",

@@ -65,9 +65,11 @@ def test_chi2_constant_samplers_always_accept():
 def test_chi2_sample_budget():
     sp = BitSampler.constant(1)
     sq = BitSampler.constant(1)
-    single_bit_chi2_test(sp, sq, 0.1)
+    verdict = single_bit_chi2_test(sp, sq, 0.1)
     assert sp.count == 64 * math.ceil(24 / 0.1)
     assert sq.count == sp.count
+    assert verdict.queries_used == {"samples_per_source": sp.count,
+                                    "total": 2 * 64 * math.ceil(24 / 0.1)}
 
 
 def test_chi2_equal_sources_mostly_accept(rng):
