@@ -10,7 +10,8 @@ Each experiment kind is one entry of ``KINDS``: its CLI subcommand, the spec
 fields it reads, its driver, CSV columns and summary fold, and whether it
 holds dense 2^n tables.  Adding a kind means writing its driver and adding
 its entry; the spec checks, ``summarize``, ``emit_plot_data`` and the CLI
-read everything else from the table.
+read everything else from the table.  Each spec field states its default,
+value rule and CLI flag once, in ``ExperimentSpec`` (see ``FIELDS``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,64 +33,116 @@ from . import adversarial, distcore, oracles, testers
 from .distcore import is_number
 
 CONFIDENCE_METHOD = "clopper-pearson one-sided 0.99"
-OUT_DIR_ENV = "CONDTEST_OUT_DIR"
 
 
 class HarnessError(Exception):
     pass
 
 
+# ----------------------------------------------------------------------
+# spec fields
+
+
+class _Field(NamedTuple):
+    """A spec field's rule and, if a subcommand offers it, its flag, argparse type and help."""
+    rule: Callable[[str, object, str], object]  # (name, value, kind) -> the value held
+    flag: str | None = None
+    type: Callable | None = None
+    help: str | None = None
+
+
+def _spec(default, *rule_and_flag):
+    """An ExperimentSpec field: its default and, as metadata, its _Field."""
+    return field(default=default, metadata={"spec": _Field(*rule_and_flag)})
+
+
+def _value(must: str, accepts: Callable[[object, str], bool], label: str | None = None):
+    """The rule that keeps a value for which ``accepts(value, kind)`` holds;
+    of any other, its error says the field (or ``label``) "must <must>"."""
+    def rule(name, value, kind):
+        if not accepts(value, kind):
+            raise HarnessError(f"{label or name} must {must}, got {value!r}")
+        return value
+    return rule
+
+
+def _integer(lo: int, top: Callable[[str], float] | None = None):
+    """The rule: an integer >= lo and, if ``top`` is given, <= top(kind)."""
+    def rule(name, value, kind):
+        hi = math.inf if top is None else top(kind)
+        if not (is_number(value, numbers.Integral) and lo <= value <= hi):
+            must = f">= {lo}" if top is None else f"in [{lo}, {hi}]"
+            raise HarnessError(f"{name} must be an integer {must}, got {value!r}")
+        return value
+    return rule
+
+
+def _comma_list(item: str):
+    """The rule: a list, or a comma-separated string cast by field ``item``'s
+    flag type, held as a tuple whose entries each meet ``item``'s rule."""
+    def rule(name, value, kind):
+        label = name.replace("_", "-")
+        if isinstance(value, str):
+            try:
+                value = [FIELDS[item].type(x) for x in value.split(",")]
+            except ValueError:
+                raise HarnessError(f"bad {label} {value!r}") from None
+        elif not isinstance(value, (list, tuple)):
+            raise HarnessError(f"{label} must be a comma-separated string or a list, got {value!r}")
+        return tuple(FIELDS[item].rule(item, x, kind) for x in value)
+    return rule
+
+
+# Dense kinds hold 2^n cells: refuse n before anything is built.
+_n = _integer(1, lambda kind: distcore.MAX_DENSE_N if KINDS[kind].dense else math.inf)
+# The interval tester pads [N] to 2^ceil(log2 N) cells: a dense table's budget.
+_N = _integer(1, lambda kind: 2 ** distcore.MAX_DENSE_N if kind == "interval" else math.inf)
+# The single-bit chi-square test also takes eps = 1.
+_eps = _value("lie in (0, 1)", lambda v, kind: is_number(v) and (
+    0.0 < v < 1.0 or kind == "single-bit" and v == 1.0))
+_probability = _value("lie in [0, 1]", lambda v, kind: is_number(v) and 0.0 <= v <= 1.0)
+_source = _value("be a file or shorthand", lambda v, kind: isinstance(v, str))
+_string = _value("be a string", lambda v, kind: isinstance(v, str))
+
+
 @dataclass
 class ExperimentSpec:
+    """One experiment.  Each field but kind states its default and its _Field
+    (``FIELDS``); a field that is set must pass its rule."""
     kind: str
-    n: int | None = None
-    eps: float | None = None
-    N: int | None = None
-    runs: int = 1
-    seed: int = 0
-    tau: str | None = None
-    mu: str | None = None
-    p: float | None = None
-    q: float | None = None
-    grid_step: float = 0.01
-    n_list: tuple = ()
-    eps_list: tuple = ()
-    out: str | None = None
-    experiment_id: str | None = None
+    n: int | None = _spec(None, _n, "--n", int, "dimension: the domain is {0,1}^n")
+    eps: float | None = _spec(None, _eps, "--eps", float, "distance parameter")
+    N: int | None = _spec(None, _N, "--N", int, "domain size: the domain is [N]")
+    runs: int = _spec(1, _integer(1), "--runs", int)
+    seed: int = _spec(0, _integer(0), "--seed", int)
+    tau: str | None = _spec(None, _source, "--tau", str, "distribution source (file or shorthand)")
+    mu: str | None = _spec(None, _source, "--mu", str, "distribution source (file or shorthand)")
+    p: float | None = _spec(None, _probability)
+    q: float | None = _spec(None, _probability)
+    grid_step: float = _spec(0.01, _value("be a number", lambda v, kind: is_number(v), "grid step"),
+                             "--grid-step", float, "grid step 1/k of the product search")
+    n_list: tuple = _spec((), _comma_list("n"), "--n-list", str,
+                          "comma-separated dimensions, e.g. 4,8,16")
+    eps_list: tuple = _spec((), _comma_list("eps"), "--eps-list", str,
+                            "comma-separated distances, e.g. 0.3,0.5")
+    out: str | None = _spec(None, _string, "--out", None,
+                            "output directory (default: $CONDTEST_OUT_DIR or ./condtest-out)")
+    experiment_id: str | None = _spec(None, _string, "--id")
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise HarnessError(f"unknown experiment kind {self.kind!r}; "
                                f"expected one of {tuple(KINDS)}")
-        if not (is_number(self.runs, numbers.Integral) and self.runs >= 1):
-            raise HarnessError(f"runs must be an integer >= 1, got {self.runs!r}")
-        if not (is_number(self.seed, numbers.Integral) and self.seed >= 0):
-            raise HarnessError(f"seed must be an integer >= 0, got {self.seed!r}")
-        # The interval tester pads [N] to 2^ceil(log2 N) cells, so N gets the
-        # cell budget of a dense table.
-        max_N = 2 ** distcore.MAX_DENSE_N if self.kind == "interval" else math.inf
-        if not (self.N is None or is_number(self.N, numbers.Integral) and 1 <= self.N <= max_N):
-            raise HarnessError(f"N must be an integer in [1, {max_N}], got {self.N!r}")
-        for name, source in (("tau", self.tau), ("mu", self.mu)):
-            if not (source is None or isinstance(source, str)):
-                raise HarnessError(f"{name} must be a file or shorthand, got {source!r}")
-        for name, value in (("out", self.out), ("experiment_id", self.experiment_id)):
-            if not (value is None or isinstance(value, str)):
-                raise HarnessError(f"{name} must be a string, got {value!r}")
-        if not is_number(self.grid_step, numbers.Real):
-            raise HarnessError(f"grid step must be a number, got {self.grid_step!r}")
-        # Dense kinds hold 2^n cells: refuse n before anything is built.
-        max_n = distcore.MAX_DENSE_N if KINDS[self.kind].dense else math.inf
-        for n in (() if self.n is None else (self.n,)) + tuple(self.n_list):
-            if not (is_number(n, numbers.Integral) and 1 <= n <= max_n):
-                raise HarnessError(f"n must be an integer in [1, {max_n}], got {n!r}")
-        for eps in (() if self.eps is None else (self.eps,)) + tuple(self.eps_list):
-            # The single-bit chi-square test also takes eps = 1.
-            if not (is_number(eps, numbers.Real)
-                    and (0.0 < eps < 1.0 or self.kind == "single-bit" and eps == 1.0)):
-                raise HarnessError(f"eps must lie in (0, 1), got {eps!r}")
+        for name, spec_field in FIELDS.items():
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, spec_field.rule(name, value, self.kind))
         if self.experiment_id is None:
             self.experiment_id = f"{self.kind}-seed{self.seed}"
+
+
+FIELDS: dict[str, _Field] = {f.name: f.metadata["spec"] for f in fields(ExperimentSpec)
+                             if f.name != "kind"}
 
 
 @dataclass
@@ -243,32 +296,30 @@ def _repeat_verdicts(spec: ExperimentSpec, n, verdict_of) -> list[ResultRow]:
     for rep, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.runs)):
         verdict = verdict_of(child)
         q = verdict.queries_used
-        rows.append(ResultRow(spec.kind, {
-            "experiment_id": spec.experiment_id,
-            "kind": spec.kind,
-            "rep": rep,
-            "seed": f"{spec.seed}/{rep}",
-            "n": n,
-            "eps": spec.eps,
-            "verdict": verdict.decision,
-            **{cls.value: q.get(cls.value, 0) for cls in oracles.QueryClass},
-            "total_queries": q.get("total", 0),
-        }))
+        rows.append(ResultRow(spec.kind, dict(zip(_VERDICT_HEADER, (
+            spec.experiment_id, spec.kind, rep, f"{spec.seed}/{rep}", n, spec.eps,
+            verdict.decision, *(q.get(cls.value, 0) for cls in oracles.QueryClass),
+            q.get("total", 0))))))
     return rows
 
 
-def _run_equivalence(spec: ExperimentSpec) -> list[ResultRow]:
-    # A self-test loads its source once; both oracles share the immutable
-    # table, so its level sums and conditionals are built once.
-    tau_table = load_distribution(spec.tau, spec.n)
-    mu_table = tau_table if spec.mu == spec.tau else load_distribution(spec.mu, spec.n)
+def _run_two_sources(spec: ExperimentSpec, size, load, oracle, test) -> list[ResultRow]:
+    """``test`` of tau against mu, sources of ``size`` that ``load`` reads and
+    ``oracle`` serves.  A self-test loads its source once; both oracles share
+    it, so a table's level sums and conditionals are built once."""
+    tau = load(spec.tau, size)
+    mu = tau if spec.mu == spec.tau else load(spec.mu, size)
 
     def verdict_of(child):
         s_tau, s_mu, s_test = child.spawn(3)
-        return testers.equivalence_test(oracles.TableOracle(tau_table, seed=s_tau),
-                                        oracles.TableOracle(mu_table, seed=s_mu),
-                                        testers.TestConfig(spec.eps, seed=s_test))
-    return _repeat_verdicts(spec, spec.n, verdict_of)
+        return test(oracle(tau, seed=s_tau), oracle(mu, seed=s_mu),
+                    testers.TestConfig(spec.eps, seed=s_test))
+    return _repeat_verdicts(spec, size, verdict_of)
+
+
+def _run_equivalence(spec: ExperimentSpec) -> list[ResultRow]:
+    return _run_two_sources(spec, spec.n, load_distribution, oracles.TableOracle,
+                            testers.equivalence_test)
 
 
 def _run_product(spec: ExperimentSpec) -> list[ResultRow]:
@@ -282,15 +333,8 @@ def _run_product(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _run_interval(spec: ExperimentSpec) -> list[ResultRow]:
-    tau_pmf = load_interval_pmf(spec.tau, spec.N)
-    mu_pmf = tau_pmf if spec.mu == spec.tau else load_interval_pmf(spec.mu, spec.N)
-
-    def verdict_of(child):
-        s_tau, s_mu, s_test = child.spawn(3)
-        return testers.interval_equivalence_test(oracles.IntervalOracle(tau_pmf, seed=s_tau),
-                                                 oracles.IntervalOracle(mu_pmf, seed=s_mu),
-                                                 testers.TestConfig(spec.eps, seed=s_test))
-    return _repeat_verdicts(spec, spec.N, verdict_of)
+    return _run_two_sources(spec, spec.N, load_interval_pmf, oracles.IntervalOracle,
+                            testers.interval_equivalence_test)
 
 
 def _run_single_bit(spec: ExperimentSpec) -> list[ResultRow]:
@@ -381,9 +425,9 @@ class _Kind:
     dense: bool = False  # holds 2^n-cell tables, so n <= distcore.MAX_DENSE_N
 
 
+# the columns of a verdict row; one per query class, in QueryClass order
 _VERDICT_HEADER = ("experiment_id", "kind", "rep", "seed", "n", "eps", "verdict",
-                   "unconditional", "prefix", "subcube", "marginal", "interval",
-                   "total_queries")
+                   *(cls.value for cls in oracles.QueryClass), "total_queries")
 
 KINDS: dict[str, _Kind] = {
     "equivalence": _Kind(
@@ -451,8 +495,10 @@ def emit_plot_data(rows: list[ResultRow], kind: str | None = None) -> str:
     return buf.getvalue()
 
 
-def default_out_dir() -> Path:
-    return Path(os.environ.get(OUT_DIR_ENV, "condtest-out"))
+def out_dir(spec: ExperimentSpec) -> Path:
+    """The directory run_experiment writes into: ``spec.out``, else
+    $CONDTEST_OUT_DIR, else ./condtest-out."""
+    return Path(spec.out or os.environ.get("CONDTEST_OUT_DIR", "condtest-out"))
 
 
 def run_experiment(spec: ExperimentSpec, write: bool = True):
@@ -472,12 +518,10 @@ def run_experiment(spec: ExperimentSpec, write: bool = True):
     summary = summarize(rows)
     summary["wall_time_s"] = wall
     if write:
-        out_dir = Path(spec.out) if spec.out else default_out_dir()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{spec.experiment_id}.csv").write_text(
-            emit_plot_data(rows, spec.kind))
-        payload = {"spec": {f.name: getattr(spec, f.name) for f in fields(spec)},
-                   "summary": summary}
-        (out_dir / f"{spec.experiment_id}.json").write_text(
+        directory = out_dir(spec)
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{spec.experiment_id}.csv").write_text(emit_plot_data(rows, spec.kind))
+        payload = {"spec": vars(spec), "summary": summary}
+        (directory / f"{spec.experiment_id}.json").write_text(
             json.dumps(payload, indent=2, default=str) + "\n")
     return rows, summary

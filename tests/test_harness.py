@@ -432,6 +432,61 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert "unrecognized" in capsys.readouterr().err
 
 
+def test_cli_refuses_config_keys_of_other_kinds(tmp_path, capsys):
+    """A config key that names a spec field the subcommand does not offer is
+    refused like any other unknown key, and nothing is written."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tau": "point:1", "N": 5, "p": 0.3}))
+    out = tmp_path / "out"
+    rc = main(["test-product", "--n", "2", "--eps", "0.5", "--mu", "uniform",
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unrecognized option in config or flags: N, p, tau\n"
+    assert not out.exists()
+
+
+# One valid value for every ExperimentSpec field but kind.
+_FIELD_VALUES = {"n": 2, "eps": 0.5, "N": 8, "runs": 1, "seed": 0, "tau": "uniform",
+                 "mu": "uniform", "p": 0.5, "q": 0.5, "grid_step": 0.5, "n_list": "2",
+                 "eps_list": "0.5", "out": "out", "experiment_id": "x"}
+
+
+@pytest.mark.parametrize("command", [k.command for k in harness.KINDS.values() if k.command])
+def test_cli_config_takes_exactly_the_subcommand_flags(command, tmp_path):
+    """Every subcommand's --config accepts, under its underscore or hyphen
+    spelling, the key of each of its flags and no other spec field."""
+    assert _FIELD_VALUES.keys() == harness.FIELDS.keys()
+    flags = vars(build_parser().parse_args([command])).keys() - {"command", "config"}
+    cfg = tmp_path / "c.json"
+    accepted = set()
+    for key, value in _FIELD_VALUES.items():
+        for spelling in {key, key.replace("_", "-")}:
+            cfg.write_text(json.dumps({spelling: value}))
+            try:
+                spec_from_args(build_parser().parse_args([command, "--config", str(cfg)]))
+            except HarnessError as err:
+                assert str(err) == f"unrecognized option in config or flags: {key}"
+                continue
+            accepted.add(key)
+    assert accepted == flags
+    kind = next(k for k in harness.KINDS.values() if k.command == command)
+    assert flags == set(kind.fields) | {"runs", "seed", "out", "experiment_id"}
+
+
+def test_cli_reports_the_directory_it_wrote(monkeypatch, tmp_path, capsys):
+    """The last line names the files where run_experiment wrote them: --out,
+    else $CONDTEST_OUT_DIR."""
+    argv = ["test-equivalence", "--n", "2", "--eps", "0.5", "--tau", "uniform",
+            "--mu", "uniform", "--id", "where"]
+    monkeypatch.setenv("CONDTEST_OUT_DIR", str(tmp_path / "env"))
+    for extra, directory in (([], tmp_path / "env"),
+                             (["--out", str(tmp_path / "flag")], tmp_path / "flag")):
+        assert main(argv + extra) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"wrote {directory / 'where'}.csv and .json"
+        assert (directory / "where.csv").exists() and (directory / "where.json").exists()
+
+
 def test_experiment_kind_registry_is_complete(capsys):
     """Every kind in ``harness.KINDS`` with a command has that subcommand,
     which offers exactly the spec fields the kind reads plus the common
@@ -632,14 +687,37 @@ def test_spec_rejects_empty_interval_domain():
     {"kind": "single-bit", "p": 0.5, "q": 0.5, "eps": 0.5, "eps_list": (True,)},
     {"kind": "equivalence", "n": 2, "eps": 0.5, "out": 5},
     {"kind": "equivalence", "n": 2, "eps": 0.5, "experiment_id": ["a"]},
+    {"kind": "single-bit", "p": 2.0, "q": 0.5, "eps": 0.5},
+    {"kind": "single-bit", "p": "x", "q": 0.5, "eps": 0.5},
+    {"kind": "single-bit", "p": 0.5, "q": True, "eps": 0.5},
+    {"kind": "single-bit", "p": float("nan"), "q": 0.5, "eps": 0.5},
 ], ids=["n0", "n21", "n-float", "eps0", "eps1", "eps-nan", "eps-neg", "single-bit-eps",
         "n-list-0", "n-list-30", "eps-list", "runs-str", "runs-float", "seed-str",
         "seed-neg", "N-str", "N-float", "N-over-cells", "grid-step-str", "tau-int", "mu-list",
         "n-bool", "N-bool", "runs-bool", "seed-bool", "eps-bool", "grid-step-bool",
-        "n-list-bool", "eps-list-bool", "out-int", "experiment-id-list"])
+        "n-list-bool", "eps-list-bool", "out-int", "experiment-id-list", "single-bit-p-2",
+        "single-bit-p-str", "single-bit-q-bool", "single-bit-p-nan"])
 def test_spec_rejects_bad_values_up_front(fields):
     with pytest.raises(HarnessError):
         ExperimentSpec(**{"tau": "uniform", "mu": "uniform", **fields})
+
+
+def test_single_bit_probability_refused_before_any_repetition(monkeypatch):
+    """The single-bit kind's p and q are checked with the spec, so a bad one
+    is named before the driver draws anything."""
+    _refuse_drivers(monkeypatch, "single-bit")
+    for p in (2.0, "x"):
+        with pytest.raises(HarnessError, match="^p must lie in \\[0, 1\\]"):
+            run_experiment(ExperimentSpec(kind="single-bit", p=p, q=0.5, eps=0.5), write=False)
+
+
+def test_spec_takes_any_field_from_python():
+    """Only the command line limits a kind to its own fields: the sweep
+    makes its self-tests by replacing fields of its own spec."""
+    spec = ExperimentSpec(kind="product", n=2, eps=0.5, mu="uniform", tau="point:1", N=5, p=0.3)
+    assert (spec.tau, spec.N, spec.p) == ("point:1", 5, 0.3)
+    sweep = ExperimentSpec(kind="scaling-sweep", n_list="2,4", eps_list=[0.5])
+    assert (sweep.n_list, sweep.eps_list) == ((2, 4), (0.5,))
 
 
 def _never_run(spec):
