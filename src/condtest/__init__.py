@@ -30,17 +30,16 @@ from .oracles import (
     TableOracle,
     TupleTableOracle,
     prefix_to_interval,
-    product_marginal_oracle,
 )
 from .testers import (
     BitSampler,
-    TestConfig,
     Verdict,
     equivalence_test,
     equivalence_test_general,
     interval_equivalence_test,
     levin_balance,
     product_test,
+    product_test_general,
     single_bit_chi2_test,
 )
 from .adversarial import (

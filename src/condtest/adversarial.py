@@ -41,20 +41,6 @@ def _check_delta(delta: float) -> None:
         raise DomainError(f"pair bias magnitude must lie in [0, 0.25), got {delta}")
 
 
-@dataclass(frozen=True)
-class PairBias:
-    """Signed bias of one coordinate pair: b in {-1, 0, +1} and magnitude
-    delta in [0, 1/4)."""
-
-    b: int
-    delta: float
-
-    def __post_init__(self):
-        if self.b not in (-1, 0, 1):
-            raise DomainError(f"bias sign must be -1, 0 or +1, got {self.b}")
-        _check_delta(self.delta)
-
-
 def nu_b_table(b: int, delta: float) -> DistributionTable:
     """Two-bit pair distribution with cells (1/4 + b*delta, 1/4 - b*delta,
     1/4 - b*delta, 1/4 + b*delta) on (00, 01, 10, 11).
@@ -62,7 +48,9 @@ def nu_b_table(b: int, delta: float) -> DistributionTable:
     Both marginals are exactly Ber(1/2); the parity bit is Ber(1/2 - 2*b*delta).
     b = 0 gives the uniform distribution over two bits.
     """
-    PairBias(b, delta)
+    if b not in (-1, 0, 1):
+        raise DomainError(f"bias sign must be -1, 0 or +1, got {b}")
+    _check_delta(delta)
     q = 0.25 + b * delta
     r = 0.25 - b * delta
     return DistributionTable(2, np.array([q, r, r, q]))
@@ -492,8 +480,3 @@ def distance_to_product_of_marginals(table: DistributionTable) -> float:
     (an upper bound on its distance to the nearest product)."""
     return tv_distance(table, product_of_marginals(table))
 
-
-def odd_coordinate_marginals(table: DistributionTable) -> np.ndarray:
-    """Marginals of coordinates 1, 3, 5, ... — under the XOR transform of a
-    paired instance these carry the Ber(1/2 + 2*b*delta) biases."""
-    return table.marginals()[0::2]

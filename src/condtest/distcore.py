@@ -322,13 +322,6 @@ class ConditionalTree:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.nodes, other.nodes, equal_nan=True)
 
-    @classmethod
-    def from_table(cls, table: DistributionTable) -> "ConditionalTree":
-        return cls(table.n, table.conditional_nodes())
-
-    def to_table(self) -> DistributionTable:
-        return DistributionTable.from_conditional_tree(self)
-
     def to_json(self) -> str:
         live = np.flatnonzero(~np.isnan(self.nodes))
         # node v = (1 << (i-1)) + w is "1" followed by w's i-1 bits

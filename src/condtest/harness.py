@@ -105,10 +105,11 @@ _source = _value("be a file or shorthand", lambda v, kind: isinstance(v, str))
 _string = _value("be a string", lambda v, kind: isinstance(v, str))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment.  Each field but kind states its default and its _Field
-    (``FIELDS``); a field that is set must pass its rule."""
+    (``FIELDS``); a field that is set must pass its rule.  Frozen, so every
+    value it holds has passed: ``dataclasses.replace`` checks anew."""
     kind: str
     n: int | None = _spec(None, _n, "--n", int, "dimension: the domain is {0,1}^n")
     eps: float | None = _spec(None, _eps, "--eps", float, "distance parameter")
@@ -136,9 +137,9 @@ class ExperimentSpec:
         for name, spec_field in FIELDS.items():
             value = getattr(self, name)
             if value is not None:
-                setattr(self, name, spec_field.rule(name, value, self.kind))
+                object.__setattr__(self, name, spec_field.rule(name, value, self.kind))
         if self.experiment_id is None:
-            self.experiment_id = f"{self.kind}-seed{self.seed}"
+            object.__setattr__(self, "experiment_id", f"{self.kind}-seed{self.seed}")
 
 
 FIELDS: dict[str, _Field] = {f.name: f.metadata["spec"] for f in fields(ExperimentSpec)
@@ -312,8 +313,7 @@ def _run_two_sources(spec: ExperimentSpec, size, load, oracle, test) -> list[Res
 
     def verdict_of(child):
         s_tau, s_mu, s_test = child.spawn(3)
-        return test(oracle(tau, seed=s_tau), oracle(mu, seed=s_mu),
-                    testers.TestConfig(spec.eps, seed=s_test))
+        return test(oracle(tau, seed=s_tau), oracle(mu, seed=s_mu), spec.eps, seed=s_test)
     return _repeat_verdicts(spec, size, verdict_of)
 
 
@@ -327,8 +327,8 @@ def _run_product(spec: ExperimentSpec) -> list[ResultRow]:
 
     def verdict_of(child):
         s_mu, s_test = child.spawn(2)
-        return testers.product_test(oracles.TableOracle(mu_table, seed=s_mu),
-                                    testers.TestConfig(spec.eps, seed=s_test))
+        return testers.product_test(oracles.TableOracle(mu_table, seed=s_mu), spec.eps,
+                                    seed=s_test)
     return _repeat_verdicts(spec, spec.n, verdict_of)
 
 

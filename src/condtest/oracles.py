@@ -654,11 +654,3 @@ class GeneralProductMarginalOracle(BinaryPrefixOracle):
                 levels.append(cond[node_index(j + 1, within)])
         return np.concatenate(levels)
 
-
-def product_marginal_oracle(base) -> ProductMarginalOracle | GeneralProductMarginalOracle:
-    """Marginal-prefix access to the product of the base's marginals."""
-    if isinstance(base, TableOracle):
-        return ProductMarginalOracle(base)
-    if isinstance(base, BinaryEncodedOracle):
-        return GeneralProductMarginalOracle(base)
-    raise DomainError(f"unsupported base oracle {type(base).__name__}")

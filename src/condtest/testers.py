@@ -1,5 +1,13 @@
-"""Randomized testers: single-bit chi-square test, Levin work balance, the
-equivalence tester, the product tester, and the alphabet/interval wrappers.
+"""Randomized testers: the single-bit chi-square test, Levin work balance
+and five walk testers.  Each walk tester takes the distance eps in (0, 1),
+refusing any other (NaN included) with ``ValueError`` before it builds a
+view or bills a query, and an optional seed for the walk's own stream:
+
+    equivalence_test(tau, mu, eps, seed=None)           TableOracles over {0,1}^n
+    equivalence_test_general(tau, mu, eps, seed=None)   TupleTableOracles
+    interval_equivalence_test(tau, mu, eps, seed=None)  IntervalOracles over [N]
+    product_test(mu, eps, seed=None)                    a TableOracle over {0,1}^n
+    product_test_general(mu, eps, seed=None)            a TupleTableOracle
 
 The equivalence tester is one walk.  It reads the exact conditional bit
 probabilities of both oracles as two arrays over the 2^n - 1 nodes
@@ -151,25 +159,18 @@ import numpy as np
 from .distcore import node_index
 from .oracles import (
     BinaryEncodedOracle,
+    GeneralProductMarginalOracle,
     IntervalBackedPrefixOracle,
     IntervalOracle,
+    ProductMarginalOracle,
     QueryClass,
-    product_marginal_oracle,
+    TableOracle,
+    TupleTableOracle,
 )
 
 CHI2_TRIALS = 64
 CHI2_THRESHOLD = 40
 CHI2_SAMPLE_FACTOR = 24  # ceil(24 / eps) samples per trial (proof-consistent)
-
-
-@dataclass
-class TestConfig:
-    epsilon: float
-    seed: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
 
 
 @dataclass
@@ -233,10 +234,15 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
 # Levin's work-balance procedure
 
 
+def _check_eps(eps: float) -> None:
+    """The walk's distance rule: eps in (0, 1), NaN refused."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"epsilon must lie in (0,1), got {eps}")
+
+
 def levin_schedule(eps: float) -> list[tuple[int, float, int, int]]:
     """Deterministic schedule rows (t, eps', outer draws, inner repetitions)."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0,1), got {eps}")
+    _check_eps(eps)
     t_max = math.ceil(math.log2(2.0 / eps))
     inner = math.ceil(64 * (math.log2(1.0 / eps) + 2))
     return [(t, 2.0 ** -t, math.ceil(2.0 ** (3 - t) / eps), inner)
@@ -857,10 +863,10 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     return Verdict(True, trace=trace)
 
 
-def _equivalence_core(tau, mu, n: int, cfg: TestConfig) -> Verdict:
-    rng = np.random.default_rng(cfg.seed)
+def _equivalence_core(tau, mu, n: int, eps: float, seed) -> Verdict:
+    rng = np.random.default_rng(seed)
     before = _counter_totals((tau, mu))
-    eps_l = slice_divergence_threshold(n, cfg.epsilon) / n
+    eps_l = slice_divergence_threshold(n, eps) / n
     verdict = _run_equivalence(tau, mu, n, eps_l, rng)
     verdict.queries_used = _queries_delta(before, (tau, mu))
     # Replays pin this record in this form.
@@ -868,26 +874,23 @@ def _equivalence_core(tau, mu, n: int, cfg: TestConfig) -> Verdict:
     return verdict
 
 
-def equivalence_test(tau, mu, cfg: TestConfig) -> Verdict:
+def equivalence_test(tau: TableOracle, mu: TableOracle, eps: float, seed=None) -> Verdict:
     """eps-test for equivalence of two distributions over {0,1}^n.
 
     ``tau`` needs prefix access, ``mu`` marginal-prefix access.  Accepts
     tau = mu and rejects dtv(tau, mu) > eps, each with probability >= 2/3.
     """
+    _check_eps(eps)
     if mu.n != tau.n:
         raise ValueError(f"dimension mismatch: tau has n={tau.n}, mu has n={mu.n}")
-    return _equivalence_core(tau, mu, tau.n, cfg)
+    return _equivalence_core(tau, mu, tau.n, eps, seed)
 
 
-def product_test(mu, cfg: TestConfig) -> Verdict:
-    """eps-test for mu being a product distribution.
-
-    Runs the equivalence tester against the product of mu's marginals, whose
-    marginal-prefix queries are simulated through mu itself.  For binary
-    domains every emitted query is a prefix query.
-    """
-    marginal_view = product_marginal_oracle(mu)
-    verdict = _equivalence_core(mu, marginal_view, mu.n, cfg)
+def _product_core(mu, marginal_view, eps: float, seed) -> Verdict:
+    """The walk of ``mu`` against the product of its marginals, served by
+    ``marginal_view``; the trace ends with ``prefix_queries_only``: mu's
+    root oracle saw no interval or subcube query."""
+    verdict = _equivalence_core(mu, marginal_view, mu.n, eps, seed)
     *_, root = mu.chain()
     prefix_only = (root.counter.counts.get(QueryClass.INTERVAL, 0) == 0
                    and root.counter.counts.get(QueryClass.SUBCUBE, 0) == 0)
@@ -895,26 +898,49 @@ def product_test(mu, cfg: TestConfig) -> Verdict:
     return verdict
 
 
-def equivalence_test_general(tau, mu, cfg: TestConfig) -> Verdict:
+def product_test(mu: TableOracle, eps: float, seed=None) -> Verdict:
+    """eps-test for mu over {0,1}^n being a product distribution.
+
+    Runs the equivalence tester against the product of mu's marginals, whose
+    marginal-prefix queries are simulated through mu itself, one prefix
+    query each.
+    """
+    _check_eps(eps)
+    return _product_core(mu, ProductMarginalOracle(mu), eps, seed)
+
+
+def product_test_general(mu: TupleTableOracle, eps: float, seed=None) -> Verdict:
+    """The product test over a tuple domain, on mu's binary encoding: each
+    marginal-prefix query of the product of its coordinate marginals costs
+    one subcube query on mu."""
+    _check_eps(eps)
+    encoded = BinaryEncodedOracle(mu)
+    return _product_core(encoded, GeneralProductMarginalOracle(encoded), eps, seed)
+
+
+def equivalence_test_general(tau: TupleTableOracle, mu: TupleTableOracle, eps: float,
+                             seed=None) -> Verdict:
     """Equivalence test over a general tuple domain via binary encoding.
 
     Each binary query translates to exactly one query on the underlying
     tuple oracle; the effective dimension is the total encoded bit width.
     """
+    _check_eps(eps)
     if tau.domain != mu.domain:
         raise ValueError("tau and mu must share a domain")
     tau_bin = BinaryEncodedOracle(tau)
     mu_bin = BinaryEncodedOracle(mu)
-    return _equivalence_core(tau_bin, mu_bin, tau_bin.n, cfg)
+    return _equivalence_core(tau_bin, mu_bin, tau_bin.n, eps, seed)
 
 
-def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle,
-                              cfg: TestConfig) -> Verdict:
+def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle, eps: float,
+                              seed=None) -> Verdict:
     """Equivalence test for two distributions over [N] with interval access.
 
     Pads to the next power of two and runs the binary equivalence tester
     with every prefix query translated to one interval query.
     """
+    _check_eps(eps)
     if tau.N != mu.N:
         raise ValueError(f"domain mismatch: {tau.N} vs {mu.N}")
     if tau.N == 1:
@@ -922,4 +948,4 @@ def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle,
                        trace=[{"vacuous": True}])
     ell = max(1, math.ceil(math.log2(tau.N)))
     return _equivalence_core(IntervalBackedPrefixOracle(tau, ell),
-                             IntervalBackedPrefixOracle(mu, ell), ell, cfg)
+                             IntervalBackedPrefixOracle(mu, ell), ell, eps, seed)

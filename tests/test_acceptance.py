@@ -38,7 +38,6 @@ from condtest.oracles import (
 )
 from condtest.testers import (
     BitSampler,
-    TestConfig,
     equivalence_test,
     expected_equivalence_queries,
     interval_equivalence_test,
@@ -146,11 +145,11 @@ def test_criterion_05_equivalence_contract(capsys):
         for r in range(runs):
             v = equivalence_test(TableOracle(uniform, seed=1000 + r),
                                  TableOracle(uniform, seed=2000 + r),
-                                 TestConfig(0.3, seed=3000 + r))
+                                 0.3, seed=3000 + r)
             accepts += v.accepted
             v = equivalence_test(TableOracle(uniform, seed=4000 + r),
                                  TableOracle(point, seed=5000 + r),
-                                 TestConfig(0.3, seed=6000 + r))
+                                 0.3, seed=6000 + r)
             rejects += not v.accepted
         threshold = _contract_threshold(runs)
         assert accepts >= threshold, (accepts, threshold)
@@ -169,7 +168,7 @@ def test_criterion_06_quasilinear_scaling(capsys):
             for r in range(30):
                 v = equivalence_test(TableOracle(uniform, seed=100 + r),
                                      TableOracle(uniform, seed=200 + r),
-                                     TestConfig(0.3, seed=300 + r))
+                                     0.3, seed=300 + r)
                 totals.append(v.queries_used["total"])
             return float(np.median(totals))
 
@@ -179,7 +178,7 @@ def test_criterion_06_quasilinear_scaling(capsys):
         # exact schedule reproduction from the meters, one fixed seed
         uniform = DistributionTable.uniform(8)
         v = equivalence_test(TableOracle(uniform, seed=7), TableOracle(uniform, seed=8),
-                             TestConfig(0.3, seed=9))
+                             0.3, seed=9)
         assert v.accepted
         expect = expected_equivalence_queries(8, 0.3)
         assert v.queries_used["prefix"] == expect["tau"]
@@ -212,11 +211,11 @@ def test_criterion_07_interval_reduction(capsys):
         for r in range(runs):
             v = interval_equivalence_test(IntervalOracle(uniform, seed=10 + r),
                                           IntervalOracle(uniform, seed=500 + r),
-                                          TestConfig(0.3, seed=900 + r))
+                                          0.3, seed=900 + r)
             accepts += v.accepted
             v = interval_equivalence_test(IntervalOracle(uniform, seed=1300 + r),
                                           IntervalOracle(block, seed=1700 + r),
-                                          TestConfig(0.3, seed=2100 + r))
+                                          0.3, seed=2100 + r)
             rejects += not v.accepted
         threshold = _contract_threshold(runs)
         assert accepts >= threshold, (accepts, threshold)
@@ -239,7 +238,7 @@ def test_criterion_08_product_contract(capsys):
         accepts = rejects = 0
         for r in range(runs):
             oracle = TableOracle(good, seed=50 + r)
-            v = product_test(oracle, TestConfig(eps, seed=950 + r))
+            v = product_test(oracle, eps, seed=950 + r)
             accepts += v.accepted
             # binary product testing touches the base oracle through prefix
             # queries only
@@ -247,7 +246,7 @@ def test_criterion_08_product_contract(capsys):
             assert oracle.counter.counts.get(QueryClass.INTERVAL, 0) == 0
             assert oracle.counter.counts.get(QueryClass.UNCONDITIONAL, 0) == 0
             v = product_test(TableOracle(bad, seed=1850 + r),
-                             TestConfig(eps, seed=2750 + r))
+                             eps, seed=2750 + r)
             rejects += not v.accepted
         threshold = _contract_threshold(runs)
         assert accepts >= threshold, (accepts, threshold)

@@ -10,12 +10,10 @@ from condtest.adversarial import (
     AdversarialInstance,
     GridProductDistance,
     MAX_PAIR_DELTA,
-    PairBias,
     ProductSampler,
     distance_to_grid_products,
     distance_to_product_of_marginals,
     nu_b_table,
-    odd_coordinate_marginals,
     pairwise_product_distance_bound,
     sample_paired_instance,
     simulate_pair_conditional,
@@ -52,7 +50,7 @@ def test_nu_marginals_exactly_half():
 
 def test_pair_bias_validation():
     with pytest.raises(DomainError):
-        PairBias(2, 0.1)
+        nu_b_table(2, 0.1)
     with pytest.raises(DomainError):
         nu_b_table(1, MAX_PAIR_DELTA)
     with pytest.raises(DomainError):
@@ -218,10 +216,10 @@ def test_xor_requires_even_dimension():
         xor_transform(DistributionTable.uniform(3))
 
 
-def test_xor_odd_coordinate_marginals_carry_bias():
+def test_xor_odd_coordinates_carry_the_pair_biases():
     inst = AdversarialInstance(6, 0.3, (1, -1, 1))
     delta = inst.delta
-    got = odd_coordinate_marginals(xor_transform(inst.table()))
+    got = xor_transform(inst.table()).marginals()[0::2]
     expect = np.array([0.5 - 2 * b * delta for b in inst.biases])
     np.testing.assert_allclose(got, expect, atol=1e-12)
 

@@ -162,17 +162,21 @@ def test_dimension_mismatch():
 # conditional trees
 
 
+def _tree_of(table):
+    return ConditionalTree(table.n, table.conditional_nodes())
+
+
 def test_tree_round_trip(rng):
     for _ in range(25):
         n = int(rng.integers(1, 7))
         table = random_table(rng, n, zeros=True)
-        back = ConditionalTree.from_table(table).to_table()
+        back = DistributionTable.from_conditional_tree(_tree_of(table))
         np.testing.assert_allclose(back.probs, table.probs, atol=1e-12)
 
 
 def test_tree_json_round_trip(rng):
     table = random_table(rng, 4)
-    tree = ConditionalTree.from_table(table)
+    tree = _tree_of(table)
     again = ConditionalTree.from_json(tree.to_json())
     assert again == tree
     np.testing.assert_allclose(
@@ -181,14 +185,14 @@ def test_tree_json_round_trip(rng):
 
 
 def test_conditional_bit_prob_uniform():
-    tree = ConditionalTree.from_table(DistributionTable.uniform(3))
+    tree = _tree_of(DistributionTable.uniform(3))
     for i in range(1, 4):
         for j in range(1 << (i - 1)):
             assert conditional_bit_prob(tree, i, index_to_bits(j, i - 1)) == 0.5
 
 
 def test_conditional_bit_prob_point_mass():
-    tree = ConditionalTree.from_table(DistributionTable.point_mass([1, 0, 1]))
+    tree = _tree_of(DistributionTable.point_mass([1, 0, 1]))
     assert conditional_bit_prob(tree, 2, (1,)) == 0.0
     with pytest.raises(ZeroProbabilityPrefixError):
         conditional_bit_prob(tree, 2, (0,))
@@ -198,7 +202,7 @@ def test_conditional_bit_prob_biased_pair():
     # cells (0.35, 0.15, 0.15, 0.35): Pr[x2=1 | x1=0] = 0.15/0.5 = 0.3,
     # so Pr[00 | first bit 0] = 0.7
     pair = DistributionTable(2, [0.35, 0.15, 0.15, 0.35])
-    tree = ConditionalTree.from_table(pair)
+    tree = _tree_of(pair)
     assert conditional_bit_prob(tree, 2, (0,)) == pytest.approx(0.3)
 
 
@@ -228,7 +232,7 @@ def test_tree_form_pinned_exactly(rng):
     assert dead_nodes > 100
     # the 01 prefix has no mass, so the tree has no "3:01" key
     table = DistributionTable(3, [0.1, 0.2, 0.0, 0.0, 0.3, 0.0, 0.25, 0.15])
-    assert ConditionalTree.from_table(table).to_json() == (
+    assert _tree_of(table).to_json() == (
         '{"n": 3, "tree": {"1:": 0.7, "2:0": 0.0, "2:1": 0.5714285714285715, '
         '"3:00": 0.6666666666666666, "3:10": 0.0, "3:11": 0.37499999999999994}}')
 

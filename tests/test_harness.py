@@ -711,6 +711,17 @@ def test_single_bit_probability_refused_before_any_repetition(monkeypatch):
             run_experiment(ExperimentSpec(kind="single-bit", p=p, q=0.5, eps=0.5), write=False)
 
 
+def test_spec_is_frozen_and_replace_checks_anew():
+    """A spec's fields cannot be assigned after its checks ran, and
+    ``dataclasses.replace``, the sweep's path, runs them again."""
+    spec = ExperimentSpec(kind="single-bit", p=0.5, q=0.5, eps=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.p = 2.0
+    with pytest.raises(HarnessError, match="^p must lie in \\[0, 1\\], got 2.0"):
+        dataclasses.replace(spec, p=2.0)
+    assert spec.p == 0.5
+
+
 def test_spec_takes_any_field_from_python():
     """Only the command line limits a kind to its own fields: the sweep
     makes its self-tests by replacing fields of its own spec."""

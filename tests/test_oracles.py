@@ -25,7 +25,6 @@ from condtest.oracles import (
     TableOracle,
     TupleTableOracle,
     prefix_to_interval,
-    product_marginal_oracle,
 )
 from conftest import random_table, reference_bit_prob
 
@@ -692,8 +691,7 @@ def test_binary_encoding_identity_on_binary_domains(rng):
 def test_product_marginal_binary_serves_marginal(rng):
     pair = DistributionTable(2, [0.35, 0.15, 0.15, 0.35])
     base = TableOracle(pair, seed=19)
-    view = product_marginal_oracle(base)
-    assert isinstance(view, ProductMarginalOracle)
+    view = ProductMarginalOracle(base)
     # marginals of the biased pair are exactly 1/2, for every prefix
     assert view.exact_bit_prob(2, 0) == pytest.approx(0.5)
     assert view.exact_bit_prob(2, 1) == pytest.approx(0.5)
@@ -705,8 +703,7 @@ def test_product_marginal_binary_serves_marginal(rng):
 
 def test_product_marginal_general_uses_subcube(rgb_oracle):
     enc = BinaryEncodedOracle(rgb_oracle)
-    view = product_marginal_oracle(enc)
-    assert isinstance(view, GeneralProductMarginalOracle)
+    view = GeneralProductMarginalOracle(enc)
     bit = view.marginal_prefix_sample(2, (0,))
     assert bit in (0, 1)
     assert rgb_oracle.counter.counts[QueryClass.SUBCUBE] == 1
@@ -716,11 +713,6 @@ def test_product_marginal_general_uses_subcube(rgb_oracle):
                      for s in ("r", "g", "b")])
     expect = marg[1] / (marg[0] + marg[1])
     assert view.exact_bit_prob(2, 0) == pytest.approx(expect)
-
-
-def test_product_marginal_rejects_unknown_base():
-    with pytest.raises(DomainError):
-        product_marginal_oracle(object())
 
 
 # ----------------------------------------------------------------------

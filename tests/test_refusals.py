@@ -1,0 +1,95 @@
+"""Bad input is refused with its own error type (and, from an oracle, its
+OracleErrorKind), and an oracle that refuses a query bills nothing."""
+
+import math
+
+import pytest
+
+from condtest.adversarial import AdversarialInstance
+from condtest.distcore import (
+    ConditionalTree,
+    DistributionTable,
+    DomainError,
+    TupleDomain,
+    bits_to_index,
+    conditional_bit_prob,
+    index_to_bits,
+)
+from condtest.harness import HarnessError, load_interval_pmf
+from condtest.oracles import (
+    IntervalOracle,
+    OracleError,
+    OracleErrorKind,
+    SubcubeQuery,
+    TableOracle,
+    TupleTableOracle,
+)
+from condtest.testers import levin_schedule
+
+_RGB = TupleDomain((("r", "g", "b"), (0, 1)))
+_TREE = ConditionalTree(2, [0.5, 0.5, 0.5])
+
+
+def _tuples():
+    return TupleTableOracle(_RGB, [1 / 6] * 6, seed=0)
+
+
+def _table():
+    return TableOracle(DistributionTable.uniform(2), seed=0)
+
+
+# name -> (oracle factory or None, the call on that oracle, error type, OracleErrorKind or None)
+REFUSALS = {
+    "table-wrong-length": (None, lambda _: DistributionTable(2, [0.5, 0.5]), DomainError, None),
+    "bernoulli-above-one": (None, lambda _: DistributionTable.bernoulli_product([0.5, 1.5]),
+                            DomainError, None),
+    "bernoulli-below-zero": (None, lambda _: DistributionTable.bernoulli_product([-0.1]),
+                             DomainError, None),
+    "bernoulli-nan": (None, lambda _: DistributionTable.bernoulli_product([math.nan]),
+                      DomainError, None),
+    "tree-node-above-one": (None, lambda _: ConditionalTree(2, [0.5, 1.5, 0.5]),
+                            DomainError, None),
+    "tree-node-below-zero": (None, lambda _: ConditionalTree(1, [-0.1]), DomainError, None),
+    "tree-wrong-shape": (None, lambda _: ConditionalTree(2, [0.5, 0.5]), DomainError, None),
+    "tree-json-value": (None, lambda _: ConditionalTree.from_json(
+        '{"n": 2, "tree": {"1:": 0.5, "2:0": 1.5, "2:1": 0.5}}'), DomainError, None),
+    "conditional-bit-prob-slice": (None, lambda _: conditional_bit_prob(_TREE, 3, (0, 0)),
+                                   DomainError, None),
+    "conditional-bit-prob-prefix": (None, lambda _: conditional_bit_prob(_TREE, 2, (0, 1)),
+                                    DomainError, None),
+    "bits-to-index-non-bit": (None, lambda _: bits_to_index((0, 2)), DomainError, None),
+    "index-to-bits-above": (None, lambda _: index_to_bits(4, 2), DomainError, None),
+    "index-to-bits-negative": (None, lambda _: index_to_bits(-1, 2), DomainError, None),
+    "interval-oracle-empty": (None, lambda _: IntervalOracle([]), DomainError, None),
+    "tuple-oracle-wrong-length": (None, lambda _: TupleTableOracle(_RGB, [0.5, 0.5]),
+                                  DomainError, None),
+    "tuple-subcube-arity": (_tuples, lambda o: o.subcube_sample([None]),
+                            OracleError, OracleErrorKind.DIMENSION_MISMATCH),
+    "binary-subcube-wrong-n": (_table, lambda o: o.subcube_sample(SubcubeQuery.from_pattern("***")),
+                               OracleError, OracleErrorKind.DIMENSION_MISMATCH),
+    "subcube-contains-wrong-length": (
+        None, lambda _: SubcubeQuery.from_pattern("0*").contains((0,)),
+        OracleError, OracleErrorKind.MALFORMED_QUERY),
+    "levin-schedule-eps-zero": (None, lambda _: levin_schedule(0.0), ValueError, None),
+    "levin-schedule-eps-one": (None, lambda _: levin_schedule(1.0), ValueError, None),
+    "levin-schedule-eps-nan": (None, lambda _: levin_schedule(math.nan), ValueError, None),
+    "tuple-domain-empty": (None, lambda _: TupleDomain(()), DomainError, None),
+    "adversarial-table-n22": (None, lambda _: AdversarialInstance(22, 0.1, (1,) * 11).table(),
+                              DomainError, None),
+    "interval-pmf-source": (None, lambda _: load_interval_pmf("missing.json", 4),
+                            HarnessError, None),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_bad_input_is_refused(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # "missing.json" names no file
+    make, call, error, kind = REFUSALS[name]
+    oracle = make() if make is not None else None
+    with pytest.raises(error) as refused:
+        call(oracle)
+    assert refused.type is error
+    if kind is not None:
+        assert refused.value.kind is kind
+    if oracle is not None:
+        assert oracle.counter.total == 0

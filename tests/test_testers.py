@@ -17,7 +17,6 @@ from condtest import oracles, testers
 from condtest.distcore import DistributionTable, TupleDomain
 from condtest.harness import rate_lower_bound
 from condtest.oracles import (
-    BinaryEncodedOracle,
     IntervalOracle,
     QueryClass,
     TableOracle,
@@ -26,7 +25,6 @@ from condtest.oracles import (
 from condtest.testers import (
     CHI2_SAMPLE_FACTOR,
     BitSampler,
-    TestConfig,
     Verdict,
     blackbox_survive_prob,
     chi2_accept_prob,
@@ -38,6 +36,7 @@ from condtest.testers import (
     levin_balance,
     levin_schedule,
     product_test,
+    product_test_general,
     single_bit_chi2_test,
     slice_divergence_threshold,
 )
@@ -448,7 +447,7 @@ def test_survive_prob_matches_literal_black_box(rng):
 def test_equivalence_accept_and_exact_budget():
     tab = DistributionTable.bernoulli_product([0.5])
     v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2),
-                         TestConfig(0.5, seed=3))
+                         0.5, seed=3)
     assert v.accepted
     expect = expected_equivalence_queries(1, 0.5)
     assert v.queries_used["prefix"] == expect["tau"]
@@ -475,7 +474,7 @@ def test_equivalence_determinism():
     def run():
         return equivalence_test(TableOracle(tab, seed=5),
                                 TableOracle(tab, seed=6),
-                                TestConfig(0.4, seed=7))
+                                0.4, seed=7)
 
     a, b = run(), run()
     assert a.accepted == b.accepted
@@ -486,7 +485,7 @@ def test_equivalence_determinism():
 def test_equivalence_zero_probability_rejects_fast():
     tau = TableOracle(DistributionTable.uniform(2), seed=1)
     mu = TableOracle(DistributionTable.point_mass([0, 0]), seed=2)
-    v = equivalence_test(tau, mu, TestConfig(0.5, seed=3))
+    v = equivalence_test(tau, mu, 0.5, seed=3)
     assert not v.accepted
     assert v.queries_used["total"] <= 10
 
@@ -495,7 +494,7 @@ def test_equivalence_dimension_mismatch():
     with pytest.raises(ValueError):
         equivalence_test(TableOracle(DistributionTable.uniform(2), seed=0),
                          TableOracle(DistributionTable.uniform(3), seed=0),
-                         TestConfig(0.5))
+                         0.5)
 
 
 def _never_called(*args):
@@ -517,7 +516,7 @@ def test_walk_and_literal_tester_agree_on_budget_and_verdict(monkeypatch):
 
     def run():
         return equivalence_test(TableOracle(tab, seed=0), TableOracle(tab, seed=1),
-                                TestConfig(0.9, seed=2))
+                                0.9, seed=2)
 
     collapsed = run()
     sampled = _literal(run, monkeypatch)
@@ -548,7 +547,7 @@ def test_walk_and_literal_tester_follow_the_exact_rejection_law(monkeypatch):
         for run in range(runs):
             v = equivalence_test(TableOracle(tau, seed=3 * run),
                                  TableOracle(mu, seed=3 * run + 1),
-                                 TestConfig(eps, seed=3 * run + 2))
+                                 eps, seed=3 * run + 2)
             assert not v.accepted and v.trace[0]["t"] == 1
             counts[min(v.trace[0]["rejected_at"], 3)] += 1
         return counts
@@ -564,21 +563,22 @@ _RGB = TupleDomain((("r", "g", "b"), (0, 1)))
 # Pairs whose first y-draw (seed 0, tester and literal black box alike) lands
 # on a prefix that mu gives zero mass.
 ZERO_PROBABILITY_PAIRS = {
-    "table": lambda cfg: equivalence_test(
+    "table": lambda eps, seed: equivalence_test(
         TableOracle(DistributionTable.uniform(2), seed=1),
-        TableOracle(DistributionTable.point_mass([0, 0]), seed=2), cfg),
-    "padded-interval": lambda cfg: interval_equivalence_test(
-        IntervalOracle(_LOW_HALF, seed=1), IntervalOracle(_LOW_HALF[::-1], seed=2), cfg),
-    "tuple": lambda cfg: equivalence_test_general(
+        TableOracle(DistributionTable.point_mass([0, 0]), seed=2), eps, seed=seed),
+    "padded-interval": lambda eps, seed: interval_equivalence_test(
+        IntervalOracle(_LOW_HALF, seed=1), IntervalOracle(_LOW_HALF[::-1], seed=2), eps,
+        seed=seed),
+    "tuple": lambda eps, seed: equivalence_test_general(
         TupleTableOracle(_RGB, [0.25, 0.25, 0.25, 0.25, 0.0, 0.0], seed=1),
-        TupleTableOracle(_RGB, [0.0, 0.0, 0.0, 0.0, 0.5, 0.5], seed=2), cfg),
+        TupleTableOracle(_RGB, [0.0, 0.0, 0.0, 0.0, 0.5, 0.5], seed=2), eps, seed=seed),
 }
 
 
 @pytest.mark.parametrize("name", list(ZERO_PROBABILITY_PAIRS))
 def test_zero_probability_reject_metered_alike_by_walk_and_literal_tester(name, monkeypatch):
     def run():
-        return ZERO_PROBABILITY_PAIRS[name](TestConfig(0.5, seed=0))
+        return ZERO_PROBABILITY_PAIRS[name](0.5, seed=0)
 
     sampled, collapsed = _literal(run, monkeypatch), run()
     assert not sampled.accepted and not collapsed.accepted
@@ -614,52 +614,48 @@ def _thin_pair(seed):
     return tau, mu / mu.sum()
 
 
-def _cfg(eps, seed):
-    return TestConfig(eps, seed=seed)
-
-
 REPLAY_CASES = {
     "uniform": lambda: equivalence_test(
         TableOracle(DistributionTable.uniform(3), seed=1),
-        TableOracle(DistributionTable.uniform(3), seed=2), _cfg(0.5, 3)),
+        TableOracle(DistributionTable.uniform(3), seed=2), 0.5, seed=3),
     "point-mass-reject": lambda: equivalence_test(
         TableOracle(DistributionTable.point_mass([0, 1, 1]), seed=4),
-        TableOracle(DistributionTable.point_mass([1, 0, 0]), seed=5), _cfg(0.5, 6)),
+        TableOracle(DistributionTable.point_mass([1, 0, 0]), seed=5), 0.5, seed=6),
     "product": lambda: product_test(
         TableOracle(DistributionTable(3, _near(
             DistributionTable.bernoulli_product([0.3, 0.6, 0.5]).probs,
             [0.5, 0, 0, 0, 0, 0, 0, 0.5])), seed=7),
-        _cfg(0.5, 8)),
+        0.5, seed=8),
     "random-full-support": lambda: equivalence_test(
         TableOracle(DistributionTable(3, _probs(9, 8)), seed=10),
         TableOracle(DistributionTable(3, _near(_probs(9, 8), _probs(11, 8))), seed=12),
-        _cfg(0.5, 13)),
+        0.5, seed=13),
     "padded-interval": lambda: interval_equivalence_test(
         IntervalOracle([0.1, 0.2, 0.3, 0.15, 0.15, 0.1], seed=14),
         IntervalOracle(_near([0.1, 0.2, 0.3, 0.15, 0.15, 0.1],
                              [0.5, 0, 0, 0, 0, 0.5]), seed=15),
-        _cfg(0.5, 16)),
+        0.5, seed=16),
     "tuple": lambda: equivalence_test_general(
         TupleTableOracle(_RGB, _probs(17, 6), seed=18),
         TupleTableOracle(_RGB, _near(_probs(17, 6), _probs(21, 6)), seed=19),
-        _cfg(0.5, 20)),
+        0.5, seed=20),
     # 63 (i, prefix) keys, all with distinct conditionals.
     "dirichlet-self-n6": lambda: equivalence_test(
         TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=23),
-        TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=24), _cfg(0.5, 25)),
+        TableOracle(DistributionTable(6, _dirichlet(22, 64)), seed=24), 0.5, seed=25),
     # Rejects at draw 200 of a 1038-draw level.
     "near-n5-mid-chunk": lambda: equivalence_test(
         TableOracle(DistributionTable(5, _probs(27, 32)), seed=127),
         TableOracle(DistributionTable(5, _near(_probs(27, 32), _probs(77, 32), 0.005)),
                     seed=227),
-        _cfg(0.5, 327)),
+        0.5, seed=327),
     "interval-N200": lambda: interval_equivalence_test(
         IntervalOracle(_probs(30, 200), seed=31),
-        IntervalOracle(_near(_probs(30, 200), _probs(32, 200)), seed=33), _cfg(0.5, 34)),
+        IntervalOracle(_near(_probs(30, 200), _probs(32, 200)), seed=33), 0.5, seed=34),
     # The dead prefix is first drawn at draw 1397 of level 2's 2065.
     "dead-prefix-mid-chunk": lambda: equivalence_test(
         TableOracle(DistributionTable(3, _thin_pair(7009)[0]), seed=9),
-        TableOracle(DistributionTable(3, _thin_pair(7009)[1]), seed=59), _cfg(0.5, 108)),
+        TableOracle(DistributionTable(3, _thin_pair(7009)[1]), seed=59), 0.5, seed=108),
 }
 
 
@@ -727,14 +723,14 @@ def test_collapsed_replay_is_pinned(name):
 def test_literal_tester_rejects_far_pair(monkeypatch):
     tau = TableOracle(DistributionTable.bernoulli_product([0.05]), seed=4)
     mu = TableOracle(DistributionTable.bernoulli_product([0.95]), seed=5)
-    v = _literal(lambda: equivalence_test(tau, mu, TestConfig(0.5, seed=6)), monkeypatch)
+    v = _literal(lambda: equivalence_test(tau, mu, 0.5, seed=6), monkeypatch)
     assert not v.accepted
 
 
 def test_trace_ends_with_the_pinned_record():
     tab = DistributionTable.uniform(8)
     v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2),
-                         TestConfig(0.3, seed=3))
+                         0.3, seed=3)
     assert v.trace[-1] == {"mode": "collapsed",
                            "eps_levin": slice_divergence_threshold(8, 0.3) / 8}
 
@@ -745,9 +741,46 @@ def test_slice_divergence_threshold_value():
     assert slice_divergence_threshold(8, 0.3) == pytest.approx(expect)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TestConfig(0.0)
+def _uniform_tuples(seed):
+    return TupleTableOracle(_RGB, np.full(6, 1 / 6), seed=seed)
+
+
+def _two_roots(make, test):
+    tau, mu = make(1), make(2)
+    return (tau, mu), lambda eps: test(tau, mu, eps, seed=3)
+
+
+def _one_root(mu, test):
+    return (mu,), lambda eps: test(mu, eps, seed=3)
+
+
+# tester -> a factory of (fresh root oracles, the tester called on them at a given eps)
+WALK_TESTERS = {
+    "equivalence": lambda: _two_roots(lambda s: TableOracle(DistributionTable.uniform(2), seed=s),
+                                      equivalence_test),
+    "equivalence-general": lambda: _two_roots(_uniform_tuples, equivalence_test_general),
+    "interval": lambda: _two_roots(lambda s: IntervalOracle(np.full(4, 0.25), seed=s),
+                                   interval_equivalence_test),
+    "interval-N1": lambda: _two_roots(lambda s: IntervalOracle([1.0], seed=s),
+                                      interval_equivalence_test),
+    "product": lambda: _one_root(TableOracle(DistributionTable.uniform(2), seed=1), product_test),
+    "product-general": lambda: _one_root(_uniform_tuples(1), product_test_general),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("tester", list(WALK_TESTERS))
+def test_walk_testers_refuse_eps_outside_unit_interval(tester, eps, monkeypatch):
+    """Each walk tester refuses eps outside (0, 1), NaN included, before it
+    builds a view or bills a query; the interval tester's N = 1 shortcut
+    too."""
+    for view in ("BinaryEncodedOracle", "IntervalBackedPrefixOracle", "ProductMarginalOracle",
+                 "GeneralProductMarginalOracle"):
+        monkeypatch.setattr(testers, view, None)  # building one raises TypeError
+    roots, run = WALK_TESTERS[tester]()
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0,1\), got"):
+        run(eps)
+    assert [root.counter.total for root in roots] == [0] * len(roots)
 
 
 # ----------------------------------------------------------------------
@@ -756,14 +789,14 @@ def test_config_validation():
 
 def test_product_accepts_uniform():
     v = product_test(TableOracle(DistributionTable.uniform(4), seed=1),
-                     TestConfig(0.4, seed=2))
+                     0.4, seed=2)
     assert v.accepted
     assert v.trace[-1]["prefix_queries_only"] is True
 
 
 def test_product_uses_prefix_queries_only():
     base = TableOracle(DistributionTable.bernoulli_product([0.7, 0.4]), seed=3)
-    v = product_test(base, TestConfig(0.5, seed=4))
+    v = product_test(base, 0.5, seed=4)
     assert v.accepted
     assert base.counter.counts.get(QueryClass.SUBCUBE, 0) == 0
     assert base.counter.counts.get(QueryClass.INTERVAL, 0) == 0
@@ -773,7 +806,7 @@ def test_product_uses_prefix_queries_only():
 def test_product_rejects_correlated_pair():
     # maximally correlated two bits: far from any product
     tab = DistributionTable(2, [0.5, 0.0, 0.0, 0.5])
-    v = product_test(TableOracle(tab, seed=5), TestConfig(0.3, seed=6))
+    v = product_test(TableOracle(tab, seed=5), 0.3, seed=6)
     assert not v.accepted
 
 
@@ -786,13 +819,13 @@ def test_general_equivalence_accept_and_reject():
     uni = np.full(9, 1 / 9)
     v = equivalence_test_general(TupleTableOracle(dom, uni, seed=1),
                                  TupleTableOracle(dom, uni, seed=2),
-                                 TestConfig(0.5, seed=3))
+                                 0.5, seed=3)
     assert v.accepted
     point = np.zeros(9)
     point[4] = 1.0
     v = equivalence_test_general(TupleTableOracle(dom, uni, seed=4),
                                  TupleTableOracle(dom, point, seed=5),
-                                 TestConfig(0.5, seed=6))
+                                 0.5, seed=6)
     assert not v.accepted
 
 
@@ -802,7 +835,7 @@ def test_general_refuses_domains_of_equal_bit_width():
     tau = TupleTableOracle(TupleDomain(((0, 1, 2),)), [0.5, 0.25, 0.25], seed=1)
     mu = TupleTableOracle(TupleDomain(((0, 1), ("x", "y"))), [0.25] * 4, seed=2)
     with pytest.raises(ValueError, match="share a domain"):
-        equivalence_test_general(tau, mu, TestConfig(0.5, seed=3))
+        equivalence_test_general(tau, mu, 0.5, seed=3)
     assert tau.counter.total == mu.counter.total == 0
 
 
@@ -812,10 +845,10 @@ def test_general_matches_binary_on_binary_domain():
     dom = TupleDomain(((0, 1), (0, 1)))
     v_gen = equivalence_test_general(TupleTableOracle(dom, probs, seed=8),
                                      TupleTableOracle(dom, probs, seed=9),
-                                     TestConfig(0.6, seed=10))
+                                     0.6, seed=10)
     tab = DistributionTable(2, probs)
     v_bin = equivalence_test(TableOracle(tab, seed=8), TableOracle(tab, seed=9),
-                             TestConfig(0.6, seed=10))
+                             0.6, seed=10)
     assert v_gen.accepted == v_bin.accepted
     # the encoded view bills its base oracle once per translated query, so
     # the grand total is exactly twice the plain binary tester's
@@ -827,7 +860,7 @@ def test_general_matches_binary_on_binary_domain():
 def test_interval_vacuous_single_atom():
     one = IntervalOracle([1.0], seed=0)
     v = interval_equivalence_test(one, IntervalOracle([1.0], seed=1),
-                                  TestConfig(0.5, seed=2))
+                                  0.5, seed=2)
     assert v.accepted
     assert v.queries_used["total"] == 0
 
@@ -836,7 +869,7 @@ def test_interval_accept_uniform():
     u = np.full(16, 1 / 16)
     v = interval_equivalence_test(IntervalOracle(u, seed=1),
                                   IntervalOracle(u, seed=2),
-                                  TestConfig(0.4, seed=3))
+                                  0.4, seed=3)
     assert v.accepted
     assert v.queries_used["interval"] > 0
     assert v.queries_used["subcube"] == 0
@@ -849,7 +882,7 @@ def test_interval_reject_disjoint_blocks():
     right[8:] = 1 / 8
     v = interval_equivalence_test(IntervalOracle(left, seed=4),
                                   IntervalOracle(right, seed=5),
-                                  TestConfig(0.5, seed=6))
+                                  0.5, seed=6)
     assert not v.accepted
 
 
@@ -857,18 +890,18 @@ def test_interval_padding_non_power_of_two():
     u6 = np.full(6, 1 / 6)
     v = interval_equivalence_test(IntervalOracle(u6, seed=7),
                                   IntervalOracle(u6, seed=8),
-                                  TestConfig(0.6, seed=9))
+                                  0.6, seed=9)
     assert v.accepted
     with pytest.raises(ValueError):
         interval_equivalence_test(IntervalOracle(u6, seed=0),
                                   IntervalOracle(np.full(8, 1 / 8), seed=1),
-                                  TestConfig(0.5))
+                                  0.5)
 
 
 def test_verdict_class_totals_consistent():
     tab = DistributionTable.uniform(2)
     v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2),
-                         TestConfig(0.5, seed=3))
+                         0.5, seed=3)
     per_class = sum(c for name, c in v.queries_used.items() if name != "total")
     assert per_class == v.queries_used["total"]
     assert isinstance(v, Verdict) and v.decision == "accept"
@@ -911,12 +944,12 @@ def _walk_corpus():
             for mu in (p, _near(p, q), q):
                 corpus["table"].append(lambda s, n=n, p=p, mu=mu: equivalence_test(
                     TableOracle(DistributionTable(n, p), seed=s),
-                    TableOracle(DistributionTable(n, mu), seed=s + 1), _cfg(0.5, s + 2)))
+                    TableOracle(DistributionTable(n, mu), seed=s + 1), 0.5, seed=s + 2))
     for seed in range(14):
         tau, mu = _thin_pair(7000 + seed)
         corpus["table-dead"].append(lambda s, tau=tau, mu=mu: equivalence_test(
             TableOracle(DistributionTable(3, tau), seed=s),
-            TableOracle(DistributionTable(3, mu), seed=s + 1), _cfg(0.5, s + 2)))
+            TableOracle(DistributionTable(3, mu), seed=s + 1), 0.5, seed=s + 2))
     # n = 8 Dirichlet tables against a 0.1% mixture: many draws fall inside
     # their closed-form bracket, so the walk settles those pairs exactly.
     for seed in range(1300, 1304):
@@ -924,7 +957,7 @@ def _walk_corpus():
         mu = _near(tau, _dirichlet(seed + 50, 256), 0.001)
         corpus["table-band"].append(lambda s, tau=tau, mu=mu: equivalence_test(
             TableOracle(DistributionTable(8, tau), seed=s),
-            TableOracle(DistributionTable(8, mu), seed=s + 1), _cfg(0.5, s + 2)))
+            TableOracle(DistributionTable(8, mu), seed=s + 1), 0.5, seed=s + 2))
     for seed in range(10):
         n = 3 + seed % 3
         gen = np.random.default_rng(300 + seed)
@@ -933,22 +966,22 @@ def _walk_corpus():
         tau = _near(mu / mu.sum(), _probs(400 + seed, 1 << n), 0.01)
         corpus["table-dead"].append(lambda s, n=n, tau=tau, mu=mu / mu.sum(): equivalence_test(
             TableOracle(DistributionTable(n, tau), seed=s),
-            TableOracle(DistributionTable(n, mu), seed=s + 1), _cfg(0.5, s + 2)))
+            TableOracle(DistributionTable(n, mu), seed=s + 1), 0.5, seed=s + 2))
     for n in range(2, 6):
         for d in (0.0, 0.02, 0.3):
             probs = _near(DistributionTable.bernoulli_product(
                 np.random.default_rng(500 + n).random(n)).probs, _probs(600 + n, 1 << n), d)
             corpus["product"].append(lambda s, n=n, probs=probs: product_test(
-                TableOracle(DistributionTable(n, probs), seed=s), _cfg(0.5, s + 1)))
+                TableOracle(DistributionTable(n, probs), seed=s), 0.5, seed=s + 1))
     for N in (2, 3, 5, 7, 12, 33, 100, 200, 300):
         p, q = _probs(800 + N, N), _probs(900 + N, N)
         for tau, mu in ((p, p), (p, _near(p, q)), _interior_gap(np.random.default_rng(N), N)):
             corpus["interval"].append(lambda s, tau=tau, mu=mu: interval_equivalence_test(
                 IntervalOracle(tau, seed=s), IntervalOracle(mu, seed=s + 1),
-                _cfg(0.5, s + 2)))
+                0.5, seed=s + 2))
     _, gap = _interior_gap(np.random.default_rng(999), 40)
     corpus["interval"].append(lambda s: interval_equivalence_test(
-        IntervalOracle(gap, seed=s), IntervalOracle(gap, seed=s + 1), _cfg(0.5, s + 2)))
+        IntervalOracle(gap, seed=s), IntervalOracle(gap, seed=s + 1), 0.5, seed=s + 2))
     domains = [TupleDomain((("r", "g", "b"), (0, 1))),
                TupleDomain((tuple("abcde"), (0, 1, 2))),
                TupleDomain(((0, 1, 2), (0, 1), tuple("xyz")))]
@@ -968,15 +1001,15 @@ def _walk_corpus():
                         (p, _tuple_probs(gen, size, zeros=0.4)), (thin, dead)):
             corpus["tuple"].append(lambda s, dom=dom, tau=tau, mu=mu: equivalence_test_general(
                 TupleTableOracle(dom, tau, seed=s), TupleTableOracle(dom, mu, seed=s + 1),
-                _cfg(0.5, s + 2)))
+                0.5, seed=s + 2))
         marginals = [_tuple_probs(gen, m) for m in dom.sizes]
         product = marginals[0]
         for marginal in marginals[1:]:
             product = np.outer(product, marginal).ravel()
         for probs in (_tuple_probs(gen, size), _tuple_probs(gen, size, 0.2), product,
                       _near(product, _tuple_probs(gen, size), 0.05)):
-            corpus["general-product"].append(lambda s, dom=dom, probs=probs: product_test(
-                BinaryEncodedOracle(TupleTableOracle(dom, probs, seed=s)), _cfg(0.5, s + 1)))
+            corpus["general-product"].append(lambda s, dom=dom, probs=probs: product_test_general(
+                TupleTableOracle(dom, probs, seed=s), 0.5, seed=s + 1))
     return corpus
 
 
@@ -1107,7 +1140,7 @@ def test_self_test_decided_by_brackets_alone(monkeypatch):
     monkeypatch.setattr(testers, "_SURVIVE_MEMO", {})
     monkeypatch.setattr(testers, "blackbox_survive_prob", _never_called)
     tab = DistributionTable(8, _dirichlet(1400, 256))
-    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), _cfg(0.5, 3))
+    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), 0.5, seed=3)
     expect = expected_equivalence_queries(8, 0.5)
     assert v.accepted
     assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
@@ -1174,6 +1207,27 @@ def test_first_stop_is_the_exact_rule(monkeypatch):
     assert warm == truth
 
 
+def test_survive_memo_evicts_its_oldest_quarter(monkeypatch):
+    """With the memo's cap at 8, three calls of five new (p, q) rows each
+    fill it: each full insert drops the two oldest entries first, the memo
+    never holds more than 8, and every value is the survive probability
+    computed afresh."""
+    memo, inserted = {}, []
+    monkeypatch.setattr(testers, "_SURVIVE_MEMO", memo)
+    monkeypatch.setattr(testers, "_SURVIVE_MEMO_CAP", 8)
+    for call in range(3):
+        # increasing p, so the rows are new keys in np.unique's order
+        p = 0.5 + 0.001 * np.arange(5 * call, 5 * call + 5)
+        q = np.full(5, 0.5)
+        got = testers._exact_survive(96, p, q, 554)
+        np.testing.assert_array_equal(got, [blackbox_survive_prob(96, a, b, 554)
+                                            for a, b in zip(p, q)])
+        inserted += [(96, a, b, 554) for a, b in zip(p.tolist(), q.tolist())]
+        assert len(memo) <= 8
+        assert list(memo) == inserted[-len(memo):]
+    assert len(memo) == 7  # 15 inserts, four evictions of two
+
+
 # ----------------------------------------------------------------------
 # the per-level survive floor
 
@@ -1210,6 +1264,52 @@ def test_walk_does_not_depend_on_the_floor(monkeypatch):
     assert len(skipped) == chunks
 
 
+def test_walk_skips_certified_chunks_then_searches_within_a_level(monkeypatch):
+    """n = 8, tau a 1e-4 mixture of mu: level 1 certifies its first chunk
+    and searches its second, so the walk skips the certified draws before
+    it searches, within one level.  The run rejects at level 5, with the
+    verdict, queries, trace and tau's stream of the walk without the floor
+    and the verdict, queries and trace of the per-key reference walk."""
+    g = np.random.default_rng(2)
+    mu = g.dirichlet(np.ones(256))
+    noise = g.dirichlet(np.ones(256))
+    tau = (1 - 1e-4) * mu + 1e-4 * noise
+    tau /= tau.sum()
+    states, levels = [], []  # per level, its skips and searches in order
+
+    def run():
+        tau_oracle = TableOracle(DistributionTable(8, tau), seed=2)
+        v = equivalence_test(tau_oracle, TableOracle(DistributionTable(8, mu), seed=3), 0.5,
+                             seed=4)
+        states.append(tau_oracle.rng.bit_generator.state)
+        return v.accepted, v.queries_used, v.trace
+
+    def recorded(name, method):
+        def record(self, *args):
+            levels[-1].append(name)
+            return method(self, *args)
+        return record
+
+    def level(rng, n, outer, scratch):
+        levels.append([])
+        return coordinates(rng, n, outer, scratch)
+
+    coordinates = testers._level_coordinates
+    monkeypatch.setattr(testers, "_level_coordinates", level)
+    for name in ("skip_full_draws", "sample_full_indices_uncounted"):
+        method = getattr(oracles.BinaryPrefixOracle, name)
+        monkeypatch.setattr(oracles.BinaryPrefixOracle, name, recorded(name, method))
+    floored = run()
+    assert any(["skip_full_draws", "sample_full_indices_uncounted"] == lv[k:k + 2]
+               for lv in levels for k in range(len(lv)))
+    assert not floored[0] and floored[2][-2]["t"] == 5
+    monkeypatch.setattr(testers, "_survive_floor", lambda *args: -1.0)
+    assert run() == floored
+    assert states[1] == states[0]
+    monkeypatch.setattr(testers, "_run_equivalence", reference_walk)
+    assert run() == floored
+
+
 def _dead_half(seed):
     """n = 8: mu is Dirichlet on the x1 = 0 half-cube and gives x1 = 1 zero
     mass; tau = (1 - 1e-4) mu plus 1e-4 spread uniformly over the x1 = 1
@@ -1231,7 +1331,7 @@ def test_floor_keeps_dead_rejects(monkeypatch):
         tau, mu = _dead_half(1500 + seed)
         runs.append(lambda s, tau=tau, mu=mu: equivalence_test(
             TableOracle(DistributionTable(8, tau), seed=s),
-            TableOracle(DistributionTable(8, mu), seed=s + 1), _cfg(0.5, s + 2)))
+            TableOracle(DistributionTable(8, mu), seed=s + 1), 0.5, seed=s + 2))
     got = [run(11 * k) for k, run in enumerate(runs)]
     monkeypatch.setattr(testers, "_run_equivalence", reference_walk)
     for k, (run, v) in enumerate(zip(runs, got)):
@@ -1250,7 +1350,7 @@ def test_uniform_self_test_searches_no_draw(monkeypatch):
 
     monkeypatch.setattr(oracles, "_search_sorted", no_search)
     tab = DistributionTable.uniform(16)
-    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), _cfg(0.3, 3))
+    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), 0.3, seed=3)
     expect = expected_equivalence_queries(16, 0.3)
     assert v.accepted
     assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
