@@ -138,33 +138,27 @@ def sample_paired_instance(n: int, eps: float, rng) -> AdversarialInstance:
     return AdversarialInstance(n, eps, biases)
 
 
-def _is_free(constraint) -> bool:
-    return constraint is None or constraint == frozenset({0, 1})
-
-
-def simulate_pair_conditional(q, x) -> tuple[int, int]:
+def simulate_pair_conditional(q: SubcubeQuery, x) -> tuple[int, int]:
     """Serve a subcube query over one biased pair from a single unconditional
     sample, without knowing the pair's bias sign.
 
-    ``q`` is a SubcubeQuery over {0,1}^2 (or its '01*' string shorthand) and
-    ``x`` an unconditional sample of the pair.  The map is deterministic in
-    (q, x) and its pushforward equals the conditional distribution exactly,
-    for every bias sign: half-free queries route through the parity bit
-    x1 XOR x2, whose law carries the pair's entire non-uniformity.
+    ``q`` is a SubcubeQuery over {0,1}^2 and ``x`` an unconditional sample
+    of the pair.  The map is deterministic in (q, x) and its pushforward
+    equals the conditional distribution exactly, for every bias sign:
+    half-free queries route through the parity bit x1 XOR x2, whose law
+    carries the pair's entire non-uniformity.
     """
-    if isinstance(q, str):
-        q = SubcubeQuery.from_pattern(q)
     if q.n != 2:
         raise DomainError(f"pair query must cover 2 coordinates, got {q.n}")
     c1, c2 = q.constraints
-    if _is_free(c1) and _is_free(c2):
+    if c1 is None and c2 is None:
         return tuple(x)
-    if not _is_free(c1) and not _is_free(c2):
+    if c1 is not None and c2 is not None:
         (v1,) = c1
         (v2,) = c2
         return v1, v2
     parity = x[0] ^ x[1]
-    if not _is_free(c1):
+    if c1 is not None:
         (v1,) = c1
         return (0, parity) if v1 == 0 else (1, 1 ^ parity)
     (v2,) = c2
@@ -189,7 +183,7 @@ def subcube_query_via_unconditional(q: SubcubeQuery,
         out.extend(simulate_pair_conditional(sub, x[2 * j:2 * j + 2]))
     if instance.n % 2:
         last = q.constraints[-1]
-        if _is_free(last):
+        if last is None:
             out.append(x[-1])
         else:
             (v,) = last
@@ -259,6 +253,10 @@ class GridProductDistance:
     method: str
     marginals: tuple | None = None
 
+
+# The largest n the exact grid search takes: its g^n grid products grow too
+# fast beyond it, and the harness bounds pairs instead.
+EXACT_GRID_MAX_N = 4
 
 # L1 slack of every comparison against the least distance so far: a grid
 # point is re-scored in the reference product order, and a head row at any
@@ -367,7 +365,7 @@ def distance_to_grid_products(table: DistributionTable,
 
     Any product distribution is within n*step/2 of a grid product in total
     variation, so (distance - n*step/2) lower-bounds the distance to all
-    products.  Intended for n <= 4.
+    products.  Limited to n <= ``EXACT_GRID_MAX_N`` (DomainError otherwise).
 
     The search builds the grid products h over the head coordinates
     1..n-1 level by level and prunes every level with a lower bound.
@@ -404,8 +402,8 @@ def distance_to_grid_products(table: DistributionTable,
     products, ties included.
     """
     n = table.n
-    if n > 4:
-        raise DomainError("exact grid search is limited to n <= 4; "
+    if n > EXACT_GRID_MAX_N:
+        raise DomainError(f"exact grid search is limited to n <= {EXACT_GRID_MAX_N}; "
                           "use pair decomposition for larger instances")
     if not (math.isfinite(step) and 0.0 < step <= 1.0):
         raise DomainError(f"grid step must be finite and lie in (0, 1], got {step}")

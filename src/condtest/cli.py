@@ -18,9 +18,10 @@ from .harness import (FIELDS, KINDS, ExperimentSpec, HarnessError, out_dir,
                       read_json_object, run_experiment)
 from .oracles import OracleError
 
-# The flags every subcommand offers after its kind's, in help order; --config,
-# the one that sets no spec field, is given here as (rule, flag, type, help).
-_COMMON = ("runs", "seed", "out", "config", "experiment_id")
+# The flags every subcommand offers after its kind's (--runs among them where
+# its driver reads it), in help order; --config, the one that sets no spec
+# field, is given here as (rule, flag, type, help).
+_COMMON = ("seed", "out", "config", "experiment_id")
 _CONFIG = (None, "--config", None, "JSON file mirroring the flags; explicit flags win")
 
 

@@ -8,9 +8,12 @@ time is reported only in the JSON summary, never in the CSV.
 
 Each experiment kind is one entry of ``KINDS``: its CLI subcommand, the spec
 fields it reads, its driver, CSV columns and summary fold, and whether it
-holds dense 2^n tables.  Adding a kind means writing its driver and adding
-its entry; the spec checks, ``summarize``, ``emit_plot_data`` and the CLI
-read everything else from the table.  Each spec field states its default,
+holds dense 2^n tables.  Rows are plain dicts of the kind's columns;
+``summarize(kind, rows)`` and ``emit_plot_data(kind, rows)`` take the kind
+from ``run_experiment``, and ``rate_lower_bound(successes, trials)`` bounds
+the summaries' rates at ``CONFIDENCE``.  Adding a kind means writing its
+driver and adding its entry; the spec checks, ``summarize``,
+``emit_plot_data`` and the CLI read everything else from the table.  Each spec field states its default,
 value rule and CLI flag once, in ``ExperimentSpec`` (see ``FIELDS``).
 """
 
@@ -32,7 +35,9 @@ import numpy as np
 from . import adversarial, distcore, oracles, testers
 from .distcore import is_number
 
-CONFIDENCE_METHOD = "clopper-pearson one-sided 0.99"
+# The one-sided confidence of every rate bound in a summary (its *_lb99 keys).
+CONFIDENCE = 0.99
+CONFIDENCE_METHOD = f"clopper-pearson one-sided {CONFIDENCE}"
 
 
 class HarnessError(Exception):
@@ -146,12 +151,6 @@ FIELDS: dict[str, _Field] = {f.name: f.metadata["spec"] for f in fields(Experime
                              if f.name != "kind"}
 
 
-@dataclass
-class ResultRow:
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
 # ----------------------------------------------------------------------
 # distribution sources
 
@@ -242,44 +241,43 @@ def load_interval_pmf(source: str, N: int) -> np.ndarray:
 # statistics
 
 
-def rate_lower_bound(successes, trials, confidence: float = 0.99):
-    """One-sided Clopper-Pearson lower confidence bound on a binomial rate:
-    the (1 - confidence) quantile of Beta(successes, trials - successes + 1),
-    which is the rate x at which Pr[Bin(trials, x) >= successes] reaches
-    1 - confidence.  0 for no successes and (1 - confidence)^(1 / trials)
-    for all of them, where that tail is x^trials.  Otherwise a search on the
+def rate_lower_bound(successes, trials):
+    """One-sided Clopper-Pearson lower bound on a binomial rate at
+    ``CONFIDENCE`` = 0.99: the 0.01 quantile of Beta(successes, trials -
+    successes + 1), which is the rate x at which Pr[Bin(trials, x) >=
+    successes] reaches 0.01.  0 for no successes and 0.01^(1 / trials) for
+    all of them, where that tail is x^trials.  Otherwise a search on the
     tail (``testers._binom_tails``) cuts [0, 1] into 16 parts 13 times, a
-    bisection of 52 halvings; each cut compares the side that is the
-    smaller at the quantile, confidence or 1 - confidence, so that it keeps
-    its relative precision, and the midpoint of the last part, 2^-52 wide,
-    is the bound.  Checked within 1e-15 of the exact quantile for every
-    trials <= 60 at confidence 0.99, 0.9, 0.5 and 1e-6.  ``successes`` and
-    ``trials`` may be arrays of one shape, giving an array."""
-    if not 0.0 < confidence < 1.0:
-        raise HarnessError(f"confidence must lie in (0, 1), got {confidence}")
+    bisection of 52 halvings; each cut compares the upper tail, the side
+    that is the smaller at the quantile, so that it keeps its relative
+    precision, and the midpoint of the last part, 2^-52 wide, is the bound.
+    Checked within 1e-15 of the exact quantile for every trials <= 60.
+    ``successes`` and ``trials`` may be arrays of one shape, giving an
+    array."""
     successes, trials = np.broadcast_arrays(np.asarray(successes), np.asarray(trials))
     shape = successes.shape
     # 1-D throughout, so a scalar takes the array arithmetic of a batch
     successes, trials = successes.ravel(), trials.ravel()
     if not ((0 <= successes) & (successes <= trials)).all():
         raise HarnessError("successes out of range")
-    bound = np.where(successes == 0, 0.0, np.power(1.0 - confidence, 1.0 / np.maximum(trials, 1)))
+    bound = np.where(successes == 0, 0.0, np.power(1.0 - CONFIDENCE, 1.0 / np.maximum(trials, 1)))
     search = (successes > 0) & (successes < trials)
     if search.any():
         k, n = successes[search][:, None], trials[search][:, None]
         lo, hi = np.zeros(k.shape), np.ones(k.shape)
         for _ in range(13):
             step = (hi - lo) / 16.0
-            below, above = testers._binom_tails(k, n, lo + step * np.arange(1.0, 16.0))
-            short = above < 1.0 - confidence if confidence >= 0.5 else below > confidence
+            above = testers._binom_tails(k, n, lo + step * np.arange(1.0, 16.0))[1]
             # the cut points short of the quantile come first
-            cuts = short.sum(axis=1, keepdims=True)
+            cuts = (above < 1.0 - CONFIDENCE).sum(axis=1, keepdims=True)
             lo, hi = lo + step * cuts, lo + step * (cuts + 1)
         bound[search] = (0.5 * (lo + hi))[:, 0]
     return float(bound[0]) if not shape else bound.reshape(shape)
 
 
 def _fmt(value) -> str:
+    if value is None:  # a field the kind does not set
+        return ""
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -289,22 +287,28 @@ def _fmt(value) -> str:
 # per-kind drivers
 
 
-def _repeat_verdicts(spec: ExperimentSpec, n, verdict_of) -> list[ResultRow]:
+def _repeat(spec: ExperimentSpec, row_of) -> list[dict]:
+    """One row per repetition: rep's row is ``row_of(rep, child)``, on its
+    stream, the rep-th of ``spec.runs`` SeedSequence children of the seed."""
+    children = np.random.SeedSequence(spec.seed).spawn(spec.runs)
+    return [row_of(rep, child) for rep, child in enumerate(children)]
+
+
+def _repeat_verdicts(spec: ExperimentSpec, n, verdict_of) -> list[dict]:
     """One verdict row per repetition: repetition rep's verdict is
-    ``verdict_of(child)`` for the rep-th of ``spec.runs`` SeedSequence
-    children of the master seed; ``n`` fills the size column."""
-    rows = []
-    for rep, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.runs)):
+    ``verdict_of(child)`` on its stream (``_repeat``); ``n`` fills the size
+    column."""
+    def row_of(rep, child):
         verdict = verdict_of(child)
         q = verdict.queries_used
-        rows.append(ResultRow(spec.kind, dict(zip(_VERDICT_HEADER, (
+        return dict(zip(_VERDICT_HEADER, (
             spec.experiment_id, spec.kind, rep, f"{spec.seed}/{rep}", n, spec.eps,
             verdict.decision, *(q.get(cls.value, 0) for cls in oracles.QueryClass),
-            q.get("total", 0))))))
-    return rows
+            q.get("total", 0))))
+    return _repeat(spec, row_of)
 
 
-def _run_two_sources(spec: ExperimentSpec, size, load, oracle, test) -> list[ResultRow]:
+def _run_two_sources(spec: ExperimentSpec, size, load, oracle, test) -> list[dict]:
     """``test`` of tau against mu, sources of ``size`` that ``load`` reads and
     ``oracle`` serves.  A self-test loads its source once; both oracles share
     it, so a table's level sums and conditionals are built once."""
@@ -317,12 +321,12 @@ def _run_two_sources(spec: ExperimentSpec, size, load, oracle, test) -> list[Res
     return _repeat_verdicts(spec, size, verdict_of)
 
 
-def _run_equivalence(spec: ExperimentSpec) -> list[ResultRow]:
+def _run_equivalence(spec: ExperimentSpec) -> list[dict]:
     return _run_two_sources(spec, spec.n, load_distribution, oracles.TableOracle,
                             testers.equivalence_test)
 
 
-def _run_product(spec: ExperimentSpec) -> list[ResultRow]:
+def _run_product(spec: ExperimentSpec) -> list[dict]:
     mu_table = load_distribution(spec.mu, spec.n)
 
     def verdict_of(child):
@@ -332,12 +336,12 @@ def _run_product(spec: ExperimentSpec) -> list[ResultRow]:
     return _repeat_verdicts(spec, spec.n, verdict_of)
 
 
-def _run_interval(spec: ExperimentSpec) -> list[ResultRow]:
+def _run_interval(spec: ExperimentSpec) -> list[dict]:
     return _run_two_sources(spec, spec.N, load_interval_pmf, oracles.IntervalOracle,
                             testers.interval_equivalence_test)
 
 
-def _run_single_bit(spec: ExperimentSpec) -> list[ResultRow]:
+def _run_single_bit(spec: ExperimentSpec) -> list[dict]:
     def verdict_of(child):
         rng = np.random.default_rng(child)
         return testers.single_bit_chi2_test(testers.BitSampler.from_probability(spec.p, rng),
@@ -346,7 +350,7 @@ def _run_single_bit(spec: ExperimentSpec) -> list[ResultRow]:
     return _repeat_verdicts(spec, spec.n, verdict_of)
 
 
-def _run_inequality_grid(spec: ExperimentSpec) -> list[ResultRow]:
+def _run_inequality_grid(spec: ExperimentSpec) -> list[dict]:
     rows = []
     for pi in range(101):
         p = pi / 100.0
@@ -355,54 +359,51 @@ def _run_inequality_grid(spec: ExperimentSpec) -> list[ResultRow]:
             chi2 = distcore.single_bit_divergence(distcore.DivergenceKind.CHI2, p, q)
             kl = distcore.single_bit_divergence(distcore.DivergenceKind.KL, p, q)
             bound = kl / (12.0 * math.log2(max(1.0 / q, 1.0 / (1.0 - q))))
-            rows.append(ResultRow(spec.kind, {
-                "p": p, "q": q, "chi2": chi2, "kl_bound": bound,
-                "violation": int(chi2 < bound - 1e-12),
-            }))
+            rows.append({"p": p, "q": q, "chi2": chi2, "kl_bound": bound,
+                         "violation": int(chi2 < bound - 1e-12)})
     return rows
 
 
-def _run_adversarial_distance(spec: ExperimentSpec) -> list[ResultRow]:
-    rows = []
-    for rep, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.runs)):
+def _run_adversarial_distance(spec: ExperimentSpec) -> list[dict]:
+    def row_of(rep, child):
         rng = np.random.default_rng(child)
         inst = adversarial.sample_paired_instance(spec.n, spec.eps, rng)
         table = inst.table() if spec.n <= distcore.MAX_DENSE_N else None
-        if spec.n <= 4:
+        if spec.n <= adversarial.EXACT_GRID_MAX_N:
             result = adversarial.distance_to_grid_products(table, spec.grid_step)
         else:
             result = adversarial.pairwise_product_distance_bound(inst,
                                                                  spec.grid_step)
         dtv_pom = (adversarial.distance_to_product_of_marginals(table)
                    if table is not None else float("nan"))
-        rows.append(ResultRow(spec.kind, {
+        return {
             "rep": rep, "n": spec.n, "eps": spec.eps,
             "biases": "".join("+" if b > 0 else "-" for b in inst.biases),
             "method": result.method, "grid_step": result.step,
             "grid_distance": result.distance,
             "dtv_product_of_marginals": dtv_pom,
-        }))
-    return rows
+        }
+    return _repeat(spec, row_of)
 
 
-def _run_scaling_sweep(spec: ExperimentSpec) -> list[ResultRow]:
+def _run_scaling_sweep(spec: ExperimentSpec) -> list[dict]:
     rows = []
     for n in spec.n_list:
         for eps in spec.eps_list:
             # the uniform self-test at (n, eps), on the sweep's seed and runs
             self_test = replace(spec, n=n, eps=eps, tau="uniform", mu="uniform")
-            totals = [row.data["total_queries"] for row in _run_equivalence(self_test)]
-            rows.append(ResultRow(spec.kind, {
+            totals = [row["total_queries"] for row in _run_equivalence(self_test)]
+            rows.append({
                 "n": n, "eps": eps, "runs": spec.runs,
                 "median_queries": float(np.median(totals)),
                 "p25": float(np.percentile(totals, 25)),
                 "p75": float(np.percentile(totals, 75)),
-            }))
+            })
     return rows
 
 
-def _verdict_summary(rows: list[ResultRow]) -> dict:
-    accepts = sum(1 for r in rows if r.data["verdict"] == "accept")
+def _verdict_summary(rows: list[dict]) -> dict:
+    accepts = sum(1 for r in rows if r["verdict"] == "accept")
     total = len(rows)
     return {
         "accepts": accepts,
@@ -410,7 +411,7 @@ def _verdict_summary(rows: list[ResultRow]) -> dict:
         "accept_rate": accepts / total,
         "accept_rate_lb99": rate_lower_bound(accepts, total),
         "reject_rate_lb99": rate_lower_bound(total - accepts, total),
-        "median_total_queries": float(np.median([r.data["total_queries"] for r in rows])),
+        "median_total_queries": float(np.median([r["total_queries"] for r in rows])),
     }
 
 
@@ -432,29 +433,29 @@ _VERDICT_HEADER = ("experiment_id", "kind", "rep", "seed", "n", "eps", "verdict"
 KINDS: dict[str, _Kind] = {
     "equivalence": _Kind(
         "test-equivalence", "equivalence tester accept/reject experiment",
-        ("n", "eps", "tau", "mu"), _run_equivalence, _VERDICT_HEADER, _verdict_summary,
+        ("n", "eps", "tau", "mu", "runs"), _run_equivalence, _VERDICT_HEADER, _verdict_summary,
         dense=True),
     "product": _Kind(
         "test-product", "product tester experiment",
-        ("n", "eps", "mu"), _run_product, _VERDICT_HEADER, _verdict_summary, dense=True),
+        ("n", "eps", "mu", "runs"), _run_product, _VERDICT_HEADER, _verdict_summary, dense=True),
     "interval": _Kind(
         "test-interval", "interval-oracle equivalence experiment",
-        ("N", "eps", "tau", "mu"), _run_interval, _VERDICT_HEADER, _verdict_summary),
+        ("N", "eps", "tau", "mu", "runs"), _run_interval, _VERDICT_HEADER, _verdict_summary),
     "single-bit": _Kind(
-        None, None, ("p", "q", "eps"), _run_single_bit, _VERDICT_HEADER, _verdict_summary),
+        None, None, ("p", "q", "eps", "runs"), _run_single_bit, _VERDICT_HEADER, _verdict_summary),
     "inequality-grid": _Kind(
         "check-inequalities", "chi-square vs KL divergence grid check",
         (), _run_inequality_grid, ("p", "q", "chi2", "kl_bound", "violation"),
-        lambda rows: {"violations": int(sum(r.data["violation"] for r in rows))}),
+        lambda rows: {"violations": int(sum(r["violation"] for r in rows))}),
     "adversarial-distance": _Kind(
         "adversarial-distance", "distance of paired-bias instances to product distributions",
-        ("n", "eps", "grid_step"), _run_adversarial_distance,
+        ("n", "eps", "grid_step", "runs"), _run_adversarial_distance,
         ("rep", "n", "eps", "biases", "method", "grid_step", "grid_distance",
          "dtv_product_of_marginals"),
-        lambda rows: {"min_grid_distance": min(r.data["grid_distance"] for r in rows)}),
+        lambda rows: {"min_grid_distance": min(r["grid_distance"] for r in rows)}),
     "scaling-sweep": _Kind(
         "sweep", "query-count scaling sweep",
-        ("n_list", "eps_list"), _run_scaling_sweep,
+        ("n_list", "eps_list", "runs"), _run_scaling_sweep,
         ("n", "eps", "runs", "median_queries", "p25", "p75"), lambda rows: {}, dense=True),
 }
 
@@ -463,35 +464,26 @@ KINDS: dict[str, _Kind] = {
 # aggregation and emission
 
 
-def summarize(rows: list[ResultRow]) -> dict:
-    """Pure fold over rows; recomputable from the emitted CSV."""
+def summarize(kind: str, rows: list[dict]) -> dict:
+    """Pure fold over a run's rows of ``kind``; recomputable from the
+    emitted CSV."""
     if not rows:
         return {"rows": 0}
-    kind = rows[0].kind
     return {"kind": kind, "rows": len(rows), "confidence_method": CONFIDENCE_METHOD,
             **KINDS[kind].summary(rows)}
 
 
-def emit_plot_data(rows: list[ResultRow], kind: str | None = None) -> str:
-    """Render rows as CSV text with the frozen per-kind column schema.
-
-    Deterministic: identical rows give identical bytes.  ``kind`` is only
-    needed for an empty row set (header-only output); mixing kinds in one
-    call is a schema error.
+def emit_plot_data(kind: str, rows: list[dict]) -> str:
+    """Render a run's rows of ``kind`` as CSV text with the kind's frozen
+    column schema; no rows give the header alone.  An unset value (None)
+    is an empty cell.  Deterministic: identical rows give identical bytes.
     """
-    kinds = {row.kind for row in rows}
-    if len(kinds) > 1:
-        raise HarnessError(f"mixed experiment kinds in one emission: {sorted(kinds)}")
-    if rows:
-        kind = rows[0].kind
-    elif kind is None:
-        raise HarnessError("empty row set needs an explicit kind for the header")
     columns = KINDS[kind].columns
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row.data[c]) for c in columns])
+        writer.writerow([_fmt(row[c]) for c in columns])
     return buf.getvalue()
 
 
@@ -515,12 +507,12 @@ def run_experiment(spec: ExperimentSpec, write: bool = True):
     start = time.perf_counter()
     rows = kind.run(spec)
     wall = time.perf_counter() - start
-    summary = summarize(rows)
+    summary = summarize(spec.kind, rows)
     summary["wall_time_s"] = wall
     if write:
         directory = out_dir(spec)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{spec.experiment_id}.csv").write_text(emit_plot_data(rows, spec.kind))
+        (directory / f"{spec.experiment_id}.csv").write_text(emit_plot_data(spec.kind, rows))
         payload = {"spec": vars(spec), "summary": summary}
         (directory / f"{spec.experiment_id}.json").write_text(
             json.dumps(payload, indent=2, default=str) + "\n")

@@ -18,7 +18,8 @@ ZERO_PROBABILITY_CONDITION.  Two such refusals bill in their own way: a mask
 that selects no cell at all (a code the binary encoding never uses) bills the
 wrapper only, since no query reaches the base; a prefix of the interval view
 that lies wholly in the zero-mass padding bills the view and its interval
-base, like any prefix query.
+base, like any prefix query.  That view, ``IntervalBackedPrefixOracle(base)``,
+pads the base's [N] to [2^n] with n = max(1, ceil(log2 N)).
 
 The binary oracles the equivalence walk serves (``BinaryPrefixOracle``)
 expose the exact conditional probabilities they sample from as one float64
@@ -234,15 +235,16 @@ class BinaryPrefixOracle(MeteredOracle):
 
 @dataclass(frozen=True)
 class SubcubeQuery:
-    """Per-coordinate constraints: None for unconstrained, else a nonempty
-    frozenset of allowed values."""
+    """Per-coordinate constraints over {0,1}^n: None for a free coordinate,
+    else the set of its one allowed bit, e.g. frozenset({0}).  Any other
+    constraint, {0, 1} included, is MALFORMED_QUERY."""
 
     constraints: tuple
 
     def __post_init__(self):
         for c in self.constraints:
-            if c is not None and len(c) == 0:
-                raise _malformed("constrained sets must be nonempty")
+            if c is not None and (len(c) != 1 or not set(c) <= {0, 1}):
+                raise _malformed(f"constraint {set(c)} is not one bit; a free coordinate is None")
 
     @classmethod
     def from_pattern(cls, pattern: str) -> "SubcubeQuery":
@@ -264,16 +266,9 @@ class SubcubeQuery:
         return all(c is None or v in c for c, v in zip(self.constraints, x))
 
     def is_prefix_shaped(self) -> bool:
-        """Singleton constraints on an initial segment, at most one trailing
-        non-singleton constraint, nothing after it."""
-        seen_break = False
-        for c in self.constraints:
-            if seen_break:
-                if c is not None:
-                    return False
-            elif c is None or len(c) > 1:
-                seen_break = True
-        return True
+        """Constraints on an initial segment of the coordinates only."""
+        k = sum(c is not None for c in self.constraints)
+        return None not in self.constraints[:k]
 
 
 @dataclass(frozen=True)
@@ -310,13 +305,13 @@ def _search_sorted(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # the prefix -> interval translation
 
 
-def prefix_to_interval(ell: int, i: int, w) -> tuple[int, int]:
-    """Interval [a, b] of elements of [2^ell] whose (value-1) binary form
+def prefix_to_interval(n: int, i: int, w) -> tuple[int, int]:
+    """Interval [a, b] of elements of [2^n] whose (value-1) n-bit binary form
     starts with the prefix w (|w| = i - 1)."""
     w = tuple(w)
-    if not 1 <= i <= ell + 1 or len(w) != i - 1:
-        raise _malformed(f"bad prefix ({i}, {w}) for ell={ell}")
-    width = 1 << (ell - i + 1)
+    if not 1 <= i <= n + 1 or len(w) != i - 1:
+        raise _malformed(f"bad prefix ({i}, {w}) for n={n}")
+    width = 1 << (n - i + 1)
     a = width * bits_to_index(w) + 1
     return a, a + width - 1
 
@@ -342,12 +337,9 @@ class CellCodeOracle(BinaryPrefixOracle):
         codes = self._cell_codes()
         mask = np.ones(codes.shape[0], dtype=bool)
         for pos, c in enumerate(query.constraints):
-            if c is None:
-                continue
-            if len(c) != 1 or not set(c) <= {0, 1}:
-                raise _malformed(f"constraint {set(c)} is not one bit; a free coordinate is None")
-            (v,) = c
-            mask &= (codes >> (self.n - 1 - pos)) & 1 == v
+            if c is not None:
+                (v,) = c
+                mask &= (codes >> (self.n - 1 - pos)) & 1 == v
         return mask
 
     def _prefix_mask(self, bits) -> np.ndarray:
@@ -429,27 +421,26 @@ class IntervalOracle(MeteredOracle):
 
 
 class IntervalBackedPrefixOracle(BinaryPrefixOracle):
-    """Binary prefix/marginal-prefix oracle over [2^ell], translating every
-    prefix query into exactly one interval query.
+    """``IntervalBackedPrefixOracle(base)``: binary prefix/marginal-prefix
+    oracle over [2^n], translating every prefix query into exactly one
+    interval query on ``base``.
 
-    The base oracle's domain [N] may be shorter than [2^ell], with
-    2^(ell-1) < N <= 2^ell; the padding elements N+1..2^ell carry zero mass.
-    A prefix query whose interval lies wholly in the padding is billed here
-    and on the base, like any other, then refused as zero-probability.
+    n = max(1, ceil(log2 N)) for the base's domain [N], so [N] is padded to
+    the next power of two (at least 2); the padding elements N+1..2^n carry
+    zero mass.  A prefix query whose interval lies wholly in the padding is
+    billed here and on the base, like any other, then refused as
+    zero-probability.
     """
 
     base_class = QueryClass.INTERVAL
 
-    def __init__(self, base: IntervalOracle, ell: int):
-        if not (1 << ell) // 2 < base.N <= 1 << ell:
-            raise DomainError(f"base oracle has N={base.N}, expected "
-                              f"2^{ell - 1} < N <= 2^{ell}")
+    def __init__(self, base: IntervalOracle):
         super().__init__(base)
-        self.n = ell
+        self.n = max(1, (base.N - 1).bit_length())
 
     def _build_node_bit_probs(self) -> np.ndarray:
-        # cdf[k] is the mass of 1..k in the padded domain [2^ell], so the
-        # k-bit prefix v has mass cdf[(v+1) W] - cdf[v W], W = 2^(ell-k).
+        # cdf[k] is the mass of 1..k in the padded domain [2^n], so the
+        # k-bit prefix v has mass cdf[(v+1) W] - cdf[v W], W = 2^(n-k).
         cdf = np.zeros((1 << self.n) + 1)
         cdf[1:self.base.N + 1] = self.base.cdf
         cdf[self.base.N + 1:] = self.base.cdf[-1]

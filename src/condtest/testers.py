@@ -19,9 +19,9 @@ first draw that does not survive: a node whose mu entry is NaN (a
 zero-probability reject) or one whose u is at least the probability that a
 majority of ``inner`` black-box runs accept (binomial trial sums ->
 multinomial (A, B) counts -> binomial majority tally).  So the verdict law
-is that of the literal tester built from ``single_bit_chi2_test``,
-``BitSampler`` and ``levin_balance``, whose accepting runs draw more than
-10^9 bits even at n = 1.  The level is charged once, when it ends, for the
+is that of the literal tester, Levin's work balance whose black box is
+``single_bit_chi2_test`` on ``BitSampler`` bits, whose accepting runs draw
+more than 10^9 bits even at n = 1.  The level is charged once, when it ends, for the
 draws it consumed.
 
 Only a searched chunk reads its coordinates.  For n a power of two and a
@@ -208,6 +208,11 @@ class BitSampler:
         return cls(lambda m, k: np.full(k, bit * m))
 
 
+def _trial_draws(eps: float) -> int:
+    """N = ceil(24 / eps), the draws from each source in one chi-square trial."""
+    return math.ceil(CHI2_SAMPLE_FACTOR / eps)
+
+
 def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
                          eps: float) -> Verdict:
     """Distinguish p = q from chi2(p, q) > eps at success probability 2/3.
@@ -219,7 +224,7 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0,1], got {eps}")
-    n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps)
+    n_draws = _trial_draws(eps)
     xs = sampler_p.draw_sums(n_draws, CHI2_TRIALS)
     ys = sampler_q.draw_sums(n_draws, CHI2_TRIALS)
     a = int(np.sum(xs > ys))
@@ -298,13 +303,18 @@ def slice_divergence_threshold(n: int, eps: float) -> float:
     return eps ** 2 / (24.0 * math.log2(2.0 * n / eps))
 
 
-def _level_charges(eps_prime: float, inner: int, used: int, dead: bool) -> tuple[int, int]:
+def _levin_eps(n: int, eps: float) -> float:
+    """eps_L = rho(n, eps) / n, the distance the walk's Levin schedule runs at."""
+    return slice_divergence_threshold(n, eps) / n
+
+
+def _level_charges(n_draws: int, inner: int, used: int, dead: bool) -> tuple[int, int]:
     """(tau's prefix queries, mu's marginal queries) for a Levin level that
     consumed ``used`` y-draws, the last of them a zero-probability reject if
     ``dead``: one prefix query per y-draw, the trial samples of each of the
-    ``inner`` black-box runs of every draw whose black box ran (N per trial
-    on each source), and for a dead node the one failed marginal query."""
-    cost = inner * CHI2_TRIALS * math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
+    ``inner`` black-box runs of every draw whose black box ran (n_draws per
+    trial on each source), and for a dead node the one failed marginal query."""
+    cost = inner * CHI2_TRIALS * n_draws
     ran = used - dead
     return used + ran * cost, ran * cost + dead
 
@@ -312,9 +322,8 @@ def _level_charges(eps_prime: float, inner: int, used: int, dead: bool) -> tuple
 def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
     """Accept-path query counts of the equivalence tester, per source: every
     level consumes all of its outer draws and none is dead."""
-    eps_l = slice_divergence_threshold(n, eps) / n
-    charges = [_level_charges(eps_prime, inner, outer, False)
-               for _, eps_prime, outer, inner in levin_schedule(eps_l)]
+    charges = [_level_charges(_trial_draws(eps_prime), inner, outer, False)
+               for _, eps_prime, outer, inner in levin_schedule(_levin_eps(n, eps))]
     tau, mu = (sum(column) for column in zip(*charges))
     return {"tau": tau, "mu": mu, "total": tau + mu}
 
@@ -543,6 +552,12 @@ def chi2_accept_prob(alpha, beta):
     return gamma
 
 
+def _majority_prob(inner: int, gamma) -> np.ndarray:
+    """Per row, Pr[Bin(inner, gamma) >= ceil(inner / 2)]: the majority tally
+    of ``inner`` runs, each accepting with probability gamma, is non-negative."""
+    return _binom_tails(_majority_threshold(inner), inner, gamma)[1]
+
+
 def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     """Probability that the inner majority tally over ``inner`` black-box runs
     is non-negative, for the chi-square black box on Ber(p) vs Ber(q).
@@ -550,7 +565,7 @@ def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     Scalars give a float, 1-D arrays one value per row."""
     alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
     gamma = chi2_accept_prob(alpha, beta)
-    survive = _binom_tails(_majority_threshold(inner), inner, gamma)[1]
+    survive = _majority_prob(inner, gamma)
     return float(survive[0]) if np.ndim(gamma) == 0 else survive
 
 
@@ -619,7 +634,7 @@ def _survive_lo(a, inner: int) -> np.ndarray:
     def fill(i):
         over = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, 0.5 + i / (2 * _GRID))[1]
         gamma_lo = np.maximum(1.0 - 2.0 * over, 0.0)
-        return _binom_tails(_majority_threshold(inner), inner, gamma_lo)[1] - _BRACKET_SLACK
+        return _majority_prob(inner, gamma_lo) - _BRACKET_SLACK
 
     return np.where(np.isnan(a), np.nan, _grid_read(_bracket_grid(inner)[0], index, fill))
 
@@ -632,7 +647,7 @@ def _survive_hi(m, inner: int) -> np.ndarray:
 
     def fill(i):
         gamma_hi = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, i / _GRID)[0]
-        return _binom_tails(_majority_threshold(inner), inner, gamma_hi)[1] + _BRACKET_SLACK
+        return _majority_prob(inner, gamma_hi) + _BRACKET_SLACK
 
     return np.where(np.isnan(m), np.nan, _grid_read(_bracket_grid(inner)[1], index, fill))
 
@@ -796,7 +811,7 @@ def _level_coordinates(rng, n: int, outer: int, scratch):
     return coordinates
 
 
-def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
+def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, decided
     by ``_first_stop`` from the chunk's own nodes.  A chunk whose u all lie
@@ -821,12 +836,13 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     statement of the level-end charge: tau pays prefix queries, mu marginal
     queries, for the draws the level consumed and whether its stop was
     dead."""
+    n = tau.n
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     kl = _reach_kl(p_mu, p_tau)
     scratch = _coordinate_scratch(rng, n)
     trace = []
     for t, eps_prime, outer, inner in levin_schedule(eps_l):
-        n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)
+        n_draws = _trial_draws(eps_prime)
         coordinates = _level_coordinates(rng, n, outer, scratch)
         floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
@@ -854,7 +870,7 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
             tau.skip_full_draws(certified)
         dead = stop_node is not None and bool(np.isnan(p_mu[stop_node]))
         used = outer if rejected_at is None else rejected_at + 1
-        tau_queries, mu_queries = _level_charges(eps_prime, inner, used, dead)
+        tau_queries, mu_queries = _level_charges(n_draws, inner, used, dead)
         tau.charge(QueryClass.PREFIX, tau_queries)
         mu.charge(QueryClass.MARGINAL, mu_queries)
         trace.append(_level_record(t, eps_prime, outer, inner, rejected_at, dead))
@@ -863,11 +879,11 @@ def _run_equivalence(tau, mu, n: int, eps_l: float, rng) -> Verdict:
     return Verdict(True, trace=trace)
 
 
-def _equivalence_core(tau, mu, n: int, eps: float, seed) -> Verdict:
+def _equivalence_core(tau, mu, eps: float, seed) -> Verdict:
     rng = np.random.default_rng(seed)
     before = _counter_totals((tau, mu))
-    eps_l = slice_divergence_threshold(n, eps) / n
-    verdict = _run_equivalence(tau, mu, n, eps_l, rng)
+    eps_l = _levin_eps(tau.n, eps)
+    verdict = _run_equivalence(tau, mu, eps_l, rng)
     verdict.queries_used = _queries_delta(before, (tau, mu))
     # Replays pin this record in this form.
     verdict.trace.append({"mode": "collapsed", "eps_levin": eps_l})
@@ -883,14 +899,14 @@ def equivalence_test(tau: TableOracle, mu: TableOracle, eps: float, seed=None) -
     _check_eps(eps)
     if mu.n != tau.n:
         raise ValueError(f"dimension mismatch: tau has n={tau.n}, mu has n={mu.n}")
-    return _equivalence_core(tau, mu, tau.n, eps, seed)
+    return _equivalence_core(tau, mu, eps, seed)
 
 
 def _product_core(mu, marginal_view, eps: float, seed) -> Verdict:
     """The walk of ``mu`` against the product of its marginals, served by
     ``marginal_view``; the trace ends with ``prefix_queries_only``: mu's
     root oracle saw no interval or subcube query."""
-    verdict = _equivalence_core(mu, marginal_view, mu.n, eps, seed)
+    verdict = _equivalence_core(mu, marginal_view, eps, seed)
     *_, root = mu.chain()
     prefix_only = (root.counter.counts.get(QueryClass.INTERVAL, 0) == 0
                    and root.counter.counts.get(QueryClass.SUBCUBE, 0) == 0)
@@ -928,17 +944,16 @@ def equivalence_test_general(tau: TupleTableOracle, mu: TupleTableOracle, eps: f
     _check_eps(eps)
     if tau.domain != mu.domain:
         raise ValueError("tau and mu must share a domain")
-    tau_bin = BinaryEncodedOracle(tau)
-    mu_bin = BinaryEncodedOracle(mu)
-    return _equivalence_core(tau_bin, mu_bin, tau_bin.n, eps, seed)
+    return _equivalence_core(BinaryEncodedOracle(tau), BinaryEncodedOracle(mu), eps, seed)
 
 
 def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle, eps: float,
                               seed=None) -> Verdict:
     """Equivalence test for two distributions over [N] with interval access.
 
-    Pads to the next power of two and runs the binary equivalence tester
-    with every prefix query translated to one interval query.
+    Runs the binary equivalence tester on ``IntervalBackedPrefixOracle``
+    views of both, which pad [N] to the next power of two and translate
+    every prefix query to one interval query.  N = 1 accepts at no cost.
     """
     _check_eps(eps)
     if tau.N != mu.N:
@@ -946,6 +961,5 @@ def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle, eps: floa
     if tau.N == 1:
         return Verdict(True, queries_used={cls.value: 0 for cls in QueryClass} | {"total": 0},
                        trace=[{"vacuous": True}])
-    ell = max(1, math.ceil(math.log2(tau.N)))
-    return _equivalence_core(IntervalBackedPrefixOracle(tau, ell),
-                             IntervalBackedPrefixOracle(mu, ell), ell, eps, seed)
+    return _equivalence_core(IntervalBackedPrefixOracle(tau), IntervalBackedPrefixOracle(mu),
+                             eps, seed)

@@ -406,12 +406,13 @@ def _survive_first_stop(tau, mu, nodes, u, n_draws, inner, keys):
     return int(stops[0]), bool(values[stops[0]] == -1.0)
 
 
-def reference_walk(tau, mu, n, eps_l, rng, literal=False):
+def reference_walk(tau, mu, eps_l, rng, literal=False):
     """Reference for ``testers._run_equivalence``: the per-key walk the node
     arrays replaced.  A draw survives while its u is below its survive
     probability or, with ``literal``, while the literal black box survives
     (the tester as the paper states it, at more than 10^9 queries per
     accepting run, so only tiny inputs are run this way)."""
+    n = tau.n
     trace = []
     for t, eps_prime, outer, inner in testers.levin_schedule(eps_l):
         n_draws = math.ceil(CHI2_SAMPLE_FACTOR / eps_prime)

@@ -119,11 +119,11 @@ def test_draw_unconditional_law(rng):
 
 
 def test_pair_simulation_trivial_queries():
-    assert simulate_pair_conditional("**", (1, 0)) == (1, 0)
-    assert simulate_pair_conditional("01", (1, 1)) == (0, 1)
+    assert simulate_pair_conditional(SubcubeQuery.from_pattern("**"), (1, 0)) == (1, 0)
+    assert simulate_pair_conditional(SubcubeQuery.from_pattern("01"), (1, 1)) == (0, 1)
     # x = 11 has even parity, so conditioning on first bit 0 lands on 00
-    assert simulate_pair_conditional("0*", (1, 1)) == (0, 0)
-    assert simulate_pair_conditional("0*", (1, 0)) == (0, 1)
+    assert simulate_pair_conditional(SubcubeQuery.from_pattern("0*"), (1, 1)) == (0, 0)
+    assert simulate_pair_conditional(SubcubeQuery.from_pattern("0*"), (1, 0)) == (0, 1)
 
 
 def test_pair_simulation_pushforward_is_exact():
@@ -150,7 +150,7 @@ def test_pair_simulation_pushforward_is_exact():
 
 def test_pair_simulation_rejects_wrong_width():
     with pytest.raises(DomainError):
-        simulate_pair_conditional("0**", (0, 1))
+        simulate_pair_conditional(SubcubeQuery.from_pattern("0**"), (0, 1))
 
 
 def test_subcube_query_via_unconditional_law(rng):
@@ -179,6 +179,15 @@ def test_subcube_query_via_unconditional_odd_n(rng):
     with pytest.raises(DomainError):
         subcube_query_via_unconditional(SubcubeQuery.from_pattern("**"),
                                         inst, rng)
+    # a free trailing coordinate is answered with the sample's own last bit
+    last_bits = set()
+    for seed in range(20):
+        x = inst.draw_unconditional(np.random.default_rng(seed))
+        out = subcube_query_via_unconditional(SubcubeQuery.from_pattern("10*"), inst,
+                                              np.random.default_rng(seed))
+        assert out == (1, 0, x[2])
+        last_bits.add(x[2])
+    assert last_bits == {0, 1}
 
 
 # ----------------------------------------------------------------------

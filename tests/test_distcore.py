@@ -275,6 +275,10 @@ def test_slicewise_kl_infinite_on_support_violation():
     t = DistributionTable.uniform(2)
     m = DistributionTable.point_mass([0, 0])
     assert slicewise_divergence(KL, t, m) == math.inf
+    # every prefix of m has mass, but its root conditional 1 against t's 1/2
+    # makes the per-node KL inf
+    t, m = DistributionTable.uniform(1), DistributionTable.point_mass((1,))
+    assert slicewise_divergence(KL, t, m) == math.inf
 
 
 def test_slicewise_soundness_natural_log(rng):

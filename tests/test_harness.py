@@ -18,7 +18,6 @@ from condtest.cli import build_parser, main, spec_from_args
 from condtest.harness import (
     ExperimentSpec,
     HarnessError,
-    ResultRow,
     emit_plot_data,
     load_distribution,
     load_interval_pmf,
@@ -173,31 +172,13 @@ def test_rate_lower_bound_values():
     assert rate_lower_bound(59, 60) < rate_lower_bound(60, 60)
     with pytest.raises(HarnessError):
         rate_lower_bound(5, 4)
-    for confidence in (0.0, 1.0, 1.5, -0.5, float("nan")):
-        with pytest.raises(HarnessError):
-            rate_lower_bound(3, 4, confidence)
 
 
-# The CSV sha256 of the five scenarios CI pins, each run with --out DIR.
-CLI_PINS = {
-    "adversarial-distance-seed0.csv": (
-        ["adversarial-distance", "--n", "4", "--eps", "0.2", "--runs", "4"],
-        "0d30053dd5d5905c2c14a289cdd91a3a3da4f40d330ddfa5f151c092241ef2a7"),
-    "scaling-sweep-seed0.csv": (
-        ["sweep", "--n-list", "8,16", "--eps-list", "0.3,0.5", "--runs", "3"],
-        "6137f39542e5678e7be019818c11621dac034e7c04e8fbf078b88fd1536a81db"),
-    "product-seed0.csv": (
-        ["test-product", "--n", "4", "--eps", "0.5", "--mu", "bernoulli:0.8", "--runs", "3"],
-        "027c782c3b2c92993c2affe3c9b8abaddba5a74cb056d95b1a70dc518a8b8b59"),
-    "interval-seed0.csv": (
-        ["test-interval", "--N", "200", "--eps", "0.3", "--tau", "uniform", "--mu",
-         "block:1,64", "--runs", "3"],
-        "59607688248215489f8a83619bbf173b3ce466ed6e67278738601f206c9af90e"),
-    "interval-1000/interval-seed0.csv": (
-        ["test-interval", "--N", "1000", "--eps", "0.3", "--tau", "uniform", "--mu",
-         "block:1,990", "--runs", "3"],
-        "40a5fdc3b4aaa56b81a1a9232095fc875f1d483ee4eace3953a84eac8ddc86e7"),
-}
+# The CSV sha256 of the five CLI scenarios, each run with --out DIR, where the
+# key is the CSV's path under DIR.  The CI's console-script step reads the
+# same file.
+CLI_PINS = {name: (pin["argv"], pin["sha256"]) for name, pin
+            in json.loads((Path(__file__).parent / "cli_pins.json").read_text()).items()}
 
 _BLOCKED_SCIPY_RUN = """
 import hashlib, json, sys
@@ -263,7 +244,7 @@ def test_equivalence_driver_deterministic_and_accepting():
                           tau="uniform", mu="uniform")
     rows1, summary1 = run_experiment(spec, write=False)
     rows2, _ = run_experiment(spec, write=False)
-    assert [r.data for r in rows1] == [r.data for r in rows2]
+    assert rows1 == rows2
     assert summary1["accepts"] == 3
     assert summary1["median_total_queries"] > 0
 
@@ -293,7 +274,7 @@ def test_single_bit_driver_counts_both_sides():
     rows, summary = run_experiment(spec, write=False)
     import math
     per_side = 64 * math.ceil(24 / 0.5)
-    assert all(r.data["total_queries"] == 2 * per_side for r in rows)
+    assert all(r["total_queries"] == 2 * per_side for r in rows)
     assert summary["accept_rate"] in (0.0, 0.5, 1.0)
 
 
@@ -308,20 +289,20 @@ def test_adversarial_distance_driver():
     spec = ExperimentSpec(kind="adversarial-distance", n=4, eps=0.2, runs=2,
                           seed=3)
     rows, summary = run_experiment(spec, write=False)
-    assert all(r.data["method"] == "exact-grid" for r in rows)
+    assert all(r["method"] == "exact-grid" for r in rows)
     assert summary["min_grid_distance"] > 0.01
     spec_big = ExperimentSpec(kind="adversarial-distance", n=8, eps=0.3,
                               runs=1, seed=3)
     rows_big, _ = run_experiment(spec_big, write=False)
-    assert rows_big[0].data["method"] == "pairwise-lower-bound"
+    assert rows_big[0]["method"] == "pairwise-lower-bound"
 
 
 def test_scaling_sweep_driver():
     spec = ExperimentSpec(kind="scaling-sweep", n_list=(2, 4), eps_list=(0.5,),
                           runs=3, seed=9)
     rows, _ = run_experiment(spec, write=False)
-    assert [(r.data["n"], r.data["eps"]) for r in rows] == [(2, 0.5), (4, 0.5)]
-    assert rows[0].data["median_queries"] <= rows[1].data["median_queries"]
+    assert [(r["n"], r["eps"]) for r in rows] == [(2, 0.5), (4, 0.5)]
+    assert rows[0]["median_queries"] <= rows[1]["median_queries"]
 
 
 # ----------------------------------------------------------------------
@@ -332,36 +313,44 @@ def test_emit_plot_data_replay_stable():
     spec = ExperimentSpec(kind="equivalence", n=3, eps=0.5, runs=2, seed=5,
                           tau="uniform", mu="uniform")
     rows, _ = run_experiment(spec, write=False)
-    text1 = emit_plot_data(rows)
+    text1 = emit_plot_data(spec.kind, rows)
     rows_again, _ = run_experiment(spec, write=False)
-    assert emit_plot_data(rows_again) == text1
+    assert emit_plot_data(spec.kind, rows_again) == text1
     header = text1.splitlines()[0].split(",")
     assert header[0] == "experiment_id" and header[-1] == "total_queries"
     assert len(text1.splitlines()) == 3
 
 
-def test_emit_plot_data_empty_and_mixed():
-    assert emit_plot_data([], kind="equivalence").splitlines() == [
+def test_emit_plot_data_of_no_rows_is_the_header():
+    assert emit_plot_data("equivalence", []).splitlines() == [
         "experiment_id,kind,rep,seed,n,eps,verdict,unconditional,prefix,"
         "subcube,marginal,interval,total_queries"]
-    with pytest.raises(HarnessError):
-        emit_plot_data([])
-    with pytest.raises(HarnessError):
-        emit_plot_data([ResultRow("equivalence", {}), ResultRow("product", {})])
+
+
+def test_single_bit_csv_leaves_the_unset_n_empty(tmp_path):
+    """The single-bit kind sets no n: its CSV's n cell is empty, not None."""
+    spec = ExperimentSpec(kind="single-bit", p=0.5, q=0.5, eps=0.5, runs=2, out=str(tmp_path))
+    rows, _ = run_experiment(spec)
+    lines = (tmp_path / "single-bit-seed0.csv").read_text().splitlines()
+    assert len(lines) == 3
+    for rep, (line, row) in enumerate(zip(lines[1:], rows)):
+        cells = line.split(",")
+        assert cells[:6] == ["single-bit-seed0", "single-bit", str(rep), f"0/{rep}", "", "0.5"]
+        assert cells[6] == row["verdict"] and cells[-1] == "6144"
 
 
 def test_summarize_recomputable_from_rows():
     spec = ExperimentSpec(kind="equivalence", n=2, eps=0.6, runs=4, seed=2,
                           tau="uniform", mu="point:00")
     rows, summary = run_experiment(spec, write=False)
-    accepts = sum(1 for r in rows if r.data["verdict"] == "accept")
+    accepts = sum(1 for r in rows if r["verdict"] == "accept")
     assert summary["accepts"] == accepts
     assert summary["accept_rate"] == accepts / 4
     assert summary["reject_rate_lb99"] == rate_lower_bound(4 - accepts, 4)
-    again = summarize(rows)
+    again = summarize(spec.kind, rows)
     for key, value in again.items():
         assert summary[key] == value
-    assert summarize([]) == {"rows": 0}
+    assert summarize(spec.kind, []) == {"rows": 0}
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -370,7 +359,7 @@ def test_run_experiment_writes_artifacts(tmp_path):
                           experiment_id="smoke")
     rows, summary = run_experiment(spec)
     csv_text = (tmp_path / "smoke.csv").read_text()
-    assert csv_text == emit_plot_data(rows)
+    assert csv_text == emit_plot_data(spec.kind, rows)
     payload = json.loads((tmp_path / "smoke.json").read_text())
     assert payload["spec"]["kind"] == "equivalence"
     assert payload["summary"]["accepts"] == summary["accepts"]
@@ -445,6 +434,21 @@ def test_cli_refuses_config_keys_of_other_kinds(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_inequalities_offers_no_runs(tmp_path, capsys):
+    """The inequality grid is always 101 x 99 rows, so its subcommand takes no
+    --runs: argparse exits 2 on the flag, and a config that sets runs is
+    refused as an unknown option.  --seed stays, since it names the file."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["check-inequalities", "--runs", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --runs 3" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"runs": 3}))
+    assert main(["check-inequalities", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: unrecognized option in config or flags: runs\n"
+    assert spec_from_args(build_parser().parse_args(["check-inequalities", "--seed", "4"])).seed == 4
+
+
 # One valid value for every ExperimentSpec field but kind.
 _FIELD_VALUES = {"n": 2, "eps": 0.5, "N": 8, "runs": 1, "seed": 0, "tau": "uniform",
                  "mu": "uniform", "p": 0.5, "q": 0.5, "grid_step": 0.5, "n_list": "2",
@@ -470,7 +474,7 @@ def test_cli_config_takes_exactly_the_subcommand_flags(command, tmp_path):
             accepted.add(key)
     assert accepted == flags
     kind = next(k for k in harness.KINDS.values() if k.command == command)
-    assert flags == set(kind.fields) | {"runs", "seed", "out", "experiment_id"}
+    assert flags == set(kind.fields) | {"seed", "out", "experiment_id"}
 
 
 def test_cli_reports_the_directory_it_wrote(monkeypatch, tmp_path, capsys):
@@ -492,7 +496,7 @@ def test_experiment_kind_registry_is_complete(capsys):
     which offers exactly the spec fields the kind reads plus the common
     flags, makes a spec of that kind and has working help; single-bit runs
     from Python only and has no subcommand."""
-    common = {"command", "runs", "seed", "out", "config", "experiment_id"}
+    common = {"command", "seed", "out", "config", "experiment_id"}
     commands = [kind.command for kind in harness.KINDS.values() if kind.command]
     assert len(set(commands)) == len(harness.KINDS) - 1 == 6
     for name, kind in harness.KINDS.items():

@@ -1,5 +1,7 @@
 """Metered conditional-sampling oracles: exactness, metering, translations."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -63,8 +65,11 @@ def test_subcube_query_patterns():
     assert SubcubeQuery.from_pattern("***").is_prefix_shaped()
     with pytest.raises(OracleError):
         SubcubeQuery.from_pattern("0x1")
-    with pytest.raises(OracleError):
-        SubcubeQuery((frozenset(),))
+    # a constraint is one bit and a free coordinate None: {0, 1} is refused too
+    for bad in (frozenset(), frozenset({0, 1}), frozenset({2})):
+        with pytest.raises(OracleError, match="is not one bit; a free coordinate is None") as err:
+            SubcubeQuery((bad, None))
+        assert err.value.kind is OracleErrorKind.MALFORMED_QUERY
 
 
 def test_prefix_query_validation():
@@ -174,8 +179,7 @@ def test_exact_bit_prob_matches_table(rng):
 
 def _interval_view(pmf):
     pmf = np.asarray(pmf, dtype=float) / np.sum(pmf)
-    return IntervalBackedPrefixOracle(IntervalOracle(pmf, seed=0),
-                                      max(1, int(np.ceil(np.log2(pmf.shape[0])))))
+    return IntervalBackedPrefixOracle(IntervalOracle(pmf, seed=0))
 
 
 def _five_by_three(zeros, seed=0):
@@ -269,7 +273,7 @@ def _full_sample_case(kind, seed=0):
         pmf = np.random.default_rng(8).dirichlet(np.ones(200))
         pmf[[10, 11, 12, 150]] = 0.0
         base = IntervalOracle(pmf / pmf.sum(), seed=seed)
-        return (IntervalBackedPrefixOracle(base, 8), base.cdf, float(base.cdf[-1]),
+        return (IntervalBackedPrefixOracle(base), base.cdf, float(base.cdf[-1]),
                 lambda idx: idx)
     enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8), seed))
     cdf = np.cumsum(enc.base.probs)
@@ -400,7 +404,7 @@ def test_interval_backed_prefix_oracle_exact(rng):
     pmf = w / w.sum()
     table = DistributionTable(ell, pmf)
     base = IntervalOracle(pmf, seed=9)
-    view = IntervalBackedPrefixOracle(base, ell)
+    view = IntervalBackedPrefixOracle(base)
     ref = TableOracle(table, seed=0)
     for i in range(1, ell + 1):
         for j in range(1 << (i - 1)):
@@ -412,7 +416,7 @@ def test_padded_interval_backed_prefix_oracle():
     """N = 6 inside [2^3]: the padding elements 7 and 8 carry zero mass."""
     pmf = np.array([0.1, 0.2, 0.3, 0.15, 0.15, 0.1])
     base = IntervalOracle(pmf, seed=3)
-    view = IntervalBackedPrefixOracle(base, 3)
+    view = IntervalBackedPrefixOracle(base)
     ref = TableOracle(DistributionTable(3, np.r_[pmf, 0.0, 0.0]), seed=0)
     for i in range(1, 4):
         for j in range(1 << (i - 1)):
@@ -433,10 +437,14 @@ def test_padded_interval_backed_prefix_oracle():
     assert err.value.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
     assert base.counter.counts[QueryClass.INTERVAL] - before == 1
     assert view.counter.counts[QueryClass.PREFIX] == 21
-    for n_outside in (2, 4, 9):
-        with pytest.raises(DomainError):
-            IntervalBackedPrefixOracle(
-                IntervalOracle(np.full(n_outside, 1 / n_outside)), 3)
+
+
+def test_interval_view_derives_its_dimension():
+    """The view over [N] has n = max(1, ceil(log2 N)) bits: [N] padded to the
+    next power of two, at least 2."""
+    for N in (1, 2, 3, 4, 5, 6, 200, 255, 256, 257, 1000, 1024, 1025):
+        view = IntervalBackedPrefixOracle(IntervalOracle(np.full(N, 1 / N)))
+        assert view.n == max(1, math.ceil(math.log2(N))), N
 
 
 def _random_subcube_query(g, n):
@@ -529,7 +537,7 @@ def test_literal_queries_pinned():
     assert (out, table.counter.counts) == LITERAL_QUERY_PINS["table"]
     pmf = np.random.default_rng(10).random(11) + 0.05
     pmf[[3, 4]] = 0.0
-    view = IntervalBackedPrefixOracle(IntervalOracle(pmf / pmf.sum(), seed=6), 4)
+    view = IntervalBackedPrefixOracle(IntervalOracle(pmf / pmf.sum(), seed=6))
     out = _literal_query_stream(lambda g: view.prefix_sample(_random_prefix_query(g, 4)), 40,
                                 seed=14)
     assert (out, view.counter.counts, view.base.counter.counts) == \
@@ -540,7 +548,7 @@ def test_interval_backed_sampling_distribution(rng):
     ell = 3
     w = rng.random(1 << ell)
     pmf = w / w.sum()
-    view = IntervalBackedPrefixOracle(IntervalOracle(pmf, seed=21), ell)
+    view = IntervalBackedPrefixOracle(IntervalOracle(pmf, seed=21))
     draws = view.sample_full_indices_uncounted(GOF_SAMPLES)
     counts = _empirical_index_counts(draws, 1 << ell)
     assert _gof(counts, pmf) > GOF_ALPHA
@@ -725,7 +733,7 @@ def _rgb_uniform():
 
 
 def _interval_backed():
-    return IntervalBackedPrefixOracle(IntervalOracle(np.full(4, 0.25), seed=0), 2)
+    return IntervalBackedPrefixOracle(IntervalOracle(np.full(4, 0.25), seed=0))
 
 
 def _product_marginal():
@@ -807,7 +815,7 @@ MALFORMED_QUERIES = {
     "table-prefix-beyond-n": (_table_uniform3,
                               lambda o: o.prefix_sample(PrefixQuery.bits((0, 0, 0)))),
     "interval-prefix-beyond-n": (
-        lambda: IntervalBackedPrefixOracle(IntervalOracle(np.full(8, 0.125), seed=0), 3),
+        lambda: IntervalBackedPrefixOracle(IntervalOracle(np.full(8, 0.125), seed=0)),
         lambda o: o.prefix_sample(PrefixQuery.bits((0, 0, 0)))),
     "interval-prefix-non-bit-allowed": (
         _interval_backed, lambda o: o.prefix_sample(PrefixQuery(1, (), frozenset({3})))),

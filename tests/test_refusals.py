@@ -14,12 +14,15 @@ from condtest.distcore import (
     bits_to_index,
     conditional_bit_prob,
     index_to_bits,
+    single_bit_divergence,
 )
 from condtest.harness import HarnessError, load_interval_pmf
 from condtest.oracles import (
     IntervalOracle,
     OracleError,
     OracleErrorKind,
+    QueryClass,
+    QueryCounter,
     SubcubeQuery,
     TableOracle,
     TupleTableOracle,
@@ -78,6 +81,10 @@ REFUSALS = {
                               DomainError, None),
     "interval-pmf-source": (None, lambda _: load_interval_pmf("missing.json", 4),
                             HarnessError, None),
+    "counter-add-negative": (None, lambda _: QueryCounter().add(QueryClass.PREFIX, -1),
+                             ValueError, None),
+    "divergence-unknown-kind": (None, lambda _: single_bit_divergence("x", 0.5, 0.5),
+                                DomainError, None),
 }
 
 

@@ -339,24 +339,20 @@ def test_chi2_accept_prob_matches_exact_reference():
 
 
 def test_rate_lower_bound_matches_exact_quantile():
-    """The Clopper-Pearson bound lies within 1e-15 of the exact quantile for
-    every trials <= 60, successes 1..trials and confidence 0.99, 0.9, 0.5
-    and 1e-6: the tail Pr[Bin(trials, x) >= successes], in exact integer
-    arithmetic, is at most 1 - confidence at x = bound - 1e-15 and at least
-    that at x = bound + 1e-15.  (SciPy's ``beta.ppf`` misses by up to 7.7e-13
-    at confidence 1e-6.)  An array of successes gives the values of scalar
-    calls."""
-    for confidence in (0.99, 0.9, 0.5, 1e-6):
-        target = 1 - Fraction(confidence)
-        for trials in range(1, 61):
-            successes = np.arange(1, trials + 1)
-            bounds = rate_lower_bound(successes, trials, confidence)
-            for k, bound in zip(successes.tolist(), bounds.tolist()):
-                assert not exact_tail_reaches(k, trials, max(bound - 1e-15, 0.0), target) or (
-                    bound - 1e-15 <= 0.0), (k, trials, confidence)
-                assert exact_tail_reaches(k, trials, min(bound + 1e-15, 1.0), target), (
-                    k, trials, confidence)
-            assert rate_lower_bound(trials // 2 + 1, trials, confidence) == bounds[trials // 2]
+    """The Clopper-Pearson bound at confidence 0.99 lies within 1e-15 of the
+    exact quantile for every trials <= 60 and successes 1..trials: the tail
+    Pr[Bin(trials, x) >= successes], in exact integer arithmetic, is at most
+    0.01 at x = bound - 1e-15 and at least that at x = bound + 1e-15.  An
+    array of successes gives the values of scalar calls."""
+    target = 1 - Fraction(0.99)
+    for trials in range(1, 61):
+        successes = np.arange(1, trials + 1)
+        bounds = rate_lower_bound(successes, trials)
+        for k, bound in zip(successes.tolist(), bounds.tolist()):
+            assert not exact_tail_reaches(k, trials, max(bound - 1e-15, 0.0), target) or (
+                bound - 1e-15 <= 0.0), (k, trials)
+            assert exact_tail_reaches(k, trials, min(bound + 1e-15, 1.0), target), (k, trials)
+        assert rate_lower_bound(trials // 2 + 1, trials) == bounds[trials // 2]
 
 
 @pytest.mark.parametrize("n_draws, rows", [(48, 4), (192, 4), (1536, 3), (12288, 2)])
@@ -1109,7 +1105,7 @@ def test_uniform_self_test_walk_holds_little_memory():
     rng = np.random.default_rng(3)
     tracemalloc.start()
     try:
-        verdict = testers._run_equivalence(tau, mu, 16, eps_l, rng)
+        verdict = testers._run_equivalence(tau, mu, eps_l, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
