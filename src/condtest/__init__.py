@@ -12,7 +12,6 @@ from .distcore import (
     DivergenceKind,
     DomainError,
     TupleDomain,
-    ZeroProbabilityPrefixError,
     clamp_distribution,
     kl_divergence,
     product_of_marginals,
@@ -37,7 +36,6 @@ from .testers import (
     equivalence_test,
     equivalence_test_general,
     interval_equivalence_test,
-    levin_balance,
     product_test,
     product_test_general,
     single_bit_chi2_test,

@@ -18,10 +18,7 @@ from .harness import (FIELDS, KINDS, ExperimentSpec, HarnessError, out_dir,
                       read_json_object, run_experiment)
 from .oracles import OracleError
 
-# The flags every subcommand offers after its kind's (--runs among them where
-# its driver reads it), in help order; --config, the one that sets no spec
-# field, is given here as (rule, flag, type, help).
-_COMMON = ("seed", "out", "config", "experiment_id")
+# --config, the one flag that sets no spec field, as (rule, flag, type, help).
 _CONFIG = (None, "--config", None, "JSON file mirroring the flags; explicit flags win")
 
 
@@ -33,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in KINDS.values():
         if kind.command is not None:
             p = sub.add_parser(kind.command, help=kind.help)
-            for name in kind.fields + _COMMON:
+            for name in kind.options + ("config",):
                 _, flag, cast, text = FIELDS.get(name, _CONFIG)
                 p.add_argument(flag, type=cast, dest=name, help=text)
     return parser

@@ -45,10 +45,6 @@ class DomainError(ValueError):
     """Raised for dimension mismatches and malformed domain elements."""
 
 
-class ZeroProbabilityPrefixError(ValueError):
-    """Conditioning on a prefix that carries no probability mass."""
-
-
 def bits_to_index(bits) -> int:
     """MSB-first bit tuple -> integer."""
     value = 0
@@ -359,17 +355,6 @@ def _json_n(data: dict) -> int:
     if not (isinstance(data, dict) and is_number(data.get("n"), numbers.Integral)):
         raise DomainError("distribution JSON needs an integer 'n'")
     return int(data["n"])
-
-
-def conditional_bit_prob(tree: ConditionalTree, i: int, w) -> float:
-    """Exact Pr[x_i = 1 | x_[i-1] = w]; errors on zero-probability prefixes."""
-    w = tuple(w)
-    if not 1 <= i <= tree.n or len(w) != i - 1:
-        raise DomainError(f"bad query ({i}, {w}) for n={tree.n}")
-    p = float(tree.nodes[node_index(i, bits_to_index(w))])
-    if math.isnan(p):
-        raise ZeroProbabilityPrefixError(f"prefix {w} has zero probability")
-    return p
 
 
 def _from_conditionals(levels) -> DistributionTable:

@@ -425,6 +425,12 @@ class _Kind:
     summary: Callable[[list], dict]  # rows -> the summary's kind-specific entries
     dense: bool = False  # holds 2^n-cell tables, so n <= distcore.MAX_DENSE_N
 
+    @property
+    def options(self) -> tuple:
+        """The spec fields a spec of this kind may set, which are also its
+        CLI flags: its own, then those every kind takes."""
+        return self.fields + ("seed", "out", "experiment_id")
+
 
 # the columns of a verdict row; one per query class, in QueryClass order
 _VERDICT_HEADER = ("experiment_id", "kind", "rep", "seed", "n", "eps", "verdict",
@@ -496,6 +502,9 @@ def out_dir(spec: ExperimentSpec) -> Path:
 def run_experiment(spec: ExperimentSpec, write: bool = True):
     """Execute a spec: repetition rows, aggregate summary, optional emission.
 
+    A spec that leaves one of its kind's fields unset, or sets a field its
+    kind does not take (one outside ``KINDS[kind].options`` whose value is
+    not its default), raises HarnessError before anything runs.
     Returns (rows, summary).  With ``write`` and an output directory set (or
     defaulted), writes <id>.csv (replay-stable) and <id>.json (summary plus
     wall time and the spec)."""
@@ -504,6 +513,10 @@ def run_experiment(spec: ExperimentSpec, write: bool = True):
     if unset:
         raise HarnessError(f"{spec.kind} needs {', '.join(kind.fields)}; "
                            f"unset: {', '.join(unset)}")
+    foreign = sorted(f.name for f in fields(spec) if f.name not in ("kind", *kind.options)
+                     and getattr(spec, f.name) != f.default)
+    if foreign:
+        raise HarnessError(f"unrecognized option for {spec.kind}: {', '.join(foreign)}")
     start = time.perf_counter()
     rows = kind.run(spec)
     wall = time.perf_counter() - start

@@ -265,11 +265,6 @@ class SubcubeQuery:
             raise _malformed(f"point of length {len(x)} for {self.n} coordinates")
         return all(c is None or v in c for c, v in zip(self.constraints, x))
 
-    def is_prefix_shaped(self) -> bool:
-        """Constraints on an initial segment of the coordinates only."""
-        k = sum(c is not None for c in self.constraints)
-        return None not in self.constraints[:k]
-
 
 @dataclass(frozen=True)
 class PrefixQuery:
@@ -519,9 +514,6 @@ class TupleTableOracle(MeteredOracle):
         sets[i - 1] = tuple(allowed)
         return sets
 
-    def exact_conditional_mass(self, sets) -> float:
-        return float(self.probs[self._mask_of_sets(sets)].sum())
-
 
 def _prefix_masses(probs: np.ndarray, codes: np.ndarray, width: int) -> list[np.ndarray]:
     """masses[k][v] = the sum of probs[x] over the x whose width-bit code
@@ -557,9 +549,6 @@ class BinaryEncodedOracle(CellCodeOracle):
         self.n = self.domain.total_bits
         self._encoded = sum(digits << (self.n - end) for digits, end
                             in zip(base._coord_digits, accumulate(self.domain.bit_widths)))
-
-    def encode(self, element) -> tuple[int, ...]:
-        return index_to_bits(int(self._encoded[self.domain.index_of(element)]), self.n)
 
     def _cell_probs(self) -> np.ndarray:
         return self.base.probs

@@ -1,7 +1,7 @@
-"""Randomized testers: the single-bit chi-square test, Levin work balance
-and five walk testers.  Each walk tester takes the distance eps in (0, 1),
-refusing any other (NaN included) with ``ValueError`` before it builds a
-view or bills a query, and an optional seed for the walk's own stream:
+"""Randomized testers: the single-bit chi-square test and five walk
+testers.  Each walk tester takes the distance eps in (0, 1), refusing any
+other (NaN included) with ``ValueError`` before it builds a view or bills a
+query, and an optional seed for the walk's own stream:
 
     equivalence_test(tau, mu, eps, seed=None)           TableOracles over {0,1}^n
     equivalence_test_general(tau, mu, eps, seed=None)   TupleTableOracles
@@ -135,11 +135,12 @@ Certified decisions
     exact calculus.
 
     Brackets cost a few ufunc calls and grid reads per chunk; only their
-    grid points are kept (2 x 4097 floats per inner).  Exact values are
-    computed once per distinct (p, q) pair in the band and kept
-    in one process-wide memo keyed by (N, p, q, inner), capped at 2^14
-    entries with the oldest evicted first, so repeated runs on the same
-    distributions skip the calculus.
+    grid points are kept, 2 x 4097 floats per inner for the 16 inner values
+    used last (``_BRACKET_GRIDS``; an evicted grid refills to the same
+    floats).  Exact values are computed once per distinct (p, q) pair in
+    the band and kept in one process-wide memo keyed by (N, p, q, inner),
+    capped at 2^14 entries; when it is full, its oldest quarter is evicted
+    at once.  So repeated runs on the same distributions skip the calculus.
 
 Metering goes only through the oracles' ``charge``, in the amounts
 ``_level_charges`` states: every y-draw costs one prefix query, every
@@ -203,10 +204,6 @@ class BitSampler:
     def from_probability(cls, p: float, rng) -> "BitSampler":
         return cls(lambda m, k: rng.binomial(m, p, size=k))
 
-    @classmethod
-    def constant(cls, bit: int) -> "BitSampler":
-        return cls(lambda m, k: np.full(k, bit * m))
-
 
 def _trial_draws(eps: float) -> int:
     """N = ceil(24 / eps), the draws from each source in one chi-square trial."""
@@ -261,36 +258,13 @@ def _majority_threshold(inner: int) -> int:
 
 
 def _level_record(t: int, eps_prime: float, outer: int, inner: int,
-                  rejected_at: int | None = None, dead: bool = False) -> dict:
+                  rejected_at: int | None, dead: bool) -> dict:
     if dead:
         # The prefix was drawn from tau, hence tau-positive; a dead mu prefix
         # is conclusive evidence that tau != mu.
         return {"t": t, "rejected_at": rejected_at, "zero_probability_reject": True}
     return {"t": t, "eps_prime": eps_prime, "outer": outer, "inner": inner,
             "rejected_at": rejected_at}
-
-
-def levin_balance(draw_y, black_box, eps: float) -> Verdict:
-    """Distinguish E[X] = 0 from E[X] > eps given a two-sided-error black box
-    for the conditional means E[X | Y = y].
-
-    For each threshold eps' = 2^-t the black box is run a logarithmic number
-    of times per drawn y and the majority tally decides; any majority-reject
-    y rejects the whole procedure.
-    """
-    trace = []
-    for t, eps_prime, outer, inner in levin_schedule(eps):
-        rejected_at = None
-        for j in range(outer):
-            y = draw_y()
-            accepts = sum(bool(black_box(y, eps_prime)) for _ in range(inner))
-            if accepts < _majority_threshold(inner):
-                rejected_at = j
-                break
-        trace.append(_level_record(t, eps_prime, outer, inner, rejected_at))
-        if rejected_at is not None:
-            return Verdict(False, trace=trace)
-    return Verdict(True, trace=trace)
 
 
 # ----------------------------------------------------------------------
@@ -477,8 +451,8 @@ _BRACKET_SLACK = 1e-12
 # The bracket's ends are read from grids of _GRID + 1 points per inner: lo
 # at a_i = 1/2 + i / (2 _GRID), hi at m_i = i / _GRID.
 _GRID = 1 << 12
-# inner -> (lo, hi) over the grid points, NaN until a row first needs one.
-_BRACKET_GRID: dict = {}
+# How many inner values keep their (lo, hi) grids; each pair takes 64 KiB.
+_BRACKET_GRIDS = 16
 
 
 def chi2_trial_compare_probs(n_draws: int, p, q):
@@ -618,10 +592,11 @@ def _grid_read(table: np.ndarray, index: np.ndarray, fill) -> np.ndarray:
     return values
 
 
+@functools.lru_cache(maxsize=_BRACKET_GRIDS)
 def _bracket_grid(inner: int) -> tuple[np.ndarray, np.ndarray]:
-    if inner not in _BRACKET_GRID:
-        _BRACKET_GRID[inner] = (np.full(_GRID + 1, np.nan), np.full(_GRID + 1, np.nan))
-    return _BRACKET_GRID[inner]
+    """(lo, hi) over the grid points for ``inner``, NaN until a row first
+    needs one."""
+    return np.full(_GRID + 1, np.nan), np.full(_GRID + 1, np.nan)
 
 
 def _survive_lo(a, inner: int) -> np.ndarray:

@@ -14,12 +14,11 @@ from condtest.distcore import (
     DivergenceKind,
     DomainError,
     TupleDomain,
-    ZeroProbabilityPrefixError,
     bits_to_index,
     clamp_distribution,
-    conditional_bit_prob,
     index_to_bits,
     kl_divergence,
+    node_index,
     product_of_marginals,
     single_bit_divergence,
     slicewise_divergence,
@@ -188,14 +187,13 @@ def test_conditional_bit_prob_uniform():
     tree = _tree_of(DistributionTable.uniform(3))
     for i in range(1, 4):
         for j in range(1 << (i - 1)):
-            assert conditional_bit_prob(tree, i, index_to_bits(j, i - 1)) == 0.5
+            assert tree.nodes[node_index(i, j)] == 0.5
 
 
 def test_conditional_bit_prob_point_mass():
     tree = _tree_of(DistributionTable.point_mass([1, 0, 1]))
-    assert conditional_bit_prob(tree, 2, (1,)) == 0.0
-    with pytest.raises(ZeroProbabilityPrefixError):
-        conditional_bit_prob(tree, 2, (0,))
+    assert tree.nodes[node_index(2, 1)] == 0.0
+    assert math.isnan(tree.nodes[node_index(2, 0)])
 
 
 def test_conditional_bit_prob_biased_pair():
@@ -203,7 +201,7 @@ def test_conditional_bit_prob_biased_pair():
     # so Pr[00 | first bit 0] = 0.7
     pair = DistributionTable(2, [0.35, 0.15, 0.15, 0.35])
     tree = _tree_of(pair)
-    assert conditional_bit_prob(tree, 2, (0,)) == pytest.approx(0.3)
+    assert tree.nodes[node_index(2, 0)] == pytest.approx(0.3)
 
 
 def test_tree_form_pinned_exactly(rng):

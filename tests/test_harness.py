@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,27 @@ def test_scaling_sweep_driver():
     rows, _ = run_experiment(spec, write=False)
     assert [(r["n"], r["eps"]) for r in rows] == [(2, 0.5), (4, 0.5)]
     assert rows[0]["median_queries"] <= rows[1]["median_queries"]
+
+
+def test_long_eps_sweep_holds_bounded_memory():
+    """Each of 100 eps values at n = 2 runs at its own inner, and the walk
+    keeps bracket grids for the latest 16 inner values only: once the
+    first 20 values have run, the other 80 add less than 1 MiB of traced
+    memory (one 64 KiB grid pair per inner, uncapped, would add 5 MiB)."""
+    def sweep(eps_list):
+        run_experiment(ExperimentSpec(kind="scaling-sweep", n_list=(2,), eps_list=eps_list),
+                       write=False)
+
+    eps_list = tuple(np.linspace(0.05, 0.95, 100).tolist())
+    tracemalloc.start()
+    try:
+        sweep(eps_list[:20])
+        warm = tracemalloc.get_traced_memory()[0]
+        sweep(eps_list[20:])
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+    assert grown < 2 ** 20
 
 
 # ----------------------------------------------------------------------

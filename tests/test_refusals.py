@@ -12,11 +12,10 @@ from condtest.distcore import (
     DomainError,
     TupleDomain,
     bits_to_index,
-    conditional_bit_prob,
     index_to_bits,
     single_bit_divergence,
 )
-from condtest.harness import HarnessError, load_interval_pmf
+from condtest.harness import ExperimentSpec, HarnessError, load_interval_pmf, run_experiment
 from condtest.oracles import (
     IntervalOracle,
     OracleError,
@@ -30,7 +29,6 @@ from condtest.oracles import (
 from condtest.testers import levin_schedule
 
 _RGB = TupleDomain((("r", "g", "b"), (0, 1)))
-_TREE = ConditionalTree(2, [0.5, 0.5, 0.5])
 
 
 def _tuples():
@@ -56,10 +54,10 @@ REFUSALS = {
     "tree-wrong-shape": (None, lambda _: ConditionalTree(2, [0.5, 0.5]), DomainError, None),
     "tree-json-value": (None, lambda _: ConditionalTree.from_json(
         '{"n": 2, "tree": {"1:": 0.5, "2:0": 1.5, "2:1": 0.5}}'), DomainError, None),
-    "conditional-bit-prob-slice": (None, lambda _: conditional_bit_prob(_TREE, 3, (0, 0)),
-                                   DomainError, None),
-    "conditional-bit-prob-prefix": (None, lambda _: conditional_bit_prob(_TREE, 2, (0, 1)),
-                                    DomainError, None),
+    "conditional-bit-prob-slice": (_table, lambda o: o.exact_bit_prob(3, 0),
+                                   OracleError, OracleErrorKind.MALFORMED_QUERY),
+    "conditional-bit-prob-prefix": (_table, lambda o: o.exact_bit_prob(2, 2),
+                                    OracleError, OracleErrorKind.MALFORMED_QUERY),
     "bits-to-index-non-bit": (None, lambda _: bits_to_index((0, 2)), DomainError, None),
     "index-to-bits-above": (None, lambda _: index_to_bits(4, 2), DomainError, None),
     "index-to-bits-negative": (None, lambda _: index_to_bits(-1, 2), DomainError, None),
@@ -81,6 +79,14 @@ REFUSALS = {
                               DomainError, None),
     "interval-pmf-source": (None, lambda _: load_interval_pmf("missing.json", 4),
                             HarnessError, None),
+    "spec-single-bit-foreign-fields": (None, lambda _: run_experiment(ExperimentSpec(
+        kind="single-bit", p=0.5, q=0.5, eps=0.5, runs=1, n=7, N=9, tau="uniform")),
+        HarnessError, None),
+    "spec-inequality-grid-runs": (None, lambda _: run_experiment(ExperimentSpec(
+        kind="inequality-grid", runs=5)), HarnessError, None),
+    "spec-equivalence-grid-step": (None, lambda _: run_experiment(ExperimentSpec(
+        kind="equivalence", n=2, eps=0.5, tau="uniform", mu="uniform", grid_step=0.1)),
+        HarnessError, None),
     "counter-add-negative": (None, lambda _: QueryCounter().add(QueryClass.PREFIX, -1),
                              ValueError, None),
     "divergence-unknown-kind": (None, lambda _: single_bit_divergence("x", 0.5, 0.5),

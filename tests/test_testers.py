@@ -33,7 +33,6 @@ from condtest.testers import (
     equivalence_test_general,
     expected_equivalence_queries,
     interval_equivalence_test,
-    levin_balance,
     levin_schedule,
     product_test,
     product_test_general,
@@ -55,15 +54,16 @@ from conftest import (
 # single-bit chi-square test
 
 
-def test_chi2_constant_samplers_always_accept():
-    v = single_bit_chi2_test(BitSampler.constant(0), BitSampler.constant(0), 0.5)
+def test_chi2_constant_samplers_always_accept(rng):
+    v = single_bit_chi2_test(BitSampler.from_probability(0.0, rng),
+                             BitSampler.from_probability(0.0, rng), 0.5)
     assert v.accepted
     assert v.trace[0]["A"] == 0 and v.trace[0]["B"] == 0
 
 
-def test_chi2_sample_budget():
-    sp = BitSampler.constant(1)
-    sq = BitSampler.constant(1)
+def test_chi2_sample_budget(rng):
+    sp = BitSampler.from_probability(1.0, rng)
+    sq = BitSampler.from_probability(1.0, rng)
     verdict = single_bit_chi2_test(sp, sq, 0.1)
     assert sp.count == 64 * math.ceil(24 / 0.1)
     assert sq.count == sp.count
@@ -89,9 +89,10 @@ def test_chi2_far_sources_mostly_reject(rng):
     assert rejects >= 40
 
 
-def test_chi2_eps_validation():
+def test_chi2_eps_validation(rng):
     with pytest.raises(ValueError):
-        single_bit_chi2_test(BitSampler.constant(0), BitSampler.constant(0), 0.0)
+        single_bit_chi2_test(BitSampler.from_probability(0.0, rng),
+                             BitSampler.from_probability(0.0, rng), 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -103,46 +104,6 @@ def test_levin_schedule_values():
     assert [r[0] for r in rows] == [1, 2]
     assert rows[0] == (1, 0.5, 8, 192)
     assert rows[1] == (2, 0.25, 4, 192)
-
-
-def test_levin_always_accepting_black_box():
-    v = levin_balance(lambda: 0, lambda y, e: True, 0.5)
-    assert v.accepted
-    assert all(row["rejected_at"] is None for row in v.trace)
-
-
-def test_levin_always_rejecting_black_box():
-    v = levin_balance(lambda: 0, lambda y, e: False, 0.5)
-    assert not v.accepted
-    assert v.trace[-1]["rejected_at"] == 0
-
-
-def test_levin_synthetic_two_point(rng):
-    """Y uniform on two outcomes with conditional means 0 and 0.8; a noisy
-    threshold comparator (error 1/3) must still reject E[X] = 0.4 > 0.2."""
-    means = {0: 0.0, 1: 0.8}
-
-    def make_run():
-        def draw_y():
-            return int(rng.integers(0, 2))
-
-        def black_box(y, eps_prime):
-            truth = means[y] <= eps_prime
-            return truth if rng.random() < 2 / 3 else not truth
-
-        return levin_balance(draw_y, black_box, 0.2)
-
-    rejects = sum(not make_run().accepted for _ in range(120))
-    assert rejects >= 80
-
-
-def test_levin_zero_mean_accepts(rng):
-    def black_box(y, eps_prime):
-        return True if rng.random() < 2 / 3 else False
-
-    accepts = sum(levin_balance(lambda: 0, black_box, 0.2).accepted
-                  for _ in range(60))
-    assert accepts >= 40
 
 
 # ----------------------------------------------------------------------
