@@ -15,7 +15,6 @@ distributions.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -111,14 +110,6 @@ class AdversarialInstance:
         if self.n % 2:
             bits.append(int(rng.random() < 0.5))
         return tuple(bits)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "eps": self.eps,
-                           "biases": list(self.biases)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdversarialInstance":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AdversarialInstance":

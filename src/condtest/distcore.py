@@ -13,14 +13,13 @@ Conditionals Pr[x_i = 1 | x_[i-1] = w] have one representation, a node
 array of 2^n - 1 floats: the (i, w) conditional sits at index
 ``node_index(i, w)`` = (1 << (i-1)) + w - 1, so level i is the slice
 [2^(i-1) - 1, 2^i - 1), and NaN marks a prefix with no conditional (zero
-mass, or no entry in a tree).
+mass, or no entry in a tree file).
 Every table built from conditionals goes through ``_from_conditionals``.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 import re
@@ -32,7 +31,7 @@ PROB_ATOL = 1e-12
 # Dense tables are the verification backbone and must stay exact; anything
 # larger than this has to go through a structured representation.
 MAX_DENSE_N = 20
-_TREE_KEY = re.compile(r"([0-9]+):([01]*)")  # "i:prefix" of a ConditionalTree JSON key
+_TREE_KEY = re.compile(r"([0-9]+):([01]*)")  # "i:prefix" key of a tree file
 
 
 class DivergenceKind(enum.Enum):
@@ -204,10 +203,6 @@ class DistributionTable:
                 raise DomainError(f"Bernoulli parameter {p} out of range")
         return _from_conditionals([np.array([p], dtype=np.float64) for p in ps])
 
-    @classmethod
-    def from_conditional_tree(cls, tree: "ConditionalTree") -> "DistributionTable":
-        return _from_conditionals(_node_levels(tree.nodes, tree.n))
-
     # ------------------------------------------------------------------
     # structure
 
@@ -273,68 +268,21 @@ class DistributionTable:
         ])
 
     # ------------------------------------------------------------------
-    # serialization
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "probs": self.probs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistributionTable":
-        return cls.from_dict(json.loads(text))
+    # distribution files
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistributionTable":
         """The table of a parsed distribution JSON object: a dense "probs"
-        array or a conditional "tree"."""
+        array, or a conditional "tree" {"i:prefix": p}, read straight into a
+        node array (NaN where the tree has no entry)."""
         if "probs" in data:
             return cls(_json_n(data), json_array(data["probs"],
                                                  "'probs' must be a list of numbers"))
-        if "tree" in data:
-            return cls.from_conditional_tree(ConditionalTree.from_dict(data))
-        raise DomainError("distribution JSON must contain 'probs' or 'tree'")
-
-
-class ConditionalTree:
-    """Probability-tree form: Pr[x_i = 1 | x_[i-1] = w] for every
-    positive-probability prefix w, held as a read-only node array laid out
-    like ``node_conditionals`` (at ``node_index(i, w)``), with NaN where the
-    tree has no entry."""
-
-    __slots__ = ("n", "nodes")
-
-    def __init__(self, n: int, nodes):
-        _check_dense_n(n)
-        nodes = np.array(nodes, dtype=np.float64)
-        if nodes.shape != ((1 << n) - 1,):
-            raise DomainError(f"expected {(1 << n) - 1} tree nodes, got shape {nodes.shape}")
-        if np.any((nodes < 0.0) | (nodes > 1.0)):
-            raise DomainError("conditional probabilities must lie in [0,1] or be NaN")
-        nodes.setflags(write=False)
-        self.n = n
-        self.nodes = nodes
-
-    def __eq__(self, other):
-        if not isinstance(other, ConditionalTree):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.nodes, other.nodes, equal_nan=True)
-
-    def to_json(self) -> str:
-        live = np.flatnonzero(~np.isnan(self.nodes))
-        # node v = (1 << (i-1)) + w is "1" followed by w's i-1 bits
-        payload = {f"{v.bit_length()}:{bin(v)[3:]}": p
-                   for v, p in zip((live + 1).tolist(), self.nodes[live].tolist())}
-        return json.dumps({"n": self.n, "tree": payload})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConditionalTree":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConditionalTree":
-        """The tree of a parsed JSON object {"n": n, "tree": {"i:prefix": p}}."""
+        if "tree" not in data:
+            raise DomainError("distribution JSON must contain 'probs' or 'tree'")
         n = _json_n(data)
         _check_dense_n(n)
-        tree = data.get("tree")
+        tree = data["tree"]
         error = "'tree' must map 'i:prefix' keys to probabilities"
         if not isinstance(tree, dict):
             raise DomainError(error)
@@ -347,7 +295,7 @@ class ConditionalTree:
             if not 0.0 <= p <= 1.0:
                 raise DomainError(f"conditional probability {p} out of [0,1]")
             nodes[node_index(int(match[1]), int("0" + match[2], 2))] = p
-        return cls(n, nodes)
+        return _from_conditionals(_node_levels(nodes, n))
 
 
 def _json_n(data: dict) -> int:
@@ -490,13 +438,6 @@ class TupleDomain:
 
     def size(self) -> int:
         return math.prod(self.sizes)
-
-    def index_of(self, element) -> int:
-        """Mixed-radix index of a tuple element (coordinate 1 most significant)."""
-        idx = 0
-        for alpha, x in zip(self.alphabets, element):
-            idx = idx * len(alpha) + alpha.index(x)
-        return idx
 
     def element_of(self, idx: int):
         out = []

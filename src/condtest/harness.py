@@ -108,6 +108,9 @@ _eps = _value("lie in (0, 1)", lambda v, kind: is_number(v) and (
 _probability = _value("lie in [0, 1]", lambda v, kind: is_number(v) and 0.0 <= v <= 1.0)
 _source = _value("be a file or shorthand", lambda v, kind: isinstance(v, str))
 _string = _value("be a string", lambda v, kind: isinstance(v, str))
+# The id names the files <id>.csv and <id>.json inside the output directory.
+_name = _value("be a non-empty name with no path separator", lambda v, kind: (
+    isinstance(v, str) and v != "" and "/" not in v and os.sep not in v))
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ class ExperimentSpec:
                             "comma-separated distances, e.g. 0.3,0.5")
     out: str | None = _spec(None, _string, "--out", None,
                             "output directory (default: $CONDTEST_OUT_DIR or ./condtest-out)")
-    experiment_id: str | None = _spec(None, _string, "--id")
+    experiment_id: str | None = _spec(None, _name, "--id")
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -505,9 +508,10 @@ def run_experiment(spec: ExperimentSpec, write: bool = True):
     A spec that leaves one of its kind's fields unset, or sets a field its
     kind does not take (one outside ``KINDS[kind].options`` whose value is
     not its default), raises HarnessError before anything runs.
-    Returns (rows, summary).  With ``write`` and an output directory set (or
-    defaulted), writes <id>.csv (replay-stable) and <id>.json (summary plus
-    wall time and the spec)."""
+    Returns (rows, summary).  With ``write``, creates the output directory
+    (``out_dir``) before the run and then writes <id>.csv (replay-stable) and
+    <id>.json (summary plus wall time and the spec) into it; a directory
+    that cannot be created or written raises HarnessError naming it."""
     kind = KINDS[spec.kind]
     unset = [name for name in kind.fields if getattr(spec, name) in (None, ())]
     if unset:
@@ -517,16 +521,23 @@ def run_experiment(spec: ExperimentSpec, write: bool = True):
                      and getattr(spec, f.name) != f.default)
     if foreign:
         raise HarnessError(f"unrecognized option for {spec.kind}: {', '.join(foreign)}")
+    directory = out_dir(spec)
+    if write:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise HarnessError(f"cannot create output directory {directory}: {err}") from None
     start = time.perf_counter()
     rows = kind.run(spec)
     wall = time.perf_counter() - start
     summary = summarize(spec.kind, rows)
     summary["wall_time_s"] = wall
     if write:
-        directory = out_dir(spec)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{spec.experiment_id}.csv").write_text(emit_plot_data(spec.kind, rows))
         payload = {"spec": vars(spec), "summary": summary}
-        (directory / f"{spec.experiment_id}.json").write_text(
-            json.dumps(payload, indent=2, default=str) + "\n")
+        try:
+            (directory / f"{spec.experiment_id}.csv").write_text(emit_plot_data(spec.kind, rows))
+            (directory / f"{spec.experiment_id}.json").write_text(
+                json.dumps(payload, indent=2, default=str) + "\n")
+        except OSError as err:
+            raise HarnessError(f"cannot write into output directory {directory}: {err}") from None
     return rows, summary

@@ -104,10 +104,6 @@ class QueryCounter:
             raise ValueError("counters never decrease")
         self.counts[cls] = self.counts.get(cls, 0) + k
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 class MeteredOracle:
     """Counter, RNG and the serving rule shared by every oracle.

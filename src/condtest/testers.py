@@ -1,7 +1,10 @@
 """Randomized testers: the single-bit chi-square test and five walk
 testers.  Each walk tester takes the distance eps in (0, 1), refusing any
 other (NaN included) with ``ValueError`` before it builds a view or bills a
-query, and an optional seed for the walk's own stream:
+query, and an optional seed for the walk's own stream.  The walk holds
+2^n - 1 node conditionals per oracle, so a binary dimension n above
+``MAX_DENSE_N`` (the encoded bits of a tuple domain, ceil(log2 N) for [N])
+is refused with ``DomainError`` before any is built or a query billed:
 
     equivalence_test(tau, mu, eps, seed=None)           TableOracles over {0,1}^n
     equivalence_test_general(tau, mu, eps, seed=None)   TupleTableOracles
@@ -157,7 +160,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distcore import node_index
+from .distcore import MAX_DENSE_N, DomainError, node_index
 from .oracles import (
     BinaryEncodedOracle,
     GeneralProductMarginalOracle,
@@ -855,6 +858,8 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
 
 
 def _equivalence_core(tau, mu, eps: float, seed) -> Verdict:
+    if tau.n > MAX_DENSE_N:
+        raise DomainError(f"the walk's node arrays support n <= {MAX_DENSE_N}, got n={tau.n}")
     rng = np.random.default_rng(seed)
     before = _counter_totals((tau, mu))
     eps_l = _levin_eps(tau.n, eps)

@@ -1,6 +1,8 @@
 """Hard-instance families and their structural identities."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -94,7 +96,7 @@ def test_instance_validation():
 
 def test_instance_json_round_trip():
     inst = AdversarialInstance(8, 0.3, (1, -1, -1, 1))
-    again = AdversarialInstance.from_json(inst.to_json())
+    again = AdversarialInstance.from_dict(json.loads(json.dumps(dataclasses.asdict(inst))))
     assert again == inst
 
 

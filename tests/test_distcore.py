@@ -1,5 +1,6 @@
 """Exact distribution tables, divergences, and the probability-tree form."""
 
+import itertools
 import json
 import math
 
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condtest.distcore import (
-    ConditionalTree,
     DistributionTable,
     DivergenceKind,
     DomainError,
@@ -108,7 +108,7 @@ def test_table_validation():
     lambda n: DistributionTable.uniform(n),
     lambda n: DistributionTable.point_mass([0] * n),
     lambda n: DistributionTable.bernoulli_product([0.5] * n),
-    lambda n: DistributionTable.from_json(json.dumps({"n": n, "tree": {"1:": 0.5}})),
+    lambda n: DistributionTable.from_dict({"n": n, "tree": {"1:": 0.5}}),
 ], ids=["uniform", "point_mass", "bernoulli_product", "tree_json"])
 def test_oversized_n_refused_before_allocating(build, monkeypatch):
     """n = 30 would need 2^30 cells; the dimension check must come first."""
@@ -161,53 +161,54 @@ def test_dimension_mismatch():
 # conditional trees
 
 
-def _tree_of(table):
-    return ConditionalTree(table.n, table.conditional_nodes())
+def _tree_file(table):
+    """The tree file of ``table``: one "i:prefix" key per live node."""
+    nodes = table.conditional_nodes()
+    live = np.flatnonzero(~np.isnan(nodes))
+    # node v = (1 << (i-1)) + w is "1" followed by w's i-1 bits
+    return {"n": table.n, "tree": {f"{v.bit_length()}:{bin(v)[3:]}": p
+                                   for v, p in zip((live + 1).tolist(), nodes[live].tolist())}}
 
 
 def test_tree_round_trip(rng):
     for _ in range(25):
         n = int(rng.integers(1, 7))
         table = random_table(rng, n, zeros=True)
-        back = DistributionTable.from_conditional_tree(_tree_of(table))
+        back = DistributionTable.from_dict(_tree_file(table))
         np.testing.assert_allclose(back.probs, table.probs, atol=1e-12)
 
 
 def test_tree_json_round_trip(rng):
     table = random_table(rng, 4)
-    tree = _tree_of(table)
-    again = ConditionalTree.from_json(tree.to_json())
-    assert again == tree
-    np.testing.assert_allclose(
-        DistributionTable.from_json(tree.to_json()).probs, table.probs,
-        atol=1e-12)
+    again = DistributionTable.from_dict(json.loads(json.dumps(_tree_file(table))))
+    np.testing.assert_allclose(again.conditional_nodes(), table.conditional_nodes(), atol=1e-12)
+    np.testing.assert_allclose(again.probs, table.probs, atol=1e-12)
 
 
 def test_conditional_bit_prob_uniform():
-    tree = _tree_of(DistributionTable.uniform(3))
+    nodes = DistributionTable.uniform(3).conditional_nodes()
     for i in range(1, 4):
         for j in range(1 << (i - 1)):
-            assert tree.nodes[node_index(i, j)] == 0.5
+            assert nodes[node_index(i, j)] == 0.5
 
 
 def test_conditional_bit_prob_point_mass():
-    tree = _tree_of(DistributionTable.point_mass([1, 0, 1]))
-    assert tree.nodes[node_index(2, 1)] == 0.0
-    assert math.isnan(tree.nodes[node_index(2, 0)])
+    nodes = DistributionTable.point_mass([1, 0, 1]).conditional_nodes()
+    assert nodes[node_index(2, 1)] == 0.0
+    assert math.isnan(nodes[node_index(2, 0)])
 
 
 def test_conditional_bit_prob_biased_pair():
     # cells (0.35, 0.15, 0.15, 0.35): Pr[x2=1 | x1=0] = 0.15/0.5 = 0.3,
     # so Pr[00 | first bit 0] = 0.7
     pair = DistributionTable(2, [0.35, 0.15, 0.15, 0.35])
-    tree = _tree_of(pair)
-    assert tree.nodes[node_index(2, 0)] == pytest.approx(0.3)
+    assert pair.conditional_nodes()[node_index(2, 0)] == pytest.approx(0.3)
 
 
 def test_tree_form_pinned_exactly(rng):
     """Dead nodes of the effective conditionals equal the cylinder reference
-    exactly, and the tree JSON of a table with a dead branch is pinned byte
-    for byte."""
+    exactly, and a pinned tree file with a dead branch reads to its table,
+    whose conditional nodes are the file's values exactly."""
     tables = [random_table(rng, int(rng.integers(1, 8)), zeros=True) for _ in range(40)]
     for _ in range(40):
         # a dead cylinder at depth k leaves a long in-order sum at depth k - 1
@@ -229,18 +230,24 @@ def test_tree_form_pinned_exactly(rng):
                 dead_nodes += 1
     assert dead_nodes > 100
     # the 01 prefix has no mass, so the tree has no "3:01" key
-    table = DistributionTable(3, [0.1, 0.2, 0.0, 0.0, 0.3, 0.0, 0.25, 0.15])
-    assert _tree_of(table).to_json() == (
-        '{"n": 3, "tree": {"1:": 0.7, "2:0": 0.0, "2:1": 0.5714285714285715, '
-        '"3:00": 0.6666666666666666, "3:10": 0.0, "3:11": 0.37499999999999994}}')
+    text = ('{"n": 3, "tree": {"1:": 0.7, "2:0": 0.0, "2:1": 0.5714285714285715, '
+            '"3:00": 0.6666666666666666, "3:10": 0.0, "3:11": 0.37499999999999994}}')
+    expected = [0.1, 0.2, 0.0, 0.0, 0.3, 0.0, 0.25, 0.15]
+    table = DistributionTable.from_dict(json.loads(text))
+    np.testing.assert_allclose(table.probs, expected, rtol=0.0, atol=1e-15)
+    assert np.array_equal(table.probs == 0.0, np.array(expected) == 0.0)
+    np.testing.assert_array_equal(
+        DistributionTable(3, expected).conditional_nodes(),
+        [0.7, 0.0, 0.5714285714285715, 0.6666666666666666, np.nan, 0.0, 0.37499999999999994])
 
 
 def test_table_json_round_trip(rng):
     table = random_table(rng, 5, zeros=True)
-    again = DistributionTable.from_json(table.to_json())
+    text = json.dumps({"n": table.n, "probs": table.probs.tolist()})
+    again = DistributionTable.from_dict(json.loads(text))
     np.testing.assert_array_equal(again.probs, table.probs)
     with pytest.raises(DomainError):
-        DistributionTable.from_json(json.dumps({"n": 2}))
+        DistributionTable.from_dict({"n": 2})
 
 
 # ----------------------------------------------------------------------
@@ -366,10 +373,9 @@ def test_tuple_domain_indexing():
     assert dom.size() == 6
     assert dom.total_bits == 3
     assert dom.bit_widths == (2, 1)
-    for idx in range(6):
-        assert dom.index_of(dom.element_of(idx)) == idx
-    assert dom.index_of(("a", 0)) == 0
-    assert dom.index_of(("c", 1)) == 5
+    # mixed radix, coordinate 1 most significant: the product's order
+    assert [dom.element_of(idx) for idx in range(6)] == list(
+        itertools.product(*dom.alphabets))
 
 
 def test_tuple_domain_validation():

@@ -47,11 +47,11 @@ def test_load_distribution_files(tmp_path):
     from condtest.adversarial import AdversarialInstance
     inst = AdversarialInstance(4, 0.2, (1, -1))
     f = tmp_path / "inst.json"
-    f.write_text(inst.to_json())
+    f.write_text(json.dumps(dataclasses.asdict(inst)))
     np.testing.assert_allclose(load_distribution(str(f)).probs,
                                inst.table().probs, atol=1e-15)
     g = tmp_path / "table.json"
-    g.write_text(load_distribution("uniform", 2).to_json())
+    g.write_text(json.dumps({"n": 2, "probs": [0.25] * 4}))
     assert load_distribution(str(g)).n == 2
 
 
@@ -69,9 +69,9 @@ def test_load_distribution_refuses_another_dimension(tmp_path):
     shorthand, a dense table, a conditional tree or a paired-bias instance;
     the same sources load when the dimensions agree."""
     from condtest.adversarial import AdversarialInstance
-    files = {"dense.json": load_distribution("uniform", 2).to_json(),
+    files = {"dense.json": json.dumps({"n": 2, "probs": [0.25] * 4}),
              "tree.json": json.dumps({"n": 2, "tree": {"1:": 0.5, "2:0": 0.5, "2:1": 0.5}}),
-             "pairs.json": AdversarialInstance(2, 0.2, (1,)).to_json()}
+             "pairs.json": json.dumps(dataclasses.asdict(AdversarialInstance(2, 0.2, (1,))))}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     sources = ["point:01", "bernoulli:0.1,0.2"] + [str(tmp_path / name) for name in files]
@@ -83,19 +83,16 @@ def test_load_distribution_refuses_another_dimension(tmp_path):
 
 def test_load_distribution_parses_each_file_once(tmp_path, monkeypatch):
     """A dense table, a conditional tree and a paired-bias instance are each
-    built from the one parse of their file, and match their text entry
-    points."""
+    built from the one parse of their file, to the table they state."""
     from condtest.adversarial import AdversarialInstance
-    from condtest.distcore import DistributionTable
-    files = {"dense.json": (DistributionTable(2, [0.1, 0.2, 0.3, 0.4]).to_json(),
-                            DistributionTable.from_json),
-             "tree.json": (json.dumps({"n": 2, "tree": {"1:": 0.25, "2:0": 0.5, "2:1": 1.0}}),
-                           DistributionTable.from_json),
-             "pairs.json": (AdversarialInstance(4, 0.2, (1, -1)).to_json(),
-                            lambda text: AdversarialInstance.from_json(text).table())}
+    inst = AdversarialInstance(4, 0.2, (1, -1))
+    files = {"dense.json": ({"n": 2, "probs": [0.1, 0.2, 0.3, 0.4]}, [0.1, 0.2, 0.3, 0.4]),
+             "tree.json": ({"n": 2, "tree": {"1:": 0.25, "2:0": 0.5, "2:1": 1.0}},
+                           [0.375, 0.375, 0.0, 0.25]),
+             "pairs.json": (dataclasses.asdict(inst), inst.table().probs)}
     loads = json.loads
-    for name, (text, from_text) in files.items():
-        (tmp_path / name).write_text(text)
+    for name, (payload, expected) in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
         calls = []
 
         def counting_loads(*args, **kwargs):
@@ -106,7 +103,7 @@ def test_load_distribution_parses_each_file_once(tmp_path, monkeypatch):
             patch.setattr(json, "loads", counting_loads)
             table = load_distribution(str(tmp_path / name))
         assert len(calls) == 1, name
-        np.testing.assert_array_equal(table.probs, from_text(text).probs)
+        np.testing.assert_array_equal(table.probs, expected)
 
 
 def test_load_interval_pmf():

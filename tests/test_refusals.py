@@ -1,13 +1,15 @@
 """Bad input is refused with its own error type (and, from an oracle, its
 OracleErrorKind), and an oracle that refuses a query bills nothing."""
 
+import json
 import math
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from condtest.adversarial import AdversarialInstance
 from condtest.distcore import (
-    ConditionalTree,
     DistributionTable,
     DomainError,
     TupleDomain,
@@ -29,6 +31,19 @@ from condtest.oracles import (
 from condtest.testers import levin_schedule
 
 _RGB = TupleDomain((("r", "g", "b"), (0, 1)))
+_SINGLE_BIT = partial(ExperimentSpec, kind="single-bit", p=0.5, q=0.5, eps=0.5)
+
+
+def _file(name: str) -> str:
+    """``name``, made an empty file."""
+    Path(name).write_text("")
+    return name
+
+
+def _csv_taken(name: str) -> str:
+    """``name``, with a directory where <name>.csv would be written."""
+    Path(f"{name}.csv").mkdir()
+    return name
 
 
 def _tuples():
@@ -48,12 +63,12 @@ REFUSALS = {
                              DomainError, None),
     "bernoulli-nan": (None, lambda _: DistributionTable.bernoulli_product([math.nan]),
                       DomainError, None),
-    "tree-node-above-one": (None, lambda _: ConditionalTree(2, [0.5, 1.5, 0.5]),
-                            DomainError, None),
-    "tree-node-below-zero": (None, lambda _: ConditionalTree(1, [-0.1]), DomainError, None),
-    "tree-wrong-shape": (None, lambda _: ConditionalTree(2, [0.5, 0.5]), DomainError, None),
-    "tree-json-value": (None, lambda _: ConditionalTree.from_json(
-        '{"n": 2, "tree": {"1:": 0.5, "2:0": 1.5, "2:1": 0.5}}'), DomainError, None),
+    "tree-node-above-one": (None, lambda _: DistributionTable.from_dict(
+        {"n": 2, "tree": {"1:": 0.5, "2:0": 1.5, "2:1": 0.5}}), DomainError, None),
+    "tree-node-below-zero": (None, lambda _: DistributionTable.from_dict(
+        {"n": 1, "tree": {"1:": -0.1}}), DomainError, None),
+    "tree-json-value": (None, lambda _: DistributionTable.from_dict(json.loads(
+        '{"n": 2, "tree": {"1:": 0.5, "2:0": 1.5, "2:1": 0.5}}')), DomainError, None),
     "conditional-bit-prob-slice": (_table, lambda o: o.exact_bit_prob(3, 0),
                                    OracleError, OracleErrorKind.MALFORMED_QUERY),
     "conditional-bit-prob-prefix": (_table, lambda o: o.exact_bit_prob(2, 2),
@@ -87,6 +102,14 @@ REFUSALS = {
     "spec-equivalence-grid-step": (None, lambda _: run_experiment(ExperimentSpec(
         kind="equivalence", n=2, eps=0.5, tau="uniform", mu="uniform", grid_step=0.1)),
         HarnessError, None),
+    "spec-id-slash": (None, lambda _: run_experiment(_SINGLE_BIT(experiment_id="a/b")),
+                      HarnessError, None),
+    "spec-id-empty": (None, lambda _: run_experiment(_SINGLE_BIT(experiment_id="")),
+                      HarnessError, None),
+    "out-names-a-file": (None, lambda _: run_experiment(_SINGLE_BIT(out=_file("taken"))),
+                         HarnessError, None),
+    "out-csv-is-a-directory": (None, lambda _: run_experiment(_SINGLE_BIT(
+        out=".", experiment_id=_csv_taken("taken"))), HarnessError, None),
     "counter-add-negative": (None, lambda _: QueryCounter().add(QueryClass.PREFIX, -1),
                              ValueError, None),
     "divergence-unknown-kind": (None, lambda _: single_bit_divergence("x", 0.5, 0.5),
@@ -96,7 +119,7 @@ REFUSALS = {
 
 @pytest.mark.parametrize("name", list(REFUSALS))
 def test_bad_input_is_refused(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # "missing.json" names no file
+    monkeypatch.chdir(tmp_path)  # "missing.json" names no file; files made here go here
     make, call, error, kind = REFUSALS[name]
     oracle = make() if make is not None else None
     with pytest.raises(error) as refused:
@@ -105,4 +128,4 @@ def test_bad_input_is_refused(name, tmp_path, monkeypatch):
     if kind is not None:
         assert refused.value.kind is kind
     if oracle is not None:
-        assert oracle.counter.total == 0
+        assert sum(oracle.counter.counts.values()) == 0

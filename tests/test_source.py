@@ -2,6 +2,7 @@
 in ``src/condtest`` is referenced by other live code in the package."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -22,15 +23,12 @@ UNCALLED_API = {
     # in bulk and draws through their unbilled forms, so nothing calls them.
     "subcube_query_via_unconditional": "query model",
     "from_pattern": "query model: SubcubeQuery stated as a pattern",
+    "bits": "query model: PrefixQuery stated by its fixed bits",
     "contains": "query model: SubcubeQuery membership",
     "subcube_sample": "query model",
     "prefix_sample": "query model",
     "marginal_prefix_sample": "query model",
     "interval_sample": "query model",
-    # The JSON format that the harness reads (through from_dict).
-    "to_json": "file format: writes it",
-    "from_json": "file format: reads it from a string",
-    "index_of": "tuple domains: the inverse of element_of",
     # The tuple-domain testers, which the CLI does not offer.
     "equivalence_test_general": "public tester",
     "product_test_general": "public tester",
@@ -40,43 +38,63 @@ UNCALLED_API = {
 
 
 def _definitions(tree):
-    """The module's top-level functions and classes and its classes' methods."""
+    """The module's top-level functions and classes, as (node, False), and
+    its classes' methods, as (node, True)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+            yield from ((item, True) for item in node.body if isinstance(item, ast.FunctionDef))
 
 
 def _references(node, skip) -> Counter:
-    """How often each name or attribute is read under ``node``, outside the
-    subtrees in ``skip``."""
+    """How often each name is read under ``node``, outside the subtrees in
+    ``skip``: ("name", x) for a read of the variable x, ("attr", x) for a
+    read of the attribute x.  Assignments are not reads."""
     found, stack = Counter(), [node]
     while stack:
         node = stack.pop()
         if node in skip:
             continue
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            found[node.id if isinstance(node, ast.Name) else node.attr] += 1
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found["name", node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found["attr", node.attr] += 1
         stack.extend(ast.iter_child_nodes(node))
     return found
+
+
+def _reads(counts: Counter, definition, is_method: bool) -> int:
+    """The reads in ``counts`` that may reach ``definition``: a method is
+    reached through an attribute only, a module-level name either way."""
+    reads = counts["attr", definition.name]
+    return reads if is_method else reads + counts["name", definition.name]
 
 
 def test_every_definition_in_src_is_referenced_in_src():
     """A definition is dead when nothing outside it reads its name but
     ``__init__``'s re-exports and other dead definitions."""
     modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    candidates = {definition: f"{name}: {definition.name}"
-                  for name, tree in modules.items() for definition in _definitions(tree)
+    candidates = {definition: (f"{name}: {definition.name}", is_method)
+                  for name, tree in modules.items() for definition, is_method in _definitions(tree)
                   # Python itself calls the dunders.
                   if not definition.name.startswith("__") and definition.name not in UNCALLED_API}
     dead: set = set()
     while True:
         counts = sum((_references(tree, dead) for name, tree in modules.items()
                       if name != "__init__.py"), Counter())
-        newly = {definition for definition in candidates.keys() - dead
-                 if counts[definition.name] == _references(definition, dead)[definition.name]}
+        newly = {definition for definition, (_, is_method) in candidates.items()
+                 if definition not in dead
+                 and _reads(counts, definition, is_method)
+                 == _reads(_references(definition, dead), definition, is_method)}
         if not newly:
             break
         dead |= newly
-    assert sorted(candidates[definition] for definition in dead) == []
+    assert sorted(candidates[definition][0] for definition in dead) == []
+
+
+def test_readme_names_every_uncalled_api():
+    """README lists the public API that the package does not run: each name
+    exempted above, in backquotes, alone or after its class."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [name for name in UNCALLED_API if not re.search(rf"[`.]{name}`", readme)] == []

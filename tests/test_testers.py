@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from scipy.stats import binom, chisquare
 
 from condtest import oracles, testers
-from condtest.distcore import DistributionTable, TupleDomain
+from condtest.distcore import MAX_DENSE_N, DistributionTable, DomainError, TupleDomain
 from condtest.harness import rate_lower_bound
 from condtest.oracles import (
     IntervalOracle,
@@ -737,7 +737,41 @@ def test_walk_testers_refuse_eps_outside_unit_interval(tester, eps, monkeypatch)
     roots, run = WALK_TESTERS[tester]()
     with pytest.raises(ValueError, match=r"epsilon must lie in \(0,1\), got"):
         run(eps)
-    assert [root.counter.total for root in roots] == [0] * len(roots)
+    assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
+
+
+def _point_tuples(seed):
+    """One cell whose binary encoding has MAX_DENSE_N + 1 bits."""
+    return TupleTableOracle(TupleDomain(((0,),) * (MAX_DENSE_N + 1)), [1.0], seed=seed)
+
+
+def _padded_interval(seed):
+    """[N] for N = 2^MAX_DENSE_N + 1, padded to MAX_DENSE_N + 1 bits."""
+    N = (1 << MAX_DENSE_N) + 1
+    return IntervalOracle(np.full(N, 1.0 / N), seed=seed)
+
+
+# tester -> a factory of (root oracles whose walk needs n = MAX_DENSE_N + 1, the tester)
+OVERSIZED_WALKS = {
+    "equivalence-general": lambda: _two_roots(_point_tuples, equivalence_test_general),
+    "interval": lambda: _two_roots(_padded_interval, interval_equivalence_test),
+    "product-general": lambda: _one_root(_point_tuples(1), product_test_general),
+}
+
+
+@pytest.mark.parametrize("tester", list(OVERSIZED_WALKS))
+def test_walk_testers_refuse_oversized_n_before_allocating(tester, monkeypatch):
+    """The walk holds 2^n - 1 node conditionals per oracle: above MAX_DENSE_N
+    it refuses n before it allocates them or bills a query."""
+    roots, run = OVERSIZED_WALKS[tester]()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking n")
+    for name in ("full", "zeros", "ones", "empty"):
+        monkeypatch.setattr(np, name, refuse)
+    with pytest.raises(DomainError, match=f"n <= {MAX_DENSE_N}, got n={MAX_DENSE_N + 1}"):
+        run(0.5)
+    assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
 
 
 # ----------------------------------------------------------------------
@@ -793,7 +827,7 @@ def test_general_refuses_domains_of_equal_bit_width():
     mu = TupleTableOracle(TupleDomain(((0, 1), ("x", "y"))), [0.25] * 4, seed=2)
     with pytest.raises(ValueError, match="share a domain"):
         equivalence_test_general(tau, mu, 0.5, seed=3)
-    assert tau.counter.total == mu.counter.total == 0
+    assert sum(tau.counter.counts.values()) == sum(mu.counter.counts.values()) == 0
 
 
 def test_general_matches_binary_on_binary_domain():
