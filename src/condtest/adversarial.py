@@ -257,10 +257,18 @@ EXACT_GRID_MAX_N = 4
 # the same result.
 _TIE_TOL = 1e-9
 
-# Product cells of the last head level expanded at once: enough parent rows
-# per block to amortize numpy's call overhead, few enough to keep the working
-# set of the search at a few MiB.
-_BLOCK_CELLS = 1 << 15
+# The most cells of any array the last head level builds at once: 8,000
+# doubles, 62.5 KiB.  glibc serves such an array from the heap (its mmap
+# threshold is 128 KiB), and freeing a chunk under 64 KiB never trims the top
+# of the heap, so the blocks reuse memory that is already mapped.  With
+# 125 KiB arrays the search page-faulted up to about 580 times per table,
+# depending on the heap state the rest of the process left.
+_BLOCK_CELLS = 8_000
+
+# The most cells the search may hold in its head frontier at level n-2, which
+# levels 1..n-2 build whole, or in its grid: 2^20, 8 MiB of doubles.  Step
+# 0.002 at n = 4 is within it; step 0.001 (4 million frontier cells) is not.
+_MAX_FRONTIER_CELLS = 1 << 20
 
 
 def _grid_digits(flat: np.ndarray, k: int, g: int) -> np.ndarray:
@@ -311,41 +319,124 @@ def _reference_l1(table: DistributionTable, flat: np.ndarray,
     return np.abs(target[None] - left[:, :, None] * right[:, None, :]).sum(axis=(1, 2))
 
 
-def _l1_at_last(h: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L1 distances from the table ``t`` (head cell x last bit) to the
-    products h x Ber(x); ``h`` (..., C) broadcasts against ``x`` (...).
-    Works in place, so it holds two arrays of the broadcast shape."""
-    hx = h * x[..., None]
-    l1 = np.subtract(t[:, 1], hx)
+def _l1_to_products(h: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L1 distances from the two-column table ``t`` (cell x last bit) to the
+    products h x Ber(x); ``h`` (C, ...) is cells-major and broadcasts against
+    ``x``, and the sum runs over the C cells.  Works in place, so it holds
+    two arrays of the broadcast shape."""
+    t0, t1 = t.T.reshape((2, -1) + (1,) * (h.ndim - 1))
+    hx = h * x
+    l1 = np.subtract(t1, hx)
     np.abs(l1, out=l1)
     hx -= h
-    hx += t[:, 0]
+    hx += t0
     l1 += np.abs(hx, out=hx)
-    return l1.sum(axis=-1)
+    return l1.sum(axis=0)
 
 
-def _median_bracket(h: np.ndarray, t: np.ndarray, grid: np.ndarray):
-    """Per head row, the grid values just below and at or above the weighted
-    median of the breakpoints, where the L1 distance over the last marginal
-    is least."""
+def _child_bounds(parents: np.ndarray, marginal: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """(m, g) bounds of the last head level's rows: entry (r, j) is the L1
+    distance from ``marginal``, the table's marginal over coordinates 1..n-1
+    as (2^(n-2), 2), to column r of the cells-major ``parents`` over
+    1..n-2 times Ber(grid[j]).  It bounds every grid product extending that
+    row, and it is at least its parent's bound."""
+    return _l1_to_products(parents[:, :, None], marginal, grid)
+
+
+def _row_minima(rows: np.ndarray, t: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per column of the cells-major head rows ``rows`` (C, m), the least L1
+    distance from the table ``t`` (C, 2) over its grid products
+    row x Ber(x).
+
+    The distance is convex and piecewise linear in x, with breakpoints
+    1 - t_c0/h_c and t_c1/h_c of weight h_c each (total weight 2); the grid
+    minimum lies on one of the two grid points bracketing their weighted
+    median.  The 2C breakpoints are stacked above their weights, so each
+    step of the binary search for the first grid point whose breakpoints at
+    or below it weigh at least 1 is one comparison and one weighted sum.  A
+    breakpoint with h_c = 0 (an inf or nan) weighs nothing."""
+    weights = np.concatenate([rows, rows])
     with np.errstate(divide="ignore", invalid="ignore"):
-        zero_at = t[:, 0] / h
-        np.subtract(1.0, zero_at, out=zero_at)
-        one_at = t[:, 1] / h
-    # Binary search for the first grid point whose breakpoints at or below it
-    # weigh at least 1, half the total weight.  A breakpoint with h = 0 (an
-    # inf or nan) weighs nothing.
-    lo = np.zeros(h.shape[0], dtype=np.intp)
-    hi = np.full(h.shape[0], grid.shape[0] - 1)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        x = grid[mid][:, None]
-        heavy = (np.einsum("rc,rc->r", h, zero_at <= x)
-                 + np.einsum("rc,rc->r", h, one_at <= x)) >= 1.0
-        hi = np.where(heavy, mid, hi)
-        lo = np.where(heavy, lo, mid + 1)
-    hi = np.maximum(hi, 1)
-    return grid[hi - 1], grid[hi]
+        points = t.T.reshape(-1, 1) / weights
+    np.subtract(1.0, points[:rows.shape[0]], out=points[:rows.shape[0]])
+    # Binary lifting over the grid padded with inf, at or below which every
+    # breakpoint but a nan lies: light counts the leading grid points at
+    # which a row's breakpoints weigh less than 1.
+    g = grid.shape[0]
+    padded = np.concatenate([grid, np.full((1 << g.bit_length()) - g, np.inf)])
+    light = np.zeros(rows.shape[1], dtype=np.intp)
+    for bit in reversed([1 << i for i in range(g.bit_length())]):
+        probe = padded[light + (bit - 1)]
+        light += bit * (np.einsum("ck,ck->k", weights, points <= probe) < 1.0)
+    hi = np.minimum(np.maximum(light, 1), g - 1)
+    both = _l1_to_products(np.concatenate([rows, rows], axis=1), t,
+                           grid[np.concatenate([hi - 1, hi])])
+    return np.minimum(both[:rows.shape[1]], both[rows.shape[1]:])
+
+
+def _search_rows(table: DistributionTable, rows: np.ndarray, rows_flat: np.ndarray,
+                 grid: np.ndarray, limit: float) -> tuple[float, int]:
+    """The least L1 distance from ``table`` to a grid product row x Ber(x)
+    of the cells-major head rows ``rows`` (C, m), numbered ``rows_flat``, and
+    the number of the first such product in grid order; (inf, 0) if none is
+    within ``limit``.  Every grid point within ``_TIE_TOL`` of the least row
+    minimum is re-scored in the reference product order, a few rows at a
+    time, so that a table with many tied rows stays inside the working set."""
+    t, g = table.probs.reshape(-1, 2), grid.shape[0]
+    row_min = _row_minima(rows, t, grid)
+    cutoff = min(limit, row_min.min() + _TIE_TOL)
+    near = np.flatnonzero(row_min <= cutoff)
+    per_near = max(1, _BLOCK_CELLS // (g << table.n))
+    best, best_flat = np.inf, 0
+    for c in range(0, near.shape[0], per_near):
+        chunk = near[c:c + per_near]
+        i, x = np.nonzero(_l1_to_products(rows[:, chunk, None], t, grid) <= cutoff)
+        cand = rows_flat[chunk[i]] * g + x
+        exact = _reference_l1(table, cand, grid)
+        m = int(np.argmin(exact))
+        if exact[m] < best:
+            best, best_flat = float(exact[m]), int(cand[m])
+    return best, best_flat
+
+
+def _search_last_level(table: DistributionTable, h: np.ndarray, flat: np.ndarray,
+                       grid: np.ndarray, incumbent: float) -> tuple[float, int]:
+    """``_search_rows`` over the rows h x Ber(x_j) of the last head level,
+    whose parents are the cells-major products ``h`` over coordinates
+    1..n-2, numbered ``flat``.
+
+    Parents are taken per_block at a time, so that their children's bounds,
+    (2^(n-2), per_block, g), fit ``_BLOCK_CELLS``.  Only the children whose
+    bound is within the least distance so far are built, with the same float
+    products as ``_extend`` and in grid order, and they are searched
+    per_chunk at a time, so that their 2^n breakpoints each fit it too; a
+    block's last, partial chunk waits for the next block's rows."""
+    g = grid.shape[0]
+    single = np.stack([1.0 - grid, grid])
+    marginal = table.probs.reshape(h.shape[0], 2, -1).sum(axis=2)
+    per_block = max(1, _BLOCK_CELLS // (g * h.shape[0]))
+    per_chunk = max(1, _BLOCK_CELLS >> table.n)
+    best, best_flat = np.inf, 0
+    parent = j = np.zeros(0, dtype=np.intp)  # kept rows not yet searched
+    for s in range(0, flat.shape[0], per_block):
+        bound = _child_bounds(h[:, s:s + per_block], marginal, grid)
+        kept, kept_j = np.nonzero(bound <= min(best, incumbent) + _TIE_TOL)
+        parent, j = np.concatenate([parent, s + kept]), np.concatenate([j, kept_j])
+        ready = parent.shape[0]
+        if s + per_block < flat.shape[0]:
+            ready -= ready % per_chunk
+        for c in range(0, ready, per_chunk):
+            pc, jc = parent[c:c + per_chunk], j[c:c + per_chunk]
+            # np.take keeps the rows cells-major in memory; the fancy index
+            # h[:, None, pc] would lay them out rows-first.
+            rows = (np.take(h, pc, axis=1)[:, None] * np.take(single, jc, axis=1)
+                    ).reshape(2 * h.shape[0], -1)
+            found = _search_rows(table, rows, flat[pc] * g + jc, grid,
+                                 min(best, incumbent) + _TIE_TOL)
+            if found[0] < best:
+                best, best_flat = found
+        parent, j = parent[ready:], j[ready:]
+    return best, best_flat
 
 
 def distance_to_grid_products(table: DistributionTable,
@@ -356,7 +447,9 @@ def distance_to_grid_products(table: DistributionTable,
 
     Any product distribution is within n*step/2 of a grid product in total
     variation, so (distance - n*step/2) lower-bounds the distance to all
-    products.  Limited to n <= ``EXACT_GRID_MAX_N`` (DomainError otherwise).
+    products.  Limited to n <= ``EXACT_GRID_MAX_N``, and to grids whose head
+    frontier at level n-2 (g^(n-2) * 2^(n-2) cells) and whose g points fit
+    ``_MAX_FRONTIER_CELLS`` (DomainError otherwise, before anything is built).
 
     The search builds the grid products h over the head coordinates
     1..n-1 level by level and prunes every level with a lower bound.
@@ -371,19 +464,19 @@ def distance_to_grid_products(table: DistributionTable,
     bounds the search: it is never returned unless the search reaches it in
     grid order.
 
-    Levels 1..n-2 are expanded whole.  The last head level is expanded in
-    blocks of consecutive parent rows, at most ``_BLOCK_CELLS`` product cells
-    a block, so the working set stays small however many rows survive.  For
-    a kept head row h the L1 distance
-    sum_c |t_c0 - h_c (1 - x)| + |t_c1 - h_c x| is convex and piecewise
-    linear in x, with breakpoints 1 - t_c0/h_c and t_c1/h_c of weight h_c
-    each (total weight 2).  Its minimizer is the weighted median of the
-    breakpoints, so the row's grid minimum lies on one of the two grid
-    points bracketing it; one bracketing pass serves every kept row of a
-    block.  Every grid point within ``_TIE_TOL`` of the least distance so far
-    is then re-scored in the product order of the exhaustive search
-    (``_reference_l1``), and, the blocks running in grid order, the first
-    minimum in grid order wins.
+    Levels 1..n-2 are expanded whole.  The last head level
+    (``_search_last_level``) bounds every row h x Ber(x_j) from its parent h
+    over coordinates 1..n-2 (``_child_bounds``) without building it, and
+    builds only the rows within the bound, in grid order; a row's bound is
+    at least its parent's, so parents need no filter of their own.  For a
+    kept row the L1 distance over the last marginal is least at one of the
+    two grid points bracketing a weighted median (``_row_minima``), and one
+    bracketing pass serves a whole chunk of kept rows, cells-major.  Every
+    grid point within ``_TIE_TOL`` of the least distance so far is then
+    re-scored in the product order of the exhaustive search
+    (``_reference_l1``), and, the chunks running in grid order, the first
+    minimum in grid order wins.  No array of the last level holds more than
+    ``_BLOCK_CELLS`` cells.
 
     The bounds are exact mathematics; their floating-point values, like the
     two orders of summation, differ from the exact sums by about 1e-15,
@@ -398,52 +491,34 @@ def distance_to_grid_products(table: DistributionTable,
                           "use pair decomposition for larger instances")
     if not (math.isfinite(step) and 0.0 < step <= 1.0):
         raise DomainError(f"grid step must be finite and lie in (0, 1], got {step}")
+    # Refuse a grid too fine to search before anything is built: its g points
+    # (inf for a subnormal step, whose 1/step overflows) or the g^(n-2) *
+    # 2^(n-2) cells of its head frontier at level n-2.
+    size, head = 1.0 / step + 1.0, max(n - 2, 0)
+    if size > _MAX_FRONTIER_CELLS or (2.0 * size) ** head > _MAX_FRONTIER_CELLS:
+        raise DomainError(f"grid step {step} is too fine for the exact search at n={n}: "
+                          f"its grid or its head frontier (g^{head} * 2^{head} cells) "
+                          f"would exceed {_MAX_FRONTIER_CELLS} cells")
     if abs(round(1.0 / step) * step - 1.0) > 1e-9:
         raise DomainError(f"grid step must be 1/k for a whole k, so that the grid "
                           f"ends at 1; got {step}")
     grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
     g = grid.shape[0]
-    t = table.probs.reshape(-1, 2)
     nearest = np.minimum(np.rint(table.marginals() / step).astype(np.intp), g - 1)
     nearest_flat = np.array([nearest @ g ** np.arange(n - 1, -1, -1)])
     incumbent = float(_reference_l1(table, nearest_flat, grid)[0])
-    best, best_flat = np.inf, 0
     # Head products over coordinates 1..k, cells-major: h[c, r] is cell c of
     # the product numbered flat[r] in mixed-radix grid order.
-    h, flat, bound = np.ones((1, 1)), np.zeros(1, dtype=np.intp), np.zeros(1)
+    h, flat = np.ones((1, 1)), np.zeros(1, dtype=np.intp)
     for k in range(1, n - 1):
         h, flat = _extend(h, flat, grid)
-        bound = _marginal_l1(table, k, h)
-        kept = np.flatnonzero(bound <= incumbent + _TIE_TOL)
-        h, flat, bound = h[:, kept], flat[kept], bound[kept]
-    # The last head level, per_block parents at a time: each parent extends
-    # to g rows of 2^(n-1) cells.
-    per_block = max(1, _BLOCK_CELLS // (g << (n - 1)))
-    for s in range(0, flat.shape[0], per_block):
-        limit = min(best, incumbent) + _TIE_TOL
-        parents = s + np.flatnonzero(bound[s:s + per_block] <= limit)
-        hb, fb = h[:, parents], flat[parents]
-        if n > 1:
-            hb, fb = _extend(hb, fb, grid)
-        kept = np.flatnonzero(_marginal_l1(table, n - 1, hb) <= limit)
-        if kept.shape[0] == 0:
-            continue
-        rows, rows_flat = hb[:, kept].T, fb[kept]
-        below, above = _median_bracket(rows, t, grid)
-        row_min = np.minimum(_l1_at_last(rows, t, below), _l1_at_last(rows, t, above))
-        cutoff = min(limit, row_min.min() + _TIE_TOL)
-        near = np.flatnonzero(row_min <= cutoff)
-        # g rows at a time: a table with many tied rows stays inside the
-        # g^2 * 2^n working set.
-        for c in range(0, near.shape[0], g):
-            chunk = near[c:c + g]
-            l1 = _l1_at_last(rows[chunk][:, None, :], t, grid[None, :])
-            i, x = np.nonzero(l1 <= cutoff)
-            cand = rows_flat[chunk[i]] * g + x
-            exact = _reference_l1(table, cand, grid)
-            m = int(np.argmin(exact))
-            if exact[m] < best:
-                best, best_flat = float(exact[m]), int(cand[m])
+        kept = np.flatnonzero(_marginal_l1(table, k, h) <= incumbent + _TIE_TOL)
+        h, flat = h[:, kept], flat[kept]
+    if n == 1:
+        # No head coordinate: the one row is the empty product.
+        best, best_flat = _search_rows(table, h, flat, grid, incumbent + _TIE_TOL)
+    else:
+        best, best_flat = _search_last_level(table, h, flat, grid, incumbent)
     marginals = grid[_grid_digits(np.array([best_flat]), n, g)[0]]
     return GridProductDistance(best / 2.0, step, "exact-grid",
                                tuple(float(p) for p in marginals))

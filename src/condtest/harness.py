@@ -107,7 +107,7 @@ _eps = _value("lie in (0, 1)", lambda v, kind: is_number(v) and (
     0.0 < v < 1.0 or kind == "single-bit" and v == 1.0))
 _probability = _value("lie in [0, 1]", lambda v, kind: is_number(v) and 0.0 <= v <= 1.0)
 _source = _value("be a file or shorthand", lambda v, kind: isinstance(v, str))
-_string = _value("be a string", lambda v, kind: isinstance(v, str))
+_directory = _value("be a non-empty string", lambda v, kind: isinstance(v, str) and v != "")
 # The id names the files <id>.csv and <id>.json inside the output directory.
 _name = _value("be a non-empty name with no path separator", lambda v, kind: (
     isinstance(v, str) and v != "" and "/" not in v and os.sep not in v))
@@ -134,7 +134,7 @@ class ExperimentSpec:
                           "comma-separated dimensions, e.g. 4,8,16")
     eps_list: tuple = _spec((), _comma_list("eps"), "--eps-list", str,
                             "comma-separated distances, e.g. 0.3,0.5")
-    out: str | None = _spec(None, _string, "--out", None,
+    out: str | None = _spec(None, _directory, "--out", None,
                             "output directory (default: $CONDTEST_OUT_DIR or ./condtest-out)")
     experiment_id: str | None = _spec(None, _name, "--id")
 

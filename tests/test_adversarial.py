@@ -358,6 +358,43 @@ def test_grid_distance_matches_reference_at_benchmark_steps(step):
         assert got == brute_force_grid_distance(table, step), (table.probs, step)
 
 
+def _bound_corpus():
+    """Seeded Dirichlet(1), Dirichlet(0.1), zero-cell and paired tables at
+    n = 2..4."""
+    from conftest import random_table
+    rng = np.random.default_rng(20261020)
+    for n in range(2, 5):
+        for _ in range(2):
+            yield DistributionTable(n, rng.dirichlet(np.ones(1 << n)))
+            yield DistributionTable(n, rng.dirichlet(np.full(1 << n, 0.1)))
+            yield random_table(rng, n, zeros=True)
+        yield sample_paired_instance(n, 0.3, rng).table()
+
+
+@pytest.mark.parametrize("step", [0.1, 0.25, 1 / 3])
+def test_last_level_bound_never_exceeds_an_extension(step):
+    """The bound the last head level computes for a row h x Ber(x_j) from
+    its parent h over coordinates 1..n-2 is at most the L1 distance of every
+    grid product h x Ber(x_j) x Ber(y), found here by brute force over the
+    last marginal y, and at least the parent's own bound."""
+    from condtest.adversarial import _child_bounds, _extend
+    grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+    single = np.stack([1.0 - grid, grid], axis=1)
+    for table in _bound_corpus():
+        n = table.n
+        parents, flat = np.ones((1, 1)), np.zeros(1, dtype=np.intp)
+        for _ in range(n - 2):
+            parents, flat = _extend(parents, flat, grid)
+        marginal = table.probs.reshape(1 << (n - 2), 2, -1).sum(axis=2)
+        bound = _child_bounds(parents, marginal, grid)
+        rows = np.einsum("cr,jb->rjcb", parents, single).reshape(parents.shape[1], len(grid), -1)
+        products = np.einsum("rjc,yb->rjycb", rows, single).reshape(*rows.shape[:2], len(grid), -1)
+        exact = np.abs(table.probs - products).sum(axis=-1)
+        assert np.all(bound[:, :, None] <= exact + 1e-12), (table.probs, step)
+        parent_bound = np.abs(marginal.sum(axis=1)[:, None] - parents).sum(axis=0)
+        assert np.all(bound >= parent_bound[:, None] - 1e-12), (table.probs, step)
+
+
 @pytest.mark.parametrize("table", [
     DistributionTable(4, np.eye(16)[0] / 2 + np.eye(16)[15] / 2),
     AdversarialInstance(4, 0.4, (1, -1)).table(),
@@ -414,6 +451,30 @@ def test_grid_step_validated(step):
         distance_to_grid_products(DistributionTable.uniform(2), step)
     with pytest.raises(DomainError):
         pairwise_product_distance_bound(AdversarialInstance(4, 0.2, (1, -1)), step)
+
+
+@pytest.mark.parametrize("n, step", [(4, 1e-4), (4, 1e-300), (3, 1e-6), (1, 1e-7), (2, 1e-320)])
+def test_grid_step_too_fine_is_refused_before_allocating(n, step):
+    """A grid whose head frontier or whose points exceed the search's budget
+    is refused by a DomainError naming the step, before any array is built
+    (at step 1e-4 and n = 4 the head frontier alone would take 3.2 GB)."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"grid step {step} is too fine"):
+            distance_to_grid_products(DistributionTable.uniform(n), step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+@pytest.mark.parametrize("step", [0.02, 0.01, 0.005])
+def test_grid_steps_within_the_budget_run(step):
+    table = DistributionTable.bernoulli_product([0.3, 0.7, 0.5, 0.2])
+    got = distance_to_grid_products(table, step)
+    assert got.distance == pytest.approx(0.0, abs=1e-12)
+    assert got.marginals == pytest.approx((0.3, 0.7, 0.5, 0.2))
 
 
 def test_pairwise_bound_is_a_true_lower_bound():

@@ -580,6 +580,8 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "0"],
     ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "-0.5"],
     ["adversarial-distance", "--n", "2", "--eps", "0.2", "--grid-step", "0.28"],
+    ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "0.0001"],
+    ["adversarial-distance", "--n", "4", "--eps", "0.2", "--grid-step", "1e-300"],
     ["test-equivalence", "--n", "2", "--eps", "1.5", "--tau", "uniform",
      "--mu", "uniform"],
     ["test-interval", "--N", "0", "--eps", "0.3", "--tau", "uniform",
@@ -624,7 +626,7 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     _EQ + ["--mu", "@pairs-n-float.json"],
     _EQ1 + ["--mu", "@tree-bool.json"],
     _EQ1 + ["--mu", "@tree-str.json"],
-], ids=["n1", "step0", "step-neg", "step-0.28", "eps1.5", "N0", "n-list", "missing-config",
+], ids=["n1", "step0", "step-neg", "step-0.28", "step-fine", "step-1e-300", "eps1.5", "N0", "n-list", "missing-config",
         "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
         "config-seed-str", "config-grid-step-str", "config-runs-str",
         "config-N-float", "json-probs-no-n", "json-tree-no-n", "json-tree-number",
@@ -640,6 +642,22 @@ def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("config", [None, {"out": ""}], ids=["flag", "config"])
+def test_cli_refuses_an_empty_output_directory(config, monkeypatch, tmp_path, capsys):
+    """An empty --out (or "out": "" in a config) is refused; it does not fall
+    back to $CONDTEST_OUT_DIR."""
+    monkeypatch.setenv("CONDTEST_OUT_DIR", str(tmp_path / "env"))
+    argv = ["adversarial-distance", "--n", "2", "--eps", "0.2", "--grid-step", "0.5"]
+    if config is None:
+        argv += ["--out", ""]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: out must be a non-empty string")
+    assert not (tmp_path / "env").exists()
 
 
 @pytest.mark.parametrize("argv, source", [
@@ -709,6 +727,7 @@ def test_spec_rejects_empty_interval_domain():
     {"kind": "scaling-sweep", "n_list": (4, True), "eps_list": (0.5,)},
     {"kind": "single-bit", "p": 0.5, "q": 0.5, "eps": 0.5, "eps_list": (True,)},
     {"kind": "equivalence", "n": 2, "eps": 0.5, "out": 5},
+    {"kind": "equivalence", "n": 2, "eps": 0.5, "out": ""},
     {"kind": "equivalence", "n": 2, "eps": 0.5, "experiment_id": ["a"]},
     {"kind": "single-bit", "p": 2.0, "q": 0.5, "eps": 0.5},
     {"kind": "single-bit", "p": "x", "q": 0.5, "eps": 0.5},
@@ -718,7 +737,7 @@ def test_spec_rejects_empty_interval_domain():
         "n-list-0", "n-list-30", "eps-list", "runs-str", "runs-float", "seed-str",
         "seed-neg", "N-str", "N-float", "N-over-cells", "grid-step-str", "tau-int", "mu-list",
         "n-bool", "N-bool", "runs-bool", "seed-bool", "eps-bool", "grid-step-bool",
-        "n-list-bool", "eps-list-bool", "out-int", "experiment-id-list", "single-bit-p-2",
+        "n-list-bool", "eps-list-bool", "out-int", "out-empty", "experiment-id-list", "single-bit-p-2",
         "single-bit-p-str", "single-bit-q-bool", "single-bit-p-nan"])
 def test_spec_rejects_bad_values_up_front(fields):
     with pytest.raises(HarnessError):

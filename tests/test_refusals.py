@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from condtest.adversarial import AdversarialInstance
+from condtest.adversarial import AdversarialInstance, distance_to_grid_products
 from condtest.distcore import (
     DistributionTable,
     DomainError,
@@ -92,6 +92,14 @@ REFUSALS = {
     "tuple-domain-empty": (None, lambda _: TupleDomain(()), DomainError, None),
     "adversarial-table-n22": (None, lambda _: AdversarialInstance(22, 0.1, (1,) * 11).table(),
                               DomainError, None),
+    # 10,001 grid points: the head frontier at n = 4 would hold 4e8 cells.
+    "grid-step-too-fine": (None, lambda _: distance_to_grid_products(
+        DistributionTable.uniform(4), 1e-4), DomainError, None),
+    "grid-step-1e-300": (None, lambda _: distance_to_grid_products(
+        DistributionTable.uniform(4), 1e-300), DomainError, None),
+    # 1 / step overflows to inf.
+    "grid-step-subnormal": (None, lambda _: distance_to_grid_products(
+        DistributionTable.uniform(2), 1e-320), DomainError, None),
     "interval-pmf-source": (None, lambda _: load_interval_pmf("missing.json", 4),
                             HarnessError, None),
     "spec-single-bit-foreign-fields": (None, lambda _: run_experiment(ExperimentSpec(
@@ -108,6 +116,7 @@ REFUSALS = {
                       HarnessError, None),
     "out-names-a-file": (None, lambda _: run_experiment(_SINGLE_BIT(out=_file("taken"))),
                          HarnessError, None),
+    "out-empty": (None, lambda _: run_experiment(_SINGLE_BIT(out="")), HarnessError, None),
     "out-csv-is-a-directory": (None, lambda _: run_experiment(_SINGLE_BIT(
         out=".", experiment_id=_csv_taken("taken"))), HarnessError, None),
     "counter-add-negative": (None, lambda _: QueryCounter().add(QueryClass.PREFIX, -1),
