@@ -30,7 +30,7 @@ from .distcore import (
     product_of_marginals,
     tv_distance,
 )
-from .oracles import SubcubeQuery
+from .oracles import SubcubeQuery, inverse_cdf
 
 MAX_PAIR_DELTA = 0.25  # keeps every cell probability inside (0, 1/2)
 
@@ -102,11 +102,9 @@ class AdversarialInstance:
 
     def draw_unconditional(self, rng) -> tuple[int, ...]:
         """One sample, without materializing the joint table."""
-        bits: list[int] = []
-        for j in range(self.n_pairs):
-            cell = int(np.searchsorted(np.cumsum(self.pair_table(j).probs),
-                                       rng.random(), side="right"))
-            bits.extend((cell >> 1, cell & 1))
+        cdfs = {b: np.cumsum(nu_b_table(b, self.delta).probs) for b in set(self.biases)}
+        cells = [int(inverse_cdf(cdfs[b], rng.random(1))[0]) for b in self.biases]
+        bits = [bit for cell in cells for bit in (cell >> 1, cell & 1)]
         if self.n % 2:
             bits.append(int(rng.random() < 0.5))
         return tuple(bits)
@@ -532,11 +530,12 @@ def pairwise_product_distance_bound(instance: AdversarialInstance,
     Marginalizing to one pair can only shrink total variation, and a product
     marginalizes to a two-coordinate product; so the joint distance is at
     least the pair's grid minimum less the grid resolution (each of the two
-    grid marginals is within step/2 of any real marginal).
+    grid marginals is within step/2 of any real marginal).  A pair's table
+    depends only on its sign, so each sign present is searched once.
     """
-    per_pair = [distance_to_grid_products(instance.pair_table(j), step).distance
-                for j in range(instance.n_pairs)]
-    return GridProductDistance(max(per_pair) - step, step, "pairwise-lower-bound")
+    per_sign = [distance_to_grid_products(nu_b_table(b, instance.delta), step).distance
+                for b in set(instance.biases)]
+    return GridProductDistance(max(per_sign) - step, step, "pairwise-lower-bound")
 
 
 def distance_to_product_of_marginals(table: DistributionTable) -> float:

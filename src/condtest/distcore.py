@@ -429,8 +429,7 @@ class TupleDomain:
 
     @property
     def bit_widths(self) -> tuple[int, ...]:
-        return tuple(max(1, math.ceil(math.log2(len(a)))) if len(a) > 1 else 1
-                     for a in self.alphabets)
+        return tuple(max(1, (len(a) - 1).bit_length()) for a in self.alphabets)
 
     @property
     def total_bits(self) -> int:

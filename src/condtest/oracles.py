@@ -12,14 +12,16 @@ Every literal query is served by one rule (``MeteredOracle``):
 3. draw: the answer is drawn from the base's distribution without billing
    again.
 
-Most draws are one masked-cell draw, ``MeteredOracle._draw_cell``.  A
-condition with zero mass is billed and then refused with
-ZERO_PROBABILITY_CONDITION.  Two such refusals bill in their own way: a mask
-that selects no cell at all (a code the binary encoding never uses) bills the
-wrapper only, since no query reaches the base; a prefix of the interval view
-that lies wholly in the zero-mass padding bills the view and its interval
-base, like any prefix query.  That view, ``IntervalBackedPrefixOracle(base)``,
-pads the base's [N] to [2^n] with n = max(1, ceil(log2 N)).
+Every answer is one uniform drawn through ``inverse_cdf``, so it never
+leaves its query's support or lands on a cell of zero mass; most are one
+masked-cell draw, ``MeteredOracle._draw_cell``.  A condition with zero mass
+is billed and then refused with ZERO_PROBABILITY_CONDITION.  Two such
+refusals bill in their own way: a mask that selects no cell at all (a code
+the binary encoding never uses) bills the wrapper only, since no query
+reaches the base; a prefix of the interval view that lies wholly in the
+zero-mass padding bills the view and its interval base, like any prefix
+query.  That view, ``IntervalBackedPrefixOracle(base)``, pads the base's [N]
+to [2^n] with n = max(1, ceil(log2 N)).
 
 The binary oracles the equivalence walk serves (``BinaryPrefixOracle``)
 expose the exact conditional probabilities they sample from as one float64
@@ -33,8 +35,8 @@ sums over tuple cells), so its entries are exactly those values.
 ``exact_bit_prob(i, w)`` is an accessor that reads the array and raises a
 ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
 samples without a meter charge (``sample_full_indices_uncounted``), one
-uniform ``rng.random`` per draw searched in the cdf each class gives in
-``_full_cdf``, so ``skip_full_draws(k)`` moves the stream past k such draws
+uniform per draw through ``inverse_cdf`` on the cell cdf each class gives
+in ``_full_cdf``, so ``skip_full_draws(k)`` moves the stream past k draws
 exactly as drawing them would (a PCG64 stream by ``advance``, any other by
 generating the k uniforms).
 
@@ -95,6 +97,19 @@ def _malformed(msg: str) -> OracleError:
     return OracleError(OracleErrorKind.MALFORMED_QUERY, msg)
 
 
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray, base: float = 0.0) -> np.ndarray:
+    """The cells of ``cdf`` the uniforms ``u`` draw.  Each u is scaled to
+    base + u (cdf[-1] - base), capped below cdf[-1] and searched; for
+    base < cdf[-1] it lands on a cell j of positive mass past base:
+    cdf[j-1] < cdf[j] and base < cdf[j].  Sorted, a batch walks the cdf once."""
+    top = cdf[-1]
+    x = np.minimum(base + u * (top - base), np.nextafter(top, -np.inf))
+    order = np.argsort(x)
+    found = np.empty(x.shape, dtype=np.intp)
+    found[order] = np.searchsorted(cdf, x[order], side="right")
+    return found
+
+
 @dataclass
 class QueryCounter:
     counts: dict[QueryClass, int] = field(default_factory=dict)
@@ -138,21 +153,19 @@ class MeteredOracle:
             self.base.charge(self.base_class or cls, m)
 
     def _draw_cell(self, cls: QueryClass, probs: np.ndarray, mask: np.ndarray) -> int:
-        """Index of a cell drawn from ``probs`` restricted to ``mask``, billed
-        as one query of class ``cls`` through ``charge``.  A mask that selects
-        no cell bills this oracle only, as no query reaches the base; it and a
-        selection of zero mass raise ZERO_PROBABILITY_CONDITION."""
+        """Index of a cell of positive mass in ``mask``, drawn from ``probs`` by
+        ``inverse_cdf`` and billed by ``charge`` as one query of class ``cls``.
+        A mask that selects no cell bills this oracle only, as no query reaches
+        the base; it and zero mass raise ZERO_PROBABILITY_CONDITION."""
         sel = np.nonzero(mask)[0]
         if sel.shape[0] == 0:
             self.counter.add(cls)
             raise _zero_prob("the query selects no cell")
         self.charge(cls)
-        weights = probs[sel]
-        total = float(weights.sum())
-        if total <= 0.0:
+        cdf = np.cumsum(probs[sel])
+        if cdf[-1] <= 0.0:
             raise _zero_prob("condition has zero probability")
-        u = self.rng.random() * total
-        return int(sel[np.searchsorted(np.cumsum(weights), u, side="right")])
+        return int(sel[inverse_cdf(cdf, self.rng.random(1))[0]])
 
 
 class BinaryPrefixOracle(MeteredOracle):
@@ -199,14 +212,14 @@ class BinaryPrefixOracle(MeteredOracle):
 
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain samples as n-bit codes, with no meter charge;
-        callers charge per consumed draw.  One uniform per draw, scaled by
-        the total mass and searched in the cell cdf, as ``skip_full_draws``
-        assumes.  Subclasses give (cell cdf, total mass, cell codes or None
-        when cell c has the code c) in ``_full_cdf``, built on first use."""
+        callers charge per consumed draw.  One uniform per draw, as
+        ``skip_full_draws`` assumes, drawn by ``inverse_cdf`` on the cell
+        cdf, so never a cell of zero mass.  Subclasses give (cell cdf, cell
+        codes or None when cell c has the code c) in ``_full_cdf``."""
         if self._full is None:
             self._full = self._full_cdf()
-        cdf, total, codes = self._full
-        found = _search_sorted(cdf, self.rng.random(k) * total)
+        cdf, codes = self._full
+        found = inverse_cdf(cdf, self.rng.random(k))
         return found if codes is None else codes[found]
 
     def skip_full_draws(self, k: int) -> None:
@@ -281,15 +294,6 @@ class PrefixQuery:
     def bits(cls, fixed_bits, allowed=(0, 1)) -> "PrefixQuery":
         fixed_bits = tuple(fixed_bits)
         return cls(len(fixed_bits) + 1, fixed_bits, frozenset(allowed))
-
-
-def _search_sorted(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` in u's order, searched with u
-    sorted so that the search walks the cdf once, front to back."""
-    order = np.argsort(u)
-    found = np.empty(u.shape, dtype=np.intp)
-    found[order] = np.searchsorted(cdf, u[order], side="right")
-    return found
 
 
 # ----------------------------------------------------------------------
@@ -369,8 +373,8 @@ class TableOracle(CellCodeOracle):
         self.charge(QueryClass.UNCONDITIONAL)
         return index_to_bits(int(self.sample_full_indices_uncounted(1)[0]), self.n)
 
-    def _full_cdf(self) -> tuple[np.ndarray, float, None]:
-        return np.cumsum(self.table.probs), float(self.table.probs.sum()), None
+    def _full_cdf(self) -> tuple[np.ndarray, None]:
+        return np.cumsum(self.table.probs), None
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +407,10 @@ class IntervalOracle(MeteredOracle):
 
     def _draw_interval(self, a: int, b: int) -> int:
         """The draw of ``interval_sample``, unbilled."""
-        total = self.interval_mass(a, b)
-        if total <= 0.0:
+        if self.interval_mass(a, b) <= 0.0:
             raise _zero_prob(f"interval [{a}, {b}] has zero probability")
         base = self.cdf[a - 2] if a > 1 else 0.0
-        u = base + self.rng.random() * total
-        return int(np.searchsorted(self.cdf, u, side="right")) + 1
+        return int(inverse_cdf(self.cdf[:b], self.rng.random(1), base)[0]) + 1
 
 
 class IntervalBackedPrefixOracle(BinaryPrefixOracle):
@@ -438,8 +440,8 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
         return node_conditionals([np.diff(cdf[::1 << (self.n - k)])
                                   for k in range(self.n + 1)])
 
-    def _full_cdf(self) -> tuple[np.ndarray, float, None]:
-        return self.base.cdf, float(self.base.cdf[-1]), None
+    def _full_cdf(self) -> tuple[np.ndarray, None]:
+        return self.base.cdf, None
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
         bits = self._folded_prefix(query)
@@ -562,9 +564,8 @@ class BinaryEncodedOracle(CellCodeOracle):
         # Non-image codes have no cells, hence zero mass and NaN.
         return node_conditionals(_prefix_masses(self.base.probs, self._encoded, self.n))
 
-    def _full_cdf(self) -> tuple[np.ndarray, float, np.ndarray]:
-        cdf = np.cumsum(self.base.probs)
-        return cdf, float(cdf[-1]), self._encoded
+    def _full_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cumsum(self.base.probs), self._encoded
 
 
 # ----------------------------------------------------------------------

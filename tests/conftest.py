@@ -44,6 +44,21 @@ def positive_table(rng, n):
     return DistributionTable(n, w / w.sum())
 
 
+# The largest double below 1: the top uniform a generator's ``random`` returns.
+TOP_UNIFORM = 1.0 - 2.0 ** -53
+
+
+class ConstantUniforms:
+    """Stands in for a generator whose every uniform is ``u``: ``random()``
+    returns u, ``random(k)`` k copies of it."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
 def bit_prob_in_cylinder(table, i, k, anc):
     """Reference for a dead node of ``effective_conditional_levels``:
     Pr[x_i = 1 | x_[k] = anc], for k < i and positive ancestor mass, as the

@@ -25,6 +25,7 @@ from condtest.adversarial import (
 )
 from condtest.distcore import DistributionTable, DomainError, tv_distance
 from condtest.oracles import SubcubeQuery, TableOracle
+from conftest import TOP_UNIFORM, ConstantUniforms
 
 
 PAIR_PATTERNS = ["**", "0*", "1*", "*0", "*1", "00", "01", "10", "11"]
@@ -114,6 +115,14 @@ def test_draw_unconditional_law(rng):
         counts[int("".join(map(str, x)), 2)] += 1
     emp = counts / counts.sum()
     assert np.abs(emp - inst.table().probs).max() < 0.02
+
+
+def test_top_uniform_pair_draw_stays_on_bits():
+    """Sign -1 at delta = 0.1 / sqrt(11): the pair cdf ends at 1 - 1.1e-16,
+    so an unscaled top uniform searched one past the last pair cell."""
+    inst = AdversarialInstance(11, 0.1, (-1,) * 5)
+    assert np.cumsum(inst.pair_table(0).probs)[-1] < 1.0
+    assert inst.draw_unconditional(ConstantUniforms(TOP_UNIFORM)) == (1,) * 10 + (0,)
 
 
 # ----------------------------------------------------------------------
@@ -484,6 +493,20 @@ def test_pairwise_bound_is_a_true_lower_bound():
     assert bound.method == "pairwise-lower-bound"
     assert bound.distance <= exact.distance + 1e-12
     assert bound.distance > 0.01
+
+
+def test_pairwise_bound_is_the_per_pair_maximum():
+    """One search per sign present gives the bound that one search per pair
+    gives, on seeded instances with one sign and with two."""
+    g = np.random.default_rng(31)
+    instances = [AdversarialInstance(7, 0.3, (1, 1, 1)), AdversarialInstance(6, 0.2, (-1,) * 3)]
+    instances += [sample_paired_instance(int(g.integers(4, 13)), 0.4, g) for _ in range(4)]
+    assert {len(set(inst.biases)) for inst in instances} == {1, 2}
+    for inst in instances:
+        per_pair = max(distance_to_grid_products(inst.pair_table(j), 0.02).distance
+                       for j in range(inst.n_pairs))
+        assert pairwise_product_distance_bound(inst, 0.02) == GridProductDistance(
+            per_pair - 0.02, 0.02, "pairwise-lower-bound")
 
 
 def test_distance_to_own_marginal_product():

@@ -378,6 +378,15 @@ def test_tuple_domain_indexing():
         itertools.product(*dom.alphabets))
 
 
+@pytest.mark.parametrize("k, width", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 3),
+                                      (8, 3), (9, 4)]
+                         + [(1 << j, j) for j in range(1, 17)]
+                         + [((1 << j) + 1, j + 1) for j in range(1, 17)])
+def test_tuple_domain_bit_widths(k, width):
+    """An alphabet of k symbols takes ceil(log2 k) bits, and at least one."""
+    assert TupleDomain((tuple(range(k)), ("a",))).bit_widths == (width, 1)
+
+
 def test_tuple_domain_validation():
     with pytest.raises(DomainError):
         TupleDomain((("a", "a"),))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from condtest.adversarial import AdversarialInstance
 from condtest.distcore import (
     DistributionTable,
     DomainError,
@@ -28,7 +29,7 @@ from condtest.oracles import (
     TupleTableOracle,
     prefix_to_interval,
 )
-from conftest import random_table, reference_bit_prob
+from conftest import TOP_UNIFORM, ConstantUniforms, random_table, reference_bit_prob
 
 GOF_SAMPLES = 10_000
 GOF_ALPHA = 1e-3
@@ -314,6 +315,70 @@ def test_skipped_full_draws_take_the_sampled_uniforms(kind, k1, k2):
     got = skipper.sample_full_indices_uncounted(k2)
     assert got.tolist() == sampler.sample_full_indices_uncounted(k1 + k2)[k1:].tolist()
     assert skipper.rng.bit_generator.state == sampler.rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# the one draw rule: no answer leaves its support
+
+
+def test_interval_draws_stay_in_a_tiny_interval():
+    """Interval [3, 3] holds mass 1e-13 past half the total: base + u * mass
+    must not round up to the cdf value that ends it and answer 4."""
+    oracle = IntervalOracle([0.25, 0.25, 1e-13, 0.5 - 1e-13], seed=1)
+    assert {oracle.interval_sample(3, 3) for _ in range(20_000)} == {3}
+
+
+def test_top_uniform_full_draws_stay_on_the_table():
+    """The seed-0 Dirichlet(1) table over {0,1}^16, whose probs.sum() exceeds
+    its cdf's last value: the top uniform scaled by that sum searched one
+    past the last cell.  Each draw is scaled by the cdf's own last value."""
+    table = DistributionTable(16, np.random.default_rng(0).dirichlet(np.ones(1 << 16)))
+    assert table.probs.sum() > np.cumsum(table.probs)[-1]
+    oracle = TableOracle(table)
+    oracle.rng = ConstantUniforms(TOP_UNIFORM)
+    drawn = [int(oracle.sample_full_indices_uncounted(1)[0]),
+             bits_to_index(oracle.draw_unconditional()),
+             bits_to_index(oracle.subcube_sample(SubcubeQuery.from_pattern("*" * 16)))]
+    assert all(0 <= x < 1 << 16 and table.probs[x] > 0.0 for x in drawn), drawn
+
+
+@pytest.mark.parametrize("u", [0.0, TOP_UNIFORM], ids=["u0", "u-top"])
+def test_every_draw_site_answers_in_support(u):
+    """Seeded pmfs with zero cells, at the least and the greatest uniform:
+    each draw site answers the first (u = 0) or last (top u) cell of
+    positive mass its query selects: a masked-cell draw, a full draw of a
+    table and of a padded interval view, an interval draw, and a pair
+    draw."""
+    g = np.random.default_rng(29)
+    stub = ConstantUniforms(u)
+    end, bit = (0, 0) if u == 0.0 else (-1, 1)
+    served = 0  # subcube and interval queries of positive mass
+    for _ in range(30):
+        n = int(g.integers(2, 9))
+        table = random_table(g, n, zeros=True)
+        oracle = TableOracle(table)
+        oracle.rng = stub
+        query = _random_subcube_query(g, n)
+        hit = [x for x in np.flatnonzero(table.probs) if query.contains(index_to_bits(x, n))]
+        if hit:
+            assert bits_to_index(oracle.subcube_sample(query)) == hit[end]
+            served += 1
+        assert oracle.sample_full_indices_uncounted(3).tolist() == [
+            np.flatnonzero(table.probs)[end]] * 3
+        pmf = table.probs[:int(g.integers(1, 1 << n)) + 1]
+        base = IntervalOracle(pmf / pmf.sum())
+        base.rng = stub
+        view = IntervalBackedPrefixOracle(base)
+        assert view.sample_full_indices_uncounted(2).tolist() == [np.flatnonzero(pmf)[end]] * 2
+        a, b = np.sort(g.integers(1, base.N + 1, size=2))
+        hit = np.flatnonzero(pmf[a - 1:b]) + a
+        if hit.shape[0]:
+            assert base.interval_sample(a, b) == hit[end]
+            served += 1
+    assert served >= 40
+    for biases in [(-1, -1, -1, -1, -1), (1, -1, 1, 1, -1)]:
+        pairs = AdversarialInstance(11, 0.1, biases).draw_unconditional(stub)[:10]
+        assert pairs == (bit,) * 10
 
 
 def _plain(state):

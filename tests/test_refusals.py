@@ -90,6 +90,7 @@ REFUSALS = {
     "levin-schedule-eps-one": (None, lambda _: levin_schedule(1.0), ValueError, None),
     "levin-schedule-eps-nan": (None, lambda _: levin_schedule(math.nan), ValueError, None),
     "tuple-domain-empty": (None, lambda _: TupleDomain(()), DomainError, None),
+    "adversarial-n1": (None, lambda _: AdversarialInstance(1, 0.2, ()), DomainError, None),
     "adversarial-table-n22": (None, lambda _: AdversarialInstance(22, 0.1, (1,) * 11).table(),
                               DomainError, None),
     # 10,001 grid points: the head frontier at n = 4 would hold 4e8 cells.

@@ -1339,7 +1339,7 @@ def test_uniform_self_test_searches_no_draw(monkeypatch):
     def no_search(*args):
         raise AssertionError("a tau draw was searched")
 
-    monkeypatch.setattr(oracles, "_search_sorted", no_search)
+    monkeypatch.setattr(oracles, "inverse_cdf", no_search)
     tab = DistributionTable.uniform(16)
     v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), 0.3, seed=3)
     expect = expected_equivalence_queries(16, 0.3)
