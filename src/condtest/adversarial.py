@@ -295,14 +295,6 @@ def _extend(h: np.ndarray, flat: np.ndarray,
     return out, (flat[:, None] * grid.shape[0] + np.arange(grid.shape[0])).ravel()
 
 
-def _marginal_l1(table: DistributionTable, k: int, h: np.ndarray) -> np.ndarray:
-    """Per column of the cells-major products ``h`` over coordinates 1..k, the
-    L1 distance from the table's marginal over those coordinates: a lower
-    bound on the L1 distance of every grid product that extends it."""
-    marginal = table.probs.reshape(1 << k, -1).sum(axis=1)
-    return np.abs(marginal[:, None] - h).sum(axis=0)
-
-
 def _reference_l1(table: DistributionTable, flat: np.ndarray,
                   grid: np.ndarray) -> np.ndarray:
     """L1 distances from ``table`` to the grid products numbered ``flat``, in
@@ -411,7 +403,7 @@ def _search_last_level(table: DistributionTable, h: np.ndarray, flat: np.ndarray
     block's last, partial chunk waits for the next block's rows."""
     g = grid.shape[0]
     single = np.stack([1.0 - grid, grid])
-    marginal = table.probs.reshape(h.shape[0], 2, -1).sum(axis=2)
+    marginal = table.level_sums()[table.n - 1].reshape(-1, 2)
     per_block = max(1, _BLOCK_CELLS // (g * h.shape[0]))
     per_chunk = max(1, _BLOCK_CELLS >> table.n)
     best, best_flat = np.inf, 0
@@ -449,18 +441,17 @@ def distance_to_grid_products(table: DistributionTable,
     frontier at level n-2 (g^(n-2) * 2^(n-2) cells) and whose g points fit
     ``_MAX_FRONTIER_CELLS`` (DomainError otherwise, before anything is built).
 
-    The search builds the grid products h over the head coordinates
-    1..n-1 level by level and prunes every level with a lower bound.
-    Marginalizing cannot increase L1, so with m_k the table's marginal over
-    coordinates 1..k, L1(t, p) >= |m_k - h_k|_1 for every grid product p
-    whose first k marginals give the product h_k; in particular
-    L1(t, h x Ber(x)) >= |m_(n-1) - h|_1 for every last marginal x.  The
-    bound starts at the distance of one grid product, the one nearest the
-    table's own marginals, and falls to the least distance found so far.  A
-    row whose bound exceeds it by more than ``_TIE_TOL`` cannot lead to a
-    minimum and is dropped with all its extensions.  That grid product only
-    bounds the search: it is never returned unless the search reaches it in
-    grid order.
+    The search builds the grid products h over the head coordinates 1..n-1
+    level by level and prunes every level with a lower bound.  Marginalizing
+    cannot increase L1, so with m_k the table's marginal over coordinates 1..k
+    (``table.level_sums()[k]``), L1(t, p) >= |m_k - h_k|_1 for every grid
+    product p whose first k marginals give the product h_k; in particular
+    L1(t, h x Ber(x)) >= |m_(n-1) - h|_1 for every last marginal x.  The bound
+    starts at the distance of one grid product, the one nearest the table's
+    own marginals, and falls to the least distance found so far.  A row whose
+    bound exceeds it by more than ``_TIE_TOL`` cannot lead to a minimum and is
+    dropped with all its extensions.  That grid product only bounds the
+    search: it is never returned unless the search reaches it in grid order.
 
     Levels 1..n-2 are expanded whole.  The last head level
     (``_search_last_level``) bounds every row h x Ber(x_j) from its parent h
@@ -510,7 +501,8 @@ def distance_to_grid_products(table: DistributionTable,
     h, flat = np.ones((1, 1)), np.zeros(1, dtype=np.intp)
     for k in range(1, n - 1):
         h, flat = _extend(h, flat, grid)
-        kept = np.flatnonzero(_marginal_l1(table, k, h) <= incumbent + _TIE_TOL)
+        bound = np.abs(table.level_sums()[k][:, None] - h).sum(axis=0)
+        kept = np.flatnonzero(bound <= incumbent + _TIE_TOL)
         h, flat = h[:, kept], flat[kept]
     if n == 1:
         # No head coordinate: the one row is the empty product.

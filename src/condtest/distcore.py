@@ -14,6 +14,8 @@ array of 2^n - 1 floats: the (i, w) conditional sits at index
 ``node_index(i, w)`` = (1 << (i-1)) + w - 1, so level i is the slice
 [2^(i-1) - 1, 2^i - 1), and NaN marks a prefix with no conditional (zero
 mass, or no entry in a tree file).
+Prefix masses have one rule, ``level_sums``: every prefix sums its cells
+pairwise, level by level, whatever view the cells come from.
 Every table built from conditionals goes through ``_from_conditionals``.
 """
 
@@ -127,6 +129,17 @@ def node_index(i, w):
     return (1 << (i - 1)) + w - 1
 
 
+def level_sums(cells) -> list[np.ndarray]:
+    """Prefix masses of 2^n cells, cell x at the n-bit code x:
+    ``level_sums(cells)[k][v]`` is the mass of the k-bit prefix v, for
+    k = 0..n, and each level sums adjacent pairs of the level below."""
+    levels = [cells]
+    for _ in range(cells.shape[0].bit_length() - 1):
+        levels.append(levels[-1][0::2] + levels[-1][1::2])
+    levels.reverse()
+    return levels
+
+
 def node_conditionals(levels) -> np.ndarray:
     """Conditional bit probabilities from prefix masses.
 
@@ -209,11 +222,7 @@ class DistributionTable:
     def level_sums(self) -> list[np.ndarray]:
         """level_sums()[k][j] is the mass of the length-k prefix with index j."""
         if self._level_sums is None:
-            levels = [self.probs]
-            for _ in range(self.n):
-                levels.append(levels[-1][0::2] + levels[-1][1::2])
-            levels.reverse()
-            self._level_sums = levels
+            self._level_sums = level_sums(self.probs)
         return self._level_sums
 
     def conditional_nodes(self) -> np.ndarray:
@@ -274,12 +283,15 @@ class DistributionTable:
     def from_dict(cls, data: dict) -> "DistributionTable":
         """The table of a parsed distribution JSON object: a dense "probs"
         array, or a conditional "tree" {"i:prefix": p}, read straight into a
-        node array (NaN where the tree has no entry)."""
+        node array (NaN where the tree has no entry); an object with both or
+        neither is refused."""
+        forms = [key for key in ("probs", "tree") if key in data]
+        if len(forms) != 1:
+            raise DomainError("distribution JSON must hold exactly one of 'probs' and 'tree', "
+                              f"found {', '.join(map(repr, forms)) or 'neither'}")
         if "probs" in data:
             return cls(_json_n(data), json_array(data["probs"],
                                                  "'probs' must be a list of numbers"))
-        if "tree" not in data:
-            raise DomainError("distribution JSON must contain 'probs' or 'tree'")
         n = _json_n(data)
         _check_dense_n(n)
         tree = data["tree"]

@@ -175,9 +175,9 @@ def load_distribution(source: str, n: int | None = None) -> distcore.Distributio
 
     Accepts the shorthands ``uniform`` (requires n), ``point:<bitstring>``,
     ``bernoulli:<p>`` (repeated n times) or ``bernoulli:p1,p2,...``, or a
-    path to a JSON file (dense table, conditional tree, or a paired-bias
-    instance with a "biases" key).  With ``n`` given, a source of another
-    dimension raises HarnessError.
+    path to a JSON file holding exactly one of a dense table ("probs"), a
+    conditional tree ("tree") or a paired-bias instance ("biases").  With
+    ``n`` given, a source of another dimension raises HarnessError.
     """
     table = _read_distribution(source, n)
     if n is not None and table.n != n:
@@ -209,6 +209,10 @@ def _read_distribution(source: str, n: int | None) -> distcore.DistributionTable
         raise HarnessError(f"distribution source {source!r} is neither a "
                            "shorthand nor an existing file")
     payload = read_json_object(source, "distribution")
+    forms = [key for key in ("probs", "tree", "biases") if key in payload]
+    if len(forms) != 1:
+        raise HarnessError(f"distribution file {source} must hold exactly one of 'probs', "
+                           f"'tree' and 'biases', found {', '.join(map(repr, forms)) or 'none'}")
     if "biases" in payload:
         return adversarial.AdversarialInstance.from_dict(payload).table()
     return distcore.DistributionTable.from_dict(payload)

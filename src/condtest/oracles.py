@@ -29,9 +29,12 @@ array, ``node_bit_probs()``: the entry for coordinate i and prefix w (an
 MSB-first integer of i - 1 bits) is Pr[x_i = 1 | x_[i-1] = w], at
 ``distcore.node_index(i, w)``, so coordinate i fills indices
 2^(i-1) - 1 .. 2^i - 2 in prefix order.  The entry is NaN where w has zero
-mass.  Each oracle builds the array once, from the same float operations
-the per-key computation used (level sums, interval cdf differences, masked
-sums over tuple cells), so its entries are exactly those values.
+mass.  Each oracle builds the array once, by one rule: its cells' masses
+lie at their n-bit codes (a padding element of [2^n] or a code the binary
+encoding never uses holds zero), every prefix mass is the pairwise sum of
+its cells (``distcore.level_sums``), and the entries are
+``distcore.node_conditionals`` of those masses.  The product view over
+{0,1}^n alone repeats its base's marginals.
 ``exact_bit_prob(i, w)`` is an accessor that reads the array and raises a
 ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
 samples without a meter charge (``sample_full_indices_uncounted``), one
@@ -64,6 +67,7 @@ from .distcore import (
     bits_to_index,
     check_probability_vector,
     index_to_bits,
+    level_sums,
     node_conditionals,
     node_index,
 )
@@ -432,13 +436,9 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
         self.n = max(1, (base.N - 1).bit_length())
 
     def _build_node_bit_probs(self) -> np.ndarray:
-        # cdf[k] is the mass of 1..k in the padded domain [2^n], so the
-        # k-bit prefix v has mass cdf[(v+1) W] - cdf[v W], W = 2^(n-k).
-        cdf = np.zeros((1 << self.n) + 1)
-        cdf[1:self.base.N + 1] = self.base.cdf
-        cdf[self.base.N + 1:] = self.base.cdf[-1]
-        return node_conditionals([np.diff(cdf[::1 << (self.n - k)])
-                                  for k in range(self.n + 1)])
+        cells = np.zeros(1 << self.n)  # the padding N+1..2^n has zero mass
+        cells[:self.base.N] = self.base.pmf
+        return node_conditionals(level_sums(cells))
 
     def _full_cdf(self) -> tuple[np.ndarray, None]:
         return self.base.cdf, None
@@ -513,23 +513,6 @@ class TupleTableOracle(MeteredOracle):
         return sets
 
 
-def _prefix_masses(probs: np.ndarray, codes: np.ndarray, width: int) -> list[np.ndarray]:
-    """masses[k][v] = the sum of probs[x] over the x whose width-bit code
-    starts with the k-bit prefix v, for k = 0..width.
-
-    Each group is gathered in increasing x (a stable sort keeps that order
-    within every prefix) and summed with ``.sum()``, exactly as a masked
-    ``probs[mask].sum()`` over the same cells would be.
-    """
-    order = np.argsort(codes, kind="stable")
-    masses = [np.zeros(1 << k) for k in range(width + 1)]
-    for k, level in enumerate(masses):
-        prefixes = codes[order] >> (width - k)
-        for group in np.split(order, np.flatnonzero(np.diff(prefixes)) + 1):
-            level[codes[group[0]] >> (width - k)] = probs[group].sum()
-    return masses
-
-
 class BinaryEncodedOracle(CellCodeOracle):
     """Binary view of a tuple-domain distribution.
 
@@ -561,8 +544,9 @@ class BinaryEncodedOracle(CellCodeOracle):
     # -- the walk's support ---------------------------------------------
 
     def _build_node_bit_probs(self) -> np.ndarray:
-        # Non-image codes have no cells, hence zero mass and NaN.
-        return node_conditionals(_prefix_masses(self.base.probs, self._encoded, self.n))
+        cells = np.zeros(1 << self.n)  # a code that no symbol uses has zero mass
+        cells[self._encoded] = self.base.probs
+        return node_conditionals(level_sums(cells))
 
     def _full_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cumsum(self.base.probs), self._encoded
@@ -625,7 +609,9 @@ class GeneralProductMarginalOracle(BinaryPrefixOracle):
         # last j bits of the prefix.
         levels = []
         for digits, (start, wdt) in zip(self.base._coord_digits, self._blocks):
-            cond = node_conditionals(_prefix_masses(self.base.probs, digits, wdt))
+            # the coordinate's marginal: its cells' masses summed per symbol
+            cells = np.bincount(digits, weights=self.base.probs, minlength=1 << wdt)
+            cond = node_conditionals(level_sums(cells))
             for j in range(wdt):
                 within = np.arange(1 << (start + j)) & ((1 << j) - 1)
                 levels.append(cond[node_index(j + 1, within)])

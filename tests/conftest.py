@@ -12,7 +12,7 @@ from scipy.stats import binom
 
 from condtest import testers
 from condtest.adversarial import GridProductDistance
-from condtest.distcore import DistributionTable, index_to_bits
+from condtest.distcore import DistributionTable
 from condtest.oracles import (
     BinaryEncodedOracle,
     GeneralProductMarginalOracle,
@@ -22,7 +22,6 @@ from condtest.oracles import (
     ProductMarginalOracle,
     QueryClass,
     TableOracle,
-    prefix_to_interval,
 )
 from condtest.testers import CHI2_SAMPLE_FACTOR, CHI2_THRESHOLD, CHI2_TRIALS
 
@@ -309,12 +308,6 @@ def _zero_prob():
     return OracleError(OracleErrorKind.ZERO_PROBABILITY_CONDITION, "zero mass")
 
 
-def _padded_mass(oracle, a, b):
-    if a > oracle.base.N:
-        return 0.0
-    return oracle.base.interval_mass(a, min(b, oracle.base.N))
-
-
 def _symbol_codes(domain):
     """(cells, coordinates) array of every cell's per-coordinate symbol
     codes, in increasing cell order, built from the domain alone."""
@@ -322,20 +315,40 @@ def _symbol_codes(domain):
                      for c in range(domain.size())])
 
 
-def _masked_bit_prob(probs, codes, width, k, prefix):
-    """Pr[bit k+1 = 1 | the k-bit prefix] of the width-bit cell codes, as
-    masked sums over the cells in increasing order."""
-    total = float(probs[codes >> (width - k) == prefix].sum())
+def _code_cells(codes, probs, width):
+    """The mass at each width-bit code: the probs of the cells with that
+    code, added one at a time in increasing cell order."""
+    cells = np.zeros(1 << width)
+    for code, p in zip(codes.tolist(), probs.tolist()):
+        cells[code] += p
+    return cells
+
+
+def _pairwise_mass(cells, width, k, prefix):
+    """Mass of the k-bit prefix of the width-bit codes of ``cells``: its
+    block of cells, halved by adding adjacent pairs until one sum is left."""
+    block = cells[prefix << (width - k):(prefix + 1) << (width - k)]
+    while block.shape[0] > 1:
+        block = block[0::2] + block[1::2]
+    return float(block[0])
+
+
+def _pairwise_bit_prob(cells, width, k, prefix):
+    """Pr[bit k+1 = 1 | the k-bit prefix] of the width-bit codes of
+    ``cells``, as a ratio of pairwise masses."""
+    total = _pairwise_mass(cells, width, k, prefix)
     if total <= 0.0:
         raise _zero_prob()
-    return float(probs[codes >> (width - k - 1) == 2 * prefix + 1].sum()) / total
+    return _pairwise_mass(cells, width, k + 1, 2 * prefix + 1) / total
 
 
 def reference_bit_prob(oracle, i, prefix_idx):
-    """Reference for ``node_bit_probs``: Pr[x_i = 1 | prefix] as each oracle
-    kind computed it one key at a time, with the same float operations
-    (masked sums, interval masses, level sums); OracleError with kind
-    ZERO_PROBABILITY_CONDITION on a zero-mass prefix."""
+    """Reference for ``node_bit_probs``: Pr[x_i = 1 | prefix] one key at a
+    time, with the float operations of the one rule every node array
+    follows: each cell's mass sits at its code (the pmf padded with zeros to
+    [2^n]; the tuple cells at their codes, computed from the domain alone),
+    and a prefix's mass is its block of cells summed pairwise.  OracleError
+    with kind ZERO_PROBABILITY_CONDITION on a zero-mass prefix."""
     if isinstance(oracle, TableOracle):
         levels = oracle.table.level_sums()
         parent = float(levels[i - 1][prefix_idx])
@@ -343,11 +356,9 @@ def reference_bit_prob(oracle, i, prefix_idx):
             raise _zero_prob()
         return float(levels[i][2 * prefix_idx + 1]) / parent
     if isinstance(oracle, IntervalBackedPrefixOracle):
-        a, b = prefix_to_interval(oracle.n, i, index_to_bits(prefix_idx, i - 1))
-        total = _padded_mass(oracle, a, b)
-        if total <= 0.0:
-            raise _zero_prob()
-        return _padded_mass(oracle, a + (b - a + 1) // 2, b) / total
+        cells = np.zeros(1 << oracle.n)
+        cells[:oracle.base.N] = oracle.base.pmf
+        return _pairwise_bit_prob(cells, oracle.n, i - 1, prefix_idx)
     if isinstance(oracle, ProductMarginalOracle):
         return float(oracle.base.table.marginals()[i - 1])
     if isinstance(oracle, (BinaryEncodedOracle, GeneralProductMarginalOracle)):
@@ -356,12 +367,14 @@ def reference_bit_prob(oracle, i, prefix_idx):
         ends = np.cumsum(domain.bit_widths)
         if isinstance(oracle, BinaryEncodedOracle):
             encoded = (codes << (oracle.n - ends)).sum(axis=1)
-            return _masked_bit_prob(oracle.base.probs, encoded, oracle.n, i - 1, prefix_idx)
+            cells = _code_cells(encoded, oracle.base.probs, oracle.n)
+            return _pairwise_bit_prob(cells, oracle.n, i - 1, prefix_idx)
         # the product of marginals: only coordinate j's own block matters
         j = int(np.searchsorted(ends, i - 1, side="right"))
-        k = i - 1 - (ends[j] - domain.bit_widths[j])
-        return _masked_bit_prob(oracle.base.probs, codes[:, j], domain.bit_widths[j], k,
-                                prefix_idx & ((1 << k) - 1))
+        width = domain.bit_widths[j]
+        k = i - 1 - (ends[j] - width)
+        cells = _code_cells(codes[:, j], oracle.base.probs, width)
+        return _pairwise_bit_prob(cells, width, k, prefix_idx & ((1 << k) - 1))
     raise TypeError(type(oracle).__name__)
 
 

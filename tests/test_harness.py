@@ -644,6 +644,22 @@ def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, payload, found", [
+    (_EQ1, {"n": 1, "probs": [0.5, 0.5], "tree": {"1:": 0.9}}, "'probs', 'tree'"),
+    (_EQ, {"n": 2, "eps": 0.2, "biases": [1], "probs": [0.25] * 4}, "'probs', 'biases'"),
+], ids=["probs-tree", "biases-probs"])
+def test_cli_refuses_a_table_stated_two_ways(argv, payload, found, tmp_path, capsys):
+    """A distribution file states its table by exactly one of "probs",
+    "tree" and "biases"; a file with two is refused, naming both, rather
+    than run on one of them."""
+    source = tmp_path / "two.json"
+    source.write_text(json.dumps(payload))
+    assert main(argv + ["--mu", str(source), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.rstrip().endswith(f"found {found}")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("config", [None, {"out": ""}], ids=["flag", "config"])
 def test_cli_refuses_an_empty_output_directory(config, monkeypatch, tmp_path, capsys):
     """An empty --out (or "out": "" in a config) is refused; it does not fall

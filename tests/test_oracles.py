@@ -237,6 +237,33 @@ def test_node_bit_probs_match_scalar_path(kind):
         assert raised.value.kind is OracleErrorKind.MALFORMED_QUERY
 
 
+def test_interval_view_keeps_a_tiny_prefix_alive():
+    """A prefix of positive mass is alive even where its mass is below the
+    rounding of the cdf before it: its entry is a ratio of pairwise sums."""
+    view = IntervalBackedPrefixOracle(IntervalOracle([1 - 2e-20, 1e-20, 1e-20, 0.0]))
+    assert view.node_bit_probs().tolist() == [1e-20, 1e-20, 0.0]
+
+
+def test_encoded_node_array_is_dead_exactly_at_unused_prefixes():
+    """At 18 encoded bits (alphabets of 5, 9, 17 and 33 symbols, so most
+    codes name no cell), an entry is NaN exactly where no cell's code starts
+    with its prefix; the codes are computed from the domain alone."""
+    sizes = (5, 9, 17, 33)
+    domain = TupleDomain(tuple(tuple(range(k)) for k in sizes))
+    probs = np.random.default_rng(0).dirichlet(np.ones(domain.size()))
+    nodes = BinaryEncodedOracle(TupleTableOracle(domain, probs)).node_bit_probs()
+    n = domain.total_bits
+    assert n == 18
+    codes = np.zeros(1, dtype=np.int64)
+    for k in sizes:
+        width = max(1, (k - 1).bit_length())
+        codes = (codes[:, None] << width | np.arange(k)).ravel()
+    for i in range(1, n + 1):
+        live = np.zeros(1 << (i - 1), dtype=bool)
+        live[codes >> (n - i + 1)] = True
+        assert (np.isnan(nodes[(1 << (i - 1)) - 1:(1 << i) - 1]) == ~live).all(), i
+
+
 def test_binary_encoded_samples_and_encoding():
     """A drawn tuple (a, b) of the 5 x 3 domain is encoded as the bits of a
     (3 bits) followed by those of b (2 bits)."""

@@ -17,7 +17,13 @@ from condtest.distcore import (
     index_to_bits,
     single_bit_divergence,
 )
-from condtest.harness import ExperimentSpec, HarnessError, load_interval_pmf, run_experiment
+from condtest.harness import (
+    ExperimentSpec,
+    HarnessError,
+    load_distribution,
+    load_interval_pmf,
+    run_experiment,
+)
 from condtest.oracles import (
     IntervalOracle,
     OracleError,
@@ -37,6 +43,12 @@ _SINGLE_BIT = partial(ExperimentSpec, kind="single-bit", p=0.5, q=0.5, eps=0.5)
 def _file(name: str) -> str:
     """``name``, made an empty file."""
     Path(name).write_text("")
+    return name
+
+
+def _json_file(name: str, payload: dict) -> str:
+    """``name``, made a file holding ``payload`` as JSON."""
+    Path(name).write_text(json.dumps(payload))
     return name
 
 
@@ -69,6 +81,13 @@ REFUSALS = {
         {"n": 1, "tree": {"1:": -0.1}}), DomainError, None),
     "tree-json-value": (None, lambda _: DistributionTable.from_dict(json.loads(
         '{"n": 2, "tree": {"1:": 0.5, "2:0": 1.5, "2:1": 0.5}}')), DomainError, None),
+    "table-probs-and-tree": (None, lambda _: DistributionTable.from_dict(
+        {"n": 1, "probs": [0.5, 0.5], "tree": {"1:": 0.9}}), DomainError, None),
+    "distribution-file-probs-and-tree": (None, lambda _: load_distribution(_json_file(
+        "two.json", {"n": 1, "probs": [0.5, 0.5], "tree": {"1:": 0.9}})), HarnessError, None),
+    "distribution-file-biases-and-probs": (None, lambda _: load_distribution(_json_file(
+        "two.json", {"n": 2, "eps": 0.2, "biases": [1], "probs": [0.25] * 4})),
+        HarnessError, None),
     "conditional-bit-prob-slice": (_table, lambda o: o.exact_bit_prob(3, 0),
                                    OracleError, OracleErrorKind.MALFORMED_QUERY),
     "conditional-bit-prob-prefix": (_table, lambda o: o.exact_bit_prob(2, 2),

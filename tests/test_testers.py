@@ -848,6 +848,38 @@ def test_general_matches_binary_on_binary_domain():
            [row.get("rejected_at") for row in v_bin.trace]
 
 
+def test_tuple_testers_at_eighteen_encoded_bits():
+    """Alphabets of 5, 9, 17 and 33 symbols encode to 18 bits, most codes
+    naming no cell.  A Dirichlet self-test accepts at exactly twice the
+    binary accept-path total (each query is billed on the view and on the
+    tuple oracle), and so does the product test on a product of Dirichlet
+    marginals over the same domain."""
+    rng = np.random.default_rng(0)
+    sizes = (5, 9, 17, 33)
+    domain = TupleDomain(tuple(tuple(range(k)) for k in sizes))
+    total = 2 * expected_equivalence_queries(18, 0.5)["total"]
+    assert total == 7_945_811_913_316
+    probs = rng.dirichlet(np.ones(domain.size()))
+    v = equivalence_test_general(TupleTableOracle(domain, probs, seed=1),
+                                 TupleTableOracle(domain, probs, seed=2), 0.5, seed=3)
+    assert v.accepted and v.queries_used["total"] == total
+    product = functools.reduce(np.multiply.outer, [rng.dirichlet(np.ones(k)) for k in sizes])
+    v = product_test_general(TupleTableOracle(domain, product.ravel(), seed=4), 0.5, seed=5)
+    assert v.accepted and v.queries_used["total"] == total
+
+
+def test_interval_walk_never_rejects_a_tiny_live_prefix():
+    """mu gives elements 2 and 3 of [4] mass 1e-20 each, below the rounding
+    of 1 - 2e-20: every prefix tau draws has positive mu mass, so no level
+    may end in a zero-probability reject, which the literal tester's
+    marginal queries would never meet."""
+    mu = [1 - 2e-20, 1e-20, 1e-20, 0.0]
+    for seed in range(20):
+        v = interval_equivalence_test(IntervalOracle(np.full(4, 0.25), seed=seed),
+                                      IntervalOracle(mu, seed=100 + seed), 0.5, seed=200 + seed)
+        assert not any("zero_probability_reject" in row for row in v.trace), seed
+
+
 def test_interval_vacuous_single_atom():
     one = IntervalOracle([1.0], seed=0)
     v = interval_equivalence_test(one, IntervalOracle([1.0], seed=1),
