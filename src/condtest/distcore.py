@@ -14,8 +14,10 @@ array of 2^n - 1 floats: the (i, w) conditional sits at index
 ``node_index(i, w)`` = (1 << (i-1)) + w - 1, so level i is the slice
 [2^(i-1) - 1, 2^i - 1), and NaN marks a prefix with no conditional (zero
 mass, or no entry in a tree file).
-Prefix masses have one rule, ``level_sums``: every prefix sums its cells
-pairwise, level by level, whatever view the cells come from.
+Exact masses have one rule, ``level_sums``: every prefix sums its cells
+pairwise, level by level, whatever view the cells come from, and every
+marginal or conditional here is a ratio of such sums (a marginal sums a
+level's masses that end in 1 the same way).
 Every table built from conditionals goes through ``_from_conditionals``.
 """
 
@@ -91,8 +93,9 @@ def check_probability_vector(probs: np.ndarray) -> None:
         raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
 
 
-def single_bit_divergence(kind: DivergenceKind, p: float, q: float) -> float:
-    """Divergence between Ber(p) and Ber(q).
+def single_bit_divergence(kind: DivergenceKind, p, q):
+    """Divergence between Ber(p) and Ber(q), elementwise over arrays; a
+    float for scalar p and q.
 
     TV(p,q) = |p-q|
     kl(p,q) = p log2(p/q) + (1-p) log2((1-p)/(1-q)), with 0 log 0 = 0 and
@@ -100,27 +103,25 @@ def single_bit_divergence(kind: DivergenceKind, p: float, q: float) -> float:
     chi2(p,q) = (p-q)^2 / ((p+q)(2-(p+q))), with the 0/0 form (p = q at the
               endpoints) evaluating to 0
     """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise DomainError(f"probabilities must lie in [0,1], got {p}, {q}")
-    if kind is DivergenceKind.TV:
-        return abs(p - q)
-    if kind is DivergenceKind.CHI2:
-        if p == q:
-            return 0.0
-        # (1 - p) + (1 - q), not 2 - (p + q): near p = q = 1 the sum rounds
-        # to 2 and the denominator to 0.
-        return (p - q) ** 2 / ((p + q) * ((1.0 - p) + (1.0 - q)))
-    if kind is DivergenceKind.KL:
-        total = 0.0
-        for a, b in ((p, q), (1.0 - p, 1.0 - q)):
-            if a == 0.0:
-                continue
-            if b == 0.0:
-                return math.inf
-            total += a * math.log2(a / b)
-        # Tiny negative values can appear from rounding when p ~ q.
-        return max(total, 0.0)
-    raise DomainError(f"unknown divergence kind {kind!r}")
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64))
+    bad = ~((0.0 <= p) & (p <= 1.0) & (0.0 <= q) & (q <= 1.0))  # NaN included
+    if bad.any():
+        raise DomainError(f"probabilities must lie in [0,1], got {p[bad][0]}, {q[bad][0]}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is DivergenceKind.TV:
+            d = np.abs(p - q)
+        elif kind is DivergenceKind.CHI2:
+            # (1 - p) + (1 - q), not 2 - (p + q): near p = q = 1 the sum rounds
+            # to 2 and the denominator to 0.
+            d = np.where(p == q, 0.0, (p - q) ** 2 / ((p + q) * ((1.0 - p) + (1.0 - q))))
+        elif kind is DivergenceKind.KL:
+            # a / b is inf where b = 0 < a; tiny negative sums come from
+            # rounding when p ~ q
+            d = np.maximum(sum(np.where(a == 0.0, 0.0, a * np.log2(a / b))
+                               for a, b in ((p, q), (1.0 - p, 1.0 - q))), 0.0)
+        else:
+            raise DomainError(f"unknown divergence kind {kind!r}")
+    return float(d) if d.ndim == 0 else d
 
 
 def node_index(i, w):
@@ -240,41 +241,32 @@ class DistributionTable:
 
     def effective_conditional_levels(self) -> list[np.ndarray]:
         """Like conditional_levels(), but a zero-mass prefix inherits the
-        conditional of its deepest positive-mass ancestor: the value at a dead
-        node (i, w) is Pr[x_i = 1 | x_[k] = w_[k]] for the largest k with
-        Pr[x_[k] = w_[k]] > 0, summed over that cylinder in cell order.  For
-        degenerate tables (e.g. point masses) this is the 0/1 value the table
-        implies on its dead branches; live prefixes copy conditional_levels()."""
+        conditional of its deepest positive-mass ancestor: the value at node
+        (i, w) is Pr[x_i = 1 | x_[k] = w_[k]] for the largest k < i with
+        Pr[x_[k] = w_[k]] > 0, the level-i masses of that cylinder ending in
+        1, summed by ``level_sums``, over the ancestor's mass.  For degenerate
+        tables (e.g. point masses) this is the 0/1 value the table implies on
+        its dead branches; live prefixes (k = i - 1) equal conditional_levels()."""
         if self._eff_cond_levels is None:
             levels = self.level_sums()
+            masses = np.concatenate(levels)  # prefix (k, v) at node_index(k + 1, v)
             out = []
             depth = np.zeros(1, dtype=np.intp)  # of each prefix's deepest positive ancestor
-            for i, cond in enumerate(self.conditional_levels(), start=1):
-                parent = levels[i - 1]
+            for i in range(1, self.n + 1):
                 if i > 1:
-                    depth = np.where(parent > 0.0, i - 1, np.repeat(depth, 2))
-                cond = cond.copy()
-                dead = np.flatnonzero(parent == 0.0)
-                for k in np.unique(depth[dead]):
-                    prefixes = dead[depth[dead] == k]
-                    anc, which = np.unique(prefixes >> (i - 1 - k), return_inverse=True)
-                    cells = self.probs.reshape(1 << k, -1)[anc]
-                    ones = np.ascontiguousarray(
-                        cells.reshape(anc.shape[0], 1 << (i - 1 - k), 2, -1)[:, :, 1, :])
-                    cond[prefixes] = (ones.reshape(anc.shape[0], -1).sum(axis=1)
-                                      / cells.sum(axis=1))[which]
+                    depth = np.where(levels[i - 1] > 0.0, i - 1, np.repeat(depth, 2))
+                anc = node_index(depth + 1, np.arange(1 << (i - 1)) >> (i - 1 - depth))
+                cond = np.concatenate(level_sums(levels[i][1::2]))[anc] / masses[anc]
                 cond.setflags(write=False)
                 out.append(cond)
             self._eff_cond_levels = out
         return self._eff_cond_levels
 
     def marginals(self) -> np.ndarray:
-        """Pr[x_i = 1] for i = 1..n."""
-        idx = np.arange(1 << self.n)
-        return np.array([
-            float(self.probs[(idx >> (self.n - i)) & 1 == 1].sum())
-            for i in range(1, self.n + 1)
-        ])
+        """Pr[x_i = 1] for i = 1..n: level i's masses ending in 1, summed by
+        ``level_sums``."""
+        levels = self.level_sums()
+        return np.array([level_sums(levels[i][1::2])[0][0] for i in range(1, self.n + 1)])
 
     # ------------------------------------------------------------------
     # distribution files
@@ -368,23 +360,16 @@ def slicewise_divergence(kind: DivergenceKind, t: DistributionTable,
     (ancestor-inherited) conditional for TV/CHI2 and give +inf for KL.
     """
     _check_same_domain(t, m)
-    t_levels = t.level_sums()
     t_cond = t.conditional_levels()
     m_levels = m.level_sums()
     m_cond = m.effective_conditional_levels()
     total = 0.0
-    for i in range(1, t.n + 1):
-        weights = t_levels[i - 1]
+    for i, weights in enumerate(t.level_sums()[:-1]):
         alive = weights > 0.0
-        if kind is DivergenceKind.KL and np.any(alive & (m_levels[i - 1] == 0.0)):
+        if kind is DivergenceKind.KL and np.any(alive & (m_levels[i] == 0.0)):
             return math.inf
-        tc = t_cond[i - 1]
-        mc = m_cond[i - 1]
-        for j in np.nonzero(alive)[0]:
-            d = single_bit_divergence(kind, float(tc[j]), float(mc[j]))
-            if math.isinf(d):
-                return math.inf
-            total += float(weights[j]) * d
+        total += float(weights[alive] @ single_bit_divergence(kind, t_cond[i][alive],
+                                                                m_cond[i][alive]))
     return total
 
 

@@ -358,17 +358,13 @@ def _run_single_bit(spec: ExperimentSpec) -> list[dict]:
 
 
 def _run_inequality_grid(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    for pi in range(101):
-        p = pi / 100.0
-        for qi in range(1, 100):
-            q = qi / 100.0
-            chi2 = distcore.single_bit_divergence(distcore.DivergenceKind.CHI2, p, q)
-            kl = distcore.single_bit_divergence(distcore.DivergenceKind.KL, p, q)
-            bound = kl / (12.0 * math.log2(max(1.0 / q, 1.0 / (1.0 - q))))
-            rows.append({"p": p, "q": q, "chi2": chi2, "kl_bound": bound,
-                         "violation": int(chi2 < bound - 1e-12)})
-    return rows
+    p, q = np.meshgrid(np.arange(101) / 100.0, np.arange(1, 100) / 100.0, indexing="ij")
+    chi2 = distcore.single_bit_divergence(distcore.DivergenceKind.CHI2, p, q)
+    kl = distcore.single_bit_divergence(distcore.DivergenceKind.KL, p, q)
+    bound = kl / (12.0 * np.log2(np.maximum(1.0 / q, 1.0 / (1.0 - q))))
+    columns = (p, q, chi2, bound, chi2 < bound - 1e-12)
+    return [{"p": pv, "q": qv, "chi2": c, "kl_bound": b, "violation": int(v)}
+            for pv, qv, c, b, v in zip(*(column.ravel().tolist() for column in columns))]
 
 
 def _run_adversarial_distance(spec: ExperimentSpec) -> list[dict]:

@@ -13,8 +13,11 @@ Every literal query is served by one rule (``MeteredOracle``):
    again.
 
 Every answer is one uniform drawn through ``inverse_cdf``, so it never
-leaves its query's support or lands on a cell of zero mass; most are one
-masked-cell draw, ``MeteredOracle._draw_cell``.  A condition with zero mass
+leaves its query's support or lands on a cell of zero mass.  A literal draw
+sums the cells its query selects and nothing else (``_draw_weighted``): a
+masked-cell draw, ``MeteredOracle._draw_cell``, sums its mask's cells, and
+an interval draw the b - a + 1 cells of [a, b], so a condition is refused
+exactly when none of its cells has mass.  A condition with zero mass
 is billed and then refused with ZERO_PROBABILITY_CONDITION.  Two such
 refusals bill in their own way: a mask that selects no cell at all (a code
 the binary encoding never uses) bills the wrapper only, since no query
@@ -101,17 +104,28 @@ def _malformed(msg: str) -> OracleError:
     return OracleError(OracleErrorKind.MALFORMED_QUERY, msg)
 
 
-def inverse_cdf(cdf: np.ndarray, u: np.ndarray, base: float = 0.0) -> np.ndarray:
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The cells of ``cdf`` the uniforms ``u`` draw.  Each u is scaled to
-    base + u (cdf[-1] - base), capped below cdf[-1] and searched; for
-    base < cdf[-1] it lands on a cell j of positive mass past base:
-    cdf[j-1] < cdf[j] and base < cdf[j].  Sorted, a batch walks the cdf once."""
+    u cdf[-1], capped below cdf[-1] and searched; for cdf[-1] > 0 it lands on
+    a cell j of positive mass: cdf[j-1] < cdf[j].  Sorted, a batch walks the
+    cdf once."""
     top = cdf[-1]
-    x = np.minimum(base + u * (top - base), np.nextafter(top, -np.inf))
+    x = np.minimum(u * top, np.nextafter(top, -np.inf))
     order = np.argsort(x)
     found = np.empty(x.shape, dtype=np.intp)
     found[order] = np.searchsorted(cdf, x[order], side="right")
     return found
+
+
+def _draw_weighted(weights: np.ndarray, rng) -> int:
+    """Index of an entry of positive weight, drawn by one uniform through
+    ``inverse_cdf`` on the weights' running sum; ZERO_PROBABILITY_CONDITION
+    when they sum to 0, which a sum of non-negative doubles does exactly
+    when every one is 0."""
+    cdf = np.cumsum(weights)
+    if cdf[-1] <= 0.0:
+        raise _zero_prob("condition has zero probability")
+    return int(inverse_cdf(cdf, rng.random(1))[0])
 
 
 @dataclass
@@ -158,7 +172,7 @@ class MeteredOracle:
 
     def _draw_cell(self, cls: QueryClass, probs: np.ndarray, mask: np.ndarray) -> int:
         """Index of a cell of positive mass in ``mask``, drawn from ``probs`` by
-        ``inverse_cdf`` and billed by ``charge`` as one query of class ``cls``.
+        ``_draw_weighted`` and billed by ``charge`` as one query of class ``cls``.
         A mask that selects no cell bills this oracle only, as no query reaches
         the base; it and zero mass raise ZERO_PROBABILITY_CONDITION."""
         sel = np.nonzero(mask)[0]
@@ -166,10 +180,7 @@ class MeteredOracle:
             self.counter.add(cls)
             raise _zero_prob("the query selects no cell")
         self.charge(cls)
-        cdf = np.cumsum(probs[sel])
-        if cdf[-1] <= 0.0:
-            raise _zero_prob("condition has zero probability")
-        return int(sel[inverse_cdf(cdf, self.rng.random(1))[0]])
+        return int(sel[_draw_weighted(probs[sel], self.rng)])
 
 
 class BinaryPrefixOracle(MeteredOracle):
@@ -396,25 +407,18 @@ class IntervalOracle(MeteredOracle):
         super().__init__(seed=seed)
         self.N = pmf.shape[0]
         self.pmf = pmf
-        self.cdf = np.cumsum(pmf)
-
-    def interval_mass(self, a: int, b: int) -> float:
-        if not 1 <= a <= b <= self.N:
-            raise _malformed(f"bad interval [{a}, {b}] for N={self.N}")
-        return float(self.cdf[b - 1] - (self.cdf[a - 2] if a > 1 else 0.0))
 
     def interval_sample(self, a: int, b: int) -> int:
         """Element of [a, b] distributed as the conditional; 1-based."""
-        self.interval_mass(a, b)  # MALFORMED_QUERY before anything is billed
+        if not 1 <= a <= b <= self.N:
+            raise _malformed(f"bad interval [{a}, {b}] for N={self.N}")
         self.charge(QueryClass.INTERVAL)
         return self._draw_interval(a, b)
 
     def _draw_interval(self, a: int, b: int) -> int:
-        """The draw of ``interval_sample``, unbilled."""
-        if self.interval_mass(a, b) <= 0.0:
-            raise _zero_prob(f"interval [{a}, {b}] has zero probability")
-        base = self.cdf[a - 2] if a > 1 else 0.0
-        return int(inverse_cdf(self.cdf[:b], self.rng.random(1), base)[0]) + 1
+        """The draw of ``interval_sample``, unbilled: ``_draw_weighted`` on
+        the interval's own cells."""
+        return a + _draw_weighted(self.pmf[a - 1:b], self.rng)
 
 
 class IntervalBackedPrefixOracle(BinaryPrefixOracle):
@@ -441,7 +445,7 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
         return node_conditionals(level_sums(cells))
 
     def _full_cdf(self) -> tuple[np.ndarray, None]:
-        return self.base.cdf, None
+        return np.cumsum(self.base.pmf), None
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
         bits = self._folded_prefix(query)

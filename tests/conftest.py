@@ -12,7 +12,7 @@ from scipy.stats import binom
 
 from condtest import testers
 from condtest.adversarial import GridProductDistance
-from condtest.distcore import DistributionTable
+from condtest.distcore import DistributionTable, DivergenceKind
 from condtest.oracles import (
     BinaryEncodedOracle,
     GeneralProductMarginalOracle,
@@ -59,17 +59,16 @@ class ConstantUniforms:
 
 
 def bit_prob_in_cylinder(table, i, k, anc):
-    """Reference for a dead node of ``effective_conditional_levels``:
-    Pr[x_i = 1 | x_[k] = anc], for k < i and positive ancestor mass, as the
-    bit-i-one cells of the cylinder over all of its cells, each summed in
-    cell order."""
-    width = table.n - k
-    block = table.probs[anc << width:(anc + 1) << width]
-    mask_bit = 1 << (table.n - i)
-    idx = np.arange(block.shape[0])
-    ones = float(block[(idx & mask_bit) != 0].sum())
-    total = float(block.sum())
-    return ones / total
+    """Reference for a node of ``effective_conditional_levels``:
+    Pr[x_i = 1 | x_[k] = anc], for k < i and positive ancestor mass, as
+    pairwise sums: the cylinder's block of cells halved to its level-i
+    masses, the entries ending in 1 halved to one value, over the
+    ancestor's pairwise mass."""
+    block = table.probs[anc << (table.n - k):(anc + 1) << (table.n - k)]
+    while block.shape[0] > 1 << (i - k):
+        block = block[0::2] + block[1::2]
+    ones = _pairwise_mass(block[1::2], i - k - 1, 0, 0)
+    return ones / _pairwise_mass(table.probs, table.n, k, anc)
 
 
 def reference_effective_conditional(table, i, j):
@@ -81,6 +80,40 @@ def reference_effective_conditional(table, i, j):
         k -= 1
         anc >>= 1
     return bit_prob_in_cylinder(table, i, k, anc)
+
+
+def reference_bit_divergence(kind, p, q):
+    """Reference for ``single_bit_divergence``: one pair of floats, with
+    ``math.log2``."""
+    if kind is DivergenceKind.TV:
+        return abs(p - q)
+    if kind is DivergenceKind.CHI2:
+        return 0.0 if p == q else (p - q) ** 2 / ((p + q) * ((1.0 - p) + (1.0 - q)))
+    total = 0.0
+    for a, b in ((p, q), (1.0 - p, 1.0 - q)):
+        if a == 0.0:
+            continue
+        if b == 0.0:
+            return math.inf
+        total += a * math.log2(a / b)
+    return max(total, 0.0)
+
+
+def reference_slicewise_divergence(kind, t, m):
+    """Reference for ``slicewise_divergence``: a loop over every prefix of
+    positive t-mass, adding its mass times ``reference_bit_divergence`` of
+    t's conditional and m's effective one (``reference_effective_conditional``);
+    KL is inf once such a prefix has no m-mass."""
+    t_levels, m_levels = t.level_sums(), m.level_sums()
+    total = 0.0
+    for i in range(1, t.n + 1):
+        for j in np.flatnonzero(t_levels[i - 1] > 0.0).tolist():
+            if kind is DivergenceKind.KL and m_levels[i - 1][j] == 0.0:
+                return math.inf
+            tc = float(t_levels[i][2 * j + 1]) / float(t_levels[i - 1][j])
+            d = reference_bit_divergence(kind, tc, reference_effective_conditional(m, i, j))
+            total += float(t_levels[i - 1][j]) * d
+    return total
 
 
 def _factor_table(k, grid):

@@ -24,7 +24,13 @@ from condtest.distcore import (
     slicewise_divergence,
     tv_distance,
 )
-from conftest import positive_table, random_table, reference_effective_conditional
+from conftest import (
+    positive_table,
+    random_table,
+    reference_bit_divergence,
+    reference_effective_conditional,
+    reference_slicewise_divergence,
+)
 
 TV, KL, CHI2 = DivergenceKind.TV, DivergenceKind.KL, DivergenceKind.CHI2
 
@@ -76,6 +82,29 @@ def test_chi2_symmetries(p, q):
     assert a == pytest.approx(single_bit_divergence(CHI2, q, p))
     assert a == pytest.approx(single_bit_divergence(CHI2, 1 - p, 1 - q))
     assert 0.0 <= a <= 1.0
+
+
+def test_single_bit_divergence_over_arrays(rng):
+    """Elementwise over arrays, endpoints included, within 1e-12 relative
+    of the one-pair reference and inf at the same entries; a float for
+    scalar input; DomainError when any entry is NaN or outside [0, 1]."""
+    p = np.concatenate([rng.random(200), [0.0, 0.0, 1.0, 1.0, 0.3, 0.0, 1.0]])
+    q = np.concatenate([rng.random(200), [0.0, 1.0, 0.0, 1.0, 0.0, 0.7, 0.4]])
+    for kind in (TV, CHI2, KL):
+        got = single_bit_divergence(kind, p, q)
+        want = np.array([reference_bit_divergence(kind, a, b) for a, b in zip(p, q)])
+        assert got.shape == p.shape
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
+        assert type(single_bit_divergence(kind, 0.25, 0.5)) is float
+        assert type(single_bit_divergence(kind, np.float64(0.25), 0.5)) is float
+        for bad in (np.nan, -0.1, 1.5):
+            worse = p.copy()
+            worse[7] = bad
+            for args in ((worse, q), (p, worse)):
+                with pytest.raises(DomainError):
+                    single_bit_divergence(kind, *args)
 
 
 def test_divergence_monotone_in_separation():
@@ -258,6 +287,31 @@ def test_slicewise_zero_on_equal(rng):
     for _ in range(10):
         t = random_table(rng, int(rng.integers(1, 6)), zeros=True)
         assert slicewise_divergence(CHI2, t, t) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_slicewise_matches_the_prefix_loop(rng):
+    """Seeded pairs with zero cells, TV, CHI2 and KL: within 1e-12 relative
+    of a loop over every live prefix (``reference_slicewise_divergence``),
+    and inf exactly where it is inf.  Half the pairs mix m into t, so KL is
+    finite there."""
+    kinds_seen = {TV: 0, CHI2: 0, KL: 0}
+    infinite = 0
+    for k in range(40):
+        n = int(rng.integers(1, 8))
+        t = random_table(rng, n, zeros=True)
+        m = random_table(rng, n, zeros=True)
+        if k % 2:
+            m = DistributionTable(n, 0.5 * t.probs + 0.5 * m.probs)
+        for kind in kinds_seen:
+            got = slicewise_divergence(kind, t, m)
+            want = reference_slicewise_divergence(kind, t, m)
+            if math.isinf(want):
+                assert got == math.inf, (k, kind)
+                infinite += 1
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (k, kind)
+                kinds_seen[kind] += 1
+    assert min(kinds_seen.values()) >= 20 and infinite >= 5
 
 
 def test_slicewise_single_slice_reduces_to_single_bit():

@@ -13,6 +13,7 @@ from condtest.distcore import (
     TupleDomain,
     bits_to_index,
     index_to_bits,
+    node_index,
 )
 from condtest.oracles import (
     BinaryEncodedOracle,
@@ -244,6 +245,53 @@ def test_interval_view_keeps_a_tiny_prefix_alive():
     assert view.node_bit_probs().tolist() == [1e-20, 1e-20, 0.0]
 
 
+def test_interval_draw_answers_a_tiny_cell():
+    """Cell 2's mass is below the rounding of the cdf before it; the draw
+    sums the interval's own cells, so it answers the cell."""
+    assert IntervalOracle([0.5, 1e-20, 0.5]).interval_sample(2, 2) == 2
+
+
+def test_interval_view_answers_a_tiny_live_prefix():
+    """Prefix 1 holds only the 1e-20 of element 3; the node array calls it
+    alive, and the literal prefix query answers it."""
+    view = IntervalBackedPrefixOracle(IntervalOracle([1 - 2e-20, 1e-20, 1e-20, 0.0]))
+    assert view.node_bit_probs()[0] == 1e-20
+    assert view.prefix_sample(PrefixQuery.bits((1,))) == (1, 0)
+
+
+def test_interval_view_refuses_exactly_the_dead_prefixes():
+    """Seeded pmfs over [N] with cells of mass 1e-20 and 0: the literal
+    prefix query of every node is refused exactly where ``node_bit_probs()``
+    is NaN, and otherwise answers a cell of positive mass inside the
+    prefix."""
+    g = np.random.default_rng(68)
+    tiny = 0  # live prefixes whose cells are all 0 or 1e-20
+    for _ in range(30):
+        N = int(g.integers(2, 40))
+        pmf = g.random(N) + 0.05
+        pmf[g.random(N) < 0.4] = 1e-20
+        pmf[g.random(N) < 0.2] = 0.0
+        if pmf.max() < 1e-10:
+            pmf[0] = 1.0
+        view = IntervalBackedPrefixOracle(IntervalOracle(pmf / pmf.sum(), seed=int(g.integers(99))))
+        nodes = view.node_bit_probs()
+        cells = np.zeros(1 << view.n)
+        cells[:N] = view.base.pmf
+        for i in range(1, view.n + 1):
+            for w in range(1 << (i - 1)):
+                prefix = index_to_bits(w, i - 1)
+                block = cells[w << (view.n - i + 1):(w + 1) << (view.n - i + 1)]
+                if np.isnan(nodes[node_index(i, w)]):
+                    with pytest.raises(OracleError) as refused:
+                        view.prefix_sample(PrefixQuery.bits(prefix))
+                    assert refused.value.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
+                    continue
+                x = view.prefix_sample(PrefixQuery.bits(prefix))
+                assert x[:i - 1] == prefix and cells[bits_to_index(x)] > 0.0
+                tiny += block.max() < 1e-10
+    assert tiny >= 20
+
+
 def test_encoded_node_array_is_dead_exactly_at_unused_prefixes():
     """At 18 encoded bits (alphabets of 5, 9, 17 and 33 symbols, so most
     codes name no cell), an entry is NaN exactly where no cell's code starts
@@ -301,8 +349,8 @@ def _full_sample_case(kind, seed=0):
         pmf = np.random.default_rng(8).dirichlet(np.ones(200))
         pmf[[10, 11, 12, 150]] = 0.0
         base = IntervalOracle(pmf / pmf.sum(), seed=seed)
-        return (IntervalBackedPrefixOracle(base), base.cdf, float(base.cdf[-1]),
-                lambda idx: idx)
+        cdf = np.cumsum(base.pmf)
+        return IntervalBackedPrefixOracle(base), cdf, float(cdf[-1]), lambda idx: idx
     enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8), seed))
     cdf = np.cumsum(enc.base.probs)
     return enc, cdf, float(cdf[-1]), lambda idx: enc._encoded[idx]

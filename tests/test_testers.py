@@ -46,6 +46,7 @@ from conftest import (
     exact_tail_reaches,
     full_support_calculus,
     near_rows,
+    random_table,
     reference_walk,
 )
 
@@ -831,7 +832,8 @@ def test_general_refuses_domains_of_equal_bit_width():
 
 
 def test_general_matches_binary_on_binary_domain():
-    """The identity encoding reproduces the plain binary tester exactly."""
+    """The identity encoding reproduces the plain binary tester exactly, and
+    so does the interval view of [2^n]: one law, three query models."""
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     dom = TupleDomain(((0, 1), (0, 1)))
     v_gen = equivalence_test_general(TupleTableOracle(dom, probs, seed=8),
@@ -846,6 +848,37 @@ def test_general_matches_binary_on_binary_domain():
     assert v_gen.queries_used["total"] == 2 * v_bin.queries_used["total"]
     assert [row.get("rejected_at") for row in v_gen.trace] == \
            [row.get("rejected_at") for row in v_bin.trace]
+    # 40 seeded pairs at n = 1..8 (self-tests, 1% mixtures, and tables with
+    # zero cells), each served as tables, as interval oracles over [2^n] and
+    # as tuple oracles over binary alphabets: the three walks read the same
+    # node arrays and draw the same cells, so they give the same verdict and
+    # trace, and each wrapped form bills exactly twice the table's total.
+    g = np.random.default_rng(31)
+    rejects = 0
+    for k in range(40):
+        n = 1 + k % 8
+        tau = random_table(g, n, zeros=k % 3 == 2).probs
+        if k % 3 == 0:
+            mu = tau
+        elif k % 3 == 1:
+            mu = 0.99 * tau + 0.01 * g.dirichlet(np.ones(1 << n))
+        else:
+            mu = random_table(g, n, zeros=True).probs
+        seeds = g.integers(1 << 32, size=3)
+        tables = equivalence_test(TableOracle(DistributionTable(n, tau), seed=seeds[0]),
+                                  TableOracle(DistributionTable(n, mu), seed=seeds[1]),
+                                  0.5, seed=seeds[2])
+        domain = TupleDomain(((0, 1),) * n)
+        for wrapped in (
+                interval_equivalence_test(IntervalOracle(tau, seed=seeds[0]),
+                                          IntervalOracle(mu, seed=seeds[1]), 0.5, seed=seeds[2]),
+                equivalence_test_general(TupleTableOracle(domain, tau, seed=seeds[0]),
+                                         TupleTableOracle(domain, mu, seed=seeds[1]),
+                                         0.5, seed=seeds[2])):
+            assert (wrapped.accepted, wrapped.trace) == (tables.accepted, tables.trace), k
+            assert wrapped.queries_used["total"] == 2 * tables.queries_used["total"], k
+        rejects += not tables.accepted
+    assert 0 < rejects < 40
 
 
 def test_tuple_testers_at_eighteen_encoded_bits():
