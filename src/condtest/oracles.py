@@ -31,20 +31,19 @@ expose the exact conditional probabilities they sample from as one float64
 array, ``node_bit_probs()``: the entry for coordinate i and prefix w (an
 MSB-first integer of i - 1 bits) is Pr[x_i = 1 | x_[i-1] = w], at
 ``distcore.node_index(i, w)``, so coordinate i fills indices
-2^(i-1) - 1 .. 2^i - 2 in prefix order.  The entry is NaN where w has zero
-mass.  Each oracle builds the array once, by one rule: its cells' masses
-lie at their n-bit codes (a padding element of [2^n] or a code the binary
-encoding never uses holds zero), every prefix mass is the pairwise sum of
-its cells (``distcore.level_sums``), and the entries are
-``distcore.node_conditionals`` of those masses.  The product view over
-{0,1}^n alone repeats its base's marginals.
-``exact_bit_prob(i, w)`` is an accessor that reads the array and raises a
-ZERO_PROBABILITY_CONDITION error on NaN.  These oracles also draw full
-samples without a meter charge (``sample_full_indices_uncounted``), one
-uniform per draw through ``inverse_cdf`` on the cell cdf each class gives
-in ``_full_cdf``, so ``skip_full_draws(k)`` moves the stream past k draws
+2^(i-1) - 1 .. 2^i - 2 in prefix order; it is NaN where w has zero mass,
+and ``exact_bit_prob(i, w)`` reads it, raising ZERO_PROBABILITY_CONDITION
+on NaN.  They also draw full samples as n-bit codes without a meter charge
+(``sample_full_indices_uncounted``), one uniform per draw through
+``inverse_cdf``, so ``skip_full_draws(k)`` moves the stream past k draws
 exactly as drawing them would (a PCG64 stream by ``advance``, any other by
-generating the k uniforms).
+generating the k uniforms).  A cell-backed view (table, interval view,
+binary encoding) states only its cells: masses at n-bit codes.  Laid out
+at their codes, zero where no cell is (the padding, a code the encoding
+never uses), they give both inputs: the node array is
+``distcore.node_conditionals`` of their pairwise prefix sums
+(``distcore.level_sums``), and a full draw searches their running sum.
+The product views over marginals build their own node arrays.
 
 Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
@@ -184,20 +183,32 @@ class MeteredOracle:
 
 
 class BinaryPrefixOracle(MeteredOracle):
-    """An oracle over {0,1}^n that serves the equivalence walk; subclasses
-    build ``node_bit_probs()`` (see the module docstring) in
-    ``_build_node_bit_probs``, once per oracle, on first use.  A marginal
-    prefix query draws its bit from ``exact_bit_prob`` unless the subclass
-    serves it through its base."""
+    """An oracle over {0,1}^n that serves the equivalence walk.  A
+    cell-backed one gives cell c's mass and n-bit code as
+    ``_cell_probs()[c]`` and ``_cell_codes()[c]``, and both walk inputs, each
+    built once on first use, derive from ``_code_cells()``; any other
+    overrides ``_build_node_bit_probs``.  A marginal prefix query draws its
+    bit from ``exact_bit_prob`` unless the subclass serves it through its
+    base."""
 
     n: int
     _node_bit_probs: np.ndarray | None = None
-    _full: tuple | None = None
+    _code_cdf: np.ndarray | None = None
 
     def node_bit_probs(self) -> np.ndarray:
         if self._node_bit_probs is None:
             self._node_bit_probs = self._build_node_bit_probs()
         return self._node_bit_probs
+
+    def _code_cells(self) -> np.ndarray:
+        """The mass at every n-bit code: its cell's, or zero where no cell
+        has the code."""
+        cells = np.zeros(1 << self.n)
+        cells[self._cell_codes()] = self._cell_probs()
+        return cells
+
+    def _build_node_bit_probs(self) -> np.ndarray:
+        return node_conditionals(level_sums(self._code_cells()))
 
     def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
         """Pr[x_i = 1 | x_[i-1] = prefix], read from ``node_bit_probs()``;
@@ -228,14 +239,12 @@ class BinaryPrefixOracle(MeteredOracle):
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain samples as n-bit codes, with no meter charge;
         callers charge per consumed draw.  One uniform per draw, as
-        ``skip_full_draws`` assumes, drawn by ``inverse_cdf`` on the cell
-        cdf, so never a cell of zero mass.  Subclasses give (cell cdf, cell
-        codes or None when cell c has the code c) in ``_full_cdf``."""
-        if self._full is None:
-            self._full = self._full_cdf()
-        cdf, codes = self._full
-        found = inverse_cdf(cdf, self.rng.random(k))
-        return found if codes is None else codes[found]
+        ``skip_full_draws`` assumes, drawn by ``inverse_cdf`` on the running
+        sum of ``_code_cells()``, so the search answers a code and never one
+        of zero mass."""
+        if self._code_cdf is None:
+            self._code_cdf = np.cumsum(self._code_cells())
+        return inverse_cdf(self._code_cdf, self.rng.random(k))
 
     def skip_full_draws(self, k: int) -> None:
         """Move the RNG past k ``sample_full_indices_uncounted`` draws
@@ -331,10 +340,9 @@ def prefix_to_interval(n: int, i: int, w) -> tuple[int, int]:
 
 
 class CellCodeOracle(BinaryPrefixOracle):
-    """A binary oracle over explicit cells: cell c has mass
-    ``_cell_probs()[c]`` and the n-bit code ``_cell_codes()[c]``.  A subcube
-    or prefix query is the mask of the cells whose codes satisfy it, served
-    by ``_draw_cell``."""
+    """A cell-backed view that serves its literal queries by masks: a
+    subcube or prefix query is the mask of the cells whose codes satisfy
+    it, drawn by ``_draw_cell``."""
 
     def _draw_point(self, cls: QueryClass, mask: np.ndarray) -> tuple[int, ...]:
         cell = self._draw_cell(cls, self._cell_probs(), mask)
@@ -381,15 +389,15 @@ class TableOracle(CellCodeOracle):
     def _cell_codes(self) -> np.ndarray:
         return np.arange(1 << self.n)
 
+    def _code_cells(self) -> np.ndarray:
+        return self.table.probs  # cell x is at code x: no scatter needed
+
     def _build_node_bit_probs(self) -> np.ndarray:
-        return self.table.conditional_nodes()
+        return self.table.conditional_nodes()  # cached: a self-test shares the table
 
     def draw_unconditional(self) -> tuple[int, ...]:
         self.charge(QueryClass.UNCONDITIONAL)
         return index_to_bits(int(self.sample_full_indices_uncounted(1)[0]), self.n)
-
-    def _full_cdf(self) -> tuple[np.ndarray, None]:
-        return np.cumsum(self.table.probs), None
 
 
 # ----------------------------------------------------------------------
@@ -439,13 +447,11 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
         super().__init__(base)
         self.n = max(1, (base.N - 1).bit_length())
 
-    def _build_node_bit_probs(self) -> np.ndarray:
-        cells = np.zeros(1 << self.n)  # the padding N+1..2^n has zero mass
-        cells[:self.base.N] = self.base.pmf
-        return node_conditionals(level_sums(cells))
+    def _cell_probs(self) -> np.ndarray:
+        return self.base.pmf
 
-    def _full_cdf(self) -> tuple[np.ndarray, None]:
-        return np.cumsum(self.base.pmf), None
+    def _cell_codes(self) -> np.ndarray:
+        return np.arange(self.base.N)  # the padding N+1..2^n has no cell
 
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
         bits = self._folded_prefix(query)
@@ -544,16 +550,6 @@ class BinaryEncodedOracle(CellCodeOracle):
     def marginal_prefix_sample(self, i: int, w) -> int:
         w = self._checked_prefix(i, w)
         return self._draw_point(QueryClass.MARGINAL, self._prefix_mask(w))[i - 1]
-
-    # -- the walk's support ---------------------------------------------
-
-    def _build_node_bit_probs(self) -> np.ndarray:
-        cells = np.zeros(1 << self.n)  # a code that no symbol uses has zero mass
-        cells[self._encoded] = self.base.probs
-        return node_conditionals(level_sums(cells))
-
-    def _full_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.cumsum(self.base.probs), self._encoded
 
 
 # ----------------------------------------------------------------------

@@ -422,8 +422,8 @@ def test_every_draw_site_answers_in_support(u):
     """Seeded pmfs with zero cells, at the least and the greatest uniform:
     each draw site answers the first (u = 0) or last (top u) cell of
     positive mass its query selects: a masked-cell draw, a full draw of a
-    table and of a padded interval view, an interval draw, and a pair
-    draw."""
+    table, of a padded interval view and of a binary encoding, an interval
+    draw, and a pair draw."""
     g = np.random.default_rng(29)
     stub = ConstantUniforms(u)
     end, bit = (0, 0) if u == 0.0 else (-1, 1)
@@ -451,6 +451,18 @@ def test_every_draw_site_answers_in_support(u):
             assert base.interval_sample(a, b) == hit[end]
             served += 1
     assert served >= 40
+    # tuple domains of 1-6 symbols per coordinate, so some codes go unused:
+    # the full draw answers the code of the first or last cell of positive mass
+    g = np.random.default_rng(32)
+    for _ in range(30):
+        domain = TupleDomain(tuple(tuple(range(k)) for k in g.integers(1, 7, int(g.integers(1, 4)))))
+        w = g.random(domain.size())
+        w[g.random(domain.size()) < 0.25] = 0.0
+        w[g.integers(domain.size())] += 0.5
+        enc = BinaryEncodedOracle(TupleTableOracle(domain, w / w.sum()))
+        enc.rng = stub
+        assert enc.sample_full_indices_uncounted(2).tolist() == [
+            enc._cell_codes()[np.flatnonzero(w)[end]]] * 2
     for biases in [(-1, -1, -1, -1, -1), (1, -1, 1, 1, -1)]:
         pairs = AdversarialInstance(11, 0.1, biases).draw_unconditional(stub)[:10]
         assert pairs == (bit,) * 10

@@ -17,6 +17,8 @@ from condtest import oracles, testers
 from condtest.distcore import MAX_DENSE_N, DistributionTable, DomainError, TupleDomain
 from condtest.harness import rate_lower_bound
 from condtest.oracles import (
+    BinaryEncodedOracle,
+    IntervalBackedPrefixOracle,
     IntervalOracle,
     QueryClass,
     TableOracle,
@@ -850,8 +852,8 @@ def test_general_matches_binary_on_binary_domain():
            [row.get("rejected_at") for row in v_bin.trace]
     # 40 seeded pairs at n = 1..8 (self-tests, 1% mixtures, and tables with
     # zero cells), each served as tables, as interval oracles over [2^n] and
-    # as tuple oracles over binary alphabets: the three walks read the same
-    # node arrays and draw the same cells, so they give the same verdict and
+    # as tuple oracles over binary alphabets: the three views have equal node
+    # arrays and draw the same codes, so the walks give the same verdict and
     # trace, and each wrapped form bills exactly twice the table's total.
     g = np.random.default_rng(31)
     rejects = 0
@@ -865,10 +867,19 @@ def test_general_matches_binary_on_binary_domain():
         else:
             mu = random_table(g, n, zeros=True).probs
         seeds = g.integers(1 << 32, size=3)
+        domain = TupleDomain(((0, 1),) * n)
+        for probs, seed in ((tau, seeds[0]), (mu, seeds[1])):
+            views = [TableOracle(DistributionTable(n, probs), seed=seed),
+                     IntervalBackedPrefixOracle(IntervalOracle(probs, seed=seed)),
+                     BinaryEncodedOracle(TupleTableOracle(domain, probs, seed=seed))]
+            nodes, draws = views[0].node_bit_probs(), views[0].sample_full_indices_uncounted(4096)
+            for view in views[1:]:
+                assert (np.isnan(view.node_bit_probs()) == np.isnan(nodes)).all(), k
+                assert (view.node_bit_probs() == nodes)[~np.isnan(nodes)].all(), k
+                assert view.sample_full_indices_uncounted(4096).tolist() == draws.tolist(), k
         tables = equivalence_test(TableOracle(DistributionTable(n, tau), seed=seeds[0]),
                                   TableOracle(DistributionTable(n, mu), seed=seeds[1]),
                                   0.5, seed=seeds[2])
-        domain = TupleDomain(((0, 1),) * n)
         for wrapped in (
                 interval_equivalence_test(IntervalOracle(tau, seed=seeds[0]),
                                           IntervalOracle(mu, seed=seeds[1]), 0.5, seed=seeds[2]),
