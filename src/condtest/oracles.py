@@ -43,7 +43,10 @@ at their codes, zero where no cell is (the padding, a code the encoding
 never uses), they give both inputs: the node array is
 ``distcore.node_conditionals`` of their pairwise prefix sums
 (``distcore.level_sums``), and a full draw searches their running sum.
-The product views over marginals build their own node arrays.
+The product view over such a view's coordinate marginals
+(``ProductMarginalOracle``) reads the same prefix sums: a coordinate's
+marginal sums them pairwise at its block's end, and its block's node
+entries are that marginal's ``node_conditionals``.
 
 Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
@@ -207,8 +210,12 @@ class BinaryPrefixOracle(MeteredOracle):
         cells[self._cell_codes()] = self._cell_probs()
         return cells
 
+    def _code_levels(self) -> list[np.ndarray]:
+        """The mass of every code prefix: ``level_sums(_code_cells())``."""
+        return level_sums(self._code_cells())
+
     def _build_node_bit_probs(self) -> np.ndarray:
-        return node_conditionals(level_sums(self._code_cells()))
+        return node_conditionals(self._code_levels())
 
     def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
         """Pr[x_i = 1 | x_[i-1] = prefix], read from ``node_bit_probs()``;
@@ -373,15 +380,19 @@ class CellCodeOracle(BinaryPrefixOracle):
 
 class TableOracle(CellCodeOracle):
     """Metered sampling access to a dense binary DistributionTable, whose
-    cell x has the code x.
+    cell x has the code x; each coordinate is a one-bit block, and a
+    product-of-marginals query is an empty-prefix query here.
 
     Supports the unconditional, subcube, prefix, and marginal prefix models.
     """
+
+    product_class = QueryClass.PREFIX
 
     def __init__(self, table: DistributionTable, seed=None):
         super().__init__(seed=seed)
         self.table = table
         self.n = table.n
+        self.block_widths = (1,) * self.n
 
     def _cell_probs(self) -> np.ndarray:
         return self.table.probs
@@ -391,6 +402,9 @@ class TableOracle(CellCodeOracle):
 
     def _code_cells(self) -> np.ndarray:
         return self.table.probs  # cell x is at code x: no scatter needed
+
+    def _code_levels(self) -> list[np.ndarray]:
+        return self.table.level_sums()  # cached on the table
 
     def _build_node_bit_probs(self) -> np.ndarray:
         return self.table.conditional_nodes()  # cached: a self-test shares the table
@@ -531,15 +545,19 @@ class BinaryEncodedOracle(CellCodeOracle):
     of every cell.  Every binary subcube, prefix or marginal-prefix query is
     served as a mask over those cell codes.  The domain is a full product, so
     the mask is a product of per-coordinate symbol sets: exactly one query of
-    the same class on the underlying tuple oracle.
+    the same class on the underlying tuple oracle, and a product-of-marginals
+    query is one subcube query there.
     """
+
+    product_class = QueryClass.SUBCUBE
 
     def __init__(self, base: TupleTableOracle):
         super().__init__(base)
         self.domain = base.domain
         self.n = self.domain.total_bits
+        self.block_widths = self.domain.bit_widths
         self._encoded = sum(digits << (self.n - end) for digits, end
-                            in zip(base._coord_digits, accumulate(self.domain.bit_widths)))
+                            in zip(base._coord_digits, accumulate(self.block_widths)))
 
     def _cell_probs(self) -> np.ndarray:
         return self.base.probs
@@ -557,63 +575,45 @@ class BinaryEncodedOracle(CellCodeOracle):
 
 
 class ProductMarginalOracle(BinaryPrefixOracle):
-    """Marginal-prefix oracle over the product of a binary distribution's
-    marginals, served through one unconditional (empty-prefix) sample of the
-    base distribution per query."""
+    """``ProductMarginalOracle(view)``: marginal-prefix oracle over the product
+    of the coordinate marginals of a cell-backed ``view`` (a ``TableOracle``
+    or a ``BinaryEncodedOracle``), billed on the view's root.
 
-    base_class = QueryClass.PREFIX
+    The view's n code bits fall into coordinate blocks, ``view.block_widths``.
+    A block's marginal sums each value's masses at the block's end
+    (``_code_levels``) pairwise over the bits before the block; bit i's node
+    entries are that marginal's ``node_conditionals`` at bit i's place in its
+    block, the same for every value of the earlier blocks.  A query draws by
+    ``_draw_cell`` from the view's cells whose block owning bit i starts with
+    the prefix's bits in that block: one query of ``view.product_class`` on
+    the root, PREFIX for a table (an empty-prefix query), SUBCUBE for a tuple
+    oracle.
+    """
 
-    def __init__(self, base: TableOracle):
-        super().__init__(base)
-        self.n = base.n
-
-    def marginal_prefix_sample(self, i: int, w) -> int:
-        self._checked_prefix(i, w)
-        self.charge(QueryClass.MARGINAL)
-        sample = self.base.sample_full_indices_uncounted(1)[0]
-        return index_to_bits(int(sample), self.n)[i - 1]
-
-    def _build_node_bit_probs(self) -> np.ndarray:
-        # marginals are prefix-independent by construction
-        return np.repeat(self.base.table.marginals(), 1 << np.arange(self.n))
-
-
-class GeneralProductMarginalOracle(BinaryPrefixOracle):
-    """Marginal-prefix oracle over the binary encoding of the product of a
-    tuple distribution's coordinate marginals.  Each query costs one subcube
-    query to the base tuple oracle: the cells whose symbol in the coordinate
-    owning the break-off bit has a code starting with the prefix's bits in
-    that coordinate's block."""
-
-    base_class = QueryClass.SUBCUBE
-
-    def __init__(self, encoded: BinaryEncodedOracle):
-        super().__init__(encoded.base)
-        self.n = encoded.n
-        widths = self.base.domain.bit_widths
-        self._blocks = list(zip(accumulate((0,) + widths), widths))
+    def __init__(self, view: TableOracle | BinaryEncodedOracle):
+        *_, root = view.chain()
+        super().__init__(root)
+        self.view = view
+        self.n = view.n
+        self.base_class = view.product_class
+        self._starts = tuple(accumulate((0,) + view.block_widths))  # ends with n
 
     def marginal_prefix_sample(self, i: int, w) -> int:
-        # Coordinates other than the one owning bit i are independent under
-        # the product of marginals, so only the within-block prefix matters.
         w = self._checked_prefix(i, w)
-        coord = max(j for j, (start, _) in enumerate(self._blocks) if start < i)
-        start, wdt = self._blocks[coord]
-        digits = self.base._coord_digits[coord]
-        mask = digits >> (wdt - (i - 1 - start)) == bits_to_index(w[start:])
-        digit = int(digits[self._draw_cell(QueryClass.MARGINAL, self.base.probs, mask)])
-        return index_to_bits(digit, wdt)[i - 1 - start]
+        start = max(s for s in self._starts if s < i)
+        codes = self.view._cell_codes()
+        in_block = (codes >> (self.n - i + 1)) & ((1 << (i - 1 - start)) - 1)
+        mask = in_block == bits_to_index(w[start:])
+        cell = self._draw_cell(QueryClass.MARGINAL, self.view._cell_probs(), mask)
+        return int(codes[cell]) >> (self.n - i) & 1
 
     def _build_node_bit_probs(self) -> np.ndarray:
-        # Bit i depends only on the j bits of its own block before it: the
-        # last j bits of the prefix.
-        levels = []
-        for digits, (start, wdt) in zip(self.base._coord_digits, self._blocks):
-            # the coordinate's marginal: its cells' masses summed per symbol
-            cells = np.bincount(digits, weights=self.base.probs, minlength=1 << wdt)
-            cond = node_conditionals(level_sums(cells))
-            for j in range(wdt):
-                within = np.arange(1 << (start + j)) & ((1 << j) - 1)
-                levels.append(cond[node_index(j + 1, within)])
-        return np.concatenate(levels)
-
+        levels, out = self.view._code_levels(), np.empty((1 << self.n) - 1)
+        for start, end in zip(self._starts, self._starts[1:]):
+            marginal = np.array([level_sums(levels[end][v::1 << (end - start)])[0][0]
+                                 for v in range(1 << (end - start))])
+            cond = node_conditionals(level_sums(marginal))
+            for j in range(end - start):  # bit start + j + 1 reads level j + 1 of cond
+                bit = out[node_index(start + j + 1, 0):node_index(start + j + 2, 0)]
+                bit.reshape(1 << start, -1)[...] = cond[node_index(j + 1, 0):node_index(j + 2, 0)]
+        return out

@@ -163,7 +163,6 @@ import numpy as np
 from .distcore import MAX_DENSE_N, DomainError, node_index
 from .oracles import (
     BinaryEncodedOracle,
-    GeneralProductMarginalOracle,
     IntervalBackedPrefixOracle,
     IntervalOracle,
     ProductMarginalOracle,
@@ -882,11 +881,12 @@ def equivalence_test(tau: TableOracle, mu: TableOracle, eps: float, seed=None) -
     return _equivalence_core(tau, mu, eps, seed)
 
 
-def _product_core(mu, marginal_view, eps: float, seed) -> Verdict:
-    """The walk of ``mu`` against the product of its marginals, served by
-    ``marginal_view``; the trace ends with ``prefix_queries_only``: mu's
-    root oracle saw no interval or subcube query."""
-    verdict = _equivalence_core(mu, marginal_view, eps, seed)
+def _product_core(mu, eps: float, seed) -> Verdict:
+    """The walk of the cell-backed view ``mu`` against the product of its
+    coordinate marginals (``ProductMarginalOracle(mu)``); the trace ends with
+    ``prefix_queries_only``: mu's root oracle saw no interval or subcube
+    query."""
+    verdict = _equivalence_core(mu, ProductMarginalOracle(mu), eps, seed)
     *_, root = mu.chain()
     prefix_only = (root.counter.counts.get(QueryClass.INTERVAL, 0) == 0
                    and root.counter.counts.get(QueryClass.SUBCUBE, 0) == 0)
@@ -902,7 +902,7 @@ def product_test(mu: TableOracle, eps: float, seed=None) -> Verdict:
     query each.
     """
     _check_eps(eps)
-    return _product_core(mu, ProductMarginalOracle(mu), eps, seed)
+    return _product_core(mu, eps, seed)
 
 
 def product_test_general(mu: TupleTableOracle, eps: float, seed=None) -> Verdict:
@@ -910,8 +910,7 @@ def product_test_general(mu: TupleTableOracle, eps: float, seed=None) -> Verdict
     marginal-prefix query of the product of its coordinate marginals costs
     one subcube query on mu."""
     _check_eps(eps)
-    encoded = BinaryEncodedOracle(mu)
-    return _product_core(encoded, GeneralProductMarginalOracle(encoded), eps, seed)
+    return _product_core(BinaryEncodedOracle(mu), eps, seed)
 
 
 def equivalence_test_general(tau: TupleTableOracle, mu: TupleTableOracle, eps: float,

@@ -15,7 +15,6 @@ from condtest.adversarial import GridProductDistance
 from condtest.distcore import DistributionTable, DivergenceKind
 from condtest.oracles import (
     BinaryEncodedOracle,
-    GeneralProductMarginalOracle,
     IntervalBackedPrefixOracle,
     OracleError,
     OracleErrorKind,
@@ -378,9 +377,8 @@ def _pairwise_bit_prob(cells, width, k, prefix):
 def reference_bit_prob(oracle, i, prefix_idx):
     """Reference for ``node_bit_probs``: Pr[x_i = 1 | prefix] one key at a
     time, with the float operations of the one rule every node array
-    follows: each cell's mass sits at its code (the pmf padded with zeros to
-    [2^n]; the tuple cells at their codes, computed from the domain alone),
-    and a prefix's mass is its block of cells summed pairwise.  OracleError
+    follows: each cell's mass sits at its code (``_reference_cells``), and
+    a prefix's mass is its block of cells summed pairwise.  OracleError
     with kind ZERO_PROBABILITY_CONDITION on a zero-mass prefix."""
     if isinstance(oracle, TableOracle):
         levels = oracle.table.level_sums()
@@ -388,27 +386,46 @@ def reference_bit_prob(oracle, i, prefix_idx):
         if parent <= 0.0:
             raise _zero_prob()
         return float(levels[i][2 * prefix_idx + 1]) / parent
-    if isinstance(oracle, IntervalBackedPrefixOracle):
-        cells = np.zeros(1 << oracle.n)
-        cells[:oracle.base.N] = oracle.base.pmf
-        return _pairwise_bit_prob(cells, oracle.n, i - 1, prefix_idx)
     if isinstance(oracle, ProductMarginalOracle):
-        return float(oracle.base.table.marginals()[i - 1])
-    if isinstance(oracle, (BinaryEncodedOracle, GeneralProductMarginalOracle)):
-        domain = oracle.base.domain
-        codes = _symbol_codes(domain)
-        ends = np.cumsum(domain.bit_widths)
-        if isinstance(oracle, BinaryEncodedOracle):
-            encoded = (codes << (oracle.n - ends)).sum(axis=1)
-            cells = _code_cells(encoded, oracle.base.probs, oracle.n)
-            return _pairwise_bit_prob(cells, oracle.n, i - 1, prefix_idx)
-        # the product of marginals: only coordinate j's own block matters
-        j = int(np.searchsorted(ends, i - 1, side="right"))
-        width = domain.bit_widths[j]
-        k = i - 1 - (ends[j] - width)
-        cells = _code_cells(codes[:, j], oracle.base.probs, width)
-        return _pairwise_bit_prob(cells, width, k, prefix_idx & ((1 << k) - 1))
-    raise TypeError(type(oracle).__name__)
+        return _product_bit_prob(oracle.view, i, prefix_idx)
+    return _pairwise_bit_prob(_reference_cells(oracle), oracle.n, i - 1, prefix_idx)
+
+
+def _reference_cells(view):
+    """The mass at each n-bit code of a cell-backed view: the table's cells;
+    the pmf padded with zeros to [2^n]; the tuple cells at their codes,
+    computed from the domain alone."""
+    if isinstance(view, TableOracle):
+        return view.table.probs
+    if isinstance(view, IntervalBackedPrefixOracle):
+        cells = np.zeros(1 << view.n)
+        cells[:view.base.N] = view.base.pmf
+        return cells
+    if isinstance(view, BinaryEncodedOracle):
+        domain = view.base.domain
+        encoded = (_symbol_codes(domain) << (view.n - np.cumsum(domain.bit_widths))).sum(axis=1)
+        return _code_cells(encoded, view.base.probs, view.n)
+    raise TypeError(type(view).__name__)
+
+
+def _product_bit_prob(view, i, prefix_idx):
+    """Pr[x_i = 1 | prefix] under the product of the coordinate marginals of
+    ``view``, whose coordinates are one bit each for a table and the
+    encoding's blocks for a tuple domain.  A value's marginal mass adds,
+    pairwise, the masses of the prefixes that end the coordinate's block
+    with that value; only the prefix's bits in bit i's own block condition
+    bit i, as a ratio of the marginal's pairwise masses."""
+    widths = view.domain.bit_widths if isinstance(view, BinaryEncodedOracle) else (1,) * view.n
+    ends = np.cumsum(widths)
+    j = int(np.searchsorted(ends, i - 1, side="right"))
+    end, width = int(ends[j]), widths[j]
+    start = end - width
+    cells = _reference_cells(view)
+    masses = np.array([_pairwise_mass(cells, view.n, end, v) for v in range(1 << end)])
+    marginal = np.array([_pairwise_mass(column, start, 0, 0)
+                         for column in masses.reshape(1 << start, 1 << width).T])
+    k = i - 1 - start
+    return _pairwise_bit_prob(marginal, width, k, prefix_idx & ((1 << k) - 1))
 
 
 def _literal_first_stop(tau, mu, nodes, eps_prime, inner):

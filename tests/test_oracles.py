@@ -17,7 +17,6 @@ from condtest.distcore import (
 )
 from condtest.oracles import (
     BinaryEncodedOracle,
-    GeneralProductMarginalOracle,
     IntervalBackedPrefixOracle,
     IntervalOracle,
     OracleError,
@@ -203,7 +202,7 @@ NODE_ARRAY_KINDS = {
     "product": (lambda: ProductMarginalOracle(TableOracle(random_table(
         np.random.default_rng(6), 5, zeros=True))), False),
     "binary-encoded": (lambda: BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8))), True),
-    "general-product": (lambda: GeneralProductMarginalOracle(
+    "general-product": (lambda: ProductMarginalOracle(
         BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8)))), True),
 }
 
@@ -680,6 +679,14 @@ LITERAL_QUERY_PINS = {
         {QueryClass.PREFIX: 40},
         {QueryClass.INTERVAL: 40},
     ),
+    # marginal-prefix queries on the product view over the zero-cell table,
+    # recorded while each was served by one unconditional draw from the table
+    "product-table": (
+        [1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1,
+         0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0],
+        {QueryClass.MARGINAL: 40},
+        {QueryClass.PREFIX: 40},
+    ),
 }
 
 
@@ -694,6 +701,11 @@ def test_literal_queries_pinned():
                                 seed=14)
     assert (out, view.counter.counts, view.base.counter.counts) == \
         LITERAL_QUERY_PINS["padded-interval"]
+    table = TableOracle(_zero_cell_table(), seed=7)
+    view = ProductMarginalOracle(table)
+    out = _literal_query_stream(lambda g: view.marginal_prefix_sample(
+        *_random_marginal_query(g, 4)), 40, seed=16)
+    assert (out, view.counter.counts, table.counter.counts) == LITERAL_QUERY_PINS["product-table"]
 
 
 def test_interval_backed_sampling_distribution(rng):
@@ -767,7 +779,7 @@ def test_binary_encoding_refuses_malformed_queries(rgb_oracle, name):
     product, call = MALFORMED_ENCODED_QUERIES[name]
     oracle = BinaryEncodedOracle(rgb_oracle)
     if product:
-        oracle = GeneralProductMarginalOracle(oracle)
+        oracle = ProductMarginalOracle(oracle)
     with pytest.raises(OracleError) as raised:
         call(oracle)
     assert raised.value.kind is OracleErrorKind.MALFORMED_QUERY
@@ -807,7 +819,7 @@ ENCODED_QUERY_PINS = (
 
 def test_binary_encoding_literal_queries_pinned():
     enc = BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8)))
-    view = GeneralProductMarginalOracle(BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8))))
+    view = ProductMarginalOracle(BinaryEncodedOracle(_five_by_three((1, 4, 6, 7, 8))))
     out = _literal_query_stream(lambda g: _serve_encoded_query(enc, view, g), 60, seed=11)
     counts = [o.counter.counts for o in (enc, enc.base, view, view.base)]
     assert (out, counts) == ENCODED_QUERY_PINS
@@ -864,7 +876,7 @@ def test_product_marginal_binary_serves_marginal(rng):
 
 def test_product_marginal_general_uses_subcube(rgb_oracle):
     enc = BinaryEncodedOracle(rgb_oracle)
-    view = GeneralProductMarginalOracle(enc)
+    view = ProductMarginalOracle(enc)
     bit = view.marginal_prefix_sample(2, (0,))
     assert bit in (0, 1)
     assert rgb_oracle.counter.counts[QueryClass.SUBCUBE] == 1
@@ -894,7 +906,7 @@ def _product_marginal():
 
 
 def _general_product_marginal():
-    return GeneralProductMarginalOracle(BinaryEncodedOracle(_rgb_uniform()))
+    return ProductMarginalOracle(BinaryEncodedOracle(_rgb_uniform()))
 
 
 # oracle factory -> class its base is billed for a marginal query
@@ -907,7 +919,7 @@ CHARGE_ROUTES = {
     "BinaryEncodedOracle": (lambda: BinaryEncodedOracle(_rgb_uniform()),
                             QueryClass.MARGINAL),
     "ProductMarginalOracle": (_product_marginal, QueryClass.PREFIX),
-    "GeneralProductMarginalOracle": (_general_product_marginal, QueryClass.SUBCUBE),
+    "ProductMarginalOracle-encoded": (_general_product_marginal, QueryClass.SUBCUBE),
 }
 
 

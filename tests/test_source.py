@@ -98,3 +98,13 @@ def test_readme_names_every_uncalled_api():
     exempted above, in backquotes, alone or after its class."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [name for name in UNCALLED_API if not re.search(rf"[`.]{name}`", readme)] == []
+
+
+def test_no_mass_is_a_cell_order_sum():
+    """Every prefix mass and marginal sums its cells pairwise
+    (``distcore.level_sums``); ``bincount`` and ``reduceat`` would add them
+    in cell order instead."""
+    found = [f"{path.name}:{number}: {line.strip()}" for path in sorted(SRC.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if "bincount(" in line or "reduceat(" in line]
+    assert found == []

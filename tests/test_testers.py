@@ -20,6 +20,7 @@ from condtest.oracles import (
     BinaryEncodedOracle,
     IntervalBackedPrefixOracle,
     IntervalOracle,
+    ProductMarginalOracle,
     QueryClass,
     TableOracle,
     TupleTableOracle,
@@ -734,8 +735,7 @@ def test_walk_testers_refuse_eps_outside_unit_interval(tester, eps, monkeypatch)
     """Each walk tester refuses eps outside (0, 1), NaN included, before it
     builds a view or bills a query; the interval tester's N = 1 shortcut
     too."""
-    for view in ("BinaryEncodedOracle", "IntervalBackedPrefixOracle", "ProductMarginalOracle",
-                 "GeneralProductMarginalOracle"):
+    for view in ("BinaryEncodedOracle", "IntervalBackedPrefixOracle", "ProductMarginalOracle"):
         monkeypatch.setattr(testers, view, None)  # building one raises TypeError
     roots, run = WALK_TESTERS[tester]()
     with pytest.raises(ValueError, match=r"epsilon must lie in \(0,1\), got"):
@@ -855,6 +855,10 @@ def test_general_matches_binary_on_binary_domain():
     # as tuple oracles over binary alphabets: the three views have equal node
     # arrays and draw the same codes, so the walks give the same verdict and
     # trace, and each wrapped form bills exactly twice the table's total.
+    # The product views over a table and over the binary tuple domain have
+    # equal node arrays too, so the two product tests give the same verdict
+    # and trace, but for the last record: only the table's root sees prefix
+    # queries alone.
     g = np.random.default_rng(31)
     rejects = 0
     for k in range(40):
@@ -889,6 +893,18 @@ def test_general_matches_binary_on_binary_domain():
             assert (wrapped.accepted, wrapped.trace) == (tables.accepted, tables.trace), k
             assert wrapped.queries_used["total"] == 2 * tables.queries_used["total"], k
         rejects += not tables.accepted
+        for probs, seed in ((tau, seeds[0]), (mu, seeds[1])):
+            nodes = ProductMarginalOracle(TableOracle(DistributionTable(n, probs))).node_bit_probs()
+            tuples = ProductMarginalOracle(BinaryEncodedOracle(TupleTableOracle(domain, probs)))
+            assert (np.isnan(tuples.node_bit_probs()) == np.isnan(nodes)).all(), k
+            assert (tuples.node_bit_probs() == nodes)[~np.isnan(nodes)].all(), k
+            binary = product_test(TableOracle(DistributionTable(n, probs), seed=seed), 0.5,
+                                  seed=seeds[2])
+            general = product_test_general(TupleTableOracle(domain, probs, seed=seed), 0.5,
+                                           seed=seeds[2])
+            assert (general.accepted, general.trace[:-1]) == (binary.accepted, binary.trace[:-1]), k
+            assert (binary.trace[-1], general.trace[-1]) == \
+                ({"prefix_queries_only": True}, {"prefix_queries_only": False}), k
     assert 0 < rejects < 40
 
 
