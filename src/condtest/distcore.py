@@ -133,7 +133,8 @@ def node_index(i, w):
 def level_sums(cells) -> list[np.ndarray]:
     """Prefix masses of 2^n cells, cell x at the n-bit code x:
     ``level_sums(cells)[k][v]`` is the mass of the k-bit prefix v, for
-    k = 0..n, and each level sums adjacent pairs of the level below."""
+    k = 0..n, and each level sums adjacent pairs of the level below along
+    the first axis, so each column of a 2-D ``cells`` is summed as if alone."""
     levels = [cells]
     for _ in range(cells.shape[0].bit_length() - 1):
         levels.append(levels[-1][0::2] + levels[-1][1::2])
@@ -174,10 +175,10 @@ class DistributionTable:
     """Dense pmf over {0,1}^n, indexed by MSB-first bit strings.
 
     Immutable after construction. ``probs`` must be non-negative and sum
-    to 1 within 1e-12.
+    to 1 within 1e-12.  What is derived from it is built once, on first use.
     """
 
-    __slots__ = ("n", "probs", "_level_sums", "_cond_nodes", "_eff_cond_levels")
+    __slots__ = ("n", "probs", "_level_sums", "_cond_nodes", "_eff_cond_levels", "_cdf")
 
     def __init__(self, n: int, probs):
         _check_dense_n(n)
@@ -185,12 +186,13 @@ class DistributionTable:
         if probs.shape != (1 << n,):
             raise DomainError(f"expected {1 << n} probabilities, got shape {probs.shape}")
         check_probability_vector(probs)
+        self._hold(n, probs.copy())
+
+    def _hold(self, n: int, probs: np.ndarray) -> None:
         self.n = n
-        self.probs = probs.copy()
+        self.probs = probs
         self.probs.setflags(write=False)
-        self._level_sums = None
-        self._cond_nodes = None
-        self._eff_cond_levels = None
+        self._level_sums = self._cond_nodes = self._eff_cond_levels = self._cdf = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -203,10 +205,19 @@ class DistributionTable:
     @classmethod
     def point_mass(cls, bits) -> "DistributionTable":
         bits = tuple(bits)
-        _check_dense_n(len(bits))
-        probs = np.zeros(1 << len(bits))
-        probs[bits_to_index(bits)] = 1.0
-        return cls(len(bits), probs)
+        return cls.at_codes(len(bits), bits_to_index(bits), 1.0)
+
+    @classmethod
+    def at_codes(cls, n: int, codes, masses) -> "DistributionTable":
+        """masses[c] at the n-bit code codes[c], zero elsewhere; n is checked
+        before allocating.  The masses are a checked pmf's, not summed again:
+        zeros laid among them may move a float sum by ulps."""
+        _check_dense_n(n)
+        probs = np.zeros(1 << n)
+        probs[codes] = masses
+        table = cls.__new__(cls)
+        table._hold(n, probs)
+        return table
 
     @classmethod
     def bernoulli_product(cls, ps) -> "DistributionTable":
@@ -233,6 +244,13 @@ class DistributionTable:
             self._cond_nodes = node_conditionals(self.level_sums())
             self._cond_nodes.setflags(write=False)
         return self._cond_nodes
+
+    def cdf(self) -> np.ndarray:
+        """The running sum of ``probs``, which full draws search."""
+        if self._cdf is None:
+            self._cdf = np.cumsum(self.probs)
+            self._cdf.setflags(write=False)
+        return self._cdf
 
     def conditional_levels(self) -> list[np.ndarray]:
         """conditional_levels()[i-1][j] = Pr[x_i = 1 | prefix j], NaN if the

@@ -38,15 +38,15 @@ on NaN.  They also draw full samples as n-bit codes without a meter charge
 ``inverse_cdf``, so ``skip_full_draws(k)`` moves the stream past k draws
 exactly as drawing them would (a PCG64 stream by ``advance``, any other by
 generating the k uniforms).  A cell-backed view (table, interval view,
-binary encoding) states only its cells: masses at n-bit codes.  Laid out
-at their codes, zero where no cell is (the padding, a code the encoding
-never uses), they give both inputs: the node array is
-``distcore.node_conditionals`` of their pairwise prefix sums
-(``distcore.level_sums``), and a full draw searches their running sum.
-The product view over such a view's coordinate marginals
-(``ProductMarginalOracle``) reads the same prefix sums: a coordinate's
-marginal sums them pairwise at its block's end, and its block's node
-entries are that marginal's ``node_conditionals``.
+binary encoding) states only its cells: masses at n-bit codes.  Its
+``table`` is one ``DistributionTable`` of them at their codes, zero where
+no cell is (the padding, a code the encoding never uses), and both walk
+inputs are that table's, built once and kept there: the node array is its
+``conditional_nodes()`` and a full draw searches its ``cdf()``, so oracles
+on one table share both.  The product view over such a view's coordinate
+marginals (``ProductMarginalOracle``) reads the table's prefix sums: a
+coordinate's marginal sums them pairwise at its block's end, and its
+block's node entries are that marginal's ``node_conditionals``.
 
 Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
@@ -61,6 +61,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -188,34 +189,20 @@ class MeteredOracle:
 class BinaryPrefixOracle(MeteredOracle):
     """An oracle over {0,1}^n that serves the equivalence walk.  A
     cell-backed one gives cell c's mass and n-bit code as
-    ``_cell_probs()[c]`` and ``_cell_codes()[c]``, and both walk inputs, each
-    built once on first use, derive from ``_code_cells()``; any other
-    overrides ``_build_node_bit_probs``.  A marginal prefix query draws its
-    bit from ``exact_bit_prob`` unless the subclass serves it through its
-    base."""
+    ``_cell_probs()[c]`` and ``_cell_codes()[c]``, and both walk inputs are
+    its ``table``'s; the product view, which has no cells, overrides
+    ``node_bit_probs``.  A marginal prefix query draws its bit from
+    ``exact_bit_prob`` unless the subclass serves it through its base."""
 
     n: int
-    _node_bit_probs: np.ndarray | None = None
-    _code_cdf: np.ndarray | None = None
+
+    @cached_property
+    def table(self) -> DistributionTable:
+        """The view's cells at their n-bit codes, zero where no cell is."""
+        return DistributionTable.at_codes(self.n, self._cell_codes(), self._cell_probs())
 
     def node_bit_probs(self) -> np.ndarray:
-        if self._node_bit_probs is None:
-            self._node_bit_probs = self._build_node_bit_probs()
-        return self._node_bit_probs
-
-    def _code_cells(self) -> np.ndarray:
-        """The mass at every n-bit code: its cell's, or zero where no cell
-        has the code."""
-        cells = np.zeros(1 << self.n)
-        cells[self._cell_codes()] = self._cell_probs()
-        return cells
-
-    def _code_levels(self) -> list[np.ndarray]:
-        """The mass of every code prefix: ``level_sums(_code_cells())``."""
-        return level_sums(self._code_cells())
-
-    def _build_node_bit_probs(self) -> np.ndarray:
-        return node_conditionals(self._code_levels())
+        return self.table.conditional_nodes()
 
     def exact_bit_prob(self, i: int, prefix_idx: int) -> float:
         """Pr[x_i = 1 | x_[i-1] = prefix], read from ``node_bit_probs()``;
@@ -246,12 +233,9 @@ class BinaryPrefixOracle(MeteredOracle):
     def sample_full_indices_uncounted(self, k: int) -> np.ndarray:
         """k full-domain samples as n-bit codes, with no meter charge;
         callers charge per consumed draw.  One uniform per draw, as
-        ``skip_full_draws`` assumes, drawn by ``inverse_cdf`` on the running
-        sum of ``_code_cells()``, so the search answers a code and never one
-        of zero mass."""
-        if self._code_cdf is None:
-            self._code_cdf = np.cumsum(self._code_cells())
-        return inverse_cdf(self._code_cdf, self.rng.random(k))
+        ``skip_full_draws`` assumes, drawn by ``inverse_cdf`` on ``table.cdf()``,
+        so the search answers a code and never one of zero mass."""
+        return inverse_cdf(self.table.cdf(), self.rng.random(k))
 
     def skip_full_draws(self, k: int) -> None:
         """Move the RNG past k ``sample_full_indices_uncounted`` draws
@@ -268,6 +252,7 @@ class BinaryPrefixOracle(MeteredOracle):
     def marginal_prefix_sample(self, i: int, w) -> int:
         """Single bit distributed as the conditional marginal of x_i."""
         w = self._checked_prefix(i, w)
+        self.node_bit_probs()  # an n above MAX_DENSE_N is refused before billing
         self.charge(QueryClass.MARGINAL)
         p = self.exact_bit_prob(i, bits_to_index(w))
         return int(self.rng.random() < p)
@@ -349,7 +334,7 @@ def prefix_to_interval(n: int, i: int, w) -> tuple[int, int]:
 class CellCodeOracle(BinaryPrefixOracle):
     """A cell-backed view that serves its literal queries by masks: a
     subcube or prefix query is the mask of the cells whose codes satisfy
-    it, drawn by ``_draw_cell``."""
+    it, drawn by ``_draw_cell`` from the cells, not from ``table``."""
 
     def _draw_point(self, cls: QueryClass, mask: np.ndarray) -> tuple[int, ...]:
         cell = self._draw_cell(cls, self._cell_probs(), mask)
@@ -380,8 +365,9 @@ class CellCodeOracle(BinaryPrefixOracle):
 
 class TableOracle(CellCodeOracle):
     """Metered sampling access to a dense binary DistributionTable, whose
-    cell x has the code x; each coordinate is a one-bit block, and a
-    product-of-marginals query is an empty-prefix query here.
+    cell x has the code x, so it is the view's ``table``: oracles on one
+    table share its node array and cdf.  Each coordinate is a one-bit
+    block, and a product-of-marginals query is an empty-prefix query here.
 
     Supports the unconditional, subcube, prefix, and marginal prefix models.
     """
@@ -399,15 +385,6 @@ class TableOracle(CellCodeOracle):
 
     def _cell_codes(self) -> np.ndarray:
         return np.arange(1 << self.n)
-
-    def _code_cells(self) -> np.ndarray:
-        return self.table.probs  # cell x is at code x: no scatter needed
-
-    def _code_levels(self) -> list[np.ndarray]:
-        return self.table.level_sums()  # cached on the table
-
-    def _build_node_bit_probs(self) -> np.ndarray:
-        return self.table.conditional_nodes()  # cached: a self-test shares the table
 
     def draw_unconditional(self) -> tuple[int, ...]:
         self.charge(QueryClass.UNCONDITIONAL)
@@ -580,8 +557,9 @@ class ProductMarginalOracle(BinaryPrefixOracle):
     or a ``BinaryEncodedOracle``), billed on the view's root.
 
     The view's n code bits fall into coordinate blocks, ``view.block_widths``.
-    A block's marginal sums each value's masses at the block's end
-    (``_code_levels``) pairwise over the bits before the block; bit i's node
+    It builds its own node array, once: a block's marginal sums the masses
+    at the block's end (``view.table.level_sums()``) pairwise over the bits
+    before the block, every value in one ``level_sums`` call; bit i's node
     entries are that marginal's ``node_conditionals`` at bit i's place in its
     block, the same for every value of the earlier blocks.  A query draws by
     ``_draw_cell`` from the view's cells whose block owning bit i starts with
@@ -607,11 +585,14 @@ class ProductMarginalOracle(BinaryPrefixOracle):
         cell = self._draw_cell(QueryClass.MARGINAL, self.view._cell_probs(), mask)
         return int(codes[cell]) >> (self.n - i) & 1
 
-    def _build_node_bit_probs(self) -> np.ndarray:
-        levels, out = self.view._code_levels(), np.empty((1 << self.n) - 1)
+    def node_bit_probs(self) -> np.ndarray:
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        levels, out = self.view.table.level_sums(), np.empty((1 << self.n) - 1)
         for start, end in zip(self._starts, self._starts[1:]):
-            marginal = np.array([level_sums(levels[end][v::1 << (end - start)])[0][0]
-                                 for v in range(1 << (end - start))])
+            marginal = level_sums(levels[end].reshape(1 << start, -1))[0][0]
             cond = node_conditionals(level_sums(marginal))
             for j in range(end - start):  # bit start + j + 1 reads level j + 1 of cond
                 bit = out[node_index(start + j + 1, 0):node_index(start + j + 2, 0)]

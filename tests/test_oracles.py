@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from condtest import oracles
 from condtest.adversarial import AdversarialInstance
 from condtest.distcore import (
+    MAX_DENSE_N,
     DistributionTable,
     DomainError,
     TupleDomain,
@@ -391,6 +393,36 @@ def test_skipped_full_draws_take_the_sampled_uniforms(kind, k1, k2):
     assert skipper.rng.bit_generator.state == sampler.rng.bit_generator.state
 
 
+def test_oracles_on_one_table_share_its_cdf_and_node_array(monkeypatch):
+    """Two oracles on one table, as in a self-test or the reps of a run,
+    search one cdf and read one node array: the table's, built once."""
+    table = random_table(np.random.default_rng(8), 6, zeros=True)
+    a, b = TableOracle(table, seed=1), TableOracle(table, seed=2)
+    searched, search = [], oracles.inverse_cdf
+    monkeypatch.setattr(oracles, "inverse_cdf",
+                        lambda cdf, u: searched.append(cdf) or search(cdf, u))
+    a.sample_full_indices_uncounted(5)
+    b.sample_full_indices_uncounted(7)
+    b.draw_unconditional()
+    assert len(searched) == 3 and all(cdf is table.cdf() for cdf in searched)
+    assert a.node_bit_probs() is b.node_bit_probs() is table.conditional_nodes()
+
+
+@pytest.mark.parametrize("kind", ["padded-interval", "binary-encoded"])
+def test_view_walk_inputs_are_its_tables(kind):
+    """A view's one table holds its cells at their codes, zero elsewhere;
+    its node array is the table's, and its full draws search the table's
+    cdf."""
+    oracle = _full_sample_case(kind)[0]
+    cells = np.zeros(1 << oracle.n)
+    cells[oracle._cell_codes()] = oracle._cell_probs()
+    table = oracle.table
+    assert oracle.table is table and table.probs.tolist() == cells.tolist()
+    assert oracle.node_bit_probs() is table.conditional_nodes()
+    assert oracle.sample_full_indices_uncounted(9).tolist() == oracles.inverse_cdf(
+        np.cumsum(cells), np.random.default_rng(0).random(9)).tolist()
+
+
 # ----------------------------------------------------------------------
 # the one draw rule: no answer leaves its support
 
@@ -596,6 +628,22 @@ def test_interval_view_derives_its_dimension():
     for N in (1, 2, 3, 4, 5, 6, 200, 255, 256, 257, 1000, 1024, 1025):
         view = IntervalBackedPrefixOracle(IntervalOracle(np.full(N, 1 / N)))
         assert view.n == max(1, math.ceil(math.log2(N))), N
+
+
+def test_interval_view_marginal_query_refuses_oversized_n_before_allocating(monkeypatch):
+    """A marginal query reads the view's node array, so over [N] with
+    N = 2^MAX_DENSE_N + 1 it refuses n before it lays out the 2^n cells or
+    bills a query."""
+    N = (1 << MAX_DENSE_N) + 1
+    view = IntervalBackedPrefixOracle(IntervalOracle(np.full(N, 1.0 / N), seed=0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking n")
+    for name in ("full", "zeros", "ones", "empty"):
+        monkeypatch.setattr(np, name, refuse)
+    with pytest.raises(DomainError, match=f"n <= {MAX_DENSE_N}, got {MAX_DENSE_N + 1}$"):
+        view.marginal_prefix_sample(1, ())
+    assert [sum(node.counter.counts.values()) for node in view.chain()] == [0, 0]
 
 
 def _random_subcube_query(g, n):

@@ -108,3 +108,18 @@ def test_no_mass_is_a_cell_order_sum():
              for number, line in enumerate(path.read_text().splitlines(), start=1)
              if "bincount(" in line or "reduceat(" in line]
     assert found == []
+
+
+def test_oracles_keep_no_derivation_of_their_own():
+    """A cell-backed view's node array and cdf are its table's, derived and
+    kept in ``distcore``: in ``oracles.py`` only a literal draw takes a
+    running sum (``_draw_weighted``, over its own cells), and only the
+    product view, which has no cells, builds a node array."""
+    source = (SRC / "oracles.py").read_text()
+    owner = {number: node.name for node in ast.parse(source).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             for number in range(node.lineno, node.end_lineno + 1)}
+    lines = list(enumerate(source.splitlines(), start=1))
+    assert {call: {owner.get(number) for number, line in lines if call in line}
+            for call in ("cumsum(", "node_conditionals(")} == {
+        "cumsum(": {"_draw_weighted"}, "node_conditionals(": {"ProductMarginalOracle"}}

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import binom, chisquare
 
-from condtest import oracles, testers
+from condtest import distcore, oracles, testers
 from condtest.distcore import MAX_DENSE_N, DistributionTable, DomainError, TupleDomain
 from condtest.harness import rate_lower_bound
 from condtest.oracles import (
@@ -926,6 +926,23 @@ def test_tuple_testers_at_eighteen_encoded_bits():
     product = functools.reduce(np.multiply.outer, [rng.dirichlet(np.ones(k)) for k in sizes])
     v = product_test_general(TupleTableOracle(domain, product.ravel(), seed=4), 0.5, seed=5)
     assert v.accepted and v.queries_used["total"] == total
+
+
+def test_product_test_general_sums_the_encoding_once(monkeypatch):
+    """The encoding's node array and the product view both read the prefix
+    sums of the encoding's one table: a product test over a 9 x 17 x 5 x 3
+    domain (14 bits, 4 + 5 + 3 + 2) sums the 2^14 codes pairwise once."""
+    domain = TupleDomain(tuple(tuple(range(k)) for k in (9, 17, 5, 3)))
+    full, level_sums = [], distcore.level_sums
+
+    def counted(cells):
+        full.append(cells.shape == (1 << domain.total_bits,))
+        return level_sums(cells)
+    for module in (distcore, oracles):
+        monkeypatch.setattr(module, "level_sums", counted)
+    probs = np.random.default_rng(0).dirichlet(np.ones(domain.size()))
+    product_test_general(TupleTableOracle(domain, probs, seed=1), 0.5, seed=2)
+    assert sum(full) == 1 and len(full) > 1
 
 
 def test_interval_walk_never_rejects_a_tiny_live_prefix():
