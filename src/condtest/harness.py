@@ -317,8 +317,9 @@ def _repeat_verdicts(spec: ExperimentSpec, n, verdict_of) -> list[dict]:
 
 def _run_two_sources(spec: ExperimentSpec, size, load, oracle, test) -> list[dict]:
     """``test`` of tau against mu, sources of ``size`` that ``load`` reads and
-    ``oracle`` serves.  A self-test loads its source once; both oracles share
-    it, so a table's level sums, conditionals and cdf are built once."""
+    ``oracle`` serves.  A self-test loads its source once for both oracles; a
+    table's level sums, conditionals and cdf are built once, but each interval
+    view lays out its own padded table of the shared pmf."""
     tau = load(spec.tau, size)
     mu = tau if spec.mu == spec.tau else load(spec.mu, size)
 

@@ -13,18 +13,18 @@ Every literal query is served by one rule (``MeteredOracle``):
    again.
 
 Every answer is one uniform drawn through ``inverse_cdf``, so it never
-leaves its query's support or lands on a cell of zero mass.  A literal draw
-sums the cells its query selects and nothing else (``_draw_weighted``): a
-masked-cell draw, ``MeteredOracle._draw_cell``, sums its mask's cells, and
-an interval draw the b - a + 1 cells of [a, b], so a condition is refused
-exactly when none of its cells has mass.  A condition with zero mass
-is billed and then refused with ZERO_PROBABILITY_CONDITION.  Two such
-refusals bill in their own way: a mask that selects no cell at all (a code
-the binary encoding never uses) bills the wrapper only, since no query
-reaches the base; a prefix of the interval view that lies wholly in the
-zero-mass padding bills the view and its interval base, like any prefix
-query.  That view, ``IntervalBackedPrefixOracle(base)``, pads the base's [N]
-to [2^n] with n = max(1, ceil(log2 N)).
+leaves its query's support or lands on a cell of zero mass.  Every literal
+query that selects cells is drawn and billed by one method,
+``MeteredOracle._draw_cell``: it sums the masses of the cells its query
+selects and nothing else (``_draw_weighted``), a mask's cells or the
+b - a + 1 cells of an interval [a, b], so a condition is refused exactly
+when none of its cells has mass.  A condition with zero mass is billed and
+then refused with ZERO_PROBABILITY_CONDITION.  A condition that selects no
+cell at all bills only the oracle that was asked, since no query reaches
+its base: a code the binary encoding never uses, or a prefix of the
+interval view that lies wholly in its zero-mass padding.  That view,
+``IntervalBackedPrefixOracle(base)``, pads the base's [N] to [2^n] with
+n = max(1, ceil(log2 N)).
 
 The binary oracles the equivalence walk serves (``BinaryPrefixOracle``)
 expose the exact conditional probabilities they sample from as one float64
@@ -173,17 +173,17 @@ class MeteredOracle:
         if self.base is not None:
             self.base.charge(self.base_class or cls, m)
 
-    def _draw_cell(self, cls: QueryClass, probs: np.ndarray, mask: np.ndarray) -> int:
-        """Index of a cell of positive mass in ``mask``, drawn from ``probs`` by
-        ``_draw_weighted`` and billed by ``charge`` as one query of class ``cls``.
-        A mask that selects no cell bills this oracle only, as no query reaches
-        the base; it and zero mass raise ZERO_PROBABILITY_CONDITION."""
-        sel = np.nonzero(mask)[0]
-        if sel.shape[0] == 0:
+    def _draw_cell(self, cls: QueryClass, probs: np.ndarray) -> int:
+        """Index into ``probs``, the masses of the cells a query selects, of
+        one of positive mass, drawn by ``_draw_weighted`` and billed by
+        ``charge`` as one query of class ``cls``.  A query that selects no
+        cell bills this oracle only, as no query reaches the base; it and
+        zero mass raise ZERO_PROBABILITY_CONDITION."""
+        if probs.shape[0] == 0:
             self.counter.add(cls)
             raise _zero_prob("the query selects no cell")
         self.charge(cls)
-        return int(sel[_draw_weighted(probs[sel], self.rng)])
+        return _draw_weighted(probs, self.rng)
 
 
 class BinaryPrefixOracle(MeteredOracle):
@@ -337,7 +337,8 @@ class CellCodeOracle(BinaryPrefixOracle):
     it, drawn by ``_draw_cell`` from the cells, not from ``table``."""
 
     def _draw_point(self, cls: QueryClass, mask: np.ndarray) -> tuple[int, ...]:
-        cell = self._draw_cell(cls, self._cell_probs(), mask)
+        cells = np.flatnonzero(mask)
+        cell = cells[self._draw_cell(cls, self._cell_probs()[cells])]
         return index_to_bits(int(self._cell_codes()[cell]), self.n)
 
     def _subcube_mask(self, query: SubcubeQuery) -> np.ndarray:
@@ -396,7 +397,9 @@ class TableOracle(CellCodeOracle):
 
 
 class IntervalOracle(MeteredOracle):
-    """Metered interval-conditional sampling over an explicit pmf on [N]."""
+    """Metered interval-conditional sampling over an explicit pmf on [N]: an
+    interval query [a, b] is drawn and billed by ``_draw_cell`` over the
+    b - a + 1 cells of the slice ``pmf[a - 1:b]``, in O(b - a)."""
 
     def __init__(self, pmf, seed=None):
         pmf = np.asarray(pmf, dtype=np.float64)
@@ -411,25 +414,20 @@ class IntervalOracle(MeteredOracle):
         """Element of [a, b] distributed as the conditional; 1-based."""
         if not 1 <= a <= b <= self.N:
             raise _malformed(f"bad interval [{a}, {b}] for N={self.N}")
-        self.charge(QueryClass.INTERVAL)
-        return self._draw_interval(a, b)
-
-    def _draw_interval(self, a: int, b: int) -> int:
-        """The draw of ``interval_sample``, unbilled: ``_draw_weighted`` on
-        the interval's own cells."""
-        return a + _draw_weighted(self.pmf[a - 1:b], self.rng)
+        return a + self._draw_cell(QueryClass.INTERVAL, self.pmf[a - 1:b])
 
 
 class IntervalBackedPrefixOracle(BinaryPrefixOracle):
     """``IntervalBackedPrefixOracle(base)``: binary prefix/marginal-prefix
-    oracle over [2^n], translating every prefix query into exactly one
-    interval query on ``base``.
+    oracle over [2^n], reading every prefix query as one interval query on
+    ``base``.
 
     n = max(1, ceil(log2 N)) for the base's domain [N], so [N] is padded to
     the next power of two (at least 2); the padding elements N+1..2^n carry
-    zero mass.  A prefix query whose interval lies wholly in the padding is
-    billed here and on the base, like any other, then refused as
-    zero-probability.
+    zero mass.  A prefix query draws from the base's cells in its interval,
+    a slice of ``base.pmf`` that stops at N, and bills one interval query on
+    the base; a prefix wholly in the padding selects no cell, so it is
+    billed here only and refused as zero-probability.
     """
 
     base_class = QueryClass.INTERVAL
@@ -447,10 +445,8 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
     def prefix_sample(self, query: PrefixQuery) -> tuple[int, ...]:
         bits = self._folded_prefix(query)
         a, b = prefix_to_interval(self.n, len(bits) + 1, bits)
-        self.charge(QueryClass.PREFIX)
-        if a > self.base.N:
-            raise _zero_prob(f"interval [{a}, {b}] lies in the zero-mass padding")
-        return index_to_bits(self.base._draw_interval(a, min(b, self.base.N)) - 1, self.n)
+        cell = a - 1 + self._draw_cell(QueryClass.PREFIX, self.base.pmf[a - 1:b])
+        return index_to_bits(cell, self.n)
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +483,8 @@ class TupleTableOracle(MeteredOracle):
     def _draw_sets(self, cls: QueryClass, sets) -> tuple:
         """Element drawn under the per-coordinate ``sets``, billed as one
         query of class ``cls`` once the sets are known to be well formed."""
-        return self.domain.element_of(self._draw_cell(cls, self.probs, self._mask_of_sets(sets)))
+        cells = np.flatnonzero(self._mask_of_sets(sets))
+        return self.domain.element_of(int(cells[self._draw_cell(cls, self.probs[cells])]))
 
     def subcube_sample(self, sets) -> tuple:
         """sets: per-coordinate allowed collection or None."""
@@ -581,8 +578,8 @@ class ProductMarginalOracle(BinaryPrefixOracle):
         start = max(s for s in self._starts if s < i)
         codes = self.view._cell_codes()
         in_block = (codes >> (self.n - i + 1)) & ((1 << (i - 1 - start)) - 1)
-        mask = in_block == bits_to_index(w[start:])
-        cell = self._draw_cell(QueryClass.MARGINAL, self.view._cell_probs(), mask)
+        cells = np.flatnonzero(in_block == bits_to_index(w[start:]))
+        cell = cells[self._draw_cell(QueryClass.MARGINAL, self.view._cell_probs()[cells])]
         return int(codes[cell]) >> (self.n - i) & 1
 
     def node_bit_probs(self) -> np.ndarray:

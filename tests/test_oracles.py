@@ -614,12 +614,38 @@ def test_padded_interval_backed_prefix_oracle():
     for _ in range(20):
         assert view.prefix_sample(PrefixQuery.bits((1,)))[:2] == (1, 0)
     before = base.counter.counts[QueryClass.INTERVAL]
-    # x1 x2 = 1 1 is the interval [7, 8], all padding
+    # x1 x2 = 1 1 is the interval [7, 8], all padding: it selects no cell of
+    # the base, so only the view is billed
     with pytest.raises(OracleError) as err:
         view.prefix_sample(PrefixQuery.bits((1, 1)))
     assert err.value.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
-    assert base.counter.counts[QueryClass.INTERVAL] - before == 1
+    assert base.counter.counts[QueryClass.INTERVAL] - before == 0
     assert view.counter.counts[QueryClass.PREFIX] == 21
+
+
+# zero-probability prefix query -> (the view it asks, the query, what its base
+# is billed); a condition that selects no cell bills the view only, one that
+# selects cells of zero mass bills the base too
+ZERO_MASS_PREFIXES = {
+    "encoding-unused-code": (lambda: BinaryEncodedOracle(_rgb_uniform()),
+                             PrefixQuery.bits((1, 1)), {}),
+    "interval-padding": (lambda: _interval_view([0.1, 0.2, 0.3, 0.15, 0.15, 0.1]),
+                         PrefixQuery.bits((1, 1)), {}),
+    "interval-padding-n1": (lambda: _interval_view([1.0]),
+                            PrefixQuery.bits((), allowed=(1,)), {}),
+    "interval-zero-cells": (lambda: _interval_view([1, 1, 1, 0, 0, 0]),
+                            PrefixQuery.bits((1, 0)), {QueryClass.INTERVAL: 1}),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_MASS_PREFIXES))
+def test_zero_mass_prefix_bills_the_base_only_if_it_selects_cells(name):
+    make, query, base_bill = ZERO_MASS_PREFIXES[name]
+    view = make()
+    with pytest.raises(OracleError) as refused:
+        view.prefix_sample(query)
+    assert refused.value.kind is OracleErrorKind.ZERO_PROBABILITY_CONDITION
+    assert [node.counter.counts for node in view.chain()] == [{QueryClass.PREFIX: 1}, base_bill]
 
 
 def test_interval_view_derives_its_dimension():
@@ -701,8 +727,9 @@ def _zero_cell_table():
 # TableOracle still drew from cached per-condition cdfs: on a table with
 # zero-mass cells, and prefix queries on a padded interval view (N = 11 inside
 # [2^4]: elements 4, 5 and the padding 12-16 have zero mass, so some prefixes
-# lie wholly in the padding).  Any change of what a query selects, of its
-# billing or of an RNG stream changes them.
+# lie wholly in the padding; those select no cell and bill the view only).
+# Any change of what a query selects, of its billing or of an RNG stream
+# changes them.
 LITERAL_QUERY_PINS = {
     "table": (
         [(1, 1, 1, 1), 0, (1, 1, 1, 1), None, (0, 1, 0, 0), None, (0, 1, 0, 1), (0, 1, 0, 1),
@@ -725,7 +752,7 @@ LITERAL_QUERY_PINS = {
          (0, 0, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1), None, (0, 0, 0, 0), (0, 0, 1, 0),
          (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 0)],
         {QueryClass.PREFIX: 40},
-        {QueryClass.INTERVAL: 40},
+        {QueryClass.INTERVAL: 35},
     ),
     # marginal-prefix queries on the product view over the zero-cell table,
     # recorded while each was served by one unconditional draw from the table

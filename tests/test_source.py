@@ -123,3 +123,36 @@ def test_oracles_keep_no_derivation_of_their_own():
     assert {call: {owner.get(number) for number, line in lines if call in line}
             for call in ("cumsum(", "node_conditionals(")} == {
         "cumsum(": {"_draw_weighted"}, "node_conditionals(": {"ProductMarginalOracle"}}
+
+
+def _callers(tree, called: str) -> set:
+    """The functions and methods of ``tree``, as "name" or "Class.name",
+    that call ``called`` by name or as an attribute; None for a call outside
+    any of them."""
+    owner = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            scopes = [(top.name, top)]
+        elif isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{item.name}", item) for item in top.body
+                      if isinstance(item, ast.FunctionDef)]
+        else:
+            scopes = []
+        owner.update((node, name) for name, scope in scopes for node in ast.walk(scope))
+    return {owner.get(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == called}
+
+
+def test_one_billed_draw():
+    """Every literal query that selects cells, masked or an interval, is
+    drawn and billed by ``MeteredOracle._draw_cell``: in ``oracles.py`` only
+    it sums a query's cells (``_draw_weighted``), and besides it only
+    ``charge`` itself and the two draws from a derived array call
+    ``charge``: a marginal query's bit from the node array, and an
+    unconditional draw from the table's cached cdf."""
+    tree = ast.parse((SRC / "oracles.py").read_text())
+    assert {called: _callers(tree, called) for called in ("_draw_weighted", "charge")} == {
+        "_draw_weighted": {"MeteredOracle._draw_cell"},
+        "charge": {"MeteredOracle.charge", "MeteredOracle._draw_cell",
+                   "BinaryPrefixOracle.marginal_prefix_sample", "TableOracle.draw_unconditional"},
+    }
