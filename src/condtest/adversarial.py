@@ -15,9 +15,11 @@ distributions.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -535,3 +537,46 @@ def distance_to_product_of_marginals(table: DistributionTable) -> float:
     (an upper bound on its distance to the nearest product)."""
     return tv_distance(table, product_of_marginals(table))
 
+
+class InstanceDistances(NamedTuple):
+    """A paired instance's distances to the products: ``grid`` from
+    ``distance_to_grid_products`` at n <= ``EXACT_GRID_MAX_N``, from
+    ``pairwise_product_distance_bound`` above, and the dtv to the product of
+    its own marginals, NaN above ``MAX_DENSE_N``, where no table is built."""
+
+    grid: GridProductDistance
+    dtv_product_of_marginals: float
+
+
+# The most instances whose distances one process keeps.  Up to n = MAX_DENSE_N
+# there are at most 2^10 = 1024 sign patterns per (n, eps), so a run at one
+# such (n, eps) searches each at most once; an entry holds the instance and
+# its result, a few hundred bytes, and not the 2^n table.
+INSTANCE_MEMO_CAP = 1024
+
+
+def _instance_distances(instance: AdversarialInstance, step: float) -> InstanceDistances:
+    table = instance.table() if instance.n <= MAX_DENSE_N else None
+    if instance.n <= EXACT_GRID_MAX_N:
+        grid = distance_to_grid_products(table, step)
+    else:
+        grid = pairwise_product_distance_bound(instance, step)
+    dtv = distance_to_product_of_marginals(table) if table is not None else math.nan
+    return InstanceDistances(grid, dtv)
+
+
+# Keyed on the frozen instance and the grid step; ``cache_info()`` gives its
+# hits and misses.
+_instance_memo = functools.lru_cache(maxsize=INSTANCE_MEMO_CAP)(_instance_distances)
+
+
+def instance_distances(instance: AdversarialInstance, step: float = 0.01) -> InstanceDistances:
+    """The distances of ``instance`` to the products at grid ``step``, each
+    distinct (instance, step) computed once per process up to n =
+    ``MAX_DENSE_N`` (``_instance_memo``, capped at ``INSTANCE_MEMO_CAP``
+    entries, least recently used first out).  Above it the instances
+    outnumber the cap and a key holds n/2 signs, so each call computes
+    afresh.  ``distance_to_grid_products`` itself keeps nothing."""
+    if instance.n > MAX_DENSE_N:
+        return _instance_distances(instance, step)
+    return _instance_memo(instance, step)

@@ -58,6 +58,12 @@ def bits_to_index(bits) -> int:
     return value
 
 
+def code_bits(size: int) -> int:
+    """Bits of an MSB-first code over ``size`` symbols: ceil(log2 size), at
+    least 1."""
+    return max(1, (size - 1).bit_length())
+
+
 def index_to_bits(index: int, length: int) -> tuple[int, ...]:
     """Integer -> MSB-first bit tuple of the given length."""
     if not 0 <= index < (1 << length):
@@ -444,7 +450,7 @@ class TupleDomain:
 
     @property
     def bit_widths(self) -> tuple[int, ...]:
-        return tuple(max(1, (len(a) - 1).bit_length()) for a in self.alphabets)
+        return tuple(code_bits(len(a)) for a in self.alphabets)
 
     @property
     def total_bits(self) -> int:

@@ -296,9 +296,10 @@ def _fmt(value) -> str:
 
 def _repeat(spec: ExperimentSpec, row_of) -> list[dict]:
     """One row per repetition: rep's row is ``row_of(rep, child)``, on its
-    stream, the rep-th of ``spec.runs`` SeedSequence children of the seed."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.runs)
-    return [row_of(rep, child) for rep, child in enumerate(children)]
+    stream, the rep-th SeedSequence child of the seed.  Each child is spawned
+    when its rep starts; the children are those of one ``spawn(spec.runs)``."""
+    parent = np.random.SeedSequence(spec.seed)
+    return [row_of(rep, parent.spawn(1)[0]) for rep in range(spec.runs)]
 
 
 def _repeat_verdicts(spec: ExperimentSpec, n, verdict_of) -> list[dict]:
@@ -370,21 +371,13 @@ def _run_inequality_grid(spec: ExperimentSpec) -> list[dict]:
 
 def _run_adversarial_distance(spec: ExperimentSpec) -> list[dict]:
     def row_of(rep, child):
-        rng = np.random.default_rng(child)
-        inst = adversarial.sample_paired_instance(spec.n, spec.eps, rng)
-        table = inst.table() if spec.n <= distcore.MAX_DENSE_N else None
-        if spec.n <= adversarial.EXACT_GRID_MAX_N:
-            result = adversarial.distance_to_grid_products(table, spec.grid_step)
-        else:
-            result = adversarial.pairwise_product_distance_bound(inst,
-                                                                 spec.grid_step)
-        dtv_pom = (adversarial.distance_to_product_of_marginals(table)
-                   if table is not None else float("nan"))
+        inst = adversarial.sample_paired_instance(spec.n, spec.eps, np.random.default_rng(child))
+        grid, dtv_pom = adversarial.instance_distances(inst, spec.grid_step)
         return {
             "rep": rep, "n": spec.n, "eps": spec.eps,
             "biases": "".join("+" if b > 0 else "-" for b in inst.biases),
-            "method": result.method, "grid_step": result.step,
-            "grid_distance": result.distance,
+            "method": grid.method, "grid_step": grid.step,
+            "grid_distance": grid.distance,
             "dtv_product_of_marginals": dtv_pom,
         }
     return _repeat(spec, row_of)

@@ -72,6 +72,7 @@ from .distcore import (
     TupleDomain,
     bits_to_index,
     check_probability_vector,
+    code_bits,
     index_to_bits,
     level_sums,
     node_conditionals,
@@ -434,7 +435,7 @@ class IntervalBackedPrefixOracle(BinaryPrefixOracle):
 
     def __init__(self, base: IntervalOracle):
         super().__init__(base)
-        self.n = max(1, (base.N - 1).bit_length())
+        self.n = code_bits(base.N)
 
     def _cell_probs(self) -> np.ndarray:
         return self.base.pmf

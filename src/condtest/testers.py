@@ -1,10 +1,12 @@
 """Randomized testers: the single-bit chi-square test and five walk
 testers.  Each walk tester takes the distance eps in (0, 1), refusing any
 other (NaN included) with ``ValueError`` before it builds a view or bills a
-query, and an optional seed for the walk's own stream.  The walk holds
-2^n - 1 node conditionals per oracle, so a binary dimension n above
-``MAX_DENSE_N`` (the encoded bits of a tuple domain, ceil(log2 N) for [N])
-is refused with ``DomainError`` before any is built or a query billed:
+query, as it does an eps whose Levin schedule has no finite draw count
+(``_finite_schedule``), and an optional seed for the walk's own stream.
+The walk holds 2^n - 1 node conditionals per oracle, so a binary dimension
+n above ``MAX_DENSE_N`` (the encoded bits of a tuple domain, ceil(log2 N)
+for [N]) is refused with ``DomainError`` before any is built or a query
+billed:
 
     equivalence_test(tau, mu, eps, seed=None)           TableOracles over {0,1}^n
     equivalence_test_general(tau, mu, eps, seed=None)   TupleTableOracles
@@ -160,7 +162,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distcore import MAX_DENSE_N, DomainError, node_index
+from .distcore import MAX_DENSE_N, DomainError, code_bits, node_index
 from .oracles import (
     BinaryEncodedOracle,
     IntervalBackedPrefixOracle,
@@ -244,9 +246,24 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"epsilon must lie in (0,1), got {eps}")
 
 
+def _finite_schedule(eps_l: float, eps: float) -> float:
+    """The finite-schedule rule: Levin's schedule at eps_L runs levels t = 1
+    .. t_max = ceil(log2(2 / eps_L)), level t with ceil(2^(3-t) / eps_L)
+    outer draws and trials of ceil(24 * 2^t) draws per source
+    (``_trial_draws``).  The largest of these, 4 / eps_L and 24 * 2^t_max,
+    are at most 96 / eps_L, so t_max and every count are finite when eps_L
+    > 0 and 96 / eps_L is a finite float.  Returns ``eps_l``; otherwise
+    ValueError naming ``eps``, the distance the caller gave."""
+    if not (eps_l > 0.0 and math.isfinite(4 * CHI2_SAMPLE_FACTOR / eps_l)):
+        raise ValueError(f"epsilon {eps} is too small: Levin's schedule at eps_L = {eps_l:g} "
+                         "has more draws than a float can count")
+    return eps_l
+
+
 def levin_schedule(eps: float) -> list[tuple[int, float, int, int]]:
     """Deterministic schedule rows (t, eps', outer draws, inner repetitions)."""
     _check_eps(eps)
+    _finite_schedule(eps, eps)
     t_max = math.ceil(math.log2(2.0 / eps))
     inner = math.ceil(64 * (math.log2(1.0 / eps) + 2))
     return [(t, 2.0 ** -t, math.ceil(2.0 ** (3 - t) / eps), inner)
@@ -280,8 +297,18 @@ def slice_divergence_threshold(n: int, eps: float) -> float:
 
 
 def _levin_eps(n: int, eps: float) -> float:
-    """eps_L = rho(n, eps) / n, the distance the walk's Levin schedule runs at."""
-    return slice_divergence_threshold(n, eps) / n
+    """eps_L = rho(n, eps) / n, the distance the walk's Levin schedule runs at;
+    ValueError naming eps where the schedule is not finite there
+    (``_finite_schedule``)."""
+    return _finite_schedule(slice_divergence_threshold(n, eps) / n, eps)
+
+
+def _check_walk_eps(eps: float, n: int) -> None:
+    """A walk tester's distance rule at binary dimension n, checked before it
+    builds a view or bills a query: eps in (0, 1) and a finite schedule at
+    eps_L."""
+    _check_eps(eps)
+    _levin_eps(n, eps)
 
 
 def _level_charges(n_draws: int, inner: int, used: int, dead: bool) -> tuple[int, int]:
@@ -297,7 +324,9 @@ def _level_charges(n_draws: int, inner: int, used: int, dead: bool) -> tuple[int
 
 def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
     """Accept-path query counts of the equivalence tester, per source: every
-    level consumes all of its outer draws and none is dead."""
+    level consumes all of its outer draws and none is dead.  Refuses the eps
+    that the walk testers refuse, with ValueError."""
+    _check_eps(eps)
     charges = [_level_charges(_trial_draws(eps_prime), inner, outer, False)
                for _, eps_prime, outer, inner in levin_schedule(_levin_eps(n, eps))]
     tau, mu = (sum(column) for column in zip(*charges))
@@ -875,7 +904,7 @@ def equivalence_test(tau: TableOracle, mu: TableOracle, eps: float, seed=None) -
     ``tau`` needs prefix access, ``mu`` marginal-prefix access.  Accepts
     tau = mu and rejects dtv(tau, mu) > eps, each with probability >= 2/3.
     """
-    _check_eps(eps)
+    _check_walk_eps(eps, tau.n)
     if mu.n != tau.n:
         raise ValueError(f"dimension mismatch: tau has n={tau.n}, mu has n={mu.n}")
     return _equivalence_core(tau, mu, eps, seed)
@@ -901,7 +930,7 @@ def product_test(mu: TableOracle, eps: float, seed=None) -> Verdict:
     marginal-prefix queries are simulated through mu itself, one prefix
     query each.
     """
-    _check_eps(eps)
+    _check_walk_eps(eps, mu.n)
     return _product_core(mu, eps, seed)
 
 
@@ -909,7 +938,7 @@ def product_test_general(mu: TupleTableOracle, eps: float, seed=None) -> Verdict
     """The product test over a tuple domain, on mu's binary encoding: each
     marginal-prefix query of the product of its coordinate marginals costs
     one subcube query on mu."""
-    _check_eps(eps)
+    _check_walk_eps(eps, mu.domain.total_bits)
     return _product_core(BinaryEncodedOracle(mu), eps, seed)
 
 
@@ -920,7 +949,7 @@ def equivalence_test_general(tau: TupleTableOracle, mu: TupleTableOracle, eps: f
     Each binary query translates to exactly one query on the underlying
     tuple oracle; the effective dimension is the total encoded bit width.
     """
-    _check_eps(eps)
+    _check_walk_eps(eps, tau.domain.total_bits)
     if tau.domain != mu.domain:
         raise ValueError("tau and mu must share a domain")
     return _equivalence_core(BinaryEncodedOracle(tau), BinaryEncodedOracle(mu), eps, seed)
@@ -934,7 +963,7 @@ def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle, eps: floa
     views of both, which pad [N] to the next power of two and translate
     every prefix query to one interval query.  N = 1 accepts at no cost.
     """
-    _check_eps(eps)
+    _check_walk_eps(eps, code_bits(tau.N))
     if tau.N != mu.N:
         raise ValueError(f"domain mismatch: {tau.N} vs {mu.N}")
     if tau.N == 1:

@@ -10,7 +10,7 @@ from scipy.special import _ufuncs as boost
 from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
-from condtest import testers
+from condtest import adversarial, testers
 from condtest.adversarial import GridProductDistance
 from condtest.distcore import DistributionTable, DivergenceKind
 from condtest.oracles import (
@@ -525,3 +525,10 @@ def reference_walk(tau, mu, eps_l, rng, literal=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+@pytest.fixture(autouse=True)
+def empty_instance_memo():
+    """Every test starts with an empty adversarial instance memo, so that no
+    test passes only because an earlier one searched its instances."""
+    adversarial._instance_memo.cache_clear()

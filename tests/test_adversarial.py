@@ -8,13 +8,16 @@ import math
 import numpy as np
 import pytest
 
+from condtest import adversarial
 from condtest.adversarial import (
+    INSTANCE_MEMO_CAP,
     AdversarialInstance,
     GridProductDistance,
     MAX_PAIR_DELTA,
     ProductSampler,
     distance_to_grid_products,
     distance_to_product_of_marginals,
+    instance_distances,
     nu_b_table,
     pairwise_product_distance_bound,
     sample_paired_instance,
@@ -518,3 +521,48 @@ def test_distance_to_own_marginal_product():
     assert d > single - 1e-12
     assert d == pytest.approx(
         tv_distance(inst.table(), DistributionTable.uniform(4)), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the instance memo
+
+
+def test_instance_distances_are_the_uncached_values():
+    """Exact at n <= 4, the pairwise bound above, and the dtv to the own
+    marginal product up to MAX_DENSE_N; a repeat call is a memo hit that
+    returns the same objects."""
+    for inst in (AdversarialInstance(4, 0.2, (1, -1)), AdversarialInstance(7, 0.3, (1, -1, 1))):
+        table = inst.table()
+        grid, dtv = instance_distances(inst, 0.05)
+        expect = (distance_to_grid_products(table, 0.05) if inst.n <= 4
+                  else pairwise_product_distance_bound(inst, 0.05))
+        assert grid == expect
+        assert dtv == distance_to_product_of_marginals(table)
+        assert instance_distances(inst, 0.05) == (grid, dtv)
+    info = adversarial._instance_memo.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+
+
+def test_instance_memo_keeps_no_instance_above_the_dense_limit():
+    """Above MAX_DENSE_N no table is built, the dtv is NaN, and the memo,
+    whose keys would hold n/2 signs each, is left empty."""
+    inst = AdversarialInstance(22, 0.2, (1, -1) * 5 + (1,))
+    grid, dtv = instance_distances(inst, 0.05)
+    assert grid == pairwise_product_distance_bound(inst, 0.05)
+    assert math.isnan(dtv)
+    assert adversarial._instance_memo.cache_info().currsize == 0
+
+
+def test_instance_memo_is_capped():
+    """More distinct instances than the cap leave at most the cap in the
+    memo, the least recently used out first."""
+    instances = [AdversarialInstance(2, 0.1 + k * 1e-4, (1,))
+                 for k in range(INSTANCE_MEMO_CAP + 8)]
+    for inst in instances:
+        instance_distances(inst, 0.5)
+    info = adversarial._instance_memo.cache_info()
+    assert info.currsize == INSTANCE_MEMO_CAP == info.maxsize
+    assert info.misses == len(instances)
+    instance_distances(instances[-1], 0.5)
+    instance_distances(instances[0], 0.5)
+    assert adversarial._instance_memo.cache_info().hits == 1

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import condtest
-from condtest import harness
+from condtest import adversarial, harness
 from condtest.cli import build_parser, main, spec_from_args
 from condtest.harness import (
     ExperimentSpec,
@@ -293,6 +293,57 @@ def test_adversarial_distance_driver():
                               runs=1, seed=3)
     rows_big, _ = run_experiment(spec_big, write=False)
     assert rows_big[0]["method"] == "pairwise-lower-bound"
+
+
+def _adversarial_csv(tmp_path, tag) -> bytes:
+    assert main(["adversarial-distance", "--n", "4", "--eps", "0.2", "--runs", "12",
+                 "--seed", "5", "--out", str(tmp_path / tag), "--id", "run"]) == 0
+    return (tmp_path / tag / "run.csv").read_bytes()
+
+
+def test_adversarial_distance_searches_each_instance_once(tmp_path, monkeypatch, capsys):
+    """A --runs 12 call at n = 4, where only 4 sign patterns exist, runs the
+    grid search once per distinct biases; its CSV bytes equal those of the
+    same call with the memo emptied before every rep, which searches 12
+    times."""
+    search, searched = adversarial.distance_to_grid_products, []
+
+    def counting(table, step):
+        searched.append(table.probs.tobytes())
+        return search(table, step)
+
+    monkeypatch.setattr(adversarial, "distance_to_grid_products", counting)
+    memoized = _adversarial_csv(tmp_path, "memo")
+    biases = {line.split(b",")[3] for line in memoized.splitlines()[1:]}
+    assert len(searched) == len(set(searched)) == len(biases) < 12
+    assert adversarial._instance_memo.cache_info().hits == 12 - len(biases)
+
+    lookup = adversarial.instance_distances
+
+    def fresh(instance, step):
+        adversarial._instance_memo.cache_clear()
+        return lookup(instance, step)
+
+    monkeypatch.setattr(adversarial, "instance_distances", fresh)
+    searched.clear()
+    assert _adversarial_csv(tmp_path, "fresh") == memoized
+    assert len(searched) == 12
+
+
+@pytest.mark.parametrize("eps", ["1e-155", "1e-160"])
+@pytest.mark.parametrize("argv", [
+    ["test-equivalence", "--n", "2", "--tau", "uniform", "--mu", "uniform", "--eps"],
+    ["test-product", "--n", "2", "--mu", "uniform", "--eps"],
+    ["test-interval", "--N", "4", "--tau", "uniform", "--mu", "uniform", "--eps"],
+    ["sweep", "--n-list", "2", "--eps-list"],
+])
+def test_cli_refuses_eps_without_a_finite_schedule(argv, eps, tmp_path, capsys):
+    """An eps whose Levin schedule has no finite draw count exits 2 with one
+    error line that names the eps given, and no traceback."""
+    assert main(argv + [eps, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: epsilon {eps} is too small")
+    assert err.count("\n") == 1
 
 
 def test_scaling_sweep_driver():

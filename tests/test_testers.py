@@ -743,6 +743,31 @@ def test_walk_testers_refuse_eps_outside_unit_interval(tester, eps, monkeypatch)
     assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
 
 
+# eps_L = rho(n, eps) / n at n <= 3: subnormal at 1e-155, so that 4 / eps_L
+# overflows, and 0 at 1e-160.
+_NO_FINITE_SCHEDULE = [1e-155, 1e-160]
+
+
+@pytest.mark.parametrize("eps", _NO_FINITE_SCHEDULE)
+@pytest.mark.parametrize("tester", list(WALK_TESTERS))
+def test_walk_testers_refuse_eps_without_a_finite_schedule(tester, eps, monkeypatch):
+    """An eps in (0, 1) whose Levin schedule has no finite draw count is
+    refused with the eps that was given, before a view is built or a query
+    billed; the interval tester's N = 1 shortcut too."""
+    for view in ("BinaryEncodedOracle", "IntervalBackedPrefixOracle", "ProductMarginalOracle"):
+        monkeypatch.setattr(testers, view, None)  # building one raises TypeError
+    roots, run = WALK_TESTERS[tester]()
+    with pytest.raises(ValueError, match=rf"^epsilon {eps} is too small"):
+        run(eps)
+    assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
+
+
+@pytest.mark.parametrize("eps", _NO_FINITE_SCHEDULE)
+def test_budget_refuses_eps_without_a_finite_schedule(eps):
+    with pytest.raises(ValueError, match=rf"^epsilon {eps} is too small"):
+        expected_equivalence_queries(2, eps)
+
+
 def _point_tuples(seed):
     """One cell whose binary encoding has MAX_DENSE_N + 1 bits."""
     return TupleTableOracle(TupleDomain(((0,),) * (MAX_DENSE_N + 1)), [1.0], seed=seed)
