@@ -205,8 +205,12 @@ class DistributionTable:
 
     @classmethod
     def uniform(cls, n: int) -> "DistributionTable":
+        """Mass 2^-n on every cell; the cells are its own and sum to 1
+        exactly, so they are held unchecked and uncopied."""
         _check_dense_n(n)
-        return cls(n, np.full(1 << n, 2.0 ** -n))
+        table = cls.__new__(cls)
+        table._hold(n, np.full(1 << n, 2.0 ** -n))
+        return table
 
     @classmethod
     def point_mass(cls, bits) -> "DistributionTable":
@@ -238,9 +242,12 @@ class DistributionTable:
     # structure
 
     def level_sums(self) -> list[np.ndarray]:
-        """level_sums()[k][j] is the mass of the length-k prefix with index j."""
+        """level_sums()[k][j] is the mass of the length-k prefix with index j;
+        read-only arrays."""
         if self._level_sums is None:
             self._level_sums = level_sums(self.probs)
+            for level in self._level_sums:
+                level.setflags(write=False)
         return self._level_sums
 
     def conditional_nodes(self) -> np.ndarray:

@@ -15,11 +15,20 @@ the summaries' rates at ``CONFIDENCE``.  Adding a kind means writing its
 driver and adding its entry; the spec checks, ``summarize``,
 ``emit_plot_data`` and the CLI read everything else from the table.  Each spec field states its default,
 value rule and CLI flag once, in ``ExperimentSpec`` (see ``FIELDS``).
+
+A shorthand distribution source (``uniform``, ``point:...``,
+``bernoulli:...``, ``block:a,b``) is resolved once per process for each
+distinct (source, size): ``_shorthand_memo`` keeps the table, with the level
+sums, node array and cdf it derives (about 32 MB at n = 20), or the pmf, for
+at most ``SHORTHAND_MEMO_CAP`` sources, least recently used first out, and
+``_shorthand_memo.cache_clear()`` empties it.  A file source is read anew on
+every call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -174,18 +183,22 @@ def load_distribution(source: str, n: int | None = None) -> distcore.Distributio
     """Resolve a binary-domain distribution source.
 
     Accepts the shorthands ``uniform`` (requires n), ``point:<bitstring>``,
-    ``bernoulli:<p>`` (repeated n times) or ``bernoulli:p1,p2,...``, or a
-    path to a JSON file holding exactly one of a dense table ("probs"), a
-    conditional tree ("tree") or a paired-bias instance ("biases").  With
+    ``bernoulli:<p>`` (repeated n times) or ``bernoulli:p1,p2,...``, each
+    resolved once per process (``_shorthand_memo``), or a path to a JSON file
+    holding exactly one of a dense table ("probs"), a conditional tree
+    ("tree") or a paired-bias instance ("biases"), read on every call.  With
     ``n`` given, a source of another dimension raises HarnessError.
     """
-    table = _read_distribution(source, n)
+    if source == "uniform" or source.startswith(("point:", "bernoulli:")):
+        table = _shorthand_memo(_distribution_shorthand, source, n)
+    else:
+        table = _distribution_file(source)
     if n is not None and table.n != n:
         raise HarnessError(f"distribution source {source!r} has n={table.n}, expected n={n}")
     return table
 
 
-def _read_distribution(source: str, n: int | None) -> distcore.DistributionTable:
+def _distribution_shorthand(source: str, n: int | None) -> distcore.DistributionTable:
     if source == "uniform":
         if n is None:
             raise HarnessError("'uniform' needs an explicit n")
@@ -196,15 +209,17 @@ def _read_distribution(source: str, n: int | None) -> distcore.DistributionTable
             raise HarnessError(f"bad point-mass spec {source!r}")
         bits = [int(c) for c in spec]
         return distcore.DistributionTable.point_mass(bits)
-    if source.startswith("bernoulli:"):
-        try:
-            ps = [float(x) for x in source[len("bernoulli:"):].split(",")]
-        except ValueError:
-            raise HarnessError(f"bad Bernoulli spec {source!r}; expected "
-                               "bernoulli:p or bernoulli:p1,p2,...") from None
-        if len(ps) == 1 and n is not None:
-            ps = ps * n
-        return distcore.DistributionTable.bernoulli_product(ps)
+    try:
+        ps = [float(x) for x in source[len("bernoulli:"):].split(",")]
+    except ValueError:
+        raise HarnessError(f"bad Bernoulli spec {source!r}; expected "
+                           "bernoulli:p or bernoulli:p1,p2,...") from None
+    if len(ps) == 1 and n is not None:
+        ps = ps * n
+    return distcore.DistributionTable.bernoulli_product(ps)
+
+
+def _distribution_file(source: str) -> distcore.DistributionTable:
     if not Path(source).exists():
         raise HarnessError(f"distribution source {source!r} is neither a "
                            "shorthand nor an existing file")
@@ -219,20 +234,12 @@ def _read_distribution(source: str, n: int | None) -> distcore.DistributionTable
 
 
 def load_interval_pmf(source: str, N: int) -> np.ndarray:
-    """Resolve a pmf over [N]: ``uniform``, ``block:a,b`` (uniform on the
-    sub-range [a, b]), or a JSON file with a "pmf" array."""
-    if source == "uniform":
-        return np.full(N, 1.0 / N)
-    if source.startswith("block:"):
-        try:
-            a, b = (int(x) for x in source[len("block:"):].split(","))
-        except ValueError:  # not two integers
-            raise HarnessError(f"bad block spec {source!r}; expected block:a,b") from None
-        if not 1 <= a <= b <= N:
-            raise HarnessError(f"bad block [{a}, {b}] for N={N}")
-        pmf = np.zeros(N)
-        pmf[a - 1:b] = 1.0 / (b - a + 1)
-        return pmf
+    """Resolve a pmf over [N]: ``uniform`` or ``block:a,b`` (uniform on the
+    sub-range [a, b]), each a read-only array resolved once per process
+    (``_shorthand_memo``), or a JSON file with a "pmf" array, read on every
+    call."""
+    if source == "uniform" or source.startswith("block:"):
+        return _shorthand_memo(_pmf_shorthand, source, N)
     if not Path(source).exists():
         raise HarnessError(f"pmf source {source!r} is neither a shorthand "
                            "nor an existing file")
@@ -242,6 +249,37 @@ def load_interval_pmf(source: str, N: int) -> np.ndarray:
     if pmf.shape != (N,):
         raise HarnessError(f"pmf has shape {pmf.shape}, expected ({N},)")
     return pmf
+
+
+def _pmf_shorthand(source: str, N: int) -> np.ndarray:
+    if source == "uniform":
+        pmf = np.full(N, 1.0 / N)
+    else:
+        try:
+            a, b = (int(x) for x in source[len("block:"):].split(","))
+        except ValueError:  # not two integers
+            raise HarnessError(f"bad block spec {source!r}; expected block:a,b") from None
+        if not 1 <= a <= b <= N:
+            raise HarnessError(f"bad block [{a}, {b}] for N={N}")
+        pmf = np.zeros(N)
+        pmf[a - 1:b] = 1.0 / (b - a + 1)
+    pmf.setflags(write=False)  # shared by every later call
+    return pmf
+
+
+# The most shorthand sources one process keeps resolved.  An entry keeps a
+# table and what it derives (cells, level sums, node array and cdf: about
+# 32 MB at n = 20) or a pmf over [N] (8 MB at N = 2^20), so four hold the tau
+# and mu of two calls and at most about 128 MB.
+SHORTHAND_MEMO_CAP = 4
+
+
+@functools.lru_cache(maxsize=SHORTHAND_MEMO_CAP)
+def _shorthand_memo(read, source: str, size: int | None):
+    """``read(source, size)``, once per process for each distinct key; an
+    error is raised again on every call, since lru_cache keeps no exception.
+    ``cache_info()`` gives its hits and misses."""
+    return read(source, size)
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +356,11 @@ def _repeat_verdicts(spec: ExperimentSpec, n, verdict_of) -> list[dict]:
 
 def _run_two_sources(spec: ExperimentSpec, size, load, oracle, test) -> list[dict]:
     """``test`` of tau against mu, sources of ``size`` that ``load`` reads and
-    ``oracle`` serves.  A self-test loads its source once for both oracles; a
-    table's level sums, conditionals and cdf are built once, but each interval
-    view lays out its own padded table of the shared pmf."""
+    ``oracle`` serves.  A self-test loads its source once for both oracles,
+    and every rep shares what was loaded: a table's level sums, conditionals
+    and cdf are built on its first use, once per process for a shorthand
+    and once per call for a file, but each interval view lays out its own
+    padded table of the shared pmf."""
     tau = load(spec.tau, size)
     mu = tau if spec.mu == spec.tau else load(spec.mu, size)
 

@@ -10,7 +10,7 @@ from scipy.special import _ufuncs as boost
 from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
-from condtest import adversarial, testers
+from condtest import adversarial, harness, testers
 from condtest.adversarial import GridProductDistance
 from condtest.distcore import DistributionTable, DivergenceKind
 from condtest.oracles import (
@@ -532,3 +532,10 @@ def empty_instance_memo():
     """Every test starts with an empty adversarial instance memo, so that no
     test passes only because an earlier one searched its instances."""
     adversarial._instance_memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_shorthand_memo():
+    """Every test starts with an empty shorthand-source memo, so that no test
+    passes only because an earlier one resolved its sources."""
+    harness._shorthand_memo.cache_clear()

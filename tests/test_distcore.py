@@ -149,6 +149,36 @@ def test_oversized_n_refused_before_allocating(build, monkeypatch):
         build(30)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DistributionTable.uniform(3),
+    lambda: DistributionTable(3, np.arange(8.0) / 28.0),
+    lambda: DistributionTable.point_mass([1, 0, 1]),
+    lambda: DistributionTable.bernoulli_product([0.2, 0.5, 0.9]),
+], ids=["uniform", "init", "point_mass", "bernoulli_product"])
+def test_table_hands_out_read_only_arrays(build):
+    """A table may be shared by every later call (a shorthand source is
+    resolved once per process), so nothing it hands out can be written:
+    its cells, each level sum, the node array, the effective conditionals
+    and the cdf."""
+    table = build()
+    arrays = [table.probs, *table.level_sums(), table.conditional_nodes(),
+              *table.effective_conditional_levels(), table.cdf()]
+    assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
+    with pytest.raises(ValueError):
+        table.level_sums()[1][0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_uniform_table_is_exact(n):
+    """``uniform(n)`` holds 2^-n in every cell, summing to 1 exactly, and
+    derives what a checked table of the same cells derives."""
+    table = DistributionTable.uniform(n)
+    assert table.n == n and float(table.probs.sum()) == 1.0
+    assert np.all(table.probs == 2.0 ** -n)
+    checked = DistributionTable(n, np.full(1 << n, 2.0 ** -n))
+    np.testing.assert_array_equal(table.conditional_nodes(), checked.conditional_nodes())
+
+
 def test_bit_index_round_trip():
     for n in range(1, 7):
         for v in range(1 << n):

@@ -1,6 +1,7 @@
 """Experiment harness: drivers, CSV emission, replay stability, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -16,6 +17,7 @@ import pytest
 import condtest
 from condtest import adversarial, harness
 from condtest.cli import build_parser, main, spec_from_args
+from condtest.distcore import DistributionTable, DomainError
 from condtest.harness import (
     ExperimentSpec,
     HarnessError,
@@ -222,6 +224,98 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["digests"] == {name: digest for name, (_, digest) in CLI_PINS.items()}
     assert report["scipy"] == []
+
+
+# ----------------------------------------------------------------------
+# the shorthand memo
+
+
+@pytest.mark.parametrize("name", list(CLI_PINS))
+def test_cli_pin_is_stable_on_a_warm_memo(name, tmp_path):
+    """Each pinned scenario, run twice in one process, writes its pinned
+    bytes both times; the second run resolves every shorthand source from the
+    memo."""
+    argv, digest = CLI_PINS[name]
+    infos = []
+    for tag in ("cold", "warm"):
+        out = tmp_path / tag
+        assert main(argv + ["--out", str((out / name).parent)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, tag
+        infos.append(harness._shorthand_memo.cache_info())
+    cold, warm = infos
+    assert warm.misses == cold.misses
+    uses_sources = any(flag in argv for flag in ("--tau", "--mu", "--n-list"))
+    assert (warm.hits > cold.hits) == uses_sources
+
+
+def test_sweep_builds_each_uniform_table_once(tmp_path, monkeypatch, capsys):
+    """A sweep over two n and two eps builds the uniform table of each n once,
+    not once per (n, eps)."""
+    build, built = DistributionTable.uniform, []
+
+    def counting(cls, n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(DistributionTable, "uniform", classmethod(counting))
+    assert main(["sweep", "--n-list", "8,16", "--eps-list", "0.3,0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert built == [8, 16]
+
+
+def test_file_source_is_read_on_every_call(tmp_path):
+    """A file rewritten between two calls is read anew: no file source is
+    kept, whatever its path."""
+    table, pmf = tmp_path / "table.json", tmp_path / "pmf.json"
+    for probs in ([0.25, 0.75], [0.5, 0.5], [1.0, 0.0]):
+        table.write_text(json.dumps({"n": 1, "probs": probs}))
+        pmf.write_text(json.dumps({"pmf": probs}))
+        np.testing.assert_array_equal(load_distribution(str(table), 1).probs, probs)
+        np.testing.assert_array_equal(load_interval_pmf(str(pmf), 2), probs)
+    assert harness._shorthand_memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("load, source, size", [
+    (load_distribution, "point:012", None),
+    (load_distribution, "bernoulli:x", 2),
+    (load_distribution, "bernoulli:1.5", 2),
+    (load_distribution, "uniform", None),
+    (load_interval_pmf, "block:1", 8),
+    (load_interval_pmf, "block:5,3", 8),
+])
+def test_bad_shorthand_raises_on_every_call(load, source, size):
+    """An error is never kept: a bad shorthand is refused on every call."""
+    for _ in range(3):
+        with pytest.raises((HarnessError, DomainError)):
+            load(source, size)
+    info = harness._shorthand_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+
+def test_shorthand_is_resolved_once_and_shared():
+    """A shorthand resolves to one object per (source, size), read-only,
+    and the same name at another size, or for the other loader, is another
+    entry."""
+    table = load_distribution("uniform", 3)
+    assert load_distribution("uniform", 3) is table
+    assert load_distribution("uniform", 4) is not table
+    pmf = load_interval_pmf("uniform", 8)
+    assert load_interval_pmf("uniform", 8) is pmf and not pmf.flags.writeable
+    assert not load_interval_pmf("block:2,3", 8).flags.writeable
+    info = harness._shorthand_memo.cache_info()
+    assert (info.hits, info.misses) == (2, 4)
+
+
+def test_shorthand_memo_is_capped():
+    """More distinct shorthands than the cap leave the cap's worth of
+    entries, the most recently used; the oldest is resolved again."""
+    cap = harness.SHORTHAND_MEMO_CAP
+    sources = [f"bernoulli:{k / 100}" for k in range(1, cap + 4)]
+    tables = [load_distribution(source, 2) for source in sources]
+    assert harness._shorthand_memo.cache_info().currsize == cap
+    assert load_distribution(sources[-1], 2) is tables[-1]
+    assert load_distribution(sources[0], 2) is not tables[0]
+    assert harness._shorthand_memo.cache_info().currsize == cap
 
 
 # ----------------------------------------------------------------------
