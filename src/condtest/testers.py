@@ -1,12 +1,14 @@
 """Randomized testers: the single-bit chi-square test and five walk
-testers.  Each walk tester takes the distance eps in (0, 1), refusing any
-other (NaN included) with ``ValueError`` before it builds a view or bills a
-query, as it does an eps whose Levin schedule has no finite draw count
-(``_finite_schedule``), and an optional seed for the walk's own stream.
-The walk holds 2^n - 1 node conditionals per oracle, so a binary dimension
-n above ``MAX_DENSE_N`` (the encoded bits of a tuple domain, ceil(log2 N)
-for [N]) is refused with ``DomainError`` before any is built or a query
-billed:
+testers.  Each walk tester takes the distance eps and an optional seed for
+the walk's own stream, and runs Levin's schedule at eps_L = rho(n, eps) / n
+for its binary dimension n.  Its one input rule (``_levin_eps``) refuses,
+with ``ValueError`` before it builds a view or bills a query, an eps outside
+(0, 1) (NaN included) and every eps whose eps_L is below ``MIN_EPS_L`` =
+2^-49, which keeps the accept path below 2^53 y-draws.  The walk holds
+2^n - 1 node conditionals per oracle, so a binary dimension n above
+``MAX_DENSE_N`` (the encoded bits of a tuple domain, ceil(log2 N) for [N])
+is refused with ``DomainError`` before any is built or a query billed.  A
+verdict's trace is one ``_level_record`` per Levin level the walk ran:
 
     equivalence_test(tau, mu, eps, seed=None)           TableOracles over {0,1}^n
     equivalence_test_general(tau, mu, eps, seed=None)   TupleTableOracles
@@ -132,9 +134,13 @@ Certified decisions
     monotone.  A chunk whose largest u is below the floor has u < lo at each
     draw, whatever node it lands on, so every draw survives: the walk
     consumes the chunk's tau uniforms (``skip_full_draws``, once for a run
-    of such chunks) without searching them and moves on.  A node tau can
-    reach that mu gives zero mass (dead) stops the walk at every u, so then
-    K = inf and the floor is -1, which certifies nothing.  Verdicts, query
+    of such chunks) without searching them and moves on.  A floor <= 0
+    certifies nothing, and neither does -1, the floor when tau can reach a
+    node mu gives zero mass (dead), which stops the walk at every u.  K is
+    0 with no pass when mu's node array is tau's (a self-test); otherwise
+    Pinsker's min-KL >= 2 (p - q)^2 gives K_lb = 2 max (p_mu - p_tau)^2 <= K
+    first, and K is computed only where the floor at K_lb is positive at
+    some level (``_level_floors``).  Verdicts, query
     totals, traces and tau's random stream are those of the walk without the
     floor: it is one more tier of the ladder chunk floor -> node bracket ->
     exact calculus.
@@ -240,40 +246,47 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
 # Levin's work-balance procedure
 
 
+# The least eps_L the walk runs at.  Levin's schedule at eps_L runs levels
+# t = 1 .. t_max = ceil(log2(2 / eps_L)), level t with ceil(2^(3-t) / eps_L)
+# outer draws, so its accept path takes at most 8 / eps_L + t_max < 2^53
+# y-draws here, and every count is finite and exact in a float.
+MIN_EPS_L = 2.0 ** -49
+
+
 def _check_eps(eps: float) -> None:
     """The walk's distance rule: eps in (0, 1), NaN refused."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {eps}")
 
 
-def _finite_schedule(eps_l: float, eps: float) -> float:
-    """The finite-schedule rule: Levin's schedule at eps_L runs levels t = 1
-    .. t_max = ceil(log2(2 / eps_L)), level t with ceil(2^(3-t) / eps_L)
-    outer draws and trials of ceil(24 * 2^t) draws per source
-    (``_trial_draws``).  The largest of these, 4 / eps_L and 24 * 2^t_max,
-    are at most 96 / eps_L, so t_max and every count are finite when eps_L
-    > 0 and 96 / eps_L is a finite float.  Returns ``eps_l``; otherwise
-    ValueError naming ``eps``, the distance the caller gave."""
-    if not (eps_l > 0.0 and math.isfinite(4 * CHI2_SAMPLE_FACTOR / eps_l)):
-        raise ValueError(f"epsilon {eps} is too small: Levin's schedule at eps_L = {eps_l:g} "
-                         "has more draws than a float can count")
+def _check_eps_l(eps_l: float, eps: float) -> float:
+    """``eps_l`` if it is at least ``MIN_EPS_L``; otherwise ValueError naming
+    ``eps``, the distance the caller gave."""
+    if not eps_l >= MIN_EPS_L:
+        raise ValueError(f"epsilon {eps} is too small: the walk would run at eps_L = "
+                         f"{eps_l:g}, below 2^-49")
     return eps_l
 
 
-def levin_schedule(eps: float) -> list[tuple[int, float, int, int]]:
-    """Deterministic schedule rows (t, eps', outer draws, inner repetitions)."""
+def _levin_eps(n: int, eps: float) -> float:
+    """The walk's one input rule: eps_L = rho(n, eps) / n, the distance its
+    Levin schedule runs at for binary dimension n; ValueError for an eps
+    outside (0, 1), NaN included, and for one whose eps_L is below
+    ``MIN_EPS_L``, naming the eps given."""
     _check_eps(eps)
-    _finite_schedule(eps, eps)
-    t_max = math.ceil(math.log2(2.0 / eps))
-    inner = math.ceil(64 * (math.log2(1.0 / eps) + 2))
-    return [(t, 2.0 ** -t, math.ceil(2.0 ** (3 - t) / eps), inner)
+    return _check_eps_l(slice_divergence_threshold(n, eps) / n, eps)
+
+
+def levin_schedule(eps_l: float) -> list[tuple[int, float, int, int]]:
+    """Deterministic schedule rows (t, eps', outer draws, inner repetitions)
+    at ``eps_l``, refused as ``_levin_eps`` refuses: outside (0, 1) or
+    below ``MIN_EPS_L``."""
+    _check_eps(eps_l)
+    _check_eps_l(eps_l, eps_l)
+    t_max = math.ceil(math.log2(2.0 / eps_l))
+    inner = math.ceil(64 * (math.log2(1.0 / eps_l) + 2))
+    return [(t, 2.0 ** -t, math.ceil(2.0 ** (3 - t) / eps_l), inner)
             for t in range(1, t_max + 1)]
-
-
-def _majority_threshold(inner: int) -> int:
-    """Fewest accepting runs out of ``inner`` that keep a drawn y alive: the
-    tally (+1 per accept, -1 per reject) must be non-negative."""
-    return math.ceil(inner / 2)
 
 
 def _level_record(t: int, eps_prime: float, outer: int, inner: int,
@@ -296,21 +309,6 @@ def slice_divergence_threshold(n: int, eps: float) -> float:
     return eps ** 2 / (24.0 * math.log2(2.0 * n / eps))
 
 
-def _levin_eps(n: int, eps: float) -> float:
-    """eps_L = rho(n, eps) / n, the distance the walk's Levin schedule runs at;
-    ValueError naming eps where the schedule is not finite there
-    (``_finite_schedule``)."""
-    return _finite_schedule(slice_divergence_threshold(n, eps) / n, eps)
-
-
-def _check_walk_eps(eps: float, n: int) -> None:
-    """A walk tester's distance rule at binary dimension n, checked before it
-    builds a view or bills a query: eps in (0, 1) and a finite schedule at
-    eps_L."""
-    _check_eps(eps)
-    _levin_eps(n, eps)
-
-
 def _level_charges(n_draws: int, inner: int, used: int, dead: bool) -> tuple[int, int]:
     """(tau's prefix queries, mu's marginal queries) for a Levin level that
     consumed ``used`` y-draws, the last of them a zero-probability reject if
@@ -325,8 +323,7 @@ def _level_charges(n_draws: int, inner: int, used: int, dead: bool) -> tuple[int
 def expected_equivalence_queries(n: int, eps: float) -> dict[str, int]:
     """Accept-path query counts of the equivalence tester, per source: every
     level consumes all of its outer draws and none is dead.  Refuses the eps
-    that the walk testers refuse, with ValueError."""
-    _check_eps(eps)
+    that the walk testers refuse, with ValueError (``_levin_eps``)."""
     charges = [_level_charges(_trial_draws(eps_prime), inner, outer, False)
                for _, eps_prime, outer, inner in levin_schedule(_levin_eps(n, eps))]
     tau, mu = (sum(column) for column in zip(*charges))
@@ -559,8 +556,9 @@ def chi2_accept_prob(alpha, beta):
 
 def _majority_prob(inner: int, gamma) -> np.ndarray:
     """Per row, Pr[Bin(inner, gamma) >= ceil(inner / 2)]: the majority tally
-    of ``inner`` runs, each accepting with probability gamma, is non-negative."""
-    return _binom_tails(_majority_threshold(inner), inner, gamma)[1]
+    of ``inner`` runs (+1 per accept, -1 per reject), each accepting with
+    probability gamma, is non-negative, which keeps a drawn y alive."""
+    return _binom_tails(math.ceil(inner / 2), inner, gamma)[1]
 
 
 def blackbox_survive_prob(n_draws: int, p, q, inner: int):
@@ -578,15 +576,17 @@ def _min_kl(p, q) -> np.ndarray:
     """Per row, min(KL(p||q), KL(q||p)) in nats for Ber(p) and Ber(q), as
     bd0(p, q) + bd0(1 - p, 1 - q) and its mirror, with the difference
     p - q exact (inf where the support of the first is not inside the
-    second's), clamped at 0.  An equal pair's is exactly 0, so only the
-    other rows are computed."""
+    second's), clamped at 0.  A term whose x / m overflows at a subnormal m
+    is inf too; the mirror is then finite, or else p or q is 1 and the
+    min-KL exceeds 700, which gives the Pinsker bound a = 1 all the same.
+    An equal pair's is exactly 0, so only the other rows are computed."""
     p, q = _rows(p), _rows(q)
     kl = np.zeros(p.shape)
     differ = np.flatnonzero(p != q)
     if differ.size:
         p, q = p[differ], q[differ]
         d, p_c, q_c = p - q, 1.0 - p, 1.0 - q
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # KL(p||q)'s two terms, then KL(q||p)'s, in one call
             terms = _bd0(np.concatenate((p, p_c, q, q_c)), np.concatenate((q, q_c, p, p_c)),
                          np.concatenate((d, -d, -d, d))).reshape(4, -1)
@@ -665,14 +665,8 @@ def _survive_bounds(n_draws: int, p, q, inner: int) -> tuple[np.ndarray, np.ndar
     return _survive_lo(a, inner), _survive_hi(m, inner)
 
 
-def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
-    """K, the largest ``_min_kl`` over the nodes tau can reach (``p_tau`` not
-    NaN); inf when mu gives one of them zero mass."""
-    reach = ~np.isnan(p_tau)
-    # Masks only: gathering p_mu[reach] would copy up to 2^n floats.
-    if (np.isnan(p_mu) & reach).any():
-        return math.inf
-    # An equal pair's KL is exactly 0, so only the others are computed.
+def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray, reach: np.ndarray) -> float:
+    """K, the largest ``_min_kl`` over the nodes ``reach``; an equal pair's is 0."""
     differ = reach & (p_mu != p_tau)
     return float(_min_kl(p_mu[differ], p_tau[differ]).max(initial=0.0))
 
@@ -681,12 +675,26 @@ def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
 def _survive_floor(n_draws: int, kl: float, inner: int) -> float:
     """A value below the bracket's lower end for every pair whose min-KL is
     at most ``kl``: that lower end at KL = kl, less one more
-    ``_BRACKET_SLACK`` for rounding in the tails that is not monotone.
-    ``_DEAD`` when kl is inf, since a dead node stops at every u.  Kept for
-    the 1024 latest arguments: every run on the same pair asks again."""
-    if math.isinf(kl):
-        return _DEAD
+    ``_BRACKET_SLACK`` for rounding in the tails that is not monotone.  Kept
+    for the 1024 latest arguments: every run on the same pair asks again."""
     return float(_survive_lo(_pinsker_bound(n_draws, kl), inner)[0]) - _BRACKET_SLACK
+
+
+def _level_floors(p_mu: np.ndarray, p_tau: np.ndarray, schedule) -> list[float]:
+    """Each level's survive floor, ``_DEAD`` where it can certify nothing;
+    K only where the bound K_lb leaves the floor positive at some level (see
+    the module docstring)."""
+    def at(kl: float) -> list[float]:
+        return [_survive_floor(_trial_draws(eps_prime), kl, inner)
+                for _, eps_prime, _, inner in schedule]
+    if p_mu is p_tau:
+        return at(0.0)
+    # fmax passes over the NaN of the nodes tau cannot reach.
+    reach = ~np.isnan(p_tau)
+    gap = float(np.fmax.reduce(np.abs(p_mu - p_tau), initial=0.0))
+    if (np.isnan(p_mu) & reach).any() or max(at(2.0 * gap * gap)) <= 0.0:
+        return [_DEAD] * len(schedule)
+    return at(_reach_kl(p_mu, p_tau, reach))
 
 
 def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np.ndarray:
@@ -713,21 +721,15 @@ def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np
 
 
 def _counter_totals(oracles) -> dict[str, int]:
-    """Queries by class over every distinct counter on the oracles' chains,
-    each counted once: a query forwarded to a base counts once per layer."""
+    """Queries by class, then their "total", over every distinct counter on
+    the oracles' chains, each counted once: a query forwarded to a base
+    counts once per layer."""
     counters = {id(o.counter): o.counter for oracle in oracles for o in oracle.chain()}
     out = {cls.value: 0 for cls in QueryClass}
     for counter in counters.values():
         for cls, k in counter.counts.items():
             out[cls.value] += k
-    return out
-
-
-def _queries_delta(before: dict[str, int], oracles) -> dict[str, int]:
-    after = _counter_totals(oracles)
-    delta = {name: after[name] - before[name] for name in after}
-    delta["total"] = sum(delta.values())
-    return delta
+    return out | {"total": sum(out.values())}
 
 
 # The bracket of a node that mu gives zero mass: the walk stops at the node's
@@ -821,12 +823,11 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, decided
     by ``_first_stop`` from the chunk's own nodes.  A chunk whose u all lie
-    below the level's survive floor (see the module docstring; -1 when tau
-    can reach a node mu gives zero mass) survives whole: its tau uniforms
-    are consumed without a search, a run of such chunks at once, by
-    ``skip_full_draws`` (which advances a PCG64 stream and generates the
-    uniforms otherwise), so tau's stream is the same as if they were
-    searched.
+    below the level's survive floor (``_level_floors``) survives whole: its
+    tau uniforms are consumed without a search, a run of such chunks at
+    once, by ``skip_full_draws`` (which advances a PCG64 stream and
+    generates the uniforms otherwise), so tau's stream is the same as if
+    they were searched.
 
     Each level moves ``rng`` past its ``outer`` coordinates i, drawing them
     up front only where skipping them is not exact (``_level_coordinates``;
@@ -844,13 +845,13 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     dead."""
     n = tau.n
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
-    kl = _reach_kl(p_mu, p_tau)
+    schedule = levin_schedule(eps_l)
     scratch = _coordinate_scratch(rng, n)
     trace = []
-    for t, eps_prime, outer, inner in levin_schedule(eps_l):
+    for (t, eps_prime, outer, inner), floor in zip(schedule,
+                                                    _level_floors(p_mu, p_tau, schedule)):
         n_draws = _trial_draws(eps_prime)
         coordinates = _level_coordinates(rng, n, outer, scratch)
-        floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
         certified = 0  # draws of the certified chunks not yet skipped
         for first in range(0, outer, _CHUNK):
@@ -885,16 +886,16 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     return Verdict(True, trace=trace)
 
 
-def _equivalence_core(tau, mu, eps: float, seed) -> Verdict:
+def _equivalence_core(tau, mu, eps_l: float, seed) -> Verdict:
+    """The walk of ``tau`` against ``mu`` at eps_L = ``eps_l``, as
+    ``_levin_eps`` derived it, billed on both oracles' chains."""
     if tau.n > MAX_DENSE_N:
         raise DomainError(f"the walk's node arrays support n <= {MAX_DENSE_N}, got n={tau.n}")
     rng = np.random.default_rng(seed)
     before = _counter_totals((tau, mu))
-    eps_l = _levin_eps(tau.n, eps)
     verdict = _run_equivalence(tau, mu, eps_l, rng)
-    verdict.queries_used = _queries_delta(before, (tau, mu))
-    # Replays pin this record in this form.
-    verdict.trace.append({"mode": "collapsed", "eps_levin": eps_l})
+    after = _counter_totals((tau, mu))
+    verdict.queries_used = {name: after[name] - before[name] for name in after}
     return verdict
 
 
@@ -904,23 +905,10 @@ def equivalence_test(tau: TableOracle, mu: TableOracle, eps: float, seed=None) -
     ``tau`` needs prefix access, ``mu`` marginal-prefix access.  Accepts
     tau = mu and rejects dtv(tau, mu) > eps, each with probability >= 2/3.
     """
-    _check_walk_eps(eps, tau.n)
+    eps_l = _levin_eps(tau.n, eps)
     if mu.n != tau.n:
         raise ValueError(f"dimension mismatch: tau has n={tau.n}, mu has n={mu.n}")
-    return _equivalence_core(tau, mu, eps, seed)
-
-
-def _product_core(mu, eps: float, seed) -> Verdict:
-    """The walk of the cell-backed view ``mu`` against the product of its
-    coordinate marginals (``ProductMarginalOracle(mu)``); the trace ends with
-    ``prefix_queries_only``: mu's root oracle saw no interval or subcube
-    query."""
-    verdict = _equivalence_core(mu, ProductMarginalOracle(mu), eps, seed)
-    *_, root = mu.chain()
-    prefix_only = (root.counter.counts.get(QueryClass.INTERVAL, 0) == 0
-                   and root.counter.counts.get(QueryClass.SUBCUBE, 0) == 0)
-    verdict.trace.append({"prefix_queries_only": prefix_only})
-    return verdict
+    return _equivalence_core(tau, mu, eps_l, seed)
 
 
 def product_test(mu: TableOracle, eps: float, seed=None) -> Verdict:
@@ -930,16 +918,17 @@ def product_test(mu: TableOracle, eps: float, seed=None) -> Verdict:
     marginal-prefix queries are simulated through mu itself, one prefix
     query each.
     """
-    _check_walk_eps(eps, mu.n)
-    return _product_core(mu, eps, seed)
+    eps_l = _levin_eps(mu.n, eps)
+    return _equivalence_core(mu, ProductMarginalOracle(mu), eps_l, seed)
 
 
 def product_test_general(mu: TupleTableOracle, eps: float, seed=None) -> Verdict:
     """The product test over a tuple domain, on mu's binary encoding: each
     marginal-prefix query of the product of its coordinate marginals costs
     one subcube query on mu."""
-    _check_walk_eps(eps, mu.domain.total_bits)
-    return _product_core(BinaryEncodedOracle(mu), eps, seed)
+    eps_l = _levin_eps(mu.domain.total_bits, eps)
+    view = BinaryEncodedOracle(mu)
+    return _equivalence_core(view, ProductMarginalOracle(view), eps_l, seed)
 
 
 def equivalence_test_general(tau: TupleTableOracle, mu: TupleTableOracle, eps: float,
@@ -949,10 +938,10 @@ def equivalence_test_general(tau: TupleTableOracle, mu: TupleTableOracle, eps: f
     Each binary query translates to exactly one query on the underlying
     tuple oracle; the effective dimension is the total encoded bit width.
     """
-    _check_walk_eps(eps, tau.domain.total_bits)
+    eps_l = _levin_eps(tau.domain.total_bits, eps)
     if tau.domain != mu.domain:
         raise ValueError("tau and mu must share a domain")
-    return _equivalence_core(BinaryEncodedOracle(tau), BinaryEncodedOracle(mu), eps, seed)
+    return _equivalence_core(BinaryEncodedOracle(tau), BinaryEncodedOracle(mu), eps_l, seed)
 
 
 def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle, eps: float,
@@ -961,13 +950,13 @@ def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle, eps: floa
 
     Runs the binary equivalence tester on ``IntervalBackedPrefixOracle``
     views of both, which pad [N] to the next power of two and translate
-    every prefix query to one interval query.  N = 1 accepts at no cost.
+    every prefix query to one interval query.  N = 1 accepts at no cost and
+    runs no level.
     """
-    _check_walk_eps(eps, code_bits(tau.N))
+    eps_l = _levin_eps(code_bits(tau.N), eps)
     if tau.N != mu.N:
         raise ValueError(f"domain mismatch: {tau.N} vs {mu.N}")
     if tau.N == 1:
-        return Verdict(True, queries_used={cls.value: 0 for cls in QueryClass} | {"total": 0},
-                       trace=[{"vacuous": True}])
+        return Verdict(True, queries_used={cls.value: 0 for cls in QueryClass} | {"total": 0})
     return _equivalence_core(IntervalBackedPrefixOracle(tau), IntervalBackedPrefixOracle(mu),
-                             eps, seed)
+                             eps_l, seed)

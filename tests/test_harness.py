@@ -424,7 +424,7 @@ def test_adversarial_distance_searches_each_instance_once(tmp_path, monkeypatch,
     assert len(searched) == 12
 
 
-@pytest.mark.parametrize("eps", ["1e-155", "1e-160"])
+@pytest.mark.parametrize("eps", ["1e-10", "1.2e-151", "1e-155", "1e-160"])
 @pytest.mark.parametrize("argv", [
     ["test-equivalence", "--n", "2", "--tau", "uniform", "--mu", "uniform", "--eps"],
     ["test-product", "--n", "2", "--mu", "uniform", "--eps"],
@@ -432,8 +432,10 @@ def test_adversarial_distance_searches_each_instance_once(tmp_path, monkeypatch,
     ["sweep", "--n-list", "2", "--eps-list"],
 ])
 def test_cli_refuses_eps_without_a_finite_schedule(argv, eps, tmp_path, capsys):
-    """An eps whose Levin schedule has no finite draw count exits 2 with one
-    error line that names the eps given, and no traceback."""
+    """An eps whose eps_L lies below the draw budget's 2^-49 exits 2 with one
+    error line that names the eps given, and no traceback: at 1e-10 the
+    accept path would take 1.35e24 y-draws at n = 2, and at 1e-155 and
+    1e-160 the schedule has no finite draw count."""
     assert main(argv + [eps, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: epsilon {eps} is too small")

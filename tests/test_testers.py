@@ -27,6 +27,7 @@ from condtest.oracles import (
 )
 from condtest.testers import (
     CHI2_SAMPLE_FACTOR,
+    MIN_EPS_L,
     BitSampler,
     Verdict,
     blackbox_survive_prob,
@@ -483,7 +484,7 @@ def test_walk_and_literal_tester_agree_on_budget_and_verdict(monkeypatch):
     sampled = _literal(run, monkeypatch)
     assert sampled.accepted == collapsed.accepted is True
     assert sampled.queries_used == collapsed.queries_used
-    assert sampled.trace[:-1] == collapsed.trace[:-1]
+    assert sampled.trace == collapsed.trace
 
 
 def test_walk_and_literal_tester_follow_the_exact_rejection_law(monkeypatch):
@@ -627,7 +628,6 @@ def _queries(prefix, marginal, interval=0):
 
 
 _N3_OUTERS = [4130, 2065, 1033, 517, 259, 130, 65, 33, 17, 9, 5, 3]
-_MODE = {"mode": "collapsed", "eps_levin": 0.0009685518946219787}
 
 
 def _records(inner, outers, rejected_at=None):
@@ -647,31 +647,27 @@ def _levels(last_t, rejected_at=None):
 # and batched); any shift of a tester or oracle RNG stream changes them.
 REPLAY_PINS = {
     "uniform": (True, _queries(126244954186, 126244945920),
-                _levels(12) + [_MODE]),
+                _levels(12)),
     "point-mass-reject": (False, _queries(1, 1),
-                          [{"t": 1, "rejected_at": 0, "zero_probability_reject": True},
-                           _MODE]),
+                          [{"t": 1, "rejected_at": 0, "zero_probability_reject": True}]),
     "product": (False, _queries(39574394960, 19787194368),
-                _levels(3, 28) + [_MODE, {"prefix_queries_only": True}]),
+                _levels(3, 28)),
     "random-full-support": (False, _queries(29406764099, 29406756864),
-                            _levels(4, 6) + [_MODE]),
+                            _levels(4, 6)),
     "padded-interval": (False, _queries(19532064821, 19532058624, 39064123445),
-                        _levels(3, 1) + [_MODE]),
+                        _levels(3, 1)),
     "tuple": (False, _queries(120348491680, 120348475392),
-              _levels(7, 9) + [_MODE]),
+              _levels(7, 9)),
     "dirichlet-self-n6": (True, _queries(373460357772, 373460336640),
                           _records(856, [10564, 5282, 2641, 1321, 661, 331, 166, 83, 42,
-                                         21, 11, 6, 3])
-                          + [{"mode": "collapsed", "eps_levin": 0.0003786532846971034}]),
+                                         21, 11, 6, 3])),
     "near-n5-mid-chunk": (False, _queries(67912221061, 67912206336),
-                          _records(834, [8299, 4150, 2075, 1038], 200)
-                          + [{"mode": "collapsed", "eps_levin": 0.00048203794408283154}]),
+                          _records(834, [8299, 4150, 2075, 1038], 200)),
     "interval-N200": (False, _queries(44615593430, 44615577600, 89231171030),
-                      _records(891, [15360, 7680], 469)
-                      + [{"mode": "collapsed", "eps_levin": 0.00026041666666666666}]),
+                      _records(891, [15360, 7680], 469)),
     "dead-prefix-mid-chunk": (False, _queries(16357041560, 16357036033),
                               _levels(1) + [{"t": 2, "rejected_at": 1397,
-                                             "zero_probability_reject": True}, _MODE]),
+                                             "zero_probability_reject": True}]),
 }
 
 
@@ -689,11 +685,17 @@ def test_literal_tester_rejects_far_pair(monkeypatch):
 
 
 def test_trace_ends_with_the_pinned_record():
+    """A verdict's trace is one level record per Levin level the walk ran:
+    an accepting run's ends with the schedule's last level at eps_L =
+    rho(n, eps) / n."""
     tab = DistributionTable.uniform(8)
     v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2),
                          0.3, seed=3)
-    assert v.trace[-1] == {"mode": "collapsed",
-                           "eps_levin": slice_divergence_threshold(8, 0.3) / 8}
+    schedule = levin_schedule(slice_divergence_threshold(8, 0.3) / 8)
+    assert v.accepted and [record["t"] for record in v.trace] == [row[0] for row in schedule]
+    t, eps_prime, outer, inner = schedule[-1]
+    assert v.trace[-1] == {"t": t, "eps_prime": eps_prime, "outer": outer, "inner": inner,
+                           "rejected_at": None}
 
 
 def test_slice_divergence_threshold_value():
@@ -743,15 +745,17 @@ def test_walk_testers_refuse_eps_outside_unit_interval(tester, eps, monkeypatch)
     assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
 
 
-# eps_L = rho(n, eps) / n at n <= 3: subnormal at 1e-155, so that 4 / eps_L
-# overflows, and 0 at 1e-160.
-_NO_FINITE_SCHEDULE = [1e-155, 1e-160]
+# eps_L = rho(n, eps) / n at n <= 3 is below MIN_EPS_L = 2^-49 for each: at
+# 1e-10 the accept path would take 1.35e24 y-draws at n = 2, at 1.2e-151
+# 1.34e307; at 1e-155 eps_L is subnormal, so that 2 / eps_L overflows; at
+# 1e-160 it is 0.
+_BEYOND_BUDGET = [1e-10, 1.2e-151, 1e-155, 1e-160]
 
 
-@pytest.mark.parametrize("eps", _NO_FINITE_SCHEDULE)
+@pytest.mark.parametrize("eps", _BEYOND_BUDGET)
 @pytest.mark.parametrize("tester", list(WALK_TESTERS))
 def test_walk_testers_refuse_eps_without_a_finite_schedule(tester, eps, monkeypatch):
-    """An eps in (0, 1) whose Levin schedule has no finite draw count is
+    """An eps in (0, 1) whose eps_L is below the draw budget's MIN_EPS_L is
     refused with the eps that was given, before a view is built or a query
     billed; the interval tester's N = 1 shortcut too."""
     for view in ("BinaryEncodedOracle", "IntervalBackedPrefixOracle", "ProductMarginalOracle"):
@@ -762,10 +766,18 @@ def test_walk_testers_refuse_eps_without_a_finite_schedule(tester, eps, monkeypa
     assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
 
 
-@pytest.mark.parametrize("eps", _NO_FINITE_SCHEDULE)
+@pytest.mark.parametrize("eps", _BEYOND_BUDGET)
 def test_budget_refuses_eps_without_a_finite_schedule(eps):
     with pytest.raises(ValueError, match=rf"^epsilon {eps} is too small"):
         expected_equivalence_queries(2, eps)
+
+
+def test_levin_schedule_at_the_draw_budget():
+    """eps_L = MIN_EPS_L = 2^-49 is accepted: levels t = 1..50 with 2^(52-t)
+    outer draws each, so the accept path's y-draws sum to 2^52 - 4 < 2^53."""
+    schedule = levin_schedule(MIN_EPS_L)
+    assert [row[0] for row in schedule] == list(range(1, 51))
+    assert sum(outer for _, _, outer, _ in schedule) == 2 ** 52 - 4 < 2 ** 53
 
 
 def _point_tuples(seed):
@@ -810,7 +822,7 @@ def test_product_accepts_uniform():
     v = product_test(TableOracle(DistributionTable.uniform(4), seed=1),
                      0.4, seed=2)
     assert v.accepted
-    assert v.trace[-1]["prefix_queries_only"] is True
+    assert v.queries_used["subcube"] == v.queries_used["interval"] == 0
 
 
 def test_product_uses_prefix_queries_only():
@@ -927,9 +939,8 @@ def test_general_matches_binary_on_binary_domain():
                                   seed=seeds[2])
             general = product_test_general(TupleTableOracle(domain, probs, seed=seed), 0.5,
                                            seed=seeds[2])
-            assert (general.accepted, general.trace[:-1]) == (binary.accepted, binary.trace[:-1]), k
-            assert (binary.trace[-1], general.trace[-1]) == \
-                ({"prefix_queries_only": True}, {"prefix_queries_only": False}), k
+            assert (general.accepted, general.trace) == (binary.accepted, binary.trace), k
+            assert binary.queries_used["subcube"] == 0 < general.queries_used["subcube"], k
     assert 0 < rejects < 40
 
 
@@ -986,7 +997,7 @@ def test_interval_vacuous_single_atom():
     one = IntervalOracle([1.0], seed=0)
     v = interval_equivalence_test(one, IntervalOracle([1.0], seed=1),
                                   0.5, seed=2)
-    assert v.accepted
+    assert v.accepted and v.trace == []
     assert v.queries_used["total"] == 0
 
 
@@ -1427,12 +1438,37 @@ def test_walk_skips_certified_chunks_then_searches_within_a_level(monkeypatch):
     floored = run()
     assert any(["skip_full_draws", "sample_full_indices_uncounted"] == lv[k:k + 2]
                for lv in levels for k in range(len(lv)))
-    assert not floored[0] and floored[2][-2]["t"] == 5
+    assert not floored[0] and floored[2][-1]["t"] == 5
     monkeypatch.setattr(testers, "_survive_floor", lambda *args: -1.0)
     assert run() == floored
     assert states[1] == states[0]
     monkeypatch.setattr(testers, "_run_equivalence", reference_walk)
     assert run() == floored
+
+
+def test_near_pair_runs_without_computing_k(monkeypatch):
+    """n = 12, tau = 0.999 mu + 0.001 Dirichlet at eps = 0.5: the floor at
+    Pinsker's K_lb = 2 max (p_mu - p_tau)^2 is <= 0 at every level, so the
+    walk runs at floor -1 without computing K, with the verdict, queries and
+    trace of the walk with no floor."""
+    g = np.random.default_rng(5)
+    mu = g.dirichlet(np.ones(1 << 12))
+    tau = 0.999 * mu + 0.001 * g.dirichlet(np.ones(1 << 12))
+    tau /= tau.sum()
+
+    def run():
+        v = equivalence_test(TableOracle(DistributionTable(12, tau), seed=1),
+                             TableOracle(DistributionTable(12, mu), seed=2), 0.5, seed=3)
+        return v.accepted, v.queries_used, v.trace
+
+    def no_k(*args):
+        raise AssertionError("K was computed")
+
+    monkeypatch.setattr(testers, "_reach_kl", no_k)
+    got = run()
+    assert not got[0]
+    monkeypatch.setattr(testers, "_survive_floor", lambda *args: -1.0)
+    assert run() == got
 
 
 def _dead_half(seed):
@@ -1463,7 +1499,7 @@ def test_floor_keeps_dead_rejects(monkeypatch):
         ref = run(11 * k)
         assert (v.accepted, v.queries_used, v.trace) == (ref.accepted, ref.queries_used,
                                                          ref.trace), k
-    assert any(v.trace[-2].get("zero_probability_reject") for v in got)
+    assert any(v.trace[-1].get("zero_probability_reject") for v in got)
 
 
 def test_uniform_self_test_searches_no_draw(monkeypatch):
