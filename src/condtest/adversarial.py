@@ -35,6 +35,13 @@ from .distcore import (
 from .oracles import SubcubeQuery, inverse_cdf
 
 MAX_PAIR_DELTA = 0.25  # keeps every cell probability inside (0, 1/2)
+# The largest n a paired instance is drawn at.  Its cost is linear in n: n/2
+# signs are drawn, held in a tuple and written one character each to the
+# CSV row, about 9 bytes and 0.35 us per coordinate (one run at n = 2^20
+# takes 0.4 s and 10 MiB on a 2-core Xeon VM, at 2^24 6 s and 140 MiB).  At
+# 2^20 a run stays under a second, the CLI's 2^20 bound on what one run lays
+# out per element, as for the interval tester's N.
+MAX_PAIRED_N = 2 ** 20
 
 
 def _check_delta(delta: float) -> None:

@@ -108,9 +108,9 @@ def _comma_list(item: str):
 
 
 # Dense kinds hold 2^n cells: refuse n before anything is built.  A paired
-# instance holds n/2 signs, capped at a dense table's 2^MAX_DENSE_N cells.
+# instance's cost is linear in n (``adversarial.MAX_PAIRED_N``).
 _n = _integer(1, lambda kind: distcore.MAX_DENSE_N if KINDS[kind].dense
-              else 2 ** distcore.MAX_DENSE_N)
+              else adversarial.MAX_PAIRED_N)
 # The interval tester pads [N] to 2^ceil(log2 N) cells: a dense table's budget.
 _N = _integer(1, lambda kind: 2 ** distcore.MAX_DENSE_N if kind == "interval" else math.inf)
 # The single-bit chi-square test also takes eps = 1.

@@ -134,13 +134,9 @@ Certified decisions
     monotone.  A chunk whose largest u is below the floor has u < lo at each
     draw, whatever node it lands on, so every draw survives: the walk
     consumes the chunk's tau uniforms (``skip_full_draws``, once for a run
-    of such chunks) without searching them and moves on.  A floor <= 0
-    certifies nothing, and neither does -1, the floor when tau can reach a
-    node mu gives zero mass (dead), which stops the walk at every u.  K is
-    0 with no pass when mu's node array is tau's (a self-test); otherwise
-    Pinsker's min-KL >= 2 (p - q)^2 gives K_lb = 2 max (p_mu - p_tau)^2 <= K
-    first, and K is computed only where the floor at K_lb is positive at
-    some level (``_level_floors``).  Verdicts, query
+    of such chunks) without searching them and moves on.  A node tau can
+    reach that mu gives zero mass (dead) stops the walk at every u, so then
+    K = inf and the floor is -1, which certifies nothing.  Verdicts, query
     totals, traces and tau's random stream are those of the walk without the
     floor: it is one more tier of the ladder chunk floor -> node bracket ->
     exact calculus.
@@ -249,7 +245,8 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
 # The least eps_L the walk runs at.  Levin's schedule at eps_L runs levels
 # t = 1 .. t_max = ceil(log2(2 / eps_L)), level t with ceil(2^(3-t) / eps_L)
 # outer draws, so its accept path takes at most 8 / eps_L + t_max < 2^53
-# y-draws here, and every count is finite and exact in a float.
+# y-draws here, and every count is finite and exact in a float.  It does not
+# bound run time: at the bound the accept path is about 2^52 y-draws.
 MIN_EPS_L = 2.0 ** -49
 
 
@@ -665,8 +662,14 @@ def _survive_bounds(n_draws: int, p, q, inner: int) -> tuple[np.ndarray, np.ndar
     return _survive_lo(a, inner), _survive_hi(m, inner)
 
 
-def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray, reach: np.ndarray) -> float:
-    """K, the largest ``_min_kl`` over the nodes ``reach``; an equal pair's is 0."""
+def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
+    """K, the largest ``_min_kl`` over the nodes tau can reach (``p_tau`` not
+    NaN); inf when mu gives one of them zero mass."""
+    reach = ~np.isnan(p_tau)
+    # Masks only: gathering p_mu[reach] would copy up to 2^n floats.
+    if (np.isnan(p_mu) & reach).any():
+        return math.inf
+    # An equal pair's KL is exactly 0, so only the others are computed.
     differ = reach & (p_mu != p_tau)
     return float(_min_kl(p_mu[differ], p_tau[differ]).max(initial=0.0))
 
@@ -675,26 +678,12 @@ def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray, reach: np.ndarray) -> float:
 def _survive_floor(n_draws: int, kl: float, inner: int) -> float:
     """A value below the bracket's lower end for every pair whose min-KL is
     at most ``kl``: that lower end at KL = kl, less one more
-    ``_BRACKET_SLACK`` for rounding in the tails that is not monotone.  Kept
-    for the 1024 latest arguments: every run on the same pair asks again."""
+    ``_BRACKET_SLACK`` for rounding in the tails that is not monotone.
+    ``_DEAD`` when kl is inf, since a dead node stops at every u.  Kept for
+    the 1024 latest arguments: every run on the same pair asks again."""
+    if math.isinf(kl):
+        return _DEAD
     return float(_survive_lo(_pinsker_bound(n_draws, kl), inner)[0]) - _BRACKET_SLACK
-
-
-def _level_floors(p_mu: np.ndarray, p_tau: np.ndarray, schedule) -> list[float]:
-    """Each level's survive floor, ``_DEAD`` where it can certify nothing;
-    K only where the bound K_lb leaves the floor positive at some level (see
-    the module docstring)."""
-    def at(kl: float) -> list[float]:
-        return [_survive_floor(_trial_draws(eps_prime), kl, inner)
-                for _, eps_prime, _, inner in schedule]
-    if p_mu is p_tau:
-        return at(0.0)
-    # fmax passes over the NaN of the nodes tau cannot reach.
-    reach = ~np.isnan(p_tau)
-    gap = float(np.fmax.reduce(np.abs(p_mu - p_tau), initial=0.0))
-    if (np.isnan(p_mu) & reach).any() or max(at(2.0 * gap * gap)) <= 0.0:
-        return [_DEAD] * len(schedule)
-    return at(_reach_kl(p_mu, p_tau, reach))
 
 
 def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np.ndarray:
@@ -823,11 +812,12 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, decided
     by ``_first_stop`` from the chunk's own nodes.  A chunk whose u all lie
-    below the level's survive floor (``_level_floors``) survives whole: its
-    tau uniforms are consumed without a search, a run of such chunks at
-    once, by ``skip_full_draws`` (which advances a PCG64 stream and
-    generates the uniforms otherwise), so tau's stream is the same as if
-    they were searched.
+    below the level's survive floor (see the module docstring; -1 when tau
+    can reach a node mu gives zero mass) survives whole: its tau uniforms
+    are consumed without a search, a run of such chunks at once, by
+    ``skip_full_draws`` (which advances a PCG64 stream and generates the
+    uniforms otherwise), so tau's stream is the same as if they were
+    searched.
 
     Each level moves ``rng`` past its ``outer`` coordinates i, drawing them
     up front only where skipping them is not exact (``_level_coordinates``;
@@ -845,13 +835,13 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     dead."""
     n = tau.n
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
-    schedule = levin_schedule(eps_l)
+    kl = _reach_kl(p_mu, p_tau)
     scratch = _coordinate_scratch(rng, n)
     trace = []
-    for (t, eps_prime, outer, inner), floor in zip(schedule,
-                                                    _level_floors(p_mu, p_tau, schedule)):
+    for t, eps_prime, outer, inner in levin_schedule(eps_l):
         n_draws = _trial_draws(eps_prime)
         coordinates = _level_coordinates(rng, n, outer, scratch)
+        floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
         certified = 0  # draws of the certified chunks not yet skipped
         for first in range(0, outer, _CHUNK):

@@ -389,6 +389,21 @@ def test_adversarial_distance_driver():
     assert rows_big[0]["method"] == "pairwise-lower-bound"
 
 
+def test_adversarial_distance_n_cap(tmp_path, capsys):
+    """n = MAX_PAIRED_N runs, one paired instance of 2^19 signs; one more
+    exits 2 with one error line naming the range."""
+    cap = adversarial.MAX_PAIRED_N
+    argv = ["adversarial-distance", "--eps", "0.2", "--runs", "1", "--out", str(tmp_path),
+            "--id", "cap", "--n"]
+    assert main(argv + [str(cap)]) == 0
+    row = (tmp_path / "cap.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == str(cap) and len(row[3]) == cap // 2
+    capsys.readouterr()
+    assert main(argv + [str(cap + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n must be an integer in [1, {cap}], got {cap + 1}\n"
+
+
 def _adversarial_csv(tmp_path, tag) -> bytes:
     assert main(["adversarial-distance", "--n", "4", "--eps", "0.2", "--runs", "12",
                  "--seed", "5", "--out", str(tmp_path / tag), "--id", "run"]) == 0
@@ -424,22 +439,31 @@ def test_adversarial_distance_searches_each_instance_once(tmp_path, monkeypatch,
     assert len(searched) == 12
 
 
-@pytest.mark.parametrize("eps", ["1e-10", "1.2e-151", "1e-155", "1e-160"])
-@pytest.mark.parametrize("argv", [
+_EPS_CLI_ARGV = [
     ["test-equivalence", "--n", "2", "--tau", "uniform", "--mu", "uniform", "--eps"],
     ["test-product", "--n", "2", "--mu", "uniform", "--eps"],
     ["test-interval", "--N", "4", "--tau", "uniform", "--mu", "uniform", "--eps"],
     ["sweep", "--n-list", "2", "--eps-list"],
-])
-def test_cli_refuses_eps_without_a_finite_schedule(argv, eps, tmp_path, capsys):
+]
+
+
+@pytest.mark.parametrize("eps", ["1e-10", "1.2e-151"])
+@pytest.mark.parametrize("argv", _EPS_CLI_ARGV)
+def test_cli_refuses_eps_below_the_draw_budget(argv, eps, tmp_path, capsys):
     """An eps whose eps_L lies below the draw budget's 2^-49 exits 2 with one
     error line that names the eps given, and no traceback: at 1e-10 the
-    accept path would take 1.35e24 y-draws at n = 2, and at 1e-155 and
-    1e-160 the schedule has no finite draw count."""
+    accept path would take 1.35e24 y-draws at n = 2."""
     assert main(argv + [eps, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: epsilon {eps} is too small")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", ["1e-155", "1e-160"])
+@pytest.mark.parametrize("argv", _EPS_CLI_ARGV)
+def test_cli_refuses_eps_without_a_finite_schedule(argv, eps, tmp_path, capsys):
+    """The same refusal where the schedule has no finite draw count."""
+    test_cli_refuses_eps_below_the_draw_budget(argv, eps, tmp_path, capsys)
 
 
 def test_scaling_sweep_driver():

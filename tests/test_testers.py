@@ -745,16 +745,18 @@ def test_walk_testers_refuse_eps_outside_unit_interval(tester, eps, monkeypatch)
     assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
 
 
-# eps_L = rho(n, eps) / n at n <= 3 is below MIN_EPS_L = 2^-49 for each: at
-# 1e-10 the accept path would take 1.35e24 y-draws at n = 2, at 1.2e-151
-# 1.34e307; at 1e-155 eps_L is subnormal, so that 2 / eps_L overflows; at
-# 1e-160 it is 0.
-_BEYOND_BUDGET = [1e-10, 1.2e-151, 1e-155, 1e-160]
+# eps_L = rho(n, eps) / n at n <= 3 is below MIN_EPS_L = 2^-49 for each.
+# Below the draw budget with a finite schedule: at 1e-10 the accept path
+# would take 1.35e24 y-draws at n = 2, at 1.2e-151 1.34e307.
+_BELOW_BUDGET = [1e-10, 1.2e-151]
+# Far below it, with no finite schedule: at 1e-155 eps_L is subnormal, so
+# that 2 / eps_L overflows; at 1e-160 it is 0.
+_NO_FINITE_SCHEDULE = [1e-155, 1e-160]
 
 
-@pytest.mark.parametrize("eps", _BEYOND_BUDGET)
+@pytest.mark.parametrize("eps", _BELOW_BUDGET)
 @pytest.mark.parametrize("tester", list(WALK_TESTERS))
-def test_walk_testers_refuse_eps_without_a_finite_schedule(tester, eps, monkeypatch):
+def test_walk_testers_refuse_eps_below_the_draw_budget(tester, eps, monkeypatch):
     """An eps in (0, 1) whose eps_L is below the draw budget's MIN_EPS_L is
     refused with the eps that was given, before a view is built or a query
     billed; the interval tester's N = 1 shortcut too."""
@@ -766,10 +768,22 @@ def test_walk_testers_refuse_eps_without_a_finite_schedule(tester, eps, monkeypa
     assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
 
 
-@pytest.mark.parametrize("eps", _BEYOND_BUDGET)
-def test_budget_refuses_eps_without_a_finite_schedule(eps):
+@pytest.mark.parametrize("eps", _NO_FINITE_SCHEDULE)
+@pytest.mark.parametrize("tester", list(WALK_TESTERS))
+def test_walk_testers_refuse_eps_without_a_finite_schedule(tester, eps, monkeypatch):
+    """The same refusal where the schedule has no finite draw count."""
+    test_walk_testers_refuse_eps_below_the_draw_budget(tester, eps, monkeypatch)
+
+
+@pytest.mark.parametrize("eps", _BELOW_BUDGET)
+def test_budget_refuses_eps_below_the_draw_budget(eps):
     with pytest.raises(ValueError, match=rf"^epsilon {eps} is too small"):
         expected_equivalence_queries(2, eps)
+
+
+@pytest.mark.parametrize("eps", _NO_FINITE_SCHEDULE)
+def test_budget_refuses_eps_without_a_finite_schedule(eps):
+    test_budget_refuses_eps_below_the_draw_budget(eps)
 
 
 def test_levin_schedule_at_the_draw_budget():
@@ -1444,31 +1458,6 @@ def test_walk_skips_certified_chunks_then_searches_within_a_level(monkeypatch):
     assert states[1] == states[0]
     monkeypatch.setattr(testers, "_run_equivalence", reference_walk)
     assert run() == floored
-
-
-def test_near_pair_runs_without_computing_k(monkeypatch):
-    """n = 12, tau = 0.999 mu + 0.001 Dirichlet at eps = 0.5: the floor at
-    Pinsker's K_lb = 2 max (p_mu - p_tau)^2 is <= 0 at every level, so the
-    walk runs at floor -1 without computing K, with the verdict, queries and
-    trace of the walk with no floor."""
-    g = np.random.default_rng(5)
-    mu = g.dirichlet(np.ones(1 << 12))
-    tau = 0.999 * mu + 0.001 * g.dirichlet(np.ones(1 << 12))
-    tau /= tau.sum()
-
-    def run():
-        v = equivalence_test(TableOracle(DistributionTable(12, tau), seed=1),
-                             TableOracle(DistributionTable(12, mu), seed=2), 0.5, seed=3)
-        return v.accepted, v.queries_used, v.trace
-
-    def no_k(*args):
-        raise AssertionError("K was computed")
-
-    monkeypatch.setattr(testers, "_reach_kl", no_k)
-    got = run()
-    assert not got[0]
-    monkeypatch.setattr(testers, "_survive_floor", lambda *args: -1.0)
-    assert run() == got
 
 
 def _dead_half(seed):
