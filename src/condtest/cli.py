@@ -56,8 +56,9 @@ def main(argv=None) -> int:
     try:
         spec = spec_from_args(args)
         rows, summary = run_experiment(spec)
-    except (HarnessError, OracleError, ValueError) as err:
-        # ValueError covers distcore.DomainError and bad numeric input.
+    except (HarnessError, OracleError, ValueError, MemoryError) as err:
+        # ValueError covers distcore.DomainError and bad numeric input;
+        # MemoryError an array too large to allocate.
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(json.dumps(summary, indent=2, default=str))

@@ -136,10 +136,11 @@ Certified decisions
     consumes the chunk's tau uniforms (``skip_full_draws``, once for a run
     of such chunks) without searching them and moves on.  A node tau can
     reach that mu gives zero mass (dead) stops the walk at every u, so then
-    K = inf and the floor is -1, which certifies nothing.  Verdicts, query
-    totals, traces and tau's random stream are those of the walk without the
-    floor: it is one more tier of the ladder chunk floor -> node bracket ->
-    exact calculus.
+    K = inf, a = 1 and the floor is below 0, which certifies nothing.  A run
+    finds K and every level's floor once, before its first level
+    (``_survive_floors``).  Verdicts, query totals, traces and tau's random
+    stream are those of the walk without the floor: it is one more tier of
+    the ladder chunk floor -> node bracket -> exact calculus.
 
     Brackets cost a few ufunc calls and grid reads per chunk; only their
     grid points are kept, 2 x 4097 floats per inner for the 16 inner values
@@ -250,36 +251,26 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
 MIN_EPS_L = 2.0 ** -49
 
 
-def _check_eps(eps: float) -> None:
-    """The walk's distance rule: eps in (0, 1), NaN refused."""
+def _levin_eps(n: int, eps: float) -> float:
+    """The walk's one input rule: eps_L = rho(n, eps) / n, the distance its
+    Levin schedule runs at for binary dimension n; ValueError for an eps
+    outside (0, 1), NaN included, and for one whose eps_L is below
+    ``MIN_EPS_L``, naming the eps given."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {eps}")
-
-
-def _check_eps_l(eps_l: float, eps: float) -> float:
-    """``eps_l`` if it is at least ``MIN_EPS_L``; otherwise ValueError naming
-    ``eps``, the distance the caller gave."""
+    eps_l = slice_divergence_threshold(n, eps) / n
     if not eps_l >= MIN_EPS_L:
         raise ValueError(f"epsilon {eps} is too small: the walk would run at eps_L = "
                          f"{eps_l:g}, below 2^-49")
     return eps_l
 
 
-def _levin_eps(n: int, eps: float) -> float:
-    """The walk's one input rule: eps_L = rho(n, eps) / n, the distance its
-    Levin schedule runs at for binary dimension n; ValueError for an eps
-    outside (0, 1), NaN included, and for one whose eps_L is below
-    ``MIN_EPS_L``, naming the eps given."""
-    _check_eps(eps)
-    return _check_eps_l(slice_divergence_threshold(n, eps) / n, eps)
-
-
 def levin_schedule(eps_l: float) -> list[tuple[int, float, int, int]]:
     """Deterministic schedule rows (t, eps', outer draws, inner repetitions)
-    at ``eps_l``, refused as ``_levin_eps`` refuses: outside (0, 1) or
-    below ``MIN_EPS_L``."""
-    _check_eps(eps_l)
-    _check_eps_l(eps_l, eps_l)
+    at ``eps_l``; ValueError for an eps_l outside [``MIN_EPS_L``, 1), NaN
+    included."""
+    if not MIN_EPS_L <= eps_l < 1.0:
+        raise ValueError(f"eps_L must lie in [2^-49, 1), got {eps_l}")
     t_max = math.ceil(math.log2(2.0 / eps_l))
     inner = math.ceil(64 * (math.log2(1.0 / eps_l) + 2))
     return [(t, 2.0 ** -t, math.ceil(2.0 ** (3 - t) / eps_l), inner)
@@ -402,9 +393,10 @@ def _loader_pmf(k, n, p):
     """Pr[Bin(n, p) = k] elementwise, by Loader's saddle-point expansion:
     exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, np) -
     bd0(n - k, nq)) sqrt(n / (2 pi k (n - k))), with (1 - p)^n at k = 0 and
-    p^n at k = n.  np is carried as n p_hi + n p_lo, both exact for n < 2^26,
-    so k - np and (n - k) - nq are exact up to one rounding and q = 1 - p
-    is the exact complement.  Outside 0 <= k <= n the pmf is 0; p = 0 and
+    p^n at k = n.  np is carried as n p_hi + n p_lo, both exact for n with
+    at most 26 significant bits, which covers every schedule N, so k - np
+    and (n - k) - nq are exact up to one rounding and q = 1 - p is the
+    exact complement.  Outside 0 <= k <= n the pmf is 0; p = 0 and
     p = 1 put all mass on k = 0 and k = n (bd0 is inf elsewhere); a p that
     is NaN or outside [0, 1] gives NaN.  Terms that depend on p alone are
     computed at p's shape and broadcast."""
@@ -662,28 +654,24 @@ def _survive_bounds(n_draws: int, p, q, inner: int) -> tuple[np.ndarray, np.ndar
     return _survive_lo(a, inner), _survive_hi(m, inner)
 
 
-def _reach_kl(p_mu: np.ndarray, p_tau: np.ndarray) -> float:
-    """K, the largest ``_min_kl`` over the nodes tau can reach (``p_tau`` not
-    NaN); inf when mu gives one of them zero mass."""
+def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
+                    inner: int) -> list[float]:
+    """Each level's survive floor, for the levels' trial draws ``n_draws``:
+    the bracket's lower end at KL = K, less one more ``_BRACKET_SLACK`` for
+    rounding in the tails that is not monotone, where K is the largest
+    ``_min_kl`` over the nodes tau can reach (``p_tau`` not NaN).  K is inf
+    when mu gives one of them zero mass; then a = 1 and every floor is below
+    0, so it certifies no u."""
     reach = ~np.isnan(p_tau)
     # Masks only: gathering p_mu[reach] would copy up to 2^n floats.
     if (np.isnan(p_mu) & reach).any():
-        return math.inf
-    # An equal pair's KL is exactly 0, so only the others are computed.
-    differ = reach & (p_mu != p_tau)
-    return float(_min_kl(p_mu[differ], p_tau[differ]).max(initial=0.0))
-
-
-@functools.lru_cache(maxsize=1 << 10)
-def _survive_floor(n_draws: int, kl: float, inner: int) -> float:
-    """A value below the bracket's lower end for every pair whose min-KL is
-    at most ``kl``: that lower end at KL = kl, less one more
-    ``_BRACKET_SLACK`` for rounding in the tails that is not monotone.
-    ``_DEAD`` when kl is inf, since a dead node stops at every u.  Kept for
-    the 1024 latest arguments: every run on the same pair asks again."""
-    if math.isinf(kl):
-        return _DEAD
-    return float(_survive_lo(_pinsker_bound(n_draws, kl), inner)[0]) - _BRACKET_SLACK
+        kl = math.inf
+    else:
+        # An equal pair's KL is exactly 0, so only the others are computed.
+        differ = reach & (p_mu != p_tau)
+        kl = _min_kl(p_mu[differ], p_tau[differ]).max(initial=0.0)
+    a = _pinsker_bound(np.asarray(n_draws, dtype=np.float64), kl)
+    return (_survive_lo(a, inner) - _BRACKET_SLACK).tolist()
 
 
 def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np.ndarray:
@@ -812,8 +800,8 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, decided
     by ``_first_stop`` from the chunk's own nodes.  A chunk whose u all lie
-    below the level's survive floor (see the module docstring; -1 when tau
-    can reach a node mu gives zero mass) survives whole: its tau uniforms
+    below the level's survive floor (see the module docstring; below 0 when
+    tau can reach a node mu gives zero mass) survives whole: its tau uniforms
     are consumed without a search, a run of such chunks at once, by
     ``skip_full_draws`` (which advances a PCG64 stream and generates the
     uniforms otherwise), so tau's stream is the same as if they were
@@ -835,13 +823,15 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     dead."""
     n = tau.n
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
-    kl = _reach_kl(p_mu, p_tau)
+    schedule = levin_schedule(eps_l)
+    # Python ints: _level_charges' totals pass 2^63 at deep levels.
+    draws = [_trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
+    # Every level has the same inner.
+    floors = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
     scratch = _coordinate_scratch(rng, n)
     trace = []
-    for t, eps_prime, outer, inner in levin_schedule(eps_l):
-        n_draws = _trial_draws(eps_prime)
+    for (t, eps_prime, outer, inner), n_draws, floor in zip(schedule, draws, floors):
         coordinates = _level_coordinates(rng, n, outer, scratch)
-        floor = _survive_floor(n_draws, kl, inner)
         rejected_at = stop_node = None
         certified = 0  # draws of the certified chunks not yet skipped
         for first in range(0, outer, _CHUNK):

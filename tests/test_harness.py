@@ -797,6 +797,7 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
     _EQ + ["--mu", "@pairs-n-float.json"],
     _EQ1 + ["--mu", "@tree-bool.json"],
     _EQ1 + ["--mu", "@tree-str.json"],
+    ["test-equivalence", "--n", "3", "--eps", "1e-5", "--tau", "uniform", "--mu", "uniform"],
 ], ids=["n1", "step0", "step-neg", "step-0.28", "step-fine", "step-1e-300", "eps1.5", "N0", "n-list", "missing-config",
         "dir-table", "dir-interval", "json-number", "json-no-pmf", "config-list",
         "config-seed-str", "config-grid-step-str", "config-runs-str",
@@ -805,7 +806,8 @@ _INTERVAL = ["test-interval", "--N", "8", "--eps", "0.5", "--tau", "uniform"]
         "config-tau-number", "point-n-mismatch", "bernoulli-n-mismatch",
         "json-n-mismatch", "json-tree-bad-bit", "json-probs-object", "json-probs-objects",
         "json-pmf-object", "json-n-float", "json-n-str", "json-n-bool", "json-probs-bool",
-        "json-biases-float", "json-pairs-n-float", "json-tree-bool", "json-tree-str"])
+        "json-biases-float", "json-pairs-n-float", "json-tree-bool", "json-tree-str",
+        "refused-allocation"])
 def test_cli_bad_input_fails_fast(argv, tmp_path, capsys):
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)

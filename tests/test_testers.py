@@ -291,6 +291,26 @@ def test_binom_kernel_matches_exact_reference(n):
             assert (np.abs(ours_tail - ref_tail) <= tol).all(), p
 
 
+def test_loader_split_products_are_exact_at_every_schedule_n():
+    """``_loader_pmf`` carries N p as N p_hi + N p_lo, p's Veltkamp halves.
+    Every schedule N = 24 * 2^t = 3 * 2^(t + 3) has two significant bits,
+    so both products are exact at every level t = 1..50 (the deepest at
+    the draw budget), for seeded p and edge values, against Fraction
+    products."""
+    p = np.concatenate([np.random.default_rng(9).uniform(size=200), KERNEL_P[6:-1],
+                        [0.5, 1 / 3, 2.0 ** -26, 1e-16, 2.2250738585072014e-308, 5e-324,
+                         np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]])
+    c = testers._SPLIT * p
+    p_hi = c - (c - p)
+    halves = list(zip(p_hi.tolist(), (p - p_hi).tolist()))
+    assert all(Fraction(hi) + Fraction(lo) == Fraction(x) for (hi, lo), x in zip(halves, p))
+    for t in range(1, 51):
+        n = testers._trial_draws(2.0 ** -t)
+        assert n == 3 * 2 ** (t + 3)
+        assert all(Fraction(n * hi) == n * Fraction(hi) and Fraction(n * lo) == n * Fraction(lo)
+                   for hi, lo in halves), t
+
+
 def test_chi2_accept_prob_matches_exact_reference():
     """The accept probability, whose tally for B runs over one trial count
     per value of A, against its 40-digit value at seeded (alpha, beta) and
@@ -1382,6 +1402,11 @@ def test_survive_memo_evicts_its_oldest_quarter(monkeypatch):
 # the per-level survive floor
 
 
+def _no_floors(p_mu, p_tau, n_draws, inner):
+    """A floor of -1 at every level, which certifies no chunk."""
+    return [-1.0] * len(n_draws)
+
+
 def test_walk_does_not_depend_on_the_floor(monkeypatch):
     """Every WALK_CORPUS run gives the same (accepted, queries_used, trace)
     with the floor at -1, which certifies no chunk, and leaves tau's RNG in
@@ -1405,7 +1430,7 @@ def test_walk_does_not_depend_on_the_floor(monkeypatch):
     floored_states, states[:] = states[:], []
     chunks = len(skipped)
     assert chunks and len(floored_states) == len(runs)
-    monkeypatch.setattr(testers, "_survive_floor", lambda *args: -1.0)
+    monkeypatch.setattr(testers, "_survive_floors", _no_floors)
     for (k, run), v, state in zip(runs, floored, floored_states):
         off = run(11 * k)
         assert (off.accepted, off.queries_used, off.trace) == (v.accepted, v.queries_used,
@@ -1453,7 +1478,7 @@ def test_walk_skips_certified_chunks_then_searches_within_a_level(monkeypatch):
     assert any(["skip_full_draws", "sample_full_indices_uncounted"] == lv[k:k + 2]
                for lv in levels for k in range(len(lv)))
     assert not floored[0] and floored[2][-1]["t"] == 5
-    monkeypatch.setattr(testers, "_survive_floor", lambda *args: -1.0)
+    monkeypatch.setattr(testers, "_survive_floors", _no_floors)
     assert run() == floored
     assert states[1] == states[0]
     monkeypatch.setattr(testers, "_run_equivalence", reference_walk)
@@ -1489,6 +1514,55 @@ def test_floor_keeps_dead_rejects(monkeypatch):
         assert (v.accepted, v.queries_used, v.trace) == (ref.accepted, ref.queries_used,
                                                          ref.trace), k
     assert any(v.trace[-1].get("zero_probability_reject") for v in got)
+
+
+def _interval_tilt(seed):
+    """A Dirichlet pmf over [200] and the same pmf with 2e-3 of mass moved
+    from the upper half of its padded [256] to the lower half: only the
+    root conditional differs."""
+    tau = _dirichlet(seed, 200)
+    low = tau[:128].sum()
+    mu = np.concatenate([tau[:128] * ((low + 2e-3) / low),
+                         tau[128:] * ((1.0 - low - 2e-3) / (1.0 - low))])
+    return tuple(IntervalBackedPrefixOracle(IntervalOracle(pmf / pmf.sum())) for pmf in (tau, mu))
+
+
+def _table_views(tau, mu):
+    return TableOracle(DistributionTable(8, tau)), TableOracle(DistributionTable(8, mu))
+
+
+# name -> (tau's view, mu's view), each over eight bits
+FLOOR_PAIRS = {
+    "self-test": lambda: _table_views(*[_dirichlet(1600, 256)] * 2),
+    "near": lambda: _table_views((1 - 1e-4) * _dirichlet(1601, 256) + 1e-4 * _dirichlet(1602, 256),
+                                 _dirichlet(1601, 256)),
+    "interval-tilt": lambda: _interval_tilt(1603),
+    "dead": lambda: _table_views(*_dead_half(1604)),
+}
+
+
+@pytest.mark.parametrize("name", list(FLOOR_PAIRS))
+def test_floor_lies_below_every_reachable_lower_end(name):
+    """At every level of the eps = 0.5 schedule, the survive floor is at
+    most the bracket's lower end of every live node tau can reach, so a u
+    below it survives on any of them; where tau can reach a dead node,
+    every floor is below 0 and certifies no u."""
+    tau, mu = FLOOR_PAIRS[name]()
+    p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
+    live = ~np.isnan(p_tau) & ~np.isnan(p_mu)
+    schedule = levin_schedule(testers._levin_eps(8, 0.5))
+    draws = [testers._trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
+    inner = schedule[0][3]
+    floors = testers._survive_floors(p_mu, p_tau, draws, inner)
+    assert len(floors) == len(schedule)
+    for t, (n_draws, floor) in enumerate(zip(draws, floors), start=1):
+        lo, _ = testers._survive_bounds(n_draws, p_mu[live], p_tau[live], inner)
+        assert floor <= lo.min(), (t, floor, lo.min())
+    if name == "dead":
+        assert (~np.isnan(p_tau) & np.isnan(p_mu)).any()
+        assert max(floors) < 0.0
+    else:
+        assert max(floors) > 0.9
 
 
 def test_uniform_self_test_searches_no_draw(monkeypatch):
