@@ -11,7 +11,9 @@ replaced.  The exact values are 40-digit mpmath sums over all N + 1 outcomes
 (``tests/conftest.py``); a row takes about 10 s at N = 196,608, 50 s at
 786,432 and 3 minutes at 1,572,864 on a 2-core Intel Xeon.  Tier 1 checks
 the same bounds at N <= 12,288 (``test_calculus_matches_exact_reference``).
-Needs the test extra (SciPy, mpmath, pytest).
+Exits 1 when the NumPy calculus's largest |survive - exact| exceeds the
+README's 1e-13 bound, and 0 otherwise.  Needs the test extra (SciPy, mpmath,
+pytest).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from conftest import boost_calculus, exact_calculus, near_rows  # noqa: E402
 from condtest import testers  # noqa: E402
 
 DEFAULT_ROWS = ((196_608, 891), (786_432, 891), (1_572_864, 1076))
+# The README's bound on |survive - exact| for the NumPy calculus.
+SURVIVE_BOUND = 1e-13
 
 
 def main(argv=None) -> int:
@@ -41,6 +45,7 @@ def main(argv=None) -> int:
     print("| N | inner | rows | NumPy |Δalpha| | |Δbeta| | |Δsurvive| "
           "| Boost |Δalpha| | |Δbeta| | |Δsurvive| | s/row |")
     print("|---|---|---|---|---|---|---|---|---|---|")
+    worst = 0.0
     for n_draws, inner in levels:
         numpy_err, boost_err = [0.0] * 3, [0.0] * 3
         start = time.perf_counter()
@@ -56,6 +61,11 @@ def main(argv=None) -> int:
         per_row = (time.perf_counter() - start) / len(rows)
         cells = " | ".join(f"{e:.1e}" for e in numpy_err + boost_err)
         print(f"| {n_draws:,} | {inner} | {len(rows)} | {cells} | {per_row:.0f} |", flush=True)
+        worst = max(worst, numpy_err[2])
+    if worst > SURVIVE_BOUND:
+        print(f"error: the NumPy calculus's |survive - exact| reaches {worst:.1e}, "
+              f"above the {SURVIVE_BOUND:.0e} bound", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -114,12 +114,13 @@ Certified decisions
     as measured above, plus rounding in the bracket's own tails,
     whose values are accurate to a few units in the last place; it covers
     both more than tenfold, so the computed survive value always lies
-    inside the bracket.  A chunk brackets each distinct node it draws (a
-    node mu gives zero mass gets (-1, -1), so it stops at every u).  A draw
-    with u < lo survives and the first draw with u >= hi stops the walk;
-    the draws before that stop with lo <= u < hi, the band, get their exact
-    values, and the first band draw with u >= its exact value stops the
-    walk, or else the stop found before.  That is the rule
+    inside the bracket.  A searched chunk brackets each draw from its
+    node's min-KL, read from the run's node KL (below), and its own p - q
+    (a node mu gives zero mass gets (-1, -1), so it stops at every u).  A
+    draw with u < lo survives and the first draw with u >= hi stops the
+    walk; the draws before that stop with lo <= u < hi, the band, get their
+    exact values, and the first band draw with u >= its exact value stops
+    the walk, or else the stop found before.  That is the rule
     u >= survive, so verdicts, query totals and traces are those of the
     exact calculus.
 
@@ -142,10 +143,20 @@ Certified decisions
     stream are those of the walk without the floor: it is one more tier of
     the ladder chunk floor -> node bracket -> exact calculus.
 
-    Brackets cost a few ufunc calls and grid reads per chunk; only their
-    grid points are kept, 2 x 4097 floats per inner for the 16 inner values
-    used last (``_BRACKET_GRIDS``; an evicted grid refills to the same
-    floats).  Exact values are computed once per distinct (p, q) pair in
+    The node KL.  Each node's min-KL is computed at most once per run.  The
+    floor pass keeps the values it computes for K, and the run's first
+    searched chunk lays them out in one array over the nodes
+    (``_node_kl``), with 0 at the equal pairs, so every node tau can reach
+    is known.  Where K = inf the floor pass computes none; the array starts
+    unknown (NaN), and each chunk computes the nodes it draws that are not
+    yet known and keeps them.  A dead node's min-KL stays NaN, but a chunk
+    that draws one stops the walk.  A run that searches no chunk builds no
+    array.
+
+    Brackets cost a few ufunc calls over a searched chunk's draws and grid
+    reads; only their grid points are kept, 2 x 4097 floats per inner for
+    the 16 inner values used last (``_BRACKET_GRIDS``; an evicted grid
+    refills to the same floats).  Exact values are computed once per distinct (p, q) pair in
     the band and kept in one process-wide memo keyed by (N, p, q, inner),
     capped at 2^14 entries; when it is full, its oldest quarter is evicted
     at once.  So repeated runs on the same distributions skip the calculus.
@@ -588,25 +599,32 @@ def _pinsker_bound(n_draws: int, kl) -> np.ndarray:
     return np.minimum(0.5 + np.sqrt(n_draws * kl / 2.0), 1.0)
 
 
-def _compare_bounds(n_draws: int, p, q) -> tuple[np.ndarray, np.ndarray]:
+def _compare_bounds(n_draws: int, kl, gap) -> tuple[np.ndarray, np.ndarray]:
     """Per row, (a, m) with m <= max(alpha, beta) <= a for the
-    ``chi2_trial_compare_probs`` pair: a = min(1, 1/2 + d) by Pinsker, m by
-    Hoeffding on X - Y (see the module docstring)."""
-    p, q = _rows(p), _rows(q)
-    return _pinsker_bound(n_draws, _min_kl(p, q)), -np.expm1(-n_draws * (p - q) ** 2)
+    ``chi2_trial_compare_probs`` pair (p, q) whose clamped min-KL
+    (``_min_kl``) is ``kl`` and whose difference p - q is ``gap``:
+    a = min(1, 1/2 + d) by Pinsker, m by Hoeffding on X - Y (see the module
+    docstring)."""
+    return _pinsker_bound(n_draws, kl), -np.expm1(-n_draws * np.square(gap))
 
 
-def _grid_read(table: np.ndarray, index: np.ndarray, fill) -> np.ndarray:
-    """``table[index]``, computing the grid points no row has needed yet with
-    ``fill`` (one call for all of them) and keeping them in ``table``."""
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, sorted, as ``np.unique(x)`` gives them
+    at a fraction of its fixed cost (which, without return_inverse, also
+    imports numpy.ma on its first call in a process: about 12 ms)."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _lazy_read(table: np.ndarray, index: np.ndarray, fill) -> np.ndarray:
+    """``table[index]``, computing the entries no row has needed yet (NaN)
+    with ``fill`` (one call for all of them, in increasing order) and keeping
+    them in ``table``; only the rows' own entries are visited, never the
+    whole table."""
     values = table[index]
     unknown = np.isnan(values)
     if unknown.any():
-        # A mask: np.unique without return_inverse imports numpy.ma on its
-        # first call in a process (about 12 ms).
-        need = np.zeros(table.size, dtype=bool)
-        need[index[unknown]] = True
-        missing = np.flatnonzero(need)
+        missing = _distinct(index[unknown])
         table[missing] = fill(missing)
         values = table[index]
     return values
@@ -631,7 +649,7 @@ def _survive_lo(a, inner: int) -> np.ndarray:
         gamma_lo = np.maximum(1.0 - 2.0 * over, 0.0)
         return _majority_prob(inner, gamma_lo) - _BRACKET_SLACK
 
-    return np.where(np.isnan(a), np.nan, _grid_read(_bracket_grid(inner)[0], index, fill))
+    return np.where(np.isnan(a), np.nan, _lazy_read(_bracket_grid(inner)[0], index, fill))
 
 
 def _survive_hi(m, inner: int) -> np.ndarray:
@@ -644,40 +662,57 @@ def _survive_hi(m, inner: int) -> np.ndarray:
         gamma_hi = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, i / _GRID)[0]
         return _majority_prob(inner, gamma_hi) + _BRACKET_SLACK
 
-    return np.where(np.isnan(m), np.nan, _grid_read(_bracket_grid(inner)[1], index, fill))
+    return np.where(np.isnan(m), np.nan, _lazy_read(_bracket_grid(inner)[1], index, fill))
 
 
-def _survive_bounds(n_draws: int, p, q, inner: int) -> tuple[np.ndarray, np.ndarray]:
+def _survive_bounds(n_draws: int, kl, gap, inner: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the closed-form (lo, hi) with lo <= ``blackbox_survive_prob``
-    <= hi, widened by ``_BRACKET_SLACK`` on each side."""
-    a, m = _compare_bounds(n_draws, p, q)
+    <= hi, widened by ``_BRACKET_SLACK`` on each side, for the pair whose
+    min-KL is ``kl`` and whose p - q is ``gap`` (see ``_compare_bounds``)."""
+    a, m = _compare_bounds(n_draws, kl, gap)
     return _survive_lo(a, inner), _survive_hi(m, inner)
 
 
 def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
-                    inner: int) -> list[float]:
+                    inner: int) -> tuple[list[float], tuple | None]:
     """Each level's survive floor, for the levels' trial draws ``n_draws``:
     the bracket's lower end at KL = K, less one more ``_BRACKET_SLACK`` for
     rounding in the tails that is not monotone, where K is the largest
     ``_min_kl`` over the nodes tau can reach (``p_tau`` not NaN).  K is inf
     when mu gives one of them zero mass; then a = 1 and every floor is below
-    0, so it certifies no u."""
+    0, so it certifies no u, and no min-KL is computed.  Returned with the
+    floors: the min-KL values found for K, as (nodes, values) over the nodes
+    tau can reach whose pair is not equal, or None where none were."""
     reach = ~np.isnan(p_tau)
     # Masks only: gathering p_mu[reach] would copy up to 2^n floats.
     if (np.isnan(p_mu) & reach).any():
-        kl = math.inf
+        kl, known = math.inf, None
     else:
         # An equal pair's KL is exactly 0, so only the others are computed.
-        differ = reach & (p_mu != p_tau)
-        kl = _min_kl(p_mu[differ], p_tau[differ]).max(initial=0.0)
+        differ = np.flatnonzero(reach & (p_mu != p_tau))
+        values = _min_kl(p_mu[differ], p_tau[differ])
+        kl, known = values.max(initial=0.0), (differ, values)
     a = _pinsker_bound(np.asarray(n_draws, dtype=np.float64), kl)
-    return (_survive_lo(a, inner) - _BRACKET_SLACK).tolist()
+    return (_survive_lo(a, inner) - _BRACKET_SLACK).tolist(), known
+
+
+def _node_kl(size: int, known) -> np.ndarray:
+    """The run's min-KL per node, which ``_first_stop`` reads and fills: the
+    floor pass's ``known`` values and 0 (an equal pair) at every other node,
+    so every node tau can reach is known; or, where it found none (K = inf),
+    NaN at every node, not yet computed."""
+    if known is None:
+        return np.full(size, np.nan)
+    kl = np.zeros(size)
+    kl[known[0]] = known[1]
+    return kl
 
 
 def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np.ndarray:
     """Per row, ``blackbox_survive_prob`` at (p, q), computed once per
-    distinct pair and kept in ``_SURVIVE_MEMO``."""
-    pairs, inverse = np.unique(p + 1j * q, return_inverse=True)
+    distinct pair and kept in ``_SURVIVE_MEMO``; no row holds a NaN."""
+    rows = p + 1j * q
+    pairs = _distinct(rows)
     keys = [(n_draws, pair.real, pair.imag, inner) for pair in pairs.tolist()]
     values = [_SURVIVE_MEMO.get(key) for key in keys]
     missing = [j for j, value in enumerate(values) if value is None]
@@ -690,7 +725,7 @@ def _exact_survive(n_draws: int, p: np.ndarray, q: np.ndarray, inner: int) -> np
                 for old in list(_SURVIVE_MEMO)[:_SURVIVE_MEMO_CAP // 4]:
                     del _SURVIVE_MEMO[old]
             values[j] = _SURVIVE_MEMO[keys[j]] = value
-    return np.array(values)[inverse]
+    return np.array(values)[np.searchsorted(pairs, rows)]
 
 
 # ----------------------------------------------------------------------
@@ -715,24 +750,25 @@ _DEAD = -1.0
 _CHUNK = 4096
 
 
-def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, nodes: np.ndarray, u: np.ndarray,
-                n_draws: int, inner: int) -> int | None:
+def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, node_kl: np.ndarray, nodes: np.ndarray,
+                u: np.ndarray, n_draws: int, inner: int) -> int | None:
     """Index of the first draw whose u is at least its survive probability,
-    or None.  Each distinct node gets its closed-form bracket (lo, hi); a
-    draw with u < lo survives, the first draw with u >= hi stops, and only
+    or None.  Each draw gets its closed-form bracket (lo, hi) from its
+    node's entry of the run's min-KL array ``node_kl`` (see ``_node_kl``;
+    the nodes not yet known are computed and kept there) and its own p - q;
+    a draw with u < lo survives, the first draw with u >= hi stops, and only
     the band before that stop, the draws with lo <= u < hi, gets exact
     values."""
-    distinct, inverse = np.unique(nodes, return_inverse=True)
-    p = p_mu[distinct]
-    lo, hi = _survive_bounds(n_draws, p, p_tau[distinct], inner)
+    p, q = p_mu[nodes], p_tau[nodes]
+    kl = _lazy_read(node_kl, nodes, lambda missing: _min_kl(p_mu[missing], p_tau[missing]))
+    lo, hi = _survive_bounds(n_draws, kl, p - q, inner)
     dead = np.isnan(p)
     lo[dead] = hi[dead] = _DEAD
-    lo, hi = lo[inverse], hi[inverse]
     maybe = np.flatnonzero(u >= lo)
     stops = np.flatnonzero(u[maybe] >= hi[maybe])
     band = maybe[:stops[0]] if stops.size else maybe
     if band.size:
-        exact = _exact_survive(n_draws, p_mu[nodes[band]], p_tau[nodes[band]], inner)
+        exact = _exact_survive(n_draws, p[band], q[band], inner)
         settled = np.flatnonzero(u[band] >= exact)
         if settled.size:
             return int(band[settled[0]])
@@ -760,14 +796,15 @@ def _skip_uint32(bit_generator, k: int) -> None:
 
 
 def _coordinate_scratch(rng, n: int):
-    """The generator a walk regenerates its coordinates in, or None where
-    moving ``rng`` past them without drawing them is not exact.  It is exact
-    for a PCG64 and n a power of two, where each coordinate takes one
-    ``next_uint32`` output, none at n = 1 (see the module docstring).  The
-    scratch is seeded, not drawn from OS entropy, since every use sets its
-    state."""
+    """The function that gives the generator a walk regenerates its
+    coordinates in, built on its first call, so a run that searches no chunk
+    builds none; or None where moving ``rng`` past the coordinates without
+    drawing them is not exact.  It is exact for a PCG64 and n a power of
+    two, where each coordinate takes one ``next_uint32`` output, none at
+    n = 1 (see the module docstring).  The scratch is seeded, not drawn from
+    OS entropy, since every use sets its state."""
     if type(rng.bit_generator) is np.random.PCG64 and n & (n - 1) == 0:
-        return np.random.Generator(np.random.PCG64(0))
+        return functools.cache(lambda: np.random.Generator(np.random.PCG64(0)))
     return None
 
 
@@ -778,8 +815,8 @@ def _level_coordinates(rng, n: int, outer: int, scratch):
 
     With a ``scratch`` (see ``_coordinate_scratch``) the level keeps only the
     state of ``rng`` where its coordinates begin, and a slice is regenerated
-    from it, in the scratch, when a chunk is searched; without one the
-    coordinates are drawn now."""
+    from it, in the scratch's generator, when a chunk is searched; without
+    one the coordinates are drawn now."""
     if scratch is None:
         # int32 takes the same bounded-integer path, value for value.
         i_arr = rng.integers(1, n + 1, size=outer, dtype=np.int32)
@@ -789,9 +826,10 @@ def _level_coordinates(rng, n: int, outer: int, scratch):
     _skip_uint32(rng.bit_generator, per_coordinate * outer)
 
     def coordinates(first: int, last: int) -> np.ndarray:
-        scratch.bit_generator.state = start
-        _skip_uint32(scratch.bit_generator, per_coordinate * first)
-        return scratch.integers(1, n + 1, size=last - first, dtype=np.int32)
+        generator = scratch()
+        generator.bit_generator.state = start
+        _skip_uint32(generator.bit_generator, per_coordinate * first)
+        return generator.integers(1, n + 1, size=last - first, dtype=np.int32)
 
     return coordinates
 
@@ -827,7 +865,8 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     # Python ints: _level_charges' totals pass 2^63 at deep levels.
     draws = [_trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
     # Every level has the same inner.
-    floors = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
+    floors, known = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
+    node_kl = None  # built when the run first searches a chunk
     scratch = _coordinate_scratch(rng, n)
     trace = []
     for (t, eps_prime, outer, inner), n_draws, floor in zip(schedule, draws, floors):
@@ -849,7 +888,9 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
             w_idx = tau.sample_full_indices_uncounted(last - first)
             i_c = coordinates(first, last).astype(np.int64)
             nodes = node_index(i_c, w_idx >> (n - i_c + 1))
-            pos = _first_stop(p_mu, p_tau, nodes, u, n_draws, inner)
+            if node_kl is None:
+                node_kl = _node_kl(p_mu.size, known)
+            pos = _first_stop(p_mu, p_tau, node_kl, nodes, u, n_draws, inner)
             if pos is not None:
                 rejected_at, stop_node = first + pos, nodes[pos]
                 break

@@ -394,13 +394,14 @@ def test_survive_bracket_holds(n_draws, monkeypatch):
         return compared[-1]
 
     monkeypatch.setattr(testers, "chi2_trial_compare_probs", compare)
-    a, m = testers._compare_bounds(n_draws, p, q)
+    kl, gap = testers._min_kl(p, q), p - q
+    a, m = testers._compare_bounds(n_draws, kl, gap)
     assert np.isfinite(a).all() and np.isfinite(m).all()
     for inner in BRACKET_LEVELS[n_draws]:
         survive = blackbox_survive_prob(n_draws, p, q, inner)
         larger = np.maximum(*compared[-1])
         assert (m - 1e-12 <= larger).all() and (larger <= a + 1e-12).all()
-        lo, hi = testers._survive_bounds(n_draws, p, q, inner)
+        lo, hi = testers._survive_bounds(n_draws, kl, gap, inner)
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
         assert (lo <= survive).all() and (survive <= hi).all()
 
@@ -500,11 +501,11 @@ def test_walk_and_literal_tester_agree_on_budget_and_verdict(monkeypatch):
         return equivalence_test(TableOracle(tab, seed=0), TableOracle(tab, seed=1),
                                 0.9, seed=2)
 
-    collapsed = run()
-    sampled = _literal(run, monkeypatch)
-    assert sampled.accepted == collapsed.accepted is True
-    assert sampled.queries_used == collapsed.queries_used
-    assert sampled.trace == collapsed.trace
+    walk = run()
+    literal = _literal(run, monkeypatch)
+    assert literal.accepted == walk.accepted is True
+    assert literal.queries_used == walk.queries_used
+    assert literal.trace == walk.trace
 
 
 def test_walk_and_literal_tester_follow_the_exact_rejection_law(monkeypatch):
@@ -534,8 +535,8 @@ def test_walk_and_literal_tester_follow_the_exact_rejection_law(monkeypatch):
             counts[min(v.trace[0]["rejected_at"], 3)] += 1
         return counts
 
-    for mode, counts in (("sampled", _literal(histogram, monkeypatch)),
-                         ("collapsed", histogram())):
+    for mode, counts in (("literal", _literal(histogram, monkeypatch)),
+                         ("walk", histogram())):
         assert chisquare(counts, runs * law).pvalue >= 0.01, (mode, counts)
 
 
@@ -562,12 +563,11 @@ def test_zero_probability_reject_metered_alike_by_walk_and_literal_tester(name, 
     def run():
         return ZERO_PROBABILITY_PAIRS[name](0.5, seed=0)
 
-    sampled, collapsed = _literal(run, monkeypatch), run()
-    assert not sampled.accepted and not collapsed.accepted
-    assert collapsed.trace[0] == {"t": 1, "rejected_at": 0,
-                                  "zero_probability_reject": True}
-    assert sampled.trace[0] == collapsed.trace[0]
-    assert sampled.queries_used == collapsed.queries_used
+    literal, walk = _literal(run, monkeypatch), run()
+    assert not literal.accepted and not walk.accepted
+    assert walk.trace[0] == {"t": 1, "rejected_at": 0, "zero_probability_reject": True}
+    assert literal.trace[0] == walk.trace[0]
+    assert literal.queries_used == walk.queries_used
 
 
 def _near(p, q, d=0.02):
@@ -1102,7 +1102,7 @@ def _interior_gap(rng, N):
 
 
 def _walk_corpus():
-    """kind -> list of seeded collapsed runs, each a function of a seed
+    """kind -> list of seeded walk runs, each a function of a seed
     offset that builds fresh oracles and runs one tester.  Every oracle kind
     the walk serves appears, with self, near and far pairs, and with mu
     giving drawn prefixes zero mass (dead-prefix rejects)."""
@@ -1330,7 +1330,7 @@ def test_first_stop_is_the_exact_rule(monkeypatch):
     p_tau = np.array([0.5, 0.52853, 0.52903, 0.52953, 0.53003, 0.9, 0.4, 0.52953])
     exact = np.array([-1.0 if np.isnan(p) else blackbox_survive_prob(96, p, q, 554)
                       for p, q in zip(p_mu, p_tau)])
-    lo, hi = testers._survive_bounds(96, p_mu, p_tau, 554)
+    lo, hi = testers._survive_bounds(96, testers._min_kl(p_mu, p_tau), p_mu - p_tau, 554)
     assert (lo[1:5] < 1e-3).all() and (hi[1:5] > 1 - 1e-3).all()
     assert 0.1 < exact[4] < exact[1] < 0.99 and hi[5] < 1e-6 < 1 - 1e-6 < lo[0]
 
@@ -1365,7 +1365,9 @@ def test_first_stop_is_the_exact_rule(monkeypatch):
     assert {None, 0} < set(truth)
     memo = {}
     monkeypatch.setattr(testers, "_SURVIVE_MEMO", memo)
-    cold = [testers._first_stop(p_mu, p_tau, nodes, u, 96, 554) for nodes, u in chunks]
+    node_kl = np.full(8, np.nan)
+    cold = [testers._first_stop(p_mu, p_tau, node_kl, nodes, u, 96, 554)
+            for nodes, u in chunks]
     assert cold == truth
     # The memo holds each band pair's exact value as a float, keyed by
     # (N, p, q, inner); the warm pass reads it and computes nothing.
@@ -1373,7 +1375,8 @@ def test_first_stop_is_the_exact_rule(monkeypatch):
     assert memo == {(96, p, q, 554): blackbox_survive_prob(96, p, q, 554)
                     for _, p, q, _ in memo}
     monkeypatch.setattr(testers, "blackbox_survive_prob", _never_called)
-    warm = [testers._first_stop(p_mu, p_tau, nodes, u, 96, 554) for nodes, u in chunks]
+    warm = [testers._first_stop(p_mu, p_tau, node_kl, nodes, u, 96, 554)
+            for nodes, u in chunks]
     assert warm == truth
 
 
@@ -1386,7 +1389,7 @@ def test_survive_memo_evicts_its_oldest_quarter(monkeypatch):
     monkeypatch.setattr(testers, "_SURVIVE_MEMO", memo)
     monkeypatch.setattr(testers, "_SURVIVE_MEMO_CAP", 8)
     for call in range(3):
-        # increasing p, so the rows are new keys in np.unique's order
+        # increasing p, so the rows are new keys in sorted order
         p = 0.5 + 0.001 * np.arange(5 * call, 5 * call + 5)
         q = np.full(5, 0.5)
         got = testers._exact_survive(96, p, q, 554)
@@ -1403,8 +1406,9 @@ def test_survive_memo_evicts_its_oldest_quarter(monkeypatch):
 
 
 def _no_floors(p_mu, p_tau, n_draws, inner):
-    """A floor of -1 at every level, which certifies no chunk."""
-    return [-1.0] * len(n_draws)
+    """A floor of -1 at every level, which certifies no chunk, and no
+    min-KL found."""
+    return [-1.0] * len(n_draws), None
 
 
 def test_walk_does_not_depend_on_the_floor(monkeypatch):
@@ -1553,10 +1557,11 @@ def test_floor_lies_below_every_reachable_lower_end(name):
     schedule = levin_schedule(testers._levin_eps(8, 0.5))
     draws = [testers._trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
     inner = schedule[0][3]
-    floors = testers._survive_floors(p_mu, p_tau, draws, inner)
+    floors, _ = testers._survive_floors(p_mu, p_tau, draws, inner)
     assert len(floors) == len(schedule)
     for t, (n_draws, floor) in enumerate(zip(draws, floors), start=1):
-        lo, _ = testers._survive_bounds(n_draws, p_mu[live], p_tau[live], inner)
+        lo, _ = testers._survive_bounds(n_draws, testers._min_kl(p_mu[live], p_tau[live]),
+                                        p_mu[live] - p_tau[live], inner)
         assert floor <= lo.min(), (t, floor, lo.min())
     if name == "dead":
         assert (~np.isnan(p_tau) & np.isnan(p_mu)).any()
@@ -1578,3 +1583,184 @@ def test_uniform_self_test_searches_no_draw(monkeypatch):
     expect = expected_equivalence_queries(16, 0.3)
     assert v.accepted
     assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
+
+
+# ----------------------------------------------------------------------
+# the per-run node KL
+
+
+def _per_node_first_stop(p_mu, p_tau, nodes, u, n_draws, inner):
+    """The chunk search before the per-run node KL: ``np.unique`` over the
+    chunk's nodes, each distinct node bracketed from its own ``_min_kl``
+    (a dead node at (-1, -1)), the brackets gathered back to the draws, and
+    the band settled by the exact calculus."""
+    distinct, inverse = np.unique(nodes, return_inverse=True)
+    p, q = p_mu[distinct], p_tau[distinct]
+    lo, hi = testers._survive_bounds(n_draws, testers._min_kl(p, q), p - q, inner)
+    dead = np.isnan(p)
+    lo[dead] = hi[dead] = -1.0
+    lo, hi = lo[inverse], hi[inverse]
+    maybe = np.flatnonzero(u >= lo)
+    stops = np.flatnonzero(u[maybe] >= hi[maybe])
+    band = maybe[:stops[0]] if stops.size else maybe
+    if band.size:
+        exact = testers._exact_survive(n_draws, p_mu[nodes[band]], p_tau[nodes[band]], inner)
+        settled = np.flatnonzero(u[band] >= exact)
+        if settled.size:
+            return int(band[settled[0]])
+    return int(maybe[stops[0]]) if stops.size else None
+
+
+def _zero_half_pair(seed):
+    """n = 8 Dirichlet tables that both give the half-cube below a random
+    coordinate's 1 zero mass (nodes tau cannot reach), tau a 1e-3 mixture
+    of mu on the same support."""
+    gen = np.random.default_rng(seed)
+    bit = int(gen.integers(0, 8))
+    support = (np.arange(256) >> (7 - bit)) & 1 == 0
+    mu, noise = np.zeros(256), np.zeros(256)
+    mu[support], noise[support] = (gen.dirichlet(np.ones(128)) for _ in range(2))
+    return _near(mu, noise, 1e-3), mu
+
+
+# name -> (tau's view, mu's view), each over eight bits
+NODE_KL_PAIRS = {
+    "self-test": lambda: _table_views(*[_dirichlet(1700, 256)] * 2),
+    "interval-tilt": lambda: _interval_tilt(1701),
+    "zero-halves-a": lambda: _table_views(*_zero_half_pair(1702)),
+    "zero-halves-b": lambda: _table_views(*_zero_half_pair(1703)),
+    "dead-a": lambda: _table_views(*_dead_half(1704)),
+    # tau puts 0.2 on mu's zero-mass half, so dead stops are common.
+    "dead-b": lambda: _table_views(0.8 * _dead_half(1705)[1] + np.repeat([0.0, 0.2 / 128], 128),
+                                   _dead_half(1705)[1]),
+}
+
+
+def test_first_stop_matches_the_per_node_bracket_rule():
+    """``_first_stop`` reading the run's node KL gives the stop of the
+    per-distinct-node rule on chunks of real tau draws at levels 3-8 of the
+    eps = 0.5 schedule, with the node KL as the floor pass leaves it and,
+    where K = inf, filled chunk by chunk; the corpus reaches every kind of
+    outcome: no stop, a bracket or band stop, and a dead stop."""
+    schedule = levin_schedule(testers._levin_eps(8, 0.5))
+    draws = [testers._trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
+    inner = schedule[0][3]
+    outcomes = set()
+    for k, name in enumerate(NODE_KL_PAIRS):
+        tau, mu = NODE_KL_PAIRS[name]()
+        p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
+        _, known = testers._survive_floors(p_mu, p_tau, draws, inner)
+        assert (known is None) == name.startswith("dead")
+        node_kl = testers._node_kl(p_mu.size, known)
+        gen = np.random.default_rng(1800 + k)
+        for n_draws in draws[2:8]:
+            for _ in range(6):
+                i = gen.integers(1, 9, size=200)
+                nodes = distcore.node_index(i, tau.sample_full_indices_uncounted(200) >> (9 - i))
+                u = gen.random(200)
+                want = _per_node_first_stop(p_mu, p_tau, nodes, u, n_draws, inner)
+                assert testers._first_stop(p_mu, p_tau, node_kl, nodes, u, n_draws,
+                                           inner) == want, (name, n_draws)
+                dead = want is not None and np.isnan(p_mu[nodes[want]])
+                outcomes.add("none" if want is None else "dead" if dead else "stop")
+        # Every value kept is the node's own min-KL.
+        kept = ~np.isnan(p_tau) & ~np.isnan(node_kl)
+        assert kept.any()
+        np.testing.assert_array_equal(node_kl[kept], testers._min_kl(p_mu[kept], p_tau[kept]))
+    assert outcomes == {"none", "stop", "dead"}
+
+
+def _benchmark_interval_pair():
+    """The ``interval-near-reject`` benchmark pair at seed 0: a Dirichlet pmf
+    over [200] and the same pmf with 2e-3 of mass moved from the upper half
+    of its padded [256] to the lower half."""
+    tau = np.random.default_rng(np.random.SeedSequence([0, 2])).dirichlet(np.ones(200))
+    tau /= tau.sum()
+    low = float(tau[:128].sum())
+    mu = tau.copy()
+    mu[:128] *= (low + 2e-3) / low
+    mu[128:] *= (1.0 - low - 2e-3) / (1.0 - low)
+    return tau, mu / mu.sum()
+
+
+def _count_min_kl(monkeypatch):
+    """Wrap ``_min_kl`` and ``_first_stop``: returns the rows of each
+    ``_min_kl`` call, tagged with whether a chunk search made it, and the
+    nodes of every searched chunk."""
+    rows, searched = [], []
+    min_kl, first_stop = testers._min_kl, testers._first_stop
+
+    def counted(p, q):
+        rows.append((bool(searched) and searched[-1] is not None, len(p)))
+        return min_kl(p, q)
+
+    def search(p_mu, p_tau, node_kl, nodes, *args):
+        searched.append(nodes)
+        try:
+            return first_stop(p_mu, p_tau, node_kl, nodes, *args)
+        finally:
+            searched.append(None)
+
+    monkeypatch.setattr(testers, "_min_kl", counted)
+    monkeypatch.setattr(testers, "_first_stop", search)
+    return rows, searched
+
+
+def test_interval_rep_computes_each_node_kl_once(monkeypatch):
+    """One ``interval-near-reject`` rep: the floor pass computes the min-KL
+    of the reachable nodes whose pair differs, in one call, and the searched
+    chunks, whose nodes are then all known, compute none."""
+    rows, searched = _count_min_kl(monkeypatch)
+    tau, mu = _benchmark_interval_pair()
+    v = interval_equivalence_test(IntervalOracle(tau, seed=1), IntervalOracle(mu, seed=2), 0.3,
+                                  seed=3)
+    views = [IntervalBackedPrefixOracle(IntervalOracle(pmf)) for pmf in (tau, mu)]
+    p_tau, p_mu = (view.node_bit_probs() for view in views)
+    differ = int(np.count_nonzero(~np.isnan(p_tau) & (p_mu != p_tau)))
+    assert not v.accepted and differ > 0
+    assert [nodes for nodes in searched if nodes is not None]
+    assert rows == [(False, differ)]
+
+
+def test_dead_pair_computes_each_drawn_node_kl_once(monkeypatch):
+    """Where tau can reach a dead node (K = inf), the floor pass computes no
+    min-KL, and the searched chunks compute each node they draw once per
+    run (a chunk that draws a dead node stops the walk)."""
+    rows, searched = _count_min_kl(monkeypatch)
+    for seed in range(4):
+        rows.clear(), searched.clear()
+        tau, mu = _dead_half(1510 + seed)
+        equivalence_test(TableOracle(DistributionTable(8, tau), seed=seed),
+                         TableOracle(DistributionTable(8, mu), seed=seed + 1), 0.5, seed=seed + 2)
+        drawn = {node for nodes in searched if nodes is not None for node in nodes.tolist()}
+        assert drawn and all(in_search for in_search, _ in rows)
+        assert sum(count for _, count in rows) == len(drawn)
+
+
+def test_search_free_run_builds_no_node_kl_or_scratch(monkeypatch):
+    """A uniform n = 16 self-test searches no chunk, so it allocates no
+    per-node KL array and builds no coordinate scratch generator; a run that
+    searches several chunks builds one scratch generator."""
+    # The generators built through np.random.Generator; default_rng builds
+    # its own without it.
+    builds = []
+
+    class Counted(np.random.Generator):
+        def __init__(self, bit_generator):
+            builds.append(bit_generator)
+            super().__init__(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    tau, mu = _dead_half(1520)
+    v = equivalence_test(TableOracle(DistributionTable(8, tau), seed=1),
+                         TableOracle(DistributionTable(8, mu), seed=2), 0.5, seed=3)
+    assert not v.accepted and v.trace[-1]["t"] > 1 and len(builds) == 1
+
+    def no_node_kl(*args):
+        raise AssertionError("a per-node KL array was built")
+
+    builds.clear()
+    monkeypatch.setattr(testers, "_node_kl", no_node_kl)
+    tab = DistributionTable.uniform(16)
+    v = equivalence_test(TableOracle(tab, seed=1), TableOracle(tab, seed=2), 0.3, seed=3)
+    assert v.accepted and not builds
