@@ -79,6 +79,10 @@ from .distcore import (
     node_index,
 )
 
+# The uniforms ``skip_full_draws`` generates at once where it cannot advance
+# its stream: 32 KiB.
+_SKIP_BLOCK = 1 << 12
+
 
 class QueryClass(enum.Enum):
     UNCONDITIONAL = "unconditional"
@@ -243,12 +247,15 @@ class BinaryPrefixOracle(MeteredOracle):
         without searching them: each of those draws takes exactly one
         uniform, ``self.rng.random(k)``.  A PCG64 takes one 64-bit step per
         uniform, so it is advanced k steps instead, unless it holds a
-        buffered uint32, which ``random`` keeps and ``advance`` drops."""
+        buffered uint32, which ``random`` keeps and ``advance`` drops.  Any
+        other stream generates the uniforms ``_SKIP_BLOCK`` at a time, the
+        same stream in bounded memory."""
         bit_generator = self.rng.bit_generator
         if type(bit_generator) is np.random.PCG64 and not bit_generator.state["has_uint32"]:
             bit_generator.advance(k)
-        else:
-            self.rng.random(k)
+            return
+        for first in range(0, k, _SKIP_BLOCK):
+            self.rng.random(min(_SKIP_BLOCK, k - first))
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         """Single bit distributed as the conditional marginal of x_i."""

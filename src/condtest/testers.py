@@ -20,11 +20,11 @@ The equivalence tester is one walk.  It reads the exact conditional bit
 probabilities of both oracles as two arrays over the 2^n - 1 nodes
 (``node_bit_probs``: coordinate i and prefix w at ``node_index(i, w)``, NaN
 where w has zero mass).  Each Levin level takes its coordinates i, then its
-uniforms u a chunk of 4096 at a time, pulls the tau samples behind each
-searched chunk's y-draws, turns them into node indices and stops at the
-first draw that does not survive: a node whose mu entry is NaN (a
-zero-probability reject) or one whose u is at least the probability that a
-majority of ``inner`` black-box runs accept (binomial trial sums ->
+uniforms u, drawn a block of four 4096-draw chunks at a time, pulls the tau
+samples behind each searched chunk's y-draws, turns them into node indices
+and stops at the first draw that does not survive: a node whose mu entry is
+NaN (a zero-probability reject) or one whose u is at least the probability
+that a majority of ``inner`` black-box runs accept (binomial trial sums ->
 multinomial (A, B) counts -> binomial majority tally).  So the verdict law
 is that of the literal tester, Levin's work balance whose black box is
 ``single_bit_chi2_test`` on ``BitSampler`` bits, whose accepting runs draw
@@ -35,12 +35,14 @@ Only a searched chunk reads its coordinates.  For n a power of two and a
 PCG64 stream a level does not draw them: NumPy's bounded int32 draw
 (Lemire's method) draws again only when the low 32 bits of an output times
 n lie below (2^32 - n) mod n, which is 0 then, so each i takes exactly one
-32-bit output (none at n = 1).  The level keeps the stream's state where its
-i begin and advances past them, carrying the buffered 32-bit half as the
-draws would (``_skip_uint32``); a searched chunk regenerates its own i from
-that state.  Any other n or generator draws a level's i up front.  Either
-way the i, the u and the stream after the level are those of drawing all i
-and then all u at once.
+32-bit output (none at n = 1).  The run reads the stream's state once;
+each level advances past its i, and the run carries the outputs drawn since
+that snapshot and the buffered 32-bit half as the draws would leave it
+(``_SkippedCoordinates``), writing the half back when the run ends; a
+searched chunk regenerates its own i from the snapshot.  Any other n or
+generator draws a level's i up front.  Either way the i, the u and the
+stream after an accepting run are those of drawing all i and then all u at
+once, level by level.
 
 The survive calculus
     For a drawn (i, w) with conditional bit probabilities p under mu and q
@@ -134,8 +136,11 @@ Certified decisions
     more ``_BRACKET_SLACK``, since rounding in the tails need not be
     monotone.  A chunk whose largest u is below the floor has u < lo at each
     draw, whatever node it lands on, so every draw survives: the walk
-    consumes the chunk's tau uniforms (``skip_full_draws``, once for a run
-    of such chunks) without searching them and moves on.  A node tau can
+    consumes the chunk's tau uniforms without searching them and moves on.
+    One ``max`` checks a whole block of u, and only a block that reaches
+    the floor is split into its chunks.  The certified draws are consumed
+    by one ``skip_full_draws`` per run of them, before the next search or
+    at the end of the run, whatever levels they span.  A node tau can
     reach that mu gives zero mass (dead) stops the walk at every u, so then
     K = inf, a = 1 and the floor is below 0, which certifies nothing.  A run
     finds K and every level's floor once, before its first level
@@ -683,13 +688,17 @@ def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
     0, so it certifies no u, and no min-KL is computed.  Returned with the
     floors: the min-KL values found for K, as (nodes, values) over the nodes
     tau can reach whose pair is not equal, or None where none were."""
-    reach = ~np.isnan(p_tau)
-    # Masks only: gathering p_mu[reach] would copy up to 2^n floats.
-    if (np.isnan(p_mu) & reach).any():
+    # Masks only: gathering p_mu[reach] would copy up to 2^n floats.  An
+    # equal pair's KL is exactly 0, so only the unequal pairs are computed;
+    # NaN != NaN, so where no pair is unequal no node is dead or unreachable.
+    unequal, dead = p_mu != p_tau, False
+    if unequal.any():
+        unequal &= ~np.isnan(p_tau)
+        dead = (unequal & np.isnan(p_mu)).any()
+    if dead:
         kl, known = math.inf, None
     else:
-        # An equal pair's KL is exactly 0, so only the others are computed.
-        differ = np.flatnonzero(reach & (p_mu != p_tau))
+        differ = np.flatnonzero(unequal)
         values = _min_kl(p_mu[differ], p_tau[differ])
         kl, known = values.max(initial=0.0), (differ, values)
     a = _pinsker_bound(np.asarray(n_draws, dtype=np.float64), kl)
@@ -748,6 +757,8 @@ def _counter_totals(oracles) -> dict[str, int]:
 # first draw, since every u >= _DEAD.
 _DEAD = -1.0
 _CHUNK = 4096
+# The chunks of u one ``max`` certifies at once: a block of 4 is 128 KiB.
+_BLOCK_CHUNKS = 4
 
 
 def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, node_kl: np.ndarray, nodes: np.ndarray,
@@ -775,36 +786,83 @@ def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, node_kl: np.ndarray, nodes:
     return int(maybe[stops[0]]) if stops.size else None
 
 
-def _skip_uint32(bit_generator, k: int) -> None:
-    """Move a PCG64 past k ``next_uint32`` outputs and leave its buffered half
-    (``has_uint32``, ``uinteger``) as those k calls would.  A call returns
-    the buffered high half of a 64-bit output if there is one, and otherwise
-    the low half of a new output, whose high half it buffers; so the calls
-    after the buffered one draw ceil(k / 2) outputs, and the last of them
-    sets ``uinteger``."""
-    if k == 0:
-        return
-    state = bit_generator.state
-    k -= state["has_uint32"]
-    if k > 0:
-        bit_generator.advance((k - 1) // 2)
-        high = bit_generator.random_raw() >> 32
-        state = bit_generator.state
-        state["uinteger"] = high
-    state["has_uint32"] = k % 2
-    bit_generator.state = state
-
-
-def _coordinate_scratch(rng, n: int):
-    """The function that gives the generator a walk regenerates its
-    coordinates in, built on its first call, so a run that searches no chunk
-    builds none; or None where moving ``rng`` past the coordinates without
-    drawing them is not exact.  It is exact for a PCG64 and n a power of
-    two, where each coordinate takes one ``next_uint32`` output, none at
-    n = 1 (see the module docstring).  The scratch is seeded, not drawn from
+class _SkippedCoordinates:
+    """A run's view of a PCG64 stream whose coordinates the walk moves past
+    without drawing them (n a power of two; see the module docstring).  It
+    reads the generator's state once, when built.  Each level then moves
+    the generator past its coordinates with one ``advance`` and one
+    ``random_raw`` (the output whose high half the next 32-bit draw would
+    read); the outputs drawn since the snapshot and the buffered 32-bit half
+    (``has_uint32``, ``uinteger``) are carried here, since ``advance``
+    clears the generator's own half and ``random`` neither reads nor
+    changes it.  ``settle`` writes the half back.  The scratch generator a
+    searched chunk regenerates its coordinates in is built on first use, so
+    a run that searches no chunk builds none; it is seeded, not drawn from
     OS entropy, since every use sets its state."""
+
+    def __init__(self, rng, n: int):
+        self.rng, self.n = rng, n
+        self.start = rng.bit_generator.state
+        self.step = 0  # 64-bit outputs drawn since ``start``
+        self.has, self.half = self.start["has_uint32"], self.start["uinteger"]
+        self.scratch = None
+
+    def level(self, outer: int):
+        """Move past ``outer`` coordinates and the ``outer`` uniforms the
+        caller draws after them, and return the function that regenerates
+        the coordinates' slice [first, last)."""
+        step, has, half = self.step, self.has, self.half
+        if self.n > 1:
+            # Each coordinate takes one 32-bit draw: the buffered half, then
+            # both halves of each new output, low first.
+            k = outer - self.has
+            if k:
+                bit_generator = self.rng.bit_generator
+                bit_generator.advance((k - 1) // 2)
+                self.half = bit_generator.random_raw() >> 32
+                self.step += (k + 1) // 2
+            self.has = k % 2
+        self.step += outer
+        return functools.partial(self._regenerate, step, has, half)
+
+    def _regenerate(self, step: int, has: int, half: int, first: int, last: int) -> np.ndarray:
+        """The coordinates [first, last) of the level that began ``step``
+        outputs past the snapshot with buffered half (``has``, ``half``):
+        the scratch generator is set where coordinate ``first`` begins, or
+        one draw before it where that draw is the high half of an output."""
+        if self.scratch is None:
+            self.scratch = np.random.Generator(np.random.PCG64(0))
+        bit_generator = self.scratch.bit_generator
+        bit_generator.state = self.start
+        # The new 32-bit draws before the slice (n = 1 draws none).
+        skipped = max(first - has, 0) if self.n > 1 else 0
+        extra = skipped % 2
+        bit_generator.advance(step + skipped // 2)  # advance clears the buffered half
+        if has and first == 0:
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, half
+            bit_generator.state = state
+        return self.scratch.integers(1, self.n + 1, size=last - first + extra,
+                                     dtype=np.int32)[extra:]
+
+    def settle(self) -> None:
+        """Write the carried buffered half back into the generator, which
+        then holds the state drawing the coordinates would have left."""
+        if self.n > 1:
+            bit_generator = self.rng.bit_generator
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = self.has, self.half
+            bit_generator.state = state
+
+
+def _coordinate_scratch(rng, n: int) -> _SkippedCoordinates | None:
+    """The run's ``_SkippedCoordinates`` view of ``rng``, or None where
+    moving ``rng`` past the coordinates without drawing them is not exact.
+    It is exact for a PCG64 and n a power of two, where each coordinate
+    takes one ``next_uint32`` output, none at n = 1 (see the module
+    docstring)."""
     if type(rng.bit_generator) is np.random.PCG64 and n & (n - 1) == 0:
-        return functools.cache(lambda: np.random.Generator(np.random.PCG64(0)))
+        return _SkippedCoordinates(rng, n)
     return None
 
 
@@ -813,47 +871,44 @@ def _level_coordinates(rng, n: int, outer: int, scratch):
     ``rng.integers(1, n + 1, size=outer, dtype=np.int32)``, and return the
     function that gives their slice [first, last).
 
-    With a ``scratch`` (see ``_coordinate_scratch``) the level keeps only the
-    state of ``rng`` where its coordinates begin, and a slice is regenerated
-    from it, in the scratch's generator, when a chunk is searched; without
-    one the coordinates are drawn now."""
+    With a ``scratch`` (see ``_coordinate_scratch``) the coordinates are not
+    drawn: the generator is advanced past them, the level keeps only the
+    step count and buffered half where they begin, and a slice is
+    regenerated from the run's one snapshot, in the scratch generator, when
+    a chunk is searched.  The caller then draws the level's ``outer``
+    uniforms, which the scratch counts, and calls its ``settle`` before
+    anything else reads ``rng``.  Without one the coordinates are drawn
+    now."""
     if scratch is None:
         # int32 takes the same bounded-integer path, value for value.
         i_arr = rng.integers(1, n + 1, size=outer, dtype=np.int32)
         return lambda first, last: i_arr[first:last]
-    start = rng.bit_generator.state
-    per_coordinate = int(n > 1)
-    _skip_uint32(rng.bit_generator, per_coordinate * outer)
-
-    def coordinates(first: int, last: int) -> np.ndarray:
-        generator = scratch()
-        generator.bit_generator.state = start
-        _skip_uint32(generator.bit_generator, per_coordinate * first)
-        return generator.integers(1, n + 1, size=last - first, dtype=np.int32)
-
-    return coordinates
+    return scratch.level(outer)
 
 
 def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     """Levin's work balance over (i, prefix) y-draws from tau; a draw
     survives while its uniform u is below its survive probability, decided
-    by ``_first_stop`` from the chunk's own nodes.  A chunk whose u all lie
-    below the level's survive floor (see the module docstring; below 0 when
-    tau can reach a node mu gives zero mass) survives whole: its tau uniforms
-    are consumed without a search, a run of such chunks at once, by
-    ``skip_full_draws`` (which advances a PCG64 stream and generates the
-    uniforms otherwise), so tau's stream is the same as if they were
-    searched.
+    by ``_first_stop`` from the chunk's own nodes.
 
     Each level moves ``rng`` past its ``outer`` coordinates i, drawing them
     up front only where skipping them is not exact (``_level_coordinates``;
-    a searched chunk regenerates its own i from the level's saved state),
-    then draws its u one chunk at a time: the values and stream of one
-    ``rng.integers(1, n + 1, size=outer)`` and one ``rng.random(outer)``
-    call, and nothing reads ``rng`` after a rejecting level.  Tau's samples
-    are pulled ``_CHUNK`` at a time, so after a rejecting run tau's RNG has
-    advanced by up to one chunk beyond the draws consumed; only a caller who
-    reuses tau for another run can see it.
+    the run reads ``rng``'s state once, and a searched chunk regenerates its
+    own i from that snapshot), then draws its u into one per-run buffer,
+    ``_BLOCK_CHUNKS`` chunks (16,384 draws) at a time: the values and
+    stream of one ``rng.integers(1, n + 1, size=outer)`` and one
+    ``rng.random(outer)`` call.  A block whose u all lie below the level's survive floor (see the
+    module docstring; below 0 when tau can reach a node mu gives zero mass)
+    survives whole on one ``max``; any other block is split into its chunks,
+    and each chunk is certified the same way or searched.  A certified
+    chunk's tau uniforms are consumed without a search, by one
+    ``skip_full_draws`` per run of certified chunks, before the next search
+    or at the end of the run, so tau's stream is the same as if they were
+    searched.  Tau's samples are pulled ``_CHUNK`` at a time, so after a
+    rejecting run tau's RNG has advanced by up to one chunk beyond the draws
+    consumed, and ``rng`` by up to one block; only a caller who reuses
+    either for another run can see it.  After an accepting run ``rng`` holds
+    the state of drawing every level's i and u.
 
     Each level is billed once it ends, through ``_level_charges``, the one
     statement of the level-end charge: tau pays prefix queries, mu marginal
@@ -868,34 +923,41 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     floors, known = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
     node_kl = None  # built when the run first searches a chunk
     scratch = _coordinate_scratch(rng, n)
+    block = _BLOCK_CHUNKS * _CHUNK
+    # Level 1 draws the most.
+    buffer = np.empty(min(block, schedule[0][2]))
+    certified = 0  # draws of the certified chunks whose tau uniforms are not yet skipped
     trace = []
     for (t, eps_prime, outer, inner), n_draws, floor in zip(schedule, draws, floors):
         coordinates = _level_coordinates(rng, n, outer, scratch)
         rejected_at = stop_node = None
-        certified = 0  # draws of the certified chunks not yet skipped
-        for first in range(0, outer, _CHUNK):
-            last = min(first + _CHUNK, outer)
-            u = rng.random(last - first)
-            if u.max() < floor:
-                # Every node tau can draw survives these u: consume the
-                # chunk's tau uniforms without searching them.
-                certified += last - first
+        for start in range(0, outer, block):
+            u_block = buffer[:min(block, outer - start)]
+            rng.random(out=u_block)
+            if u_block.max() < floor:
+                # Every node tau can draw survives these u.
+                certified += u_block.size
                 continue
-            if certified:
-                tau.skip_full_draws(certified)
-                certified = 0
-            # y-draws are real tau samples, pulled in meter-free chunks.
-            w_idx = tau.sample_full_indices_uncounted(last - first)
-            i_c = coordinates(first, last).astype(np.int64)
-            nodes = node_index(i_c, w_idx >> (n - i_c + 1))
-            if node_kl is None:
-                node_kl = _node_kl(p_mu.size, known)
-            pos = _first_stop(p_mu, p_tau, node_kl, nodes, u, n_draws, inner)
-            if pos is not None:
-                rejected_at, stop_node = first + pos, nodes[pos]
+            for first in range(start, start + u_block.size, _CHUNK):
+                u = u_block[first - start:first - start + _CHUNK]
+                if u.max() < floor:
+                    certified += u.size
+                    continue
+                if certified:
+                    tau.skip_full_draws(certified)
+                    certified = 0
+                # y-draws are real tau samples, pulled in meter-free chunks.
+                w_idx = tau.sample_full_indices_uncounted(u.size)
+                i_c = coordinates(first, first + u.size).astype(np.int64)
+                nodes = node_index(i_c, w_idx >> (n - i_c + 1))
+                if node_kl is None:
+                    node_kl = _node_kl(p_mu.size, known)
+                pos = _first_stop(p_mu, p_tau, node_kl, nodes, u, n_draws, inner)
+                if pos is not None:
+                    rejected_at, stop_node = first + pos, nodes[pos]
+                    break
+            if rejected_at is not None:
                 break
-        if certified:
-            tau.skip_full_draws(certified)
         dead = stop_node is not None and bool(np.isnan(p_mu[stop_node]))
         used = outer if rejected_at is None else rejected_at + 1
         tau_queries, mu_queries = _level_charges(n_draws, inner, used, dead)
@@ -903,8 +965,12 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
         mu.charge(QueryClass.MARGINAL, mu_queries)
         trace.append(_level_record(t, eps_prime, outer, inner, rejected_at, dead))
         if rejected_at is not None:
-            return Verdict(False, trace=trace)
-    return Verdict(True, trace=trace)
+            break
+    if certified:
+        tau.skip_full_draws(certified)
+    if scratch is not None:
+        scratch.settle()
+    return Verdict(rejected_at is None, trace=trace)
 
 
 def _equivalence_core(tau, mu, eps_l: float, seed) -> Verdict:

@@ -1242,12 +1242,14 @@ def test_level_draws_in_chunks_keep_the_stream(n):
                          ids=["pcg64", "mt19937"])
 def test_skipped_coordinates_match_eager_draws(bit_generator, n, buffered):
     """``_level_coordinates`` against one int32 ``integers(size=outer)`` call
-    per level, level after level on one generator, for sizes at and across
-    chunk ends and the 114,978 draws of an n = 16, eps = 0.3 level: each
-    chunk's u and regenerated i equal the eager ones, and the next
-    ``random`` and int32 ``integers`` draws after each level agree.  A PCG64
-    at a power-of-two n moves past the coordinates (one output each, none at
-    n = 1, with the buffered half carried); any other case draws them."""
+    per level, level after level on one generator and one scratch (one state
+    snapshot), for sizes at and across chunk ends and the 114,978 draws of
+    an n = 16, eps = 0.3 level: each chunk's u and regenerated i equal the
+    eager ones, a scratch settled after each level leaves the generator in
+    the eager one's state, and on copies of both the next ``random`` and
+    int32 ``integers`` draws agree.  A PCG64 at a power-of-two n moves past
+    the coordinates (one output each, none at n = 1, with the buffered half
+    carried); any other case draws them."""
     chunk = testers._CHUNK
     lazy, eager = (np.random.Generator(bit_generator(3)) for _ in range(2))
     if buffered:
@@ -1263,8 +1265,16 @@ def test_skipped_coordinates_match_eager_draws(bit_generator, n, buffered):
             last = min(first + chunk, outer)
             assert lazy.random(last - first).tolist() == eager.random(last - first).tolist()
             assert coordinates(first, last).tolist() == i_whole[first:last].tolist()
-        assert lazy.random() == eager.random()
-        assert lazy.integers(0, 1000, dtype=np.int32) == eager.integers(0, 1000, dtype=np.int32)
+        if scratch is not None:
+            scratch.settle()
+            assert lazy.bit_generator.state == eager.bit_generator.state
+        # Copies, so that the walk's own generator draws nothing it has not counted.
+        lazy_copy, eager_copy = (np.random.Generator(bit_generator(0)) for _ in range(2))
+        lazy_copy.bit_generator.state = lazy.bit_generator.state
+        eager_copy.bit_generator.state = eager.bit_generator.state
+        assert lazy_copy.random() == eager_copy.random()
+        assert (lazy_copy.integers(0, 1000, dtype=np.int32)
+                == eager_copy.integers(0, 1000, dtype=np.int32))
 
 
 def test_uniform_self_test_walk_holds_little_memory():
@@ -1283,6 +1293,46 @@ def test_uniform_self_test_walk_holds_little_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert verdict.accepted
+    assert peak < 320 * 1024
+
+
+def _walk_peak(tau, mu, eps):
+    """(verdict, peak traced bytes) of one walk of ``tau`` against ``mu``,
+    their node arrays built before tracing starts."""
+    tau.node_bit_probs(), mu.node_bit_probs()
+    eps_l = slice_divergence_threshold(tau.n, eps) / tau.n
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        verdict = testers._run_equivalence(tau, mu, eps_l, rng)
+        return verdict, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_with_an_mt19937_tau_holds_little_memory():
+    """The uniform n = 16, eps = 0.3 self-test with tau drawing from an
+    MT19937, which ``skip_full_draws`` cannot advance, peaks below 320 KiB:
+    the run's one skip of all 229,963 certified draws generates their
+    uniforms a bounded block at a time (at once they would take 1.8 MB)."""
+    tab = DistributionTable.uniform(16)
+    verdict, peak = _walk_peak(TableOracle(tab, seed=np.random.Generator(np.random.MT19937(1))),
+                               TableOracle(tab, seed=2), 0.3)
+    assert verdict.accepted
+    assert peak < 320 * 1024
+
+
+def test_sparse_self_test_walk_holds_little_memory():
+    """An n = 16 point-mass self-test, 65,519 of whose 65,535 nodes are NaN
+    (zero-mass prefixes), peaks below 320 KiB: the floor pass finds K with
+    boolean masks and indexes only the nodes tau can reach whose pair is
+    unequal, none here, not every node where the two arrays differ (NaN !=
+    NaN), whose indices alone would take 512 KiB."""
+    tab = DistributionTable.point_mass([1, 0] * 8)
+    tau, mu = TableOracle(tab, seed=1), TableOracle(tab, seed=2)
+    assert np.isnan(tau.node_bit_probs()).sum() == 65_519
+    verdict, peak = _walk_peak(tau, mu, 0.3)
     assert verdict.accepted
     assert peak < 320 * 1024
 
