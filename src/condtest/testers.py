@@ -4,7 +4,7 @@ the walk's own stream, and runs Levin's schedule at eps_L = rho(n, eps) / n
 for its binary dimension n.  Its one input rule (``_levin_eps``) refuses,
 with ``ValueError`` before it builds a view or bills a query, an eps outside
 (0, 1) (NaN included) and every eps whose eps_L is below ``MIN_EPS_L`` =
-2^-49, which keeps the accept path below 2^53 y-draws.  The walk holds
+2^-33, the run budget: the accept path takes at most 2^36 y-draws.  The walk holds
 2^n - 1 node conditionals per oracle, so a binary dimension n above
 ``MAX_DENSE_N`` (the encoded bits of a tuple domain, ceil(log2 N) for [N])
 is refused with ``DomainError`` before any is built or a query billed.  A
@@ -31,16 +31,15 @@ is that of the literal tester, Levin's work balance whose black box is
 more than 10^9 bits even at n = 1.  The level is charged once, when it ends, for the
 draws it consumed.
 
-Only a searched chunk reads its coordinates.  For n a power of two and a
-PCG64 stream a level does not draw them: NumPy's bounded int32 draw
-(Lemire's method) draws again only when the low 32 bits of an output times
-n lie below (2^32 - n) mod n, which is 0 then, so each i takes exactly one
-32-bit output (none at n = 1).  The run reads the stream's state once;
-each level advances past its i, and the run carries the outputs drawn since
-that snapshot and the buffered 32-bit half as the draws would leave it
-(``_SkippedCoordinates``), writing the half back when the run ends; a
-searched chunk regenerates its own i from the snapshot.  Any other n or
-generator draws a level's i up front.  Either way the i, the u and the
+Only a searched chunk reads its coordinates, and no level keeps them
+(``_CoordinateCursor``).  For n a power of two and a PCG64 stream a level
+does not draw them: NumPy's bounded int32 draw (Lemire's method) draws
+again only when the low 32 bits of an output times n lie below
+(2^32 - n) mod n, which is 0 then, so each i takes exactly one 32-bit
+output (none at n = 1), and the run advances past them from one snapshot
+of the stream's state.  Any other n or generator draws a level's i and
+drops them 2^20 at a time, keeping the state each block starts from.  A
+searched chunk regenerates its own i.  Either way the i, the u and the
 stream after an accepting run are those of drawing all i and then all u at
 once, level by level.
 
@@ -259,12 +258,14 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
 # Levin's work-balance procedure
 
 
-# The least eps_L the walk runs at.  Levin's schedule at eps_L runs levels
-# t = 1 .. t_max = ceil(log2(2 / eps_L)), level t with ceil(2^(3-t) / eps_L)
-# outer draws, so its accept path takes at most 8 / eps_L + t_max < 2^53
-# y-draws here, and every count is finite and exact in a float.  It does not
-# bound run time: at the bound the accept path is about 2^52 y-draws.
-MIN_EPS_L = 2.0 ** -49
+# The least eps_L the walk runs at: the run budget.  Levin's schedule at eps_L
+# runs levels t = 1 .. t_max = ceil(log2(2 / eps_L)), level t with
+# ceil(2^(3-t) / eps_L) outer draws, so its accept path takes at most
+# 8 / eps_L + t_max y-draws, 2^36 - 4 at the bound: about 3 minutes at 2.6 ns
+# per certified draw (PCG64, n a power of two), 7 at 5.9 ns (any other n), on
+# one core of a 2-core x86-64 VM.
+MIN_EPS_L = 2.0 ** -33
+_MIN_EPS_L_TEXT = f"2^{math.log2(MIN_EPS_L):.0f}"
 
 
 def _levin_eps(n: int, eps: float) -> float:
@@ -277,7 +278,7 @@ def _levin_eps(n: int, eps: float) -> float:
     eps_l = slice_divergence_threshold(n, eps) / n
     if not eps_l >= MIN_EPS_L:
         raise ValueError(f"epsilon {eps} is too small: the walk would run at eps_L = "
-                         f"{eps_l:g}, below 2^-49")
+                         f"{eps_l:g}, below {_MIN_EPS_L_TEXT}")
     return eps_l
 
 
@@ -286,7 +287,7 @@ def levin_schedule(eps_l: float) -> list[tuple[int, float, int, int]]:
     at ``eps_l``; ValueError for an eps_l outside [``MIN_EPS_L``, 1), NaN
     included."""
     if not MIN_EPS_L <= eps_l < 1.0:
-        raise ValueError(f"eps_L must lie in [2^-49, 1), got {eps_l}")
+        raise ValueError(f"eps_L must lie in [{_MIN_EPS_L_TEXT}, 1), got {eps_l}")
     t_max = math.ceil(math.log2(2.0 / eps_l))
     inner = math.ceil(64 * (math.log2(1.0 / eps_l) + 2))
     return [(t, 2.0 ** -t, math.ceil(2.0 ** (3 - t) / eps_l), inner)
@@ -691,7 +692,8 @@ def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
     # Masks only: gathering p_mu[reach] would copy up to 2^n floats.  An
     # equal pair's KL is exactly 0, so only the unequal pairs are computed;
     # NaN != NaN, so where no pair is unequal no node is dead or unreachable.
-    unequal, dead = p_mu != p_tau, False
+    # One array (a self-test on one table) has no unequal pair: K = 0 uncompared.
+    unequal, dead = (np.zeros(0, dtype=bool) if p_mu is p_tau else p_mu != p_tau), False
     if unequal.any():
         unequal &= ~np.isnan(p_tau)
         dead = (unequal & np.isnan(p_mu)).any()
@@ -786,31 +788,47 @@ def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, node_kl: np.ndarray, nodes:
     return int(maybe[stops[0]]) if stops.size else None
 
 
-class _SkippedCoordinates:
-    """A run's view of a PCG64 stream whose coordinates the walk moves past
-    without drawing them (n a power of two; see the module docstring).  It
-    reads the generator's state once, when built.  Each level then moves
-    the generator past its coordinates with one ``advance`` and one
-    ``random_raw`` (the output whose high half the next 32-bit draw would
-    read); the outputs drawn since the snapshot and the buffered 32-bit half
-    (``has_uint32``, ``uinteger``) are carried here, since ``advance``
-    clears the generator's own half and ``random`` neither reads nor
-    changes it.  ``settle`` writes the half back.  The scratch generator a
-    searched chunk regenerates its coordinates in is built on first use, so
-    a run that searches no chunk builds none; it is seeded, not drawn from
-    OS entropy, since every use sets its state."""
+# The coordinates a level draws and drops at once where it cannot advance
+# past them; it keeps the generator state each block starts from.
+_COORDINATE_BLOCK = 1 << 20
+
+
+class _CoordinateCursor:
+    """A run's cursor over its levels' coordinates, the values of one
+    ``rng.integers(1, n + 1, size=outer, dtype=np.int32)`` call per level,
+    of which it keeps none (see the module docstring).  ``level`` moves
+    ``rng`` past a level's ``outer`` coordinates and the ``outer`` uniforms
+    the caller draws after them, and returns the function that regenerates
+    their slice [first, last); ``settle`` ends the run, before anything else
+    reads ``rng``.  Where it ``skips`` (a PCG64, n a power of two), it reads
+    the state once, each level takes one ``advance`` and one ``random_raw``
+    (the output whose high half the next 32-bit draw would read), and the
+    outputs drawn since the snapshot and the buffered 32-bit half are carried
+    here, since ``advance`` clears the generator's half and ``random``
+    neither reads nor changes it; ``settle`` writes the half back.
+    Otherwise a level draws and drops its coordinates ``_COORDINATE_BLOCK``
+    at a time.  A slice is regenerated in a scratch generator of ``rng``'s
+    bit-generator type, built on first use, so a run that searches no chunk
+    builds none; it is seeded, not drawn from OS entropy, since every use
+    sets its state."""
 
     def __init__(self, rng, n: int):
         self.rng, self.n = rng, n
+        self.skips = type(rng.bit_generator) is np.random.PCG64 and n & (n - 1) == 0
         self.start = rng.bit_generator.state
         self.step = 0  # 64-bit outputs drawn since ``start``
-        self.has, self.half = self.start["has_uint32"], self.start["uinteger"]
-        self.scratch = None
+        self.has, self.half = self.start.get("has_uint32"), self.start.get("uinteger")
+        # The scratch generator, and the block states and coordinate it stands at.
+        self.scratch, self.replayed = None, (None, 0)
 
     def level(self, outer: int):
-        """Move past ``outer`` coordinates and the ``outer`` uniforms the
-        caller draws after them, and return the function that regenerates
-        the coordinates' slice [first, last)."""
+        if not self.skips:
+            states = []
+            for first in range(0, outer, _COORDINATE_BLOCK):
+                states.append(self.rng.bit_generator.state)
+                self.rng.integers(1, self.n + 1, size=min(_COORDINATE_BLOCK, outer - first),
+                                  dtype=np.int32)
+            return functools.partial(self._replay, states)
         step, has, half = self.step, self.has, self.half
         if self.n > 1:
             # Each coordinate takes one 32-bit draw: the buffered half, then
@@ -825,14 +843,31 @@ class _SkippedCoordinates:
         self.step += outer
         return functools.partial(self._regenerate, step, has, half)
 
+    def _scratch(self) -> np.random.Generator:
+        if self.scratch is None:
+            self.scratch = np.random.Generator(type(self.rng.bit_generator)(0))
+        return self.scratch
+
+    def _replay(self, states: list, first: int, last: int) -> np.ndarray:
+        """The coordinates [first, last) of the level whose blocks start at
+        ``states``: drawn on from where the scratch stands, if that is in
+        their block and not past ``first``, else from the block's state.  So
+        chunks read in order regenerate each block at most once."""
+        block = first // _COORDINATE_BLOCK * _COORDINATE_BLOCK
+        at, pos = self.replayed
+        if at is not states or not block <= pos <= first:
+            self._scratch().bit_generator.state = states[first // _COORDINATE_BLOCK]
+            pos = block
+        self.replayed = states, last
+        return self.scratch.integers(1, self.n + 1, size=last - pos,
+                                     dtype=np.int32)[first - pos:]
+
     def _regenerate(self, step: int, has: int, half: int, first: int, last: int) -> np.ndarray:
         """The coordinates [first, last) of the level that began ``step``
         outputs past the snapshot with buffered half (``has``, ``half``):
         the scratch generator is set where coordinate ``first`` begins, or
         one draw before it where that draw is the high half of an output."""
-        if self.scratch is None:
-            self.scratch = np.random.Generator(np.random.PCG64(0))
-        bit_generator = self.scratch.bit_generator
+        bit_generator = self._scratch().bit_generator
         bit_generator.state = self.start
         # The new 32-bit draws before the slice (n = 1 draws none).
         skipped = max(first - has, 0) if self.n > 1 else 0
@@ -846,44 +881,11 @@ class _SkippedCoordinates:
                                      dtype=np.int32)[extra:]
 
     def settle(self) -> None:
-        """Write the carried buffered half back into the generator, which
-        then holds the state drawing the coordinates would have left."""
-        if self.n > 1:
+        if self.skips and self.n > 1:
             bit_generator = self.rng.bit_generator
             state = bit_generator.state
             state["has_uint32"], state["uinteger"] = self.has, self.half
             bit_generator.state = state
-
-
-def _coordinate_scratch(rng, n: int) -> _SkippedCoordinates | None:
-    """The run's ``_SkippedCoordinates`` view of ``rng``, or None where
-    moving ``rng`` past the coordinates without drawing them is not exact.
-    It is exact for a PCG64 and n a power of two, where each coordinate
-    takes one ``next_uint32`` output, none at n = 1 (see the module
-    docstring)."""
-    if type(rng.bit_generator) is np.random.PCG64 and n & (n - 1) == 0:
-        return _SkippedCoordinates(rng, n)
-    return None
-
-
-def _level_coordinates(rng, n: int, outer: int, scratch):
-    """Move ``rng`` past a level's coordinates, the ``outer`` values of
-    ``rng.integers(1, n + 1, size=outer, dtype=np.int32)``, and return the
-    function that gives their slice [first, last).
-
-    With a ``scratch`` (see ``_coordinate_scratch``) the coordinates are not
-    drawn: the generator is advanced past them, the level keeps only the
-    step count and buffered half where they begin, and a slice is
-    regenerated from the run's one snapshot, in the scratch generator, when
-    a chunk is searched.  The caller then draws the level's ``outer``
-    uniforms, which the scratch counts, and calls its ``settle`` before
-    anything else reads ``rng``.  Without one the coordinates are drawn
-    now."""
-    if scratch is None:
-        # int32 takes the same bounded-integer path, value for value.
-        i_arr = rng.integers(1, n + 1, size=outer, dtype=np.int32)
-        return lambda first, last: i_arr[first:last]
-    return scratch.level(outer)
 
 
 def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
@@ -891,10 +893,9 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     survives while its uniform u is below its survive probability, decided
     by ``_first_stop`` from the chunk's own nodes.
 
-    Each level moves ``rng`` past its ``outer`` coordinates i, drawing them
-    up front only where skipping them is not exact (``_level_coordinates``;
-    the run reads ``rng``'s state once, and a searched chunk regenerates its
-    own i from that snapshot), then draws its u into one per-run buffer,
+    Each level moves ``rng`` past its ``outer`` coordinates i through the
+    run's ``_CoordinateCursor``, which keeps none of them (a searched chunk
+    regenerates its own), then draws its u into one per-run buffer,
     ``_BLOCK_CHUNKS`` chunks (16,384 draws) at a time: the values and
     stream of one ``rng.integers(1, n + 1, size=outer)`` and one
     ``rng.random(outer)`` call.  A block whose u all lie below the level's survive floor (see the
@@ -922,14 +923,14 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     # Every level has the same inner.
     floors, known = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
     node_kl = None  # built when the run first searches a chunk
-    scratch = _coordinate_scratch(rng, n)
+    cursor = _CoordinateCursor(rng, n)
     block = _BLOCK_CHUNKS * _CHUNK
     # Level 1 draws the most.
     buffer = np.empty(min(block, schedule[0][2]))
     certified = 0  # draws of the certified chunks whose tau uniforms are not yet skipped
     trace = []
     for (t, eps_prime, outer, inner), n_draws, floor in zip(schedule, draws, floors):
-        coordinates = _level_coordinates(rng, n, outer, scratch)
+        coordinates = cursor.level(outer)
         rejected_at = stop_node = None
         for start in range(0, outer, block):
             u_block = buffer[:min(block, outer - start)]
@@ -968,8 +969,7 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
             break
     if certified:
         tau.skip_full_draws(certified)
-    if scratch is not None:
-        scratch.settle()
+    cursor.settle()
     return Verdict(rejected_at is None, trace=trace)
 
 

@@ -27,7 +27,7 @@ from condtest.harness import FIELDS, KINDS
 _COMMANDS = [kind for kind in KINDS.values() if kind.command is not None]
 _EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 2.0 ** 70]
 _GOOD_EPS = st.floats(0.3, 0.99)
-# The walk refuses these at every n: eps_L would lie below 2^-49.
+# The walk refuses these at every n: eps_L would lie below 2^-33.
 _BAD_EPS = _EDGE_FLOATS + [1e-10, 1.2e-151]
 
 # field -> (values that run in milliseconds, values to refuse)

@@ -450,7 +450,7 @@ _EPS_CLI_ARGV = [
 @pytest.mark.parametrize("eps", ["1e-10", "1.2e-151"])
 @pytest.mark.parametrize("argv", _EPS_CLI_ARGV)
 def test_cli_refuses_eps_below_the_draw_budget(argv, eps, tmp_path, capsys):
-    """An eps whose eps_L lies below the draw budget's 2^-49 exits 2 with one
+    """An eps whose eps_L lies below the run budget's 2^-33 exits 2 with one
     error line that names the eps given, and no traceback: at 1e-10 the
     accept path would take 1.35e24 y-draws at n = 2."""
     assert main(argv + [eps, "--out", str(tmp_path)]) == 2

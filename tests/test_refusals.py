@@ -108,7 +108,7 @@ REFUSALS = {
     "levin-schedule-eps-zero": (None, lambda _: levin_schedule(0.0), ValueError, None),
     "levin-schedule-eps-one": (None, lambda _: levin_schedule(1.0), ValueError, None),
     "levin-schedule-eps-nan": (None, lambda _: levin_schedule(math.nan), ValueError, None),
-    # Below MIN_EPS_L = 2^-49, the draw budget.
+    # Below MIN_EPS_L = 2^-33, the run budget.
     "levin-schedule-eps-budget": (None, lambda _: levin_schedule(2.0 ** -50), ValueError, None),
     "tuple-domain-empty": (None, lambda _: TupleDomain(()), DomainError, None),
     "adversarial-n1": (None, lambda _: AdversarialInstance(1, 0.2, ()), DomainError, None),

@@ -295,7 +295,7 @@ def test_loader_split_products_are_exact_at_every_schedule_n():
     """``_loader_pmf`` carries N p as N p_hi + N p_lo, p's Veltkamp halves.
     Every schedule N = 24 * 2^t = 3 * 2^(t + 3) has two significant bits,
     so both products are exact at every level t = 1..50 (the deepest at
-    the draw budget), for seeded p and edge values, against Fraction
+    the run budget is 34), for seeded p and edge values, against Fraction
     products."""
     p = np.concatenate([np.random.default_rng(9).uniform(size=200), KERNEL_P[6:-1],
                         [0.5, 1 / 3, 2.0 ** -26, 1e-16, 2.2250738585072014e-308, 5e-324,
@@ -765,7 +765,7 @@ def test_walk_testers_refuse_eps_outside_unit_interval(tester, eps, monkeypatch)
     assert [sum(root.counter.counts.values()) for root in roots] == [0] * len(roots)
 
 
-# eps_L = rho(n, eps) / n at n <= 3 is below MIN_EPS_L = 2^-49 for each.
+# eps_L = rho(n, eps) / n at n <= 3 is below MIN_EPS_L = 2^-33 for each.
 # Below the draw budget with a finite schedule: at 1e-10 the accept path
 # would take 1.35e24 y-draws at n = 2, at 1.2e-151 1.34e307.
 _BELOW_BUDGET = [1e-10, 1.2e-151]
@@ -807,11 +807,11 @@ def test_budget_refuses_eps_without_a_finite_schedule(eps):
 
 
 def test_levin_schedule_at_the_draw_budget():
-    """eps_L = MIN_EPS_L = 2^-49 is accepted: levels t = 1..50 with 2^(52-t)
-    outer draws each, so the accept path's y-draws sum to 2^52 - 4 < 2^53."""
+    """eps_L = MIN_EPS_L = 2^-33 is accepted: levels t = 1..34 with 2^(36-t)
+    outer draws each, so the accept path's y-draws sum to 2^36 - 4 < 2^53."""
     schedule = levin_schedule(MIN_EPS_L)
-    assert [row[0] for row in schedule] == list(range(1, 51))
-    assert sum(outer for _, _, outer, _ in schedule) == 2 ** 52 - 4 < 2 ** 53
+    assert [row[0] for row in schedule] == list(range(1, 35))
+    assert sum(outer for _, _, outer, _ in schedule) == 2 ** 36 - 4 < 2 ** 53
 
 
 def _point_tuples(seed):
@@ -1218,6 +1218,20 @@ def test_walk_does_not_depend_on_chunk_size(monkeypatch):
     assert endings == {"accept", "reject", "dead"}
 
 
+def test_walk_does_not_depend_on_coordinate_block_size(monkeypatch):
+    """Every WALK_CORPUS run gives the same (accepted, queries_used, trace)
+    with blocks of 1,000 coordinates, which the walk's 4096-draw chunks
+    straddle, so a searched chunk regenerates its i across block starts."""
+    runs = [(kind, k, run) for kind, group in WALK_CORPUS.items()
+            for k, run in enumerate(group)]
+    default = [run(11 * k) for kind, k, run in runs]
+    monkeypatch.setattr(testers, "_COORDINATE_BLOCK", 1000)
+    for (kind, k, run), v in zip(runs, default):
+        small = run(11 * k)
+        assert (small.accepted, small.queries_used, small.trace) == (v.accepted, v.queries_used,
+                                                                     v.trace), (kind, k)
+
+
 @pytest.mark.parametrize("n", [3, 8, 10, 16])
 def test_level_draws_in_chunks_keep_the_stream(n):
     """A level's i as one int32 ``integers`` call and its u one ``_CHUNK`` at
@@ -1236,38 +1250,45 @@ def test_level_draws_in_chunks_keep_the_stream(n):
         assert chunked.bit_generator.state == whole.bit_generator.state
 
 
+def _full_state(rng) -> dict:
+    """``rng``'s full bit-generator state, comparable with ``==``: an
+    MT19937's key array as a list."""
+    state = rng.bit_generator.state
+    return state | {"state": {key: value.tolist() if isinstance(value, np.ndarray) else value
+                              for key, value in state["state"].items()}}
+
+
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 10, 16, 20])
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937],
                          ids=["pcg64", "mt19937"])
 def test_skipped_coordinates_match_eager_draws(bit_generator, n, buffered):
-    """``_level_coordinates`` against one int32 ``integers(size=outer)`` call
-    per level, level after level on one generator and one scratch (one state
-    snapshot), for sizes at and across chunk ends and the 114,978 draws of
-    an n = 16, eps = 0.3 level: each chunk's u and regenerated i equal the
-    eager ones, a scratch settled after each level leaves the generator in
-    the eager one's state, and on copies of both the next ``random`` and
-    int32 ``integers`` draws agree.  A PCG64 at a power-of-two n moves past
-    the coordinates (one output each, none at n = 1, with the buffered half
-    carried); any other case draws them."""
+    """``_CoordinateCursor`` against one int32 ``integers(size=outer)`` call
+    per level, level after level on one generator and one cursor, for sizes
+    at and across chunk ends and the 114,978 draws of an n = 16, eps = 0.3
+    level: each chunk's u and regenerated i equal the eager ones, a cursor
+    settled after each level leaves the generator in the eager one's full
+    state, and on copies of both the next ``random`` and int32 ``integers``
+    draws agree.  A PCG64 at a power-of-two n moves past the coordinates
+    (one output each, none at n = 1, with the buffered half carried); any
+    other case draws and drops them a block at a time."""
     chunk = testers._CHUNK
     lazy, eager = (np.random.Generator(bit_generator(3)) for _ in range(2))
     if buffered:
         # An odd number of int32 draws leaves a PCG64 holding a buffered half.
         for rng in (lazy, eager):
             rng.integers(0, 7, size=5, dtype=np.int32)
-    scratch = testers._coordinate_scratch(lazy, n)
-    assert (scratch is None) == (bit_generator is np.random.MT19937 or n in (3, 10, 20))
+    cursor = testers._CoordinateCursor(lazy, n)
+    assert cursor.skips == (bit_generator is np.random.PCG64 and n not in (3, 10, 20))
     for outer in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17, 114_978):
-        coordinates = testers._level_coordinates(lazy, n, outer, scratch)
+        coordinates = cursor.level(outer)
         i_whole = eager.integers(1, n + 1, size=outer, dtype=np.int32)
         for first in range(0, outer, chunk):
             last = min(first + chunk, outer)
             assert lazy.random(last - first).tolist() == eager.random(last - first).tolist()
             assert coordinates(first, last).tolist() == i_whole[first:last].tolist()
-        if scratch is not None:
-            scratch.settle()
-            assert lazy.bit_generator.state == eager.bit_generator.state
+        cursor.settle()
+        assert _full_state(lazy) == _full_state(eager)
         # Copies, so that the walk's own generator draws nothing it has not counted.
         lazy_copy, eager_copy = (np.random.Generator(bit_generator(0)) for _ in range(2))
         lazy_copy.bit_generator.state = lazy.bit_generator.state
@@ -1275,6 +1296,36 @@ def test_skipped_coordinates_match_eager_draws(bit_generator, n, buffered):
         assert lazy_copy.random() == eager_copy.random()
         assert (lazy_copy.integers(0, 1000, dtype=np.int32)
                 == eager_copy.integers(0, 1000, dtype=np.int32))
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("bit_generator, n", [(np.random.MT19937, 8), (np.random.PCG64, 3),
+                                              (np.random.PCG64, 10), (np.random.PCG64, 20)],
+                         ids=["mt19937-8", "pcg64-3", "pcg64-10", "pcg64-20"])
+def test_coordinate_cursor_blocks_match_bulk_draws(bit_generator, n, buffered, monkeypatch):
+    """Where the cursor cannot advance past a level's coordinates, it draws
+    and drops them a block at a time.  With blocks of 5,000, which 4096-draw
+    chunks straddle, each chunk regenerates the values of one bulk int32
+    ``integers(size=outer)`` call per level, in order and then again
+    backwards (from its block's saved state), and after ``settle`` the
+    generator holds the bulk draws' full state, level after level."""
+    monkeypatch.setattr(testers, "_COORDINATE_BLOCK", 5000)
+    chunk = testers._CHUNK
+    lazy, eager = (np.random.Generator(bit_generator(5)) for _ in range(2))
+    if buffered:
+        for rng in (lazy, eager):
+            rng.integers(0, 7, size=5, dtype=np.int32)
+    cursor = testers._CoordinateCursor(lazy, n)
+    assert not cursor.skips
+    for outer in (1, 4999, 5000, 5001, 3 * chunk + 17, 23_456):
+        coordinates = cursor.level(outer)
+        i_whole = eager.integers(1, n + 1, size=outer, dtype=np.int32)
+        assert lazy.random(outer).tolist() == eager.random(outer).tolist()
+        chunks = [(first, min(first + chunk, outer)) for first in range(0, outer, chunk)]
+        for first, last in chunks + chunks[::-1]:
+            assert coordinates(first, last).tolist() == i_whole[first:last].tolist()
+        cursor.settle()
+        assert _full_state(lazy) == _full_state(eager)
 
 
 def test_uniform_self_test_walk_holds_little_memory():
@@ -1335,6 +1386,17 @@ def test_sparse_self_test_walk_holds_little_memory():
     verdict, peak = _walk_peak(tau, mu, 0.3)
     assert verdict.accepted
     assert peak < 320 * 1024
+
+
+def test_non_power_of_two_walk_holds_one_coordinate_block():
+    """A uniform n = 5, eps = 0.02 self-test, whose level 1 draws 10.8
+    million coordinates (41 MiB as int32), peaks at about one block of them
+    plus 1 MiB: the walk draws and drops its coordinates a block at a time,
+    keeping only the state each block starts from."""
+    tab = DistributionTable.uniform(5)
+    verdict, peak = _walk_peak(TableOracle(tab, seed=1), TableOracle(tab, seed=2), 0.02)
+    assert verdict.accepted and verdict.trace[0]["outer"] > 10 ** 7
+    assert peak < 4 * testers._COORDINATE_BLOCK + (1 << 20)
 
 
 def test_band_pairs_reach_the_exact_calculus(monkeypatch):
@@ -1519,12 +1581,12 @@ def test_walk_skips_certified_chunks_then_searches_within_a_level(monkeypatch):
             return method(self, *args)
         return record
 
-    def level(rng, n, outer, scratch):
+    def level(self, outer):
         levels.append([])
-        return coordinates(rng, n, outer, scratch)
+        return coordinates(self, outer)
 
-    coordinates = testers._level_coordinates
-    monkeypatch.setattr(testers, "_level_coordinates", level)
+    coordinates = testers._CoordinateCursor.level
+    monkeypatch.setattr(testers._CoordinateCursor, "level", level)
     for name in ("skip_full_draws", "sample_full_indices_uncounted"):
         method = getattr(oracles.BinaryPrefixOracle, name)
         monkeypatch.setattr(oracles.BinaryPrefixOracle, name, recorded(name, method))
@@ -1618,6 +1680,35 @@ def test_floor_lies_below_every_reachable_lower_end(name):
         assert max(floors) < 0.0
     else:
         assert max(floors) > 0.9
+
+
+class _Uncomparable(np.ndarray):
+    """A node array that refuses elementwise comparison."""
+
+    def __ne__(self, other):
+        raise AssertionError("the node arrays were compared")
+
+
+@pytest.mark.parametrize("table", [DistributionTable.uniform(8),
+                                   DistributionTable.point_mass([1, 0] * 4),
+                                   DistributionTable(8, _dirichlet(1605, 256))],
+                         ids=["uniform", "point-mass", "dirichlet"])
+def test_floor_of_one_node_array_skips_the_comparison(table):
+    """The two oracles of a self-test on one table share one node array, and
+    the floor pass then takes K = 0 without comparing its 2^n - 1 pairs: its
+    floors and known set are those of the comparing pass over a copy of the
+    array, zero-mass (NaN) nodes included."""
+    p = TableOracle(table, seed=1).node_bit_probs()
+    assert TableOracle(table, seed=2).node_bit_probs() is p
+    schedule = levin_schedule(testers._levin_eps(8, 0.5))
+    draws = [testers._trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
+    inner = schedule[0][3]
+    one = p.view(_Uncomparable)
+    floors, known = testers._survive_floors(one, one, draws, inner)
+    copy_floors, copy_known = testers._survive_floors(p, p.copy(), draws, inner)
+    assert floors == copy_floors
+    assert known[0].tolist() == copy_known[0].tolist() == []
+    assert known[1].tolist() == copy_known[1].tolist() == []
 
 
 def test_uniform_self_test_searches_no_draw(monkeypatch):
