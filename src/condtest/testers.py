@@ -38,10 +38,13 @@ again only when the low 32 bits of an output times n lie below
 (2^32 - n) mod n, which is 0 then, so each i takes exactly one 32-bit
 output (none at n = 1), and the run advances past them from one snapshot
 of the stream's state.  Any other n or generator draws a level's i and
-drops them 2^20 at a time, keeping the state each block starts from.  A
-searched chunk regenerates its own i.  Either way the i, the u and the
-stream after an accepting run are those of drawing all i and then all u at
-once, level by level.
+drops them 2^20 at a time.  Each level keeps one start, where its i begin
+(the snapshot's output count and buffered half, or the state read when the
+level began), and a searched chunk replays its own i from it, going on from
+where the level's last searched chunk ended: a level first searched at
+coordinate p draws its first p coordinates once more.  Either way the i,
+the u and the stream after an accepting run are those of drawing all i and
+then all u at once, level by level.
 
 The survive calculus
     For a drawn (i, w) with conditional bit probabilities p under mu and q
@@ -788,8 +791,8 @@ def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, node_kl: np.ndarray, nodes:
     return int(maybe[stops[0]]) if stops.size else None
 
 
-# The coordinates a level draws and drops at once where it cannot advance
-# past them; it keeps the generator state each block starts from.
+# The coordinates drawn and dropped at once, at a level where the cursor
+# cannot advance past them and before a replayed slice.
 _COORDINATE_BLOCK = 1 << 20
 
 
@@ -798,7 +801,7 @@ class _CoordinateCursor:
     ``rng.integers(1, n + 1, size=outer, dtype=np.int32)`` call per level,
     of which it keeps none (see the module docstring).  ``level`` moves
     ``rng`` past a level's ``outer`` coordinates and the ``outer`` uniforms
-    the caller draws after them, and returns the function that regenerates
+    the caller draws after them, and returns the function that replays
     their slice [first, last); ``settle`` ends the run, before anything else
     reads ``rng``.  Where it ``skips`` (a PCG64, n a power of two), it reads
     the state once, each level takes one ``advance`` and one ``random_raw``
@@ -806,30 +809,28 @@ class _CoordinateCursor:
     outputs drawn since the snapshot and the buffered 32-bit half are carried
     here, since ``advance`` clears the generator's half and ``random``
     neither reads nor changes it; ``settle`` writes the half back.
-    Otherwise a level draws and drops its coordinates ``_COORDINATE_BLOCK``
-    at a time.  A slice is regenerated in a scratch generator of ``rng``'s
-    bit-generator type, built on first use, so a run that searches no chunk
-    builds none; it is seeded, not drawn from OS entropy, since every use
-    sets its state."""
+    Otherwise a level draws and drops its coordinates.  Each level keeps
+    one start: the snapshot's output count and buffered half where it
+    skips, else the generator state read when the level began.  A slice is
+    replayed in a scratch generator of ``rng``'s bit-generator type, built
+    on first use, so a run that searches no chunk builds none; it is
+    seeded, not drawn from OS entropy, since every use sets its state."""
 
     def __init__(self, rng, n: int):
         self.rng, self.n = rng, n
         self.skips = type(rng.bit_generator) is np.random.PCG64 and n & (n - 1) == 0
-        self.start = rng.bit_generator.state
-        self.step = 0  # 64-bit outputs drawn since ``start``
-        self.has, self.half = self.start.get("has_uint32"), self.start.get("uinteger")
-        # The scratch generator, and the block states and coordinate it stands at.
+        self.snapshot = rng.bit_generator.state
+        self.step = 0  # 64-bit outputs drawn since the snapshot
+        self.has, self.half = self.snapshot.get("has_uint32"), self.snapshot.get("uinteger")
+        # The scratch generator, and the level start and coordinate it stands at.
         self.scratch, self.replayed = None, (None, 0)
 
     def level(self, outer: int):
         if not self.skips:
-            states = []
-            for first in range(0, outer, _COORDINATE_BLOCK):
-                states.append(self.rng.bit_generator.state)
-                self.rng.integers(1, self.n + 1, size=min(_COORDINATE_BLOCK, outer - first),
-                                  dtype=np.int32)
-            return functools.partial(self._replay, states)
-        step, has, half = self.step, self.has, self.half
+            start = self.rng.bit_generator.state
+            self._drop(self.rng, outer)
+            return functools.partial(self._replay, start)
+        start = self.step, self.has, self.half
         if self.n > 1:
             # Each coordinate takes one 32-bit draw: the buffered half, then
             # both halves of each new output, low first.
@@ -841,44 +842,40 @@ class _CoordinateCursor:
                 self.step += (k + 1) // 2
             self.has = k % 2
         self.step += outer
-        return functools.partial(self._regenerate, step, has, half)
+        return functools.partial(self._replay, start)
 
-    def _scratch(self) -> np.random.Generator:
-        if self.scratch is None:
-            self.scratch = np.random.Generator(type(self.rng.bit_generator)(0))
-        return self.scratch
+    def _drop(self, generator: np.random.Generator, count: int) -> None:
+        """Draws ``count`` coordinates on ``generator``, ``_COORDINATE_BLOCK``
+        at a time, and keeps none."""
+        for first in range(0, count, _COORDINATE_BLOCK):
+            generator.integers(1, self.n + 1, size=min(_COORDINATE_BLOCK, count - first),
+                               dtype=np.int32)
 
-    def _replay(self, states: list, first: int, last: int) -> np.ndarray:
-        """The coordinates [first, last) of the level whose blocks start at
-        ``states``: drawn on from where the scratch stands, if that is in
-        their block and not past ``first``, else from the block's state.  So
-        chunks read in order regenerate each block at most once."""
-        block = first // _COORDINATE_BLOCK * _COORDINATE_BLOCK
+    def _replay(self, start, first: int, last: int) -> np.ndarray:
+        """The coordinates [first, last) of the level that begins at
+        ``start``: drawn on from where the scratch stands, if that is in this
+        level and not past ``first``, else from the level's start, dropping
+        the coordinates before ``first``.  So chunks read in order draw each
+        coordinate of a level at most once."""
         at, pos = self.replayed
-        if at is not states or not block <= pos <= first:
-            self._scratch().bit_generator.state = states[first // _COORDINATE_BLOCK]
-            pos = block
-        self.replayed = states, last
-        return self.scratch.integers(1, self.n + 1, size=last - pos,
-                                     dtype=np.int32)[first - pos:]
-
-    def _regenerate(self, step: int, has: int, half: int, first: int, last: int) -> np.ndarray:
-        """The coordinates [first, last) of the level that began ``step``
-        outputs past the snapshot with buffered half (``has``, ``half``):
-        the scratch generator is set where coordinate ``first`` begins, or
-        one draw before it where that draw is the high half of an output."""
-        bit_generator = self._scratch().bit_generator
-        bit_generator.state = self.start
-        # The new 32-bit draws before the slice (n = 1 draws none).
-        skipped = max(first - has, 0) if self.n > 1 else 0
-        extra = skipped % 2
-        bit_generator.advance(step + skipped // 2)  # advance clears the buffered half
-        if has and first == 0:
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, half
-            bit_generator.state = state
-        return self.scratch.integers(1, self.n + 1, size=last - first + extra,
-                                     dtype=np.int32)[extra:]
+        if at is not start or pos > first:
+            if self.scratch is None:
+                self.scratch = np.random.Generator(type(self.rng.bit_generator)(0))
+            bit_generator = self.scratch.bit_generator
+            if self.skips:
+                step, has, half = start
+                bit_generator.state = self.snapshot
+                bit_generator.advance(step)  # advance clears the buffered half
+                if has:
+                    state = bit_generator.state
+                    state["has_uint32"], state["uinteger"] = 1, half
+                    bit_generator.state = state
+            else:
+                bit_generator.state = start
+            pos = 0
+        self._drop(self.scratch, first - pos)
+        self.replayed = start, last
+        return self.scratch.integers(1, self.n + 1, size=last - first, dtype=np.int32)
 
     def settle(self) -> None:
         if self.skips and self.n > 1:
@@ -895,7 +892,7 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
 
     Each level moves ``rng`` past its ``outer`` coordinates i through the
     run's ``_CoordinateCursor``, which keeps none of them (a searched chunk
-    regenerates its own), then draws its u into one per-run buffer,
+    replays its own), then draws its u into one per-run buffer,
     ``_BLOCK_CHUNKS`` chunks (16,384 draws) at a time: the values and
     stream of one ``rng.integers(1, n + 1, size=outer)`` and one
     ``rng.random(outer)`` call.  A block whose u all lie below the level's survive floor (see the

@@ -466,6 +466,35 @@ def test_cli_refuses_eps_without_a_finite_schedule(argv, eps, tmp_path, capsys):
     test_cli_refuses_eps_below_the_draw_budget(argv, eps, tmp_path, capsys)
 
 
+# (argv without --runs, the call's (n, eps) points)
+_RUNS_CLI_ARGV = [
+    (["test-equivalence", "--n", "1", "--eps", "0.9", "--tau", "uniform", "--mu", "uniform"], 1),
+    (["sweep", "--n-list", "1,2", "--eps-list", "0.9,0.7"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, points", _RUNS_CLI_ARGV, ids=["equivalence", "sweep"])
+def test_repetitions_at_the_bound_are_accepted(argv, points):
+    """A call of exactly ``MAX_REPETITIONS`` repetitions, --runs times a
+    sweep's (n, eps) points, makes a spec (which is not run)."""
+    runs = harness.MAX_REPETITIONS // points
+    spec = spec_from_args(build_parser().parse_args(argv + ["--runs", str(runs)]))
+    assert spec.runs * points == harness.MAX_REPETITIONS
+
+
+@pytest.mark.parametrize("argv, points", _RUNS_CLI_ARGV, ids=["equivalence", "sweep"])
+def test_repetitions_above_the_bound_are_refused(argv, points, tmp_path, monkeypatch, capsys):
+    """One run more exits 2 with one error line and no traceback, before a
+    source is loaded or a file written."""
+    loaded = []
+    monkeypatch.setattr(harness, "load_distribution", lambda *args: loaded.append(args))
+    runs = harness.MAX_REPETITIONS // points + 1
+    assert main(argv + ["--runs", str(runs), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: repetitions") and err.count("\n") == 1
+    assert not loaded and not any(tmp_path.iterdir())
+
+
 def test_scaling_sweep_driver():
     spec = ExperimentSpec(kind="scaling-sweep", n_list=(2, 4), eps_list=(0.5,),
                           runs=3, seed=9)

@@ -451,6 +451,31 @@ def test_accept_path_budget_is_pinned(n, eps, tau, mu):
     assert expected_equivalence_queries(n, eps) == {"tau": tau, "mu": mu, "total": tau + mu}
 
 
+def test_accept_path_count_in_closed_form():
+    """The accept-path total over n log2(2n/eps) t_max inner / eps^2 lies in
+    [589,824, 651,085] for n = 1..20 and nine eps from 0.9 to 0.01, so the
+    count is Theta(n log^3(n/eps) / eps^2), the paper's O~(n/eps^2).  Each
+    of the t_max levels bills about 2^(3 - t) / eps_L draws, each running
+    ``inner`` black boxes of 64 trials of 24 * 2^t samples from each source,
+    and 1 / eps_L = 24 n log2(2n/eps) / eps^2: the constant below.  The
+    schedule's ceilings and tau's prefix query per draw add the rest, at
+    most 651,084.03 (at n = 1, eps = 0.9)."""
+    constant = (2  # tau and mu each pay every trial's samples (_level_charges)
+                * 8  # level t draws ceil(2^(3 - t) / eps_L) outer y-draws (levin_schedule)
+                * testers.CHI2_TRIALS  # trials per black-box run
+                * CHI2_SAMPLE_FACTOR  # N = ceil(24 / eps') samples per trial, eps' = 2^-t
+                * 24)  # rho = eps^2 / (24 log2(2n/eps)) (slice_divergence_threshold)
+    assert constant == 589_824
+    ratios = []
+    for n in range(1, 21):
+        for eps in (0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01):
+            schedule = levin_schedule(slice_divergence_threshold(n, eps) / n)
+            t_max, inner = len(schedule), schedule[0][3]
+            total = expected_equivalence_queries(n, eps)["total"]
+            ratios.append(total / (n * math.log2(2 * n / eps) * t_max * inner / eps ** 2))
+    assert 589_824 <= min(ratios) and max(ratios) <= 651_085
+
+
 def test_equivalence_determinism():
     tab = DistributionTable.uniform(3)
 
@@ -1221,7 +1246,7 @@ def test_walk_does_not_depend_on_chunk_size(monkeypatch):
 def test_walk_does_not_depend_on_coordinate_block_size(monkeypatch):
     """Every WALK_CORPUS run gives the same (accepted, queries_used, trace)
     with blocks of 1,000 coordinates, which the walk's 4096-draw chunks
-    straddle, so a searched chunk regenerates its i across block starts."""
+    straddle, so a searched chunk replays its i across block starts."""
     runs = [(kind, k, run) for kind, group in WALK_CORPUS.items()
             for k, run in enumerate(group)]
     default = [run(11 * k) for kind, k, run in runs]
@@ -1266,7 +1291,7 @@ def test_skipped_coordinates_match_eager_draws(bit_generator, n, buffered):
     """``_CoordinateCursor`` against one int32 ``integers(size=outer)`` call
     per level, level after level on one generator and one cursor, for sizes
     at and across chunk ends and the 114,978 draws of an n = 16, eps = 0.3
-    level: each chunk's u and regenerated i equal the eager ones, a cursor
+    level: each chunk's u and replayed i equal the eager ones, a cursor
     settled after each level leaves the generator in the eager one's full
     state, and on copies of both the next ``random`` and int32 ``integers``
     draws agree.  A PCG64 at a power-of-two n moves past the coordinates
@@ -1300,15 +1325,19 @@ def test_skipped_coordinates_match_eager_draws(bit_generator, n, buffered):
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("bit_generator, n", [(np.random.MT19937, 8), (np.random.PCG64, 3),
-                                              (np.random.PCG64, 10), (np.random.PCG64, 20)],
-                         ids=["mt19937-8", "pcg64-3", "pcg64-10", "pcg64-20"])
+                                              (np.random.PCG64, 10), (np.random.PCG64, 20),
+                                              (np.random.PCG64, 4), (np.random.PCG64, 16)],
+                         ids=["mt19937-8", "pcg64-3", "pcg64-10", "pcg64-20", "pcg64-4",
+                              "pcg64-16"])
 def test_coordinate_cursor_blocks_match_bulk_draws(bit_generator, n, buffered, monkeypatch):
-    """Where the cursor cannot advance past a level's coordinates, it draws
-    and drops them a block at a time.  With blocks of 5,000, which 4096-draw
-    chunks straddle, each chunk regenerates the values of one bulk int32
-    ``integers(size=outer)`` call per level, in order and then again
-    backwards (from its block's saved state), and after ``settle`` the
-    generator holds the bulk draws' full state, level after level."""
+    """Each chunk replays the values of one bulk int32
+    ``integers(size=outer)`` call per level from the level's one start,
+    dropping a block at a time what comes before it: read first at the
+    level's last chunk, then in order, then backwards, with blocks of 5,000
+    that 4096-draw chunks straddle.  After ``settle`` the generator holds
+    the bulk draws' full state, level after level.  A PCG64 at n = 4 and
+    n = 16 skips the coordinates at the level (its start is an output count
+    and a buffered half); the other cases draw and drop them."""
     monkeypatch.setattr(testers, "_COORDINATE_BLOCK", 5000)
     chunk = testers._CHUNK
     lazy, eager = (np.random.Generator(bit_generator(5)) for _ in range(2))
@@ -1316,13 +1345,13 @@ def test_coordinate_cursor_blocks_match_bulk_draws(bit_generator, n, buffered, m
         for rng in (lazy, eager):
             rng.integers(0, 7, size=5, dtype=np.int32)
     cursor = testers._CoordinateCursor(lazy, n)
-    assert not cursor.skips
+    assert cursor.skips == (n in (4, 16))
     for outer in (1, 4999, 5000, 5001, 3 * chunk + 17, 23_456):
         coordinates = cursor.level(outer)
         i_whole = eager.integers(1, n + 1, size=outer, dtype=np.int32)
         assert lazy.random(outer).tolist() == eager.random(outer).tolist()
         chunks = [(first, min(first + chunk, outer)) for first in range(0, outer, chunk)]
-        for first, last in chunks + chunks[::-1]:
+        for first, last in chunks[-1:] + chunks + chunks[::-1]:
             assert coordinates(first, last).tolist() == i_whole[first:last].tolist()
         cursor.settle()
         assert _full_state(lazy) == _full_state(eager)
@@ -1348,12 +1377,13 @@ def test_uniform_self_test_walk_holds_little_memory():
     assert peak < 320 * 1024
 
 
-def _walk_peak(tau, mu, eps):
-    """(verdict, peak traced bytes) of one walk of ``tau`` against ``mu``,
-    their node arrays built before tracing starts."""
+def _walk_peak(tau, mu, eps, seed=3):
+    """(verdict, peak traced bytes) of one walk of ``tau`` against ``mu`` on
+    the walk generator ``np.random.default_rng(seed)``, their node arrays
+    built before tracing starts."""
     tau.node_bit_probs(), mu.node_bit_probs()
     eps_l = slice_divergence_threshold(tau.n, eps) / tau.n
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     tracemalloc.start()
     try:
         verdict = testers._run_equivalence(tau, mu, eps_l, rng)
@@ -1397,6 +1427,19 @@ def test_non_power_of_two_walk_holds_one_coordinate_block():
     verdict, peak = _walk_peak(TableOracle(tab, seed=1), TableOracle(tab, seed=2), 0.02)
     assert verdict.accepted and verdict.trace[0]["outer"] > 10 ** 7
     assert peak < 4 * testers._COORDINATE_BLOCK + (1 << 20)
+
+
+def test_mt19937_walk_keeps_one_state_per_level(monkeypatch):
+    """With an MT19937 walk generator and blocks of 1,000 coordinates, a
+    uniform n = 5, eps = 0.05 self-test, whose level 1 spans about 1,470
+    blocks, peaks below 512 KiB: each level keeps one generator state (about
+    3 KB), not one per block, which would take over 4 MB at level 1."""
+    monkeypatch.setattr(testers, "_COORDINATE_BLOCK", 1000)
+    tab = DistributionTable.uniform(5)
+    verdict, peak = _walk_peak(TableOracle(tab, seed=1), TableOracle(tab, seed=2), 0.05,
+                               seed=np.random.Generator(np.random.MT19937(3)))
+    assert verdict.accepted and verdict.trace[0]["outer"] > 1400 * 1000
+    assert peak < 512 * 1024
 
 
 def test_band_pairs_reach_the_exact_calculus(monkeypatch):
