@@ -36,7 +36,8 @@ and ``exact_bit_prob(i, w)`` reads it, raising ZERO_PROBABILITY_CONDITION
 on NaN.  They also draw full samples as n-bit codes without a meter charge
 (``sample_full_indices_uncounted``), one uniform per draw through
 ``inverse_cdf``, so ``skip_full_draws(k)`` moves the stream past k draws
-exactly as drawing them would (a PCG64 stream by ``advance``, any other by
+exactly as drawing them would (``skip_uniforms``: a PCG64 stream in O(1)
+by ``advance_pcg64``, which keeps its buffered 32-bit half, any other by
 generating the k uniforms).  A cell-backed view (table, interval view,
 binary encoding) states only its cells: masses at n-bit codes.  Its
 ``table`` is one ``DistributionTable`` of them at their codes, zero where
@@ -79,9 +80,35 @@ from .distcore import (
     node_index,
 )
 
-# The uniforms ``skip_full_draws`` generates at once where it cannot advance
+# The uniforms ``skip_uniforms`` generates at once where it cannot advance
 # its stream: 32 KiB.
 _SKIP_BLOCK = 1 << 12
+
+
+def advance_pcg64(bit_generator: np.random.PCG64, k: int, half=None) -> None:
+    """Moves a PCG64 past k 64-bit outputs, as k ``random`` doubles would,
+    and leaves it holding ``half`` = (has_uint32, uinteger), by default the
+    buffered 32-bit half it holds now: ``advance`` resets both to 0, and
+    ``random`` neither reads nor changes them."""
+    if half is None:
+        state = bit_generator.state
+        half = state["has_uint32"], state["uinteger"]
+    bit_generator.advance(k)
+    if any(half):
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = half
+        bit_generator.state = state
+
+
+def skip_uniforms(rng: np.random.Generator, k: int) -> None:
+    """Moves ``rng`` past k ``random`` doubles, to the state
+    ``rng.random(k)`` leaves: a PCG64 by ``advance_pcg64``, in O(1), any
+    other stream by generating them ``_SKIP_BLOCK`` at a time."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        advance_pcg64(rng.bit_generator, k)
+        return
+    for first in range(0, k, _SKIP_BLOCK):
+        rng.random(min(_SKIP_BLOCK, k - first))
 
 
 class QueryClass(enum.Enum):
@@ -245,17 +272,8 @@ class BinaryPrefixOracle(MeteredOracle):
     def skip_full_draws(self, k: int) -> None:
         """Move the RNG past k ``sample_full_indices_uncounted`` draws
         without searching them: each of those draws takes exactly one
-        uniform, ``self.rng.random(k)``.  A PCG64 takes one 64-bit step per
-        uniform, so it is advanced k steps instead, unless it holds a
-        buffered uint32, which ``random`` keeps and ``advance`` drops.  Any
-        other stream generates the uniforms ``_SKIP_BLOCK`` at a time, the
-        same stream in bounded memory."""
-        bit_generator = self.rng.bit_generator
-        if type(bit_generator) is np.random.PCG64 and not bit_generator.state["has_uint32"]:
-            bit_generator.advance(k)
-            return
-        for first in range(0, k, _SKIP_BLOCK):
-            self.rng.random(min(_SKIP_BLOCK, k - first))
+        uniform, ``self.rng.random(k)``, which ``skip_uniforms`` passes over."""
+        skip_uniforms(self.rng, k)
 
     def marginal_prefix_sample(self, i: int, w) -> int:
         """Single bit distributed as the conditional marginal of x_i."""

@@ -20,7 +20,8 @@ The equivalence tester is one walk.  It reads the exact conditional bit
 probabilities of both oracles as two arrays over the 2^n - 1 nodes
 (``node_bit_probs``: coordinate i and prefix w at ``node_index(i, w)``, NaN
 where w has zero mass).  Each Levin level takes its coordinates i, then its
-uniforms u, drawn a block of four 4096-draw chunks at a time, pulls the tau
+uniforms u, drawn a block of four 4096-draw chunks at a time (none at a
+certain level, below), pulls the tau
 samples behind each searched chunk's y-draws, turns them into node indices
 and stops at the first draw that does not survive: a node whose mu entry is
 NaN (a zero-probability reject) or one whose u is at least the probability
@@ -150,6 +151,29 @@ Certified decisions
     stream are those of the walk without the floor: it is one more tier of
     the ladder chunk floor -> node bracket -> exact calculus.
 
+    The certain tier.  Above the floor, a level is certain when no u < 1
+    can stop the walk at it: no dead node is reachable (K finite) and the
+    majority's fail tail Pr[Bin(inner, gamma_lo) < k] at the floor's grid
+    point comes out exactly 0, that is, none of its cells lies in the
+    calculus window (or every one underflows).  Every node tau can reach
+    has a Pinsker bound a at most the floor's a, so its accept probability
+    gamma is at least that gamma_lo, and the fail tail falls as gamma
+    grows; the tail's true value is then at most the window's loss, 5e-19,
+    far below half an ulp of 1 (2^-54).  So each reachable node's computed
+    survive value (one minus the fail tail summed over the window) is
+    exactly 1.0, the hi of its bracket exceeds 1, and no double u in
+    [0, 1) stops it.  The lo grid's fill computes that tail beside lo and
+    marks each point (``_bracket_grid``), so the mark costs no calculus
+    of its own.  A certain level's u are passed over, not drawn, by
+    ``oracles.skip_uniforms``, for every generator and n: a PCG64 takes one
+    64-bit output per ``random`` double, so it is advanced past them, its
+    buffered 32-bit half kept (``oracles.advance_pcg64``); any other
+    generator draws them.
+    Its tau draws join the certified count.  Verdicts, query totals,
+    traces and both generators' states are those of drawing the u.  Every
+    level of a self-test is certain (K = 0); a near pair's are certain only
+    while N K stays small, so its deep levels draw their u.
+
     The node KL.  Each node's min-KL is computed at most once per run.  The
     floor pass keeps the values it computes for K, and the run's first
     searched chunk lays them out in one array over the nodes
@@ -161,8 +185,8 @@ Certified decisions
     array.
 
     Brackets cost a few ufunc calls over a searched chunk's draws and grid
-    reads; only their grid points are kept, 2 x 4097 floats per inner for
-    the 16 inner values used last (``_BRACKET_GRIDS``; an evicted grid
+    reads; only their grid points are kept, 2 x 4097 floats and 4097
+    certain marks per inner for the 16 inner values used last (``_BRACKET_GRIDS``; an evicted grid
     refills to the same floats).  Exact values are computed once per distinct (p, q) pair in
     the band and kept in one process-wide memo keyed by (N, p, q, inner),
     capped at 2^14 entries; when it is full, its oldest quarter is evicted
@@ -192,6 +216,8 @@ from .oracles import (
     QueryClass,
     TableOracle,
     TupleTableOracle,
+    advance_pcg64,
+    skip_uniforms,
 )
 
 CHI2_TRIALS = 64
@@ -488,7 +514,7 @@ _BRACKET_SLACK = 1e-12
 # The bracket's ends are read from grids of _GRID + 1 points per inner: lo
 # at a_i = 1/2 + i / (2 _GRID), hi at m_i = i / _GRID.
 _GRID = 1 << 12
-# How many inner values keep their (lo, hi) grids; each pair takes 64 KiB.
+# How many inner values keep their (lo, hi, certain) grids; each takes 68 KiB.
 _BRACKET_GRIDS = 16
 
 
@@ -640,25 +666,36 @@ def _lazy_read(table: np.ndarray, index: np.ndarray, fill) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_BRACKET_GRIDS)
-def _bracket_grid(inner: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) over the grid points for ``inner``, NaN until a row first
-    needs one."""
-    return np.full(_GRID + 1, np.nan), np.full(_GRID + 1, np.nan)
+def _bracket_grid(inner: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, certain) over the grid points for ``inner``: lo and hi NaN
+    until a row first needs one, and certain, set with lo, True where the
+    majority's fail tail at the point's gamma_lo comes out exactly 0."""
+    return (np.full(_GRID + 1, np.nan), np.full(_GRID + 1, np.nan),
+            np.zeros(_GRID + 1, dtype=bool))
+
+
+def _lo_point(a) -> np.ndarray:
+    """Per row, the index of the lo grid point at or above the Pinsker
+    bound ``a``."""
+    return np.ceil((np.fmax(a, 0.5) - 0.5) * (2 * _GRID)).astype(np.int64)
 
 
 def _survive_lo(a, inner: int) -> np.ndarray:
     """Per row, the bracket's lower end, widened by ``_BRACKET_SLACK``, for
     the Pinsker bound ``a``: taken at the grid point at or above a, since it
-    falls as a grows (NaN for a NaN a)."""
+    falls as a grows (NaN for a NaN a).  A point's fill also marks it
+    certain from the fail tail it computes beside lo."""
     a = _rows(a)
-    index = np.ceil((np.fmax(a, 0.5) - 0.5) * (2 * _GRID)).astype(np.int64)
+    lo, _, certain = _bracket_grid(inner)
 
     def fill(i):
         over = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, 0.5 + i / (2 * _GRID))[1]
         gamma_lo = np.maximum(1.0 - 2.0 * over, 0.0)
-        return _majority_prob(inner, gamma_lo) - _BRACKET_SLACK
+        fail, survive = _binom_tails(math.ceil(inner / 2), inner, gamma_lo)
+        certain[i] = fail == 0.0
+        return survive - _BRACKET_SLACK
 
-    return np.where(np.isnan(a), np.nan, _lazy_read(_bracket_grid(inner)[0], index, fill))
+    return np.where(np.isnan(a), np.nan, _lazy_read(lo, _lo_point(a), fill))
 
 
 def _survive_hi(m, inner: int) -> np.ndarray:
@@ -683,15 +720,18 @@ def _survive_bounds(n_draws: int, kl, gap, inner: int) -> tuple[np.ndarray, np.n
 
 
 def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
-                    inner: int) -> tuple[list[float], tuple | None]:
+                    inner: int) -> tuple[list[float], list[bool], tuple | None]:
     """Each level's survive floor, for the levels' trial draws ``n_draws``:
     the bracket's lower end at KL = K, less one more ``_BRACKET_SLACK`` for
     rounding in the tails that is not monotone, where K is the largest
     ``_min_kl`` over the nodes tau can reach (``p_tau`` not NaN).  K is inf
     when mu gives one of them zero mass; then a = 1 and every floor is below
     0, so it certifies no u, and no min-KL is computed.  Returned with the
-    floors: the min-KL values found for K, as (nodes, values) over the nodes
-    tau can reach whose pair is not equal, or None where none were."""
+    floors: whether each level is certain, no u < 1 stopping the walk at any
+    node tau can reach (its lo grid point is marked certain, which needs
+    gamma_lo > 0 and so K finite; see the module docstring), and the min-KL
+    values found for K, as (nodes, values) over the nodes tau can reach
+    whose pair is not equal, or None where none were."""
     # Masks only: gathering p_mu[reach] would copy up to 2^n floats.  An
     # equal pair's KL is exactly 0, so only the unequal pairs are computed;
     # NaN != NaN, so where no pair is unequal no node is dead or unreachable.
@@ -707,7 +747,8 @@ def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
         values = _min_kl(p_mu[differ], p_tau[differ])
         kl, known = values.max(initial=0.0), (differ, values)
     a = _pinsker_bound(np.asarray(n_draws, dtype=np.float64), kl)
-    return (_survive_lo(a, inner) - _BRACKET_SLACK).tolist(), known
+    floors = (_survive_lo(a, inner) - _BRACKET_SLACK).tolist()
+    return floors, _bracket_grid(inner)[2][_lo_point(a)].tolist(), known
 
 
 def _node_kl(size: int, known) -> np.ndarray:
@@ -801,14 +842,15 @@ class _CoordinateCursor:
     ``rng.integers(1, n + 1, size=outer, dtype=np.int32)`` call per level,
     of which it keeps none (see the module docstring).  ``level`` moves
     ``rng`` past a level's ``outer`` coordinates and the ``outer`` uniforms
-    the caller draws after them, and returns the function that replays
-    their slice [first, last); ``settle`` ends the run, before anything else
-    reads ``rng``.  Where it ``skips`` (a PCG64, n a power of two), it reads
-    the state once, each level takes one ``advance`` and one ``random_raw``
-    (the output whose high half the next 32-bit draw would read), and the
-    outputs drawn since the snapshot and the buffered 32-bit half are carried
-    here, since ``advance`` clears the generator's half and ``random``
-    neither reads nor changes it; ``settle`` writes the half back.
+    the caller draws or skips after them, and returns the function that
+    replays their slice [first, last); ``settle`` ends the run, before
+    anything else reads ``rng``.  Where it ``skips`` (a PCG64, n a
+    power of two), it reads the state once, each level takes one
+    ``advance`` and one ``random_raw`` (the output whose high half the next
+    32-bit draw would read), and the outputs drawn since the snapshot and
+    the buffered 32-bit half are carried here, since ``advance`` clears the
+    generator's half and ``random`` neither reads nor changes it;
+    ``settle`` writes the half back.
     Otherwise a level draws and drops its coordinates.  Each level keeps
     one start: the snapshot's output count and buffered half where it
     skips, else the generator state read when the level began.  A slice is
@@ -865,11 +907,7 @@ class _CoordinateCursor:
             if self.skips:
                 step, has, half = start
                 bit_generator.state = self.snapshot
-                bit_generator.advance(step)  # advance clears the buffered half
-                if has:
-                    state = bit_generator.state
-                    state["has_uint32"], state["uinteger"] = 1, half
-                    bit_generator.state = state
+                advance_pcg64(bit_generator, step, (has, half))
             else:
                 bit_generator.state = start
             pos = 0
@@ -879,10 +917,7 @@ class _CoordinateCursor:
 
     def settle(self) -> None:
         if self.skips and self.n > 1:
-            bit_generator = self.rng.bit_generator
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = self.has, self.half
-            bit_generator.state = state
+            advance_pcg64(self.rng.bit_generator, 0, (self.has, self.half))
 
 
 def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
@@ -892,10 +927,12 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
 
     Each level moves ``rng`` past its ``outer`` coordinates i through the
     run's ``_CoordinateCursor``, which keeps none of them (a searched chunk
-    replays its own), then draws its u into one per-run buffer,
-    ``_BLOCK_CHUNKS`` chunks (16,384 draws) at a time: the values and
-    stream of one ``rng.integers(1, n + 1, size=outer)`` and one
-    ``rng.random(outer)`` call.  A block whose u all lie below the level's survive floor (see the
+    replays its own), then draws its u into one per-run buffer, built when a
+    level first draws, ``_BLOCK_CHUNKS`` chunks (16,384 draws) at a time:
+    the values and stream of one ``rng.integers(1, n + 1, size=outer)`` and
+    one ``rng.random(outer)`` call.  A certain level (see the module
+    docstring) passes its u over instead and certifies all its draws.  A
+    block whose u all lie below the level's survive floor (see the
     module docstring; below 0 when tau can reach a node mu gives zero mass)
     survives whole on one ``max``; any other block is split into its chunks,
     and each chunk is certified the same way or searched.  A certified
@@ -918,18 +955,26 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     # Python ints: _level_charges' totals pass 2^63 at deep levels.
     draws = [_trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
     # Every level has the same inner.
-    floors, known = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
+    floors, certain, known = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
     node_kl = None  # built when the run first searches a chunk
     cursor = _CoordinateCursor(rng, n)
     block = _BLOCK_CHUNKS * _CHUNK
-    # Level 1 draws the most.
-    buffer = np.empty(min(block, schedule[0][2]))
+    buffer = None  # built when a level first draws its u
     certified = 0  # draws of the certified chunks whose tau uniforms are not yet skipped
     trace = []
-    for (t, eps_prime, outer, inner), n_draws, floor in zip(schedule, draws, floors):
+    for (t, eps_prime, outer, inner), n_draws, floor, sure in zip(schedule, draws, floors,
+                                                                  certain):
         coordinates = cursor.level(outer)
         rejected_at = stop_node = None
-        for start in range(0, outer, block):
+        starts = range(0, outer, block)
+        if sure:
+            # No u < 1 stops the walk here: its u are passed over, not drawn.
+            skip_uniforms(rng, outer)
+            certified, starts = certified + outer, ()
+        elif buffer is None:
+            # Later levels draw fewer.
+            buffer = np.empty(min(block, outer))
+        for start in starts:
             u_block = buffer[:min(block, outer - start)]
             rng.random(out=u_block)
             if u_block.max() < floor:

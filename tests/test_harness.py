@@ -174,7 +174,7 @@ def test_rate_lower_bound_values():
         rate_lower_bound(5, 4)
 
 
-# The CSV sha256 of the six CLI scenarios, each run with --out DIR, where the
+# The CSV sha256 of the seven CLI scenarios, each run with --out DIR, where the
 # key is the CSV's path under DIR.  The CI's console-script step reads the
 # same file.
 CLI_PINS = {name: (pin["argv"], pin["sha256"]) for name, pin
@@ -214,7 +214,7 @@ def test_import_leaves_scipy_stats_unloaded(module):
 
 def test_runtime_runs_with_scipy_blocked(tmp_path):
     """The runtime needs NumPy only.  A fresh interpreter with SciPy blocked
-    imports condtest.cli, runs the six CI-pinned scenarios through
+    imports condtest.cli, runs the seven CI-pinned scenarios through
     ``cli.main``, writes their pinned CSV bytes, and ends with no scipy
     module loaded: a deferred import would fail or show up here."""
     env = dict(os.environ, PYTHONPATH=str(Path(condtest.__file__).parents[1]))

@@ -27,6 +27,8 @@ from condtest.oracles import (
 )
 from condtest.testers import (
     CHI2_SAMPLE_FACTOR,
+    CHI2_THRESHOLD,
+    CHI2_TRIALS,
     MIN_EPS_L,
     BitSampler,
     Verdict,
@@ -44,8 +46,10 @@ from condtest.testers import (
     slice_divergence_threshold,
 )
 from conftest import (
+    EXACT_DPS,
     exact_accept_prob,
     exact_binom_pmfs,
+    exact_binom_tail,
     exact_calculus,
     exact_tail_reaches,
     full_support_calculus,
@@ -1561,9 +1565,9 @@ def test_survive_memo_evicts_its_oldest_quarter(monkeypatch):
 
 
 def _no_floors(p_mu, p_tau, n_draws, inner):
-    """A floor of -1 at every level, which certifies no chunk, and no
-    min-KL found."""
-    return [-1.0] * len(n_draws), None
+    """A floor of -1 at every level, which certifies no chunk, no level
+    certain and no min-KL found."""
+    return [-1.0] * len(n_draws), [False] * len(n_draws), None
 
 
 def test_walk_does_not_depend_on_the_floor(monkeypatch):
@@ -1712,7 +1716,7 @@ def test_floor_lies_below_every_reachable_lower_end(name):
     schedule = levin_schedule(testers._levin_eps(8, 0.5))
     draws = [testers._trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
     inner = schedule[0][3]
-    floors, _ = testers._survive_floors(p_mu, p_tau, draws, inner)
+    floors, _, _ = testers._survive_floors(p_mu, p_tau, draws, inner)
     assert len(floors) == len(schedule)
     for t, (n_draws, floor) in enumerate(zip(draws, floors), start=1):
         lo, _ = testers._survive_bounds(n_draws, testers._min_kl(p_mu[live], p_tau[live]),
@@ -1747,17 +1751,16 @@ def test_floor_of_one_node_array_skips_the_comparison(table):
     draws = [testers._trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
     inner = schedule[0][3]
     one = p.view(_Uncomparable)
-    floors, known = testers._survive_floors(one, one, draws, inner)
-    copy_floors, copy_known = testers._survive_floors(p, p.copy(), draws, inner)
+    floors, _, known = testers._survive_floors(one, one, draws, inner)
+    copy_floors, _, copy_known = testers._survive_floors(p, p.copy(), draws, inner)
     assert floors == copy_floors
     assert known[0].tolist() == copy_known[0].tolist() == []
     assert known[1].tolist() == copy_known[1].tolist() == []
 
 
 def test_uniform_self_test_searches_no_draw(monkeypatch):
-    """n = 16 uniform self-test: K = 0, every chunk's u lie below the floor,
-    so no tau draw is searched, and the run still bills the accept-path
-    totals."""
+    """n = 16 uniform self-test: K = 0, so every level is certain and no tau
+    draw is searched, and the run still bills the accept-path totals."""
     def no_search(*args):
         raise AssertionError("a tau draw was searched")
 
@@ -1767,6 +1770,179 @@ def test_uniform_self_test_searches_no_draw(monkeypatch):
     expect = expected_equivalence_queries(16, 0.3)
     assert v.accepted
     assert (v.queries_used["prefix"], v.queries_used["marginal"]) == (expect["tau"], expect["mu"])
+
+
+# ----------------------------------------------------------------------
+# the certain tier
+
+
+# name -> (n, eps) of the benchmark workloads that run the walk
+BENCHMARK_SCHEDULES = {"equiv-uniform-n16": (16, 0.3), "equiv-random-n8": (8, 0.5),
+                       "interval-near-reject": (8, 0.3)}
+
+
+def _certain_points(inner):
+    """(the lo grid's points a_i, the indices of those marked certain) for
+    ``inner``, every point filled."""
+    a = 0.5 + np.arange(testers._GRID + 1) / (2 * testers._GRID)
+    testers._survive_lo(a, inner)
+    return a, np.flatnonzero(testers._bracket_grid(inner)[2])
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SCHEDULES))
+def test_certain_grid_points_fail_below_half_an_ulp(name):
+    """Every lo grid point the tier marks, for the inner of a benchmark
+    schedule, has an exact (40-digit) majority fail tail Pr[Bin(inner,
+    gamma_lo) < ceil(inner / 2)] below 2^-54 at its exact gamma_lo =
+    1 - 2 Pr[Bin(64, a_i) > 40].  gamma_lo falls as a_i grows and the fail
+    tail falls as gamma_lo grows, so the last marked point bounds every
+    other; it is checked with every 64th marked point."""
+    n, eps = BENCHMARK_SCHEDULES[name]
+    inner = levin_schedule(testers._levin_eps(n, eps))[0][3]
+    a, marked = _certain_points(inner)
+    assert marked.size > 500 and marked.tolist() == list(range(marked.size))
+    k = math.ceil(inner / 2)
+    for i in sorted({*marked[::64].tolist(), int(marked[-1])}):
+        with mpmath.workdps(EXACT_DPS):
+            gamma_lo = 1 - 2 * exact_binom_tail(CHI2_THRESHOLD + 1, CHI2_TRIALS, a[i])
+            fail = mpmath.fsum(exact_binom_pmfs(inner, gamma_lo, 0, k - 1))
+        assert fail < mpmath.mpf(2) ** -54, (i, fail)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SCHEDULES))
+def test_certain_pairs_survive_exactly(name):
+    """At seeded pairs (p, q) whose Pinsker bound a lies at or below the last
+    marked lo grid point, at the first, middle and last level's trial draws
+    N of a benchmark schedule, ``blackbox_survive_prob`` returns exactly 1.0
+    and ``_survive_bounds`` gives hi > 1, so no u < 1 stops such a node:
+    equal pairs, p at 0 and 1, and pairs whose a - 1/2 lies within 1% of
+    the point's."""
+    n, eps = BENCHMARK_SCHEDULES[name]
+    schedule = levin_schedule(testers._levin_eps(n, eps))
+    inner = schedule[0][3]
+    a, marked = _certain_points(inner)
+    a_top = a[marked[-1]]
+    draws = [testers._trial_draws(eps_prime) for _, eps_prime, _, _ in schedule]
+    gen = np.random.default_rng(1900 + n)
+    for n_draws in (draws[0], draws[len(draws) // 2], draws[-1]):
+        # |p - q| = s sqrt(2 p (1 - p) kl_top) puts a near s (a_top - 1/2) + 1/2.
+        kl_top = 2.0 * (a_top - 0.5) ** 2 / n_draws
+        p = np.concatenate([gen.random(60), [0.0, 1.0, 0.5]])
+        s = np.concatenate([gen.uniform(-1.0, 1.0, 40), np.where(gen.random(20) < 0.5, -1.0, 1.0),
+                            np.zeros(3)])
+        q = np.clip(p + s * np.sqrt(2.0 * p * (1.0 - p) * kl_top), 0.0, 1.0)
+        kl = testers._min_kl(p, q)
+        keep = testers._pinsker_bound(n_draws, kl) <= a_top
+        assert keep.sum() > 45
+        assert testers._pinsker_bound(n_draws, kl[keep]).max() > a_top - 0.01 * (a_top - 0.5)
+        survive = blackbox_survive_prob(n_draws, p[keep], q[keep], inner)
+        _, hi = testers._survive_bounds(n_draws, kl[keep], (p - q)[keep], inner)
+        assert (survive == 1.0).all(), n_draws
+        assert (hi > 1.0).all(), n_draws
+
+
+def _count_certain_levels(monkeypatch, clear=False):
+    """Patch ``_survive_floors`` to count each call's certain levels and, with
+    ``clear``, to report none certain, its floors and known min-KL unchanged;
+    returns the list of counts."""
+    survive_floors, marked = testers._survive_floors, []
+
+    def floors(*args):
+        floors, certain, known = survive_floors(*args)
+        marked.append(sum(certain))
+        return floors, [False] * len(certain) if clear else certain, known
+
+    monkeypatch.setattr(testers, "_survive_floors", floors)
+    return marked
+
+
+def test_walk_does_not_depend_on_the_certain_tier(monkeypatch):
+    """Every WALK_CORPUS run gives the same (accepted, queries_used, trace)
+    with no level certain, every u drawn and checked against the floor, and
+    leaves tau's RNG in the same state, and the walk generator too after an
+    accept: a certain level's u are passed over to the state that drawing
+    them leaves.  The corpus marks levels at n a power of two (the cursor
+    skips, n = 1 included) and at other n (the cursor draws)."""
+    runs = [(k, run) for group in WALK_CORPUS.values() for k, run in enumerate(group)]
+    walk, states, sizes = testers._run_equivalence, [], []
+
+    def recording(tau, mu, eps_l, rng):
+        verdict = walk(tau, mu, eps_l, rng)
+        states.append((tau.rng.bit_generator.state, rng.bit_generator.state))
+        sizes.append(tau.n)
+        return verdict
+
+    monkeypatch.setattr(testers, "_run_equivalence", recording)
+    marked = _count_certain_levels(monkeypatch)
+    tiered = [run(11 * k) for k, run in runs]
+    tiered_states, states[:] = states[:], []
+    certain_sizes = {n for n, count in zip(sizes, marked) if count}
+    assert 1 in certain_sizes and certain_sizes - {1, 2, 4, 8, 16}
+    _count_certain_levels(monkeypatch, clear=True)
+    for (k, run), v, (tau_state, rng_state) in zip(runs, tiered, tiered_states):
+        off = run(11 * k)
+        assert (off.accepted, off.queries_used, off.trace) == (v.accepted, v.queries_used,
+                                                               v.trace), k
+        assert states[-1][0] == tau_state, k
+        if v.accepted:
+            assert states[-1][1] == rng_state, k
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+@pytest.mark.parametrize("stream", ["pcg64", "pcg64-buffered", "mt19937", "sfc64"])
+def test_certain_levels_keep_any_walk_stream(monkeypatch, n, stream):
+    """A uniform self-test, every level of which is certain, gives the same
+    verdict and leaves tau's and the walk generator's full states as with no
+    level certain, on a walk generator the cursor advances (a PCG64 at n a
+    power of two), one it advances keeping a buffered half (a PCG64 at other
+    n) and ones whose u it draws (MT19937, SFC64)."""
+    def walk():
+        table = DistributionTable.uniform(n)
+        tau, mu = TableOracle(table, seed=1), TableOracle(table, seed=2)
+        bit_generator = np.random.PCG64 if stream.startswith("pcg64") else getattr(
+            np.random, stream.upper())
+        rng = np.random.Generator(bit_generator(7))
+        if stream == "pcg64-buffered":
+            rng.integers(0, 10, dtype=np.int32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        verdict = testers._run_equivalence(tau, mu, testers._levin_eps(n, 0.5), rng)
+        return (verdict.accepted, verdict.trace, _full_state(tau.rng), _full_state(rng))
+
+    tiered = walk()
+    marked = _count_certain_levels(monkeypatch, clear=True)
+    assert walk() == tiered
+    assert marked[0] == len(tiered[1])
+
+
+class _CountingGenerator(np.random.Generator):
+    """A PCG64 ``Generator`` that counts the doubles ``random`` draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.drawn = 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self.drawn += out.size if out is not None else int(np.prod(size))
+        return super().random(size, dtype, out)
+
+
+def test_uniform_self_test_draws_no_uniform(monkeypatch):
+    """The uniform n = 16, eps = 0.3 self-test (the ``equiv-uniform-n16``
+    unit) is certain at all 16 levels, so its walk draws none of its 229,963
+    uniforms, and leaves the walk generator where drawing them all does."""
+    def walk():
+        tab = DistributionTable.uniform(16)
+        rng = _CountingGenerator(3)
+        verdict = testers._run_equivalence(TableOracle(tab, seed=1), TableOracle(tab, seed=2),
+                                           testers._levin_eps(16, 0.3), rng)
+        assert verdict.accepted
+        return rng.drawn, _full_state(rng)
+
+    tiered, tiered_state = walk()
+    _count_certain_levels(monkeypatch, clear=True)
+    drawn, state = walk()
+    assert (tiered, drawn) == (0, 229_963)
+    assert tiered_state == state
 
 
 # ----------------------------------------------------------------------
@@ -1833,7 +2009,7 @@ def test_first_stop_matches_the_per_node_bracket_rule():
     for k, name in enumerate(NODE_KL_PAIRS):
         tau, mu = NODE_KL_PAIRS[name]()
         p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
-        _, known = testers._survive_floors(p_mu, p_tau, draws, inner)
+        _, _, known = testers._survive_floors(p_mu, p_tau, draws, inner)
         assert (known is None) == name.startswith("dead")
         node_kl = testers._node_kl(p_mu.size, known)
         gen = np.random.default_rng(1800 + k)
