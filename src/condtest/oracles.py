@@ -52,9 +52,9 @@ block's node entries are that marginal's ``node_conditionals``.
 Billing has one entry, ``charge(cls, m)``: it bills m queries of class
 ``cls`` to the oracle's own counter and forwards them to the oracle it is
 built on (``base``) as that wrapper's ``base_class``.  The testers meter
-only through it, once per Levin level: the y-draws a level consumed, the
-bit samples of their black-box runs and, on a zero-probability reject, the
-one failed marginal query.
+only through it, once per run on each source: the y-draws the run's levels
+consumed, the bit samples of their black-box runs and, on a
+zero-probability reject, the one failed marginal query.
 """
 
 from __future__ import annotations

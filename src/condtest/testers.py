@@ -20,17 +20,16 @@ The equivalence tester is one walk.  It reads the exact conditional bit
 probabilities of both oracles as two arrays over the 2^n - 1 nodes
 (``node_bit_probs``: coordinate i and prefix w at ``node_index(i, w)``, NaN
 where w has zero mass).  Each Levin level takes its coordinates i, then its
-uniforms u, drawn a block of four 4096-draw chunks at a time (none at a
-certain level, below), pulls the tau
-samples behind each searched chunk's y-draws, turns them into node indices
-and stops at the first draw that does not survive: a node whose mu entry is
-NaN (a zero-probability reject) or one whose u is at least the probability
-that a majority of ``inner`` black-box runs accept (binomial trial sums ->
-multinomial (A, B) counts -> binomial majority tally).  So the verdict law
-is that of the literal tester, Levin's work balance whose black box is
-``single_bit_chi2_test`` on ``BitSampler`` bits, whose accepting runs draw
-more than 10^9 bits even at n = 1.  The level is charged once, when it ends, for the
-draws it consumed.
+uniforms u, drawn a 4096-draw chunk at a time (none at a certain level,
+below), pulls the tau samples behind each searched chunk's y-draws, turns
+them into node indices and stops at the first draw that does not survive:
+a node whose mu entry is NaN (a zero-probability reject) or one whose u is
+at least the probability that a majority of ``inner`` black-box runs
+accept (binomial trial sums -> multinomial (A, B) counts -> binomial
+majority tally).  So the verdict law is that of the literal tester, Levin's
+work balance whose black box is ``single_bit_chi2_test`` on ``BitSampler``
+bits, whose accepting runs draw more than 10^9 bits even at n = 1.  The run
+is charged once, when it ends, for the draws each of its levels consumed.
 
 Only a searched chunk reads its coordinates, and no level keeps them
 (``_CoordinateCursor``).  For n a power of two and a PCG64 stream a level
@@ -140,16 +139,15 @@ Certified decisions
     monotone.  A chunk whose largest u is below the floor has u < lo at each
     draw, whatever node it lands on, so every draw survives: the walk
     consumes the chunk's tau uniforms without searching them and moves on.
-    One ``max`` checks a whole block of u, and only a block that reaches
-    the floor is split into its chunks.  The certified draws are consumed
-    by one ``skip_full_draws`` per run of them, before the next search or
-    at the end of the run, whatever levels they span.  A node tau can
-    reach that mu gives zero mass (dead) stops the walk at every u, so then
-    K = inf, a = 1 and the floor is below 0, which certifies nothing.  A run
-    finds K and every level's floor once, before its first level
-    (``_survive_floors``).  Verdicts, query totals, traces and tau's random
-    stream are those of the walk without the floor: it is one more tier of
-    the ladder chunk floor -> node bracket -> exact calculus.
+    The certified draws are consumed by one ``skip_full_draws`` per run of
+    them, before the next search or at the end of the run, whatever levels
+    they span.  A node tau can reach that mu gives zero mass (dead) stops
+    the walk at every u, so then K = inf, a = 1 and the floor is below 0,
+    which certifies nothing.  A run finds K and every level's floor once,
+    before its first level (``_survive_floors``).  Verdicts, query totals,
+    traces and tau's random stream are those of the walk without the floor:
+    it is one more tier of the ladder chunk floor -> node bracket -> exact
+    calculus.
 
     The certain tier.  Above the floor, a level is certain when no u < 1
     can stop the walk at it: no dead node is reachable (K finite) and the
@@ -192,11 +190,12 @@ Certified decisions
     capped at 2^14 entries; when it is full, its oldest quarter is evicted
     at once.  So repeated runs on the same distributions skip the calculus.
 
-Metering goes only through the oracles' ``charge``, in the amounts
-``_level_charges`` states: every y-draw costs one prefix query, every
-black-box run its trial samples, and a zero-probability reject the one
-failed marginal query.  ``queries_used`` counts each distinct counter on
-both oracles' chains once.
+Metering goes only through the oracles' ``charge``, once per run on each
+source, in the amounts ``_level_charges`` states for each level the run
+reached: every y-draw costs one prefix query, every black-box run its
+trial samples, and a zero-probability reject the one failed marginal
+query.  ``queries_used`` counts each distinct counter on both oracles'
+chains once.
 """
 
 from __future__ import annotations
@@ -290,9 +289,10 @@ def single_bit_chi2_test(sampler_p: BitSampler, sampler_q: BitSampler,
 # The least eps_L the walk runs at: the run budget.  Levin's schedule at eps_L
 # runs levels t = 1 .. t_max = ceil(log2(2 / eps_L)), level t with
 # ceil(2^(3-t) / eps_L) outer draws, so its accept path takes at most
-# 8 / eps_L + t_max y-draws, 2^36 - 4 at the bound: about 3 minutes at 2.6 ns
-# per certified draw (PCG64, n a power of two), 7 at 5.9 ns (any other n), on
-# one core of a 2-core x86-64 VM.
+# 8 / eps_L + t_max y-draws, 2^36 - 4 at the bound.  At levels that are not
+# certain, that is about 3 minutes at 2.6 ns per certified draw (PCG64, n a
+# power of two) and 7 at 5.9 ns (any other n), on one core of a 2-core x86-64
+# VM; a certain level draws no u.
 MIN_EPS_L = 2.0 ** -33
 _MIN_EPS_L_TEXT = f"2^{math.log2(MIN_EPS_L):.0f}"
 
@@ -803,8 +803,6 @@ def _counter_totals(oracles) -> dict[str, int]:
 # first draw, since every u >= _DEAD.
 _DEAD = -1.0
 _CHUNK = 4096
-# The chunks of u one ``max`` certifies at once: a block of 4 is 128 KiB.
-_BLOCK_CHUNKS = 4
 
 
 def _first_stop(p_mu: np.ndarray, p_tau: np.ndarray, node_kl: np.ndarray, nodes: np.ndarray,
@@ -927,28 +925,25 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
 
     Each level moves ``rng`` past its ``outer`` coordinates i through the
     run's ``_CoordinateCursor``, which keeps none of them (a searched chunk
-    replays its own), then draws its u into one per-run buffer, built when a
-    level first draws, ``_BLOCK_CHUNKS`` chunks (16,384 draws) at a time:
-    the values and stream of one ``rng.integers(1, n + 1, size=outer)`` and
-    one ``rng.random(outer)`` call.  A certain level (see the module
-    docstring) passes its u over instead and certifies all its draws.  A
-    block whose u all lie below the level's survive floor (see the
-    module docstring; below 0 when tau can reach a node mu gives zero mass)
-    survives whole on one ``max``; any other block is split into its chunks,
-    and each chunk is certified the same way or searched.  A certified
-    chunk's tau uniforms are consumed without a search, by one
-    ``skip_full_draws`` per run of certified chunks, before the next search
-    or at the end of the run, so tau's stream is the same as if they were
-    searched.  Tau's samples are pulled ``_CHUNK`` at a time, so after a
-    rejecting run tau's RNG has advanced by up to one chunk beyond the draws
-    consumed, and ``rng`` by up to one block; only a caller who reuses
-    either for another run can see it.  After an accepting run ``rng`` holds
-    the state of drawing every level's i and u.
+    replays its own), then draws its u a ``_CHUNK`` at a time: the values
+    and stream of one ``rng.integers(1, n + 1, size=outer)`` and one
+    ``rng.random(outer)`` call.  A certain level (see the module docstring)
+    passes its u over instead and certifies all its draws.  A chunk whose u
+    all lie below the level's survive floor (see the module docstring;
+    below 0 when tau can reach a node mu gives zero mass) survives whole on
+    one ``max``; any other chunk is searched.  A certified chunk's tau
+    uniforms are consumed without a search, by one ``skip_full_draws`` per
+    run of certified chunks, before the next search or at the end of the
+    run, so tau's stream is the same as if they were searched.  After a
+    rejecting run tau's RNG and ``rng`` have each advanced by up to one
+    chunk beyond the rejecting draw; only a caller who reuses either for
+    another run can see it.  After an accepting run ``rng`` holds the state
+    of drawing every level's i and u.
 
-    Each level is billed once it ends, through ``_level_charges``, the one
-    statement of the level-end charge: tau pays prefix queries, mu marginal
-    queries, for the draws the level consumed and whether its stop was
-    dead."""
+    The run is billed once, when it ends, with the sum of ``_level_charges``
+    over the levels it reached, the one statement of a level's charge: tau
+    pays prefix queries, mu marginal queries, for the draws each level
+    consumed and whether its stop was dead."""
     n = tau.n
     p_tau, p_mu = tau.node_bit_probs(), mu.node_bit_probs()
     schedule = levin_schedule(eps_l)
@@ -958,32 +953,21 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
     floors, certain, known = _survive_floors(p_mu, p_tau, draws, schedule[0][3])
     node_kl = None  # built when the run first searches a chunk
     cursor = _CoordinateCursor(rng, n)
-    block = _BLOCK_CHUNKS * _CHUNK
-    buffer = None  # built when a level first draws its u
     certified = 0  # draws of the certified chunks whose tau uniforms are not yet skipped
-    trace = []
+    trace, charges = [], []
     for (t, eps_prime, outer, inner), n_draws, floor, sure in zip(schedule, draws, floors,
                                                                   certain):
         coordinates = cursor.level(outer)
         rejected_at = stop_node = None
-        starts = range(0, outer, block)
         if sure:
             # No u < 1 stops the walk here: its u are passed over, not drawn.
             skip_uniforms(rng, outer)
-            certified, starts = certified + outer, ()
-        elif buffer is None:
-            # Later levels draw fewer.
-            buffer = np.empty(min(block, outer))
-        for start in starts:
-            u_block = buffer[:min(block, outer - start)]
-            rng.random(out=u_block)
-            if u_block.max() < floor:
-                # Every node tau can draw survives these u.
-                certified += u_block.size
-                continue
-            for first in range(start, start + u_block.size, _CHUNK):
-                u = u_block[first - start:first - start + _CHUNK]
+            certified += outer
+        else:
+            for first in range(0, outer, _CHUNK):
+                u = rng.random(min(_CHUNK, outer - first))
                 if u.max() < floor:
+                    # Every node tau can draw survives these u.
                     certified += u.size
                     continue
                 if certified:
@@ -999,18 +983,17 @@ def _run_equivalence(tau, mu, eps_l: float, rng) -> Verdict:
                 if pos is not None:
                     rejected_at, stop_node = first + pos, nodes[pos]
                     break
-            if rejected_at is not None:
-                break
         dead = stop_node is not None and bool(np.isnan(p_mu[stop_node]))
         used = outer if rejected_at is None else rejected_at + 1
-        tau_queries, mu_queries = _level_charges(n_draws, inner, used, dead)
-        tau.charge(QueryClass.PREFIX, tau_queries)
-        mu.charge(QueryClass.MARGINAL, mu_queries)
+        charges.append(_level_charges(n_draws, inner, used, dead))
         trace.append(_level_record(t, eps_prime, outer, inner, rejected_at, dead))
         if rejected_at is not None:
             break
     if certified:
         tau.skip_full_draws(certified)
+    tau_queries, mu_queries = (sum(column) for column in zip(*charges))
+    tau.charge(QueryClass.PREFIX, tau_queries)
+    mu.charge(QueryClass.MARGINAL, mu_queries)
     cursor.settle()
     return Verdict(rejected_at is None, trace=trace)
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -478,6 +479,50 @@ def test_accept_path_count_in_closed_form():
             total = expected_equivalence_queries(n, eps)["total"]
             ratios.append(total / (n * math.log2(2 * n / eps) * t_max * inner / eps ** 2))
     assert 589_824 <= min(ratios) and max(ratios) <= 651_085
+
+
+def _table_number(x: float) -> str:
+    """A README table entry: 3 significant digits below 100, a whole number
+    with thousands separators below 10^6, else 3 significant digits as
+    "1.23e13"."""
+    if x < 100:
+        return f"{x:.3g}"
+    if x < 1e6:
+        return f"{round(x):,}"
+    mantissa, exponent = f"{x:.3g}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+def test_query_count_table_matches_the_code():
+    """Every number of README's tables of the accept-path count set against
+    the paper's bounds, recomputed from ``expected_equivalence_queries``;
+    and an accepting interval run bills that count as interval queries on
+    its base, its total twice that."""
+    def row(cells):
+        return "| " + " | ".join(cells) + " |"
+
+    walk = [row(["n", "eps", "queries", "n/ε²", "queries ÷ n/ε²", "n²/ε²", "√n/ε²"]),
+            "|" + "---|" * 7]
+    for n, eps in ((1, 0.5), (4, 0.5), (8, 0.3), (16, 0.3), (16, 0.1), (20, 0.05)):
+        total, linear = expected_equivalence_queries(n, eps)["total"], n / eps ** 2
+        walk.append(row([str(n), str(eps)] + [_table_number(x) for x in (
+            total, linear, total / linear, n * linear, math.sqrt(n) / eps ** 2)]))
+    interval = [row(["N", "n = ceil(log2 N)", "eps", "interval queries", "log2(N)/ε²",
+                     "queries ÷ log2(N)/ε²"]), "|" + "---|" * 6]
+    for big_n, eps in ((200, 0.3), (1000, 0.3), (1000, 0.1), (10 ** 6, 0.3)):
+        n = distcore.code_bits(big_n)
+        total, bound = expected_equivalence_queries(n, eps)["total"], math.log2(big_n) / eps ** 2
+        interval.append(row([f"{big_n:,}", str(n), str(eps)]
+                            + [_table_number(x) for x in (total, bound, total / bound)]))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for table in (walk, interval):
+        assert "\n".join(table) + "\n" in readme
+    pmf = np.full(200, 1 / 200)
+    v = interval_equivalence_test(IntervalOracle(pmf, seed=1), IntervalOracle(pmf, seed=2), 0.3,
+                                  seed=3)
+    assert v.accepted
+    assert v.queries_used["interval"] == expected_equivalence_queries(8, 0.3)["total"]
+    assert v.queries_used["total"] == 2 * v.queries_used["interval"]
 
 
 def test_equivalence_determinism():
@@ -1888,6 +1933,19 @@ def test_walk_does_not_depend_on_the_certain_tier(monkeypatch):
             assert states[-1][1] == rng_state, k
 
 
+def _walk_generator(stream: str, seed: int) -> np.random.Generator:
+    """A walk generator on ``stream``'s bit generator: "pcg64",
+    "pcg64-buffered" (a PCG64 holding a buffered 32-bit half), "mt19937" or
+    "sfc64"."""
+    bit_generator = np.random.PCG64 if stream.startswith("pcg64") else getattr(
+        np.random, stream.upper())
+    rng = np.random.Generator(bit_generator(seed))
+    if stream == "pcg64-buffered":
+        rng.integers(0, 10, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 @pytest.mark.parametrize("stream", ["pcg64", "pcg64-buffered", "mt19937", "sfc64"])
 def test_certain_levels_keep_any_walk_stream(monkeypatch, n, stream):
@@ -1899,12 +1957,7 @@ def test_certain_levels_keep_any_walk_stream(monkeypatch, n, stream):
     def walk():
         table = DistributionTable.uniform(n)
         tau, mu = TableOracle(table, seed=1), TableOracle(table, seed=2)
-        bit_generator = np.random.PCG64 if stream.startswith("pcg64") else getattr(
-            np.random, stream.upper())
-        rng = np.random.Generator(bit_generator(7))
-        if stream == "pcg64-buffered":
-            rng.integers(0, 10, dtype=np.int32)
-            assert rng.bit_generator.state["has_uint32"] == 1
+        rng = _walk_generator(stream, 7)
         verdict = testers._run_equivalence(tau, mu, testers._levin_eps(n, 0.5), rng)
         return (verdict.accepted, verdict.trace, _full_state(tau.rng), _full_state(rng))
 
@@ -1943,6 +1996,72 @@ def test_uniform_self_test_draws_no_uniform(monkeypatch):
     drawn, state = walk()
     assert (tiered, drawn) == (0, 229_963)
     assert tiered_state == state
+
+
+def _near_views(seed):
+    """TableOracles over eight bits: a Dirichlet tau and mu a 1e-3 mixture
+    of it with another Dirichlet table."""
+    tau = _dirichlet(seed, 256)
+    return (TableOracle(DistributionTable(8, tau), seed=1),
+            TableOracle(DistributionTable(8, _near(tau, _dirichlet(seed + 1000, 256), 1e-3)),
+                        seed=2))
+
+
+@pytest.mark.parametrize("stream", ["pcg64", "pcg64-buffered", "mt19937"])
+@pytest.mark.parametrize("seed, where", [(2130, "past the first chunk"),
+                                         (2104, "in a level shorter than a chunk")],
+                         ids=["past-first-chunk", "short-level"])
+def test_rejecting_walk_leaves_its_generator_one_chunk_past_the_reject(stream, seed, where):
+    """A walk that rejects at a later level, on a caller's generator, leaves
+    it where drawing each earlier level's i and then all its u leaves a
+    second generator of the same kind, followed by the rejecting level's i
+    and its u up to the end of the rejecting draw's chunk: the walk draws u
+    a chunk at a time and stops at the chunk that rejects."""
+    rng, replay = _walk_generator(stream, 3), _walk_generator(stream, 3)
+    tau, mu = _near_views(seed)
+    verdict = equivalence_test(tau, mu, 0.3, seed=rng)
+    *passed, last = verdict.trace
+    assert not verdict.accepted and passed and not last.get("zero_probability_reject")
+    chunk, rejected_at, outer = testers._CHUNK, last["rejected_at"], last["outer"]
+    if where == "past the first chunk":
+        assert chunk <= rejected_at and (rejected_at // chunk + 1) * chunk < outer
+    else:
+        assert outer < chunk
+    for record in passed:
+        replay.integers(1, tau.n + 1, size=record["outer"], dtype=np.int32)
+        replay.random(record["outer"])
+    replay.integers(1, tau.n + 1, size=outer, dtype=np.int32)
+    replay.random(min(outer, (rejected_at // chunk + 1) * chunk))
+    assert _full_state(rng) == _full_state(replay)
+
+
+@pytest.mark.parametrize("pair, counters", [("table", 2), ("interval", 4)])
+def test_walk_bills_each_counter_once_per_run(monkeypatch, pair, counters):
+    """A walk of several levels, accepting or rejecting, adds to each
+    distinct counter on the two oracles' chains once: 2 adds for a
+    TableOracle pair, 4 for an interval pair (each view and its base)."""
+    adds = []
+    add = oracles.QueryCounter.add
+    monkeypatch.setattr(oracles.QueryCounter, "add",
+                        lambda counter, cls, k=1: adds.append(cls) or add(counter, cls, k))
+    if pair == "table":
+        table = DistributionTable.uniform(4)
+        runs = [lambda: equivalence_test(TableOracle(table, seed=1), TableOracle(table, seed=2),
+                                         0.5, seed=3),
+                lambda: equivalence_test(*_near_views(2104), 0.3, seed=3)]
+    else:
+        tau, mu = (oracle.base.pmf for oracle in _interval_tilt(1603))
+        runs = [lambda: interval_equivalence_test(IntervalOracle(tau, seed=1),
+                                                  IntervalOracle(tau, seed=2), 0.3, seed=3),
+                lambda: interval_equivalence_test(IntervalOracle(tau, seed=1),
+                                                  IntervalOracle(mu, seed=2), 0.3, seed=3)]
+    verdicts = []
+    for run in runs:
+        adds.clear()
+        verdicts.append(run())
+        assert len(verdicts[-1].trace) > 1
+        assert len(adds) == counters
+    assert [v.accepted for v in verdicts] == [True, False]
 
 
 # ----------------------------------------------------------------------

@@ -124,8 +124,8 @@ def _run(case: dict):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(walk_cases())
-# Dead rejects at draws 64,419 and 39,453 of a 67,727-draw level 1, past
-# its first blocks of u, the second with the caller's generator buffered.
+# Dead rejects at draws 64,419 and 39,453 of a 67,727-draw level 1, many
+# chunks of u into it, the second with the caller's generator buffered.
 @example({"kind": "table", "size": 5, "seed": 2, "alpha": 1.0, "mix": 0.0, "zeros": "thin",
           "eps": 0.2, "walk_stream": "pcg64", "tau_stream": "pcg64"})
 @example({"kind": "table", "size": 5, "seed": 9, "alpha": 1.0, "mix": 0.0, "zeros": "thin",
