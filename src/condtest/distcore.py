@@ -467,8 +467,7 @@ class TupleDomain:
         return math.prod(self.sizes)
 
     def element_of(self, idx: int):
-        out = []
-        for alpha in reversed(self.alphabets):
-            idx, r = divmod(idx, len(alpha))
-            out.append(alpha[r])
-        return tuple(reversed(out))
+        """The element at ``idx`` in mixed radix, the last coordinate least
+        significant; an index outside [0, size) raises ValueError."""
+        digits = np.unravel_index(idx, self.sizes)
+        return tuple(alpha[d] for alpha, d in zip(self.alphabets, digits))

@@ -80,10 +80,11 @@ The survive calculus
     lies in (1e-6, 1 - 1e-6), alpha and beta are within 6.7e-16 and survive
     within 1e-13 (at most 9.7e-14, at N = 786,432) at every N measured up
     to 1,572,864 (``scripts/exact_calculus_error.py``; SciPy's Boost
-    kernels, used before, missed by up to 1.2e-14 and 1.8e-12).  So a draw
-    can be decided against the exact rule u >= survive only if its u lies
-    within 1e-13 of its survive value: that is the per-decision error of
-    the walk's verdict law, next to the windows' 1.5e-18.
+    kernels, used before, missed by up to 1.2e-14 and 1.8e-12, measured
+    before that path left the tests).  So a draw can be decided against
+    the exact rule u >= survive only if its u lies within 1e-13 of its
+    survive value: that is the per-decision error of the walk's verdict
+    law, next to the windows' 1.5e-18.
 
 Certified decisions
     Most draws are decided without that calculus, by a closed-form bracket
@@ -589,11 +590,13 @@ def chi2_accept_prob(alpha, beta):
     return gamma
 
 
-def _majority_prob(inner: int, gamma) -> np.ndarray:
-    """Per row, Pr[Bin(inner, gamma) >= ceil(inner / 2)]: the majority tally
-    of ``inner`` runs (+1 per accept, -1 per reject), each accepting with
-    probability gamma, is non-negative, which keeps a drawn y alive."""
-    return _binom_tails(math.ceil(inner / 2), inner, gamma)[1]
+def _majority_prob(inner: int, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, both tails of the majority tally of ``inner`` runs (+1 per
+    accept, -1 per reject), each accepting with probability gamma: (fail,
+    survive) = (Pr[Bin(inner, gamma) < ceil(inner / 2)], Pr[Bin(inner,
+    gamma) >= ceil(inner / 2)]).  A non-negative tally keeps a drawn y
+    alive."""
+    return _binom_tails(math.ceil(inner / 2), inner, gamma)
 
 
 def blackbox_survive_prob(n_draws: int, p, q, inner: int):
@@ -603,7 +606,7 @@ def blackbox_survive_prob(n_draws: int, p, q, inner: int):
     Scalars give a float, 1-D arrays one value per row."""
     alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
     gamma = chi2_accept_prob(alpha, beta)
-    survive = _majority_prob(inner, gamma)
+    survive = _majority_prob(inner, gamma)[1]
     return float(survive[0]) if np.ndim(gamma) == 0 else survive
 
 
@@ -674,28 +677,23 @@ def _bracket_grid(inner: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.zeros(_GRID + 1, dtype=bool))
 
 
-def _lo_point(a) -> np.ndarray:
-    """Per row, the index of the lo grid point at or above the Pinsker
-    bound ``a``."""
-    return np.ceil((np.fmax(a, 0.5) - 0.5) * (2 * _GRID)).astype(np.int64)
-
-
-def _survive_lo(a, inner: int) -> np.ndarray:
-    """Per row, the bracket's lower end, widened by ``_BRACKET_SLACK``, for
-    the Pinsker bound ``a``: taken at the grid point at or above a, since it
-    falls as a grows (NaN for a NaN a).  A point's fill also marks it
-    certain from the fail tail it computes beside lo."""
+def _survive_lo(a, inner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, (lo, certain) for the Pinsker bound ``a``, both read at the
+    grid point at or above a, since lo falls as a grows: lo the bracket's
+    lower end, widened by ``_BRACKET_SLACK`` (NaN for a NaN a), and certain
+    the point's mark, which its fill sets from the fail tail it computes
+    beside lo."""
     a = _rows(a)
     lo, _, certain = _bracket_grid(inner)
+    index = np.ceil((np.fmax(a, 0.5) - 0.5) * (2 * _GRID)).astype(np.int64)
 
     def fill(i):
         over = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, 0.5 + i / (2 * _GRID))[1]
-        gamma_lo = np.maximum(1.0 - 2.0 * over, 0.0)
-        fail, survive = _binom_tails(math.ceil(inner / 2), inner, gamma_lo)
+        fail, survive = _majority_prob(inner, np.maximum(1.0 - 2.0 * over, 0.0))
         certain[i] = fail == 0.0
         return survive - _BRACKET_SLACK
 
-    return np.where(np.isnan(a), np.nan, _lazy_read(lo, _lo_point(a), fill))
+    return np.where(np.isnan(a), np.nan, _lazy_read(lo, index, fill)), certain[index]
 
 
 def _survive_hi(m, inner: int) -> np.ndarray:
@@ -706,7 +704,7 @@ def _survive_hi(m, inner: int) -> np.ndarray:
 
     def fill(i):
         gamma_hi = _binom_tails(CHI2_THRESHOLD + 1, CHI2_TRIALS, i / _GRID)[0]
-        return _majority_prob(inner, gamma_hi) + _BRACKET_SLACK
+        return _majority_prob(inner, gamma_hi)[1] + _BRACKET_SLACK
 
     return np.where(np.isnan(m), np.nan, _lazy_read(_bracket_grid(inner)[1], index, fill))
 
@@ -716,7 +714,7 @@ def _survive_bounds(n_draws: int, kl, gap, inner: int) -> tuple[np.ndarray, np.n
     <= hi, widened by ``_BRACKET_SLACK`` on each side, for the pair whose
     min-KL is ``kl`` and whose p - q is ``gap`` (see ``_compare_bounds``)."""
     a, m = _compare_bounds(n_draws, kl, gap)
-    return _survive_lo(a, inner), _survive_hi(m, inner)
+    return _survive_lo(a, inner)[0], _survive_hi(m, inner)
 
 
 def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
@@ -747,8 +745,8 @@ def _survive_floors(p_mu: np.ndarray, p_tau: np.ndarray, n_draws: list[int],
         values = _min_kl(p_mu[differ], p_tau[differ])
         kl, known = values.max(initial=0.0), (differ, values)
     a = _pinsker_bound(np.asarray(n_draws, dtype=np.float64), kl)
-    floors = (_survive_lo(a, inner) - _BRACKET_SLACK).tolist()
-    return floors, _bracket_grid(inner)[2][_lo_point(a)].tolist(), known
+    lo, certain = _survive_lo(a, inner)
+    return (lo - _BRACKET_SLACK).tolist(), certain.tolist(), known
 
 
 def _node_kl(size: int, known) -> np.ndarray:
@@ -1069,6 +1067,6 @@ def interval_equivalence_test(tau: IntervalOracle, mu: IntervalOracle, eps: floa
     if tau.N != mu.N:
         raise ValueError(f"domain mismatch: {tau.N} vs {mu.N}")
     if tau.N == 1:
-        return Verdict(True, queries_used={cls.value: 0 for cls in QueryClass} | {"total": 0})
+        return Verdict(True, queries_used=_counter_totals(()))
     return _equivalence_core(IntervalBackedPrefixOracle(tau), IntervalBackedPrefixOracle(mu),
                              eps_l, seed)

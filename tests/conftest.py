@@ -6,8 +6,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import _ufuncs as boost
-from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
 from condtest import adversarial, harness, testers
@@ -256,60 +254,6 @@ def exact_calculus(n_draws, p, q, inner):
             alpha += pmf_q * (total - below)
         gamma = exact_accept_prob(alpha, beta)
         return alpha, beta, exact_binom_tail(math.ceil(inner / 2), inner, gamma)
-
-
-def _boost_rules(value, k, p, below, above, last):
-    """``rv_discrete``'s rules around a Boost kernel's value: ``below`` where
-    k < 0, ``above`` where k > ``last``, the value clipped to [0, 1] in
-    between, NaN wherever p is NaN or outside [0, 1]."""
-    value = np.where(k < 0, below, np.where(k > last, above, np.clip(value, 0.0, 1.0)))
-    return np.where((p >= 0.0) & (p <= 1.0), value, np.nan)
-
-
-def boost_binom_pmf(k, n, p):
-    """``binom.pmf(k, n, p)`` from SciPy's Boost kernel; rows with
-    0 < p < 1e-300, where that kernel can overflow, use exp of
-    ``binom.logpmf``'s formula."""
-    p = np.asarray(p, dtype=np.float64)
-    tiny = (p > 0.0) & (p < 1e-300)
-    pmf = boost._binom_pmf(k, n, np.where(tiny, 0.5, p))
-    if tiny.any():
-        p_tiny = np.where(tiny, p, 0.5)
-        logpmf = (gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
-                  + xlogy(k, p_tiny) + xlog1py(n - k, -p_tiny))
-        pmf = np.where(tiny, np.exp(logpmf), pmf)
-    return _boost_rules(pmf, k, p, 0.0, 0.0, n)
-
-
-def boost_binom_cdf(k, n, p):
-    """``binom.cdf(k, n, p)`` from SciPy's Boost kernel."""
-    return _boost_rules(boost._binom_cdf(k, n, p), k, p, 0.0, 1.0, n - 1)
-
-
-def boost_binom_sf(k, n, p):
-    """``binom.sf(k, n, p)`` from SciPy's Boost kernel."""
-    return _boost_rules(boost._binom_sf(k, n, p), k, p, 1.0, 0.0, n - 1)
-
-
-def boost_calculus(n_draws, p, q, inner):
-    """(alpha, beta, survive) for one (p, q) by the Boost kernel path the
-    calculus used before its NumPy kernel: Y's pmf over its Hoeffding window
-    against X's sf and cdf, then the accept probability and the majority
-    tail from the same kernels."""
-    half = math.ceil(math.sqrt(n_draws * math.log(2e18) / 2.0))
-    width = min(2 * half + 2, n_draws + 1)
-    lo = min(max(math.floor(n_draws * q) - half, 0), n_draws + 1 - width)
-    k = np.arange(lo, lo + width)
-    pmf_q = boost_binom_pmf(k, n_draws, q)
-    alpha = min(float((pmf_q * boost_binom_sf(k, n_draws, p)).sum()), 1.0)
-    beta = min(float((pmf_q * boost_binom_cdf(k - 1, n_draws, p)).sum()), 1.0)
-    gamma = 0.0
-    if alpha < 1.0:
-        a = np.arange(CHI2_THRESHOLD + 1)
-        pa = boost_binom_pmf(a, CHI2_TRIALS, alpha)
-        pb = boost_binom_cdf(CHI2_THRESHOLD, CHI2_TRIALS - a, min(beta / (1.0 - alpha), 1.0))
-        gamma = min(max(float((pa * pb).sum()), 0.0), 1.0)
-    return alpha, beta, float(boost_binom_sf(math.ceil(inner / 2) - 1, inner, gamma))
 
 
 def near_rows(n_draws, inner, count, seed):

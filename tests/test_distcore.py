@@ -462,6 +462,15 @@ def test_tuple_domain_indexing():
         itertools.product(*dom.alphabets))
 
 
+@pytest.mark.parametrize("idx", [-1, 24, 25, 1 << 40])
+def test_tuple_domain_refuses_an_index_outside_it(idx):
+    """An index outside [0, size) is refused, not wrapped into the domain
+    (with sizes (3, 2, 4), index 24 would wrap to element 0)."""
+    dom = TupleDomain((("a", "b", "c"), (0, 1), (0, 1, 2, 3)))
+    with pytest.raises(ValueError):
+        dom.element_of(idx)
+
+
 @pytest.mark.parametrize("k, width", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 3),
                                       (8, 3), (9, 4)]
                          + [(1 << j, j) for j in range(1, 17)]

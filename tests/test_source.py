@@ -156,3 +156,23 @@ def test_one_billed_draw():
         "charge": {"MeteredOracle.charge", "MeteredOracle._draw_cell",
                    "BinaryPrefixOracle.marginal_prefix_sample", "TableOracle.draw_unconditional"},
     }
+
+
+def test_tests_and_scripts_import_public_scipy_only():
+    """The tests and scripts import SciPy through its public API only: no
+    module path or imported name from ``scipy`` has a segment that starts
+    with "_", such as ``scipy.special._ufuncs``."""
+    root = Path(__file__).resolve().parents[1]
+    private = []
+    for path in sorted([*root.glob("tests/*.py"), *root.glob("scripts/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                paths = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [f"{path.relative_to(root)}:{node.lineno}: {name}" for name in paths
+                        if name.split(".")[0] == "scipy"
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert private == []

@@ -255,7 +255,8 @@ def _exact_cells(n, p):
 def test_binom_kernel_matches_exact_reference(n):
     """The pmf and both tails on k in [-3, n + 3] at p random, log-spaced in
     [1e-300, 1e-3] and {0, 1, 1 - 1e-16, 1e-294, 1e-307, 5e-309, 1e-310,
-    NaN} (SciPy's Boost pmf overflows at 1e-307 and 5e-309): 0 outside the
+    NaN} (SciPy's Boost pmf overflowed at 1e-307 and 5e-309, measured before
+    that path was removed from the tests): 0 outside the
     support, all mass at k = 0 or n for p = 0 or 1, NaN for a NaN p, and
     against the 40-digit reference the pmf within 4e-15 (1 + |ln pmf|) pmf
     above 1e-290 (exp's error at its argument) and 1e-300 below, and each
@@ -352,7 +353,8 @@ def test_calculus_matches_exact_reference(n_draws, rows):
     (1e-6, 1 - 1e-6), inner = 891) against their 40-digit values: alpha and
     beta within 1e-15 and survive within 1e-13, the per-decision bound the
     module docstring states.  Measured: 1.4e-16 and 2.1e-14; the Boost
-    kernel path missed by up to 2.4e-15 and 1.0e-13 on the same rows.
+    kernel path missed by up to 2.4e-15 and 1.0e-13 on the same rows,
+    measured before that path was removed from the tests.
     ``scripts/exact_calculus_error.py`` runs the larger N."""
     for p, q in near_rows(n_draws, 891, rows, seed=n_draws):
         alpha, beta = chi2_trial_compare_probs(n_draws, p, q)
